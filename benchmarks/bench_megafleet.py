@@ -179,7 +179,7 @@ def _stats_tuple(stats):
 def check_columnar_identity(n_objects: int = 400, n_samples: int = 120) -> bool:
     """Columnar engine vs the scalar event kernel, bit for bit."""
     times, positions = _build_arrays(n_objects, n_samples)
-    scalar = FleetSimulation(_lanes_from_arrays(times, positions), kernel="event")
+    scalar = FleetSimulation(_lanes_from_arrays(times, positions))
     columnar = ColumnarFleetEngine.from_lanes(_lanes_from_arrays(times, positions))
     return _identical(scalar.run(), columnar.run())
 
@@ -190,7 +190,6 @@ def _sharded_fleet(times, positions, processes: int) -> FleetSimulation:
     return FleetSimulation(
         _lanes_from_arrays(times, positions, channel=channel),
         server=LocationService(n_shards=4),
-        kernel="event",
         handoff_interval=30.0,
         processes=processes,
     )
@@ -214,7 +213,7 @@ def check_multiprocess_identity(n_objects: int = 200, n_samples: int = 90) -> bo
 
 def _time_processes(times, positions, processes: int) -> float:
     fleet = FleetSimulation(
-        _lanes_from_arrays(times, positions), kernel="event", processes=processes
+        _lanes_from_arrays(times, positions), processes=processes
     )
     started = time.perf_counter()
     fleet.run()

@@ -37,10 +37,6 @@ from typing import List
 #: must stay at or below; ``flags`` lists recorded booleans that must be
 #: true.
 _SPECS = {
-    "BENCH_event_kernel.json": {
-        "floors": {"speedup": "required_speedup"},
-        "flags": ["results_identical", "stats_identical_modulo_queue_delay"],
-    },
     "BENCH_sweep_runner.json": {
         "floors": {"speedup": "required_speedup"},
         "flags": ["updates_per_hour_identical"],

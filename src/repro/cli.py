@@ -9,14 +9,14 @@ writing any Python::
     repro scenarios
     repro sweep --scenario rush_hour_city --protocol map --scale 0.25 --out-dir artifacts
     repro simulate --scenario city --protocol map --accuracy 100 --scale 0.2
-    repro simulate --scenario low_power_tracker --protocol linear --accuracy 100 --kernel event
+    repro simulate --scenario low_power_tracker --protocol linear --accuracy 100
     repro fleet --mix rush_hour_city:map:100:25 --mix walking:linear:50:10 --scale 0.1
-    repro fleet --mix rush_hour_city:linear:100:20 --mix mixed_rate_city:linear:100:80 --kernel event --scale 0.1
+    repro fleet --mix rush_hour_city:linear:100:20 --mix mixed_rate_city:linear:100:80 --scale 0.1
     repro fleet --mix city:linear:100:50 --shards 4 --scale 0.1
     repro fleet --mix city:linear:100:50 --scale 0.1 --obs --obs-dir artifacts/obs
     repro obs-report artifacts/obs
     repro query-bench --scenario rush_hour_city --count 50 --shards 4 --scale 0.1
-    repro query-bench --scenario poisson_queries_freeway --kernel event --scale 0.1
+    repro query-bench --scenario poisson_queries_freeway --scale 0.1
     repro serve --mix city:linear:100:10 --scale 0.1 --port 7450
     repro load-test --mix city:linear:100:10 --scale 0.1 --rate 5 --clients 4 --verify
     repro load-test --mix city:linear:100:10 --scale 0.1 --connect 127.0.0.1:7450
@@ -40,13 +40,10 @@ output can be diffed against the paper's numbers or piped into other tools.
 Sweep-shaped commands execute on the shared
 :class:`~repro.sim.runner.SweepRunner`; ``--jobs N`` fans their points out
 over N worker processes, with results guaranteed identical to a serial run.
-``simulate``/``fleet``/``sweep``/``query-bench`` accept ``--kernel
-{tick,event}`` to pick the simulation kernel (see the README's "Simulation
-kernel" section); the default tick loop and the event kernel are
-bit-identical for uniform sampling, tick-aligned latency and on-grid (or
-absent) protocol timer deadlines — off-grid timers (the ``time``
-protocol's usual case) fire at exact instants under the event kernel
-instead of being polled.
+Every simulation runs on the discrete-event kernel (see the README's
+"Simulation kernel" section): channel messages arrive and protocol timers
+fire at their exact instants, lanes keep their own sampling rates, and
+query workloads may arrive as a Poisson process.
 
 ``fleet``, ``serve`` and ``load-test`` accept ``--obs`` (and ``--obs-dir
 DIR``) to record metrics, spans and run provenance without changing any
@@ -178,20 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "(implies --obs; trace.json opens in Perfetto)",
         )
 
-    def add_kernel(p: argparse.ArgumentParser) -> None:
-        from repro.sim.kernel import KERNELS
-
-        p.add_argument(
-            "--kernel", choices=list(KERNELS), default="tick",
-            help="simulation kernel: the classic time-stepped loop (tick) or "
-                 "the discrete-event scheduler (event); bit-identical for "
-                 "uniform sampling, tick-aligned latency and on-grid timer "
-                 "deadlines, the event kernel adds exact channel delivery and "
-                 "timer instants (the 'time' protocol's off-grid deadlines "
-                 "fire exactly instead of being polled), Poisson query "
-                 "arrivals and fast sparse mixed-rate fleets (default tick)",
-        )
-
     p_table = subparsers.add_parser("table1", help="reproduce Table 1")
     add_scale(p_table)
 
@@ -237,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_scale(p_sweep)
     add_jobs(p_sweep)
-    add_kernel(p_sweep)
 
     p_ablation = subparsers.add_parser("ablation", help="run one of the ablation studies")
     p_ablation.add_argument(
@@ -253,14 +235,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--protocol", choices=list(PROTOCOL_IDS), required=True)
     p_sim.add_argument("--accuracy", type=float, required=True, help="requested accuracy us [m]")
     add_scale(p_sim)
-    add_kernel(p_sim)
 
     subparsers.add_parser(
         "scenarios", help="list every scenario in the library (canonical + generated)"
     )
 
     p_fleet = subparsers.add_parser(
-        "fleet", help="run a heterogeneous fleet through the merged simulation loop"
+        "fleet", help="run a heterogeneous fleet through the event-driven simulation loop"
     )
     p_fleet.add_argument(
         "--mix",
@@ -290,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_map_file(p_fleet)
     add_scale(p_fleet)
-    add_kernel(p_fleet)
     add_obs(p_fleet)
 
     p_qbench = subparsers.add_parser(
@@ -304,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_qbench.add_argument("--shards", type=_positive_int, default=4)
     p_qbench.add_argument(
         "--queries-per-tick", type=float, default=2.0,
-        help="application queries issued per simulation tick (may be fractional)",
+        help="application queries issued per sample instant when no arrival "
+             "rate applies (may be fractional)",
     )
     p_qbench.add_argument(
         "--query-mix", type=str, default=None, metavar="KIND=W,...",
@@ -315,15 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_qbench.add_argument(
         "--arrival-rate", type=float, default=None, metavar="PER_S",
         help="Poisson query-arrival rate in queries per simulated second "
-             "(event kernel only; default: the scenario's query_rate_per_s, "
-             "falling back to per-tick arrivals)",
+             "(default: the scenario's query_rate_per_s, falling back to "
+             "per-tick arrivals)",
     )
     p_qbench.add_argument(
         "--out-dir", type=str, default=None,
         help="directory for the JSON artifact (default: print only)",
     )
     add_scale(p_qbench)
-    add_kernel(p_qbench)
 
     def add_mix(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -609,9 +589,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _run_sweep_command(args, runner: SweepRunner, spec: ScenarioSpec) -> int:
-    points = runner.run_config_sweep(
-        spec, args.protocol, args.accuracies, kernel=args.kernel
-    )
+    points = runner.run_config_sweep(spec, args.protocol, args.accuracies)
     rows = [point.result.as_dict() for point in points]
     _emit(args, rows, f"{args.protocol} sweep on {args.scenario} (scale {args.scale:g})")
     if args.out_dir:
@@ -626,7 +604,6 @@ def _run_sweep_command(args, runner: SweepRunner, spec: ScenarioSpec) -> int:
                 "scale": args.scale,
                 "seed": spec.seed,
                 "jobs": args.jobs,
-                "kernel": args.kernel,
             },
         )
         for fmt, path in written.items():
@@ -656,7 +633,7 @@ def _cmd_simulate(args) -> int:
     protocol = SimulationConfig(
         protocol_id=args.protocol, accuracy=args.accuracy
     ).build_protocol(scenario)
-    result = SweepRunner().run_single(scenario, protocol, kernel=args.kernel)
+    result = SweepRunner().run_single(scenario, protocol)
     _emit(args, [result.as_dict()], f"{args.protocol} on {args.scenario} (us={args.accuracy:g} m)")
     return 0
 
@@ -714,7 +691,7 @@ def _cmd_fleet(args) -> int:
         fleet = ColumnarFleetEngine.from_lanes(lanes, obs=obs).run()
     else:
         fleet = FleetSimulation(
-            lanes, server=server, kernel=args.kernel, processes=args.processes, obs=obs
+            lanes, server=server, processes=args.processes, obs=obs
         ).run()
     _finish_obs(
         args,
@@ -723,7 +700,6 @@ def _cmd_fleet(args) -> int:
             "command": "fleet",
             "mix": list(args.mix),
             "scale": args.scale,
-            "kernel": args.kernel,
             "shards": args.shards,
             "processes": args.processes,
             "columnar": bool(args.columnar),
@@ -731,8 +707,6 @@ def _cmd_fleet(args) -> int:
         seed=args.seed,
     )
     title = f"Fleet of {len(lanes)} objects (scale {args.scale:g})"
-    if args.kernel != "tick":
-        title += f", {args.kernel} kernel"
     if args.shards > 1:
         title += f", {args.shards} shards"
     if args.processes > 1:
@@ -780,7 +754,6 @@ def _cmd_query_bench(args) -> int:
             queries_per_tick=args.queries_per_tick,
             mix=mix,
             k=args.k,
-            kernel=args.kernel,
             arrival_rate_per_s=args.arrival_rate,
         )
         # Surface workload validation (unknown kinds, negative rates) as a

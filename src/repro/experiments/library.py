@@ -83,8 +83,8 @@ class ScenarioEntry:
         derives one from the topology knob.
     query_rate_per_s:
         Optional default Poisson query-arrival rate (queries per simulated
-        second) for event-kernel workload replays; ``None`` keeps the
-        per-tick workload model.
+        second) for workload replays; ``None`` keeps the per-tick workload
+        model.
     """
 
     name: str
@@ -177,8 +177,7 @@ QUERY_MIXES: Dict[str, Mapping[str, float]] = {
 
 #: Default Poisson query-arrival rates (queries per simulated second) for
 #: scenarios modelling a live service under independent request traffic;
-#: honoured by event-kernel workload replays (``repro query-bench --kernel
-#: event``).
+#: honoured by workload replays (``repro query-bench``).
 QUERY_RATES: Dict[str, float] = {
     "poisson_queries_freeway": 0.5,
 }
@@ -352,8 +351,8 @@ register_generated(GeneratorSpec(
     us_values=tuple(WALK_US_SWEEP),
     matching_tolerance=20.0,
 ))
-# Event-kernel scenarios: heterogeneous sighting rates and Poisson query
-# arrivals (the workloads the discrete-event schedule exists for).
+# Heterogeneous sighting rates and Poisson query arrivals (the workloads
+# the discrete-event schedule exists for).
 register_generated(GeneratorSpec(
     name="mixed_rate_city",
     description=(
@@ -373,7 +372,7 @@ register_generated(GeneratorSpec(
     name="poisson_queries_freeway",
     description=(
         "freeway drive serving a Poisson application-query stream "
-        "(0.5 queries/s; exact arrival instants need --kernel event)"
+        "(0.5 queries/s, at exact arrival instants)"
     ),
     topology=Topology(kind="corridor", length_km=50.0),
     regime=FREE_FLOW,

@@ -174,9 +174,9 @@ class DisconnectionDetectionDeadReckoning(_LinearPredictionThresholdProtocol):
         under the decayed threshold, so a silence this long means the link
         is gone.  Declarations are recorded on
         :attr:`disconnection_times`.  Under the event kernel the timer
-        fires at exactly ``last_update + disconnect_timeout``; under the
-        tick loop the condition is polled and detected at the first
-        sighting past the timeout.  ``None`` disables detection.
+        fires at exactly ``last_update + disconnect_timeout``; a caller
+        that only feeds sightings polls the condition, detecting it at the
+        first sighting past the timeout.  ``None`` disables detection.
     """
 
     name = "disconnection-detection dead reckoning (dtdr)"

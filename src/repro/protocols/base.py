@@ -252,8 +252,10 @@ class UpdateProtocol(abc.ABC):
         event kernel schedules a timer event there and calls
         :meth:`on_timer` when it expires, so the protocol acts at the exact
         instant instead of at the first sighting that happens to be polled
-        afterwards.  ``None`` (the default) means no timer is pending —
-        the tick loop never consults these hooks and keeps polling.
+        afterwards.  ``None`` (the default) means no timer is pending.  A
+        caller that only feeds sightings (the load generator's replay)
+        never consults these hooks; the protocol then polls its deadline
+        on every sighting.
         """
         return None
 

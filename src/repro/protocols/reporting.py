@@ -142,8 +142,9 @@ class TimeBasedReporting(UpdateProtocol):
 
         Under the event kernel the report fires at exactly
         ``t0 + k * interval`` (``t0`` being the initial report), carrying
-        the most recent sighting's state; under the tick loop the protocol
-        is polled and reports at the first sighting past the deadline.
+        the most recent sighting's state; a caller that only feeds
+        sightings polls the protocol, which then reports at the first
+        sighting past the deadline.
         """
         if self.last_reported is None:
             return None

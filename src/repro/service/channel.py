@@ -6,28 +6,30 @@ and byte so the evaluation can report bandwidth alongside update counts, and
 it can add latency and losses for robustness experiments (losses model the
 disconnections Wolfson's dtdr strategy addresses).
 
-The channel supports both simulation kernels:
+A message reaches the server in one of two ways:
 
-* Under the **tick** loop, messages queue in an in-flight list and
+* During a fleet simulation, the event kernel binds a delivery
+  *scheduler* via :meth:`MessageChannel.bind_scheduler`; ``send`` then
+  hands every message straight to the kernel as a delivery event at
+  exactly ``t + L``, so latency is exact and ``max_queue_delay`` stays
+  ``0``.
+* Unbound, messages queue in an in-flight list and
   :meth:`MessageChannel.deliver_due` pops everything whose delivery time
   has been reached — i.e. a message sent at ``t`` with latency ``L`` is
-  delivered at the first tick ``>= t + L``.  This tick-quantised behaviour
-  is deliberately unchanged; the quantisation it introduces is measured by
-  :attr:`ChannelStats.max_queue_delay` (the worst observed gap between a
-  message's nominal delivery instant and the tick that actually delivered
-  it — exactly ``0`` when latency is a tick multiple).
-* Under the **event** kernel, a delivery *scheduler* is bound via
-  :meth:`MessageChannel.bind_scheduler`; ``send`` then hands every message
-  straight to the kernel as a delivery event at exactly ``t + L``, so
-  latency is exact and ``max_queue_delay`` stays ``0``.
+  delivered at the first polled instant ``>= t + L``.  The load generator
+  replays sources through this queue; the quantisation it introduces is
+  measured by :attr:`ChannelStats.max_queue_delay` (the worst observed gap
+  between a message's nominal delivery instant and the poll that actually
+  delivered it — exactly ``0`` when latency is a multiple of the polling
+  step).
 
 Losses are drawn **per message**, keyed by ``(seed, object_id, sequence)``
 rather than by consuming a shared RNG stream in send order.  Send
-interleaving differs between the tick and event kernels (and between fleet
-compositions), so a stream-ordered draw would make the loss pattern an
-artifact of the scheduler; the keyed draw gives bit-identical loss
-sequences for the same seed on either kernel.  Unseeded channels keep the
-legacy stream draw (they are non-reproducible by construction).
+interleaving depends on the schedule and the fleet composition, so a
+stream-ordered draw would make the loss pattern an artifact of the
+scheduler; the keyed draw gives bit-identical loss sequences for the same
+seed on either delivery path.  Unseeded channels keep the legacy stream
+draw (they are non-reproducible by construction).
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ def delivery_order(entry: Tuple[float, str, UpdateMessage]) -> Tuple[float, str,
     dataclass without ``order=True``, so sorting raw tuples would fall
     through to comparing messages and raise ``TypeError``.  The message's
     sequence number is the deterministic tie-break (send order per object);
-    both kernels' delivery paths sort with this key.
+    both delivery paths sort with this key.
     """
     deliver_at, object_id, message = entry
     return (deliver_at, object_id, message.sequence)
@@ -73,9 +75,9 @@ class ChannelStats:
     bytes_delivered: int = 0
     #: Worst observed queueing delay in seconds: how long a message sat in
     #: the in-flight queue *past* its nominal delivery instant
-    #: ``send_time + latency`` before a tick picked it up.  Exactly ``0``
+    #: ``send_time + latency`` before a poll picked it up.  Exactly ``0``
     #: under the event kernel (delivery events fire at the exact instant)
-    #: and whenever latency is a tick multiple.
+    #: and whenever latency is a multiple of the polling step.
     max_queue_delay: float = 0.0
 
     @property
@@ -98,7 +100,7 @@ class MessageChannel:
     seed:
         Seed for the loss process.  Seeded channels draw each message's
         loss independently from ``(seed, object_id, sequence)``, so the
-        loss pattern is identical on both simulation kernels and across
+        loss pattern is identical on both delivery paths and across
         repeated runs; unseeded channels draw from a process-random stream.
     """
 
@@ -132,7 +134,7 @@ class MessageChannel:
         self._scheduler = scheduler
 
     def unbind_scheduler(self) -> None:
-        """Detach the event-kernel delivery hook (back to tick queueing)."""
+        """Detach the event-kernel delivery hook (back to in-flight queueing)."""
         self._scheduler = None
 
     # ------------------------------------------------------------------ #
@@ -169,9 +171,9 @@ class MessageChannel:
     def deliver_due(self, time: float) -> List[Tuple[str, UpdateMessage]]:
         """Pop every message whose delivery time has been reached.
 
-        This is the tick path: a message becomes visible at the first tick
-        at or after its nominal delivery instant (unchanged behaviour); the
-        quantisation gap is recorded on :attr:`ChannelStats.max_queue_delay`.
+        This is the polled path: a message becomes visible at the first
+        poll at or after its nominal delivery instant; the quantisation gap
+        is recorded on :attr:`ChannelStats.max_queue_delay`.
         """
         if not self._in_flight:
             return []
@@ -219,6 +221,6 @@ class MessageChannel:
 
     @property
     def in_flight(self) -> int:
-        """Number of messages currently in transit (tick path only; the
+        """Number of messages currently in transit (polled path only; the
         event kernel keeps pending deliveries on its own agenda)."""
         return len(self._in_flight)

@@ -91,6 +91,14 @@ WIRE_PREDICTIONS = {
     "linear": LinearPrediction,
 }
 
+#: The ops :meth:`LiveLocationServer._dispatch` answers.
+KNOWN_OPS = frozenset(
+    ("ping", "register", "ingest", "range", "nearest", "geofence", "stats",
+     "metrics", "shutdown")
+)
+#: The one counter / latency key every other op string is recorded under.
+UNKNOWN_OP = "unknown"
+
 _STOP = object()
 
 
@@ -158,7 +166,9 @@ class LiveLocationServer:
         self.applied_seq = 0
         #: ``ingest`` requests turned away because the queue was full.
         self.rejected_batches = 0
-        #: Per-op request counters (monitoring / tests).
+        #: Per-op request counters (monitoring / tests).  Ops the server
+        #: does not know share the :data:`UNKNOWN_OP` key, so a client
+        #: cannot grow this dict (or the metric names) without bound.
         self.op_counts: Dict[str, int] = {}
         #: Set by the ``shutdown`` op; :meth:`run_until_shutdown` awaits it.
         self.shutdown_requested = asyncio.Event()
@@ -295,7 +305,8 @@ class LiveLocationServer:
                 if request is None:
                     break
                 op = str(request.get("op", ""))
-                self.op_counts[op] = self.op_counts.get(op, 0) + 1
+                key = op if op in KNOWN_OPS else UNKNOWN_OP
+                self.op_counts[key] = self.op_counts.get(key, 0) + 1
                 started = _time.perf_counter() if self.obs is not None else 0.0
                 try:
                     response = await self._dispatch(op, request)
@@ -306,7 +317,7 @@ class LiveLocationServer:
                 if self.obs is not None:
                     # Latency includes any watermark wait — that is the
                     # client-observed service time, which is the point.
-                    self.obs.latency(f"live.op.{op}").record(
+                    self.obs.latency(f"live.op.{key}").record(
                         _time.perf_counter() - started
                     )
                 await write_frame(writer, response)
@@ -324,6 +335,7 @@ class LiveLocationServer:
     # request dispatch
     # ------------------------------------------------------------------ #
     async def _dispatch(self, op: str, request: Dict[str, object]) -> Dict[str, object]:
+        # Keep in step with KNOWN_OPS.
         if op == "ping":
             return {"ok": True, "op": "ping", "applied_seq": self.applied_seq}
         if op == "register":

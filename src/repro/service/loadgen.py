@@ -5,7 +5,7 @@ the simulators *measure* the protocols, this module *serves* them.  It
 
 1. extracts the **update stream** a fleet of lanes would transmit — each
    lane's protocol processes its sensor trace through a loss-free,
-   zero-latency channel, exactly like the tick kernel's degenerate
+   zero-latency channel, exactly like the fleet kernel's degenerate
    schedule — and groups the delivered messages into time-ordered batches;
 2. draws the **query stream** from the workload's seeded Poisson machinery
    (:func:`repro.sim.workload.poisson_query_stream`), so the arrival
@@ -88,7 +88,7 @@ def build_replay_plan(
     The lanes' protocols are *consumed* (they process every sighting), so
     callers must pass freshly built lanes.  Updates are transmitted over a
     loss-free zero-latency channel and grouped per simulated instant in
-    lane order — the batches the tick kernel would hand to
+    lane order — the batches the fleet kernel hands to
     :meth:`~repro.service.facade.LocationService.ingest_batch`.
     """
     if not lanes:
@@ -128,7 +128,7 @@ def build_replay_plan(
             for object_id, message in channel.deliver_due(t):
                 events.append((t, lane_index, object_id, message))
     # Group deliveries sharing an instant into one batch, lanes in lane
-    # order within the instant — the tick loop's batching.
+    # order within the instant — the fleet loop's batching.
     events.sort(key=lambda e: (e[0], e[1]))
     batches: List[Batch] = []
     for t, _lane_index, object_id, message in events:

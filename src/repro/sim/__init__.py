@@ -16,11 +16,10 @@ execution core:
   a binary-heap agenda ordered by ``(time, priority, seq)`` with event
   kinds for sensor samples, protocol timers, channel deliveries, shard
   handoffs and workload query arrivals.
-* :mod:`repro.sim.fleet` is the core: :class:`FleetSimulation` steps any
-  number of (object, protocol, trace) lanes — on the classic tick loop or
-  on the event kernel (``kernel="event"``), bit-identical in the
-  degenerate case (uniform rates, tick-aligned latency, on-grid or no
-  timer deadlines) — against a single
+* :mod:`repro.sim.fleet` is the core: :class:`FleetSimulation` runs any
+  number of (object, protocol, trace) lanes through that one event
+  schedule — exact delivery and timer instants, per-lane sampling rates —
+  against a single
   :class:`~repro.service.server.LocationServer`, with vectorised
   speed/heading estimation and batched server queries.
 * :mod:`repro.sim.engine` keeps the classic single-object API:
@@ -37,7 +36,7 @@ execution core:
 serialisable :class:`SimulationConfig` values.
 """
 
-from repro.sim.kernel import KERNELS, EventKernel, validate_kernel
+from repro.sim.kernel import EventKernel
 from repro.sim.metrics import AccuracyMetrics, SimulationResult
 from repro.sim.engine import ProtocolSimulation, run_simulation
 from repro.sim.fleet import FleetLane, FleetResult, FleetSimulation, run_fleet
@@ -58,9 +57,7 @@ from repro.sim.workload import (
 )
 
 __all__ = [
-    "KERNELS",
     "EventKernel",
-    "validate_kernel",
     "QueryBenchSpec",
     "QueryWorkload",
     "WorkloadExecutor",

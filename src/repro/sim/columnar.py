@@ -13,7 +13,7 @@ fleet's hot state in contiguous NumPy columns instead:
   store whose arithmetic matches the scalar protocol/server code operation
   for operation, so its results are **bitwise identical** to
   :class:`~repro.sim.fleet.FleetSimulation` (asserted by the test-suite on
-  library fleets, on both kernels).
+  library fleets).
 
 The engine covers the *homogeneous mega-fleet* shape: every lane on one
 shared sampling grid, a threshold protocol with static or linear
@@ -388,7 +388,7 @@ class ColumnarFleetEngine:
     def run(self):
         """Execute the simulation; returns a :class:`~repro.sim.fleet.FleetResult`.
 
-        Per sample instant the loop performs the tick loop's exact sequence
+        Per sample instant the loop performs the fleet loop's exact sequence
         — decide (threshold on the predicted deviation), transmit+deliver
         (zero latency folds these into the reported-state columns), measure
         (server prediction against truth) — as a handful of whole-fleet

@@ -26,11 +26,8 @@ from repro.protocols.reporting import (
     TimeBasedReporting,
 )
 from repro.roadmap.probability import TurnProbabilityTable
-from repro.sim.kernel import KERNELS, validate_kernel  # noqa: F401  (re-export)
 
 #: Registry of protocol identifiers accepted by :class:`SimulationConfig`.
-#: The simulation-kernel registry (:data:`KERNELS` / ``tick`` | ``event``)
-#: is re-exported here so every "which ids exist" lookup has one home.
 PROTOCOL_IDS = (
     "distance",
     "movement",

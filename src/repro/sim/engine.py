@@ -47,9 +47,6 @@ class ProtocolSimulation:
         is included in the update count.  The paper counts transmitted
         messages, so the default is ``True``; the effect on updates/hour is
         negligible for hour-long traces.
-    kernel:
-        ``"tick"`` (time-stepped loop) or ``"event"`` (discrete-event
-        schedule); see :class:`~repro.sim.fleet.FleetSimulation`.
     """
 
     protocol: UpdateProtocol
@@ -58,7 +55,6 @@ class ProtocolSimulation:
     channel: Optional[MessageChannel] = None
     object_id: str = "object-0"
     count_initial_update: bool = True
-    kernel: str = "tick"
 
     def run(self) -> SimulationResult:
         """Execute the simulation and return the collected metrics."""
@@ -73,7 +69,6 @@ class ProtocolSimulation:
                 )
             ],
             count_initial_update=self.count_initial_update,
-            kernel=self.kernel,
         )
         return fleet.run().results[self.object_id]
 
@@ -83,7 +78,6 @@ def run_simulation(
     sensor_trace: Trace,
     truth_trace: Optional[Trace] = None,
     channel: Optional[MessageChannel] = None,
-    kernel: str = "tick",
 ) -> SimulationResult:
     """Convenience wrapper around :class:`ProtocolSimulation`."""
     return ProtocolSimulation(
@@ -91,5 +85,4 @@ def run_simulation(
         sensor_trace=sensor_trace,
         truth_trace=truth_trace,
         channel=channel,
-        kernel=kernel,
     ).run()

@@ -23,25 +23,24 @@ Design properties the rest of the stack relies on:
   :meth:`~repro.service.server.LocationServer.predict_positions` API once
   per timestep, and error samples are accumulated into
   :class:`~repro.sim.metrics.AccuracyMetrics` as one array per lane.
-* **Two kernels, one semantics** — the fleet runs either on the classic
-  time-stepped loop (``kernel="tick"``) or on the discrete-event scheduler
-  of :mod:`repro.sim.kernel` (``kernel="event"``).  The tick loop is the
-  degenerate schedule of the event kernel: when every lane shares the tick
-  rate, channel latency is a tick multiple, and no protocol timer fires
-  off the sampling grid (threshold protocols announce no timers; periodic
-  reporting stays on-grid when its interval is a tick multiple), both
-  produce bit-identical updates, metrics and service statistics (asserted
-  by the test-suite over the whole scenario library).  Off-grid timer
-  deadlines are the event kernel's *intended* divergence: a periodic
-  report fires at exactly ``t0 + k·interval`` instead of at the next
-  polled sighting.  The event kernel additionally delivers channel
-  messages at their exact instants, supports Poisson query arrivals, and
-  skips the per-tick queue scans — which is what makes sparse mixed-rate
-  fleets cheap.
+* **One event-driven kernel** — the fleet runs on the discrete-event
+  schedule of :mod:`repro.sim.kernel`: protocol timers fire at their exact
+  deadlines, channel messages arrive at exactly ``send_time + latency``,
+  workload queries may arrive as a Poisson process, and sharded backends
+  can get periodic handoff maintenance.  Sightings are the one event kind
+  known in advance, so they are not pushed through the agenda one by one:
+  every lane's sample times are merged once into a time-ordered stream
+  (ties in lane order) that the loop walks beside the agenda.  When every
+  lane shares one sampling grid, channel latency is a multiple of it and
+  no protocol timer falls off it, the schedule degenerates to the classic
+  per-timestep loop, and the results are bit-identical to it (the
+  test-suite keeps that loop as an oracle and asserts the identity over
+  the whole scenario library).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -64,7 +63,6 @@ from repro.sim.kernel import (
     SAMPLE,
     TIMER,
     EventKernel,
-    validate_kernel,
 )
 from repro.sim.metrics import AccuracyMetrics, SimulationResult
 from repro.sim.workload import QueryWorkload, WorkloadExecutor, WorkloadReport
@@ -197,8 +195,8 @@ class _LaneState:
     def process_timer(self, t: float) -> None:
         """Fire the protocol's timer at *t*; transmit any resulting update.
 
-        The event kernel's counterpart of :meth:`process_sighting`, sharing
-        its per-update bookkeeping.
+        The timer counterpart of :meth:`process_sighting`, sharing its
+        per-update bookkeeping.
         """
         message = self.source.process_timer(t)
         if message is not None:
@@ -249,7 +247,7 @@ class FleetSimulation:
         :class:`~repro.service.server.LocationServer` (fresh one when
         omitted) or a sharded
         :class:`~repro.service.facade.LocationService`.  Backends exposing
-        ``ingest_batch`` receive each tick's delivered updates as one batch;
+        ``ingest_batch`` receive each instant's delivered updates as one batch;
         with one shard the results are bit-identical to the single server.
     count_initial_update:
         Whether each object's bootstrap update counts towards its update
@@ -257,27 +255,17 @@ class FleetSimulation:
         ``True``).
     query_workload:
         Optional :class:`~repro.sim.workload.QueryWorkload` replayed against
-        the backend at every simulation tick (or, with an
-        ``arrival_rate_per_s`` under the event kernel, at Poisson arrival
-        instants); its report lands on :attr:`FleetResult.workload`.
+        the backend at every sample instant (or, with an
+        ``arrival_rate_per_s``, at Poisson arrival instants); its report
+        lands on :attr:`FleetResult.workload`.
         Queries are read-only, so attaching a workload never changes the
         simulation results.
     record_query_answers:
         Keep every workload query's answer on
         ``self.workload_executor.answers`` (tests / benchmarks only).
-    kernel:
-        ``"tick"`` (the classic time-stepped loop) or ``"event"`` (the
-        discrete-event scheduler of :mod:`repro.sim.kernel`).  With uniform
-        sampling, tick-aligned latency and on-grid (or absent) protocol
-        timer deadlines the two are bit-identical; the event kernel
-        additionally gives exact channel delivery instants, exact protocol
-        timers (off-grid deadlines fire at their exact instants — a
-        deliberate divergence from the polled tick loop), Poisson query
-        arrivals and cheap sparse mixed-rate fleets.
     handoff_interval:
-        Event-kernel only: schedule a shard-boundary maintenance event
-        every this many simulated seconds (the backend must expose
-        ``rebalance``, i.e. be a
+        Schedule a shard-boundary maintenance event every this many
+        simulated seconds (the backend must expose ``rebalance``, i.e. be a
         :class:`~repro.service.facade.LocationService`), so drifting
         objects are handed between shards even while no query forces a
         prepare pass.  ``None`` (default) schedules no handoff events.
@@ -294,11 +282,9 @@ class FleetSimulation:
         order — the merged outcome is **bit-identical** to the
         single-process run: same updates, error samples, channel stats and
         service stats (asserted by the test-suite over the scenario
-        library, on both kernels).  Multi-process runs reject the fleet
-        shapes whose results genuinely depend on cross-object interleaving:
-        unseeded lossy channels, query workloads (one global RNG stream),
-        and tick-kernel latency over mixed sampling grids (a delivery tick
-        is the first tick of the *merged* grid).
+        library).  Multi-process runs reject the fleet shapes whose results
+        genuinely depend on cross-object interleaving: unseeded lossy
+        channels and query workloads (one global RNG stream).
     obs:
         Optional :class:`~repro.obs.Observability` bundle.  When attached,
         the run records per-event-kind counts, agenda depth, phase spans
@@ -316,7 +302,6 @@ class FleetSimulation:
         count_initial_update: bool = True,
         query_workload: Optional[QueryWorkload] = None,
         record_query_answers: bool = False,
-        kernel: str = "tick",
         handoff_interval: Optional[float] = None,
         processes: int = 1,
         obs: Optional[Observability] = None,
@@ -336,20 +321,9 @@ class FleetSimulation:
         self.count_initial_update = bool(count_initial_update)
         self.query_workload = query_workload
         self.record_query_answers = bool(record_query_answers)
-        self.kernel = validate_kernel(kernel)
-        if (
-            query_workload is not None
-            and query_workload.arrival_rate_per_s is not None
-            and self.kernel != "event"
-        ):
-            raise ValueError(
-                "Poisson query arrivals (arrival_rate_per_s) require kernel='event'"
-            )
         if handoff_interval is not None:
             if handoff_interval <= 0:
                 raise ValueError("handoff_interval must be positive")
-            if self.kernel != "event":
-                raise ValueError("handoff events require kernel='event'")
             if not callable(getattr(self.server, "rebalance", None)):
                 raise ValueError(
                     "handoff_interval needs a sharded service backend (rebalance())"
@@ -392,17 +366,6 @@ class FleetSimulation:
                     "unseeded lossy channels draw losses from a shared RNG "
                     "stream in send order; seed the channel for "
                     "reproducible multi-process runs"
-                )
-        if self.kernel == "tick" and any(ch.latency > 0.0 for ch in channels):
-            grid = self.lanes[0].sensor_trace.times
-            if not all(
-                np.array_equal(lane.sensor_trace.times, grid) for lane in self.lanes
-            ):
-                raise ValueError(
-                    "tick-kernel channel latency quantises deliveries to the "
-                    "fleet's *merged* sampling grid, which a lane partition "
-                    "cannot reproduce; use kernel='event' for multi-process "
-                    "runs with latency over mixed sampling grids"
                 )
 
     def run(self) -> FleetResult:
@@ -460,15 +423,10 @@ class FleetSimulation:
             # fleet's bundle unless the caller attached their own.
             server.obs = obs
         loop_span = None if obs is None else obs.span(
-            f"fleet.{self.kernel}_loop", cat="sim", args={"lanes": len(states)}
+            "fleet.event_loop", cat="sim", args={"lanes": len(states)}
         )
         try:
-            if self.kernel == "event":
-                self._run_event(states, channels, executor)
-            elif len(states) == 1:
-                self._run_single(states[0], executor)
-            else:
-                self._run_merged(states, executor)
+            self._run_loop(states, channels, executor)
         finally:
             if loop_span is not None:
                 loop_span.close()
@@ -527,104 +485,28 @@ class FleetSimulation:
         return BoundingBox(float(mins[0]), float(mins[1]), float(maxs[0]), float(maxs[1]))
 
     # ------------------------------------------------------------------ #
-    # loop variants
+    # the event loop
     # ------------------------------------------------------------------ #
-    def _run_single(
-        self, state: _LaneState, executor: Optional[WorkloadExecutor] = None
-    ) -> None:
-        """Plain per-sample loop for a single lane (no merge overhead)."""
-        server = self.server
-        ingest = getattr(server, "ingest_batch", None)
-        channel = state.channel
-        object_id = state.lane.object_id
-        for i, t in enumerate(state.times.tolist()):
-            state.process_sighting(i, t)
-            delivered = channel.deliver_due(t)
-            if delivered:
-                if ingest is not None:
-                    ingest(delivered, t)
-                else:
-                    for obj_id, message in delivered:
-                        server.receive_update(obj_id, message, t)
-            state.record_error(i, server.predict_position(object_id, t))
-            if executor is not None:
-                executor.on_tick(t)
-
-    def _run_merged(
-        self, states: List[_LaneState], executor: Optional[WorkloadExecutor] = None
-    ) -> None:
-        """Time-ordered merge of every lane's samples.
-
-        Events at the same timestamp are processed as one batch: all
-        sightings first, then all due channel deliveries (ingested as one
-        per-tick batch when the backend supports it), then one batched
-        position query for the objects sampled at that instant.  Per lane
-        this preserves exactly the single-run order (sight, deliver,
-        predict), which is what makes fleet results identical to
-        independent runs.
-        """
-        server = self.server
-        times_all = np.concatenate([state.times for state in states])
-        lane_ix = np.concatenate(
-            [np.full(len(state.times), n, dtype=np.intp) for n, state in enumerate(states)]
-        )
-        sample_ix = np.concatenate(
-            [np.arange(len(state.times), dtype=np.intp) for state in states]
-        )
-        order = np.lexsort((lane_ix, times_all))
-        t_sorted = times_all[order]
-        lane_sorted = lane_ix[order].tolist()
-        sample_sorted = sample_ix[order].tolist()
-        t_list = t_sorted.tolist()
-        # Boundaries of runs of identical timestamps.
-        starts = np.flatnonzero(np.r_[True, t_sorted[1:] != t_sorted[:-1]]).tolist()
-        starts.append(len(t_list))
-
-        ingest = getattr(server, "ingest_batch", None)
-        for g in range(len(starts) - 1):
-            lo, hi = starts[g], starts[g + 1]
-            t = t_list[lo]
-            batch = [(states[lane_sorted[e]], sample_sorted[e]) for e in range(lo, hi)]
-            seen_channels: List[MessageChannel] = []
-            for state, i in batch:
-                state.process_sighting(i, t)
-                if state.channel not in seen_channels:
-                    seen_channels.append(state.channel)
-            delivered: List = []
-            for channel in seen_channels:
-                delivered.extend(channel.deliver_due(t))
-            if delivered:
-                if ingest is not None:
-                    ingest(delivered, t)
-                else:
-                    for obj_id, message in delivered:
-                        server.receive_update(obj_id, message, t)
-            predicted = server.predict_positions(
-                [state.lane.object_id for state, _ in batch], t
-            )
-            for (state, i), position in zip(batch, predicted):
-                state.record_error(i, position)
-            if executor is not None:
-                executor.on_tick(t)
-
-    def _run_event(
+    def _run_loop(
         self,
         states: List[_LaneState],
         channels: List[MessageChannel],
         executor: Optional[WorkloadExecutor] = None,
     ) -> None:
-        """Discrete-event schedule over the same lane states.
+        """Run the discrete-event schedule over the lane states.
 
-        Every happening is an agenda entry of :class:`EventKernel`: lane
-        sightings (``SAMPLE``), protocol deadline expiries (``TIMER``),
-        exact-instant channel deliveries (``DELIVERY``), periodic shard
-        maintenance (``HANDOFF``) and workload query arrivals (``QUERY``).
-        All events at one instant are drained together and applied in the
-        tick loop's per-timestep order — sightings and timers first, then
-        one delivery batch (per channel, sorted like
+        Every happening is an event: lane sightings (``SAMPLE``), protocol
+        deadline expiries (``TIMER``), exact-instant channel deliveries
+        (``DELIVERY``), periodic shard maintenance (``HANDOFF``) and
+        workload query arrivals (``QUERY``).  Sightings come from the
+        lanes' merged sample stream, every other event from the
+        :class:`EventKernel` agenda.  All events at one instant are applied
+        together in kind order — sightings, then timers, then one delivery
+        batch (per channel, sorted like
         :meth:`~repro.service.channel.MessageChannel.deliver_due`), then
-        the batched error measurement, then queries — which is what makes
-        the degenerate schedule bit-identical to the tick loop.
+        handoff maintenance, the batched error measurement and finally
+        queries — which is what makes the degenerate schedule bit-identical
+        to a per-timestep loop.
         """
         server = self.server
         ingest = getattr(server, "ingest_batch", None)
@@ -636,8 +518,8 @@ class FleetSimulation:
         else:
             # One list-index increment + one ring append per event; the
             # counts land in the registry after the loop.  SAMPLE/TIMER/
-            # DELIVERY events are scheduled per lane (partition-invariant,
-            # hence deterministic); HANDOFF/QUERY are per kernel instance.
+            # DELIVERY events are per lane (partition-invariant, hence
+            # deterministic); HANDOFF/QUERY are per kernel instance.
             event_counts = [0] * len(KIND_NAMES)
             flight_note = obs.flight.note
 
@@ -650,11 +532,23 @@ class FleetSimulation:
                 "kernel.agenda_depth",
                 bounds=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384),
             )
-        times_per_lane = [state.times.tolist() for state in states]
-        lane_samples = [len(t) for t in times_per_lane]
-        lane_end = [t[-1] for t in times_per_lane]
+        agenda = kern.agenda
+        # The merged sample stream: every lane's sightings in time order,
+        # simultaneous ones in lane order, closed by an infinite sentinel.
+        times = np.concatenate([s.times for s in states])
+        lane_of = np.repeat(np.arange(len(states)), [len(s.times) for s in states])
+        index_of = np.concatenate([np.arange(len(s.times)) for s in states])
+        order = np.lexsort((lane_of, times))
+        inf = math.inf
+        sample_times = times[order].tolist()
+        sample_times.append(inf)
+        sample_lanes = lane_of[order].tolist()
+        sample_index = index_of[order].tolist()
+        lane_end = [float(state.times[-1]) for state in states]
         end_time = max(lane_end) if self._horizon is None else self._horizon
-        next_sample = [0] * len(states)
+        sight = [state.process_sighting for state in states]
+        record = [state.record_error for state in states]
+        object_ids = [state.lane.object_id for state in states]
         # Lanes whose protocol never announces deadlines (the base-class
         # hook) skip timer arming entirely — it is pure overhead on the
         # per-sample hot path of threshold-style protocols.
@@ -675,9 +569,9 @@ class FleetSimulation:
             armed[n] = deadline
 
         def delivery_scheduler(channel):
-            # The simulation clock stops at the last sighting (exactly like
-            # the tick loop): a message due past the horizon stays
-            # undelivered rather than extending the run.
+            # The simulation clock stops at the last sighting: a message due
+            # past the horizon stays undelivered rather than extending the
+            # run.
             def schedule(deliver_at, oid, msg, _ch=channel):
                 if deliver_at <= end_time:
                     kern.schedule(deliver_at, DELIVERY, (_ch, oid, msg))
@@ -689,13 +583,7 @@ class FleetSimulation:
         try:
             for channel in channels:
                 channel.bind_scheduler(delivery_scheduler(channel))
-            for n, t_list in enumerate(times_per_lane):
-                kern.schedule(t_list[0], SAMPLE, n)
-            start_time = (
-                min(t_list[0] for t_list in times_per_lane)
-                if self._clock_start is None
-                else self._clock_start
-            )
+            start_time = sample_times[0] if self._clock_start is None else self._clock_start
             poisson = executor is not None and executor.poisson_rate is not None
             if poisson:
                 first = executor.next_arrival(start_time)
@@ -705,102 +593,104 @@ class FleetSimulation:
                 first = start_time + self.handoff_interval
                 if first <= end_time:
                     kern.schedule(first, HANDOFF, None)
-            schedule = kern.schedule
             n_instants = 0
-            while kern:
+            k = 0
+            while True:
+                t = sample_times[k]
+                if agenda and agenda[0][0] < t:
+                    t = agenda[0][0]
+                elif t == inf:
+                    break
                 if depth_hist is not None:
-                    depth_hist.observe(len(kern))
+                    depth_hist.observe(len(agenda))
                     n_instants += 1
-                t = kern.next_time()
-                sampled: List = []
-                deliveries: Dict[MessageChannel, List] = {}
-                n_queries = 0
-                run_handoff = False
-                for _t, prio, _seq, payload in kern.drain_instant():
-                    if prio == SAMPLE:
-                        n = payload
-                        state = states[n]
-                        i = next_sample[n]
-                        next_sample[n] = i + 1
-                        state.process_sighting(i, t)
-                        sampled.append((state, i))
-                        if i + 1 < lane_samples[n]:
-                            schedule(times_per_lane[n][i + 1], SAMPLE, n)
-                        if uses_timer[n]:
-                            arm_timer(n)
-                    elif prio == TIMER:
-                        n, deadline = payload
-                        state = states[n]
-                        if armed[n] == deadline:
-                            armed[n] = None
-                        # Fire only if the deadline is still current; a
-                        # sighting at this same instant may already have
-                        # serviced it (degenerate-schedule case).
-                        if state.lane.protocol.next_deadline() == deadline:
-                            state.process_timer(t)
-                            if state.lane.protocol.next_deadline() == deadline:
-                                # Progress guard: the protocol declined the
-                                # fire and left its deadline unchanged —
-                                # re-arming it at this same instant would
-                                # spin forever.  Mark it armed-but-spent;
-                                # arming resumes the moment the protocol
-                                # moves its deadline.
-                                armed[n] = deadline
-                                continue
+                first = k
+                while sample_times[k] == t:
+                    n = sample_lanes[k]
+                    sight[n](sample_index[k], t)
+                    if uses_timer[n]:
                         arm_timer(n)
-                    elif prio == DELIVERY:
-                        ch, oid, msg = payload
-                        deliveries.setdefault(ch, []).append((t, oid, msg))
-                    elif prio == HANDOFF:
-                        run_handoff = True
-                    else:
-                        n_queries += 1
-                if deliveries:
-                    delivered: List = []
-                    # Only the channels that actually delivered, in the
-                    # fleet's canonical channel order (the tick loop's
-                    # seen-channel order in the degenerate case).
-                    ordered = (
-                        sorted(deliveries, key=channel_index.__getitem__)
-                        if len(deliveries) > 1
-                        else deliveries
-                    )
-                    for channel in ordered:
-                        entries = deliveries[channel]
-                        entries.sort(key=delivery_order)
-                        batch = [(oid, msg) for _, oid, msg in entries]
-                        channel.record_scheduled_delivery(batch)
-                        delivered.extend(batch)
-                    if ingest is not None:
-                        ingest(delivered, t)
-                    else:
-                        for oid, msg in delivered:
-                            server.receive_update(oid, msg, t)
-                if run_handoff:
-                    server.rebalance(t)
-                    nxt = t + self.handoff_interval
-                    if nxt <= end_time:
-                        kern.schedule(nxt, HANDOFF, None)
-                if sampled:
-                    if len(sampled) == 1:
+                    k += 1
+                if event_counts is not None and k > first:
+                    event_counts[SAMPLE] += k - first
+                    for j in range(first, k):
+                        flight_note(t, SAMPLE, j)
+                n_queries = 0
+                if agenda and agenda[0][0] == t:
+                    deliveries: Dict[MessageChannel, List] = {}
+                    run_handoff = False
+                    for _t, prio, _seq, payload in kern.drain_instant():
+                        if prio == TIMER:
+                            n, deadline = payload
+                            protocol = states[n].lane.protocol
+                            if armed[n] == deadline:
+                                armed[n] = None
+                            # Fire only if the deadline is still current; a
+                            # sighting at this same instant may already have
+                            # serviced it (degenerate-schedule case).
+                            if protocol.next_deadline() == deadline:
+                                states[n].process_timer(t)
+                                if protocol.next_deadline() == deadline:
+                                    # Progress guard: the protocol declined
+                                    # the fire and left its deadline
+                                    # unchanged — re-arming it at this same
+                                    # instant would spin forever.  Mark it
+                                    # armed-but-spent; arming resumes the
+                                    # moment the protocol moves its deadline.
+                                    armed[n] = deadline
+                                    continue
+                            arm_timer(n)
+                        elif prio == DELIVERY:
+                            ch, oid, msg = payload
+                            deliveries.setdefault(ch, []).append((t, oid, msg))
+                        elif prio == HANDOFF:
+                            run_handoff = True
+                        else:
+                            n_queries += 1
+                    if deliveries:
+                        delivered: List = []
+                        # Only the channels that actually delivered, in the
+                        # fleet's canonical channel order.
+                        ordered = (
+                            sorted(deliveries, key=channel_index.__getitem__)
+                            if len(deliveries) > 1
+                            else deliveries
+                        )
+                        for channel in ordered:
+                            entries = deliveries[channel]
+                            entries.sort(key=delivery_order)
+                            batch = [(oid, msg) for _, oid, msg in entries]
+                            channel.record_scheduled_delivery(batch)
+                            delivered.extend(batch)
+                        if ingest is not None:
+                            ingest(delivered, t)
+                        else:
+                            for oid, msg in delivered:
+                                server.receive_update(oid, msg, t)
+                    if run_handoff:
+                        server.rebalance(t)
+                        nxt = t + self.handoff_interval
+                        if nxt <= end_time:
+                            kern.schedule(nxt, HANDOFF, None)
+                if k > first:
+                    if k - first == 1:
                         # Sparse fleets mostly see one sighting per instant;
                         # skip the batch plumbing for that case.
-                        state, i = sampled[0]
-                        state.record_error(
-                            i, server.predict_position(state.lane.object_id, t)
-                        )
+                        n = sample_lanes[first]
+                        record[n](sample_index[first], server.predict_position(object_ids[n], t))
                     else:
                         predicted = server.predict_positions(
-                            [state.lane.object_id for state, _ in sampled], t
+                            [object_ids[sample_lanes[j]] for j in range(first, k)], t
                         )
-                        for (state, i), position in zip(sampled, predicted):
-                            state.record_error(i, position)
+                        for j, position in zip(range(first, k), predicted):
+                            record[sample_lanes[j]](sample_index[j], position)
                     if executor is not None:
                         if poisson:
                             executor.note_tick()
                         else:
                             executor.on_tick(t)
-                for _ in range(n_queries):
+                while n_queries:
+                    n_queries -= 1
                     executor.run_query(t)
                     nxt = executor.next_arrival(t)
                     if nxt <= end_time:
@@ -815,7 +705,7 @@ class FleetSimulation:
                 obs.counter("kernel.instants", deterministic=False).inc(n_instants)
         except BaseException:
             # The flight recorder earns its keep here: the last events the
-            # kernel handed out, in order, right before the failure.
+            # loop handled, in order, right before the failure.
             if obs is not None:
                 obs.dump_flight(reason="fleet event loop died")
             raise
@@ -881,7 +771,6 @@ class FleetSimulation:
                 shared_channel=self.shared_channel,
                 server=server,
                 count_initial_update=self.count_initial_update,
-                kernel=self.kernel,
                 handoff_interval=self.handoff_interval,
                 clock_start=clock_start,
                 horizon=horizon,
@@ -1018,7 +907,6 @@ class _ShardTask:
     shared_channel: MessageChannel
     server: LocationServer
     count_initial_update: bool
-    kernel: str
     handoff_interval: Optional[float]
     clock_start: float
     horizon: float
@@ -1035,7 +923,6 @@ class _ShardTask:
             channel=self.shared_channel,
             server=self.server,
             count_initial_update=self.count_initial_update,
-            kernel=self.kernel,
             handoff_interval=self.handoff_interval,
             obs=obs,
         )

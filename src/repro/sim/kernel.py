@@ -1,17 +1,20 @@
 """Deterministic discrete-event simulation kernel.
 
 The update protocols of the paper are defined by *events* — threshold
-crossings, report timers, message arrivals — yet a classic simulation loop
-advances a fixed global tick, which quantises channel delivery times,
-forces every object onto one sampling grid and burns cycles stepping idle
-objects.  :class:`EventKernel` replaces the tick with a binary-heap agenda:
-anything that happens is an event scheduled at an exact instant, and the
-simulation jumps from event to event.
+crossings, report timers, message arrivals.  A fixed global tick would
+quantise channel delivery times, force every object onto one sampling grid
+and burn cycles stepping idle objects; instead, anything that happens is
+an event at an exact instant, and the simulation jumps from event to
+event.  :class:`EventKernel` is the binary-heap agenda those events wait
+on.
 
 Event kinds
 -----------
-The fleet simulation schedules five kinds of events (the constants double
-as the ordering priority, see below):
+The fleet simulation handles five kinds of events (the constants double
+as the ordering priority, see below).  Sightings are known in advance, so
+:class:`~repro.sim.fleet.FleetSimulation` reads them from a pre-merged
+sample stream instead of pushing each one through the agenda; the other
+four kinds are agenda entries.
 
 ===================  ====================================================
 :data:`SAMPLE`       a sensor sighting reaches an object's source
@@ -32,13 +35,13 @@ The agenda is ordered by the tuple ``(time, priority, seq)``:
 * ``time`` — simulation time of the event;
 * ``priority`` — the event kind: at one instant, samples are processed
   before timers, timers before deliveries, deliveries before handoffs,
-  handoffs before query arrivals.  This mirrors the tick loop's
-  per-timestep order (all sightings, then all due deliveries, then
-  measurement, then queries), which is what makes the event kernel
-  *bit-identical* to the tick loop when every lane shares the tick rate,
-  channel latency is a tick multiple, and no protocol timer deadline
-  falls off the sampling grid (off-grid deadlines firing exactly is the
-  event kernel's intended improvement over polling);
+  handoffs before query arrivals.  This is the classic per-timestep order
+  (all sightings, then all due deliveries, then measurement, then
+  queries), which is what makes the schedule *bit-identical* to a
+  time-stepped loop when every lane shares one sampling grid, channel
+  latency is a multiple of it, and no protocol timer deadline falls off
+  the grid (off-grid deadlines firing exactly, instead of at the next
+  polled sighting, is the intended improvement over polling);
 * ``seq`` — a monotonically increasing schedule counter breaking the
   remaining ties, so events scheduled earlier fire earlier.  Scheduling
   itself is deterministic (no wall-clock, no id()-ordering), hence so is
@@ -70,20 +73,6 @@ KIND_NAMES = {
     QUERY: "query",
 }
 
-#: The kernels a simulation can run on.  ``tick`` is the classic
-#: time-stepped loop; ``event`` is the discrete-event schedule.  The tick
-#: loop survives as the degenerate schedule: with uniform sampling,
-#: tick-aligned latency and on-grid (or no) timer deadlines both produce
-#: bit-identical results.
-KERNELS = ("tick", "event")
-
-
-def validate_kernel(kernel: str) -> str:
-    """Validate a kernel name, returning it (shared by fleet/runner/CLI)."""
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
-    return kernel
-
 
 class EventKernel:
     """A binary-heap event agenda ordered by ``(time, priority, seq)``.
@@ -91,6 +80,8 @@ class EventKernel:
     Entries are plain tuples ``(time, priority, seq, payload)`` — no event
     objects are allocated on the hot path.  ``payload`` is whatever the
     scheduling handler wants back (the kernel never inspects it).
+    ``agenda`` is the heap itself: the fleet loop peeks ``agenda[0]`` to
+    merge it with its sample stream, but only this class mutates it.
 
     ``on_pop`` is the observability seam: a callable invoked as
     ``on_pop(time, priority, seq)`` for every event the agenda hands out
@@ -99,44 +90,40 @@ class EventKernel:
     path is one identity check per pop.
     """
 
-    __slots__ = ("_agenda", "_seq", "on_pop")
+    __slots__ = ("agenda", "_seq", "on_pop")
 
     def __init__(self, on_pop=None) -> None:
-        self._agenda: List[Tuple[float, int, int, object]] = []
+        self.agenda: List[Tuple[float, int, int, object]] = []
         self._seq = 0
         self.on_pop = on_pop
 
     def schedule(self, time: float, priority: int, payload: object) -> None:
         """Add an event at *time* with the given kind/*priority*."""
-        heapq.heappush(self._agenda, (time, priority, self._seq, payload))
+        heapq.heappush(self.agenda, (time, priority, self._seq, payload))
         self._seq += 1
 
     def pop(self) -> Tuple[float, int, int, object]:
         """Remove and return the next event ``(time, priority, seq, payload)``."""
-        entry = heapq.heappop(self._agenda)
+        entry = heapq.heappop(self.agenda)
         if self.on_pop is not None:
             self.on_pop(entry[0], entry[1], entry[2])
         return entry
 
-    def next_time(self) -> float:
-        """Timestamp of the next event (the agenda must not be empty)."""
-        return self._agenda[0][0]
-
     def __len__(self) -> int:
-        return len(self._agenda)
+        return len(self.agenda)
 
     def __bool__(self) -> bool:
-        return bool(self._agenda)
+        return bool(self.agenda)
 
     def drain_instant(self) -> Iterator[Tuple[float, int, int, object]]:
         """Yield every event scheduled at the current next instant.
 
         Events *scheduled at that same instant by the handlers run during
-        the drain* (e.g. a zero-latency delivery for an update a sample
+        the drain* (e.g. a zero-latency delivery for an update a timer fire
         just sent) are included: the drain keeps popping until the head of
         the agenda moves past the instant.
         """
-        agenda = self._agenda
+        agenda = self.agenda
         if not agenda:
             return
         t = agenda[0][0]

@@ -207,7 +207,6 @@ def _simulate(
     scenario: Scenario,
     protocol: UpdateProtocol,
     channel: Optional[MessageChannel] = None,
-    kernel: str = "tick",
 ) -> SimulationResult:
     """The one engine invocation every runner entry point funnels through."""
     return ProtocolSimulation(
@@ -215,7 +214,6 @@ def _simulate(
         sensor_trace=scenario.sensor_trace,
         truth_trace=scenario.true_trace,
         channel=channel,
-        kernel=kernel,
     ).run()
 
 
@@ -225,15 +223,12 @@ class SweepTask:
 
     scenario: ScenarioSpec
     config: SimulationConfig
-    kernel: str = "tick"
 
     def run(self) -> SweepPoint:
         """Execute this point in the current process."""
         scenario = self.scenario.build()
         result = _simulate(
-            scenario,
-            _build_protocol_cached(self.scenario, self.config, scenario),
-            kernel=self.kernel,
+            scenario, _build_protocol_cached(self.scenario, self.config, scenario)
         )
         return SweepPoint(accuracy=float(self.config.accuracy), result=result)
 
@@ -271,10 +266,10 @@ class QueryBenchSpec:
     pedestrian scenarios, nearest-heavy for city grids, range-heavy for
     corridors.
 
-    ``kernel="event"`` runs the fleet on the discrete-event kernel; with
-    ``arrival_rate_per_s`` set (explicitly, or defaulted from the library
-    entry's ``query_rate_per_s``) queries then arrive as a Poisson process
-    at exact instants instead of per tick.
+    With ``arrival_rate_per_s`` set (explicitly, or defaulted from the
+    library entry's ``query_rate_per_s``) queries arrive as a Poisson
+    process at exact instants; otherwise ``queries_per_tick`` fire at every
+    sample instant.
     """
 
     scenario: str
@@ -284,7 +279,6 @@ class QueryBenchSpec:
     shards: int = 4
     scale: float = 1.0
     seed: Optional[int] = None
-    kernel: str = "tick"
     arrival_rate_per_s: Optional[float] = None
     #: Scenario-seed step between lanes: each object drives its own seeded
     #: variant of the scenario, so the fleet spreads over the map instead of
@@ -303,22 +297,13 @@ class QueryBenchSpec:
     def build_workload(self) -> QueryWorkload:
         """The :class:`QueryWorkload` this spec describes.
 
-        A Poisson arrival rate is attached only under the event kernel
-        (the tick loop cannot honour exact arrival instants): either the
-        spec's explicit ``arrival_rate_per_s`` or, failing that, the
-        library entry's ``query_rate_per_s`` default.  An *explicit* rate
-        combined with the tick kernel is rejected rather than silently
-        ignored; only the library default is dropped on the tick path.
+        The Poisson arrival rate is the spec's explicit
+        ``arrival_rate_per_s`` or, failing that, the library entry's
+        ``query_rate_per_s`` default (``None`` keeps per-tick queries).
         """
-        arrival = None
-        if self.kernel == "event":
-            arrival = self.arrival_rate_per_s
-            if arrival is None:
-                arrival = default_query_rate(self.scenario)
-        elif self.arrival_rate_per_s is not None:
-            raise ValueError(
-                "arrival_rate_per_s (Poisson query arrivals) requires kernel='event'"
-            )
+        arrival = self.arrival_rate_per_s
+        if arrival is None:
+            arrival = default_query_rate(self.scenario)
         return QueryWorkload(
             queries_per_tick=self.queries_per_tick,
             mix=self.mix if self.mix is not None else default_query_mix(self.scenario),
@@ -443,7 +428,6 @@ class SweepRunner:
         scenario: Union[ScenarioSpec, Scenario],
         protocol_id: str,
         accuracies: Optional[Sequence[float]] = None,
-        kernel: str = "tick",
         **config_kwargs,
     ) -> List[SweepPoint]:
         """Sweep one protocol id over the requested accuracies.
@@ -459,7 +443,6 @@ class SweepRunner:
                     config=SimulationConfig(
                         protocol_id=protocol_id, accuracy=float(us), **config_kwargs
                     ),
-                    kernel=kernel,
                 )
                 for us in us_values
             ]
@@ -470,7 +453,6 @@ class SweepRunner:
                 protocol_id=protocol_id, accuracy=us, **config_kwargs
             ).build_protocol(scenario),
             accuracies,
-            kernel=kernel,
         )
 
     def run_factory_sweep(
@@ -478,7 +460,6 @@ class SweepRunner:
         scenario: Scenario,
         protocol_factory: Callable[[float], UpdateProtocol],
         accuracies: Optional[Sequence[float]] = None,
-        kernel: str = "tick",
     ) -> List[SweepPoint]:
         """Sweep an arbitrary (not necessarily picklable) protocol factory.
 
@@ -487,7 +468,7 @@ class SweepRunner:
         """
         points: List[SweepPoint] = []
         for us in accuracies if accuracies is not None else scenario.us_values:
-            result = _simulate(scenario, protocol_factory(float(us)), kernel=kernel)
+            result = _simulate(scenario, protocol_factory(float(us)))
             points.append(SweepPoint(accuracy=float(us), result=result))
         return points
 
@@ -496,26 +477,22 @@ class SweepRunner:
         scenario: Scenario,
         prototype: UpdateProtocol,
         accuracies: Optional[Sequence[float]] = None,
-        kernel: str = "tick",
     ) -> List[SweepPoint]:
         """Sweep a prototype protocol via its ``clone_for`` reuse hook.
 
         Expensive protocol structure (map-matcher index, routes) is built
         once and shared by every point instead of once per point.
         """
-        return self.run_factory_sweep(
-            scenario, lambda us: prototype.clone_for(us), accuracies, kernel=kernel
-        )
+        return self.run_factory_sweep(scenario, lambda us: prototype.clone_for(us), accuracies)
 
     def run_single(
         self,
         scenario: Scenario,
         protocol: UpdateProtocol,
         channel: Optional[MessageChannel] = None,
-        kernel: str = "tick",
     ) -> SimulationResult:
         """One protocol over one scenario (the ablation studies' unit)."""
-        return _simulate(scenario, protocol, channel, kernel=kernel)
+        return _simulate(scenario, protocol, channel)
 
     def run_query_bench(self, spec: "QueryBenchSpec") -> Dict[str, object]:
         """Run one query-workload replay against a live fleet.
@@ -524,7 +501,8 @@ class SweepRunner:
         seeded route variant, so the fleet spreads spatially — steps them
         through the fleet loop against a sharded
         :class:`~repro.service.facade.LocationService` backend while the
-        query workload fires at every tick, and returns one flat record:
+        query workload fires (at every sample instant, or at its Poisson
+        arrival instants), and returns one flat record:
         fleet summary, workload report (throughput / latency), and the
         service tier's per-shard load counters.  Runs in-process — the unit
         of work is a single fleet, not a sweep of independent points.
@@ -556,9 +534,7 @@ class SweepRunner:
         if region is None:
             region = auto_region_size(lanes, spec.shards)
         service = LocationService(n_shards=spec.shards, region_size=region)
-        fleet = FleetSimulation(
-            lanes, server=service, query_workload=workload, kernel=spec.kernel
-        ).run()
+        fleet = FleetSimulation(lanes, server=service, query_workload=workload).run()
         service_stats = dict(fleet.service_stats)
         per_shard = service_stats.pop("per_shard", [])
         record: Dict[str, object] = {
@@ -569,7 +545,6 @@ class SweepRunner:
             "shards": spec.shards,
             "scale": spec.scale,
             "seed": base_seed,
-            "kernel": spec.kernel,
             "region_size_m": round(region, 1),
             "queries_per_tick": workload.queries_per_tick,
             "arrival_rate_per_s": workload.arrival_rate_per_s,

@@ -4,8 +4,9 @@ The paper evaluates the *update* side of the location service; this module
 exercises the *query* side: a :class:`QueryWorkload` describes a
 deterministic stream of application queries (a range / k-nearest / geofence
 mix), and :class:`WorkloadExecutor` replays it against the fleet's server
-backend at every simulation tick — the way a live service answers "find the
-nearest taxi" requests while updates keep streaming in.
+backend at every sample instant (a simulation tick) or at Poisson arrival
+instants — the way a live service answers "find the nearest taxi"
+requests while updates keep streaming in.
 
 The workload is read-only with respect to the simulation: queries never
 change server records, so a fleet run with a workload attached produces
@@ -100,8 +101,8 @@ def poisson_query_stream(
     arrival gap, then the query's kind/centre draws, repeated until the
     next arrival falls past *end* — so replaying the returned calls against
     a backend issues the same queries, in the same order, at the same
-    simulated instants as ``FleetSimulation(kernel="event")`` with this
-    workload attached.  This is the serving tier's arrival process: the
+    simulated instants as :class:`~repro.sim.fleet.FleetSimulation` with
+    this workload attached.  This is the serving tier's arrival process: the
     load generator replays these calls against the live server on the wall
     clock.
     """
@@ -145,9 +146,8 @@ class QueryWorkload:
         When set, queries arrive as a **Poisson process** at this mean rate
         (queries per simulated second) instead of per tick — the natural
         model for independent application requests hitting a live service.
-        Poisson arrivals are scheduled as exact-instant events, so they
-        require the event kernel (``queries_per_tick`` is ignored then);
-        the tick loop rejects such a workload.
+        Poisson arrivals are scheduled as exact-instant events
+        (``queries_per_tick`` is ignored then).
     """
 
     queries_per_tick: float = 1.0

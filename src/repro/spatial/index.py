@@ -89,10 +89,8 @@ class SpatialIndex(abc.ABC, Generic[T]):
         scan using the same callback at the boundary.
         """
         p = as_vec(point)
-        margin = 1e-9 + 1e-12 * radius
-        box = BoundingBox.around(p, radius + margin)
         out = []
-        for item in self.query_bbox(box):
+        for item in self.query_bbox(_search_box(p, radius)):
             if item.distance(p) <= radius:
                 out.append(item)
         return out
@@ -105,7 +103,10 @@ class SpatialIndex(abc.ABC, Generic[T]):
         Returns ``(item, distance)`` or ``None`` if no item qualifies.  The
         search expands the query radius geometrically starting from a small
         initial guess, which gives near-O(1) behaviour for the localised
-        queries the map matcher issues.
+        queries the map matcher issues.  Each search box carries the same
+        float-rounding margin as :meth:`query_radius`, so an item whose
+        distance rounds to exactly *max_distance* is found, as a
+        brute-force scan would find it.
         """
         p = as_vec(point)
         if len(self) == 0:
@@ -116,7 +117,7 @@ class SpatialIndex(abc.ABC, Generic[T]):
         radius = min(self._initial_radius(), limit)
         best: Optional[tuple[IndexedItem[T], float]] = None
         while True:
-            candidates = self.query_bbox(BoundingBox.around(p, radius))
+            candidates = self.query_bbox(_search_box(p, radius))
             for item in candidates:
                 d = item.distance(p)
                 if d <= limit and (best is None or d < best[1]):
@@ -143,7 +144,7 @@ class SpatialIndex(abc.ABC, Generic[T]):
         radius = self._initial_radius() if max_distance is None else max_distance
         limit = max_distance if max_distance is not None else float("inf")
         while True:
-            candidates = self.query_bbox(BoundingBox.around(p, radius))
+            candidates = self.query_bbox(_search_box(p, radius))
             scored = sorted(
                 ((item, item.distance(p)) for item in candidates), key=lambda x: x[1]
             )
@@ -157,6 +158,16 @@ class SpatialIndex(abc.ABC, Generic[T]):
     def _initial_radius(self) -> float:
         """Starting radius for expanding nearest-neighbour searches."""
         return 50.0
+
+
+def _search_box(p, radius: float) -> BoundingBox:
+    """The candidate box of a *radius* search around *p*.
+
+    Inflated by a float-rounding margin (see :meth:`SpatialIndex.query_radius`):
+    the exact bbox test must never prune an item that the distance
+    callback rounds to within *radius*.
+    """
+    return BoundingBox.around(p, radius + 1e-9 + 1e-12 * radius)
 
 
 def brute_force_nearest(

@@ -1,0 +1,98 @@
+"""The classic time-stepped fleet loop, kept as a test oracle.
+
+:class:`TickLoopFleet` is a :class:`~repro.sim.fleet.FleetSimulation` whose
+loop hook replaces the event schedule with the per-timestep loop the
+simulator used before it became event-driven: the union of every lane's
+sample instants is the tick grid, and at each tick
+
+1. every lane sampled at that tick processes its sighting (lanes in lane
+   order),
+2. every channel those lanes use is polled with
+   :meth:`~repro.service.channel.MessageChannel.deliver_due` and the due
+   messages are ingested as one batch,
+3. the server's predictions for the sampled lanes are measured against
+   ground truth, and
+4. a per-tick query workload fires.
+
+Protocol timers are never consulted: time-triggered protocols poll their
+deadlines on every sighting, and a message is delivered at the first tick
+at or after ``send_time + latency``.  When every lane shares one sampling
+grid, latency is a multiple of it and no timer deadline falls off it, the
+event kernel must reproduce this loop bit for bit; the equivalence tests
+assert exactly that.  Poisson query arrivals, handoff maintenance and
+multi-process runs need the event schedule and are rejected here.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional
+
+import numpy as np
+
+from repro.service.channel import MessageChannel
+from repro.sim.fleet import FleetSimulation
+from repro.sim.workload import WorkloadExecutor
+
+
+class TickLoopFleet(FleetSimulation):
+    """A fleet simulation stepped tick by tick (test oracle only)."""
+
+    def __init__(self, lanes, **kwargs):
+        super().__init__(lanes, **kwargs)
+        workload = self.query_workload
+        if workload is not None and workload.arrival_rate_per_s is not None:
+            raise ValueError("the tick loop cannot schedule Poisson query arrivals")
+        if self.handoff_interval is not None:
+            raise ValueError("the tick loop cannot schedule handoff events")
+        if self.processes > 1:
+            raise ValueError("the tick loop runs single-process only")
+
+    def _run_loop(
+        self,
+        states: List,
+        channels: List[MessageChannel],
+        executor: Optional[WorkloadExecutor] = None,
+    ) -> None:
+        server = self.server
+        times_all = np.concatenate([state.times for state in states])
+        lane_ix = np.concatenate(
+            [np.full(len(state.times), n, dtype=np.intp) for n, state in enumerate(states)]
+        )
+        sample_ix = np.concatenate(
+            [np.arange(len(state.times), dtype=np.intp) for state in states]
+        )
+        order = np.lexsort((lane_ix, times_all))
+        t_sorted = times_all[order]
+        lane_sorted = lane_ix[order].tolist()
+        sample_sorted = sample_ix[order].tolist()
+        t_list = t_sorted.tolist()
+        # Boundaries of runs of identical timestamps.
+        starts = np.flatnonzero(np.r_[True, t_sorted[1:] != t_sorted[:-1]]).tolist()
+        starts.append(len(t_list))
+
+        ingest = getattr(server, "ingest_batch", None)
+        for g in range(len(starts) - 1):
+            lo, hi = starts[g], starts[g + 1]
+            t = t_list[lo]
+            batch = [(states[lane_sorted[e]], sample_sorted[e]) for e in range(lo, hi)]
+            seen_channels: List[MessageChannel] = []
+            for state, i in batch:
+                state.process_sighting(i, t)
+                if state.channel not in seen_channels:
+                    seen_channels.append(state.channel)
+            delivered: List = []
+            for channel in seen_channels:
+                delivered.extend(channel.deliver_due(t))
+            if delivered:
+                if ingest is not None:
+                    ingest(delivered, t)
+                else:
+                    for obj_id, message in delivered:
+                        server.receive_update(obj_id, message, t)
+            predicted = server.predict_positions(
+                [state.lane.object_id for state, _ in batch], t
+            )
+            for (state, i), position in zip(batch, predicted):
+                state.record_error(i, position)
+            if executor is not None:
+                executor.on_tick(t)

@@ -43,12 +43,12 @@ def test_main_exit_codes(tmp_path, capsys):
     assert guard.main([str(tmp_path)]) == 0
     _rewrite(
         tmp_path,
-        "BENCH_event_kernel.json",
+        "BENCH_sweep_runner.json",
         lambda r: r.__setitem__("speedup", r["required_speedup"] / 2),
     )
     assert guard.main([str(tmp_path)]) == 1
     out = capsys.readouterr().out
-    assert "BENCH_event_kernel.json" in out and "below the recorded floor" in out
+    assert "BENCH_sweep_runner.json" in out and "below the recorded floor" in out
 
 
 def test_floor_regression_detected(tmp_path):

@@ -213,7 +213,6 @@ def _library_fleet(mix_text, obs=None, processes=1, shards=1, scale=0.1, seed=11
     return FleetSimulation(
         lanes,
         server=server,
-        kernel="event",
         handoff_interval=60.0 if shards > 1 else None,
         processes=processes,
         obs=obs,
@@ -449,7 +448,6 @@ class TestObsCli:
             "fleet",
             "--mix", "freeway:linear:200:2",
             "--scale", "0.05",
-            "--kernel", "event",
             "--obs-dir", str(obs_dir),
         ])
         assert code == 0

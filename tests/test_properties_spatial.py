@@ -1,7 +1,7 @@
 """Property-based tests for the spatial indexes (hypothesis)."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.geo.bbox import BoundingBox
 from repro.geo.segment import Segment
@@ -113,12 +113,22 @@ def test_all_backends_agree_on_nearest_point_sets(segments, queries, cell_size):
             assert np.isclose(got[1], expected[1], atol=1e-6)
 
 
+#: A segment whose bbox misses the capped search box by 7e-29 m while its
+#: distance rounds to exactly the cap (hypothesis-found, pinned below).
+_CAP_BOUNDARY = {
+    "segments": [((0.0, -1.0), (0.0, -7.096152009654443e-29))],
+    "query": (0.0, 1.0),
+    "max_distance": 1.0,
+}
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     segments=st.lists(st.tuples(point, point), min_size=1, max_size=25),
     query=point,
     max_distance=st.floats(min_value=1.0, max_value=8_000.0),
 )
+@example(**_CAP_BOUNDARY)
 def test_all_backends_agree_on_capped_nearest(segments, query, max_distance):
     """The ``max_distance`` contract holds identically on every backend."""
     items = build_items(segments)
@@ -133,6 +143,14 @@ def test_all_backends_agree_on_capped_nearest(segments, query, max_distance):
             assert got is not None
             assert got[1] <= max_distance + 1e-9
             assert np.isclose(got[1], expected[1], atol=1e-6)
+
+
+def test_k_nearest_keeps_item_at_exact_cap():
+    """``k_nearest`` prunes with the same rounding margin as ``nearest``."""
+    items = build_items(_CAP_BOUNDARY["segments"])
+    for backend in (GridIndex(cell_size=600.0, items=items), STRtree(items, node_capacity=4)):
+        got = backend.k_nearest(_CAP_BOUNDARY["query"], 1, max_distance=1.0)
+        assert [d for _item, d in got] == [1.0]
 
 
 # --------------------------------------------------------------------------- #

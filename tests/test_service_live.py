@@ -25,6 +25,7 @@ import pytest
 
 from repro.experiments.library import FleetMix, fleet_lanes
 from repro.geo.bbox import BoundingBox
+from repro.obs import Observability
 from repro.protocols.base import ObjectState, UpdateMessage, UpdateReason
 from repro.service.channel import MessageChannel, delivery_order
 from repro.service.facade import LocationService
@@ -37,7 +38,7 @@ from repro.service.live.protocol import (
     encode_message,
     read_frame,
 )
-from repro.service.live.server import LiveLocationServer
+from repro.service.live.server import KNOWN_OPS, UNKNOWN_OP, LiveLocationServer
 from repro.service.live.stats import LatencyRecorder
 from repro.service.loadgen import (
     build_replay_plan,
@@ -50,6 +51,8 @@ from repro.service.server import LocationServer
 from repro.sim.fleet import FleetLane, FleetSimulation
 from repro.sim.workload import QueryWorkload
 from repro.traces.trace import Trace
+
+from reference.tick_loop import TickLoopFleet
 
 
 def make_message(sequence=0, time=0.0, position=(0.0, 0.0), velocity=(10.0, 0.0),
@@ -114,8 +117,9 @@ class TestChannelDeliveryTies:
 
     def test_both_kernels_deliver_tied_instants_identically(self):
         # A latency that parks several objects' sends on the same delivery
-        # instant exercises the tie-handling sort inside a real run on both
-        # kernels; the two runs must also stay bit-identical.
+        # instant exercises the tie-handling sort inside a real run on the
+        # event kernel and on the tick-loop oracle; the two runs must also
+        # stay bit-identical.
         from repro.protocols.linear import LinearPredictionProtocol
 
         def _run(kernel):
@@ -130,7 +134,8 @@ class TestChannelDeliveryTies:
             channel = MessageChannel(latency=3.0)
             for lane in lanes:
                 lane.channel = channel
-            return FleetSimulation(lanes, kernel=kernel).run()
+            fleet_cls = TickLoopFleet if kernel == "tick" else FleetSimulation
+            return fleet_cls(lanes).run()
 
         tick, event = _run("tick"), _run("event")
         assert tick.total_updates > 0
@@ -187,21 +192,19 @@ class TestChannelReuse:
 
     def test_channel_reused_tick_then_event(self):
         channel = MessageChannel(latency=1.0)
-        first = FleetSimulation(self._lanes(channel), kernel="tick").run()
+        first = TickLoopFleet(self._lanes(channel)).run()
         # The same channel instance now serves an event run; reset() at run
-        # start must leave no tick-queue or scheduler residue.
-        second = FleetSimulation(self._lanes(channel), kernel="event").run()
-        fresh = FleetSimulation(
-            self._lanes(MessageChannel(latency=1.0)), kernel="event"
-        ).run()
+        # start must leave no polled-queue or scheduler residue.
+        second = FleetSimulation(self._lanes(channel)).run()
+        fresh = FleetSimulation(self._lanes(MessageChannel(latency=1.0))).run()
         assert self._updates(first) > 0
         assert self._updates(second) == self._updates(fresh)
         assert channel.stats.messages_sent == channel.stats.messages_delivered
 
     def test_channel_reused_event_then_event(self):
         channel = MessageChannel(latency=1.0)
-        first = FleetSimulation(self._lanes(channel), kernel="event").run()
-        second = FleetSimulation(self._lanes(channel), kernel="event").run()
+        first = FleetSimulation(self._lanes(channel)).run()
+        second = FleetSimulation(self._lanes(channel)).run()
         assert self._updates(first) == self._updates(second) > 0
 
     def test_stale_bound_channel_is_safe_to_hand_to_a_new_run(self):
@@ -211,7 +214,7 @@ class TestChannelReuse:
         channel = MessageChannel()
         dead_agenda = []
         channel.bind_scheduler(lambda t, oid, m: dead_agenda.append(m))
-        result = FleetSimulation(self._lanes(channel), kernel="tick").run()
+        result = FleetSimulation(self._lanes(channel)).run()
         assert dead_agenda == []
         assert self._updates(result) > 0
 
@@ -402,6 +405,40 @@ class TestLiveServer:
                         )
             finally:
                 await server.stop()
+
+        asyncio.run(go())
+
+    def test_unknown_ops_share_one_counter_and_metric(self):
+        async def go():
+            obs = Observability()
+            server = LiveLocationServer(obs=obs)
+            host, port = await server.start()
+            try:
+                async with await LiveClient.connect(host, port) as client:
+                    await client.ping()
+                    for n in range(200):
+                        with pytest.raises(LiveRequestError):
+                            await client.request({"op": f"bogus-{n}"})
+            finally:
+                await server.stop()
+            return server, obs
+
+        server, obs = asyncio.run(go())
+        assert server.op_counts == {"ping": 1, UNKNOWN_OP: 200}
+        op_metrics = [name for name in obs.registry.snapshot() if name.startswith("live.op.")]
+        assert sorted(op_metrics) == ["live.op.ping", f"live.op.{UNKNOWN_OP}"]
+
+    def test_known_ops_are_the_dispatched_ops(self):
+        async def go():
+            server = LiveLocationServer()
+            for op in sorted(KNOWN_OPS - {"shutdown"}):
+                try:
+                    response = await server._dispatch(op, {"op": op})
+                except Exception:  # noqa: BLE001 — a handler rejected the bare request
+                    continue
+                assert "unknown op" not in str(response.get("error", "")), op
+            response = await server._dispatch("bogus", {"op": "bogus"})
+            assert "unknown op" in response["error"]
 
         asyncio.run(go())
 
@@ -628,8 +665,6 @@ class TestQueryCoalescing:
         return service
 
     def test_gathered_queries_share_one_flush(self):
-        from repro.obs import Observability
-
         async def go():
             service = self._populated_service()
             server = LiveLocationServer(service, obs=Observability())

@@ -20,6 +20,8 @@ from repro.sim.workload import QueryWorkload
 from repro.traces.estimation import estimate_trace
 from repro.traces.trace import Trace
 
+from reference.tick_loop import TickLoopFleet
+
 
 # --------------------------------------------------------------------------- #
 # batched estimator
@@ -101,13 +103,14 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("kernel", ["tick", "event"])
     def test_bitwise_identical_to_fleet(self, request, fixture, mode, kernel):
         scenario = request.getfixturevalue(fixture)
-        scalar = FleetSimulation(_scenario_lanes(scenario, mode), kernel=kernel).run()
+        fleet_cls = TickLoopFleet if kernel == "tick" else FleetSimulation
+        scalar = fleet_cls(_scenario_lanes(scenario, mode)).run()
         columnar = run_fleet_columnar(_scenario_lanes(scenario, mode))
         _assert_fleet_results_identical(scalar, columnar)
 
     def test_sensor_uncertainty_column(self, tiny_city_scenario):
         lanes = _scenario_lanes(tiny_city_scenario, LINEAR, up=15.0)
-        scalar = FleetSimulation(lanes, kernel="event").run()
+        scalar = FleetSimulation(lanes).run()
         columnar = run_fleet_columnar(_scenario_lanes(tiny_city_scenario, LINEAR, up=15.0))
         _assert_fleet_results_identical(scalar, columnar)
 

@@ -40,6 +40,12 @@ class TestFleetValidation:
         with pytest.raises(ValueError):
             FleetSimulation([])
 
+    def test_there_is_no_kernel_choice(self, tiny_freeway_scenario):
+        lane = FleetLane("car", _build("linear", 100.0, tiny_freeway_scenario),
+                         tiny_freeway_scenario.sensor_trace)
+        with pytest.raises(TypeError, match="kernel"):
+            FleetSimulation([lane], kernel="tick")
+
     def test_unique_object_ids(self, tiny_freeway_scenario):
         lanes = [
             FleetLane("car", _build("linear", 100.0, tiny_freeway_scenario),

@@ -3,11 +3,12 @@
 The load-bearing contract is **degenerate-schedule equivalence**: when every
 lane shares the tick rate and channel latency is a tick multiple, the event
 kernel must produce bit-identical updates, error metrics, channel statistics
-and service statistics to the tick loop — asserted here over the whole
-scenario library.  On top of that sit the event-only capabilities: exact
-channel delivery instants (``max_queue_delay == 0``), protocol timers firing
-at exact deadlines, per-message keyed channel loss (identical across
-kernels), per-lane sampling rates, Poisson query arrivals and periodic
+and service statistics to the classic tick loop — kept as an independent
+oracle in :mod:`reference.tick_loop` and compared here over the whole
+scenario library.  On top of that sit the capabilities a tick loop lacks:
+exact channel delivery instants (``max_queue_delay == 0``), protocol timers
+firing at exact deadlines, per-message keyed channel loss (identical on
+both loops), per-lane sampling rates, Poisson query arrivals and periodic
 shard-handoff maintenance.
 """
 
@@ -26,18 +27,12 @@ from repro.service.facade import LocationService
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import ProtocolSimulation
 from repro.sim.fleet import FleetLane, FleetSimulation
-from repro.sim.kernel import (
-    DELIVERY,
-    KERNELS,
-    QUERY,
-    SAMPLE,
-    TIMER,
-    EventKernel,
-    validate_kernel,
-)
+from repro.sim.kernel import DELIVERY, QUERY, SAMPLE, TIMER, EventKernel
 from repro.sim.runner import ScenarioSpec, auto_region_size
 from repro.sim.workload import QueryWorkload
 from repro.traces.trace import Trace
+
+from reference.tick_loop import TickLoopFleet
 
 #: Small per-scenario scales (mirrors the golden suite, so the per-process
 #: scenario cache is shared between the two test modules).
@@ -57,14 +52,28 @@ def _protocol(scenario, protocol_id: str, accuracy: float = 100.0):
     )
 
 
+def _fleet(lanes, kernel: str, **kwargs):
+    """The fleet under test (``"event"``) or the tick-loop oracle (``"tick"``)."""
+    cls = TickLoopFleet if kernel == "tick" else FleetSimulation
+    return cls(lanes, **kwargs)
+
+
 def _run(scenario, protocol_id: str, kernel: str, channel=None):
-    return ProtocolSimulation(
-        protocol=_protocol(scenario, protocol_id),
-        sensor_trace=scenario.sensor_trace,
-        truth_trace=scenario.true_trace,
+    if kernel == "event":
+        return ProtocolSimulation(
+            protocol=_protocol(scenario, protocol_id),
+            sensor_trace=scenario.sensor_trace,
+            truth_trace=scenario.true_trace,
+            channel=channel,
+        ).run()
+    lane = FleetLane(
+        "object-0",
+        _protocol(scenario, protocol_id),
+        scenario.sensor_trace,
+        scenario.true_trace,
         channel=channel,
-        kernel=kernel,
-    ).run()
+    )
+    return TickLoopFleet([lane]).run().results["object-0"]
 
 
 def _straight_trace(n: int = 61, dt: float = 1.0, speed: float = 20.0) -> Trace:
@@ -112,16 +121,6 @@ class TestEventKernel:
         assert seen == ["a", "b"]
         assert len(kern) == 1
 
-    def test_validate_kernel(self):
-        assert [validate_kernel(k) for k in KERNELS] == list(KERNELS)
-        with pytest.raises(ValueError, match="unknown kernel"):
-            validate_kernel("hybrid")
-        with pytest.raises(ValueError, match="unknown kernel"):
-            FleetSimulation(
-                [FleetLane("x", LinearPredictionProtocol(100.0), _straight_trace())],
-                kernel="hybrid",
-            )
-
 
 # --------------------------------------------------------------------------- #
 # degenerate-schedule equivalence: event == tick, bit for bit
@@ -146,7 +145,7 @@ class TestKernelEquivalence:
                 [FleetMix("city", "linear", 100.0, 3), FleetMix("walking", "distance", 80.0, 2)],
                 scale=SCALES["city"],
             )
-            fleet = FleetSimulation(lanes, channel=channel, kernel=kernel).run()
+            fleet = _fleet(lanes, kernel, channel=channel).run()
             outcomes[kernel] = (
                 {oid: r.as_dict() for oid, r in fleet.results.items()},
                 channel.stats,
@@ -161,7 +160,7 @@ class TestKernelEquivalence:
         for kernel in ("tick", "event"):
             lanes = fleet_lanes([FleetMix("city", "linear", 100.0, 4)], scale=SCALES["city"])
             service = LocationService(n_shards=3, region_size=auto_region_size(lanes, 3))
-            fleet = FleetSimulation(lanes, server=service, kernel=kernel).run()
+            fleet = _fleet(lanes, kernel, server=service).run()
             stats = dict(fleet.service_stats)
             stats.pop("query_seconds")
             stats.pop("mean_query_seconds")
@@ -172,10 +171,8 @@ class TestKernelEquivalence:
         reports = {}
         for kernel in ("tick", "event"):
             lanes = fleet_lanes([FleetMix("city", "linear", 100.0, 3)], scale=SCALES["city"])
-            fleet = FleetSimulation(
-                lanes,
-                query_workload=QueryWorkload(queries_per_tick=0.5, seed=3),
-                kernel=kernel,
+            fleet = _fleet(
+                lanes, kernel, query_workload=QueryWorkload(queries_per_tick=0.5, seed=3)
             ).run()
             report = fleet.workload.as_dict()
             report.pop("query_seconds")
@@ -213,12 +210,12 @@ class TestMixedRateFleet:
         return lanes
 
     def test_results_match_and_event_delivery_is_exact(self):
-        """Same updates and errors on both kernels; only the tick loop
-        shows queue-delay quantisation on a non-aligned latency."""
+        """Same updates and errors as the tick-loop oracle; only the tick
+        loop shows queue-delay quantisation on a non-aligned latency."""
         outcomes = {}
         for kernel in ("tick", "event"):
             channel = MessageChannel(latency=7.3)
-            fleet = FleetSimulation(self._mixed_lanes(), channel=channel, kernel=kernel).run()
+            fleet = _fleet(self._mixed_lanes(), kernel, channel=channel).run()
             outcomes[kernel] = (
                 {oid: r.as_dict() for oid, r in fleet.results.items()},
                 channel.stats,
@@ -241,23 +238,10 @@ class TestProtocolTimers:
         channel = RecordingChannel()
         protocol = TimeBasedReporting(accuracy=100.0, interval=7.5)
         FleetSimulation(
-            [FleetLane("x", protocol, trace, channel=channel)], kernel="event"
+            [FleetLane("x", protocol, trace, channel=channel)]
         ).run()
         timer_sends = [t for t, reason in channel.sent if reason == "timer"]
         assert timer_sends == [7.5 * k for k in range(1, 9)]
-
-    def test_time_based_reporting_tick_is_polled(self):
-        trace = _straight_trace(n=61)
-        channel = RecordingChannel()
-        protocol = TimeBasedReporting(accuracy=100.0, interval=7.5)
-        FleetSimulation(
-            [FleetLane("x", protocol, trace, channel=channel)], kernel="tick"
-        ).run()
-        timer_sends = [t for t, reason in channel.sent if reason == "timer"]
-        # Polled: first sighting past each deadline (8, 16, 24, ... — the
-        # deadline re-anchors on the late report).
-        assert timer_sends == [8.0 * k for k in range(1, 8)]
-        assert all(t == int(t) for t in timer_sends)
 
     def test_non_representable_interval_terminates_and_fires_exactly(self):
         """Regression: a for_speed()-style interval whose float rounding
@@ -270,7 +254,7 @@ class TestProtocolTimers:
         channel = RecordingChannel()
         protocol = TimeBasedReporting(accuracy=500.0, interval=interval)
         FleetSimulation(
-            [FleetLane("x", protocol, trace, channel=channel)], kernel="event"
+            [FleetLane("x", protocol, trace, channel=channel)]
         ).run()  # must terminate
         assert [t for t, r in channel.sent] == [0.406]  # trace ends before t0+interval
         longer = np.arange(10) * 1.0 + 0.406
@@ -278,7 +262,7 @@ class TestProtocolTimers:
         channel = RecordingChannel()
         protocol = TimeBasedReporting(accuracy=500.0, interval=interval)
         FleetSimulation(
-            [FleetLane("x", protocol, trace, channel=channel)], kernel="event"
+            [FleetLane("x", protocol, trace, channel=channel)]
         ).run()
         first = 0.406 + interval
         assert [t for t, r in channel.sent] == [0.406, first, first + interval]
@@ -290,9 +274,7 @@ class TestProtocolTimers:
             trace = _straight_trace(n=61)
             channel = RecordingChannel()
             protocol = TimeBasedReporting(accuracy=100.0, interval=6.0)
-            FleetSimulation(
-                [FleetLane("x", protocol, trace, channel=channel)], kernel=kernel
-            ).run()
+            _fleet([FleetLane("x", protocol, trace, channel=channel)], kernel).run()
             sends[kernel] = channel.sent
         assert sends["tick"] == sends["event"]
 
@@ -304,21 +286,21 @@ class TestProtocolTimers:
         exact = DisconnectionDetectionDeadReckoning(
             initial_threshold=50.0, disconnect_timeout=12.5
         )
-        FleetSimulation([FleetLane("x", exact, trace)], kernel="event").run()
+        FleetSimulation([FleetLane("x", exact, trace)]).run()
         assert exact.disconnection_times == [12.5]
         assert exact.disconnected
         polled = DisconnectionDetectionDeadReckoning(
             initial_threshold=50.0, disconnect_timeout=12.5
         )
-        FleetSimulation([FleetLane("x", polled, trace)], kernel="tick").run()
-        assert polled.disconnection_times == [13.0]  # first sighting past it
+        TickLoopFleet([FleetLane("x", polled, trace)]).run()
+        assert polled.disconnection_times == [13.0]  # polled: first sighting past it
 
     def test_dtdr_update_clears_disconnection_state(self):
         protocol = DisconnectionDetectionDeadReckoning(
             initial_threshold=5.0, disconnect_timeout=100.0
         )
         trace = _straight_trace(n=31)  # moves fast: threshold updates fire
-        FleetSimulation([FleetLane("x", protocol, trace)], kernel="event").run()
+        FleetSimulation([FleetLane("x", protocol, trace)]).run()
         assert protocol.disconnection_times == []
         assert not protocol.disconnected
 
@@ -337,7 +319,7 @@ class TestProtocolTimers:
 
         protocol = StickyDeadline(1000.0)  # threshold never trips
         result = FleetSimulation(
-            [FleetLane("x", protocol, _straight_trace(n=21))], kernel="event"
+            [FleetLane("x", protocol, _straight_trace(n=21))]
         ).run()  # must terminate
         assert result.results["x"].updates == 1  # just the initial report
 
@@ -345,7 +327,7 @@ class TestProtocolTimers:
         protocol = DisconnectionDetectionDeadReckoning(initial_threshold=50.0)
         assert protocol.next_deadline() is None
         result = FleetSimulation(
-            [FleetLane("x", protocol, _straight_trace())], kernel="event"
+            [FleetLane("x", protocol, _straight_trace())]
         ).run()
         assert protocol.disconnection_times == []
         assert result.results["x"].updates > 0
@@ -361,13 +343,8 @@ class TestKeyedLoss:
             channel = RecordingChannel(latency=2.0, loss_probability=0.3, seed=21)
             scenario = _scenario("city")
             protocol = _protocol(scenario, "distance")
-            ProtocolSimulation(
-                protocol=protocol,
-                sensor_trace=scenario.sensor_trace,
-                truth_trace=scenario.true_trace,
-                channel=channel,
-                kernel=kernel,
-            ).run()
+            lane = FleetLane("x", protocol, scenario.sensor_trace, scenario.true_trace)
+            _fleet([lane], kernel, channel=channel).run()
             lost[kernel] = (channel.stats.messages_sent, channel.stats.messages_lost)
         assert lost["tick"] == lost["event"]
         assert lost["tick"][1] > 0
@@ -445,11 +422,6 @@ class TestPoissonArrivals:
     def _lanes(self):
         return fleet_lanes([FleetMix("city", "linear", 100.0, 3)], scale=SCALES["city"])
 
-    def test_requires_event_kernel(self):
-        workload = QueryWorkload(arrival_rate_per_s=0.5)
-        with pytest.raises(ValueError, match="kernel='event'"):
-            FleetSimulation(self._lanes(), query_workload=workload, kernel="tick")
-
     def test_arrivals_are_deterministic_and_close_to_rate(self):
         counts = []
         answers = []
@@ -457,8 +429,7 @@ class TestPoissonArrivals:
             fleet = FleetSimulation(
                 self._lanes(),
                 query_workload=QueryWorkload(arrival_rate_per_s=0.3, seed=17),
-                kernel="event",
-                record_query_answers=True,
+                                record_query_answers=True,
             )
             result = fleet.run()
             counts.append(result.workload.queries)
@@ -473,8 +444,7 @@ class TestPoissonArrivals:
         fleet = FleetSimulation(
             self._lanes(),
             query_workload=QueryWorkload(arrival_rate_per_s=0.3, seed=17),
-            kernel="event",
-        )
+                    )
         result = fleet.run()
         # One tick per distinct sample instant, not a misleading zero.
         assert result.workload.ticks == len(self._lanes()[0].sensor_trace.times)
@@ -483,9 +453,8 @@ class TestPoissonArrivals:
         with_queries = FleetSimulation(
             self._lanes(),
             query_workload=QueryWorkload(arrival_rate_per_s=0.5, seed=1),
-            kernel="event",
-        ).run()
-        without = FleetSimulation(self._lanes(), kernel="event").run()
+                    ).run()
+        without = FleetSimulation(self._lanes()).run()
         assert {o: r.as_dict() for o, r in with_queries.results.items()} == {
             o: r.as_dict() for o, r in without.results.items()
         }
@@ -504,19 +473,16 @@ class TestHandoffEvents:
         service = LocationService(n_shards=3, region_size=auto_region_size(lanes, 3))
         return FleetSimulation(lanes, server=service, **kwargs)
 
-    def test_requires_event_kernel_and_shardable_backend(self):
-        with pytest.raises(ValueError, match="event"):
-            self._fleet(handoff_interval=30.0)  # default tick kernel
+    def test_requires_shardable_backend(self):
         with pytest.raises(ValueError, match="rebalance"):
             FleetSimulation(
                 [FleetLane("x", LinearPredictionProtocol(100.0), _straight_trace())],
-                kernel="event",
                 handoff_interval=30.0,
             )
 
     def test_maintenance_never_changes_results(self):
-        plain = self._fleet(kernel="event").run()
-        swept = self._fleet(kernel="event", handoff_interval=20.0).run()
+        plain = self._fleet().run()
+        swept = self._fleet(handoff_interval=20.0).run()
         assert {o: r.as_dict() for o, r in plain.results.items()} == {
             o: r.as_dict() for o, r in swept.results.items()
         }
@@ -533,7 +499,7 @@ class TestKernelCli:
 
         assert main([
             "--json", "simulate", "--scenario", "city", "--protocol", "linear",
-            "--accuracy", "100", "--scale", "0.07", "--kernel", "event",
+            "--accuracy", "100", "--scale", "0.07",
         ]) == 0
         out = capsys.readouterr().out
         assert '"updates"' in out
@@ -543,18 +509,9 @@ class TestKernelCli:
 
         assert main([
             "--json", "fleet", "--mix", "city:linear:100:2",
-            "--scale", "0.07", "--kernel", "event",
+            "--scale", "0.07",
         ]) == 0
         assert '"updates_per_object_hour"' in capsys.readouterr().out
-
-    def test_query_bench_rejects_explicit_rate_on_tick_kernel(self, capsys):
-        from repro.cli import main
-
-        assert main([
-            "query-bench", "--scenario", "rush_hour_city", "--count", "2",
-            "--scale", "0.07", "--arrival-rate", "2.0",  # default --kernel tick
-        ]) == 2
-        assert "kernel='event'" in capsys.readouterr().err
 
     def test_query_bench_poisson_kernel(self, capsys):
         from repro.cli import main
@@ -562,8 +519,17 @@ class TestKernelCli:
         assert main([
             "--json", "query-bench", "--scenario", "poisson_queries_freeway",
             "--count", "3", "--shards", "2", "--scale", "0.1",
-            "--kernel", "event",
         ]) == 0
         out = capsys.readouterr().out
-        assert '"kernel": "event"' in out
+        assert '"kernel"' not in out
         assert '"arrival_rate_per_s": 0.5' in out
+
+    def test_kernel_flag_is_gone(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit):
+            main([
+                "simulate", "--scenario", "city", "--protocol", "linear",
+                "--accuracy", "100", "--kernel", "event",
+            ])
+        assert "--kernel" in capsys.readouterr().err

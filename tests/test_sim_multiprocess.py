@@ -4,8 +4,9 @@
 and runs one event kernel per shard.  These tests assert the promise the
 mode makes: the merged outcome — per-object results, every error sample,
 channel counters, service statistics — is **bitwise identical** to the
-single-process run, on every library scenario and on both kernels, and
-independent of the order the workers happen to finish in.
+single-process run (and, on the degenerate schedule, to the tick-loop
+oracle), on every library scenario, and independent of the order the
+workers happen to finish in.
 """
 
 import numpy as np
@@ -18,6 +19,8 @@ from repro.service.facade import LocationService
 from repro.sim.fleet import FleetLane, FleetSimulation
 from repro.sim.workload import QueryWorkload
 from repro.traces.trace import Trace
+
+from reference.tick_loop import TickLoopFleet
 
 _SCENARIO_FIXTURES = [
     "tiny_freeway_scenario",
@@ -37,7 +40,7 @@ def _spread_lanes(scenario, n_lanes=6, protocol_cls=LinearPredictionProtocol,
     The translation pushes the lanes into different ``GridHashPolicy``
     cells so ``processes > 1`` actually produces several shard tasks.
     ``jitter_times`` shifts every lane onto its own sampling grid (the
-    mixed-grid shape the tick-kernel validation cares about).
+    mixed-grid shape a per-timestep loop cannot partition).
     """
     lanes = []
     for k in range(n_lanes):
@@ -85,11 +88,12 @@ class TestBitIdentity:
     @pytest.mark.parametrize("fixture", _SCENARIO_FIXTURES)
     @pytest.mark.parametrize("kernel", ["tick", "event"])
     def test_processes_4_equals_1_on_library_scenarios(self, request, fixture, kernel):
+        """``processes=4`` against one process — the event kernel itself,
+        or the tick-loop oracle (``kernel="tick"``)."""
         scenario = request.getfixturevalue(fixture)
-        single = FleetSimulation(_spread_lanes(scenario), kernel=kernel)
-        sharded = FleetSimulation(
-            _spread_lanes(scenario), kernel=kernel, processes=4
-        )
+        single_cls = TickLoopFleet if kernel == "tick" else FleetSimulation
+        single = single_cls(_spread_lanes(scenario))
+        sharded = FleetSimulation(_spread_lanes(scenario), processes=4)
         _assert_identical(single.run(), sharded.run())
         assert _stats_tuple(single.shared_channel.stats) == _stats_tuple(
             sharded.shared_channel.stats
@@ -100,7 +104,6 @@ class TestBitIdentity:
             channel = MessageChannel(latency=7.0, loss_probability=0.15, seed=99)
             return FleetSimulation(
                 _spread_lanes(tiny_city_scenario, channel=channel),
-                kernel="event",
                 processes=processes,
             )
 
@@ -117,7 +120,6 @@ class TestBitIdentity:
             return FleetSimulation(
                 _spread_lanes(tiny_city_scenario, n_lanes=8),
                 server=LocationService(n_shards=4),
-                kernel="event",
                 handoff_interval=25.0,
                 processes=processes,
             )
@@ -133,7 +135,6 @@ class TestBitIdentity:
             channel = MessageChannel(latency=3.0, seed=1)
             return FleetSimulation(
                 _spread_lanes(tiny_freeway_scenario, jitter_times=True, channel=channel),
-                kernel="event",
                 processes=processes,
             )
 
@@ -143,10 +144,10 @@ class TestBitIdentity:
         # Every lane in one sharding cell: a single shard task still merges
         # back bit-identically.
         single = FleetSimulation(
-            _spread_lanes(tiny_walking_scenario, n_lanes=3), kernel="event"
+            _spread_lanes(tiny_walking_scenario, n_lanes=3)
         )
         lanes = _spread_lanes(tiny_walking_scenario, n_lanes=3)
-        sharded = FleetSimulation(lanes, kernel="event", processes=16)
+        sharded = FleetSimulation(lanes, processes=16)
         _assert_identical(single.run(), sharded.run())
 
 
@@ -166,7 +167,6 @@ class TestSchedulingIndependence:
         single = FleetSimulation(
             _spread_lanes(tiny_city_scenario, n_lanes=8),
             server=LocationService(n_shards=4),
-            kernel="event",
             handoff_interval=30.0,
         )
         result_1 = single.run()
@@ -174,7 +174,6 @@ class TestSchedulingIndependence:
         sharded = FleetSimulation(
             _spread_lanes(tiny_city_scenario, n_lanes=8),
             server=LocationService(n_shards=4),
-            kernel="event",
             handoff_interval=30.0,
             processes=4,
         )
@@ -201,33 +200,16 @@ class TestValidation:
                     tiny_city_scenario,
                     channel=MessageChannel(loss_probability=0.1),
                 ),
-                kernel="event",
                 processes=2,
             )
 
-    def test_tick_latency_mixed_grids_rejected(self, tiny_city_scenario):
-        with pytest.raises(ValueError, match="merged"):
-            FleetSimulation(
-                _spread_lanes(
-                    tiny_city_scenario,
-                    jitter_times=True,
-                    channel=MessageChannel(latency=5.0),
-                ),
-                kernel="tick",
-                processes=2,
-            )
+    def test_latency_on_shared_grid_matches_tick_oracle(self, tiny_city_scenario):
+        def lanes():
+            return _spread_lanes(tiny_city_scenario, channel=MessageChannel(latency=5.0))
 
-    def test_tick_latency_shared_grid_allowed(self, tiny_city_scenario):
-        fleet = FleetSimulation(
-            _spread_lanes(tiny_city_scenario, channel=MessageChannel(latency=5.0)),
-            kernel="tick",
-            processes=2,
-        )
-        single = FleetSimulation(
-            _spread_lanes(tiny_city_scenario, channel=MessageChannel(latency=5.0)),
-            kernel="tick",
-        )
-        _assert_identical(single.run(), fleet.run())
+        sharded = FleetSimulation(lanes(), processes=2).run()
+        _assert_identical(TickLoopFleet(lanes()).run(), sharded)
+        _assert_identical(FleetSimulation(lanes()).run(), sharded)
 
     def test_prepopulated_server_rejected(self, tiny_city_scenario):
         server = LocationService(n_shards=2)
@@ -235,7 +217,6 @@ class TestValidation:
         fleet = FleetSimulation(
             _spread_lanes(tiny_city_scenario),
             server=server,
-            kernel="event",
             processes=2,
         )
         with pytest.raises(ValueError, match="empty"):
