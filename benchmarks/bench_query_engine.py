@@ -6,9 +6,11 @@ for all three query kinds.  This benchmark tracks a 10k-object fleet on
 three backends —
 
 * the seed's O(fleet) per-query **linear scans** (``LocationServer``),
-* the previous **scalar** sharded engine (``LocationService`` with
-  ``engine="scalar"``: per-record grid-index scans), and
-* the **columnar** sharded engine (the default),
+* the previous **scalar** sharded engine (a ``LocationService`` whose
+  shard engines are the oracle ``ScalarQueryEngine`` from
+  ``tests/reference/scalar_query_engine.py``: per-record grid-index
+  scans), and
+* the **columnar** sharded engine (the service's only engine),
 
 — replays the same mixed query workload (range / k-nearest / geofence in
 coalesced waves, several waves per simulated timestamp) against each, and
@@ -36,6 +38,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import sys
 import time
 
 import numpy as np
@@ -50,6 +53,11 @@ from repro.sim.workload import QueryWorkload, WorkloadExecutor
 
 from conftest import run_once
 
+# Appended, not prepended: tests/ has its own conftest.py, which must not
+# shadow this directory's.
+sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
+from reference.scalar_query_engine import use_scalar_engines  # noqa: E402
+
 _RESULT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_query_engine.json")
 
 #: Spatial extent of the synthetic fleet (a ~20 km urban region).
@@ -62,7 +70,7 @@ _REQUIRED_SPEEDUP_VS_LINEAR = 5.0
 _MAX_LOAD_IMBALANCE = 1.3
 
 #: The previous committed 1k-object point, kept for the perf trajectory.
-#: "sharded" there is today's ``engine="scalar"`` path.
+#: "sharded" there is today's scalar-oracle path.
 _HISTORY = [
     {
         "objects": 1000,
@@ -123,8 +131,8 @@ def compare_query_paths(
     messages = _build_fleet(n_objects, seed=seed)
 
     single = LocationServer()
-    scalar = LocationService(
-        n_shards=shards, region_size=_EXTENT_M / 8.0, engine="scalar"
+    scalar = use_scalar_engines(
+        LocationService(n_shards=shards, region_size=_EXTENT_M / 8.0)
     )
     columnar = LocationService(n_shards=shards, region_size=_EXTENT_M / 8.0)
     for backend in (single, scalar, columnar):
@@ -262,7 +270,7 @@ def test_linear_reference_agreement_small():
     single = LocationServer()
     services = [
         LocationService(n_shards=3, region_size=4000.0),
-        LocationService(n_shards=3, region_size=4000.0, engine="scalar"),
+        use_scalar_engines(LocationService(n_shards=3, region_size=4000.0)),
     ]
     for backend in [single] + services:
         for object_id, _ in messages:

@@ -21,7 +21,7 @@ from repro.geo.bbox import BoundingBox
 from repro.geo.vec import Vec2, as_vec
 from repro.roadmap.elements import Intersection, Link
 from repro.spatial.grid import GridIndex
-from repro.spatial.index import IndexedItem, SpatialIndex
+from repro.spatial.index import IndexedItem
 
 
 class RoadMap:
@@ -80,7 +80,7 @@ class RoadMap:
         # never touches it, and eager construction dominated cache-load
         # time on large maps.
         self._index_cell_size = index_cell_size
-        self._lazy_index: Optional[SpatialIndex[int]] = None
+        self._lazy_index: Optional[GridIndex[int]] = None
 
     # ------------------------------------------------------------------ #
     # element access
@@ -184,7 +184,7 @@ class RoadMap:
     # spatial queries
     # ------------------------------------------------------------------ #
     @property
-    def _index(self) -> SpatialIndex[int]:
+    def _index(self) -> GridIndex[int]:
         """The spatial index over link geometry, built on first use."""
         index = self._lazy_index
         if index is None:

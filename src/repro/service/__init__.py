@@ -15,8 +15,8 @@ serving tier the ROADMAP's fleet-scale north star needs:
 :class:`ShardingPolicy`), ingests updates in per-tick batches, hands
 objects off across shard boundaries, and answers range / k-nearest /
 geofence queries through one columnar :class:`QueryEngine` per shard
-(vectorised NumPy kernels; :class:`ScalarQueryEngine` is the retained
-bit-identical reference).  :class:`RebalancePolicy` re-homes hot routing
+(vectorised NumPy kernels, the only query engine; its answers are
+bit-identical to the linear scans of :mod:`repro.service.queries`).  :class:`RebalancePolicy` re-homes hot routing
 cells when the per-shard skew exceeds a threshold, keeping the tier
 load-adaptive under live traffic.
 """
@@ -31,7 +31,7 @@ from repro.service.sharding import (
     ShardingPolicy,
     shard_skew,
 )
-from repro.service.query_engine import QueryEngine, ScalarQueryEngine
+from repro.service.query_engine import QueryEngine
 from repro.service.facade import LocationService, QueryCounters, ShardLoad
 from repro.service.queries import (
     PositionQueryResult,
@@ -49,7 +49,6 @@ __all__ = [
     "LocationSource",
     "LocationService",
     "QueryEngine",
-    "ScalarQueryEngine",
     "QueryCounters",
     "ShardLoad",
     "ShardingPolicy",

@@ -8,8 +8,8 @@ objects off between shards when their predicted position crosses a shard
 boundary, and answers application queries through one columnar
 :class:`~repro.service.query_engine.QueryEngine` per shard — vectorised
 NumPy kernels over contiguous per-shard columns instead of per-object
-Python loops (``engine="scalar"`` selects the PR 3 incremental grid-index
-engine, kept as the bit-identical reference).
+Python loops.  That engine is the only one; the incremental grid-index
+engine it is asserted bit-identical to is a test oracle.
 
 The facade implements the full :class:`LocationServer` surface
 (``register_object`` / ``receive_update`` / ``predict_position`` /
@@ -31,7 +31,7 @@ from repro.geo.bbox import BoundingBox
 from repro.geo.vec import Vec2, as_vec
 from repro.protocols.base import ObjectState, UpdateMessage
 from repro.protocols.prediction import PredictionFunction
-from repro.service.query_engine import ENGINE_KINDS, QueryEngine
+from repro.service.query_engine import QueryEngine
 from repro.service.server import LocationServer, TrackedObject
 from repro.service.sharding import GridHashPolicy, ShardingPolicy
 
@@ -94,11 +94,7 @@ class LocationService:
         Routing cell size of the default policy (ignored when *policy* is
         given).
     engine_cell_size:
-        Cell size of each shard's query engine.
-    engine:
-        Query-engine kind: ``"columnar"`` (default; vectorised NumPy
-        kernels) or ``"scalar"`` (PR 3's incremental grid index, the
-        bit-identical reference implementation).
+        Cell size of each shard's columnar query engine.
     """
 
     def __init__(
@@ -107,7 +103,6 @@ class LocationService:
         policy: Optional[ShardingPolicy] = None,
         region_size: float = 2000.0,
         engine_cell_size: float = 500.0,
-        engine: str = "columnar",
     ):
         if policy is None:
             policy = GridHashPolicy(n_shards, region_size=region_size)
@@ -115,16 +110,10 @@ class LocationService:
             raise ValueError(
                 f"policy is for {policy.n_shards} shards, service has {n_shards}"
             )
-        if engine not in ENGINE_KINDS:
-            raise ValueError(
-                f"unknown engine {engine!r} (expected one of {sorted(ENGINE_KINDS)})"
-            )
-        self.engine_kind = engine
-        engine_cls = ENGINE_KINDS[engine]
         self.policy = policy
         self.shards: List[LocationServer] = [LocationServer() for _ in range(n_shards)]
         self.engines: List[QueryEngine] = [
-            engine_cls(cell_size=engine_cell_size) for _ in range(n_shards)
+            QueryEngine(cell_size=engine_cell_size) for _ in range(n_shards)
         ]
         self.loads: List[ShardLoad] = [ShardLoad(shard_id=s) for s in range(n_shards)]
         self.counters = QueryCounters()

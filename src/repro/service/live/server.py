@@ -45,13 +45,16 @@ The wire protocol is length-prefixed JSON
 ``"op"`` key: ``ping``, ``register``, ``ingest``, ``range``, ``nearest``,
 ``geofence``, ``stats``, ``metrics``, ``shutdown``.  Responses carry
 ``"ok"`` plus op-specific fields, or ``"ok": false`` with an ``"error"``
-message (the connection survives request errors; framing errors close it).
+message (the connection survives request errors; framing errors — an
+oversize length prefix, a frame cut short, a body that is not a JSON
+object — close it and are counted as ``frame_errors``).
 
 Observability
 -------------
 With an :class:`~repro.obs.Observability` bundle attached the server
 records a per-op latency distribution, the ingest queue depth at each
-accepted batch, the shed count and the watermark lag
+accepted batch, the shed count, the malformed-frame count
+(``live.frame_errors``) and the watermark lag
 (``enqueued_seq - at_seq``) observed by queries.  The ``metrics`` op
 exposes the registry over the wire — as a JSON snapshot *and* as
 Prometheus text exposition — and works without a bundle too (server
@@ -170,6 +173,9 @@ class LiveLocationServer:
         #: does not know share the :data:`UNKNOWN_OP` key, so a client
         #: cannot grow this dict (or the metric names) without bound.
         self.op_counts: Dict[str, int] = {}
+        #: Connections closed because a frame was oversize, truncated or
+        #: not a JSON object.
+        self.frame_errors = 0
         #: Set by the ``shutdown`` op; :meth:`run_until_shutdown` awaits it.
         self.shutdown_requested = asyncio.Event()
 
@@ -300,7 +306,11 @@ class LiveLocationServer:
             while True:
                 try:
                     request = await read_frame(reader)
-                except FrameError:
+                except FrameError as exc:
+                    self.frame_errors += 1
+                    if self.obs is not None:
+                        self.obs.counter("live.frame_errors", deterministic=False).inc()
+                    _logger.warning("closing connection on a malformed frame: %s", exc)
                     break
                 if request is None:
                     break
@@ -524,6 +534,7 @@ class LiveLocationServer:
                 "ingest_queue_size": self.ingest_queue_size,
                 "rejected_batches": self.rejected_batches,
                 "op_counts": dict(self.op_counts),
+                "frame_errors": self.frame_errors,
                 "connections": len(self._conn_tasks),
                 "rebalance_passes": self.rebalance_passes,
                 "rebalance": (
@@ -552,6 +563,7 @@ class LiveLocationServer:
         registry.gauge("live.server.ingest_queue_depth").set(self.ingest_queue_depth)
         registry.gauge("live.server.ingest_queue_size").set(self.ingest_queue_size)
         registry.gauge("live.server.rejected_batches").set(self.rejected_batches)
+        registry.gauge("live.server.frame_errors").set(self.frame_errors)
         registry.gauge("live.server.connections").set(len(self._conn_tasks))
         for op, count in sorted(self.op_counts.items()):
             registry.gauge(f"live.server.op_count.{op}").set(count)
@@ -585,10 +597,9 @@ def service_for_registrations(
     registrations: List[Tuple[str, object, float]],
     n_shards: int = 1,
     region_size: float = 2000.0,
-    engine: str = "columnar",
 ) -> LocationService:
     """A fresh facade with *registrations* applied (server or reference side)."""
-    service = LocationService(n_shards=n_shards, region_size=region_size, engine=engine)
+    service = LocationService(n_shards=n_shards, region_size=region_size)
     for object_id, prediction, accuracy in registrations:
         service.register_object(object_id, prediction=prediction, accuracy=accuracy)
     return service

@@ -162,15 +162,12 @@ def plan_region_size(plan: ReplayPlan, n_shards: int) -> float:
     return max(100.0, math.sqrt(width * height / (8.0 * max(1, n_shards))))
 
 
-def service_for_plan(
-    plan: ReplayPlan, n_shards: int = 1, engine: str = "columnar"
-) -> LocationService:
+def service_for_plan(plan: ReplayPlan, n_shards: int = 1) -> LocationService:
     """A fresh facade with the plan's registrations applied."""
     return service_for_registrations(
         plan.registrations,
         n_shards=n_shards,
         region_size=plan_region_size(plan, n_shards),
-        engine=engine,
     )
 
 

@@ -23,35 +23,26 @@ NumPy columns instead::
   vectorised kernels (boolean mask / ``argpartition`` + boundary expansion /
   mask, each finished by a ``lexsort`` on ``(distance, id)``).
 
-All answers are **bit-identical** to the linear scans in
-:mod:`repro.service.queries` and to :class:`ScalarQueryEngine` (the PR 3
-engine, retained below as the reference implementation): the vectorised
-distance kernel replicates the exact scalar arithmetic order of
+This is the only query engine: every served range, k-nearest and geofence
+query runs through it.  All answers are **bit-identical** to the linear
+scans in :mod:`repro.service.queries`: the vectorised distance kernel
+replicates the exact scalar arithmetic order of
 :func:`repro.geo.vec.distance` (``sqrt(dx*dx + dy*dy)``, *not*
 ``np.hypot``), and ``lexsort`` on a ``'<U'`` id column matches Python's
 ``(distance, object_id)`` tuple ordering code point for code point.  The
-test-suite asserts this across the whole scenario library.
+test-suite asserts this across the whole scenario library, against the
+linear scans and against the incremental grid-index engine kept as an
+oracle in ``tests/reference/scalar_query_engine.py``.
 """
 
 from __future__ import annotations
 
-import logging
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.geo.bbox import BoundingBox
-from repro.geo.vec import Vec2, as_vec, distance
-from repro.spatial.grid import GridIndex
-from repro.spatial.index import IndexedItem
-
-#: Below this many objects the incremental per-object registration is
-#: cheaper than staging a bulk rebuild (array round-trips have a fixed
-#: cost); above it the first sync of a cold :class:`ScalarQueryEngine`
-#: goes through :meth:`GridIndex.rebuild` in one pass.
-_BULK_SYNC_THRESHOLD = 256
-
-_logger = logging.getLogger(__name__)
+from repro.geo.vec import Vec2, as_vec
 
 _EMPTY_POS = np.empty((0, 2), dtype=float)
 _EMPTY_CELLS = np.empty((0, 2), dtype=np.int64)
@@ -110,7 +101,7 @@ class QueryEngine:
 
         Objects absent from *positions* are dropped; the return value
         counts re-homed rows (new objects plus objects whose position moved
-        into a different cell), matching :class:`ScalarQueryEngine`'s
+        into a different cell), matching the scalar oracle engine's
         re-registration count bit for bit.
 
         The steady state — same object ids in the same order, only the
@@ -213,8 +204,7 @@ class QueryEngine:
         ``argpartition`` alone resolves ties at the k-th place arbitrarily,
         so the kernel expands the candidate set to *every* row at the
         boundary distance before the ``(distance, id)`` lexsort — the
-        answer is independent of row order, like the scalar engine's
-        re-fetch within the k-th distance.
+        answer is independent of row order.
         """
         n = len(self._ids)
         if k <= 0 or n == 0:
@@ -246,211 +236,3 @@ class QueryEngine:
         dx = self._pos[:, 0] - p[0]
         dy = self._pos[:, 1] - p[1]
         return np.sqrt(dx * dx + dy * dy)
-
-
-class ScalarQueryEngine:
-    """PR 3's incremental :class:`GridIndex` engine, kept as the reference.
-
-    Maintains per-object dict state and answers queries by refining
-    cell-level candidates item by item.  :class:`QueryEngine` (columnar) is
-    asserted bit-identical to this engine across the scenario library; the
-    benchmark suite measures the columnar speedup against it.
-
-    The engine is *incremental*: each :meth:`sync` diffs the new predicted
-    positions against the previous snapshot and only re-registers objects
-    whose position moved into a different index cell.  Items are stored
-    with their covering cell as bounding box (always current by
-    construction) and a distance callback that reads the object's *exact*
-    current position, so every query refines its cell-level candidates to
-    exact answers.
-    """
-
-    def __init__(self, cell_size: float = 500.0):
-        if cell_size <= 0:
-            raise ValueError("cell_size must be positive")
-        self.cell_size = float(cell_size)
-        self._index: GridIndex[str] = GridIndex(cell_size=cell_size)
-        self._positions: Dict[str, np.ndarray] = {}
-        self._cells: Dict[str, Tuple[int, int]] = {}
-        #: Simulation time of the last :meth:`sync` (``None`` before the first).
-        self.synced_time: Optional[float] = None
-        #: Cumulative sync statistics (diagnostics / load counters).
-        self.syncs = 0
-        self.moves = 0
-        self.drops = 0
-
-    def __len__(self) -> int:
-        return len(self._positions)
-
-    def object_ids(self) -> List[str]:
-        """Ids currently held by the engine (insertion order)."""
-        return list(self._positions)
-
-    def position_of(self, object_id: str) -> np.ndarray:
-        """The exact position of *object_id* as of the last sync (read-only)."""
-        view = self._positions[object_id][...]
-        view.flags.writeable = False
-        return view
-
-    # ------------------------------------------------------------------ #
-    # incremental maintenance
-    # ------------------------------------------------------------------ #
-    def sync(self, positions: Mapping[str, np.ndarray], time: float) -> int:
-        """Bring the index up to date with *positions* at *time*.
-
-        Objects absent from *positions* are dropped; objects whose position
-        moved into a different cell are re-registered; objects that stayed
-        in their cell only get their exact position refreshed (their index
-        entry — cell bounds plus position-reading distance callback — is
-        still valid).  Returns the number of re-registered objects.
-        """
-        moved = 0
-        if not self._cells and len(positions) >= _BULK_SYNC_THRESHOLD:
-            return self._bulk_sync(positions, time)
-        # Skip the drop pass when the membership is unchanged — the common
-        # steady state.  Keys-view equality runs the length check plus the
-        # set comparison in C, cheaper than building the drop list.
-        same_membership = positions.keys() == self._cells.keys()
-        if not same_membership:
-            for object_id in [oid for oid in self._cells if oid not in positions]:
-                self._index.remove(object_id)
-                del self._cells[object_id]
-                del self._positions[object_id]
-                self.drops += 1
-        for object_id, position in positions.items():
-            self._positions[object_id] = position
-            cell = self._cell_of(position)
-            if self._cells.get(object_id) == cell:
-                continue
-            if object_id in self._cells:
-                self._index.remove(object_id)
-            self._index.insert(
-                IndexedItem(
-                    key=object_id,
-                    bounds=self._cell_box(cell),
-                    distance=self._distance_to(object_id),
-                )
-            )
-            self._cells[object_id] = cell
-            moved += 1
-        self.synced_time = float(time)
-        self.syncs += 1
-        self.moves += moved
-        return moved
-
-    def _bulk_sync(self, positions: Mapping[str, np.ndarray], time: float) -> int:
-        """First big sync: register every object through one index rebuild.
-
-        Equivalent to the incremental loop above for an empty engine (same
-        registration order, hence the same index serials and query answers,
-        asserted by the test-suite), but it computes every object's cell in
-        one vectorised pass and hands the whole item list to
-        :meth:`~repro.spatial.grid.GridIndex.rebuild` instead of paying the
-        per-item ``insert`` bookkeeping N times — the difference between a
-        sub-second and a multi-second cold start at mega-fleet sizes.
-        """
-        object_ids = list(positions)
-        stacked = np.array([positions[oid] for oid in object_ids], dtype=float)
-        cell_rows = np.floor(stacked / self.cell_size).astype(np.int64).tolist()
-        items = []
-        for object_id, (cx, cy) in zip(object_ids, cell_rows):
-            cell = (cx, cy)
-            self._positions[object_id] = positions[object_id]
-            self._cells[object_id] = cell
-            items.append(
-                IndexedItem(
-                    key=object_id,
-                    bounds=self._cell_box(cell),
-                    distance=self._distance_to(object_id),
-                )
-            )
-        self._index.rebuild(items)
-        moved = len(items)
-        _logger.debug(
-            "bulk sync: rebuilt index with %d objects at t=%g", moved, time
-        )
-        self.synced_time = float(time)
-        self.syncs += 1
-        self.moves += moved
-        return moved
-
-    # ------------------------------------------------------------------ #
-    # queries
-    # ------------------------------------------------------------------ #
-    def candidates_in_box(self, box: BoundingBox) -> List[str]:
-        """Ids whose index *cell* intersects *box* (cheap superset)."""
-        return [item.key for item in self._index.query_bbox(box)]
-
-    def ids_in_box(self, box: BoundingBox) -> List[str]:
-        """Ids whose exact position lies inside *box* (unsorted)."""
-        positions = self._positions
-        return [
-            item.key
-            for item in self._index.query_bbox(box)
-            if box.contains_point(positions[item.key])
-        ]
-
-    def range_query(self, box: BoundingBox) -> List[str]:
-        """Ids whose exact position lies inside *box*, sorted."""
-        return sorted(self.ids_in_box(box))
-
-    def k_nearest(self, point: Vec2, k: int) -> List[Tuple[str, float]]:
-        """The *k* objects closest to *point*, tie-broken by ``(d, id)``.
-
-        The underlying index resolves ties arbitrarily at the k-th place, so
-        when the candidate list is full the engine re-fetches everything
-        within the k-th distance and re-sorts — the answer is independent of
-        insertion order.
-        """
-        if k <= 0 or not self._positions:
-            return []
-        p = as_vec(point)
-        top = self._index.k_nearest(p, k)
-        if len(top) == k:
-            boundary = top[-1][1]
-            items = self._index.query_radius(p, boundary)
-        else:
-            items = [item for item, _ in top]
-        scored = sorted(
-            ((item.key, distance(self._positions[item.key], p)) for item in items),
-            key=lambda pair: (pair[1], pair[0]),
-        )
-        return scored[:k]
-
-    def within_radius(self, point: Vec2, radius: float) -> List[Tuple[str, float]]:
-        """Objects within *radius* of *point* (geofence), sorted by ``(d, id)``."""
-        if radius < 0 or not self._positions:
-            return []
-        p = as_vec(point)
-        positions = self._positions
-        scored = []
-        for item in self._index.query_bbox(BoundingBox.around(p, radius)):
-            d = distance(positions[item.key], p)
-            if d <= radius:
-                scored.append((item.key, d))
-        scored.sort(key=lambda pair: (pair[1], pair[0]))
-        return scored
-
-    # ------------------------------------------------------------------ #
-    # internals
-    # ------------------------------------------------------------------ #
-    def _cell_of(self, position: np.ndarray) -> Tuple[int, int]:
-        size = self.cell_size
-        return (int(np.floor(position[0] / size)), int(np.floor(position[1] / size)))
-
-    def _cell_box(self, cell: Tuple[int, int]) -> BoundingBox:
-        size = self.cell_size
-        return BoundingBox(
-            cell[0] * size, cell[1] * size, (cell[0] + 1) * size, (cell[1] + 1) * size
-        )
-
-    def _distance_to(self, object_id: str):
-        positions = self._positions
-        return lambda q, _oid=object_id: distance(positions[_oid], q)
-
-
-#: Engine registry used by the facade's ``engine=`` selector.
-ENGINE_KINDS = {
-    "columnar": QueryEngine,
-    "scalar": ScalarQueryEngine,
-}

@@ -1,27 +1,20 @@
-"""Spatial indexes over geometric items.
+"""Spatial index over geometric items.
 
 The map-based protocol queries "a spatial index for the map information with
 the mobile object's current position" (paper Sec. 3) when it initialises the
 map matcher and whenever it has lost its current link and needs to
-re-acquire one.  Two interchangeable index structures are provided:
-
-* :class:`repro.spatial.grid.GridIndex` — a uniform grid hash, the default
-  used by the road map because links are distributed fairly evenly; and
-* :class:`repro.spatial.rtree.STRtree` — a static, STR-packed R-tree, useful
-  for very unevenly distributed geometry and as an independent cross-check
-  in the test-suite.
-
-Both implement the :class:`repro.spatial.index.SpatialIndex` interface.
+re-acquire one.  :class:`repro.spatial.grid.GridIndex`, a uniform grid hash,
+is that index: links are distributed fairly evenly, so fixed cells prune
+well.  It stores :class:`repro.spatial.index.IndexedItem` records;
+:func:`repro.spatial.index.brute_force_nearest` is the exhaustive scan its
+nearest-item search falls back to and the tests check it against.
 """
 
-from repro.spatial.index import IndexedItem, SpatialIndex, brute_force_nearest
+from repro.spatial.index import IndexedItem, brute_force_nearest
 from repro.spatial.grid import GridIndex
-from repro.spatial.rtree import STRtree
 
 __all__ = [
     "IndexedItem",
-    "SpatialIndex",
     "brute_force_nearest",
     "GridIndex",
-    "STRtree",
 ]

@@ -2,24 +2,29 @@
 
 Road-network geometry is spread roughly uniformly over the covered area, so
 a fixed-cell-size grid gives excellent query performance with trivial code.
-This is the default index used by :class:`repro.roadmap.graph.RoadMap`.
+This is the index :class:`repro.roadmap.graph.RoadMap` uses for its links.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple, TypeVar
+from typing import Dict, Generic, Hashable, Iterable, List, Optional, Set, Tuple, TypeVar
 
 import numpy as np
 
 from repro.geo.bbox import BoundingBox
-from repro.spatial.index import IndexedItem, SpatialIndex
+from repro.geo.vec import Vec2, as_vec
+from repro.spatial.index import IndexedItem, brute_force_nearest
 
 T = TypeVar("T", bound=Hashable)
 
+#: Radius beyond which :meth:`GridIndex.nearest` stops growing its query
+#: box and falls back to one exhaustive scan of all items.
+_EXHAUSTIVE_SCAN_RADIUS = 1e9
 
-class GridIndex(SpatialIndex[T]):
+
+class GridIndex(Generic[T]):
     """Spatial hash with square cells of a configurable size.
 
     Parameters
@@ -51,7 +56,7 @@ class GridIndex(SpatialIndex[T]):
                 self.insert(item)
 
     # ------------------------------------------------------------------ #
-    # SpatialIndex interface
+    # maintenance
     # ------------------------------------------------------------------ #
     def insert(self, item: IndexedItem[T]) -> None:
         """Register *item* with every grid cell its bounding box overlaps."""
@@ -140,6 +145,7 @@ class GridIndex(SpatialIndex[T]):
     def remove(self, key: T) -> int:
         """Remove every item stored under *key*; returns the number removed.
 
+        Incremental indexes over moving objects relocate items this way.
         The occupied-cell extent is left untouched (it remains a valid,
         merely conservative clamp for :meth:`_cells_for_box`), so removal
         never has to rescan the surviving items.
@@ -158,6 +164,9 @@ class GridIndex(SpatialIndex[T]):
                     del self._cells[cell]
         return len(serials)
 
+    # ------------------------------------------------------------------ #
+    # queries
+    # ------------------------------------------------------------------ #
     def query_bbox(self, box: BoundingBox) -> list[IndexedItem[T]]:
         """All items whose bounding boxes intersect *box*."""
         seen: Set[int] = set()
@@ -203,6 +212,86 @@ class GridIndex(SpatialIndex[T]):
             for cy in range(min_cy, max_cy + 1)
         )
 
+    def query_radius(self, point: Vec2, radius: float) -> list[IndexedItem[T]]:
+        """Items whose exact geometry lies within *radius* metres of *point*.
+
+        Candidates are produced by a bounding-box query and then refined with
+        the items' distance callbacks, so the result is exact — "within" is
+        decided solely by ``item.distance(p) <= radius``.  The candidate box
+        is inflated by a float-rounding margin: an item whose true distance
+        exceeds the radius by less than the distance callback's rounding
+        error must still be *refined* (where the callback will round it to
+        exactly ``radius`` and admit it), not silently pruned by the exact
+        bbox test — otherwise the answer would disagree with a brute-force
+        scan using the same callback at the boundary.
+        """
+        p = as_vec(point)
+        out = []
+        for item in self.query_bbox(self._search_box(p, radius)):
+            if item.distance(p) <= radius:
+                out.append(item)
+        return out
+
+    def nearest(
+        self, point: Vec2, max_distance: Optional[float] = None
+    ) -> Optional[tuple[IndexedItem[T], float]]:
+        """The item closest to *point*, optionally within *max_distance*.
+
+        Returns ``(item, distance)`` or ``None`` if no item qualifies.  The
+        search expands the query radius geometrically starting from one
+        cell edge, which gives near-O(1) behaviour for the localised
+        queries the map matcher issues.  Each search box carries the same
+        float-rounding margin as :meth:`query_radius`, so an item whose
+        distance rounds to exactly *max_distance* is found, as a
+        brute-force scan would find it.
+        """
+        p = as_vec(point)
+        if len(self) == 0:
+            return None
+        if max_distance is not None and max_distance <= 0:
+            return None
+        limit = float(max_distance) if max_distance is not None else float("inf")
+        radius = min(self.cell_size, limit)
+        best: Optional[tuple[IndexedItem[T], float]] = None
+        while True:
+            candidates = self.query_bbox(self._search_box(p, radius))
+            for item in candidates:
+                d = item.distance(p)
+                if d <= limit and (best is None or d < best[1]):
+                    best = (item, d)
+            if best is not None and best[1] <= radius:
+                # Nothing outside the searched box can be closer.
+                return best
+            if radius >= limit or len(candidates) == len(self):
+                # The whole allowed region (or the whole index) was examined.
+                return best
+            if radius >= _EXHAUSTIVE_SCAN_RADIUS:
+                # Pathological geometry (items astronomically far away):
+                # give up on box growth and scan every item exactly once.
+                return brute_force_nearest(self.items(), p, limit=limit)
+            radius = min(radius * 4.0, limit)
+
+    def k_nearest(
+        self, point: Vec2, k: int, max_distance: Optional[float] = None
+    ) -> list[tuple[IndexedItem[T], float]]:
+        """The *k* items closest to *point*, sorted by distance."""
+        p = as_vec(point)
+        if k <= 0 or len(self) == 0:
+            return []
+        radius = self.cell_size if max_distance is None else max_distance
+        limit = max_distance if max_distance is not None else float("inf")
+        while True:
+            candidates = self.query_bbox(self._search_box(p, radius))
+            scored = sorted(
+                ((item, item.distance(p)) for item in candidates), key=lambda x: x[1]
+            )
+            scored = [(it, d) for it, d in scored if d <= limit]
+            if len(scored) >= k and scored[k - 1][1] <= radius:
+                return scored[:k]
+            if radius >= limit or len(candidates) == len(self):
+                return scored[:k]
+            radius *= 4.0
+
     def items(self) -> List[IndexedItem[T]]:
         """Every stored item, in insertion order."""
         return list(self._items.values())
@@ -234,8 +323,15 @@ class GridIndex(SpatialIndex[T]):
             for cy in range(min_cy, max_cy + 1):
                 yield (cx, cy)
 
-    def _initial_radius(self) -> float:
-        return self.cell_size
+    @staticmethod
+    def _search_box(p: Vec2, radius: float) -> BoundingBox:
+        """The candidate box of a *radius* search around *p*.
+
+        Inflated by a float-rounding margin (see :meth:`query_radius`): the
+        exact bbox test must never prune an item that the distance callback
+        rounds to within *radius*.
+        """
+        return BoundingBox.around(p, radius + 1e-9 + 1e-12 * radius)
 
     # ------------------------------------------------------------------ #
     # diagnostics

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.mobility.scenarios import (
     city_scenario,
@@ -20,6 +21,13 @@ from repro.roadmap.builder import RoadMapBuilder
 from repro.roadmap.elements import RoadClass
 from repro.roadmap.generators import straight_road_map, t_junction_map
 from repro.traces.trace import Trace
+
+
+# CI runs every property test with ``--hypothesis-profile=ci``: examples
+# are derived from the test itself rather than drawn at random, no example
+# database carries failures from one run to the next, and a failure prints
+# the blob that reproduces it.  Local runs keep hypothesis's default profile.
+settings.register_profile("ci", derandomize=True, database=None, print_blob=True)
 
 
 def pytest_addoption(parser):

@@ -1,4 +1,8 @@
-"""Property-based tests for the spatial indexes (hypothesis)."""
+"""Property-based tests for the spatial index (hypothesis).
+
+:class:`GridIndex` is checked against :func:`brute_force_nearest` and
+against linear scans of the items themselves.
+"""
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -7,7 +11,6 @@ from repro.geo.bbox import BoundingBox
 from repro.geo.segment import Segment
 from repro.spatial.grid import GridIndex
 from repro.spatial.index import IndexedItem, brute_force_nearest
-from repro.spatial.rtree import STRtree
 
 coordinate = st.floats(min_value=-10_000.0, max_value=10_000.0, allow_nan=False)
 point = st.tuples(coordinate, coordinate)
@@ -33,20 +36,6 @@ def test_grid_nearest_matches_brute_force(segments, query):
     index = GridIndex(cell_size=500.0, items=items)
     expected = brute_force_nearest(items, query)
     got = index.nearest(query)
-    assert got is not None and expected is not None
-    assert np.isclose(got[1], expected[1], atol=1e-6)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    segments=st.lists(st.tuples(point, point), min_size=1, max_size=30),
-    query=point,
-)
-def test_rtree_nearest_matches_brute_force(segments, query):
-    items = build_items(segments)
-    tree = STRtree(items, node_capacity=4)
-    expected = brute_force_nearest(items, query)
-    got = tree.nearest(query)
     assert got is not None and expected is not None
     assert np.isclose(got[1], expected[1], atol=1e-6)
 
@@ -83,16 +72,16 @@ def test_query_radius_boundary_rounding_regression():
 
 @settings(max_examples=50, deadline=None)
 @given(segments=st.lists(st.tuples(point, point), min_size=1, max_size=25))
-def test_grid_and_rtree_agree_on_bbox_queries(segments):
+def test_grid_bbox_query_matches_linear_scan(segments):
     items = build_items(segments)
     grid = GridIndex(cell_size=800.0, items=items)
-    tree = STRtree(items, node_capacity=4)
     box = BoundingBox(-2_000.0, -2_000.0, 2_000.0, 2_000.0)
-    assert {i.key for i in grid.query_bbox(box)} == {i.key for i in tree.query_bbox(box)}
+    expected = {item.key for item in items if item.bounds.intersects(box)}
+    assert {i.key for i in grid.query_bbox(box)} == expected
 
 
 # --------------------------------------------------------------------------- #
-# nearest across every backend, with and without a distance cap
+# nearest against brute force, with and without a distance cap
 # --------------------------------------------------------------------------- #
 @settings(max_examples=50, deadline=None)
 @given(
@@ -101,16 +90,14 @@ def test_grid_and_rtree_agree_on_bbox_queries(segments):
     cell_size=st.sampled_from([120.0, 500.0, 2_500.0]),
 )
 def test_all_backends_agree_on_nearest_point_sets(segments, queries, cell_size):
-    """Grid, STR-tree and brute force return the same nearest distance."""
+    """The grid and brute force return the same nearest distance."""
     items = build_items(segments)
     grid = GridIndex(cell_size=cell_size, items=items)
-    tree = STRtree(items, node_capacity=4)
     for query in queries:
         expected = brute_force_nearest(items, query)
-        for backend in (grid, tree):
-            got = backend.nearest(query)
-            assert got is not None and expected is not None
-            assert np.isclose(got[1], expected[1], atol=1e-6)
+        got = grid.nearest(query)
+        assert got is not None and expected is not None
+        assert np.isclose(got[1], expected[1], atol=1e-6)
 
 
 #: A segment whose bbox misses the capped search box by 7e-29 m while its
@@ -130,27 +117,25 @@ _CAP_BOUNDARY = {
 )
 @example(**_CAP_BOUNDARY)
 def test_all_backends_agree_on_capped_nearest(segments, query, max_distance):
-    """The ``max_distance`` contract holds identically on every backend."""
+    """The ``max_distance`` contract holds as in a brute-force scan."""
     items = build_items(segments)
     grid = GridIndex(cell_size=600.0, items=items)
-    tree = STRtree(items, node_capacity=4)
     expected = brute_force_nearest(items, query, limit=max_distance)
-    for backend in (grid, tree):
-        got = backend.nearest(query, max_distance=max_distance)
-        if expected is None:
-            assert got is None
-        else:
-            assert got is not None
-            assert got[1] <= max_distance + 1e-9
-            assert np.isclose(got[1], expected[1], atol=1e-6)
+    got = grid.nearest(query, max_distance=max_distance)
+    if expected is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert got[1] <= max_distance + 1e-9
+        assert np.isclose(got[1], expected[1], atol=1e-6)
 
 
 def test_k_nearest_keeps_item_at_exact_cap():
     """``k_nearest`` prunes with the same rounding margin as ``nearest``."""
     items = build_items(_CAP_BOUNDARY["segments"])
-    for backend in (GridIndex(cell_size=600.0, items=items), STRtree(items, node_capacity=4)):
-        got = backend.k_nearest(_CAP_BOUNDARY["query"], 1, max_distance=1.0)
-        assert [d for _item, d in got] == [1.0]
+    grid = GridIndex(cell_size=600.0, items=items)
+    got = grid.k_nearest(_CAP_BOUNDARY["query"], 1, max_distance=1.0)
+    assert [d for _item, d in got] == [1.0]
 
 
 # --------------------------------------------------------------------------- #
@@ -192,7 +177,7 @@ def test_polyline_projection_of_on_line_point_is_exact(vertices, fraction):
 @settings(max_examples=40, deadline=None)
 @given(vertices=polyline_points, query=point)
 def test_polyline_projection_agrees_across_index_backends(vertices, query):
-    """Indexing polyline segments gives the same nearest distance everywhere."""
+    """Indexing polyline segments gives the projection's nearest distance."""
     from repro.geo.polyline import Polyline
 
     line = Polyline(vertices)
@@ -201,12 +186,8 @@ def test_polyline_projection_agrees_across_index_backends(vertices, query):
         for i, seg in enumerate(line.segments())
     ]
     _, _, direct = line.project(np.asarray(query))
-    for index in (
-        GridIndex(cell_size=400.0, items=items),
-        STRtree(items, node_capacity=4),
-    ):
-        got = index.nearest(query)
-        assert got is not None
-        assert np.isclose(got[1], direct, atol=1e-6)
+    got = GridIndex(cell_size=400.0, items=items).nearest(query)
+    assert got is not None
+    assert np.isclose(got[1], direct, atol=1e-6)
     brute = brute_force_nearest(items, query)
     assert brute is not None and np.isclose(brute[1], direct, atol=1e-6)

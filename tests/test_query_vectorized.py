@@ -1,8 +1,9 @@
 """Property suite: the vectorised query kernels equal the scalar scans.
 
 Replays every library scenario's real update stream into three backends —
-the columnar sharded service, the scalar-engine sharded service and a
-plain single server answered through the linear reference scans — and
+the columnar sharded service, a sharded service whose engines are the
+scalar oracle (:mod:`reference.scalar_query_engine`) and a plain single
+server answered through the linear reference scans — and
 asserts all three produce **identical** answers (ids, distances, ordering;
 float equality, not approx) for all three query kinds.  A hypothesis case
 pins the tie-breaking contract: objects at exactly equal distances sort
@@ -15,9 +16,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.experiments.library import FleetMix, fleet_lanes, scenario_names
 from repro.service.loadgen import build_replay_plan, service_for_plan
-from repro.service.query_engine import QueryEngine, ScalarQueryEngine
+from repro.service.query_engine import QueryEngine
 from repro.service.server import LocationServer
 from repro.sim.workload import QueryWorkload, execute_call
+
+from reference.scalar_query_engine import ScalarQueryEngine, use_scalar_engines
 
 #: Small per-scenario scales (mirrors the golden/kernel suites so the
 #: per-process scenario cache is shared between the test modules).
@@ -59,10 +62,8 @@ class TestVectorizedEqualsScalarOnLibrary:
         if not plan.batches:
             pytest.skip(f"scenario {name} produced no update batches at this scale")
         columnar = service_for_plan(plan, n_shards=3)
-        scalar = service_for_plan(plan, n_shards=3, engine="scalar")
+        scalar = use_scalar_engines(service_for_plan(plan, n_shards=3))
         linear = _linear_backend(plan)
-        assert columnar.engine_kind == "columnar"
-        assert scalar.engine_kind == "scalar"
         assert all(isinstance(e, QueryEngine) for e in columnar.engines)
         assert all(isinstance(e, ScalarQueryEngine) for e in scalar.engines)
 
@@ -101,7 +102,7 @@ class TestVectorizedEqualsScalarOnLibrary:
             arrival_rate_per_s=2.0,
         )
         columnar = service_for_plan(plan, n_shards=3)
-        scalar = service_for_plan(plan, n_shards=3, engine="scalar")
+        scalar = use_scalar_engines(service_for_plan(plan, n_shards=3))
         linear = _linear_backend(plan)
         for t, batch in plan.batches:
             columnar.ingest_batch(batch, t)

@@ -428,6 +428,60 @@ class TestLiveServer:
         op_metrics = [name for name in obs.registry.snapshot() if name.startswith("live.op.")]
         assert sorted(op_metrics) == ["live.op.ping", f"live.op.{UNKNOWN_OP}"]
 
+    def test_malformed_frames_are_counted_and_server_keeps_serving(self):
+        import struct
+
+        async def send_malformed(host, port, raw):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(raw)
+            await writer.drain()
+            # The server closes the connection on a framing error.
+            assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
+            writer.close()
+            await writer.wait_closed()
+
+        async def go():
+            obs = Observability()
+            server = LiveLocationServer(obs=obs)
+            host, port = await server.start()
+            try:
+                await send_malformed(host, port, struct.pack(">I", 1 << 30))  # oversize
+                await send_malformed(host, port, struct.pack(">I", 3) + b"{x}")  # not JSON
+                async with await LiveClient.connect(host, port) as client:
+                    assert await client.ping() == 0
+                    stats = await client.request({"op": "stats"})
+            finally:
+                await server.stop()
+            return server, obs, stats
+
+        server, obs, stats = asyncio.run(go())
+        assert stats["server"]["frame_errors"] == 2
+        assert server.frame_errors == 2
+        assert obs.registry.snapshot()["live.frame_errors"]["value"] == 2
+        assert server.op_counts == {"ping": 1, "stats": 1}
+
+    def test_truncated_frame_is_counted(self):
+        import struct
+
+        async def go():
+            server = LiveLocationServer()
+            host, port = await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                # Announce 10 bytes, send 5, then close the write side.
+                writer.write(struct.pack(">I", 10) + b"short")
+                writer.write_eof()
+                assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
+                writer.close()
+                await writer.wait_closed()
+                async with await LiveClient.connect(host, port) as client:
+                    stats = await client.request({"op": "stats"})
+            finally:
+                await server.stop()
+            return stats
+
+        assert asyncio.run(go())["server"]["frame_errors"] == 1
+
     def test_known_ops_are_the_dispatched_ops(self):
         async def go():
             server = LiveLocationServer()

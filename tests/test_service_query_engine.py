@@ -1,14 +1,21 @@
-"""Tests for the columnar query engine (and GridIndex keyed removal)."""
+"""Tests for the columnar query engine (and GridIndex keyed removal).
+
+The columnar engine is also compared with the scalar oracle engine in
+:mod:`reference.scalar_query_engine`, whose own bulk-sync path is checked
+against its incremental one here.
+"""
 
 import numpy as np
 import pytest
 
 from repro.geo.bbox import BoundingBox
 from repro.geo.vec import distance
-from repro.service.query_engine import QueryEngine, ScalarQueryEngine
+from repro.service.query_engine import QueryEngine
 from repro.spatial.grid import GridIndex
 from repro.spatial.index import IndexedItem
-from repro.spatial.rtree import STRtree
+
+import reference.scalar_query_engine as scalar_oracle
+from reference.scalar_query_engine import ScalarQueryEngine
 
 
 def _point_item(key, x, y):
@@ -63,11 +70,6 @@ class TestGridIndexRemove:
         nearest = index.nearest((710.0, 710.0))
         assert nearest[0].key == "a"
         assert nearest[1] == pytest.approx(distance((700.0, 700.0), (710.0, 710.0)))
-
-    def test_rtree_remove_unsupported(self):
-        tree = STRtree([_point_item("a", 10.0, 10.0)])
-        with pytest.raises(NotImplementedError):
-            tree.remove("a")
 
 
 class TestQueryEngineSync:
@@ -190,20 +192,18 @@ class TestScalarBulkSync:
     """The scalar engine's cold-start bulk sync equals its incremental loop."""
 
     def _engines(self, n=300, seed=11):
-        import repro.service.query_engine as qe_mod
-
         rng = np.random.default_rng(seed)
         positions = _positions(rng, n)
-        assert n >= qe_mod._BULK_SYNC_THRESHOLD
+        assert n >= scalar_oracle._BULK_SYNC_THRESHOLD
         bulk = ScalarQueryEngine(cell_size=500.0)
         moved_bulk = bulk.sync(positions, time=0.0)
         incremental = ScalarQueryEngine(cell_size=500.0)
-        threshold = qe_mod._BULK_SYNC_THRESHOLD
+        threshold = scalar_oracle._BULK_SYNC_THRESHOLD
         try:
-            qe_mod._BULK_SYNC_THRESHOLD = n + 1
+            scalar_oracle._BULK_SYNC_THRESHOLD = n + 1
             moved_inc = incremental.sync(positions, time=0.0)
         finally:
-            qe_mod._BULK_SYNC_THRESHOLD = threshold
+            scalar_oracle._BULK_SYNC_THRESHOLD = threshold
         assert moved_bulk == moved_inc == n
         return bulk, incremental, positions
 
@@ -238,10 +238,8 @@ class TestScalarBulkSync:
         assert bulk.range_query(box) == incremental.range_query(box)
 
     def test_small_cold_start_stays_incremental(self):
-        import repro.service.query_engine as qe_mod
-
         rng = np.random.default_rng(3)
-        positions = _positions(rng, qe_mod._BULK_SYNC_THRESHOLD - 1)
+        positions = _positions(rng, scalar_oracle._BULK_SYNC_THRESHOLD - 1)
         engine = ScalarQueryEngine(cell_size=500.0)
         engine.sync(positions, time=0.0)
         assert len(engine) == len(positions)

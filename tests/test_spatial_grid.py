@@ -95,6 +95,18 @@ class TestQueries:
         found = populated_index.nearest((50000.0, 50000.0))
         assert found is not None
 
+    def test_late_insert_far_away_is_found(self, populated_index):
+        """An insert outside the occupied extent widens it for later queries."""
+        populated_index.insert(
+            segment_item("far", (100_000.0, 100_000.0), (100_010.0, 100_000.0))
+        )
+        found = populated_index.nearest((100_005.0, 100_004.0))
+        assert found is not None
+        assert found[0].key == "far"
+        assert found[1] == pytest.approx(4.0)
+        box = BoundingBox(99_000.0, 99_000.0, 101_000.0, 101_000.0)
+        assert [item.key for item in populated_index.query_bbox(box)] == ["far"]
+
 
 def point_item(key, x, y, cell_size=100.0):
     import math
