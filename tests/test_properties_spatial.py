@@ -71,6 +71,22 @@ def test_query_radius_boundary_rounding_regression():
 
 
 @settings(max_examples=50, deadline=None)
+@given(
+    segments=st.lists(st.tuples(point, point), min_size=1, max_size=30),
+    query=point,
+    k=st.integers(min_value=1, max_value=8),
+)
+def test_grid_k_nearest_matches_brute_force(segments, query, k):
+    """``k_nearest`` returns the k smallest distances of a linear scan, sorted."""
+    items = build_items(segments)
+    grid = GridIndex(cell_size=400.0, items=items)
+    got = grid.k_nearest(query, k)
+    expected = sorted(item.distance(np.asarray(query)) for item in items)[:k]
+    assert len(got) == len(expected)
+    assert np.allclose([d for _item, d in got], expected, atol=1e-6)
+
+
+@settings(max_examples=50, deadline=None)
 @given(segments=st.lists(st.tuples(point, point), min_size=1, max_size=25))
 def test_grid_bbox_query_matches_linear_scan(segments):
     items = build_items(segments)

@@ -1,11 +1,13 @@
 """Unit tests for repro.spatial.grid."""
 
+import random
+
 import pytest
 
 from repro.geo.bbox import BoundingBox
 from repro.geo.segment import Segment
 from repro.spatial.grid import GridIndex
-from repro.spatial.index import IndexedItem
+from repro.spatial.index import IndexedItem, brute_force_nearest
 
 
 def segment_item(key, start, end):
@@ -26,6 +28,10 @@ class TestConstruction:
     def test_invalid_cell_size(self):
         with pytest.raises(ValueError):
             GridIndex(cell_size=0.0)
+
+    def test_negative_cell_size(self):
+        with pytest.raises(ValueError):
+            GridIndex(cell_size=-100.0)
 
     def test_len(self, populated_index):
         assert len(populated_index) == 10
@@ -106,6 +112,90 @@ class TestQueries:
         assert found[1] == pytest.approx(4.0)
         box = BoundingBox(99_000.0, 99_000.0, 101_000.0, 101_000.0)
         assert [item.key for item in populated_index.query_bbox(box)] == ["far"]
+
+
+def random_items(n, seed=0, extent=5000.0):
+    rng = random.Random(seed)
+    items = []
+    for i in range(n):
+        x, y = rng.uniform(0, extent), rng.uniform(0, extent)
+        dx, dy = rng.uniform(-300, 300), rng.uniform(-300, 300)
+        items.append(segment_item(i, (x, y), (x + dx, y + dy)))
+    return items
+
+
+class TestRandomSegments:
+    """Queries over scattered random segments agree with linear scans."""
+
+    def test_empty_index_answers_every_query_empty(self):
+        index = GridIndex(cell_size=400.0, items=[])
+        assert len(index) == 0
+        assert index.query_bbox(BoundingBox(0, 0, 1, 1)) == []
+        assert index.query_radius((0.0, 0.0), 1000.0) == []
+        assert index.nearest((0.0, 0.0)) is None
+        assert index.k_nearest((0.0, 0.0), k=3) == []
+
+    def test_single_item_found_by_enclosing_bbox(self):
+        index = GridIndex(cell_size=400.0, items=random_items(1))
+        hits = index.query_bbox(BoundingBox(-1e6, -1e6, 1e6, 1e6))
+        assert [item.key for item in hits] == [0]
+
+    def test_query_bbox_matches_linear_scan(self):
+        items = random_items(200, seed=1)
+        index = GridIndex(cell_size=250.0, items=items)
+        box = BoundingBox(1000.0, 1000.0, 2500.0, 2500.0)
+        expected = {item.key for item in items if item.bounds.intersects(box)}
+        assert {item.key for item in index.query_bbox(box)} == expected
+
+    def test_nearest_matches_brute_force(self):
+        items = random_items(150, seed=2)
+        index = GridIndex(cell_size=250.0, items=items)
+        for query in [(0.0, 0.0), (2500.0, 2500.0), (4999.0, 10.0), (-500.0, 6000.0)]:
+            expected = brute_force_nearest(items, query)
+            got = index.nearest(query)
+            assert got is not None and expected is not None
+            assert got[1] == pytest.approx(expected[1])
+
+    def test_nearest_does_not_depend_on_cell_size(self):
+        items = random_items(300, seed=3)
+        fine = GridIndex(cell_size=100.0, items=items)
+        coarse = GridIndex(cell_size=2000.0, items=items)
+        rng = random.Random(7)
+        for _ in range(25):
+            q = (rng.uniform(-500, 5500), rng.uniform(-500, 5500))
+            f = fine.nearest(q)
+            c = coarse.nearest(q)
+            assert f is not None and c is not None
+            assert f[1] == pytest.approx(c[1], abs=1e-9)
+
+    def test_query_radius_matches_linear_scan(self):
+        items = random_items(100, seed=5)
+        index = GridIndex(cell_size=250.0, items=items)
+        hits = index.query_radius((2500.0, 2500.0), 800.0)
+        for item in hits:
+            assert item.distance((2500.0, 2500.0)) <= 800.0
+        expected = {i.key for i in items if i.distance((2500.0, 2500.0)) <= 800.0}
+        assert {i.key for i in hits} == expected
+
+    def test_k_nearest_matches_brute_force_ranking(self):
+        items = random_items(120, seed=6)
+        index = GridIndex(cell_size=250.0, items=items)
+        query = (1800.0, 3200.0)
+        got = index.k_nearest(query, k=7)
+        expected = sorted(item.distance(query) for item in items)[:7]
+        assert [d for _item, d in got] == pytest.approx(expected)
+
+    def test_insert_after_construction_is_found(self):
+        items = random_items(50, seed=4)
+        index = GridIndex(cell_size=250.0, items=items)
+        before = index.nearest((2500.0, 2500.0))
+        assert before is not None and before[1] > 0.0
+        index.insert(segment_item("extra", (2499.0, 2500.0), (2501.0, 2500.0)))
+        assert len(index) == 51
+        found = index.nearest((2500.0, 2500.0))
+        assert found is not None
+        assert found[0].key == "extra"
+        assert found[1] == pytest.approx(0.0)
 
 
 def point_item(key, x, y, cell_size=100.0):
