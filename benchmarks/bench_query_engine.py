@@ -5,7 +5,8 @@ NumPy columns (positions, cell keys, an id table) with vectorised kernels
 for all three query kinds.  This benchmark tracks a 10k-object fleet on
 three backends —
 
-* the seed's O(fleet) per-query **linear scans** (``LocationServer``),
+* the O(fleet) per-query **linear scans** (the oracle ``LinearScans``
+  from ``tests/reference/linear_queries.py`` over a ``LocationServer``),
 * the previous **scalar** sharded engine (a ``LocationService`` whose
   shard engines are the oracle ``ScalarQueryEngine`` from
   ``tests/reference/scalar_query_engine.py``: per-record grid-index
@@ -47,7 +48,6 @@ from repro.geo.bbox import BoundingBox
 from repro.protocols.base import ObjectState, UpdateMessage, UpdateReason
 from repro.protocols.prediction import LinearPrediction
 from repro.service.facade import LocationService
-from repro.service.queries import geofence_query, nearest_object_query, range_query
 from repro.service.server import LocationServer
 from repro.sim.workload import QueryWorkload, WorkloadExecutor
 
@@ -56,6 +56,12 @@ from conftest import run_once
 # Appended, not prepended: tests/ has its own conftest.py, which must not
 # shadow this directory's.
 sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
+from reference.linear_queries import (  # noqa: E402
+    LinearScans,
+    geofence_query,
+    nearest_object_query,
+    range_query,
+)
 from reference.scalar_query_engine import use_scalar_engines  # noqa: E402
 
 _RESULT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_query_engine.json")
@@ -160,7 +166,9 @@ def compare_query_paths(
         seed=seed,
     )
 
-    linear_exec, linear_seconds = _replay(single, workload, times, queries_per_wave)
+    linear_exec, linear_seconds = _replay(
+        LinearScans(single), workload, times, queries_per_wave
+    )
     scalar_exec, scalar_seconds = _replay(scalar, workload, times, queries_per_wave)
     columnar_exec, columnar_seconds = _replay(
         columnar, workload, times, queries_per_wave

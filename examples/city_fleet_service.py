@@ -7,9 +7,10 @@ objects at once:
 * a city road network and one simulated drive per taxi,
 * each taxi's *source* runs the map-based dead-reckoning protocol and sends
   updates over a message channel with latency and occasional losses,
-* a single *location server* holds the last reported state per taxi and
-  answers the application queries motivated in the paper's introduction —
-  "find the nearest taxi cab" and "address all users inside an area".
+* the *location service* (one shard) holds the last reported state per
+  taxi and answers the application queries motivated in the paper's
+  introduction — "find the nearest taxi cab" and "address all users
+  inside an area".
 
 Run with::
 
@@ -28,8 +29,7 @@ from repro.protocols.mapbased import MapBasedConfig, MapBasedProtocol
 from repro.roadmap.generators import city_grid_map
 from repro.roadmap.routing import RoutePlanner
 from repro.service.channel import MessageChannel
-from repro.service.queries import nearest_object_query, range_query
-from repro.service.server import LocationServer
+from repro.service.facade import LocationService
 from repro.service.source import LocationSource
 from repro.traces.noise import GaussMarkovNoise
 
@@ -43,7 +43,7 @@ def main() -> None:
     rng = random.Random(7)
     roadmap = city_grid_map(rows=16, cols=16, spacing_m=250.0, seed=7)
     planner = RoutePlanner(roadmap)
-    server = LocationServer()
+    server = LocationService()
 
     # --- set up one journey + source per taxi -------------------------------
     fleet = []
@@ -105,12 +105,12 @@ def main() -> None:
 
     # --- application queries --------------------------------------------------
     print()
-    nearest = nearest_object_query(server, QUERY_POINT, time=now, k=3)
+    nearest = server.nearest_objects(QUERY_POINT, time=now, k=3)
     print(f"Nearest taxis to {QUERY_POINT}:")
     for object_id, distance in nearest:
         print(f"  {object_id}: {distance:.0f} m away")
 
-    inside = range_query(server, DOWNTOWN, time=now, margin=1.0)
+    inside = server.range_query(DOWNTOWN, time=now, margin=1.0)
     print(f"Taxis currently downtown ({DOWNTOWN.as_tuple()}): {inside or 'none'}")
 
 

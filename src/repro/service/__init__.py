@@ -14,11 +14,12 @@ serving tier the ROADMAP's fleet-scale north star needs:
 :class:`LocationServer` shards by spatial region (pluggable
 :class:`ShardingPolicy`), ingests updates in per-tick batches, hands
 objects off across shard boundaries, and answers range / k-nearest /
-geofence queries through one columnar :class:`QueryEngine` per shard
-(vectorised NumPy kernels, the only query engine; its answers are
-bit-identical to the linear scans of :mod:`repro.service.queries`).  :class:`RebalancePolicy` re-homes hot routing
-cells when the per-shard skew exceeds a threshold, keeping the tier
-load-adaptive under live traffic.
+geofence queries through one columnar :class:`QueryEngine` per shard.
+That facade is the one query surface: vectorised NumPy kernels, with
+answers asserted bit-identical to the linear-scan oracle in
+``tests/reference/linear_queries.py``.  :class:`RebalancePolicy` re-homes
+hot routing cells when the per-shard skew exceeds a threshold, keeping the
+tier load-adaptive under live traffic.
 """
 
 from repro.service.channel import ChannelStats, MessageChannel
@@ -33,13 +34,6 @@ from repro.service.sharding import (
 )
 from repro.service.query_engine import QueryEngine
 from repro.service.facade import LocationService, QueryCounters, ShardLoad
-from repro.service.queries import (
-    PositionQueryResult,
-    geofence_query,
-    position_query,
-    range_query,
-    nearest_object_query,
-)
 
 __all__ = [
     "MessageChannel",
@@ -56,9 +50,4 @@ __all__ = [
     "RebalancePolicy",
     "RebalanceReport",
     "shard_skew",
-    "PositionQueryResult",
-    "position_query",
-    "range_query",
-    "nearest_object_query",
-    "geofence_query",
 ]

@@ -11,12 +11,15 @@ NumPy kernels over contiguous per-shard columns instead of per-object
 Python loops.  That engine is the only one; the incremental grid-index
 engine it is asserted bit-identical to is a test oracle.
 
-The facade implements the full :class:`LocationServer` surface
-(``register_object`` / ``receive_update`` / ``predict_position`` /
+The facade implements the :class:`LocationServer` surface the fleet loop
+drives (``register_object`` / ``receive_update`` / ``predict_position`` /
 ``predict_positions`` / …), which makes it a drop-in server backend for
 :class:`~repro.sim.fleet.FleetSimulation`; with ``n_shards=1`` every result
 is bit-identical to the plain single server (asserted by the test-suite
-over the whole scenario library).
+over the whole scenario library).  Its ``range_query`` /
+``nearest_objects`` / ``geofence_query`` methods are the one query surface
+in the package; the linear scans they are asserted bit-identical to live in
+``tests/reference/linear_queries.py`` as a test oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from repro.geo.bbox import BoundingBox
 from repro.geo.vec import Vec2, as_vec
-from repro.protocols.base import ObjectState, UpdateMessage
+from repro.protocols.base import UpdateMessage
 from repro.protocols.prediction import PredictionFunction
 from repro.service.query_engine import QueryEngine
 from repro.service.server import LocationServer, TrackedObject
@@ -177,10 +180,6 @@ class LocationService:
         """Whether *object_id* is known to the service."""
         return object_id in self._records
 
-    def tracked_object(self, object_id: str) -> TrackedObject:
-        """The record for *object_id* (raises ``KeyError`` when unknown)."""
-        return self._records[object_id]
-
     def object_ids(self) -> List[str]:
         """All registered object ids, in registration order."""
         return list(self._records)
@@ -199,19 +198,6 @@ class LocationService:
         """Batch position predictions (the fleet loop's per-tick entry point)."""
         records = self._records
         return [records[object_id].predict(time) for object_id in object_ids]
-
-    def last_reported_state(self, object_id: str) -> Optional[ObjectState]:
-        """The last update received for *object_id* (or ``None``)."""
-        return self._records[object_id].state
-
-    def all_positions(self, time: float) -> Dict[str, np.ndarray]:
-        """Predicted positions of every object that has reported at least once."""
-        out: Dict[str, np.ndarray] = {}
-        for object_id, record in self._records.items():
-            predicted = record.predict(time)
-            if predicted is not None:
-                out[object_id] = predicted
-        return out
 
     # ------------------------------------------------------------------ #
     # ingestion and handoff
@@ -337,8 +323,9 @@ class LocationService:
     ) -> List[str]:
         """All objects predicted inside *area* at *time* (sorted ids).
 
-        Mirrors :func:`repro.service.queries.range_query` exactly, including
-        the per-object accuracy expansion when ``margin > 0``.
+        *margin* grows the area by that many accuracy radii per object
+        (``margin > 0``), so the query never misses an object that could
+        actually be inside.
         """
         started = _time.perf_counter()
         self.prepare(time)
@@ -374,8 +361,8 @@ class LocationService:
         """The *k* objects closest to *point* at *time*.
 
         Returns ``(object_id, distance)`` pairs sorted by
-        ``(distance, object_id)`` — identical to
-        :func:`repro.service.queries.nearest_object_query`.
+        ``(distance, object_id)``, so exact ties resolve by id independently
+        of registration order and shard count.
 
         Each shard answers its own exact top-k with one vectorised
         ``argpartition`` kernel, and the facade merges the per-shard

@@ -1,11 +1,12 @@
 """Columnar (struct-of-arrays) query engine over predicted positions.
 
-The seed's query helpers (:mod:`repro.service.queries`) answer every range
-or nearest-object query by scanning all tracked objects — O(fleet) per
-query.  PR 3 replaced that with an incremental
-:class:`~repro.spatial.grid.GridIndex` per shard, but the read path stayed
-per-object Python: a dict probe and a closure allocation per registered
-object, and per-item refinement loops per query.
+Linear scans answer every range or nearest-object query by visiting all
+tracked objects — O(fleet) per query.  An incremental grid index per shard
+prunes that, but its read path is per-object Python: a dict probe and a
+closure allocation per registered object, and per-item refinement loops
+per query.  Both are kept as test oracles
+(``tests/reference/linear_queries.py``,
+``tests/reference/scalar_query_engine.py``).
 
 :class:`QueryEngine` stores one shard's predicted state in three contiguous
 NumPy columns instead::
@@ -25,7 +26,7 @@ NumPy columns instead::
 
 This is the only query engine: every served range, k-nearest and geofence
 query runs through it.  All answers are **bit-identical** to the linear
-scans in :mod:`repro.service.queries`: the vectorised distance kernel
+scans in ``tests/reference/linear_queries.py``: the vectorised distance kernel
 replicates the exact scalar arithmetic order of
 :func:`repro.geo.vec.distance` (``sqrt(dx*dx + dy*dy)``, *not*
 ``np.hypot``), and ``lexsort`` on a ``'<U'`` id column matches Python's

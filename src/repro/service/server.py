@@ -125,10 +125,6 @@ class LocationServer:
         objects = self._objects
         return [objects[object_id].predict(time) for object_id in object_ids]
 
-    def last_reported_state(self, object_id: str) -> Optional[ObjectState]:
-        """The last update received for *object_id* (or ``None``)."""
-        return self._objects[object_id].state
-
     def all_positions(self, time: float) -> Dict[str, np.ndarray]:
         """Predicted positions of every object that has reported at least once."""
         out: Dict[str, np.ndarray] = {}

@@ -7,8 +7,7 @@ fleet's hot state in contiguous NumPy columns instead:
 
 * :class:`ColumnarStore` — one array per field (current position, last
   reported position/velocity/time, thresholds, per-object message sequence
-  counters, update/byte totals), plus a bulk spatial-index build via
-  :meth:`~repro.spatial.grid.GridIndex.rebuild`.
+  counters, update/byte totals).
 * :class:`ColumnarFleetEngine` — a vectorised simulation loop over that
   store whose arithmetic matches the scalar protocol/server code operation
   for operation, so its results are **bitwise identical** to
@@ -40,13 +39,10 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.geo.bbox import BoundingBox
 from repro.protocols.linear import LinearPredictionProtocol
 from repro.protocols.reporting import DistanceBasedReporting
 from repro.protocols.base import _BASE_UPDATE_BYTES, UpdateReason
 from repro.sim.metrics import AccuracyMetrics, SimulationResult
-from repro.spatial.grid import GridIndex
-from repro.spatial.index import IndexedItem
 
 #: Prediction modes the vectorised loop implements.
 STATIC, LINEAR = "static", "linear"
@@ -180,34 +176,6 @@ class ColumnarStore:
         self.sequence = np.zeros(n, dtype=np.int64)
         self.updates = np.zeros(n, dtype=np.int64)
         self.bytes_sent = np.zeros(n, dtype=np.int64)
-
-    def build_index(self, cell_size: float = 500.0) -> GridIndex:
-        """A spatial index over the current reported positions, built bulk.
-
-        Uses :meth:`GridIndex.rebuild` — one pass instead of N ``insert``
-        calls — mirroring the query engine's cold-start path.
-        """
-        positions = self.reported_position
-        cells = np.floor(positions / float(cell_size)).astype(np.int64).tolist()
-        index: GridIndex[str] = GridIndex(cell_size=cell_size)
-        items = []
-        reported = self.has_report
-        for k, object_id in enumerate(self.object_ids):
-            if not reported[k]:
-                continue
-            cx, cy = cells[k]
-            items.append(
-                IndexedItem(
-                    key=object_id,
-                    bounds=BoundingBox(
-                        cx * cell_size, cy * cell_size,
-                        (cx + 1) * cell_size, (cy + 1) * cell_size,
-                    ),
-                    distance=None,
-                )
-            )
-        index.rebuild(items)
-        return index
 
 
 class ColumnarFleetEngine:

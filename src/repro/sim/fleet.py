@@ -52,6 +52,7 @@ from repro.obs import Observability
 from repro.obs.metrics import publish_service_stats
 from repro.protocols.base import UpdateProtocol
 from repro.service.channel import ChannelStats, MessageChannel, delivery_order
+from repro.service.facade import LocationService
 from repro.service.server import LocationServer
 from repro.service.sharding import GridHashPolicy
 from repro.service.source import LocationSource
@@ -255,9 +256,10 @@ class FleetSimulation:
         ``True``).
     query_workload:
         Optional :class:`~repro.sim.workload.QueryWorkload` replayed against
-        the backend at every sample instant (or, with an
+        the backend's query surface at every sample instant (or, with an
         ``arrival_rate_per_s``, at Poisson arrival instants); its report
-        lands on :attr:`FleetResult.workload`.
+        lands on :attr:`FleetResult.workload`.  The backend must be a
+        :class:`~repro.service.facade.LocationService`.
         Queries are read-only, so attaching a workload never changes the
         simulation results.
     record_query_answers:
@@ -265,7 +267,7 @@ class FleetSimulation:
         ``self.workload_executor.answers`` (tests / benchmarks only).
     handoff_interval:
         Schedule a shard-boundary maintenance event every this many
-        simulated seconds (the backend must expose ``rebalance``, i.e. be a
+        simulated seconds (the backend must be a
         :class:`~repro.service.facade.LocationService`), so drifting
         objects are handed between shards even while no query forces a
         prepare pass.  ``None`` (default) schedules no handoff events.
@@ -321,13 +323,15 @@ class FleetSimulation:
         self.count_initial_update = bool(count_initial_update)
         self.query_workload = query_workload
         self.record_query_answers = bool(record_query_answers)
-        if handoff_interval is not None:
-            if handoff_interval <= 0:
-                raise ValueError("handoff_interval must be positive")
-            if not callable(getattr(self.server, "rebalance", None)):
-                raise ValueError(
-                    "handoff_interval needs a sharded service backend (rebalance())"
-                )
+        if handoff_interval is not None and handoff_interval <= 0:
+            raise ValueError("handoff_interval must be positive")
+        if (query_workload is not None or handoff_interval is not None) and not isinstance(
+            self.server, LocationService
+        ):
+            raise ValueError(
+                "query workloads and handoff events need a LocationService backend "
+                "(its query surface and rebalance())"
+            )
         self.handoff_interval = handoff_interval
         self.processes = int(processes)
         if self.processes < 1:

@@ -3,20 +3,20 @@
 The paper evaluates the *update* side of the location service; this module
 exercises the *query* side: a :class:`QueryWorkload` describes a
 deterministic stream of application queries (a range / k-nearest / geofence
-mix), and :class:`WorkloadExecutor` replays it against the fleet's server
-backend at every sample instant (a simulation tick) or at Poisson arrival
-instants — the way a live service answers "find the nearest taxi"
-requests while updates keep streaming in.
+mix), and :class:`WorkloadExecutor` replays it against a sharded
+:class:`~repro.service.facade.LocationService` at every sample instant (a
+simulation tick) or at Poisson arrival instants — the way a live service
+answers "find the nearest taxi" requests while updates keep streaming in.
 
 The workload is read-only with respect to the simulation: queries never
 change server records, so a fleet run with a workload attached produces
 bit-identical :class:`~repro.sim.metrics.SimulationResult`\\ s to the same
-run without one (asserted by the test-suite).  The executor works against
-both backends — the sharded :class:`~repro.service.facade.LocationService`
-(index-backed) and a plain
-:class:`~repro.service.server.LocationServer` (linear scans via
-:mod:`repro.service.queries`) — drawing the identical query stream either
-way, which is what makes backend comparisons and the query benchmark fair.
+run without one (asserted by the test-suite).  The executor calls only the
+service's query surface (``range_query`` / ``nearest_objects`` /
+``geofence_query``); the test-suite replays the identical query stream
+against the linear-scan oracle in ``tests/reference/linear_queries.py``
+through that same surface, which is what makes the equivalence checks and
+the query benchmark fair.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.geo.bbox import BoundingBox
-from repro.service.queries import geofence_query, nearest_object_query, range_query
 
 #: The query kinds a workload can mix.
 QUERY_KINDS = ("range", "nearest", "geofence")
@@ -67,29 +66,22 @@ def _draw_call(rng: random.Random, weights: List[float], area: BoundingBox,
 
 
 def execute_call(backend, workload: "QueryWorkload", call: QueryCall):
-    """Answer *call* against *backend* (service surface or linear scans).
+    """Answer *call* through *backend*'s query surface.
 
-    Dispatches exactly like :class:`WorkloadExecutor`: backends exposing
-    the indexed query surface (``nearest_objects``) are queried through it,
-    anything else through the reference scans of
-    :mod:`repro.service.queries`.  Returns the query's answer unchanged, so
+    *backend* is a :class:`~repro.service.facade.LocationService` or
+    anything exposing its ``range_query`` / ``nearest_objects`` /
+    ``geofence_query`` methods.  Returns the query's answer unchanged, so
     equality of answers is equality of backend behaviour.
     """
-    service = hasattr(backend, "nearest_objects")
     if call.kind == "range":
         half = workload.range_extent_m / 2.0
         box = BoundingBox(call.cx - half, call.cy - half, call.cx + half, call.cy + half)
-        if service:
-            return backend.range_query(box, call.time, margin=workload.margin)
-        return range_query(backend, box, call.time, margin=workload.margin)
+        return backend.range_query(box, call.time, margin=workload.margin)
     if call.kind == "nearest":
-        if service:
-            return backend.nearest_objects((call.cx, call.cy), call.time, k=workload.k)
-        return nearest_object_query(backend, (call.cx, call.cy), call.time, k=workload.k)
-    radius = workload.geofence_radius_m
-    if service:
-        return backend.geofence_query((call.cx, call.cy), radius, call.time)
-    return geofence_query(backend, (call.cx, call.cy), radius, call.time)
+        return backend.nearest_objects((call.cx, call.cy), call.time, k=workload.k)
+    return backend.geofence_query(
+        (call.cx, call.cy), workload.geofence_radius_m, call.time
+    )
 
 
 def poisson_query_stream(
@@ -240,9 +232,8 @@ class WorkloadExecutor:
     workload:
         The query stream description.
     backend:
-        A :class:`LocationService` (index-backed queries) or any object with
-        the :class:`~repro.service.server.LocationServer` query surface
-        (answered through the linear reference scans).
+        A :class:`~repro.service.facade.LocationService`, or anything
+        exposing its query surface (see :func:`execute_call`).
     area:
         Bounding box the query centres are drawn from — typically the
         bounding box of the fleet's traces.

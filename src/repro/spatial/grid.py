@@ -11,8 +11,6 @@ import math
 from collections import defaultdict
 from typing import Dict, Generic, Hashable, Iterable, List, Optional, Set, Tuple, TypeVar
 
-import numpy as np
-
 from repro.geo.bbox import BoundingBox
 from repro.geo.vec import Vec2, as_vec
 from repro.spatial.index import IndexedItem, brute_force_nearest
@@ -44,12 +42,7 @@ class GridIndex(Generic[T]):
             raise ValueError("cell_size must be positive")
         self.cell_size = float(cell_size)
         self._cells: Dict[Tuple[int, int], List[IndexedItem[T]]] = defaultdict(list)
-        # Items live in an insertion-ordered dict keyed by a serial so that
-        # removal is O(covered cells) instead of O(n) list surgery.
-        self._items: Dict[int, IndexedItem[T]] = {}
-        self._serial = 0
-        self._by_key: Dict[T, List[int]] = defaultdict(list)
-        self._item_cells: Dict[int, List[Tuple[int, int]]] = {}
+        self._items: List[IndexedItem[T]] = []
         self._occupied: Optional[Tuple[int, int, int, int]] = None
         if items is not None:
             for item in items:
@@ -60,10 +53,7 @@ class GridIndex(Generic[T]):
     # ------------------------------------------------------------------ #
     def insert(self, item: IndexedItem[T]) -> None:
         """Register *item* with every grid cell its bounding box overlaps."""
-        serial = self._serial
-        self._serial += 1
-        self._items[serial] = item
-        self._by_key[item.key].append(serial)
+        self._items.append(item)
         min_cx, min_cy = self._cell_of(item.bounds.min_x, item.bounds.min_y)
         max_cx, max_cy = self._cell_of(item.bounds.max_x, item.bounds.max_y)
         if self._occupied is None:
@@ -73,96 +63,9 @@ class GridIndex(Generic[T]):
             self._occupied = (
                 min(o[0], min_cx), min(o[1], min_cy), max(o[2], max_cx), max(o[3], max_cy)
             )
-        # The occupied extent now covers the item, so the clamp in
-        # _cells_for_box is an identity here.
-        covered = list(self._cells_for_box(item.bounds))
-        self._item_cells[serial] = covered
-        for cell in covered:
-            self._cells[cell].append(item)
-
-    def rebuild(self, items: Iterable[IndexedItem[T]]) -> None:
-        """Replace the whole index content with *items* in one bulk pass.
-
-        Equivalent to clearing the index and calling :meth:`insert` once per
-        item (same serials, same per-cell insertion order, so queries return
-        identical results), but the occupied-cell extent is computed once
-        over all items instead of being widened item by item, and the
-        per-item work is reduced to cell assignment.  This is the path the
-        columnar fleet store and the query engine's first big sync use: at
-        100k objects the N× ``insert`` bookkeeping dominates index build
-        time.
-        """
-        self._cells = defaultdict(list)
-        self._items = {}
-        self._serial = 0
-        self._by_key = defaultdict(list)
-        self._item_cells = {}
-        self._occupied = None
-        items = list(items)
-        if not items:
-            return
-        size = self.cell_size
-        bounds = np.array(
-            [
-                (item.bounds.min_x, item.bounds.min_y, item.bounds.max_x, item.bounds.max_y)
-                for item in items
-            ],
-            dtype=float,
-        )
-        cells = np.floor(bounds / size).astype(np.int64)
-        self._occupied = (
-            int(cells[:, 0].min()),
-            int(cells[:, 1].min()),
-            int(cells[:, 2].max()),
-            int(cells[:, 3].max()),
-        )
-        grid_cells = self._cells
-        by_key = self._by_key
-        item_cells = self._item_cells
-        store = self._items
-        cell_rows = cells.tolist()
-        for serial, (item, (min_cx, min_cy, max_cx, max_cy)) in enumerate(
-            zip(items, cell_rows)
-        ):
-            store[serial] = item
-            by_key[item.key].append(serial)
-            if min_cx == max_cx and min_cy == max_cy:
-                # Point-like items (the moving-object index) cover one cell.
-                cell = (min_cx, min_cy)
-                item_cells[serial] = [cell]
-                grid_cells[cell].append(item)
-            else:
-                covered = [
-                    (cx, cy)
-                    for cx in range(min_cx, max_cx + 1)
-                    for cy in range(min_cy, max_cy + 1)
-                ]
-                item_cells[serial] = covered
-                for cell in covered:
-                    grid_cells[cell].append(item)
-        self._serial = len(items)
-
-    def remove(self, key: T) -> int:
-        """Remove every item stored under *key*; returns the number removed.
-
-        Incremental indexes over moving objects relocate items this way.
-        The occupied-cell extent is left untouched (it remains a valid,
-        merely conservative clamp for :meth:`_cells_for_box`), so removal
-        never has to rescan the surviving items.
-        """
-        serials = self._by_key.pop(key, None)
-        if not serials:
-            return 0
-        for serial in serials:
-            item = self._items.pop(serial)
-            for cell in self._item_cells.pop(serial):
-                bucket = self._cells.get(cell)
-                if bucket is None:
-                    continue
-                bucket[:] = [other for other in bucket if other is not item]
-                if not bucket:
-                    del self._cells[cell]
-        return len(serials)
+        for cx in range(min_cx, max_cx + 1):
+            for cy in range(min_cy, max_cy + 1):
+                self._cells[(cx, cy)].append(item)
 
     # ------------------------------------------------------------------ #
     # queries
@@ -185,7 +88,7 @@ class GridIndex(Generic[T]):
         """Cells to visit for *box*, in lexicographic (cx, cy) order.
 
         Large boxes over a sparse index (the expanding nearest-neighbour
-        searches of a mostly-empty moving-object index) would enumerate far
+        searches of a map with large empty stretches) would enumerate far
         more empty cells than occupied ones; in that regime the occupied
         cells are filtered directly instead.  Both paths visit the same
         non-empty cells in the same order, so results are identical.
@@ -271,30 +174,9 @@ class GridIndex(Generic[T]):
                 return brute_force_nearest(self.items(), p, limit=limit)
             radius = min(radius * 4.0, limit)
 
-    def k_nearest(
-        self, point: Vec2, k: int, max_distance: Optional[float] = None
-    ) -> list[tuple[IndexedItem[T], float]]:
-        """The *k* items closest to *point*, sorted by distance."""
-        p = as_vec(point)
-        if k <= 0 or len(self) == 0:
-            return []
-        radius = self.cell_size if max_distance is None else max_distance
-        limit = max_distance if max_distance is not None else float("inf")
-        while True:
-            candidates = self.query_bbox(self._search_box(p, radius))
-            scored = sorted(
-                ((item, item.distance(p)) for item in candidates), key=lambda x: x[1]
-            )
-            scored = [(it, d) for it, d in scored if d <= limit]
-            if len(scored) >= k and scored[k - 1][1] <= radius:
-                return scored[:k]
-            if radius >= limit or len(candidates) == len(self):
-                return scored[:k]
-            radius *= 4.0
-
     def items(self) -> List[IndexedItem[T]]:
         """Every stored item, in insertion order."""
-        return list(self._items.values())
+        return list(self._items)
 
     def __len__(self) -> int:
         return len(self._items)
@@ -304,24 +186,6 @@ class GridIndex(Generic[T]):
     # ------------------------------------------------------------------ #
     def _cell_of(self, x: float, y: float) -> Tuple[int, int]:
         return (int(math.floor(x / self.cell_size)), int(math.floor(y / self.cell_size)))
-
-    def _cells_for_box(self, box: BoundingBox) -> Iterable[Tuple[int, int]]:
-        """Occupied-range-clamped cell coordinates covering *box*.
-
-        Clamping to the occupied extent keeps arbitrarily large query boxes
-        (e.g. an expanding nearest-neighbour search) from enumerating
-        billions of empty cells.
-        """
-        if self._occupied is None:
-            return
-        min_cx, min_cy = self._cell_of(box.min_x, box.min_y)
-        max_cx, max_cy = self._cell_of(box.max_x, box.max_y)
-        occ_min_cx, occ_min_cy, occ_max_cx, occ_max_cy = self._occupied
-        min_cx, min_cy = max(min_cx, occ_min_cx), max(min_cy, occ_min_cy)
-        max_cx, max_cy = min(max_cx, occ_max_cx), min(max_cy, occ_max_cy)
-        for cx in range(min_cx, max_cx + 1):
-            for cy in range(min_cy, max_cy + 1):
-                yield (cx, cy)
 
     @staticmethod
     def _search_box(p: Vec2, radius: float) -> BoundingBox:

@@ -1,18 +1,20 @@
-"""Application-level queries against the location server.
+"""Linear-scan application queries, kept as a test oracle.
 
 The paper motivates the location service with queries such as "find the
 nearest taxi cab depending on the user's current location" and "address all
 users that are currently inside a department of a store" (Sec. 1).  These
-helpers implement the standard flavours as linear scans over the server's
-predicted positions.
+helpers implement the standard flavours as linear scans over a plain
+:class:`~repro.service.server.LocationServer`'s predicted positions.
 
 They are the *reference* implementations: exact, easy to audit, O(fleet)
 per query.  The sharded service tier
 (:class:`~repro.service.facade.LocationService`) answers the same queries
-through incremental spatial indexes and is asserted bit-identical to these
-scans by the test-suite.  Because they accept any object exposing the
-:class:`~repro.service.server.LocationServer` query surface, they also run
-unchanged against a :class:`LocationService`.
+through its columnar query engines and is asserted bit-identical to these
+scans by the test-suite.  :class:`LinearScans` puts the service's query
+surface over a plain server, so
+:func:`~repro.sim.workload.execute_call` and
+:class:`~repro.sim.workload.WorkloadExecutor` replay a workload against the
+scans exactly as against the service.
 
 Edge cases are well-defined rather than exceptional: a position query for
 an unknown object, and range / nearest / geofence queries against an empty
@@ -133,3 +135,29 @@ def geofence_query(
             scored.append((object_id, d))
     scored.sort(key=lambda pair: (pair[1], pair[0]))
     return scored
+
+
+class LinearScans:
+    """The :class:`LocationService` query surface, answered by linear scans.
+
+    Wraps a plain :class:`LocationServer` (not a copy: updates applied to
+    the server are seen by the next query).
+    """
+
+    def __init__(self, server: LocationServer):
+        self.server = server
+
+    def range_query(
+        self, area: BoundingBox, time: float, margin: float = 0.0
+    ) -> List[str]:
+        return range_query(self.server, area, time, margin=margin)
+
+    def nearest_objects(
+        self, point: Vec2, time: float, k: int = 1
+    ) -> List[Tuple[str, float]]:
+        return nearest_object_query(self.server, point, time, k=k)
+
+    def geofence_query(
+        self, point: Vec2, radius: float, time: float
+    ) -> List[Tuple[str, float]]:
+        return geofence_query(self.server, point, radius, time)

@@ -2,8 +2,11 @@
 
 :class:`ScalarQueryEngine` answers the same queries as the columnar
 :class:`~repro.service.query_engine.QueryEngine` with per-object dict state
-and an incremental :class:`~repro.spatial.grid.GridIndex`, refining
-cell-level candidates item by item.  The columnar engine is asserted
+and an incremental :class:`MovingObjectIndex`, refining cell-level
+candidates item by item.  :class:`MovingObjectIndex` is the production
+:class:`~repro.spatial.grid.GridIndex` (a static index over map links)
+plus the keyed removal, bulk rebuild and k-nearest search that only a
+moving-object index needs.  The columnar engine is asserted
 bit-identical to it (answers, sync and drop counts) across the scenario
 library, and ``benchmarks/bench_query_engine.py`` measures the columnar
 speedup against it.
@@ -15,7 +18,8 @@ and hand it to :func:`use_scalar_engines` before the first ingest.
 from __future__ import annotations
 
 import logging
-from typing import Dict, List, Mapping, Optional, Tuple
+from collections import defaultdict
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -27,14 +31,167 @@ from repro.spatial.index import IndexedItem
 #: Below this many objects the incremental per-object registration is
 #: cheaper than staging a bulk rebuild (array round-trips have a fixed
 #: cost); above it the first sync of a cold :class:`ScalarQueryEngine`
-#: goes through :meth:`GridIndex.rebuild` in one pass.
+#: goes through :meth:`MovingObjectIndex.rebuild` in one pass.
 _BULK_SYNC_THRESHOLD = 256
 
 _logger = logging.getLogger(__name__)
 
+T = TypeVar("T", bound=Hashable)
+
+
+class MovingObjectIndex(GridIndex[T]):
+    """:class:`GridIndex` with keyed removal, bulk rebuild and k-nearest.
+
+    Items live in an insertion-ordered dict keyed by a serial, and every
+    item remembers the cells it covers, so :meth:`remove` is
+    O(covered cells) instead of O(n) list surgery.
+    """
+
+    def __init__(
+        self, cell_size: float = 250.0, items: Optional[Iterable[IndexedItem[T]]] = None
+    ):
+        super().__init__(cell_size)
+        self._items: Dict[int, IndexedItem[T]] = {}
+        self._serial = 0
+        self._by_key: Dict[T, List[int]] = defaultdict(list)
+        self._item_cells: Dict[int, List[Tuple[int, int]]] = {}
+        if items is not None:
+            for item in items:
+                self.insert(item)
+
+    def insert(self, item: IndexedItem[T]) -> None:
+        """Register *item* with every grid cell its bounding box overlaps."""
+        serial = self._serial
+        self._serial += 1
+        self._items[serial] = item
+        self._by_key[item.key].append(serial)
+        min_cx, min_cy = self._cell_of(item.bounds.min_x, item.bounds.min_y)
+        max_cx, max_cy = self._cell_of(item.bounds.max_x, item.bounds.max_y)
+        if self._occupied is None:
+            self._occupied = (min_cx, min_cy, max_cx, max_cy)
+        else:
+            o = self._occupied
+            self._occupied = (
+                min(o[0], min_cx), min(o[1], min_cy), max(o[2], max_cx), max(o[3], max_cy)
+            )
+        covered = [
+            (cx, cy) for cx in range(min_cx, max_cx + 1) for cy in range(min_cy, max_cy + 1)
+        ]
+        self._item_cells[serial] = covered
+        for cell in covered:
+            self._cells[cell].append(item)
+
+    def rebuild(self, items: Iterable[IndexedItem[T]]) -> None:
+        """Replace the whole index content with *items* in one bulk pass.
+
+        Equivalent to clearing the index and calling :meth:`insert` once per
+        item (same serials, same per-cell insertion order, so queries return
+        identical results), but the occupied-cell extent is computed once
+        over all items instead of being widened item by item, and the
+        per-item work is reduced to cell assignment.  This is the path the
+        query engine's first big sync uses: at 100k objects the N×
+        ``insert`` bookkeeping dominates index build time.
+        """
+        self._cells = defaultdict(list)
+        self._items = {}
+        self._serial = 0
+        self._by_key = defaultdict(list)
+        self._item_cells = {}
+        self._occupied = None
+        items = list(items)
+        if not items:
+            return
+        size = self.cell_size
+        bounds = np.array(
+            [
+                (item.bounds.min_x, item.bounds.min_y, item.bounds.max_x, item.bounds.max_y)
+                for item in items
+            ],
+            dtype=float,
+        )
+        cells = np.floor(bounds / size).astype(np.int64)
+        self._occupied = (
+            int(cells[:, 0].min()),
+            int(cells[:, 1].min()),
+            int(cells[:, 2].max()),
+            int(cells[:, 3].max()),
+        )
+        grid_cells = self._cells
+        by_key = self._by_key
+        item_cells = self._item_cells
+        store = self._items
+        cell_rows = cells.tolist()
+        for serial, (item, (min_cx, min_cy, max_cx, max_cy)) in enumerate(
+            zip(items, cell_rows)
+        ):
+            store[serial] = item
+            by_key[item.key].append(serial)
+            if min_cx == max_cx and min_cy == max_cy:
+                # Point-like items (the moving-object index) cover one cell.
+                cell = (min_cx, min_cy)
+                item_cells[serial] = [cell]
+                grid_cells[cell].append(item)
+            else:
+                covered = [
+                    (cx, cy)
+                    for cx in range(min_cx, max_cx + 1)
+                    for cy in range(min_cy, max_cy + 1)
+                ]
+                item_cells[serial] = covered
+                for cell in covered:
+                    grid_cells[cell].append(item)
+        self._serial = len(items)
+
+    def remove(self, key: T) -> int:
+        """Remove every item stored under *key*; returns the number removed.
+
+        Incremental indexes over moving objects relocate items this way.
+        The occupied-cell extent is left untouched (it remains a valid,
+        merely conservative clamp for the query-cell enumeration), so
+        removal never has to rescan the surviving items.
+        """
+        serials = self._by_key.pop(key, None)
+        if not serials:
+            return 0
+        for serial in serials:
+            item = self._items.pop(serial)
+            for cell in self._item_cells.pop(serial):
+                bucket = self._cells.get(cell)
+                if bucket is None:
+                    continue
+                bucket[:] = [other for other in bucket if other is not item]
+                if not bucket:
+                    del self._cells[cell]
+        return len(serials)
+
+    def k_nearest(
+        self, point: Vec2, k: int, max_distance: Optional[float] = None
+    ) -> List[Tuple[IndexedItem[T], float]]:
+        """The *k* items closest to *point*, sorted by distance."""
+        p = as_vec(point)
+        if k <= 0 or len(self) == 0:
+            return []
+        radius = self.cell_size if max_distance is None else max_distance
+        limit = max_distance if max_distance is not None else float("inf")
+        while True:
+            candidates = self.query_bbox(self._search_box(p, radius))
+            scored = sorted(
+                ((item, item.distance(p)) for item in candidates), key=lambda x: x[1]
+            )
+            scored = [(it, d) for it, d in scored if d <= limit]
+            if len(scored) >= k and scored[k - 1][1] <= radius:
+                return scored[:k]
+            if radius >= limit or len(candidates) == len(self):
+                return scored[:k]
+            radius *= 4.0
+
+    def items(self) -> List[IndexedItem[T]]:
+        """Every stored item, in insertion order."""
+        return list(self._items.values())
+
 
 class ScalarQueryEngine:
-    """Incremental :class:`GridIndex` query engine, kept as the reference.
+    """Incremental :class:`MovingObjectIndex` query engine, kept as the reference.
 
     Maintains per-object dict state and answers queries by refining
     cell-level candidates item by item.  :class:`QueryEngine` (columnar) is
@@ -54,7 +211,7 @@ class ScalarQueryEngine:
         if cell_size <= 0:
             raise ValueError("cell_size must be positive")
         self.cell_size = float(cell_size)
-        self._index: GridIndex[str] = GridIndex(cell_size=cell_size)
+        self._index: MovingObjectIndex[str] = MovingObjectIndex(cell_size=cell_size)
         self._positions: Dict[str, np.ndarray] = {}
         self._cells: Dict[str, Tuple[int, int]] = {}
         #: Simulation time of the last :meth:`sync` (``None`` before the first).
@@ -130,7 +287,7 @@ class ScalarQueryEngine:
         registration order, hence the same index serials and query answers,
         asserted by the test-suite), but it computes every object's cell in
         one vectorised pass and hands the whole item list to
-        :meth:`~repro.spatial.grid.GridIndex.rebuild` instead of paying the
+        :meth:`MovingObjectIndex.rebuild` instead of paying the
         per-item ``insert`` bookkeeping N times — the difference between a
         sub-second and a multi-second cold start at mega-fleet sizes.
         """

@@ -1,7 +1,9 @@
 """Property-based tests for the spatial index (hypothesis).
 
-:class:`GridIndex` is checked against :func:`brute_force_nearest` and
-against linear scans of the items themselves.
+:class:`GridIndex` (and the k-nearest search of the oracle's
+:class:`~reference.scalar_query_engine.MovingObjectIndex`) is checked
+against :func:`brute_force_nearest` and against linear scans of the items
+themselves.
 """
 
 import numpy as np
@@ -11,6 +13,8 @@ from repro.geo.bbox import BoundingBox
 from repro.geo.segment import Segment
 from repro.spatial.grid import GridIndex
 from repro.spatial.index import IndexedItem, brute_force_nearest
+
+from reference.scalar_query_engine import MovingObjectIndex
 
 coordinate = st.floats(min_value=-10_000.0, max_value=10_000.0, allow_nan=False)
 point = st.tuples(coordinate, coordinate)
@@ -79,7 +83,7 @@ def test_query_radius_boundary_rounding_regression():
 def test_grid_k_nearest_matches_brute_force(segments, query, k):
     """``k_nearest`` returns the k smallest distances of a linear scan, sorted."""
     items = build_items(segments)
-    grid = GridIndex(cell_size=400.0, items=items)
+    grid = MovingObjectIndex(cell_size=400.0, items=items)
     got = grid.k_nearest(query, k)
     expected = sorted(item.distance(np.asarray(query)) for item in items)[:k]
     assert len(got) == len(expected)
@@ -149,7 +153,7 @@ def test_all_backends_agree_on_capped_nearest(segments, query, max_distance):
 def test_k_nearest_keeps_item_at_exact_cap():
     """``k_nearest`` prunes with the same rounding margin as ``nearest``."""
     items = build_items(_CAP_BOUNDARY["segments"])
-    grid = GridIndex(cell_size=600.0, items=items)
+    grid = MovingObjectIndex(cell_size=600.0, items=items)
     got = grid.k_nearest(_CAP_BOUNDARY["query"], 1, max_distance=1.0)
     assert [d for _item, d in got] == [1.0]
 

@@ -3,7 +3,8 @@
 Replays every library scenario's real update stream into three backends —
 the columnar sharded service, a sharded service whose engines are the
 scalar oracle (:mod:`reference.scalar_query_engine`) and a plain single
-server answered through the linear reference scans — and
+server answered through the linear-scan oracle
+(:mod:`reference.linear_queries`) — and
 asserts all three produce **identical** answers (ids, distances, ordering;
 float equality, not approx) for all three query kinds.  A hypothesis case
 pins the tie-breaking contract: objects at exactly equal distances sort
@@ -20,6 +21,7 @@ from repro.service.query_engine import QueryEngine
 from repro.service.server import LocationServer
 from repro.sim.workload import QueryWorkload, execute_call
 
+from reference.linear_queries import LinearScans
 from reference.scalar_query_engine import ScalarQueryEngine, use_scalar_engines
 
 #: Small per-scenario scales (mirrors the golden/kernel suites so the
@@ -46,11 +48,11 @@ def _plan_for(name: str):
     return build_replay_plan(lanes, _WORKLOAD, max_batches=30, max_queries=25)
 
 
-def _linear_backend(plan) -> LocationServer:
+def _linear_backend(plan) -> LinearScans:
     server = LocationServer()
     for object_id, prediction, accuracy in plan.registrations:
         server.register_object(object_id, prediction=prediction, accuracy=accuracy)
-    return server
+    return LinearScans(server)
 
 
 class TestVectorizedEqualsScalarOnLibrary:
@@ -83,7 +85,7 @@ class TestVectorizedEqualsScalarOnLibrary:
             columnar.ingest_batch(batch, t)
             scalar.ingest_batch(batch, t)
             for object_id, message in batch:
-                linear.receive_update(object_id, message, t)
+                linear.server.receive_update(object_id, message, t)
         for call in calls[call_index:]:
             expected = execute_call(linear, _WORKLOAD, call)
             assert execute_call(columnar, _WORKLOAD, call) == expected
@@ -108,7 +110,7 @@ class TestVectorizedEqualsScalarOnLibrary:
             columnar.ingest_batch(batch, t)
             scalar.ingest_batch(batch, t)
             for object_id, message in batch:
-                linear.receive_update(object_id, message, t)
+                linear.server.receive_update(object_id, message, t)
         for call in plan.calls:
             call = type(call)(time=call.time, kind="range", cx=call.cx, cy=call.cy)
             expected = execute_call(linear, margin_workload, call)

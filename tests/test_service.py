@@ -1,4 +1,5 @@
-"""Unit tests for the location-service substrate (channel, server, source, queries)."""
+"""Unit tests for the location-service substrate (channel, server, source) and
+the linear-scan query oracle."""
 
 import numpy as np
 import pytest
@@ -8,14 +9,15 @@ from repro.protocols.base import ObjectState, UpdateMessage, UpdateReason
 from repro.protocols.linear import LinearPredictionProtocol
 from repro.protocols.prediction import LinearPrediction, StaticPrediction
 from repro.service.channel import MessageChannel
-from repro.service.queries import (
+from repro.service.server import LocationServer
+from repro.service.source import LocationSource
+
+from reference.linear_queries import (
     geofence_query,
     nearest_object_query,
     position_query,
     range_query,
 )
-from repro.service.server import LocationServer
-from repro.service.source import LocationSource
 
 
 def make_message(sequence=0, time=0.0, position=(0.0, 0.0), velocity=(10.0, 0.0), link_id=None):

@@ -46,12 +46,12 @@ from repro.service.loadgen import (
     run_load_test,
     service_for_plan,
 )
-from repro.service.queries import range_query as reference_range_query
 from repro.service.server import LocationServer
 from repro.sim.fleet import FleetLane, FleetSimulation
 from repro.sim.workload import QueryWorkload
 from repro.traces.trace import Trace
 
+from reference.linear_queries import range_query as reference_range_query
 from reference.tick_loop import TickLoopFleet
 
 

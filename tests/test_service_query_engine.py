@@ -1,4 +1,4 @@
-"""Tests for the columnar query engine (and GridIndex keyed removal).
+"""Tests for the columnar query engine (and the oracle index's keyed removal).
 
 The columnar engine is also compared with the scalar oracle engine in
 :mod:`reference.scalar_query_engine`, whose own bulk-sync path is checked
@@ -11,11 +11,10 @@ import pytest
 from repro.geo.bbox import BoundingBox
 from repro.geo.vec import distance
 from repro.service.query_engine import QueryEngine
-from repro.spatial.grid import GridIndex
 from repro.spatial.index import IndexedItem
 
 import reference.scalar_query_engine as scalar_oracle
-from reference.scalar_query_engine import ScalarQueryEngine
+from reference.scalar_query_engine import MovingObjectIndex, ScalarQueryEngine
 
 
 def _point_item(key, x, y):
@@ -30,7 +29,7 @@ def _positions(rng, n, extent=10_000.0):
 
 class TestGridIndexRemove:
     def test_remove_returns_count_and_shrinks(self):
-        index = GridIndex(cell_size=100.0)
+        index = MovingObjectIndex(cell_size=100.0)
         index.insert(_point_item("a", 10.0, 10.0))
         index.insert(_point_item("b", 20.0, 20.0))
         assert len(index) == 2
@@ -39,13 +38,13 @@ class TestGridIndexRemove:
         assert [item.key for item in index.items()] == ["b"]
 
     def test_remove_unknown_key_is_noop(self):
-        index = GridIndex(cell_size=100.0)
+        index = MovingObjectIndex(cell_size=100.0)
         index.insert(_point_item("a", 10.0, 10.0))
         assert index.remove("zz") == 0
         assert len(index) == 1
 
     def test_removed_item_leaves_queries(self):
-        index = GridIndex(cell_size=100.0)
+        index = MovingObjectIndex(cell_size=100.0)
         index.insert(_point_item("a", 10.0, 10.0))
         index.insert(_point_item("b", 500.0, 500.0))
         box = BoundingBox(0.0, 0.0, 50.0, 50.0)
@@ -56,14 +55,14 @@ class TestGridIndexRemove:
         assert nearest is not None and nearest[0].key == "b"
 
     def test_remove_duplicate_keys_removes_all(self):
-        index = GridIndex(cell_size=100.0)
+        index = MovingObjectIndex(cell_size=100.0)
         index.insert(_point_item("dup", 10.0, 10.0))
         index.insert(_point_item("dup", 900.0, 900.0))
         assert index.remove("dup") == 2
         assert len(index) == 0
 
     def test_reinsert_after_remove(self):
-        index = GridIndex(cell_size=100.0)
+        index = MovingObjectIndex(cell_size=100.0)
         index.insert(_point_item("a", 10.0, 10.0))
         index.remove("a")
         index.insert(_point_item("a", 700.0, 700.0))

@@ -7,14 +7,10 @@ from repro.geo.bbox import BoundingBox
 from repro.protocols.base import ObjectState, UpdateMessage, UpdateReason
 from repro.protocols.prediction import LinearPrediction, StaticPrediction
 from repro.service.facade import LocationService
-from repro.service.queries import (
-    geofence_query,
-    nearest_object_query,
-    position_query,
-    range_query,
-)
 from repro.service.server import LocationServer
 from repro.service.sharding import GridHashPolicy
+
+from reference.linear_queries import geofence_query, nearest_object_query, range_query
 
 
 def make_message(sequence=0, time=0.0, position=(0.0, 0.0), velocity=(0.0, 0.0)):
@@ -90,12 +86,12 @@ class TestLocationServiceSurface:
         service = LocationService(n_shards=2)
         service.register_object("a", prediction=LinearPrediction())
         assert service.predict_position("a", 10.0) is None
-        assert service.all_positions(10.0) == {}
+        assert service.shards[service.home_shard("a")].all_positions(10.0) == {}
 
     def test_unknown_object_raises_keyerror(self):
         service = LocationService(n_shards=2)
         with pytest.raises(KeyError):
-            service.tracked_object("nope")
+            service.home_shard("nope")
         with pytest.raises(KeyError):
             service.predict_position("nope", 0.0)
 
@@ -109,7 +105,8 @@ class TestLocationServiceSurface:
             np.testing.assert_array_equal(
                 single.predict_position("a", t), service.predict_position("a", t)
             )
-        assert service.tracked_object("a").updates_received == 1
+        home = service.shards[service.home_shard("a")]
+        assert home.tracked_object("a").updates_received == 1
         assert service.object_ids() == ["a"]
         assert service.is_registered("a")
         assert not service.is_registered("b")
@@ -137,7 +134,7 @@ class TestHandoff:
         )
         second = service.home_shard("a")
         assert second == service.policy.shard_for_point((5100.0, 100.0))
-        record = service.tracked_object("a")
+        record = service.shards[second].tracked_object("a")
         assert record.updates_received == 2
         if first != second:
             assert service.loads[first].handoffs_out == 1
@@ -164,7 +161,7 @@ class TestHandoff:
         record = service.register_object("a", prediction=LinearPrediction(), accuracy=42.0)
         service.receive_update("a", make_message(velocity=(50.0, 0.0)), time=0.0)
         service.prepare(100.0)
-        assert service.tracked_object("a") is record
+        assert service.shards[service.home_shard("a")].tracked_object("a") is record
         assert record.accuracy == 42.0
         assert record.last_update_time == 0.0
 
@@ -276,14 +273,6 @@ class TestServiceQueries:
                 assert service.geofence_query(q, radius, t) == geofence_query(
                     single, q, radius, t
                 )
-
-    def test_linear_reference_queries_run_against_service(self, mirrored):
-        """queries.py functions accept the facade as a drop-in server."""
-        _, service = mirrored
-        box = BoundingBox(0.0, 0.0, 4000.0, 4000.0)
-        assert range_query(service, box, 0.0) == service.range_query(box, 0.0)
-        result = position_query(service, "obj-000", 0.0)
-        assert result.position is not None
 
     def test_service_stats_shape(self, mirrored):
         _, service = mirrored

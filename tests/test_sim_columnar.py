@@ -249,23 +249,6 @@ class TestColumnarStore:
         assert np.array_equal(store.accuracy, [75.0, 75.0, 75.0])
         assert np.array_equal(store.sensor_uncertainty, [2.0, 2.0, 2.0])
 
-    def test_build_index_covers_reported_objects(self):
-        times, positions = _random_lanes(4, 20, seed=13, jitter=False)
-        engine = ColumnarFleetEngine(times, positions, mode=STATIC, accuracy=50.0)
-        empty = engine.store.build_index()
-        assert len(empty) == 0
-        engine.run()
-        index = engine.store.build_index(cell_size=250.0)
-        assert len(index) == 4
-        from repro.geo.bbox import BoundingBox
-
-        low = positions[:, -1, :].min(axis=0) - 300.0
-        high = positions[:, -1, :].max(axis=0) + 300.0
-        hits = index.query_bbox(BoundingBox(low[0], low[1], high[0], high[1]))
-        found = {item.key for item in hits}
-        # Every lane's cell intersects the box around the final positions.
-        assert found >= set(engine.store.object_ids)
-
     def test_engine_validates_shapes(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             ColumnarFleetEngine(np.array([0.0, 0.0]), np.zeros((1, 2, 2)))

@@ -172,7 +172,10 @@ class TestKernelEquivalence:
         for kernel in ("tick", "event"):
             lanes = fleet_lanes([FleetMix("city", "linear", 100.0, 3)], scale=SCALES["city"])
             fleet = _fleet(
-                lanes, kernel, query_workload=QueryWorkload(queries_per_tick=0.5, seed=3)
+                lanes,
+                kernel,
+                server=LocationService(),
+                query_workload=QueryWorkload(queries_per_tick=0.5, seed=3),
             ).run()
             report = fleet.workload.as_dict()
             report.pop("query_seconds")
@@ -428,8 +431,9 @@ class TestPoissonArrivals:
         for _ in range(2):
             fleet = FleetSimulation(
                 self._lanes(),
+                server=LocationService(),
                 query_workload=QueryWorkload(arrival_rate_per_s=0.3, seed=17),
-                                record_query_answers=True,
+                record_query_answers=True,
             )
             result = fleet.run()
             counts.append(result.workload.queries)
@@ -443,8 +447,9 @@ class TestPoissonArrivals:
     def test_report_counts_sample_instants_as_ticks(self):
         fleet = FleetSimulation(
             self._lanes(),
+            server=LocationService(),
             query_workload=QueryWorkload(arrival_rate_per_s=0.3, seed=17),
-                    )
+        )
         result = fleet.run()
         # One tick per distinct sample instant, not a misleading zero.
         assert result.workload.ticks == len(self._lanes()[0].sensor_trace.times)
@@ -452,9 +457,10 @@ class TestPoissonArrivals:
     def test_workload_does_not_change_simulation_results(self):
         with_queries = FleetSimulation(
             self._lanes(),
+            server=LocationService(),
             query_workload=QueryWorkload(arrival_rate_per_s=0.5, seed=1),
-                    ).run()
-        without = FleetSimulation(self._lanes()).run()
+        ).run()
+        without = FleetSimulation(self._lanes(), server=LocationService()).run()
         assert {o: r.as_dict() for o, r in with_queries.results.items()} == {
             o: r.as_dict() for o, r in without.results.items()
         }

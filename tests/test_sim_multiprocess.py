@@ -189,6 +189,7 @@ class TestValidation:
         with pytest.raises(ValueError, match="global RNG stream"):
             FleetSimulation(
                 _spread_lanes(tiny_city_scenario),
+                server=LocationService(),
                 query_workload=QueryWorkload(seed=1),
                 processes=2,
             )

@@ -24,6 +24,8 @@ from repro.sim.workload import (
     default_query_mix,
 )
 
+from reference.linear_queries import LinearScans
+
 
 def _build(protocol_id, accuracy, scenario):
     return SimulationConfig(protocol_id=protocol_id, accuracy=accuracy).build_protocol(scenario)
@@ -39,6 +41,21 @@ def _lanes(scenario, configs):
         )
         for n, (pid, us) in enumerate(configs)
     ]
+
+
+class _LinearScannedService(LocationService):
+    """A one-shard service whose queries run through the linear-scan oracle.
+
+    With one shard every record lives on ``shards[0]``, so the scans see
+    exactly the state the indexed query surface would.
+    """
+
+    def __init__(self):
+        super().__init__(n_shards=1)
+        scans = LinearScans(self.shards[0])
+        self.range_query = scans.range_query
+        self.nearest_objects = scans.nearest_objects
+        self.geofence_query = scans.geofence_query
 
 
 def _assert_results_identical(a, b):
@@ -175,6 +192,13 @@ class TestFleetServiceBackend:
                 assert 0 <= result.service_stats["shard"] < shards
                 assert result.as_dict()["svc_shard"] == result.service_stats["shard"]
 
+    def test_workload_needs_service_backend(self, city):
+        """A plain server has no query surface, so a workload is rejected."""
+        with pytest.raises(ValueError, match="LocationService"):
+            FleetSimulation(
+                _lanes(city, [("linear", 100.0)]), query_workload=QueryWorkload(seed=1)
+            )
+
     def test_plain_results_carry_no_service_stats(self, city):
         plain = self._run(city).run()
         assert plain.service_stats == {}
@@ -199,12 +223,15 @@ class TestFleetServiceBackend:
         """The same query stream gets the same answers, indexed or scanned."""
         workload = QueryWorkload(queries_per_tick=0.5, seed=4)
         runs = {}
-        for name, server in (("plain", None), ("sharded", LocationService(n_shards=4))):
+        for name, server in (
+            ("scanned", _LinearScannedService()),
+            ("sharded", LocationService(n_shards=4)),
+        ):
             sim = self._run(city, server=server, workload=workload, record=True)
             sim.run()
             runs[name] = sim.workload_executor.answers
-        assert len(runs["plain"]) > 0
-        assert runs["plain"] == runs["sharded"]
+        assert len(runs["scanned"]) > 0
+        assert runs["scanned"] == runs["sharded"]
 
     def test_channel_stats_identical_under_batched_ingestion(self, city):
         """Satellite: messages / drops / in-flight match the per-message path."""

