@@ -39,7 +39,7 @@ from repro.mobility.kinematics import DriverProfile
 from repro.mobility.vehicle import VehicleSimulator
 from repro.protocols.mapbased import MapBasedConfig, MapBasedProtocol
 from repro.roadmap.routing import RoutePlanner
-from repro.sim.engine import ProtocolSimulation
+from repro.sim.fleet import run_simulation
 from repro.traces.noise import GaussMarkovNoise
 
 from conftest import run_once
@@ -180,9 +180,7 @@ def run_ingest_bench(
             estimation_window=4,
             config=MapBasedConfig(advance_at_link_end=True),
         )
-        result = ProtocolSimulation(
-            protocol=protocol, sensor_trace=sensor, truth_trace=journey.trace
-        ).run()
+        result = run_simulation(protocol, sensor, journey.trace)
         return _golden_row(result)
 
     on_compact = protocol_payload(compact.roadmap)

@@ -42,8 +42,8 @@ def _seed_serial_sweep(scenario, protocol_id, accuracies):
 
     One fresh protocol per point; per-sample ``observe`` (streaming
     estimator), per-sample channel poll, per-sample scalar metrics — the
-    exact algorithm of the seed's ``ProtocolSimulation.run`` and
-    ``run_accuracy_sweep``, kept here as the reference the new engine is
+    exact algorithm of the seed's single-object simulation loop and its
+    accuracy sweep, kept here as the reference the new engine is
     measured against.  (The full-scale freeway sweep of the current tree
     was additionally cross-checked against the actual seed commit: all 33
     points agree in update counts and mean errors.)

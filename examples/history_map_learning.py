@@ -32,7 +32,7 @@ from repro.roadmap.probability import TurnProbabilityTable
 from repro.roadmap.routing import RoutePlanner
 from repro.mapmatching.offline import match_trace, matched_link_sequence
 from repro.mapmatching.matcher import MatcherConfig
-from repro.sim.engine import ProtocolSimulation
+from repro.sim.fleet import run_simulation
 from repro.traces.noise import GaussMarkovNoise
 
 ACCURACY = 100.0
@@ -89,9 +89,7 @@ def main() -> None:
     ]
     rows = []
     for protocol in protocols:
-        result = ProtocolSimulation(
-            protocol=protocol, sensor_trace=sensor, truth_trace=journey.trace
-        ).run()
+        result = run_simulation(protocol, sensor, journey.trace)
         rows.append(
             {
                 "protocol": result.protocol_name,

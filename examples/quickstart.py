@@ -17,7 +17,7 @@ Run with::
 from repro.experiments.report import format_table
 from repro.mobility.scenarios import freeway_scenario
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import ProtocolSimulation
+from repro.sim.fleet import run_simulation
 
 
 def main() -> None:
@@ -33,11 +33,11 @@ def main() -> None:
         protocol = SimulationConfig(
             protocol_id=protocol_id, accuracy=requested_accuracy
         ).build_protocol(scenario)
-        result = ProtocolSimulation(
-            protocol=protocol,
-            sensor_trace=scenario.sensor_trace,   # what the GPS reports
-            truth_trace=scenario.true_trace,      # what the object really did
-        ).run()
+        result = run_simulation(
+            protocol,
+            scenario.sensor_trace,  # what the GPS reports
+            scenario.true_trace,    # what the object really did
+        )
         rows.append(
             {
                 "protocol": result.protocol_name,

@@ -18,15 +18,11 @@ from repro.mobility.scenarios import walking_scenario
 from repro.protocols.linear import LinearPredictionProtocol
 from repro.protocols.mapbased import MapBasedConfig, MapBasedProtocol
 from repro.protocols.reporting import DistanceBasedReporting
-from repro.sim.engine import ProtocolSimulation
+from repro.sim.fleet import run_simulation
 
 
 def run(protocol, scenario):
-    return ProtocolSimulation(
-        protocol=protocol,
-        sensor_trace=scenario.sensor_trace,
-        truth_trace=scenario.true_trace,
-    ).run()
+    return run_simulation(protocol, scenario.sensor_trace, scenario.true_trace)
 
 
 def main() -> None:

@@ -22,8 +22,7 @@ from repro.experiments.scenarios import get_scenario
 from repro.mobility.scenarios import Scenario, ScenarioName
 from repro.sim.config import SimulationConfig
 from repro.sim.metrics import SimulationResult
-from repro.sim.runner import ScenarioSpec, SweepRunner, SweepTask
-from repro.sim.sweep import SweepPoint
+from repro.sim.runner import ScenarioSpec, SweepPoint, SweepRunner, SweepTask
 
 #: Protocols plotted in Figures 7-10, in the paper's order.
 FIGURE_PROTOCOLS = ("distance", "linear", "map")

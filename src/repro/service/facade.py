@@ -53,7 +53,7 @@ class ShardLoad:
         """One flat row for reports and artifacts."""
         return {
             "shard": self.shard_id,
-            "objects": len(shard.object_ids()),
+            "objects": len(shard),
             "updates": self.updates,
             "handoffs_in": self.handoffs_in,
             "handoffs_out": self.handoffs_out,

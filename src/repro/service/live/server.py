@@ -47,7 +47,13 @@ The wire protocol is length-prefixed JSON
 ``"ok"`` plus op-specific fields, or ``"ok": false`` with an ``"error"``
 message (the connection survives request errors; framing errors — an
 oversize length prefix, a frame cut short, a body that is not a JSON
-object — close it and are counted as ``frame_errors``).
+object — close it and are counted as ``frame_errors``).  An ``ingest``
+with a non-finite ``t`` is refused at accept time.  An accepted batch that
+still raises inside the facade is logged and counted as
+``ingest_errors`` (updates applied before the raise stay applied), its
+sequence number is published as applied all the same, and the writer
+keeps draining — so later batches, ``min_seq`` queries and
+:meth:`LiveLocationServer.stop` never wait on a dead writer.
 
 Observability
 -------------
@@ -66,6 +72,7 @@ from __future__ import annotations
 
 import asyncio
 import logging
+import math
 import time as _time
 from typing import Dict, List, Optional, Tuple
 
@@ -176,6 +183,8 @@ class LiveLocationServer:
         #: Connections closed because a frame was oversize, truncated or
         #: not a JSON object.
         self.frame_errors = 0
+        #: Accepted ingest batches that raised inside the facade.
+        self.ingest_errors = 0
         #: Set by the ``shutdown`` op; :meth:`run_until_shutdown` awaits it.
         self.shutdown_requested = asyncio.Event()
 
@@ -260,6 +269,14 @@ class LiveLocationServer:
                 self.service.ingest_batch(batch, time)
                 if self.rebalance_policy is not None:
                     self._maybe_rebalance(time)
+            except Exception:  # noqa: BLE001 — one bad batch must not end the writer
+                self.ingest_errors += 1
+                _logger.exception(
+                    "ingest batch %d (%d updates at t=%g) failed; writer keeps draining",
+                    seq,
+                    len(batch),
+                    time,
+                )
             finally:
                 self._queue.task_done()
                 async with self._applied_cond:
@@ -392,6 +409,8 @@ class LiveLocationServer:
 
     async def _handle_ingest(self, request: Dict[str, object]) -> Dict[str, object]:
         time = float(request["t"])
+        if not math.isfinite(time):
+            return {"ok": False, "op": "ingest", "error": f"t must be finite, got {time!r}"}
         batch = [decode_message(entry) for entry in request.get("updates", [])]
         for object_id, _message in batch:
             if not self.service.is_registered(object_id):
@@ -535,6 +554,7 @@ class LiveLocationServer:
                 "rejected_batches": self.rejected_batches,
                 "op_counts": dict(self.op_counts),
                 "frame_errors": self.frame_errors,
+                "ingest_errors": self.ingest_errors,
                 "connections": len(self._conn_tasks),
                 "rebalance_passes": self.rebalance_passes,
                 "rebalance": (
@@ -564,6 +584,7 @@ class LiveLocationServer:
         registry.gauge("live.server.ingest_queue_size").set(self.ingest_queue_size)
         registry.gauge("live.server.rejected_batches").set(self.rejected_batches)
         registry.gauge("live.server.frame_errors").set(self.frame_errors)
+        registry.gauge("live.server.ingest_errors").set(self.ingest_errors)
         registry.gauge("live.server.connections").set(len(self._conn_tasks))
         for op, count in sorted(self.op_counts.items()):
             registry.gauge(f"live.server.op_count.{op}").set(count)

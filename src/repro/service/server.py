@@ -109,6 +109,10 @@ class LocationServer:
         """All registered object ids."""
         return list(self._objects)
 
+    def __len__(self) -> int:
+        """Number of registered objects (without building the id list)."""
+        return len(self._objects)
+
     def predict_position(self, object_id: str, time: float) -> Optional[np.ndarray]:
         """The position the server assumes for *object_id* at *time*."""
         return self._objects[object_id].predict(time)

@@ -256,7 +256,7 @@ class RebalancePolicy:
         policy = service.policy
         if service.n_shards <= 1 or not hasattr(policy, "override_cell"):
             return None
-        counts = [len(shard.object_ids()) for shard in service.shards]
+        counts = [len(shard) for shard in service.shards]
         total = sum(counts)
         if total < self.min_objects:
             return None
@@ -297,7 +297,7 @@ class RebalancePolicy:
         if not moves:
             return None
         handoffs = service.rebalance(time)
-        counts_after = [len(shard.object_ids()) for shard in service.shards]
+        counts_after = [len(shard) for shard in service.shards]
         report = RebalanceReport(
             time=float(time),
             hot_shard=hot,

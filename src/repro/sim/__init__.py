@@ -8,9 +8,9 @@ simulator and be compared according to the number of updates transmitted and
 the resulting accuracy on the server."
 
 The package is layered so that every experiment entry point shares one
-execution core:
+execution core, with one entry point per job:
 
-``engine`` → ``fleet`` → ``runner``
+``kernel`` → ``fleet`` (+ ``columnar``) → ``runner``
 
 * :mod:`repro.sim.kernel` is the deterministic discrete-event scheduler —
   a binary-heap agenda ordered by ``(time, priority, seq)`` with event
@@ -22,14 +22,16 @@ execution core:
   against a single
   :class:`~repro.service.server.LocationServer`, with vectorised
   speed/heading estimation and batched server queries.
-* :mod:`repro.sim.engine` keeps the classic single-object API:
-  :class:`ProtocolSimulation` is a one-lane façade over the fleet core, so
-  single runs and fleet runs are the same machinery by construction.
+  :func:`run_simulation` (one object, one protocol, one trace) is a
+  one-lane fleet, so single runs and fleet runs are the same machinery by
+  construction.
+* :mod:`repro.sim.columnar` is the struct-of-arrays fast path
+  (:class:`~repro.sim.columnar.ColumnarFleetEngine`) for the fleets it
+  declares eligible, bit-identical to the fleet loop on them.
 * :mod:`repro.sim.runner` executes whole sweeps (scenario × protocol ×
-  accuracy grids) on top of the engine: per-process scenario caching,
-  pluggable serial / process-pool executors (``jobs=N``) with bit-identical
+  accuracy grids) through :class:`SweepRunner`: per-process scenario
+  caching, serial or process-pool execution (``jobs=N``) with bit-identical
   results regardless of the job count, and JSON/CSV artifact output.
-  :mod:`repro.sim.sweep` re-exports the thin historical wrappers.
 
 :mod:`repro.sim.metrics` collects error samples as NumPy arrays
 (:class:`AccuracyMetrics`), :mod:`repro.sim.config` declares runs as
@@ -38,13 +40,12 @@ serialisable :class:`SimulationConfig` values.
 
 from repro.sim.kernel import EventKernel
 from repro.sim.metrics import AccuracyMetrics, SimulationResult
-from repro.sim.engine import ProtocolSimulation, run_simulation
-from repro.sim.fleet import FleetLane, FleetResult, FleetSimulation, run_fleet
-from repro.sim.sweep import SweepPoint, run_accuracy_sweep, run_config_sweep
+from repro.sim.fleet import FleetLane, FleetResult, FleetSimulation, run_simulation
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import (
     QueryBenchSpec,
     ScenarioSpec,
+    SweepPoint,
     SweepRunner,
     SweepTask,
     read_artifact,
@@ -65,15 +66,11 @@ __all__ = [
     "default_query_mix",
     "AccuracyMetrics",
     "SimulationResult",
-    "ProtocolSimulation",
     "run_simulation",
     "FleetLane",
     "FleetResult",
     "FleetSimulation",
-    "run_fleet",
     "SweepPoint",
-    "run_accuracy_sweep",
-    "run_config_sweep",
     "SimulationConfig",
     "ScenarioSpec",
     "SweepRunner",

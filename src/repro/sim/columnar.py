@@ -499,9 +499,3 @@ class ColumnarFleetEngine:
             bytes_delivered=size,
         )
 
-
-def run_fleet_columnar(lanes, count_initial_update: bool = True, obs=None):
-    """Run an eligible fleet through the columnar engine (lane-level API)."""
-    return ColumnarFleetEngine.from_lanes(
-        lanes, count_initial_update=count_initial_update, obs=obs
-    ).run()

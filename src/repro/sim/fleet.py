@@ -14,8 +14,8 @@ Design properties the rest of the stack relies on:
   per-object updates and error samples as N independent single-object runs
   (for deterministic channels; a *shared* lossy channel draws its losses
   from one RNG stream and therefore differs from N per-run RNGs).
-  :class:`~repro.sim.engine.ProtocolSimulation` delegates here with a single
-  lane, so the equivalence is structural, not coincidental.
+  :func:`run_simulation`, the single-object entry point, is a one-lane
+  fleet, so the equivalence is structural, not coincidental.
 * **Vectorised hot path** — speed/heading estimates for each sensor trace
   are precomputed in one batched pass
   (:func:`repro.traces.estimation.estimate_trace`, bitwise identical to the
@@ -994,10 +994,31 @@ def _execute_shard_tasks(
         return [future.result() for future in futures]
 
 
-def run_fleet(
-    lanes: Sequence[FleetLane],
+def run_simulation(
+    protocol: UpdateProtocol,
+    sensor_trace: Trace,
+    truth_trace: Optional[Trace] = None,
     channel: Optional[MessageChannel] = None,
-    server: Optional[LocationServer] = None,
-) -> FleetResult:
-    """Convenience wrapper around :class:`FleetSimulation`."""
-    return FleetSimulation(lanes, channel=channel, server=server).run()
+    *,
+    object_id: str = "object-0",
+    count_initial_update: bool = True,
+) -> SimulationResult:
+    """One object, one protocol, one trace: a one-lane :class:`FleetSimulation`.
+
+    The paper's experimental setup (Sec. 4): *sensor_trace* is what the
+    positioning sensor reports, *truth_trace* (defaulting to the sensor
+    trace) the ground truth the server-side error is measured against,
+    *channel* the source-to-server channel (loss-free and instantaneous when
+    omitted).  *count_initial_update* says whether the bootstrap update
+    counts towards the update total — the paper counts transmitted
+    messages, so it does by default.
+    """
+    lane = FleetLane(
+        object_id=object_id,
+        protocol=protocol,
+        sensor_trace=sensor_trace,
+        truth_trace=truth_trace,
+        channel=channel,
+    )
+    fleet = FleetSimulation([lane], count_initial_update=count_initial_update)
+    return fleet.run().results[object_id]

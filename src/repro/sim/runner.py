@@ -1,10 +1,11 @@
 """The shared sweep runner behind every experiment entry point.
 
 A *sweep* is a list of independent simulation points (scenario × protocol ×
-requested accuracy).  :class:`SweepRunner` executes those points through a
-pluggable executor — serial by default, a
-:class:`~concurrent.futures.ProcessPoolExecutor` with ``jobs > 1`` — while
-guaranteeing that the result *sequence* is independent of the executor:
+requested accuracy) — the curves of the paper's Figs. 7-10, updates per hour
+against the accuracy requested at the server.  :class:`SweepRunner` executes
+those points serially by default, on a
+:class:`~concurrent.futures.ProcessPoolExecutor` with ``jobs > 1``, while
+guaranteeing that the result *sequence* is independent of the job count:
 points are deterministic, self-contained and returned in submission order,
 so ``jobs=1`` and ``jobs=N`` produce bit-identical results.
 
@@ -27,7 +28,7 @@ import json
 import logging
 import math
 import os
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
@@ -38,11 +39,9 @@ from repro.protocols.base import UpdateProtocol
 from repro.service.channel import MessageChannel
 from repro.service.facade import LocationService
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import ProtocolSimulation
-from repro.sim.fleet import FleetSimulation
+from repro.sim.fleet import FleetLane, FleetSimulation, run_simulation
 from repro.sim.metrics import SimulationResult
 from repro.obs.manifest import build_manifest
-from repro.sim.sweep import SweepPoint
 from repro.sim.workload import QueryWorkload, default_query_mix, default_query_rate
 
 _logger = logging.getLogger(__name__)
@@ -51,7 +50,7 @@ _logger = logging.getLogger(__name__)
 def _artifact_provenance(config: Dict[str, object]) -> Dict[str, object]:
     """Run-invariant provenance for embedding inside artifacts.
 
-    Artifacts must stay byte-identical across executor/job counts (a
+    Artifacts must stay byte-identical across job counts (a
     tier-1 contract), so the wall-clock ``created_unix`` stamp is dropped;
     the stable fields — git revision, config hash, interpreter and library
     versions — remain.
@@ -203,18 +202,17 @@ def _build_protocol_cached(
 # --------------------------------------------------------------------------- #
 # the unit of work
 # --------------------------------------------------------------------------- #
-def _simulate(
-    scenario: Scenario,
-    protocol: UpdateProtocol,
-    channel: Optional[MessageChannel] = None,
-) -> SimulationResult:
-    """The one engine invocation every runner entry point funnels through."""
-    return ProtocolSimulation(
-        protocol=protocol,
-        sensor_trace=scenario.sensor_trace,
-        truth_trace=scenario.true_trace,
-        channel=channel,
-    ).run()
+@dataclass(frozen=True)
+class SweepPoint:
+    """One point of a protocol's curve: a requested accuracy and its result."""
+
+    accuracy: float
+    result: SimulationResult
+
+    @property
+    def updates_per_hour(self) -> float:
+        """Shortcut to the headline metric."""
+        return self.result.updates_per_hour
 
 
 @dataclass(frozen=True)
@@ -227,8 +225,10 @@ class SweepTask:
     def run(self) -> SweepPoint:
         """Execute this point in the current process."""
         scenario = self.scenario.build()
-        result = _simulate(
-            scenario, _build_protocol_cached(self.scenario, self.config, scenario)
+        result = run_simulation(
+            _build_protocol_cached(self.scenario, self.config, scenario),
+            scenario.sensor_trace,
+            scenario.true_trace,
         )
         return SweepPoint(accuracy=float(self.config.accuracy), result=result)
 
@@ -318,24 +318,13 @@ class QueryBenchSpec:
 # --------------------------------------------------------------------------- #
 # the runner
 # --------------------------------------------------------------------------- #
-#: Executor factories selectable by name.
-EXECUTORS: Dict[str, Callable[[int], Executor]] = {
-    "process": lambda jobs: ProcessPoolExecutor(max_workers=jobs),
-    "thread": lambda jobs: ThreadPoolExecutor(max_workers=jobs),
-}
-
-
 class SweepRunner:
     """Executes sweep points and emits artifacts.
 
     Parameters
     ----------
     jobs:
-        Number of parallel workers; ``1`` runs everything in-process.
-    executor:
-        ``"process"`` (default), ``"thread"``, or a callable mapping a job
-        count to a :class:`concurrent.futures.Executor` — the pluggable
-        seam for future schedulers (clusters, async backends).
+        Number of worker processes; ``1`` runs everything in-process.
     artifact_dir:
         When set, :meth:`write_artifacts` resolves relative names here.
     """
@@ -343,26 +332,18 @@ class SweepRunner:
     def __init__(
         self,
         jobs: int = 1,
-        executor: Union[str, Callable[[int], Executor]] = "process",
         artifact_dir: Optional[str] = None,
     ):
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if isinstance(executor, str):
-            if executor not in EXECUTORS:
-                raise ValueError(
-                    f"unknown executor {executor!r}; expected one of {sorted(EXECUTORS)}"
-                )
-            executor = EXECUTORS[executor]
         self.jobs = int(jobs)
-        self.executor_factory = executor
         self.artifact_dir = artifact_dir
-        self._pool: Optional[Executor] = None
+        self._pool: Optional[ProcessPoolExecutor] = None
 
     # ------------------------------------------------------------------ #
     # worker pool lifecycle
     # ------------------------------------------------------------------ #
-    def _get_pool(self) -> Executor:
+    def _get_pool(self) -> ProcessPoolExecutor:
         """The lazily created, persistent worker pool.
 
         Keeping the pool alive across sweeps amortises worker start-up over
@@ -373,7 +354,7 @@ class SweepRunner:
         their (cached) :class:`ScenarioSpec`.
         """
         if self._pool is None:
-            self._pool = self.executor_factory(self.jobs)
+            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
         return self._pool
 
     def close(self) -> None:
@@ -391,16 +372,6 @@ class SweepRunner:
     def __del__(self) -> None:  # pragma: no cover - best-effort cleanup
         if getattr(self, "_pool", None) is not None:
             self._pool.shutdown(wait=False)
-
-    # ------------------------------------------------------------------ #
-    # scenario access
-    # ------------------------------------------------------------------ #
-    def scenario(self, spec: Union[ScenarioSpec, str], scale: float = 1.0,
-                 seed: Optional[int] = None) -> Scenario:
-        """The cached scenario for *spec* (or a name + scale + seed)."""
-        if not isinstance(spec, ScenarioSpec):
-            spec = ScenarioSpec(name=str(spec), scale=scale, seed=seed)
-        return spec.build()
 
     # ------------------------------------------------------------------ #
     # execution
@@ -463,27 +434,20 @@ class SweepRunner:
     ) -> List[SweepPoint]:
         """Sweep an arbitrary (not necessarily picklable) protocol factory.
 
-        Runs in-process regardless of ``jobs``, since closures over built
-        scenarios cannot cross process boundaries.
+        *protocol_factory* maps a requested accuracy to a fresh protocol
+        instance (protocols are stateful); ``prototype.clone_for`` is the
+        cheap way to produce one that shares a prototype's expensive
+        structure (map-matcher index, routes).  Runs in-process regardless
+        of ``jobs``, since closures over built scenarios cannot cross
+        process boundaries.
         """
         points: List[SweepPoint] = []
         for us in accuracies if accuracies is not None else scenario.us_values:
-            result = _simulate(scenario, protocol_factory(float(us)))
+            result = run_simulation(
+                protocol_factory(float(us)), scenario.sensor_trace, scenario.true_trace
+            )
             points.append(SweepPoint(accuracy=float(us), result=result))
         return points
-
-    def run_protocol_sweep(
-        self,
-        scenario: Scenario,
-        prototype: UpdateProtocol,
-        accuracies: Optional[Sequence[float]] = None,
-    ) -> List[SweepPoint]:
-        """Sweep a prototype protocol via its ``clone_for`` reuse hook.
-
-        Expensive protocol structure (map-matcher index, routes) is built
-        once and shared by every point instead of once per point.
-        """
-        return self.run_factory_sweep(scenario, lambda us: prototype.clone_for(us), accuracies)
 
     def run_single(
         self,
@@ -492,7 +456,7 @@ class SweepRunner:
         channel: Optional[MessageChannel] = None,
     ) -> SimulationResult:
         """One protocol over one scenario (the ablation studies' unit)."""
-        return _simulate(scenario, protocol, channel)
+        return run_simulation(protocol, scenario.sensor_trace, scenario.true_trace, channel)
 
     def run_query_bench(self, spec: "QueryBenchSpec") -> Dict[str, object]:
         """Run one query-workload replay against a live fleet.
@@ -507,8 +471,6 @@ class SweepRunner:
         service tier's per-shard load counters.  Runs in-process — the unit
         of work is a single fleet, not a sweep of independent points.
         """
-        from repro.sim.fleet import FleetLane
-
         workload = spec.build_workload()
         base_seed = ScenarioSpec(name=spec.scenario, scale=spec.scale, seed=spec.seed).seed
         lanes = []

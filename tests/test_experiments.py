@@ -16,7 +16,7 @@ from repro.experiments.scenarios import clear_scenario_cache, get_scenario
 from repro.experiments.tables import PAPER_TABLE1, table1
 from repro.mobility.scenarios import ScenarioName
 from repro.sim.metrics import AccuracyMetrics, SimulationResult
-from repro.sim.sweep import SweepPoint
+from repro.sim.runner import SweepPoint
 
 
 def make_point(us, updates_per_hour):

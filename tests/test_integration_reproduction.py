@@ -15,18 +15,14 @@ from repro.mapmatching.matcher import MatcherConfig
 from repro.protocols.mapbased import MapBasedConfig, MapBasedProtocol
 from repro.roadmap.history import HistoryMapLearner
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import ProtocolSimulation
+from repro.sim.fleet import run_simulation
 
 
 def run_protocol(scenario, protocol_id, accuracy):
     protocol = SimulationConfig(protocol_id=protocol_id, accuracy=accuracy).build_protocol(
         scenario
     )
-    return ProtocolSimulation(
-        protocol=protocol,
-        sensor_trace=scenario.sensor_trace,
-        truth_trace=scenario.true_trace,
-    ).run()
+    return run_simulation(protocol, scenario.sensor_trace, scenario.true_trace)
 
 
 class TestProtocolOrdering:
@@ -144,11 +140,7 @@ class TestHistoryBasedVariant:
             estimation_window=scenario.estimation_window,
             config=MapBasedConfig(matching_tolerance=60.0),
         )
-        result = ProtocolSimulation(
-            protocol=protocol,
-            sensor_trace=scenario.sensor_trace,
-            truth_trace=scenario.true_trace,
-        ).run()
+        result = run_simulation(protocol, scenario.sensor_trace, scenario.true_trace)
         # The learned map must actually be usable: the protocol stays on the
         # map most of the time and the accuracy bound still holds.
         distance_result = run_protocol(scenario, "distance", 100.0)

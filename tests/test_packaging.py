@@ -1,8 +1,12 @@
-"""``setup.py`` describes the package on its own."""
+"""``setup.py`` describes the package on its own; every ``__all__`` resolves."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
+
+import pytest
 
 import repro
 
@@ -18,3 +22,20 @@ def test_setup_py_reports_name_and_version():
         check=True,
     ).stdout.split()
     assert out == ["repro", repro.__version__]
+
+
+_PACKAGES = ["repro"] + sorted(
+    info.name for info in pkgutil.walk_packages(repro.__path__, "repro.") if info.ispkg
+)
+
+
+@pytest.mark.parametrize("name", _PACKAGES)
+def test_every_exported_name_imports(name):
+    """A re-export left behind by a deleted module fails here, not in user code."""
+    module = importlib.import_module(name)
+    assert isinstance(module.__all__, list) and module.__all__
+    missing = [export for export in module.__all__ if not hasattr(module, export)]
+    assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+    namespace = {}
+    exec(f"from {name} import *", namespace)
+    assert set(module.__all__) <= set(namespace)

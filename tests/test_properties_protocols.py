@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.protocols.linear import LinearPredictionProtocol
 from repro.protocols.higher_order import HigherOrderPredictionProtocol
 from repro.protocols.reporting import DistanceBasedReporting, MovementBasedReporting
-from repro.sim.engine import run_simulation
+from repro.sim.fleet import run_simulation
 from repro.traces.trace import Trace
 
 

@@ -30,8 +30,7 @@ from repro.mobility.generator import (
     generate_scenario,
 )
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import ProtocolSimulation
-from repro.sim.fleet import FleetLane, FleetSimulation
+from repro.sim.fleet import FleetLane, FleetSimulation, run_simulation
 from repro.sim.runner import ScenarioSpec
 
 TEST_SCALE = 0.15
@@ -48,11 +47,11 @@ def _protocol(scenario, protocol_id: str, accuracy: float):
 
 
 def _run(scenario, protocol_id: str, accuracy: float):
-    return ProtocolSimulation(
-        protocol=_protocol(scenario, protocol_id, accuracy),
-        sensor_trace=scenario.sensor_trace,
-        truth_trace=scenario.true_trace,
-    ).run()
+    return run_simulation(
+        _protocol(scenario, protocol_id, accuracy),
+        scenario.sensor_trace,
+        scenario.true_trace,
+    )
 
 
 # --------------------------------------------------------------------------- #

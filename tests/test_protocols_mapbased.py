@@ -9,7 +9,7 @@ from repro.protocols.linear import LinearPredictionProtocol
 from repro.protocols.mapbased import MapBasedConfig, MapBasedProtocol
 from repro.protocols.probabilistic import ProbabilisticMapBasedProtocol
 from repro.roadmap.probability import TurnProbabilityTable
-from repro.sim.engine import run_simulation
+from repro.sim.fleet import run_simulation
 from repro.traces.trace import Trace
 
 

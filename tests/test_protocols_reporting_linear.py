@@ -11,7 +11,7 @@ from repro.protocols.reporting import (
     MovementBasedReporting,
     TimeBasedReporting,
 )
-from repro.sim.engine import run_simulation
+from repro.sim.fleet import run_simulation
 from repro.traces.trace import Trace
 
 

@@ -8,7 +8,7 @@ from repro.protocols.mapbased import MapBasedConfig, MapBasedProtocol
 from repro.protocols.prediction import MapPrediction
 from repro.roadmap.builder import RoadMapBuilder
 from repro.roadmap.elements import RoadClass
-from repro.sim.engine import run_simulation
+from repro.sim.fleet import run_simulation
 from repro.traces.trace import Trace
 
 

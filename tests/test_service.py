@@ -130,6 +130,18 @@ class TestLocationServer:
         with pytest.raises(ValueError):
             b.adopt(record)
 
+    def test_len_follows_register_adopt_remove(self):
+        a, b = LocationServer(), LocationServer()
+        assert len(a) == len(b) == 0
+        a.register_object("car")
+        a.register_object("bike")
+        assert len(a) == 2
+        b.adopt(a.remove_object("car"))
+        assert (len(a), len(b)) == (1, 1)
+        a.remove_object("bike")
+        assert len(a) == 0
+        assert len(b) == len(b.object_ids()) == 1
+
 
 class TestLocationSource:
     def test_source_transmits_protocol_updates(self, straight_trace):

@@ -27,6 +27,7 @@ from repro.experiments.library import FleetMix, fleet_lanes
 from repro.geo.bbox import BoundingBox
 from repro.obs import Observability
 from repro.protocols.base import ObjectState, UpdateMessage, UpdateReason
+from repro.protocols.prediction import LinearPrediction
 from repro.service.channel import MessageChannel, delivery_order
 from repro.service.facade import LocationService
 from repro.service.live.client import LiveClient, LiveRequestError
@@ -604,6 +605,59 @@ class TestLiveServer:
             await asyncio.wait_for(runner, timeout=5.0)
 
         asyncio.run(go())
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_failing_batch_does_not_end_the_writer(self):
+        # t = 1e308 is finite, so the batch is accepted; predicting a moving
+        # object that far ahead overflows inside the writer's ingest_batch.
+        async def go():
+            service = LocationService()
+            service.register_object("obj", prediction=LinearPrediction(), accuracy=50.0)
+            server = LiveLocationServer(service)
+            host, port = await server.start()
+            try:
+                async with await LiveClient.connect(host, port) as client:
+                    bad = await client.ingest(1e308, [("obj", make_message(sequence=1))])
+                    assert bad["seq"] == 1
+                    good = await client.ingest(
+                        1.0, [("obj", make_message(sequence=2, position=(9.0, 9.0)))]
+                    )
+                    assert good["seq"] == 2
+                    answer, at_seq = await asyncio.wait_for(
+                        client.nearest_objects((0.0, 0.0), 1.0, k=1, min_seq=2), timeout=5.0
+                    )
+                    stats = await client.request({"op": "stats"})
+            finally:
+                await asyncio.wait_for(server.stop(grace=0.5), timeout=5.0)
+            return server, answer, at_seq, stats
+
+        server, answer, at_seq, stats = asyncio.run(go())
+        assert at_seq == server.applied_seq == 2
+        assert [oid for oid, _ in answer] == ["obj"]
+        assert stats["server"]["ingest_errors"] == server.ingest_errors == 1
+
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+    def test_non_finite_ingest_time_rejected(self, t):
+        async def go():
+            service = LocationService()
+            service.register_object("obj")
+            server = LiveLocationServer(service)
+            host, port = await server.start()
+            try:
+                async with await LiveClient.connect(host, port) as client:
+                    message = encode_message("obj", make_message(sequence=1))
+                    response = await client.request(
+                        {"op": "ingest", "t": t, "updates": [message]}, check=False
+                    )
+                    assert await client.ping() == 0
+            finally:
+                await server.stop()
+            return server, response
+
+        server, response = asyncio.run(go())
+        assert response["ok"] is False
+        assert "finite" in response["error"]
+        assert server.enqueued_seq == 0
 
 
 # --------------------------------------------------------------------------- #

@@ -8,9 +8,9 @@ from repro.protocols.mapbased import MapBasedProtocol
 from repro.protocols.reporting import DistanceBasedReporting
 from repro.service.channel import MessageChannel
 from repro.sim.config import PROTOCOL_IDS, SimulationConfig
-from repro.sim.engine import ProtocolSimulation, run_simulation
+from repro.sim.fleet import run_simulation
 from repro.sim.metrics import AccuracyMetrics, SimulationResult
-from repro.sim.sweep import run_accuracy_sweep, run_config_sweep
+from repro.sim.runner import SweepRunner
 from repro.traces.trace import Trace
 
 
@@ -75,24 +75,16 @@ class TestSimulationResult:
         assert d["updates"] == 5
 
 
-class TestProtocolSimulation:
+class TestRunSimulation:
     def test_mismatched_lengths_rejected(self, straight_trace):
         other = Trace(straight_trace.times[:-1], straight_trace.positions[:-1])
         with pytest.raises(ValueError):
-            ProtocolSimulation(
-                protocol=LinearPredictionProtocol(accuracy=100.0),
-                sensor_trace=straight_trace,
-                truth_trace=other,
-            ).run()
+            run_simulation(LinearPredictionProtocol(accuracy=100.0), straight_trace, other)
 
     def test_mismatched_times_rejected(self, straight_trace):
         other = straight_trace.shifted(time_offset=10.0)
         with pytest.raises(ValueError):
-            ProtocolSimulation(
-                protocol=LinearPredictionProtocol(accuracy=100.0),
-                sensor_trace=straight_trace,
-                truth_trace=other,
-            ).run()
+            run_simulation(LinearPredictionProtocol(accuracy=100.0), straight_trace, other)
 
     def test_counts_and_reasons(self, l_shaped_trace):
         result = run_simulation(
@@ -103,16 +95,12 @@ class TestProtocolSimulation:
         assert result.metrics.count == len(l_shaped_trace)
 
     def test_initial_update_can_be_excluded(self, straight_trace):
-        counted = ProtocolSimulation(
-            protocol=DistanceBasedReporting(accuracy=100.0),
-            sensor_trace=straight_trace,
-            count_initial_update=True,
-        ).run()
-        excluded = ProtocolSimulation(
-            protocol=DistanceBasedReporting(accuracy=100.0),
-            sensor_trace=straight_trace,
-            count_initial_update=False,
-        ).run()
+        counted = run_simulation(
+            DistanceBasedReporting(accuracy=100.0), straight_trace, count_initial_update=True
+        )
+        excluded = run_simulation(
+            DistanceBasedReporting(accuracy=100.0), straight_trace, count_initial_update=False
+        )
         assert counted.updates == excluded.updates + 1
 
     def test_truth_trace_used_for_error(self, straight_trace):
@@ -189,7 +177,7 @@ class TestSimulationConfig:
 
 class TestSweep:
     def test_sweep_uses_scenario_accuracies(self, tiny_freeway_scenario):
-        points = run_accuracy_sweep(
+        points = SweepRunner().run_factory_sweep(
             tiny_freeway_scenario,
             lambda us: DistanceBasedReporting(accuracy=us),
             accuracies=[50.0, 100.0, 200.0],
@@ -200,7 +188,7 @@ class TestSweep:
         assert rates[0] >= rates[1] >= rates[2]
 
     def test_config_sweep(self, tiny_freeway_scenario):
-        points = run_config_sweep(
+        points = SweepRunner().run_config_sweep(
             tiny_freeway_scenario, "linear", accuracies=[100.0, 300.0]
         )
         assert len(points) == 2

@@ -13,7 +13,6 @@ from repro.sim.columnar import (
     ColumnarFleetEngine,
     ColumnarStore,
     estimate_traces,
-    run_fleet_columnar,
 )
 from repro.sim.fleet import FleetLane, FleetSimulation
 from repro.sim.workload import QueryWorkload
@@ -105,13 +104,15 @@ class TestEngineEquivalence:
         scenario = request.getfixturevalue(fixture)
         fleet_cls = TickLoopFleet if kernel == "tick" else FleetSimulation
         scalar = fleet_cls(_scenario_lanes(scenario, mode)).run()
-        columnar = run_fleet_columnar(_scenario_lanes(scenario, mode))
+        columnar = ColumnarFleetEngine.from_lanes(_scenario_lanes(scenario, mode)).run()
         _assert_fleet_results_identical(scalar, columnar)
 
     def test_sensor_uncertainty_column(self, tiny_city_scenario):
         lanes = _scenario_lanes(tiny_city_scenario, LINEAR, up=15.0)
         scalar = FleetSimulation(lanes).run()
-        columnar = run_fleet_columnar(_scenario_lanes(tiny_city_scenario, LINEAR, up=15.0))
+        columnar = ColumnarFleetEngine.from_lanes(
+            _scenario_lanes(tiny_city_scenario, LINEAR, up=15.0)
+        ).run()
         _assert_fleet_results_identical(scalar, columnar)
 
     @pytest.mark.parametrize("count_initial", [True, False])
@@ -120,10 +121,10 @@ class TestEngineEquivalence:
             _scenario_lanes(tiny_freeway_scenario, STATIC),
             count_initial_update=count_initial,
         ).run()
-        columnar = run_fleet_columnar(
+        columnar = ColumnarFleetEngine.from_lanes(
             _scenario_lanes(tiny_freeway_scenario, STATIC),
             count_initial_update=count_initial,
-        )
+        ).run()
         _assert_fleet_results_identical(scalar, columnar)
 
     def test_channel_stats_match_shared_channel(self, tiny_city_scenario):
@@ -142,7 +143,7 @@ class TestEngineEquivalence:
             FleetLane(ids[k], LinearPredictionProtocol(50.0), Trace(times, positions[k]))
             for k in range(5)
         ]
-        via_lanes = run_fleet_columnar(lanes)
+        via_lanes = ColumnarFleetEngine.from_lanes(lanes).run()
         via_arrays = ColumnarFleetEngine(
             times, positions, mode=LINEAR, accuracy=50.0, object_ids=ids
         ).run()

@@ -7,18 +7,17 @@ from repro.protocols.linear import LinearPredictionProtocol
 from repro.service.channel import MessageChannel
 from repro.service.server import LocationServer
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import ProtocolSimulation
-from repro.sim.fleet import FleetLane, FleetResult, FleetSimulation, run_fleet
+from repro.sim.fleet import FleetLane, FleetResult, FleetSimulation, run_simulation
 
 
 def _single_run(protocol, scenario, object_id="object-0", channel=None):
-    return ProtocolSimulation(
-        protocol=protocol,
-        sensor_trace=scenario.sensor_trace,
-        truth_trace=scenario.true_trace,
-        channel=channel,
+    return run_simulation(
+        protocol,
+        scenario.sensor_trace,
+        scenario.true_trace,
+        channel,
         object_id=object_id,
-    ).run()
+    )
 
 
 def _assert_results_identical(fleet_result, single_result):
@@ -259,7 +258,7 @@ class TestChannelReuse:
             FleetLane("obj-0", _build("linear", 50.0, scenario),
                       scenario.sensor_trace, scenario.true_trace)
         ]
-        first = run_fleet(lanes(), channel=channel).results["obj-0"]
-        second = run_fleet(lanes(), channel=channel).results["obj-0"]
+        first = FleetSimulation(lanes(), channel=channel).run().results["obj-0"]
+        second = FleetSimulation(lanes(), channel=channel).run().results["obj-0"]
         assert first.updates == second.updates
         assert np.array_equal(first.metrics.errors, second.metrics.errors)

@@ -25,8 +25,7 @@ from repro.protocols.reporting import TimeBasedReporting
 from repro.service.channel import MessageChannel
 from repro.service.facade import LocationService
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import ProtocolSimulation
-from repro.sim.fleet import FleetLane, FleetSimulation
+from repro.sim.fleet import FleetLane, FleetSimulation, run_simulation
 from repro.sim.kernel import DELIVERY, QUERY, SAMPLE, TIMER, EventKernel
 from repro.sim.runner import ScenarioSpec, auto_region_size
 from repro.sim.workload import QueryWorkload
@@ -60,12 +59,12 @@ def _fleet(lanes, kernel: str, **kwargs):
 
 def _run(scenario, protocol_id: str, kernel: str, channel=None):
     if kernel == "event":
-        return ProtocolSimulation(
-            protocol=_protocol(scenario, protocol_id),
-            sensor_trace=scenario.sensor_trace,
-            truth_trace=scenario.true_trace,
-            channel=channel,
-        ).run()
+        return run_simulation(
+            _protocol(scenario, protocol_id),
+            scenario.sensor_trace,
+            scenario.true_trace,
+            channel,
+        )
     lane = FleetLane(
         "object-0",
         _protocol(scenario, protocol_id),

@@ -1,4 +1,4 @@
-"""Tests for the sweep runner: executors, determinism, caching, artifacts."""
+"""Tests for the sweep runner: job counts, determinism, caching, artifacts."""
 
 import csv
 import json
@@ -10,7 +10,6 @@ from repro.protocols.linear import LinearPredictionProtocol
 from repro.protocols.reporting import TimeBasedReporting
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import ScenarioSpec, SweepRunner, SweepTask, read_artifact
-from repro.sim.sweep import run_accuracy_sweep, run_config_sweep
 
 FREEWAY = ScenarioSpec(name="freeway", scale=0.05, seed=0)
 CITY = ScenarioSpec(name="city", scale=0.07, seed=2)
@@ -122,31 +121,18 @@ class TestExecutorEquivalence:
         parallel = SweepRunner(jobs=4).run_config_sweep(spec, "map", [100.0, 200.0])
         _assert_points_bit_identical(serial, parallel)
 
-    def test_thread_executor_identical(self):
-        serial = SweepRunner(jobs=1).run_config_sweep(FREEWAY, "linear", ACCURACIES)
-        threaded = SweepRunner(jobs=2, executor="thread").run_config_sweep(
-            FREEWAY, "linear", ACCURACIES
-        )
-        _assert_points_bit_identical(serial, threaded)
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError):
-            SweepRunner(jobs=2, executor="quantum")
-
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError):
             SweepRunner(jobs=0)
 
 
-class TestSweepWrappers:
-    def test_config_sweep_wrapper_accepts_runner(self, tiny_freeway_scenario):
-        points = run_config_sweep(
-            tiny_freeway_scenario, "linear", ACCURACIES, runner=SweepRunner()
-        )
+class TestSweepDefaults:
+    def test_config_sweep_on_built_scenario(self, tiny_freeway_scenario):
+        points = SweepRunner().run_config_sweep(tiny_freeway_scenario, "linear", ACCURACIES)
         assert [p.accuracy for p in points] == ACCURACIES
 
     def test_factory_sweep_defaults_to_scenario_us_values(self, tiny_freeway_scenario):
-        points = run_accuracy_sweep(
+        points = SweepRunner().run_factory_sweep(
             tiny_freeway_scenario,
             lambda us: LinearPredictionProtocol(accuracy=us),
         )
@@ -169,7 +155,7 @@ class TestCloneForSweeps:
         prototype = LinearPredictionProtocol(
             ACCURACIES[0], scenario.sensor_sigma, scenario.estimation_window
         )
-        cloned = runner.run_protocol_sweep(scenario, prototype, ACCURACIES)
+        cloned = runner.run_factory_sweep(scenario, prototype.clone_for, ACCURACIES)
         _assert_points_bit_identical(fresh, cloned)
 
     def test_map_clone_sweep_matches_fresh(self, tiny_freeway_scenario):
@@ -180,8 +166,8 @@ class TestCloneForSweeps:
             return SimulationConfig(protocol_id="map", accuracy=us).build_protocol(scenario)
 
         fresh = runner.run_factory_sweep(scenario, fresh_protocol, ACCURACIES)
-        cloned = runner.run_protocol_sweep(
-            scenario, fresh_protocol(ACCURACIES[0]), ACCURACIES
+        cloned = runner.run_factory_sweep(
+            scenario, fresh_protocol(ACCURACIES[0]).clone_for, ACCURACIES
         )
         _assert_points_bit_identical(fresh, cloned)
 
