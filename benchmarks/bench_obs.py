@@ -1,12 +1,13 @@
 """Observability overhead guard: obs-on vs obs-off on the megafleet point.
 
-The obs package's contract is "no-op when absent, cheap when present":
-every hook sits behind an ``obs is None`` check and the columnar engine
-records only aggregate counters and a handful of spans.  This benchmark
-pins the "cheap when present" half on the 10k-object columnar megafleet
-point (the shape from :mod:`bench_megafleet`):
+The obs package's contract is "no-op when disabled, cheap when enabled":
+every layer holds a bundle, the default :data:`~repro.obs.NO_OBS` hands
+out shared no-op instruments, and the columnar engine records only
+aggregate counters and a handful of spans.  This benchmark pins the
+"cheap when enabled" half on the 10k-object columnar megafleet point (the
+shape from :mod:`bench_megafleet`):
 
-* runs the same fleet with ``obs=None`` and with a live
+* runs the same fleet with the default disabled bundle and with a live
   :class:`~repro.obs.Observability` bundle, best-of-N each,
 * records the relative overhead and asserts it stays at or below a
   ceiling (default **5%** — generous; the aggregate-only instrumentation
@@ -36,7 +37,7 @@ import platform
 import time
 
 from bench_megafleet import _ACCURACY_M, _SEED, _build_arrays, _identical
-from repro.obs import Observability, build_manifest
+from repro.obs import NO_OBS, Observability, build_manifest
 from repro.sim.columnar import LINEAR, ColumnarFleetEngine
 
 _RESULT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_obs.json")
@@ -45,7 +46,7 @@ _RESULT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_obs.json")
 _MAX_OVERHEAD_PCT = 5.0
 
 
-def _run_point(times, positions, obs):
+def _run_point(times, positions, obs=NO_OBS):
     """One timed columnar run of the shared fleet; returns (seconds, result)."""
     engine = ColumnarFleetEngine(
         times, positions, mode=LINEAR, accuracy=_ACCURACY_M, obs=obs
@@ -74,7 +75,7 @@ def run_obs_overhead(n_objects: int, n_samples: int, repeats: int) -> dict:
     on_result = None
     on_obs = None
     for _ in range(repeats):
-        seconds, result = _run_point(times, positions, obs=None)
+        seconds, result = _run_point(times, positions)
         if seconds < off_best:
             off_best, off_result = seconds, result
         obs = Observability()

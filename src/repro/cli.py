@@ -78,6 +78,7 @@ from repro.experiments.scenarios import get_scenario
 from repro.experiments.tables import table1
 from repro.experiments.visualize import render_route_updates, render_update_summary
 from repro.mobility.scenarios import ScenarioName
+from repro.obs import NO_OBS, Observability
 from repro.roadmap import io as roadmap_io
 from repro.roadmap.generators import (
     city_grid_map,
@@ -175,6 +176,15 @@ def build_parser() -> argparse.ArgumentParser:
                  "(implies --obs; trace.json opens in Perfetto)",
         )
 
+    def add_mix(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--mix",
+            action="append",
+            required=True,
+            metavar="SCENARIO:PROTOCOL:US[:COUNT]",
+            help="one fleet slice, e.g. rush_hour_city:map:100:25 (repeatable)",
+        )
+
     p_table = subparsers.add_parser("table1", help="reproduce Table 1")
     add_scale(p_table)
 
@@ -243,13 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet = subparsers.add_parser(
         "fleet", help="run a heterogeneous fleet through the event-driven simulation loop"
     )
-    p_fleet.add_argument(
-        "--mix",
-        action="append",
-        required=True,
-        metavar="SCENARIO:PROTOCOL:US[:COUNT]",
-        help="one fleet slice, e.g. rush_hour_city:map:100:25 (repeatable)",
-    )
+    add_mix(p_fleet)
     p_fleet.add_argument(
         "--per-object", action="store_true", help="emit one row per object instead of a summary"
     )
@@ -304,15 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for the JSON artifact (default: print only)",
     )
     add_scale(p_qbench)
-
-    def add_mix(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--mix",
-            action="append",
-            required=True,
-            metavar="SCENARIO:PROTOCOL:US[:COUNT]",
-            help="one fleet slice, e.g. rush_hour_city:map:100:25 (repeatable)",
-        )
 
     p_serve = subparsers.add_parser(
         "serve",
@@ -500,24 +495,18 @@ def _emit(args, rows, title: str) -> None:
         print(format_table(rows, title=title))
 
 
-def _build_obs(args):
-    """The run's :class:`~repro.obs.Observability` bundle, or ``None``."""
-    if not (getattr(args, "obs", False) or getattr(args, "obs_dir", None)):
-        return None
-    from repro.obs import Observability
-
-    return Observability()
+def _build_obs(args) -> Observability:
+    """The run's bundle: a live one under ``--obs``/``--obs-dir``, else the disabled one."""
+    return Observability() if args.obs or args.obs_dir else NO_OBS
 
 
 def _finish_obs(args, obs, config, seed=None, timings=None) -> None:
     """Write (or print) what the bundle recorded; stderr keeps --json clean."""
-    if obs is None:
-        return
     if args.obs_dir:
         paths = obs.write(args.obs_dir, seed=seed, config=config, timings=timings)
         for kind in sorted(paths):
             print(f"wrote {kind}: {paths[kind]}", file=sys.stderr)
-    else:
+    elif args.obs:
         print(obs.registry.render(), file=sys.stderr)
 
 
@@ -655,10 +644,8 @@ def _cmd_fleet(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         print(f"registered imported map as scenario {name!r}", file=sys.stderr)
-    try:
-        mix = [FleetMix.parse(text) for text in args.mix]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    mix = _parse_fleet_mix(args.mix)
+    if mix is None:
         return 2
     from repro.service.facade import LocationService
     from repro.sim.fleet import FleetSimulation

@@ -16,10 +16,14 @@ instrument instead of ad-hoc ``perf_counter`` calls per benchmark.  The
 
 :class:`Observability` bundles one of each and is the single handle the
 instrumented layers accept (``FleetSimulation(..., obs=...)``,
-``LiveLocationServer(..., obs=...)``, ``repro fleet --obs``).  The
-contract with the rest of the repository is **no-op when absent**: every
-hook sits behind an ``obs is None`` check, hot loops read the flag once
-before entering, and nothing about results, goldens or bit-identity
+``LiveLocationServer(..., obs=...)``, ``repro fleet --obs``).  Every
+layer always holds a bundle: :data:`NO_OBS`, the default everywhere, is
+the disabled one.  Its instruments and spans are shared no-ops that keep
+nothing, so instrumented code calls them unconditionally.
+:attr:`Observability.enabled` is read only where a no-op call would still
+cost per event (the fleet kernel's ``on_pop`` hook) or where the answer
+changes output (the live ``metrics`` op, handing a bundle on to a facade
+that has none enabled).  Nothing about results, goldens or bit-identity
 changes when observability is enabled — the instruments only *watch*.
 """
 
@@ -54,6 +58,7 @@ __all__ = [
     "Histogram",
     "LatencyRecorder",
     "MetricsRegistry",
+    "NO_OBS",
     "Observability",
     "Span",
     "SpanTracer",
@@ -71,18 +76,26 @@ _logger = logging.getLogger(__name__)
 class Observability:
     """One registry + tracer + flight recorder, passed around as a unit.
 
-    Pickles cleanly (fleet workers build their own and ship the registry
-    back), and exposes thin pass-throughs so instrumented code reads as
+    Pickles cleanly (each fleet worker receives a :meth:`fresh` one and
+    ships it back for the parent to merge), and exposes thin
+    pass-throughs so instrumented code reads as
     ``obs.counter("kernel.events.sample").inc()`` without reaching into
     the bundle's internals.
     """
 
     __slots__ = ("registry", "tracer", "flight")
 
+    #: ``False`` only on :data:`NO_OBS`.
+    enabled = True
+
     def __init__(self, flight_capacity: int = 256):
         self.registry = MetricsRegistry()
         self.tracer = SpanTracer()
         self.flight = FlightRecorder(flight_capacity)
+
+    def fresh(self) -> "Observability":
+        """An empty bundle of the same kind (a fleet worker's own)."""
+        return Observability(self.flight.capacity)
 
     # ------------------------------------------------------------------ #
     # instrument pass-throughs
@@ -103,9 +116,6 @@ class Observability:
 
     def span(self, name: str, cat: str = "repro", args: Optional[Dict] = None) -> Span:
         return self.tracer.span(name, cat=cat, args=args)
-
-    def instant(self, name: str, cat: str = "repro", args: Optional[Dict] = None) -> None:
-        self.tracer.instant(name, cat=cat, args=args)
 
     # ------------------------------------------------------------------ #
     # reporting
@@ -162,3 +172,61 @@ class Observability:
             paths[name] = str(path)
         _logger.info("observability artifacts written to %s", directory)
         return paths
+
+
+class _NoOp:
+    """The disabled bundle's one instrument and span: takes every call, keeps nothing."""
+
+    __slots__ = ()
+
+    #: A fresh dict per read, so attaching span arguments records nothing.
+    args = property(lambda self: {})
+
+    def _ignore(self, *args, **kwargs) -> None:
+        pass
+
+    inc = set = observe = record = merge = __exit__ = _ignore
+
+    def close(self) -> float:
+        return 0.0
+
+    def __enter__(self) -> "_NoOp":
+        return self
+
+
+_NOOP = _NoOp()
+
+
+class _DisabledObservability(Observability):
+    """The type of :data:`NO_OBS`: records nothing, holds nothing.
+
+    Every instrument and span it hands out is the one shared no-op; its
+    ``registry`` / ``tracer`` / ``flight`` are fresh empty objects per
+    read, so reporting on it yields empty artifacts.  It pickles by name
+    and unpickles to the same singleton.
+    """
+
+    __slots__ = ()
+
+    enabled = False
+    registry = property(lambda self: MetricsRegistry())
+    tracer = property(lambda self: SpanTracer())
+    flight = property(lambda self: FlightRecorder(0))
+
+    def __init__(self) -> None:
+        pass
+
+    def __reduce__(self) -> str:
+        return "NO_OBS"
+
+    def fresh(self) -> Observability:
+        return self
+
+    def _noop(self, *args, **kwargs) -> _NoOp:
+        return _NOOP
+
+    counter = gauge = histogram = latency = span = _noop
+
+
+#: The disabled bundle: the default ``obs`` of every instrumented layer.
+NO_OBS: Observability = _DisabledObservability()

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 
 def nearest_rank(ordered: Sequence[float], q: float) -> float:
@@ -315,21 +315,6 @@ class MetricsRegistry:
 
     def latency(self, name: str) -> LatencyRecorder:
         return self._get_or_create(name, LatencyRecorder, LatencyRecorder.kind)
-
-    def get(self, name: str) -> Optional[Instrument]:
-        return self._metrics.get(name)
-
-    def names(self) -> List[str]:
-        return sorted(self._metrics)
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
-    def __iter__(self) -> Iterator[Tuple[str, Instrument]]:
-        return iter(sorted(self._metrics.items()))
 
     # ------------------------------------------------------------------ #
     # merging and views

@@ -42,11 +42,6 @@ class Span:
         self._tracer = tracer
         self._start = _time.perf_counter()
 
-    @property
-    def seconds(self) -> float:
-        """Wall time elapsed since the span opened."""
-        return _time.perf_counter() - self._start
-
     def close(self) -> float:
         duration = _time.perf_counter() - self._start
         self._tracer._record(self.name, self.cat, self._start, duration, self.args)
@@ -202,9 +197,6 @@ class FlightRecorder:
     @property
     def capacity(self) -> int:
         return self._ring.maxlen or 0
-
-    def clear(self) -> None:
-        self._ring.clear()
 
     def dump(self) -> List[Dict[str, object]]:
         """The ring contents, oldest first, with readable event kinds."""

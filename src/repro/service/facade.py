@@ -32,7 +32,8 @@ import numpy as np
 
 from repro.geo.bbox import BoundingBox
 from repro.geo.vec import Vec2, as_vec
-from repro.protocols.base import UpdateMessage
+from repro.obs import NO_OBS, Observability
+from repro.protocols.base import ObjectState, UpdateMessage
 from repro.protocols.prediction import PredictionFunction
 from repro.service.query_engine import QueryEngine
 from repro.service.server import LocationServer, TrackedObject
@@ -120,13 +121,14 @@ class LocationService:
         ]
         self.loads: List[ShardLoad] = [ShardLoad(shard_id=s) for s in range(n_shards)]
         self.counters = QueryCounters()
-        #: Optional :class:`~repro.obs.Observability`.  When attached (by
-        #: the caller, or inherited from a ``FleetSimulation`` run) the
-        #: facade records per-query-class latencies, ingest batch sizes and
-        #: rebalance timings; the per-shard load counters themselves reach
-        #: the registry through ``publish_service_stats`` at the end of a
-        #: run.  ``None`` (the default) records nothing.
-        self.obs = None
+        #: The :class:`~repro.obs.Observability` bundle the facade records
+        #: per-query-class latencies, ingest batch sizes and rebalance
+        #: timings into; the per-shard load counters themselves reach the
+        #: registry through ``publish_service_stats`` at the end of a run.
+        #: The default, the disabled :data:`~repro.obs.NO_OBS`, records
+        #: nothing; a ``FleetSimulation`` or ``LiveLocationServer`` hands
+        #: its own bundle to a facade that has none enabled.
+        self.obs: Observability = NO_OBS
         self._records: Dict[str, TrackedObject] = {}
         self._home: Dict[str, int] = {}
         self._prepared_time: Optional[float] = None
@@ -142,10 +144,10 @@ class LocationService:
 
     def __getstate__(self) -> Dict[str, object]:
         # Observability never crosses process boundaries: a worker replica
-        # builds its own bundle, and pickling the parent's would duplicate
-        # whatever it already recorded.
+        # records into its worker's own fresh bundle, and pickling the
+        # parent's would duplicate whatever it already recorded.
         state = self.__dict__.copy()
-        state["obs"] = None
+        state["obs"] = NO_OBS
         return state
 
     # ------------------------------------------------------------------ #
@@ -203,12 +205,17 @@ class LocationService:
     # ingestion and handoff
     # ------------------------------------------------------------------ #
     def receive_update(self, object_id: str, message: UpdateMessage, time: float) -> None:
-        """Apply one update message (per-message ingestion path)."""
+        """Apply one update message (per-message ingestion path).
+
+        All-or-nothing like :meth:`ingest_batch`: the new home is computed
+        before the first write.
+        """
+        target = self._target(object_id, message.state, time)
         home = self._home[object_id]
         self.shards[home].receive_update(object_id, message, time)
         self.loads[home].updates += 1
         self._dirty = True
-        self._rehome(object_id, time)
+        self._move(object_id, target)
 
     def ingest_batch(
         self, messages: Sequence[Tuple[str, UpdateMessage]], time: float
@@ -223,30 +230,36 @@ class LocationService:
         rare case of several messages for one object in a single batch:
         the per-message path re-homes between them, the batch path counts
         them all on the pre-batch shard.
+
+        A batch is all-or-nothing: every step that can raise (an unknown
+        id, a prediction that leaves the finite plane) runs before the
+        first write, so a failing batch leaves the service as it was.
         """
         if not messages:
             return
+        latest = {object_id: message.state for object_id, message in messages}
+        targets = [(oid, self._target(oid, state, time)) for oid, state in latest.items()]
         for object_id, message in messages:
             home = self._home[object_id]
             self.shards[home].receive_update(object_id, message, time)
             self.loads[home].updates += 1
         self._dirty = True
         self.counters.batches_ingested += 1
-        if self.obs is not None:
-            self.obs.histogram(
-                "service.ingest.batch_size",
-                bounds=(1, 2, 4, 8, 16, 32, 64, 128, 256, 1024),
-            ).observe(len(messages))
-        for object_id in dict.fromkeys(object_id for object_id, _ in messages):
-            self._rehome(object_id, time)
+        self.obs.histogram(
+            "service.ingest.batch_size",
+            bounds=(1, 2, 4, 8, 16, 32, 64, 128, 256, 1024),
+        ).observe(len(messages))
+        for object_id, target in targets:
+            self._move(object_id, target)
 
-    def _rehome(self, object_id: str, time: float) -> None:
-        """Move *object_id* to the shard owning its predicted position."""
-        record = self._records[object_id]
-        predicted = record.predict(time)
-        if predicted is None:
-            return
-        target = self.policy.shard_for_point(predicted)
+    def _target(self, object_id: str, state: ObjectState, time: float) -> int:
+        """The shard owning the position *state* predicts for *object_id* at *time*."""
+        return self.policy.shard_for_point(
+            self._records[object_id].prediction.predict(state, time)
+        )
+
+    def _move(self, object_id: str, target: int) -> None:
+        """Hand *object_id* off to shard *target* (no-op when already home)."""
         home = self._home[object_id]
         if target == home:
             return
@@ -272,13 +285,11 @@ class LocationService:
             return 0
         started = _time.perf_counter()
         before = sum(load.handoffs_in for load in self.loads)
-        for object_id in list(self._records):
-            self._rehome(object_id, time)
+        for object_id, record in self._records.items():
+            if record.state is not None:
+                self._move(object_id, self._target(object_id, record.state, time))
         moved = sum(load.handoffs_in for load in self.loads) - before
-        if self.obs is not None:
-            self.obs.latency("service.rebalance.seconds").record(
-                _time.perf_counter() - started
-            )
+        self.obs.latency("service.rebalance.seconds").record(_time.perf_counter() - started)
         return moved
 
     # ------------------------------------------------------------------ #
@@ -300,15 +311,14 @@ class LocationService:
         ]
         if self.n_shards > 1:
             for source, positions in enumerate(per_shard):
-                for object_id in [
-                    oid
+                movers = [
+                    (oid, target)
                     for oid, p in positions.items()
-                    if self.policy.shard_for_point(p) != source
-                ]:
-                    self._rehome(object_id, time)
-                    target = self._home[object_id]
-                    if target != source:
-                        per_shard[target][object_id] = positions.pop(object_id)
+                    if (target := self.policy.shard_for_point(p)) != source
+                ]
+                for object_id, target in movers:
+                    self._move(object_id, target)
+                    per_shard[target][object_id] = positions.pop(object_id)
         for engine, positions in zip(self.engines, per_shard):
             engine.sync(positions, time)
         self.counters.syncs += 1
@@ -351,8 +361,7 @@ class LocationService:
         self.counters.range_queries += 1
         elapsed = _time.perf_counter() - started
         self.counters.query_seconds += elapsed
-        if self.obs is not None:
-            self.obs.latency("service.query.range").record(elapsed)
+        self.obs.latency("service.query.range").record(elapsed)
         return sorted(hits)
 
     def nearest_objects(
@@ -375,8 +384,7 @@ class LocationService:
         self.counters.nearest_queries += 1
         elapsed = _time.perf_counter() - started
         self.counters.query_seconds += elapsed
-        if self.obs is not None:
-            self.obs.latency("service.query.nearest").record(elapsed)
+        self.obs.latency("service.query.nearest").record(elapsed)
         return answer
 
     def _k_nearest_merged(self, p: np.ndarray, k: int) -> List[Tuple[str, float]]:
@@ -412,8 +420,7 @@ class LocationService:
         self.counters.geofence_queries += 1
         elapsed = _time.perf_counter() - started
         self.counters.query_seconds += elapsed
-        if self.obs is not None:
-            self.obs.latency("service.query.geofence").record(elapsed)
+        self.obs.latency("service.query.geofence").record(elapsed)
         return merged
 
     # ------------------------------------------------------------------ #

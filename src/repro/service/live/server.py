@@ -63,8 +63,8 @@ accepted batch, the shed count, the malformed-frame count
 (``live.frame_errors``) and the watermark lag
 (``enqueued_seq - at_seq``) observed by queries.  The ``metrics`` op
 exposes the registry over the wire — as a JSON snapshot *and* as
-Prometheus text exposition — and works without a bundle too (server
-counters only, published as gauges at request time).  Shed-load
+Prometheus text exposition — and works on the disabled bundle too
+(server counters only, published as gauges at request time).  Shed-load
 rejections additionally log a warning through the module logger.
 """
 
@@ -77,8 +77,7 @@ import time as _time
 from typing import Dict, List, Optional, Tuple
 
 from repro.geo.bbox import BoundingBox
-from repro.obs import Observability
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import NO_OBS, Observability
 from repro.protocols.prediction import LinearPrediction, StaticPrediction
 from repro.service.facade import LocationService
 from repro.service.sharding import RebalancePolicy
@@ -129,10 +128,12 @@ class LiveLocationServer:
         knob: small values make waiting/rejection observable under load,
         large values absorb bigger bursts.
     obs:
-        Optional :class:`~repro.obs.Observability` bundle.  When attached
-        the server records per-op latencies, queue depth, shed counts and
-        watermark lag (see the module docstring); when ``None`` the only
-        instrumentation cost is one attribute check per request.
+        The :class:`~repro.obs.Observability` bundle the server records
+        per-op latencies, queue depth, shed counts and watermark lag into
+        (see the module docstring).  A facade without an enabled bundle of
+        its own records into this one too.  The default, the disabled
+        :data:`~repro.obs.NO_OBS`, records nothing; its instruments are
+        shared no-ops.
     rebalance:
         Optional :class:`~repro.service.sharding.RebalancePolicy`.  When
         attached, the writer checks the per-shard skew after every applied
@@ -145,7 +146,7 @@ class LiveLocationServer:
         host: str = "127.0.0.1",
         port: int = 0,
         ingest_queue_size: int = 64,
-        obs: Optional[Observability] = None,
+        obs: Observability = NO_OBS,
         rebalance: Optional[RebalancePolicy] = None,
     ):
         if ingest_queue_size < 1:
@@ -154,7 +155,7 @@ class LiveLocationServer:
         self.host = host
         self.port = port
         self.obs = obs
-        if obs is not None and getattr(self.service, "obs", False) is None:
+        if not self.service.obs.enabled:
             # Share the bundle with the facade so its ingest/query
             # instruments land in the same registry the metrics op serves.
             self.service.obs = obs
@@ -299,17 +300,10 @@ class LiveLocationServer:
             len(report.moves),
             report.handoffs,
         )
-        if self.obs is not None:
-            self.obs.counter("live.rebalance.passes", deterministic=False).inc()
-            self.obs.counter("live.rebalance.cells", deterministic=False).inc(
-                len(report.moves)
-            )
-            self.obs.counter("live.rebalance.objects", deterministic=False).inc(
-                report.handoffs
-            )
-            self.obs.gauge("live.rebalance.skew_after", deterministic=False).set(
-                report.skew_after
-            )
+        self.obs.counter("live.rebalance.passes", deterministic=False).inc()
+        self.obs.counter("live.rebalance.cells", deterministic=False).inc(len(report.moves))
+        self.obs.counter("live.rebalance.objects", deterministic=False).inc(report.handoffs)
+        self.obs.gauge("live.rebalance.skew_after", deterministic=False).set(report.skew_after)
 
     # ------------------------------------------------------------------ #
     # connections
@@ -325,8 +319,7 @@ class LiveLocationServer:
                     request = await read_frame(reader)
                 except FrameError as exc:
                     self.frame_errors += 1
-                    if self.obs is not None:
-                        self.obs.counter("live.frame_errors", deterministic=False).inc()
+                    self.obs.counter("live.frame_errors", deterministic=False).inc()
                     _logger.warning("closing connection on a malformed frame: %s", exc)
                     break
                 if request is None:
@@ -334,19 +327,16 @@ class LiveLocationServer:
                 op = str(request.get("op", ""))
                 key = op if op in KNOWN_OPS else UNKNOWN_OP
                 self.op_counts[key] = self.op_counts.get(key, 0) + 1
-                started = _time.perf_counter() if self.obs is not None else 0.0
+                started = _time.perf_counter()
                 try:
                     response = await self._dispatch(op, request)
                 except asyncio.CancelledError:
                     raise
                 except Exception as exc:  # noqa: BLE001 — survive request errors
                     response = {"ok": False, "op": op, "error": f"{type(exc).__name__}: {exc}"}
-                if self.obs is not None:
-                    # Latency includes any watermark wait — that is the
-                    # client-observed service time, which is the point.
-                    self.obs.latency(f"live.op.{key}").record(
-                        _time.perf_counter() - started
-                    )
+                # Latency includes any watermark wait — that is the
+                # client-observed service time, which is the point.
+                self.obs.latency(f"live.op.{key}").record(_time.perf_counter() - started)
                 await write_frame(writer, response)
         except (ConnectionError, asyncio.CancelledError):
             pass
@@ -433,8 +423,7 @@ class LiveLocationServer:
                 self.ingest_queue_size,
                 self.rejected_batches,
             )
-            if self.obs is not None:
-                self.obs.counter("live.ingest.rejected", deterministic=False).inc()
+            self.obs.counter("live.ingest.rejected", deterministic=False).inc()
             return {
                 "ok": False,
                 "op": "ingest",
@@ -448,11 +437,10 @@ class LiveLocationServer:
         self.enqueued_seq += 1
         seq = self.enqueued_seq
         await self._queue.put((seq, time, batch))
-        if self.obs is not None:
-            self.obs.counter("live.ingest.accepted", deterministic=False).inc()
-            self.obs.histogram(
-                "live.ingest.queue_depth", bounds=(0, 1, 2, 4, 8, 16, 32, 64, 128)
-            ).observe(self._queue.qsize())
+        self.obs.counter("live.ingest.accepted", deterministic=False).inc()
+        self.obs.histogram(
+            "live.ingest.queue_depth", bounds=(0, 1, 2, 4, 8, 16, 32, 64, 128)
+        ).observe(self._queue.qsize())
         return {
             "ok": True,
             "op": "ingest",
@@ -499,17 +487,16 @@ class LiveLocationServer:
         if not batch:
             return
         at_seq = self.applied_seq
-        if self.obs is not None:
-            self.obs.histogram(
-                "live.query.batch_size", bounds=(1, 2, 4, 8, 16, 32, 64, 128)
-            ).observe(len(batch))
-            # How far the writer trails the accept path, as seen by queries.
-            lag = self.enqueued_seq - at_seq
-            lag_hist = self.obs.histogram(
-                "live.query.watermark_lag", bounds=(0, 1, 2, 4, 8, 16, 32, 64, 128)
-            )
-            for _ in batch:
-                lag_hist.observe(lag)
+        self.obs.histogram(
+            "live.query.batch_size", bounds=(1, 2, 4, 8, 16, 32, 64, 128)
+        ).observe(len(batch))
+        # How far the writer trails the accept path, as seen by queries.
+        lag = self.enqueued_seq - at_seq
+        lag_hist = self.obs.histogram(
+            "live.query.watermark_lag", bounds=(0, 1, 2, 4, 8, 16, 32, 64, 128)
+        )
+        for _ in batch:
+            lag_hist.observe(lag)
         order = sorted(range(len(batch)), key=lambda i: (float(batch[i][1]["t"]), i))
         for i in order:
             op, request, future = batch[i]
@@ -569,15 +556,15 @@ class LiveLocationServer:
     def _handle_metrics(self) -> Dict[str, object]:
         """Expose the metrics registry over the wire.
 
-        With an observability bundle attached this returns everything the
-        server has recorded (latencies, queue depths, shed counts, plus
-        whatever the facade contributed); without one it still answers
-        usefully from a fresh registry.  Server counters are published as
-        gauges at request time either way — seqs and op counts are
-        monotone, so ``max``-mode gauges track their current value, and
-        ``queue_depth``/``connections`` read as high watermarks.
+        With an enabled bundle this returns everything the server has
+        recorded (latencies, queue depths, shed counts, plus whatever the
+        facade contributed); the disabled bundle hands out a fresh empty
+        registry, so the op still answers usefully.  Server counters are
+        published as gauges at request time either way — seqs and op
+        counts are monotone, so ``max``-mode gauges track their current
+        value, and ``queue_depth``/``connections`` read as high watermarks.
         """
-        registry = self.obs.registry if self.obs is not None else MetricsRegistry()
+        registry = self.obs.registry
         registry.gauge("live.server.enqueued_seq").set(self.enqueued_seq)
         registry.gauge("live.server.applied_seq").set(self.applied_seq)
         registry.gauge("live.server.ingest_queue_depth").set(self.ingest_queue_depth)
@@ -591,7 +578,7 @@ class LiveLocationServer:
         return {
             "ok": True,
             "op": "metrics",
-            "enabled": self.obs is not None,
+            "enabled": self.obs.enabled,
             "metrics": registry.snapshot(),
             "prometheus": registry.to_prometheus(),
         }

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.geo.bbox import BoundingBox
+from repro.obs import NO_OBS, Observability
 from repro.protocols.base import UpdateMessage
 from repro.service.channel import MessageChannel
 from repro.service.facade import LocationService
@@ -228,7 +229,7 @@ async def run_load_test(
     clients: int = 2,
     mode: str = "concurrent",
     wait: bool = True,
-    obs=None,
+    obs: Observability = NO_OBS,
 ) -> LoadTestReport:
     """Drive a running server with *plan*'s traffic, closed-loop.
 
@@ -244,9 +245,10 @@ async def run_load_test(
     With ``wait=False`` ingest requests are submitted in shed-load form:
     a full queue rejects the batch instead of delaying the client.
 
-    An optional :class:`~repro.obs.Observability` bundle gets a span over
+    The :class:`~repro.obs.Observability` bundle *obs* gets a span over
     the whole drive plus the client-side latency distributions
-    (``live.load.ingest`` / ``live.load.query``) merged into its registry.
+    (``live.load.ingest`` / ``live.load.query``) merged into its registry;
+    the default, the disabled :data:`~repro.obs.NO_OBS`, records nothing.
     """
     if mode not in ("concurrent", "lockstep"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -254,32 +256,21 @@ async def run_load_test(
         raise ValueError("need at least one client")
     report = LoadTestReport(mode=mode, clients=clients)
     report.batch_seqs = [None] * len(plan.batches)
-    span = (
-        obs.span(
-            f"loadgen.{mode}",
-            cat="live",
-            args={"clients": clients, "batches": len(plan.batches), "calls": len(plan.calls)},
-        )
-        if obs is not None
-        else None
-    )
     started = _time.perf_counter()
-    try:
+    with obs.span(
+        f"loadgen.{mode}",
+        cat="live",
+        args={"clients": clients, "batches": len(plan.batches), "calls": len(plan.calls)},
+    ):
         if mode == "lockstep":
             await _run_lockstep(plan, host, port, report)
         else:
             await _run_concurrent(plan, host, port, clients, wait, report)
-    finally:
-        if span is not None:
-            span.close()
     report.wall_seconds = _time.perf_counter() - started
-    if obs is not None:
-        obs.latency("live.load.ingest").merge(report.ingest_latency)
-        obs.latency("live.load.query").merge(report.query_latency)
-        if report.rejected_batches:
-            obs.counter("live.load.rejected", deterministic=False).inc(
-                report.rejected_batches
-            )
+    obs.latency("live.load.ingest").merge(report.ingest_latency)
+    obs.latency("live.load.query").merge(report.query_latency)
+    if report.rejected_batches:
+        obs.counter("live.load.rejected", deterministic=False).inc(report.rejected_batches)
     return report
 
 

@@ -39,6 +39,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.obs import NO_OBS, Observability
 from repro.protocols.linear import LinearPredictionProtocol
 from repro.protocols.reporting import DistanceBasedReporting
 from repro.protocols.base import _BASE_UPDATE_BYTES, UpdateReason
@@ -221,7 +222,7 @@ class ColumnarFleetEngine:
         object_ids: Optional[Sequence[str]] = None,
         protocol_name: Optional[str] = None,
         count_initial_update: bool = True,
-        obs=None,
+        obs: Observability = NO_OBS,
     ):
         if mode not in (STATIC, LINEAR):
             raise ValueError(f"mode must be 'static' or 'linear', got {mode!r}")
@@ -257,7 +258,7 @@ class ColumnarFleetEngine:
                 else LinearPredictionProtocol.name
             )
         self.protocol_name = protocol_name
-        #: Optional :class:`~repro.obs.Observability`; the run records the
+        #: The :class:`~repro.obs.Observability` bundle; the run records the
         #: same deterministic ``sim.*`` counters the scalar fleet loop
         #: records (the columnar engine is bit-identical to it, so the
         #: counts agree), plus estimate/loop phase spans.  Aggregate-only:
@@ -313,7 +314,7 @@ class ColumnarFleetEngine:
 
     @classmethod
     def from_lanes(
-        cls, lanes, count_initial_update: bool = True, obs=None
+        cls, lanes, count_initial_update: bool = True, obs: Observability = NO_OBS
     ) -> "ColumnarFleetEngine":
         """Build the engine from :class:`~repro.sim.fleet.FleetLane`\\ s.
 
@@ -369,16 +370,12 @@ class ColumnarFleetEngine:
         n, t_count = store.n, len(times)
         linear = self.mode == LINEAR
         obs = self.obs
-        estimate_span = None if obs is None else obs.span(
-            "columnar.estimate", cat="sim", args={"lanes": n, "samples": t_count}
-        )
-        if linear:
-            velocities, _speeds = estimate_traces(
-                times, self.sensor, self.estimation_window
-            )
-        if estimate_span is not None:
-            estimate_span.close()
-        loop_span = None if obs is None else obs.span(
+        with obs.span("columnar.estimate", cat="sim", args={"lanes": n, "samples": t_count}):
+            if linear:
+                velocities, _speeds = estimate_traces(
+                    times, self.sensor, self.estimation_window
+                )
+        loop_span = obs.span(
             "columnar.loop", cat="sim", args={"lanes": n, "samples": t_count}
         )
         threshold_counts = np.zeros(n, dtype=np.int64)
@@ -431,28 +428,25 @@ class ColumnarFleetEngine:
             ex = srv_x - truth[:, i, 0]
             ey = srv_y - truth[:, i, 1]
             errors[:, i] = np.sqrt(ex * ex + ey * ey)
-        if loop_span is not None:
-            loop_span.close()
+        loop_span.close()
         store.position[:] = sensor[:, -1, :]
         store.has_report[:] = True
         updates = threshold_counts + 1
         store.sequence[:] = updates
         store.updates[:] = updates
         store.bytes_sent[:] = updates * _BASE_UPDATE_BYTES
-        if obs is not None:
-            # The same deterministic counters the scalar fleet loop records
-            # in _record_lane_metrics — the engines are bit-identical, so
-            # the counts agree by construction.
-            registry = obs.registry
-            registry.counter("sim.lanes").inc(n)
-            registry.counter("sim.samples").inc(n * t_count)
-            registry.counter("sim.updates_sent").inc(int(updates.sum()))
-            registry.counter("sim.bytes_sent").inc(int(store.bytes_sent.sum()))
-            registry.counter("sim.error_samples").inc(n * t_count)
-            registry.counter("sim.update_reason.initial").inc(n)
-            threshold_total = int(threshold_counts.sum())
-            if threshold_total:
-                registry.counter("sim.update_reason.threshold").inc(threshold_total)
+        # The same deterministic counters the scalar fleet loop records
+        # in _record_lane_metrics — the engines are bit-identical, so
+        # the counts agree by construction.
+        obs.counter("sim.lanes").inc(n)
+        obs.counter("sim.samples").inc(n * t_count)
+        obs.counter("sim.updates_sent").inc(int(updates.sum()))
+        obs.counter("sim.bytes_sent").inc(int(store.bytes_sent.sum()))
+        obs.counter("sim.error_samples").inc(n * t_count)
+        obs.counter("sim.update_reason.initial").inc(n)
+        threshold_total = int(threshold_counts.sum())
+        if threshold_total:
+            obs.counter("sim.update_reason.threshold").inc(threshold_total)
         duration_h = (
             float(times[-1] - times[0]) / 3600.0 if t_count > 1 else 0.0
         )

@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.geo.bbox import BoundingBox
 from repro.geo.vec import distance
-from repro.obs import Observability
+from repro.obs import NO_OBS, Observability
 from repro.obs.metrics import publish_service_stats
 from repro.protocols.base import UpdateProtocol
 from repro.service.channel import ChannelStats, MessageChannel, delivery_order
@@ -288,12 +288,15 @@ class FleetSimulation:
         genuinely depend on cross-object interleaving: unseeded lossy
         channels and query workloads (one global RNG stream).
     obs:
-        Optional :class:`~repro.obs.Observability` bundle.  When attached,
-        the run records per-event-kind counts, agenda depth, phase spans
-        and per-lane work into it (workers of a multi-process run record
-        into their own bundle; the parent merges the registries back
-        commutatively).  The instruments only watch: results, goldens and
-        bit-identity are unchanged whether ``obs`` is attached or not.
+        The :class:`~repro.obs.Observability` bundle the run records
+        per-event-kind counts, agenda depth, phase spans and per-lane work
+        into (workers of a multi-process run record into their own fresh
+        bundle; the parent merges the registries back commutatively).  A
+        :class:`~repro.service.facade.LocationService` backend without an
+        enabled bundle of its own records into this one too.  The default,
+        the disabled :data:`~repro.obs.NO_OBS`, records nothing.  The
+        instruments only watch: results, goldens and bit-identity are the
+        same whichever bundle is attached.
     """
 
     def __init__(
@@ -306,7 +309,7 @@ class FleetSimulation:
         record_query_answers: bool = False,
         handoff_interval: Optional[float] = None,
         processes: int = 1,
-        obs: Optional[Observability] = None,
+        obs: Observability = NO_OBS,
     ):
         lanes = list(lanes)
         if not lanes:
@@ -422,18 +425,11 @@ class FleetSimulation:
         self.workload_executor = executor
 
         obs = self.obs
-        if obs is not None and getattr(server, "obs", False) is None:
-            # Backends with an obs seam (the sharded facade) inherit the
-            # fleet's bundle unless the caller attached their own.
+        if isinstance(server, LocationService) and not server.obs.enabled:
+            # A facade without a bundle of its own records into the fleet's.
             server.obs = obs
-        loop_span = None if obs is None else obs.span(
-            "fleet.event_loop", cat="sim", args={"lanes": len(states)}
-        )
-        try:
+        with obs.span("fleet.event_loop", cat="sim", args={"lanes": len(states)}):
             self._run_loop(states, channels, executor)
-        finally:
-            if loop_span is not None:
-                loop_span.close()
 
         results = {
             state.lane.object_id: state.finish(self.count_initial_update)
@@ -445,10 +441,9 @@ class FleetSimulation:
                 result.service_stats = {"shard": home_shard(object_id)}
         service_stats = getattr(server, "service_stats", None)
         stats = service_stats() if callable(service_stats) else {}
-        if obs is not None:
-            self._record_lane_metrics(obs, states)
-            if stats and not self._obs_worker:
-                publish_service_stats(obs.registry, stats)
+        self._record_lane_metrics(obs, states)
+        if stats and not self._obs_worker:
+            publish_service_stats(obs.registry, stats)
         return FleetResult(
             results=results,
             service_stats=stats,
@@ -464,22 +459,17 @@ class FleetSimulation:
         matches the single-process run bit for bit (the counters stay
         integers, exact under addition).
         """
-        registry = obs.registry
-        registry.counter("sim.lanes").inc(len(states))
-        registry.counter("sim.samples").inc(sum(len(s.times) for s in states))
-        registry.counter("sim.updates_sent").inc(
-            sum(s.source.updates_sent for s in states)
-        )
-        registry.counter("sim.bytes_sent").inc(
-            sum(s.lane.protocol.bytes_sent for s in states)
-        )
-        registry.counter("sim.error_samples").inc(sum(len(s.errors) for s in states))
+        obs.counter("sim.lanes").inc(len(states))
+        obs.counter("sim.samples").inc(sum(len(s.times) for s in states))
+        obs.counter("sim.updates_sent").inc(sum(s.source.updates_sent for s in states))
+        obs.counter("sim.bytes_sent").inc(sum(s.lane.protocol.bytes_sent for s in states))
+        obs.counter("sim.error_samples").inc(sum(len(s.errors) for s in states))
         reasons: Dict[str, int] = {}
         for state in states:
             for reason, count in state.reasons.items():
                 reasons[reason] = reasons.get(reason, 0) + count
         for reason in sorted(reasons):
-            registry.counter(f"sim.update_reason.{reason}").inc(reasons[reason])
+            obs.counter(f"sim.update_reason.{reason}").inc(reasons[reason])
 
     @staticmethod
     def _fleet_area(states: List["_LaneState"]) -> BoundingBox:
@@ -515,16 +505,15 @@ class FleetSimulation:
         server = self.server
         ingest = getattr(server, "ingest_batch", None)
         obs = self.obs
-        if obs is None:
-            kern = EventKernel()
-            depth_hist = None
-            event_counts = None
-        else:
+        # Read once: the disabled loop installs no per-event hook and skips
+        # the per-instant depth and flight-recorder bookkeeping.
+        enabled = obs.enabled
+        event_counts = [0] * len(KIND_NAMES)
+        if enabled:
             # One list-index increment + one ring append per event; the
             # counts land in the registry after the loop.  SAMPLE/TIMER/
             # DELIVERY events are per lane (partition-invariant, hence
             # deterministic); HANDOFF/QUERY are per kernel instance.
-            event_counts = [0] * len(KIND_NAMES)
             flight_note = obs.flight.note
 
             def _on_pop(t, prio, seq, _counts=event_counts, _note=flight_note):
@@ -532,10 +521,12 @@ class FleetSimulation:
                 _note(t, prio, seq)
 
             kern = EventKernel(on_pop=_on_pop)
-            depth_hist = obs.histogram(
-                "kernel.agenda_depth",
-                bounds=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384),
-            )
+        else:
+            kern = EventKernel()
+        depth_hist = obs.histogram(
+            "kernel.agenda_depth",
+            bounds=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384),
+        )
         agenda = kern.agenda
         # The merged sample stream: every lane's sightings in time order,
         # simultaneous ones in lane order, closed by an infinite sentinel.
@@ -605,7 +596,7 @@ class FleetSimulation:
                     t = agenda[0][0]
                 elif t == inf:
                     break
-                if depth_hist is not None:
+                if enabled:
                     depth_hist.observe(len(agenda))
                     n_instants += 1
                 first = k
@@ -615,7 +606,7 @@ class FleetSimulation:
                     if uses_timer[n]:
                         arm_timer(n)
                     k += 1
-                if event_counts is not None and k > first:
+                if enabled and k > first:
                     event_counts[SAMPLE] += k - first
                     for j in range(first, k):
                         flight_note(t, SAMPLE, j)
@@ -699,19 +690,17 @@ class FleetSimulation:
                     nxt = executor.next_arrival(t)
                     if nxt <= end_time:
                         kern.schedule(nxt, QUERY, None)
-            if obs is not None:
-                for kind, name in KIND_NAMES.items():
-                    if event_counts[kind]:
-                        obs.counter(
-                            f"kernel.events.{name}",
-                            deterministic=kind in (SAMPLE, TIMER, DELIVERY),
-                        ).inc(event_counts[kind])
-                obs.counter("kernel.instants", deterministic=False).inc(n_instants)
+            for kind, name in KIND_NAMES.items():
+                if event_counts[kind]:
+                    obs.counter(
+                        f"kernel.events.{name}",
+                        deterministic=kind in (SAMPLE, TIMER, DELIVERY),
+                    ).inc(event_counts[kind])
+            obs.counter("kernel.instants", deterministic=False).inc(n_instants)
         except BaseException:
             # The flight recorder earns its keep here: the last events the
             # loop handled, in order, right before the failure.
-            if obs is not None:
-                obs.dump_flight(reason="fleet event loop died")
+            obs.dump_flight(reason="fleet event loop died")
             raise
         finally:
             for channel in channels:
@@ -756,7 +745,7 @@ class FleetSimulation:
         from repro.sim.runner import auto_region_size
 
         obs = self.obs
-        partition_span = None if obs is None else obs.span(
+        partition_span = obs.span(
             "fleet.partition", cat="sim", args={"processes": self.processes}
         )
         policy = GridHashPolicy(
@@ -778,20 +767,15 @@ class FleetSimulation:
                 handoff_interval=self.handoff_interval,
                 clock_start=clock_start,
                 horizon=horizon,
-                obs_enabled=obs is not None,
+                obs=obs.fresh(),
             )
             for shard in sorted(groups)
         ]
-        if partition_span is not None:
-            partition_span.args["tasks"] = len(tasks)
-            partition_span.close()
-        execute_span = None if obs is None else obs.span(
-            "fleet.execute_shards", cat="sim", args={"tasks": len(tasks)}
-        )
-        outcomes = _execute_shard_tasks(tasks, self.processes)
-        if execute_span is not None:
-            execute_span.close()
-        merge_span = None if obs is None else obs.span("fleet.merge", cat="sim")
+        partition_span.args["tasks"] = len(tasks)
+        partition_span.close()
+        with obs.span("fleet.execute_shards", cat="sim", args={"tasks": len(tasks)}):
+            outcomes = _execute_shard_tasks(tasks, self.processes)
+        merge_span = obs.span("fleet.merge", cat="sim")
 
         # Per-lane results, in lane order (the single-process dict order).
         by_object: Dict[str, SimulationResult] = {}
@@ -823,23 +807,18 @@ class FleetSimulation:
 
         service_stats = self._merge_service_stats(outcomes)
 
-        if obs is not None:
-            # Fold every worker's registry back (commutative, so worker
-            # completion order cannot matter) and adopt its spans under a
-            # per-shard pid for the Perfetto view.  The merged service
-            # stats are published here — and only here — so the counters
-            # match a single-process run of the same fleet exactly.
-            for k, outcome in enumerate(outcomes):
-                worker_registry = outcome.get("obs_registry")
-                if worker_registry is not None:
-                    obs.registry.merge(worker_registry)
-                worker_events = outcome.get("obs_trace")
-                if worker_events:
-                    obs.tracer.adopt(worker_events, pid=k + 1, name=f"shard-{k}")
-            if service_stats:
-                publish_service_stats(obs.registry, service_stats)
-            if merge_span is not None:
-                merge_span.close()
+        # Fold every worker's registry back (commutative, so worker
+        # completion order cannot matter) and adopt its spans under a
+        # per-shard pid for the Perfetto view.  The merged service stats
+        # are published here — and only here — so the counters match a
+        # single-process run of the same fleet exactly.
+        for k, outcome in enumerate(outcomes):
+            worker = outcome["obs"]
+            obs.registry.merge(worker.registry)
+            obs.tracer.adopt(worker.tracer.events(), pid=k + 1, name=f"shard-{k}")
+        if service_stats:
+            publish_service_stats(obs.registry, service_stats)
+        merge_span.close()
 
         # Register the lanes with the parent backend so the one-shot
         # protection (and any later lookups) behave as after a local run.
@@ -914,21 +893,20 @@ class _ShardTask:
     handoff_interval: Optional[float]
     clock_start: float
     horizon: float
-    obs_enabled: bool = False
+    #: A fresh bundle of the parent's kind (never the parent's own, which
+    #: would duplicate whatever it already counted); it travels back in
+    #: the outcome for the parent to merge.
+    obs: Observability
 
     def run(self) -> Dict[str, object]:
         """Run this shard's lanes and package the mergeable outcome."""
-        # A worker builds its own fresh bundle (never the parent's pickled
-        # copy, which would duplicate whatever the parent already counted)
-        # and ships the registry + spans back in the outcome.
-        obs = Observability() if self.obs_enabled else None
         fleet = FleetSimulation(
             self.lanes,
             channel=self.shared_channel,
             server=self.server,
             count_initial_update=self.count_initial_update,
             handoff_interval=self.handoff_interval,
-            obs=obs,
+            obs=self.obs,
         )
         fleet._obs_worker = True
         fleet._clock_start = self.clock_start
@@ -959,8 +937,7 @@ class _ShardTask:
             "channel_stats": channel_stats,
             "ingest_instants": instants,
             "service_stats": outcome.service_stats or None,
-            "obs_registry": obs.registry if obs is not None else None,
-            "obs_trace": obs.tracer.events() if obs is not None else None,
+            "obs": self.obs,
         }
 
 

@@ -9,9 +9,10 @@ What the obs package promises, pinned:
 * **Nearest-rank percentiles** — one implementation
   (:func:`repro.obs.metrics.nearest_rank`) shared by the live tier and
   the benchmarks, property-tested against :mod:`statistics`.
-* **No-op when absent, inert when present** — an attached
-  :class:`~repro.obs.Observability` bundle changes no result bit on any
-  canonical scenario.
+* **No-op when disabled, inert when enabled** — the default
+  :data:`~repro.obs.NO_OBS` keeps nothing and unpickles to itself, and an
+  attached :class:`~repro.obs.Observability` bundle changes no result bit
+  on any canonical scenario.
 * **Chrome-trace export** — the tracer's JSON validates as a
   ``trace_event`` document (Perfetto-openable), worker spans adopt under
   their own pid, and the flight recorder dumps readable kernel events.
@@ -26,13 +27,15 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import pickle
 import statistics
 
 import numpy as np
 import pytest
 
 from repro.experiments.library import FleetMix, fleet_lanes
-from repro.obs import Observability, build_manifest, config_hash, git_revision
+from repro.geo.bbox import BoundingBox
+from repro.obs import NO_OBS, Observability, build_manifest, config_hash, git_revision
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -207,7 +210,7 @@ class TestRegistryMerge:
 # --------------------------------------------------------------------------- #
 # fleet integration: bit-identity and cross-worker determinism
 # --------------------------------------------------------------------------- #
-def _library_fleet(mix_text, obs=None, processes=1, shards=1, scale=0.1, seed=11):
+def _library_fleet(mix_text, obs=NO_OBS, processes=1, shards=1, scale=0.1, seed=11):
     lanes = fleet_lanes([FleetMix.parse(mix_text)], scale=scale, seed=seed)
     server = LocationService(n_shards=shards) if shards > 1 else None
     return FleetSimulation(
@@ -282,6 +285,60 @@ class TestFleetObservability:
         pids = {event["pid"] for event in obs.tracer.events() if event["ph"] == "X"}
         assert len(pids) >= 2
         assert validate_chrome_trace(obs.tracer.to_chrome()) == []
+
+
+def _assert_holds_nothing(bundle):
+    """The disabled bundle has no state of its own and reports empty views."""
+    assert bundle is NO_OBS and not bundle.enabled
+    assert not hasattr(bundle, "__dict__")
+    for slot in Observability.__slots__:
+        with pytest.raises(AttributeError):
+            getattr(Observability, slot).__get__(bundle)
+    assert bundle.report() == {"metrics": {}, "deterministic_metrics": {}}
+    assert len(bundle.tracer) == 0 and len(bundle.flight) == 0
+
+
+class TestDisabledBundle:
+    def test_unpickles_to_the_singleton(self):
+        assert pickle.loads(pickle.dumps(NO_OBS)) is NO_OBS
+        assert NO_OBS.fresh() is NO_OBS
+
+    def test_instruments_and_spans_are_shared_no_ops(self):
+        with NO_OBS.span("phase", args={"k": 1}) as span:
+            span.args["tasks"] = 3
+        assert span is NO_OBS.span("other") is NO_OBS.counter("c")
+        assert span.args == {}
+        assert span.close() == 0.0
+        NO_OBS.counter("c").inc(5)
+        NO_OBS.gauge("g", mode="sum").set(2.0)
+        NO_OBS.histogram("h", bounds=(1.0,)).observe(0.5)
+        NO_OBS.latency("l").record(0.1)
+        NO_OBS.latency("l").merge(LatencyRecorder([0.2]))
+        NO_OBS.registry.counter("scratch").inc()
+        _assert_holds_nothing(NO_OBS)
+
+    def test_pickled_service_comes_back_disabled(self):
+        service = LocationService(n_shards=2)
+        assert service.obs is NO_OBS
+        assert pickle.loads(pickle.dumps(service)).obs is NO_OBS
+        service.obs = Observability()
+        assert pickle.loads(pickle.dumps(service)).obs is NO_OBS
+
+    def test_runs_without_obs_record_nothing(self):
+        multiprocess = _library_fleet("city:linear:100:6", processes=2, shards=4)
+        assert multiprocess.obs is NO_OBS
+        multiprocess.run()
+        # The facade queries run against a populated single-process service.
+        fleet = _library_fleet("city:linear:100:6", shards=4)
+        fleet.run()
+        service = fleet.server
+        assert service.obs is NO_OBS
+        t = 60.0
+        centre = service.predict_position(service.object_ids()[0], t)
+        assert service.range_query(BoundingBox.around(centre, 5000.0), t)
+        assert service.nearest_objects(centre, t, k=3)
+        assert service.geofence_query(centre, 5000.0, t)
+        _assert_holds_nothing(NO_OBS)
 
 
 # --------------------------------------------------------------------------- #

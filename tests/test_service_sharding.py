@@ -202,6 +202,39 @@ class TestBatchedIngestion:
         service.ingest_batch([], 0.0)
         assert service.counters.batches_ingested == 0
 
+    def test_failing_ingest_leaves_every_record_home_and_counter_untouched(self):
+        service = LocationService(n_shards=2)
+        service.register_object("obj", prediction=LinearPrediction())
+        service.register_object("mover", prediction=LinearPrediction())
+        before = service.service_stats()
+        homes = {oid: service.home_shard(oid) for oid in ("obj", "mover")}
+        # The linear prediction at t = 1e308 leaves the finite plane.
+        runaway = make_message(time=0.0, velocity=(10.0, 10.0))
+        for batch in (
+            [("obj", runaway)],
+            [("mover", make_message(position=(9000.0, 9000.0))), ("obj", runaway)],
+        ):
+            with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+                service.ingest_batch(batch, 1e308)
+            for oid in ("obj", "mover"):
+                record = service.shards[homes[oid]].tracked_object(oid)
+                assert record.updates_received == 0
+                assert record.last_update_time is None
+                assert record.state is None
+                assert service.home_shard(oid) == homes[oid]
+            assert service.counters.batches_ingested == 0
+            assert service.service_stats() == before
+        # The per-message path refuses the same update just as cleanly.
+        with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+            service.receive_update("obj", runaway, 1e308)
+        assert service.shards[homes["obj"]].tracked_object("obj").updates_received == 0
+        assert service.service_stats() == before
+        # The service stays usable after the refused batch.
+        service.ingest_batch([("mover", make_message(position=(9000.0, 9000.0)))], 1.0)
+        home = service.home_shard("mover")
+        assert service.shards[home].tracked_object("mover").updates_received == 1
+        assert service.counters.batches_ingested == 1
+
 
 class TestServiceQueries:
     """Index-backed service answers == linear reference scans, bit for bit."""
