@@ -1,15 +1,42 @@
-"""The sharded location-service tier.
+"""The sharded location-service tier, served from one columnar row table.
 
-:class:`LocationService` is the serving-layer facade: it partitions tracked
-objects across N :class:`~repro.service.server.LocationServer` shards by
-spatial region (pluggable :class:`~repro.service.sharding.ShardingPolicy`,
-grid-hash by default), ingests update batches per simulation tick, hands
-objects off between shards when their predicted position crosses a shard
-boundary, and answers application queries through one columnar
-:class:`~repro.service.query_engine.QueryEngine` per shard — vectorised
-NumPy kernels over contiguous per-shard columns instead of per-object
-Python loops.  That engine is the only one; the incremental grid-index
-engine it is asserted bit-identical to is a test oracle.
+:class:`LocationService` is the serving-layer facade.  It keeps the server
+state of the paper's Fig. 1 — each object's last update plus the prediction
+function it shares with its source — for a whole fleet, partitions the
+objects across N shards by spatial region (pluggable
+:class:`~repro.service.sharding.ShardingPolicy`, grid-hash by default),
+ingests update batches, hands objects off between shards when their
+predicted position crosses a shard boundary, and answers application
+queries through one columnar
+:class:`~repro.service.query_engine.QueryEngine` per shard.
+
+The state is one fleet-wide row table: the :class:`TrackedObject` record of
+every object (the same record a plain
+:class:`~repro.service.server.LocationServer` keeps) plus NumPy columns with
+what a query needs from it::
+
+    row         0         1        ...
+    _pos        [x, y]    [x, y]       reported position         float64 (cap, 2)
+    _vel        [vx, vy]  [vx, vy]     reported velocity         float64 (cap, 2)
+    _t          t0        t1           report time               float64
+    _reported   True      False        has reported at least once
+    _kind       LINEAR    CALLED       closed-form prediction or not
+    _home       2         0            home shard                int64
+
+An update writes its record and its column row in the same step, so there
+is no second copy that can drift, and a handoff is one write to ``_home``.
+:meth:`LocationService.prepare` then brings the engines up to a query time
+in one vectorised pass: ``pos + vel * (t - t_rep)`` for every
+:class:`~repro.protocols.prediction.LinearPrediction` row (the same
+operations as ``LinearPrediction.predict``, hence bit-identical), ``pos``
+for every :class:`~repro.protocols.prediction.StaticPrediction` row, one
+``record.predict(t)`` call per remaining row (map-based, route, quadratic),
+one vectorised routing pass
+(:meth:`~repro.service.sharding.ShardingPolicy.shards_for_points`), a
+handoff only for rows whose target differs from their home, and a position
+array per shard for its engine.  A shard's id list is rebuilt only when its
+membership changed.  Rows whose prediction is not finite keep their home:
+placement never changes answers.
 
 The facade implements the :class:`LocationServer` surface the fleet loop
 drives (``register_object`` / ``receive_update`` / ``predict_position`` /
@@ -33,11 +60,38 @@ import numpy as np
 from repro.geo.bbox import BoundingBox
 from repro.geo.vec import Vec2, as_vec
 from repro.obs import NO_OBS, Observability
-from repro.protocols.base import ObjectState, UpdateMessage
-from repro.protocols.prediction import PredictionFunction
+from repro.protocols.base import UpdateMessage
+from repro.protocols.prediction import LinearPrediction, PredictionFunction, StaticPrediction
 from repro.service.query_engine import QueryEngine
-from repro.service.server import LocationServer, TrackedObject
+from repro.service.server import TrackedObject
 from repro.service.sharding import GridHashPolicy, ShardingPolicy
+
+#: Prediction kinds of the ``_kind`` column: closed-form linear, closed-form
+#: static, and called per row (every other prediction function).  Columns
+#: start zeroed, so a linear row needs no write at registration.
+_LINEAR, _STATIC, _CALLED = 0, 1, 2
+#: Exact prediction types with a closed form (subclasses may override it).
+_CLOSED_FORM = {LinearPrediction: _LINEAR, StaticPrediction: _STATIC}
+
+#: The row-table columns, grown together by doubling.
+_COLUMNS = ("_pos", "_vel", "_t", "_reported", "_kind", "_home")
+
+
+def _extrapolate(
+    kind: np.ndarray, pos: np.ndarray, vel: np.ndarray, reported_at: np.ndarray, time: float
+) -> np.ndarray:
+    """Closed-form predictions at *time* for rows of the given kinds.
+
+    ``pos + vel * (time - reported_at)`` is ``LinearPrediction.predict``
+    operation for operation; static rows are ``pos``.  Rows of the called
+    kind hold placeholders the caller overwrites.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        predicted = pos + vel * (time - reported_at)[:, None]
+    static = kind == _STATIC
+    if static.any():
+        predicted[static] = pos[static]
+    return predicted
 
 
 @dataclass(slots=True)
@@ -50,11 +104,11 @@ class ShardLoad:
     handoffs_out: int = 0
     engine_queries: int = 0
 
-    def as_dict(self, shard: LocationServer, engine: QueryEngine) -> Dict[str, object]:
+    def as_dict(self, objects: int, engine: QueryEngine) -> Dict[str, object]:
         """One flat row for reports and artifacts."""
         return {
             "shard": self.shard_id,
-            "objects": len(shard),
+            "objects": objects,
             "updates": self.updates,
             "handoffs_in": self.handoffs_in,
             "handoffs_out": self.handoffs_out,
@@ -85,12 +139,12 @@ class QueryCounters:
 
 
 class LocationService:
-    """Facade over N spatially sharded location servers plus query engines.
+    """Facade over one columnar row table, N spatial shards and their query engines.
 
     Parameters
     ----------
     n_shards:
-        Number of :class:`LocationServer` shards.
+        Number of shards (one query engine each).
     policy:
         Sharding policy; defaults to :class:`GridHashPolicy` over
         ``region_size``-metre routing cells.
@@ -115,7 +169,6 @@ class LocationService:
                 f"policy is for {policy.n_shards} shards, service has {n_shards}"
             )
         self.policy = policy
-        self.shards: List[LocationServer] = [LocationServer() for _ in range(n_shards)]
         self.engines: List[QueryEngine] = [
             QueryEngine(cell_size=engine_cell_size) for _ in range(n_shards)
         ]
@@ -130,8 +183,22 @@ class LocationService:
         #: its own bundle to a facade that has none enabled.
         self.obs: Observability = NO_OBS
         self._records: Dict[str, TrackedObject] = {}
-        self._home: Dict[str, int] = {}
+        self._rows: Dict[str, int] = {}
+        self._ids: List[str] = []
+        #: ``(row, record)`` of every object whose prediction is not closed-form.
+        self._called: List[Tuple[int, TrackedObject]] = []
+        self._n = 0
+        self._pos = np.zeros((0, 2))
+        self._vel = np.zeros((0, 2))
+        self._t = np.zeros(0)
+        self._reported = np.zeros(0, dtype=bool)
+        self._kind = np.zeros(0, dtype=np.int8)
+        self._home = np.zeros(0, dtype=np.int64)
+        #: Per shard, the ``(rows, ids)`` of its reported objects, or ``None``
+        #: once its membership changed.
+        self._members: List[Optional[Tuple[np.ndarray, List[str]]]] = [None] * n_shards
         self._prepared_time: Optional[float] = None
+        self._prepared_version = -1
         self._dirty = True
         # Largest finite accuracy over all registered objects: the exact,
         # conservative probe-box expansion for margin range queries.
@@ -140,7 +207,7 @@ class LocationService:
     @property
     def n_shards(self) -> int:
         """Number of shards."""
-        return len(self.shards)
+        return self.policy.n_shards
 
     def __getstate__(self) -> Dict[str, object]:
         # Observability never crosses process boundaries: a worker replica
@@ -167,16 +234,37 @@ class LocationService:
         """
         if object_id in self._records:
             raise ValueError(f"object {object_id!r} already registered")
-        home = self.policy.shard_for_id(object_id)
-        record = self.shards[home].register_object(
-            object_id, prediction=prediction, accuracy=accuracy
+        record = TrackedObject(
+            object_id=object_id,
+            prediction=prediction or StaticPrediction(),
+            accuracy=float(accuracy),
         )
+        row = self._n
+        if row == len(self._t):
+            self._grow()
+        kind = _CLOSED_FORM.get(type(record.prediction), _CALLED)
+        if kind != _LINEAR:
+            self._kind[row] = kind
+            if kind == _CALLED:
+                self._called.append((row, record))
+        self._home[row] = self.policy.shard_for_id(object_id)
+        self._n = row + 1
         self._records[object_id] = record
-        self._home[object_id] = home
+        self._rows[object_id] = row
+        self._ids.append(object_id)
         if record.accuracy != float("inf"):
             self._max_finite_accuracy = max(self._max_finite_accuracy, record.accuracy)
         self._dirty = True
         return record
+
+    def _grow(self) -> None:
+        """Double the row capacity (registration stays amortised O(1))."""
+        capacity = max(1024, 2 * self._n)
+        for name in _COLUMNS:
+            old = getattr(self, name)
+            new = np.zeros((capacity,) + old.shape[1:], dtype=old.dtype)
+            new[: self._n] = old[: self._n]
+            setattr(self, name, new)
 
     def is_registered(self, object_id: str) -> bool:
         """Whether *object_id* is known to the service."""
@@ -186,9 +274,17 @@ class LocationService:
         """All registered object ids, in registration order."""
         return list(self._records)
 
+    def tracked_object(self, object_id: str) -> TrackedObject:
+        """The server-side record for *object_id*."""
+        return self._records[object_id]
+
     def home_shard(self, object_id: str) -> int:
         """The shard currently responsible for *object_id*."""
-        return self._home[object_id]
+        return int(self._home[self._rows[object_id]])
+
+    def shard_sizes(self) -> List[int]:
+        """Registered objects per shard (silent objects count on their id shard)."""
+        return np.bincount(self._home[: self._n], minlength=self.n_shards).tolist()
 
     def predict_position(self, object_id: str, time: float) -> Optional[np.ndarray]:
         """The position the service assumes for *object_id* at *time*."""
@@ -207,15 +303,10 @@ class LocationService:
     def receive_update(self, object_id: str, message: UpdateMessage, time: float) -> None:
         """Apply one update message (per-message ingestion path).
 
-        All-or-nothing like :meth:`ingest_batch`: the new home is computed
-        before the first write.
+        The same all-or-nothing step as a one-message :meth:`ingest_batch`,
+        without the batch counters.
         """
-        target = self._target(object_id, message.state, time)
-        home = self._home[object_id]
-        self.shards[home].receive_update(object_id, message, time)
-        self.loads[home].updates += 1
-        self._dirty = True
-        self._move(object_id, target)
+        self._apply([(object_id, message)], time)
 
     def ingest_batch(
         self, messages: Sequence[Tuple[str, UpdateMessage]], time: float
@@ -223,7 +314,7 @@ class LocationService:
         """Apply one tick's worth of delivered updates, then re-home.
 
         All updates are applied first and handoffs run once per touched
-        object afterwards; because a handoff moves the record wholesale
+        object afterwards; because a handoff only changes the home shard
         (state, counters, timestamps untouched), the resulting service
         *state* — records, predictions, homes — is identical to the
         per-message path.  Load counters may attribute differently in the
@@ -237,58 +328,122 @@ class LocationService:
         """
         if not messages:
             return
-        latest = {object_id: message.state for object_id, message in messages}
-        targets = [(oid, self._target(oid, state, time)) for oid, state in latest.items()]
-        for object_id, message in messages:
-            home = self._home[object_id]
-            self.shards[home].receive_update(object_id, message, time)
-            self.loads[home].updates += 1
-        self._dirty = True
+        self._apply(messages, time)
         self.counters.batches_ingested += 1
         self.obs.histogram(
             "service.ingest.batch_size",
             bounds=(1, 2, 4, 8, 16, 32, 64, 128, 256, 1024),
         ).observe(len(messages))
-        for object_id, target in targets:
-            self._move(object_id, target)
 
-    def _target(self, object_id: str, state: ObjectState, time: float) -> int:
-        """The shard owning the position *state* predicts for *object_id* at *time*."""
-        return self.policy.shard_for_point(
-            self._records[object_id].prediction.predict(state, time)
-        )
+    def _apply(self, messages: Sequence[Tuple[str, UpdateMessage]], time: float) -> None:
+        """Write *messages* into records and columns, then re-home the touched rows."""
+        latest = {object_id: message.state for object_id, message in messages}
+        records = [self._records[object_id] for object_id in latest]
+        rows = np.array([self._rows[object_id] for object_id in latest], dtype=np.intp)
+        states = list(latest.values())
+        pos = np.array([state.position for state in states])
+        vel = np.array([state.velocity for state in states])
+        reported_at = np.array([state.time for state in states], dtype=float)
+        kind = self._kind[rows]
+        predicted = _extrapolate(kind, pos, vel, reported_at, time)
+        for i in np.flatnonzero(kind == _CALLED).tolist():
+            predicted[i] = records[i].prediction.predict(states[i], time)
+        # Raises for a prediction off the finite plane: nothing written yet.
+        targets = self.policy.shards_for_points(predicted)
 
-    def _move(self, object_id: str, target: int) -> None:
-        """Hand *object_id* off to shard *target* (no-op when already home)."""
-        home = self._home[object_id]
-        if target == home:
-            return
-        self.shards[target].adopt(self.shards[home].remove_object(object_id))
-        self._home[object_id] = target
+        homes = self._home[rows]
+        home_of = dict(zip(latest, homes.tolist()))
+        for object_id, message in messages:
+            record = self._records[object_id]
+            record.state = message.state
+            record.updates_received += 1
+            record.last_update_time = time
+            self.loads[home_of[object_id]].updates += 1
+        for shard in set(homes[~self._reported[rows]].tolist()):
+            self._members[shard] = None
+        self._pos[rows] = pos
+        self._vel[rows] = vel
+        self._t[rows] = reported_at
+        self._reported[rows] = True
+        self._dirty = True
+        movers = np.flatnonzero(targets != homes)
+        for row, target in zip(rows[movers].tolist(), targets[movers].tolist()):
+            self._move(row, target)
+
+    def _move(self, row: int, target: int) -> None:
+        """Hand row *row* off to shard *target* (callers skip rows already home)."""
+        home = int(self._home[row])
+        self._home[row] = target
         self.loads[home].handoffs_out += 1
         self.loads[target].handoffs_in += 1
+        self._members[home] = self._members[target] = None
         self._dirty = True
+
+    def _predicted(self, time: float) -> np.ndarray:
+        """Every row's predicted position at *time* (silent rows hold placeholders)."""
+        n = self._n
+        predicted = _extrapolate(self._kind[:n], self._pos[:n], self._vel[:n], self._t[:n], time)
+        for row, record in self._called:
+            position = record.predict(time)
+            if position is not None:
+                predicted[row] = position
+        return predicted
+
+    def _rehome(self, predicted: np.ndarray) -> int:
+        """Hand off every reported row whose *predicted* position left its shard.
+
+        Rows whose prediction is not finite keep their home (placement never
+        changes answers).  Returns the number of handoffs.
+        """
+        n = self._n
+        home = self._home[:n]
+        finite = np.isfinite(predicted)
+        routed = self._reported[:n] & finite[:, 0] & finite[:, 1]
+        if not routed.all():
+            # Parked rows route from the origin; their target is discarded.
+            predicted = np.where(routed[:, None], predicted, 0.0)
+        targets = np.where(routed, self.policy.shards_for_points(predicted), home)
+        movers = np.flatnonzero(targets != home)
+        for row, target in zip(movers.tolist(), targets[movers].tolist()):
+            self._move(row, target)
+        return len(movers)
+
+    def _members_of(self, shard: int) -> Tuple[np.ndarray, List[str]]:
+        """Rows and ids of *shard*'s reported objects, rebuilt after a change."""
+        members = self._members[shard]
+        if members is None:
+            n = self._n
+            rows = np.flatnonzero(self._reported[:n] & (self._home[:n] == shard))
+            ids = self._ids
+            members = self._members[shard] = (rows, [ids[row] for row in rows.tolist()])
+        return members
+
+    def shard_positions(self, shard: int, time: float) -> np.ndarray:
+        """Predicted positions at *time* of the reported objects homed on *shard*.
+
+        Reads the current placement as it is (no handoffs); an ``(n, 2)``
+        array in row order.
+        """
+        rows, _ids = self._members_of(shard)
+        return self._predicted(time)[rows]
 
     def rebalance(self, time: float) -> int:
         """Hand off every object whose prediction drifted across a boundary.
 
         Pure placement maintenance for the event kernel's periodic
-        ``HANDOFF`` events: between updates an object's *predicted*
+        ``HANDOFF`` events and for :class:`~repro.service.sharding.RebalancePolicy`
+        after it moved cells: between updates an object's *predicted*
         position keeps moving, so a long-silent object can drift out of its
-        home shard's region; this sweeps every record to its spatial home
-        at *time*.  Unlike :meth:`prepare` it does not touch the query
-        engines.  Returns the number of handoffs performed.  Handoffs move
-        records wholesale, so query answers and simulation results are
-        unaffected — only the per-shard placement counters change.
+        home shard's region; this sweeps every row to its spatial home at
+        *time* with the same predict-and-route pass as :meth:`prepare`, but
+        does not touch the query engines.  Returns the number of handoffs.
+        Handoffs only change placement, so query answers and simulation
+        results are unaffected — only the per-shard counters change.
         """
         if self.n_shards <= 1:
             return 0
         started = _time.perf_counter()
-        before = sum(load.handoffs_in for load in self.loads)
-        for object_id, record in self._records.items():
-            if record.state is not None:
-                self._move(object_id, self._target(object_id, record.state, time))
-        moved = sum(load.handoffs_in for load in self.loads) - before
+        moved = self._rehome(self._predicted(time))
         self.obs.latency("service.rebalance.seconds").record(_time.perf_counter() - started)
         return moved
 
@@ -296,33 +451,29 @@ class LocationService:
     # query engine maintenance
     # ------------------------------------------------------------------ #
     def prepare(self, time: float) -> None:
-        """Bring every shard's query index up to date for queries at *time*.
+        """Bring every shard's query engine up to date for queries at *time*.
 
-        One pass computes the predicted positions per shard, hands off
-        objects whose prediction drifted across a shard boundary since their
-        last update, and incrementally syncs each shard's engine.  Repeated
-        queries at the same *time* hit the prepared indexes directly — this
+        One pass predicts every row, hands off the rows whose prediction
+        crossed a shard boundary since their last update, and gives each
+        engine its members' positions (see the module docstring).  Repeated
+        queries at the same *time* hit the prepared engines directly — this
         is what makes a query wave O(results) instead of O(fleet) each.
         """
-        if not self._dirty and self._prepared_time == time:
+        if (
+            not self._dirty
+            and self._prepared_time == time
+            and self._prepared_version == self.policy.version
+        ):
             return
-        per_shard: List[Dict[str, np.ndarray]] = [
-            shard.all_positions(time) for shard in self.shards
-        ]
+        predicted = self._predicted(time)
         if self.n_shards > 1:
-            for source, positions in enumerate(per_shard):
-                movers = [
-                    (oid, target)
-                    for oid, p in positions.items()
-                    if (target := self.policy.shard_for_point(p)) != source
-                ]
-                for object_id, target in movers:
-                    self._move(object_id, target)
-                    per_shard[target][object_id] = positions.pop(object_id)
-        for engine, positions in zip(self.engines, per_shard):
-            engine.sync(positions, time)
+            self._rehome(predicted)
+        for shard, engine in enumerate(self.engines):
+            rows, ids = self._members_of(shard)
+            engine.sync(ids, predicted[rows], time)
         self.counters.syncs += 1
         self._prepared_time = float(time)
+        self._prepared_version = self.policy.version
         self._dirty = False
 
     # ------------------------------------------------------------------ #
@@ -412,7 +563,12 @@ class LocationService:
         p = as_vec(point)
         merged: List[Tuple[str, float]] = []
         if radius >= 0:
-            box = BoundingBox.around(p, radius)
+            # Route with a box a hair wider than the radius: a distance that
+            # rounds (or underflows) down to *radius* can belong to a point
+            # just outside ``around(p, radius)``.  Routing may name a shard
+            # too many, never one too few; each engine tests the exact radius.
+            slack = 1e-12 * (radius + abs(p[0]) + abs(p[1])) + 1e-150
+            box = BoundingBox.around(p, radius + slack)
             for shard_id in self.policy.shards_for_box(box):
                 self.loads[shard_id].engine_queries += 1
                 merged.extend(self.engines[shard_id].within_radius(p, radius))
@@ -429,8 +585,8 @@ class LocationService:
     def shard_rows(self) -> List[Dict[str, object]]:
         """One flat counter row per shard (reports / artifacts)."""
         return [
-            load.as_dict(shard, engine)
-            for load, shard, engine in zip(self.loads, self.shards, self.engines)
+            load.as_dict(objects, engine)
+            for load, objects, engine in zip(self.loads, self.shard_sizes(), self.engines)
         ]
 
     def service_stats(self) -> Dict[str, object]:

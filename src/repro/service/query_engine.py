@@ -16,10 +16,14 @@ NumPy columns instead::
     _pos     [x, y]   [x, y]   [x, y]       float64, shape (N, 2)
     _cells   [cx,cy]  [cx,cy]  [cx,cy]      int64,   shape (N, 2)
 
-* :meth:`sync` is a vectorised diff: one stack + one floor-divide pass
-  computes every object's cell, and when the membership is unchanged (the
-  steady state) the moved count is a single boolean-mask reduction — no
-  per-object dict probes, no closures, no drop-list scan.
+* :meth:`sync` takes the shard's id list plus an ``(N, 2)`` position
+  array (the :class:`~repro.service.facade.LocationService` row table
+  predicts every row in one pass and hands each shard its slice).  One
+  floor-divide computes every object's cell; when the caller hands back the
+  same id list (membership unchanged, the steady state) the moved count is
+  a single boolean-mask reduction and the id table is kept as it is.  Only
+  a membership change rebuilds the id table, with one dict probe per id
+  to count the objects that are new or changed cell.
 * :meth:`range_query` / :meth:`k_nearest` / :meth:`within_radius` are
   vectorised kernels (boolean mask / ``argpartition`` + boundary expansion /
   mask, each finished by a ``lexsort`` on ``(distance, id)``).
@@ -38,7 +42,8 @@ oracle in ``tests/reference/scalar_query_engine.py``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from itertools import repeat
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -97,20 +102,19 @@ class QueryEngine:
     # ------------------------------------------------------------------ #
     # columnar maintenance
     # ------------------------------------------------------------------ #
-    def sync(self, positions: Mapping[str, np.ndarray], time: float) -> int:
-        """Bring the columns up to date with *positions* at *time*.
+    def sync(self, object_ids: List[str], positions: np.ndarray, time: float) -> int:
+        """Replace the columns with *object_ids* at *positions* (``(n, 2)``).
 
-        Objects absent from *positions* are dropped; the return value
-        counts re-homed rows (new objects plus objects whose position moved
-        into a different cell), matching the scalar oracle engine's
+        Ids absent from *object_ids* are dropped; the return value counts
+        re-homed rows (new objects plus objects whose position moved into a
+        different cell), matching the scalar oracle engine's
         re-registration count bit for bit.
 
-        The steady state — same object ids in the same order, only the
-        positions moved — is one stacked array build, one floor-divide and
-        one boolean-mask reduction; the drop scan and the row-table rebuild
-        are skipped entirely.
+        The caller hands the same id list object back while the membership
+        is unchanged (the steady state): then a sync is one floor-divide
+        and one boolean-mask reduction, and the id table is not rebuilt.
+        *positions* is kept as the position column, not copied.
         """
-        object_ids = list(positions.keys())
         n = len(object_ids)
         if n == 0:
             self.drops += len(self._ids)
@@ -122,35 +126,25 @@ class QueryEngine:
             self.synced_time = float(time)
             self.syncs += 1
             return 0
-        stacked = np.array(list(positions.values()), dtype=float)
-        cells = np.floor(stacked / self.cell_size).astype(np.int64)
-        if object_ids == self._ids:
-            # Fast path: unchanged membership.  Nothing can have been
-            # dropped, so the drop scan is skipped; moved rows fall out of
-            # one vectorised cell comparison.
+        positions = np.asarray(positions, dtype=float)
+        cells = np.floor(positions / self.cell_size).astype(np.int64)
+        if object_ids is self._ids or object_ids == self._ids:
             moved = int(np.count_nonzero((cells != self._cells).any(axis=1)))
         elif not self._ids:
             moved = n
             self._install_rows(object_ids)
         else:
-            moved = 0
-            retained = 0
             old_rows = self._rows
-            old_cells = self._cells
-            for row, object_id in enumerate(object_ids):
-                old = old_rows.get(object_id)
-                if old is None:
-                    moved += 1
-                else:
-                    retained += 1
-                    if (
-                        old_cells[old, 0] != cells[row, 0]
-                        or old_cells[old, 1] != cells[row, 1]
-                    ):
-                        moved += 1
+            old = np.fromiter(
+                map(old_rows.get, object_ids, repeat(-1)), dtype=np.intp, count=n
+            )
+            kept = old >= 0
+            retained = int(np.count_nonzero(kept))
+            changed = (cells[kept] != self._cells[old[kept]]).any(axis=1)
+            moved = n - retained + int(np.count_nonzero(changed))
             self.drops += len(self._ids) - retained
             self._install_rows(object_ids)
-        self._pos = stacked
+        self._pos = positions
         self._cells = cells
         self.synced_time = float(time)
         self.syncs += 1
@@ -159,7 +153,7 @@ class QueryEngine:
 
     def _install_rows(self, object_ids: List[str]) -> None:
         self._ids = object_ids
-        self._rows = {object_id: row for row, object_id in enumerate(object_ids)}
+        self._rows = dict(zip(object_ids, range(len(object_ids))))
         self._id_col = np.array(object_ids)
 
     # ------------------------------------------------------------------ #

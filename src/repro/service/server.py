@@ -4,6 +4,13 @@ Stores, per tracked object, the last received update and the prediction
 function agreed with that object's source, and reconstructs the object's
 assumed position at any query time — the right-hand side of the paper's
 Fig. 1.
+
+:class:`LocationServer` is the plain single-server backend of the fleet
+loop (one :class:`TrackedObject` record per object, predicted one record at
+a time) and the store the linear-scan test oracle reads.  The sharded
+:class:`~repro.service.facade.LocationService` keeps the same records in
+one columnar row table of its own and predicts every closed-form row in one
+vectorised pass; it does not sit on top of this class.
 """
 
 from __future__ import annotations
@@ -76,21 +83,6 @@ class LocationServer:
         """Whether *object_id* is known to the server."""
         return object_id in self._objects
 
-    def adopt(self, record: TrackedObject) -> None:
-        """Take over an existing record wholesale (shard handoff).
-
-        Unlike :meth:`register_object` this preserves the record's state,
-        update counters and timestamps — the object merely changes the
-        server instance responsible for it.
-        """
-        if record.object_id in self._objects:
-            raise ValueError(f"object {record.object_id!r} already registered")
-        self._objects[record.object_id] = record
-
-    def remove_object(self, object_id: str) -> TrackedObject:
-        """Remove and return the record for *object_id* (shard handoff)."""
-        return self._objects.pop(object_id)
-
     def receive_update(self, object_id: str, message: UpdateMessage, time: float) -> None:
         """Apply an update message received at *time*."""
         record = self._objects[object_id]
@@ -108,10 +100,6 @@ class LocationServer:
     def object_ids(self) -> list[str]:
         """All registered object ids."""
         return list(self._objects)
-
-    def __len__(self) -> int:
-        """Number of registered objects (without building the id list)."""
-        return len(self._objects)
 
     def predict_position(self, object_id: str, time: float) -> Optional[np.ndarray]:
         """The position the server assumes for *object_id* at *time*."""

@@ -38,6 +38,14 @@ from repro.geo.vec import Vec2, as_vec
 #: a hash-distributed box that large touches (nearly) every shard anyway.
 _DENSE_BOX_CELLS = 64
 
+#: The two primes of the grid-cell hash.
+_HASH_X = 73856093
+_HASH_Y = 19349663
+#: Largest ``|cell coordinate|`` whose hash products fit in int64.  Beyond
+#: it NumPy's ``cx * _HASH_X`` would wrap where Python's int does not, so
+#: :meth:`GridHashPolicy.shards_for_points` routes such cells one by one.
+_WRAP_SAFE_CELL = (2**63 - 1) // max(_HASH_X, _HASH_Y)
+
 
 class ShardingPolicy(abc.ABC):
     """Maps object positions (and ids) to shard indices in ``[0, n_shards)``."""
@@ -46,10 +54,23 @@ class ShardingPolicy(abc.ABC):
         if n_shards < 1:
             raise ValueError("n_shards must be at least 1")
         self.n_shards = int(n_shards)
+        #: Bumped whenever the point-to-shard mapping changes, so a service
+        #: that prepared its shards for a query time knows to re-home before
+        #: answering again at that time.
+        self.version = 0
 
     @abc.abstractmethod
     def shard_for_point(self, point: Vec2) -> int:
         """The shard responsible for an object predicted at *point*."""
+
+    def shards_for_points(self, points: np.ndarray) -> np.ndarray:
+        """:meth:`shard_for_point` of every row of an ``(n, 2)`` array.
+
+        Raises :class:`ValueError` when a row is not finite, like the scalar
+        method.  This default loops; policies override it with one
+        vectorised pass that must give the same shards.
+        """
+        return np.array([self.shard_for_point(p) for p in points], dtype=np.int64)
 
     def shard_for_id(self, object_id: str) -> int:
         """Stable fallback shard for objects that have not reported yet.
@@ -109,15 +130,14 @@ class GridHashPolicy(ShardingPolicy):
         override = self.overrides.get(cell)
         if override is not None:
             return override
-        cx, cy = cell
-        # Classic two-prime spatial hash; Python's % keeps the result
-        # non-negative for negative cell coordinates.
-        return ((cx * 73856093) ^ (cy * 19349663)) % self.n_shards
+        return self.hash_shard_for_cell(cell)
 
     def hash_shard_for_cell(self, cell: tuple[int, int]) -> int:
         """The un-overridden hash assignment of *cell* (diagnostics)."""
         cx, cy = cell
-        return ((cx * 73856093) ^ (cy * 19349663)) % self.n_shards
+        # Classic two-prime spatial hash; Python's % keeps the result
+        # non-negative for negative cell coordinates.
+        return ((cx * _HASH_X) ^ (cy * _HASH_Y)) % self.n_shards
 
     def override_cell(self, cell: tuple[int, int], shard: int) -> int:
         """Pin *cell* to *shard*; returns the previous effective shard.
@@ -133,18 +153,47 @@ class GridHashPolicy(ShardingPolicy):
             self.overrides.pop(cell, None)
         else:
             self.overrides[cell] = int(shard)
+        self.version += 1
         return previous
 
     def clear_overrides(self) -> None:
         """Drop every override (back to the pure hash mapping)."""
         self.overrides.clear()
+        self.version += 1
 
     def shard_for_point(self, point: Vec2) -> int:
         return self.shard_for_cell(self.cell_for_point(point))
 
+    def shards_for_points(self, points: np.ndarray) -> np.ndarray:
+        """One floor-divide and one hash over every row (overrides honoured).
+
+        Equal to :meth:`shard_for_point` row by row: the division and the
+        floor are the scalar ones, and NumPy's int64 ``^`` and ``%`` agree
+        with Python's ints while the products cannot wrap.  Rows whose cell
+        lies beyond that range (or is not finite) take the scalar path, which
+        also raises for a non-finite row.
+        """
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        cells = np.floor(pts / self.region_size)
+        bounded = np.abs(cells) <= _WRAP_SAFE_CELL
+        exact = np.flatnonzero(~(bounded[:, 0] & bounded[:, 1]))
+        if len(exact):
+            cells[exact] = 0.0
+        cx = cells[:, 0].astype(np.int64)
+        cy = cells[:, 1].astype(np.int64)
+        shards = ((cx * _HASH_X) ^ (cy * _HASH_Y)) % self.n_shards
+        for (ox, oy), shard in self.overrides.items():
+            if abs(ox) <= _WRAP_SAFE_CELL and abs(oy) <= _WRAP_SAFE_CELL:
+                shards[(cx == ox) & (cy == oy)] = shard
+        for row in exact.tolist():
+            shards[row] = self.shard_for_point(pts[row])
+        return shards
+
     def shards_for_box(self, box: BoundingBox) -> List[int]:
         if self.n_shards == 1:
             return [0]
+        if not all(map(math.isfinite, (box.min_x, box.min_y, box.max_x, box.max_y))):
+            return self.all_shards()
         min_cx, min_cy = self.cell_for_point((box.min_x, box.min_y))
         max_cx, max_cy = self.cell_for_point((box.max_x, box.max_y))
         n_cells = (max_cx - min_cx + 1) * (max_cy - min_cy + 1)
@@ -256,7 +305,7 @@ class RebalancePolicy:
         policy = service.policy
         if service.n_shards <= 1 or not hasattr(policy, "override_cell"):
             return None
-        counts = [len(shard) for shard in service.shards]
+        counts = service.shard_sizes()
         total = sum(counts)
         if total < self.min_objects:
             return None
@@ -264,10 +313,9 @@ class RebalancePolicy:
         if skew_before <= self.skew_threshold:
             return None
         hot = counts.index(max(counts))
-        positions = service.shards[hot].all_positions(time)
-        if not positions:
+        pts = service.shard_positions(hot, time)
+        if not len(pts):
             return None
-        pts = np.asarray(list(positions.values()), dtype=float)
         cells = np.floor(pts / policy.region_size).astype(np.int64)
         unique, cell_counts = np.unique(cells, axis=0, return_counts=True)
         # Hottest cells first; coordinate order breaks count ties.
@@ -297,7 +345,7 @@ class RebalancePolicy:
         if not moves:
             return None
         handoffs = service.rebalance(time)
-        counts_after = [len(shard) for shard in service.shards]
+        counts_after = service.shard_sizes()
         report = RebalanceReport(
             time=float(time),
             hot_shard=hot,

@@ -237,15 +237,17 @@ class ScalarQueryEngine:
     # ------------------------------------------------------------------ #
     # incremental maintenance
     # ------------------------------------------------------------------ #
-    def sync(self, positions: Mapping[str, np.ndarray], time: float) -> int:
-        """Bring the index up to date with *positions* at *time*.
+    def sync(self, object_ids: List[str], positions: np.ndarray, time: float) -> int:
+        """Bring the index up to date with *object_ids* at *positions* at *time*.
 
-        Objects absent from *positions* are dropped; objects whose position
-        moved into a different cell are re-registered; objects that stayed
-        in their cell only get their exact position refreshed (their index
-        entry — cell bounds plus position-reading distance callback — is
-        still valid).  Returns the number of re-registered objects.
+        The same call as :meth:`QueryEngine.sync`.  Objects absent from
+        *object_ids* are dropped; objects whose position moved into a
+        different cell are re-registered; objects that stayed in their cell
+        only get their exact position refreshed (their index entry — cell
+        bounds plus position-reading distance callback — is still valid).
+        Returns the number of re-registered objects.
         """
+        positions = dict(zip(object_ids, np.asarray(positions, dtype=float).reshape(-1, 2)))
         moved = 0
         if not self._cells and len(positions) >= _BULK_SYNC_THRESHOLD:
             return self._bulk_sync(positions, time)

@@ -42,6 +42,13 @@ _WORKLOAD = QueryWorkload(
 )
 
 
+def _sync(engine, positions, time):
+    """Sync *engine* to an ``{object_id: position}`` mapping."""
+    ids = list(positions)
+    stacked = np.array([positions[oid] for oid in ids], dtype=float).reshape(-1, 2)
+    return engine.sync(ids, stacked, time)
+
+
 def _plan_for(name: str):
     mix = FleetMix(scenario=name, protocol_id="linear", accuracy=100.0, count=6)
     lanes = fleet_lanes([mix], scale=SCALES.get(name, DEFAULT_SCALE))
@@ -145,8 +152,8 @@ class TestExactDistanceTies:
         }
         columnar = QueryEngine(cell_size=cell_size)
         scalar = ScalarQueryEngine(cell_size=cell_size)
-        columnar.sync(positions, 0.0)
-        scalar.sync(positions, 0.0)
+        _sync(columnar, positions, 0.0)
+        _sync(scalar, positions, 0.0)
 
         col_answer = columnar.k_nearest(centre, k)
         assert col_answer == scalar.k_nearest(centre, k)

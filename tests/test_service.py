@@ -114,34 +114,6 @@ class TestLocationServer:
         assert not server.is_registered("y")
         assert server.object_ids() == ["x"]
 
-    def test_adopt_and_remove_move_records_between_servers(self):
-        """The shard-handoff primitives preserve the record wholesale."""
-        a, b = LocationServer(), LocationServer()
-        a.register_object("car", prediction=StaticPrediction(), accuracy=30.0)
-        a.receive_update("car", make_message(position=(3.0, 4.0)), time=5.0)
-        record = a.remove_object("car")
-        assert not a.is_registered("car")
-        b.adopt(record)
-        assert b.is_registered("car")
-        moved = b.tracked_object("car")
-        assert moved is record
-        assert moved.updates_received == 1
-        assert moved.last_update_time == 5.0
-        with pytest.raises(ValueError):
-            b.adopt(record)
-
-    def test_len_follows_register_adopt_remove(self):
-        a, b = LocationServer(), LocationServer()
-        assert len(a) == len(b) == 0
-        a.register_object("car")
-        a.register_object("bike")
-        assert len(a) == 2
-        b.adopt(a.remove_object("car"))
-        assert (len(a), len(b)) == (1, 1)
-        a.remove_object("bike")
-        assert len(a) == 0
-        assert len(b) == len(b.object_ids()) == 1
-
 
 class TestLocationSource:
     def test_source_transmits_protocol_updates(self, straight_trace):

@@ -22,6 +22,13 @@ def _point_item(key, x, y):
     return IndexedItem(key=key, bounds=BoundingBox(x, y, x, y), distance=lambda q: distance(p, q))
 
 
+def _sync(engine, positions, time):
+    """Sync *engine* to an ``{object_id: position}`` mapping."""
+    ids = list(positions)
+    stacked = np.array([positions[oid] for oid in ids], dtype=float).reshape(-1, 2)
+    return engine.sync(ids, stacked, time)
+
+
 def _positions(rng, n, extent=10_000.0):
     pts = rng.uniform(0.0, extent, size=(n, 2))
     return {f"obj-{i:04d}": pts[i] for i in range(n)}
@@ -80,32 +87,32 @@ class TestQueryEngineSync:
         engine = QueryEngine(cell_size=500.0)
         rng = np.random.default_rng(0)
         positions = _positions(rng, 50)
-        moved = engine.sync(positions, time=0.0)
+        moved = _sync(engine, positions, time=0.0)
         assert moved == 50
         assert len(engine) == 50
         assert engine.synced_time == 0.0
 
     def test_within_cell_moves_are_free(self):
         engine = QueryEngine(cell_size=500.0)
-        engine.sync({"a": np.array([100.0, 100.0])}, time=0.0)
+        _sync(engine, {"a": np.array([100.0, 100.0])}, time=0.0)
         # 100 -> 300 stays in cell (0, 0): position refreshed, no reinsertion.
-        moved = engine.sync({"a": np.array([300.0, 300.0])}, time=1.0)
+        moved = _sync(engine, {"a": np.array([300.0, 300.0])}, time=1.0)
         assert moved == 0
         np.testing.assert_array_equal(engine.position_of("a"), [300.0, 300.0])
         assert engine.range_query(BoundingBox(250.0, 250.0, 350.0, 350.0)) == ["a"]
 
     def test_cell_crossing_reindexes(self):
         engine = QueryEngine(cell_size=500.0)
-        engine.sync({"a": np.array([100.0, 100.0])}, time=0.0)
-        moved = engine.sync({"a": np.array([600.0, 100.0])}, time=1.0)
+        _sync(engine, {"a": np.array([100.0, 100.0])}, time=0.0)
+        moved = _sync(engine, {"a": np.array([600.0, 100.0])}, time=1.0)
         assert moved == 1
         assert engine.range_query(BoundingBox(550.0, 50.0, 650.0, 150.0)) == ["a"]
         assert engine.range_query(BoundingBox(50.0, 50.0, 150.0, 150.0)) == []
 
     def test_vanished_objects_are_dropped(self):
         engine = QueryEngine(cell_size=500.0)
-        engine.sync({"a": np.array([1.0, 1.0]), "b": np.array([2.0, 2.0])}, time=0.0)
-        engine.sync({"b": np.array([2.0, 2.0])}, time=1.0)
+        _sync(engine, {"a": np.array([1.0, 1.0]), "b": np.array([2.0, 2.0])}, time=0.0)
+        _sync(engine, {"b": np.array([2.0, 2.0])}, time=1.0)
         assert len(engine) == 1
         assert engine.object_ids() == ["b"]
         assert engine.drops == 1
@@ -118,7 +125,7 @@ class TestQueryEngineQueries:
         engine = QueryEngine(cell_size=400.0)
         rng = np.random.default_rng(7)
         positions = _positions(rng, 200)
-        engine.sync(positions, time=0.0)
+        _sync(engine, positions, time=0.0)
         return engine, positions
 
     def test_range_matches_brute_force(self, engine_and_positions):
@@ -181,7 +188,7 @@ class TestQueryEngineQueries:
                 names[i]: np.array([500.0 + offsets[i][0], 500.0 + offsets[i][1]])
                 for i in order
             }
-            engine.sync(positions, time=0.0)
+            _sync(engine, positions, time=0.0)
             result = engine.k_nearest((500.0, 500.0), k=2)
             assert [oid for oid, _ in result] == ["a", "b"]
             assert all(d == pytest.approx(100.0) for _, d in result)
@@ -195,12 +202,12 @@ class TestScalarBulkSync:
         positions = _positions(rng, n)
         assert n >= scalar_oracle._BULK_SYNC_THRESHOLD
         bulk = ScalarQueryEngine(cell_size=500.0)
-        moved_bulk = bulk.sync(positions, time=0.0)
+        moved_bulk = _sync(bulk, positions, time=0.0)
         incremental = ScalarQueryEngine(cell_size=500.0)
         threshold = scalar_oracle._BULK_SYNC_THRESHOLD
         try:
             scalar_oracle._BULK_SYNC_THRESHOLD = n + 1
-            moved_inc = incremental.sync(positions, time=0.0)
+            moved_inc = _sync(incremental, positions, time=0.0)
         finally:
             scalar_oracle._BULK_SYNC_THRESHOLD = threshold
         assert moved_bulk == moved_inc == n
@@ -230,7 +237,7 @@ class TestScalarBulkSync:
         for oid in ids[:20]:
             moved_positions[oid] = positions[oid] + np.array([1300.0, -700.0])
         del moved_positions[ids[-1]]
-        assert bulk.sync(moved_positions, 1.0) == incremental.sync(moved_positions, 1.0)
+        assert _sync(bulk, moved_positions, 1.0) == _sync(incremental, moved_positions, 1.0)
         assert bulk.object_ids() == incremental.object_ids()
         assert bulk.drops == incremental.drops == 1
         box = BoundingBox(0.0, 0.0, 10_000.0, 10_000.0)
@@ -240,7 +247,7 @@ class TestScalarBulkSync:
         rng = np.random.default_rng(3)
         positions = _positions(rng, scalar_oracle._BULK_SYNC_THRESHOLD - 1)
         engine = ScalarQueryEngine(cell_size=500.0)
-        engine.sync(positions, time=0.0)
+        _sync(engine, positions, time=0.0)
         assert len(engine) == len(positions)
 
 
@@ -268,15 +275,15 @@ class TestColumnarScalarEquivalence:
         columnar, scalar = self._pair()
         rng = np.random.default_rng(23)
         positions = _positions(rng, 300)
-        assert columnar.sync(positions, 0.0) == scalar.sync(positions, 0.0)
+        assert _sync(columnar, positions, 0.0) == _sync(scalar, positions, 0.0)
         self._assert_identical(columnar, scalar, np.random.default_rng(5))
 
     def test_incremental_drift_drops_and_adds_match(self):
         columnar, scalar = self._pair()
         rng = np.random.default_rng(29)
         positions = _positions(rng, 250)
-        columnar.sync(positions, 0.0)
-        scalar.sync(positions, 0.0)
+        _sync(columnar, positions, 0.0)
+        _sync(scalar, positions, 0.0)
         ids = list(positions)
         for step in range(1, 5):
             # Drift everything a little, push some objects across cells,
@@ -289,8 +296,8 @@ class TestColumnarScalarEquivalence:
             for j in range(3):
                 positions[f"new-{step}-{j}"] = rng.uniform(0.0, 10_000.0, size=2)
             ids = list(positions)
-            assert columnar.sync(positions, float(step)) == scalar.sync(
-                positions, float(step)
+            assert _sync(columnar, positions, float(step)) == _sync(
+                scalar, positions, float(step)
             )
             assert columnar.drops == scalar.drops
             assert columnar.moves == scalar.moves
@@ -301,8 +308,8 @@ class TestColumnarScalarEquivalence:
         columnar, scalar = self._pair()
         rng = np.random.default_rng(31)
         positions = _positions(rng, 200)
-        columnar.sync(positions, 0.0)
-        scalar.sync(positions, 0.0)
+        _sync(columnar, positions, 0.0)
+        _sync(scalar, positions, 0.0)
         for _ in range(10):
             lo = rng.uniform(0.0, 8000.0, size=2)
             box = BoundingBox(lo[0], lo[1], lo[0] + 1500.0, lo[1] + 1500.0)
@@ -317,7 +324,7 @@ class TestPositionOfReadOnly:
     @pytest.mark.parametrize("engine_cls", [QueryEngine, ScalarQueryEngine])
     def test_mutation_raises_and_index_survives(self, engine_cls):
         engine = engine_cls(cell_size=500.0)
-        engine.sync({"a": np.array([100.0, 100.0]), "b": np.array([900.0, 900.0])}, 0.0)
+        _sync(engine, {"a": np.array([100.0, 100.0]), "b": np.array([900.0, 900.0])}, 0.0)
         view = engine.position_of("a")
         np.testing.assert_array_equal(view, [100.0, 100.0])
         with pytest.raises((ValueError, RuntimeError)):
@@ -335,12 +342,12 @@ class TestSyncDropScanSkip:
         engine = engine_cls(cell_size=500.0)
         rng = np.random.default_rng(17)
         positions = _positions(rng, 60)
-        engine.sync(positions, 0.0)
+        _sync(engine, positions, 0.0)
         for step in range(1, 6):
             positions = {
                 oid: p + rng.normal(0.0, 40.0, size=2) for oid, p in positions.items()
             }
-            engine.sync(positions, float(step))
+            _sync(engine, positions, float(step))
         assert engine.drops == 0
         assert len(engine) == 60
 
@@ -348,8 +355,8 @@ class TestSyncDropScanSkip:
     def test_equal_length_different_keys_still_drops(self, engine_cls):
         """Same count but a swapped id must not fool the skip check."""
         engine = engine_cls(cell_size=500.0)
-        engine.sync({"a": np.array([1.0, 1.0]), "b": np.array([2.0, 2.0])}, 0.0)
-        engine.sync({"a": np.array([1.0, 1.0]), "c": np.array([3.0, 3.0])}, 1.0)
+        _sync(engine, {"a": np.array([1.0, 1.0]), "b": np.array([2.0, 2.0])}, 0.0)
+        _sync(engine, {"a": np.array([1.0, 1.0]), "c": np.array([3.0, 3.0])}, 1.0)
         assert engine.drops == 1
         assert sorted(engine.object_ids()) == ["a", "c"]
         assert engine.range_query(BoundingBox(0.0, 0.0, 10.0, 10.0)) == ["a", "c"]

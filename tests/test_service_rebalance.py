@@ -59,7 +59,7 @@ def _skewed_service(n_shards=3, region_size=100.0):
 
 
 def _shard_counts(service):
-    return [len(shard.object_ids()) for shard in service.shards]
+    return [row["objects"] for row in service.shard_rows()]
 
 
 class TestShardSkew:

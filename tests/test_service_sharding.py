@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.geo.bbox import BoundingBox
 from repro.protocols.base import ObjectState, UpdateMessage, UpdateReason
-from repro.protocols.prediction import LinearPrediction, StaticPrediction
+from repro.protocols.prediction import LinearPrediction, QuadraticPrediction, StaticPrediction
+from repro.service import sharding
 from repro.service.facade import LocationService
 from repro.service.server import LocationServer
 from repro.service.sharding import GridHashPolicy
@@ -86,7 +88,7 @@ class TestLocationServiceSurface:
         service = LocationService(n_shards=2)
         service.register_object("a", prediction=LinearPrediction())
         assert service.predict_position("a", 10.0) is None
-        assert service.shards[service.home_shard("a")].all_positions(10.0) == {}
+        assert len(service.shard_positions(service.home_shard("a"), 10.0)) == 0
 
     def test_unknown_object_raises_keyerror(self):
         service = LocationService(n_shards=2)
@@ -105,8 +107,7 @@ class TestLocationServiceSurface:
             np.testing.assert_array_equal(
                 single.predict_position("a", t), service.predict_position("a", t)
             )
-        home = service.shards[service.home_shard("a")]
-        assert home.tracked_object("a").updates_received == 1
+        assert service.tracked_object("a").updates_received == 1
         assert service.object_ids() == ["a"]
         assert service.is_registered("a")
         assert not service.is_registered("b")
@@ -134,7 +135,7 @@ class TestHandoff:
         )
         second = service.home_shard("a")
         assert second == service.policy.shard_for_point((5100.0, 100.0))
-        record = service.shards[second].tracked_object("a")
+        record = service.tracked_object("a")
         assert record.updates_received == 2
         if first != second:
             assert service.loads[first].handoffs_out == 1
@@ -161,7 +162,7 @@ class TestHandoff:
         record = service.register_object("a", prediction=LinearPrediction(), accuracy=42.0)
         service.receive_update("a", make_message(velocity=(50.0, 0.0)), time=0.0)
         service.prepare(100.0)
-        assert service.shards[service.home_shard("a")].tracked_object("a") is record
+        assert service.tracked_object("a") is record
         assert record.accuracy == 42.0
         assert record.last_update_time == 0.0
 
@@ -217,7 +218,7 @@ class TestBatchedIngestion:
             with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
                 service.ingest_batch(batch, 1e308)
             for oid in ("obj", "mover"):
-                record = service.shards[homes[oid]].tracked_object(oid)
+                record = service.tracked_object(oid)
                 assert record.updates_received == 0
                 assert record.last_update_time is None
                 assert record.state is None
@@ -227,12 +228,11 @@ class TestBatchedIngestion:
         # The per-message path refuses the same update just as cleanly.
         with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
             service.receive_update("obj", runaway, 1e308)
-        assert service.shards[homes["obj"]].tracked_object("obj").updates_received == 0
+        assert service.tracked_object("obj").updates_received == 0
         assert service.service_stats() == before
         # The service stays usable after the refused batch.
         service.ingest_batch([("mover", make_message(position=(9000.0, 9000.0)))], 1.0)
-        home = service.home_shard("mover")
-        assert service.shards[home].tracked_object("mover").updates_received == 1
+        assert service.tracked_object("mover").updates_received == 1
         assert service.counters.batches_ingested == 1
 
 
@@ -350,3 +350,187 @@ class TestSingleShardExactness:
             assert service.nearest_objects((2500.0, 2000.0), t, k=9) == nearest_object_query(
                 single, (2500.0, 2000.0), t, k=9
             )
+
+
+class TestVectorisedRouting:
+    """``shards_for_points`` equals the scalar ``shard_for_point`` row by row."""
+
+    wrap_bound = 1000.0 * sharding._WRAP_SAFE_CELL
+    coordinate = st.one_of(
+        st.floats(min_value=-50_000.0, max_value=50_000.0),
+        st.floats(min_value=-3.0 * wrap_bound, max_value=3.0 * wrap_bound),
+        st.sampled_from([wrap_bound, -wrap_bound, wrap_bound + 1000.0, -wrap_bound - 1000.0,
+                         np.nextafter(wrap_bound, np.inf), 1e300, -1e300]),
+    )
+
+    @given(
+        points=st.lists(st.tuples(coordinate, coordinate), min_size=0, max_size=40),
+        n_shards=st.integers(min_value=1, max_value=7),
+        overrides=st.lists(
+            st.tuples(st.integers(-60, 60), st.integers(-60, 60), st.integers(0, 6)),
+            max_size=6,
+        ),
+        pin_a_point=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_scalar_router(self, points, n_shards, overrides, pin_a_point):
+        policy = GridHashPolicy(n_shards, region_size=1000.0)
+        for cx, cy, shard in overrides:
+            policy.override_cell((cx, cy), shard % n_shards)
+        if pin_a_point and points:
+            cell = policy.cell_for_point(points[0])
+            policy.override_cell(cell, (policy.shard_for_cell(cell) + 1) % n_shards)
+        pts = np.array(points, dtype=float).reshape(-1, 2)
+        vectorised = policy.shards_for_points(pts)
+        assert vectorised.tolist() == [policy.shard_for_point(p) for p in pts]
+
+    def test_non_finite_row_raises_like_the_scalar_router(self):
+        policy = GridHashPolicy(4)
+        with pytest.raises(ValueError, match="finite"):
+            policy.shards_for_points(np.array([[0.0, 0.0], [np.inf, 1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            policy.shards_for_points(np.array([[np.nan, 0.0]]))
+
+    def test_default_policy_method_loops_over_the_scalar_one(self):
+        class Halves(sharding.ShardingPolicy):
+            def shard_for_point(self, point):
+                return 0 if point[0] < 0 else 1
+
+            def shards_for_box(self, box):
+                return self.all_shards()
+
+        policy = Halves(2)
+        assert policy.shards_for_points(np.array([[-1.0, 0.0], [2.0, 5.0]])).tolist() == [0, 1]
+
+
+class TestFarFutureQueries:
+    """Predictions that leave the finite plane keep their home shard."""
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 4])
+    def test_answers_match_the_oracle_for_every_shard_count(self, n_shards):
+        single = LocationServer()
+        service = LocationService(n_shards=n_shards, region_size=1000.0)
+        for backend in (single, service):
+            backend.register_object("a", prediction=LinearPrediction())
+            backend.register_object("b", prediction=LinearPrediction())
+            backend.receive_update("a", make_message(velocity=(10.0, 10.0)), 0.0)
+            backend.receive_update("b", make_message(position=(5.0, 5.0)), 0.0)
+        homes = {oid: service.home_shard(oid) for oid in ("a", "b")}
+        far = 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = nearest_object_query(single, (0.0, 0.0), far, k=2)
+            assert expected == [("b", float(np.hypot(5.0, 5.0))), ("a", float("inf"))]
+            assert service.nearest_objects((0.0, 0.0), far, k=2) == expected
+            assert service.geofence_query((0.0, 0.0), 50.0, far) == geofence_query(
+                single, (0.0, 0.0), 50.0, far
+            )
+            # (The oracle's range scan refuses non-finite positions outright.)
+            assert service.range_query(BoundingBox(-100.0, -100.0, 100.0, 100.0), far) == ["b"]
+            assert service.rebalance(far) == 0
+        assert service.home_shard("a") == homes["a"]
+        # Back in the finite plane the object is routed as usual.
+        service.prepare(10.0)
+        assert service.home_shard("a") == service.policy.shard_for_point((100.0, 100.0))
+
+    @pytest.mark.parametrize("n_shards", [1, 4])
+    def test_unbounded_areas_match_the_oracle_for_every_shard_count(self, n_shards):
+        single = LocationServer()
+        service = LocationService(n_shards=n_shards, region_size=1000.0)
+        for backend in (single, service):
+            for i, position in enumerate([(500.0, 500.0), (-2500.0, 7300.0)]):
+                backend.register_object(f"o{i}")
+                backend.receive_update(f"o{i}", make_message(position=position), 0.0)
+        inf = float("inf")
+        box = BoundingBox(-inf, -inf, inf, inf)
+        assert service.range_query(box, 1.0) == range_query(single, box, 1.0) == ["o0", "o1"]
+        assert service.geofence_query((0.0, 0.0), inf, 1.0) == geofence_query(
+            single, (0.0, 0.0), inf, 1.0
+        )
+
+
+class TestPrepareIsOChanged:
+    """``prepare`` at a new time predicts closed-form rows without calls."""
+
+    def _fleet(self):
+        service = LocationService(n_shards=4, region_size=1000.0)
+        rng = np.random.default_rng(7)
+        batch = []
+        for i in range(60):
+            cell = rng.integers(-5, 5, size=2)
+            oid = f"o{i:02d}"
+            service.register_object(oid, prediction=LinearPrediction())
+            centre = tuple((cell + 0.5) * 1000.0)
+            batch.append((oid, make_message(position=centre, velocity=(1.0, -1.0))))
+        service.ingest_batch(batch, 0.0)
+        service.prepare(0.0)
+        return service
+
+    def _counting(self, monkeypatch):
+        counts = {"predict": 0, "move": 0}
+        original_move = LocationService._move
+
+        def move(service, row, target):
+            counts["move"] += 1
+            original_move(service, row, target)
+
+        def counted(cls):
+            original = cls.predict
+
+            def predict(self, state, time):
+                counts["predict"] += 1
+                return original(self, state, time)
+
+            monkeypatch.setattr(cls, "predict", predict)
+
+        for cls in (LinearPrediction, StaticPrediction, QuadraticPrediction):
+            counted(cls)
+        monkeypatch.setattr(LocationService, "_move", move)
+        return counts
+
+    def test_no_crossing_means_no_predict_and_no_move(self, monkeypatch):
+        service = self._fleet()
+        counts = self._counting(monkeypatch)
+        syncs = service.counters.syncs
+        service.prepare(30.0)
+        assert service.counters.syncs == syncs + 1
+        assert counts == {"predict": 0, "move": 0}
+
+    def test_one_crossing_object_is_one_move(self, monkeypatch):
+        service = self._fleet()
+        policy = service.policy
+        start = (500.0, 500.0)
+        home = policy.shard_for_point(start)
+        velocity = next(
+            v for v in ((100.0, 0.0), (0.0, 100.0), (-100.0, 0.0), (0.0, -100.0))
+            if policy.shard_for_point(np.add(start, np.multiply(v, 10.0))) != home
+        )
+        service.register_object("runner", prediction=LinearPrediction())
+        service.ingest_batch([("runner", make_message(position=start, velocity=velocity))], 0.0)
+        service.prepare(0.0)
+        counts = self._counting(monkeypatch)
+        service.prepare(10.0)
+        assert counts == {"predict": 0, "move": 1}
+        assert service.home_shard("runner") != home
+
+
+class TestRoutingStaysExact:
+    def test_override_between_queries_at_one_time_rehomes(self):
+        """A routing change alone must not leave a prepared time stale."""
+        service = LocationService(n_shards=4, region_size=1000.0)
+        service.register_object("a")
+        service.receive_update("a", make_message(position=(500.0, 500.0)), 0.0)
+        box = BoundingBox(400.0, 400.0, 600.0, 600.0)
+        assert service.range_query(box, 1.0) == ["a"]
+        home = service.home_shard("a")
+        service.policy.override_cell((0, 0), (home + 1) % 4)
+        assert service.range_query(box, 1.0) == ["a"]
+        assert service.home_shard("a") == (home + 1) % 4
+
+    def test_geofence_routing_survives_distance_underflow(self):
+        """A point whose distance underflows to the radius is still found."""
+        service = LocationService(n_shards=4, region_size=1000.0)
+        service.register_object("a", prediction=LinearPrediction())
+        service.receive_update("a", make_message(position=(0.0, 0.0)), 0.0)
+        probe = (0.0, -4.982355894804402e-187)
+        assert service.policy.shard_for_point(probe) != service.home_shard("a")
+        assert service.geofence_query(probe, 0.0, 0.0) == [("a", 0.0)]

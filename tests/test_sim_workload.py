@@ -15,6 +15,7 @@ from test_golden_metrics import GOLDEN_NAMES, golden_scale
 from repro.geo.bbox import BoundingBox
 from repro.service.channel import MessageChannel
 from repro.service.facade import LocationService
+from repro.service.server import LocationServer
 from repro.sim.config import SimulationConfig
 from repro.sim.fleet import FleetLane, FleetSimulation
 from repro.sim.runner import QueryBenchSpec, ScenarioSpec, SweepRunner
@@ -44,15 +45,18 @@ def _lanes(scenario, configs):
 
 
 class _LinearScannedService(LocationService):
-    """A one-shard service whose queries run through the linear-scan oracle.
+    """A service whose queries run through the linear-scan oracle.
 
-    With one shard every record lives on ``shards[0]``, so the scans see
-    exactly the state the indexed query surface would.
+    The scans read a plain ``LocationServer`` that shares the service's own
+    record dict, so they see exactly the state the indexed query surface
+    would.
     """
 
     def __init__(self):
         super().__init__(n_shards=1)
-        scans = LinearScans(self.shards[0])
+        records = LocationServer()
+        records._objects = self._records
+        scans = LinearScans(records)
         self.range_query = scans.range_query
         self.nearest_objects = scans.nearest_objects
         self.geofence_query = scans.geofence_query
