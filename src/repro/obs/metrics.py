@@ -457,8 +457,6 @@ def publish_service_stats(registry: MetricsRegistry, stats: Mapping[str, object]
             "handoffs_in",
             "handoffs_out",
             "engine_queries",
-            "engine_syncs",
-            "engine_moves",
         ):
             value = row.get(key)
             if value is not None:

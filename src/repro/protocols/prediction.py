@@ -243,18 +243,6 @@ class MapPrediction(PredictionFunction):
             self._turn_cache[link.id] = nxt
             return nxt
 
-    def clear_turn_cache(self) -> None:
-        """Forget memoised turn choices and positions.
-
-        Only needed if the underlying road map or turn policy is ever
-        mutated in place; also drops the one-slot query memo so no stale
-        position can survive the invalidation.
-        """
-        self._turn_cache.clear()
-        self._memo_state = None
-        self._memo_time = None
-        self._memo_position = None
-
     def _assumed_speed(self, state, link: Link) -> float:
         """Speed the object is assumed to travel at on *link*."""
         if self.speed_limit_factor is None:

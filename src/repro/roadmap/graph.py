@@ -160,15 +160,6 @@ class RoadMap:
             out.append(candidate)
         return out
 
-    def predecessors(self, link: Link) -> List[Link]:
-        """Links that can precede *link* (excluding its own reverse)."""
-        out = []
-        for candidate in self.incoming_links(link.from_node):
-            if candidate.from_node == link.to_node and candidate.to_node == link.from_node:
-                continue
-            out.append(candidate)
-        return out
-
     def reverse_link(self, link: Link) -> Optional[Link]:
         """The opposite-direction twin of *link*, if the road is two-way."""
         for candidate in self.outgoing_links(link.to_node):

@@ -10,11 +10,12 @@ paper Sec. 1).
 
 Beyond the paper's single server, the package also provides the sharded
 serving tier the ROADMAP's fleet-scale north star needs:
-:class:`LocationService` partitions tracked objects across N
-:class:`LocationServer` shards by spatial region (pluggable
-:class:`ShardingPolicy`), ingests updates in per-tick batches, hands
-objects off across shard boundaries, and answers range / k-nearest /
-geofence queries through one columnar :class:`QueryEngine` per shard.
+:class:`LocationService` keeps the whole fleet's server state in one
+columnar row table, partitions the tracked objects across N shards by
+spatial region (pluggable :class:`ShardingPolicy`; a shard is a home-shard
+value in that table), ingests updates in per-tick batches, hands objects
+off across shard boundaries, and answers range / k-nearest / geofence
+queries through one columnar :class:`QueryEngine` per shard.
 That facade is the one query surface: vectorised NumPy kernels, with
 answers asserted bit-identical to the linear-scan oracle in
 ``tests/reference/linear_queries.py``.  :class:`RebalancePolicy` re-homes

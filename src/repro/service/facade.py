@@ -33,10 +33,13 @@ for every :class:`~repro.protocols.prediction.StaticPrediction` row, one
 ``record.predict(t)`` call per remaining row (map-based, route, quadratic),
 one vectorised routing pass
 (:meth:`~repro.service.sharding.ShardingPolicy.shards_for_points`), a
-handoff only for rows whose target differs from their home, and a position
-array per shard for its engine.  A shard's id list is rebuilt only when its
-membership changed.  Rows whose prediction is not finite keep their home:
-placement never changes answers.
+handoff only for rows whose target differs from their home, and per shard
+the slices of that pass and of the fleet-wide ``'<U'`` id column for its
+engine.  The row table is the only per-object state of the tier: an engine
+keeps nothing but those two arrays, a shard's member rows are recomputed
+only when its membership changed, and the id column only when
+registrations grew the table.  Rows whose prediction is not finite keep
+their home: placement never changes answers.
 
 The facade implements the :class:`LocationServer` surface the fleet loop
 drives (``register_object`` / ``receive_update`` / ``predict_position`` /
@@ -104,7 +107,7 @@ class ShardLoad:
     handoffs_out: int = 0
     engine_queries: int = 0
 
-    def as_dict(self, objects: int, engine: QueryEngine) -> Dict[str, object]:
+    def as_dict(self, objects: int) -> Dict[str, object]:
         """One flat row for reports and artifacts."""
         return {
             "shard": self.shard_id,
@@ -113,8 +116,6 @@ class ShardLoad:
             "handoffs_in": self.handoffs_in,
             "handoffs_out": self.handoffs_out,
             "engine_queries": self.engine_queries,
-            "engine_syncs": engine.syncs,
-            "engine_moves": engine.moves,
         }
 
 
@@ -151,8 +152,6 @@ class LocationService:
     region_size:
         Routing cell size of the default policy (ignored when *policy* is
         given).
-    engine_cell_size:
-        Cell size of each shard's columnar query engine.
     """
 
     def __init__(
@@ -160,7 +159,6 @@ class LocationService:
         n_shards: int = 1,
         policy: Optional[ShardingPolicy] = None,
         region_size: float = 2000.0,
-        engine_cell_size: float = 500.0,
     ):
         if policy is None:
             policy = GridHashPolicy(n_shards, region_size=region_size)
@@ -169,9 +167,7 @@ class LocationService:
                 f"policy is for {policy.n_shards} shards, service has {n_shards}"
             )
         self.policy = policy
-        self.engines: List[QueryEngine] = [
-            QueryEngine(cell_size=engine_cell_size) for _ in range(n_shards)
-        ]
+        self.engines: List[QueryEngine] = [QueryEngine() for _ in range(n_shards)]
         self.loads: List[ShardLoad] = [ShardLoad(shard_id=s) for s in range(n_shards)]
         self.counters = QueryCounters()
         #: The :class:`~repro.obs.Observability` bundle the facade records
@@ -184,7 +180,9 @@ class LocationService:
         self.obs: Observability = NO_OBS
         self._records: Dict[str, TrackedObject] = {}
         self._rows: Dict[str, int] = {}
-        self._ids: List[str] = []
+        #: Every registered id in row order (``_records`` keeps registration
+        #: order) as a ``'<U'`` array, rebuilt once registrations grew the table.
+        self._id_col = np.empty(0, dtype="<U1")
         #: ``(row, record)`` of every object whose prediction is not closed-form.
         self._called: List[Tuple[int, TrackedObject]] = []
         self._n = 0
@@ -196,7 +194,9 @@ class LocationService:
         self._home = np.zeros(0, dtype=np.int64)
         #: Per shard, the ``(rows, ids)`` of its reported objects, or ``None``
         #: once its membership changed.
-        self._members: List[Optional[Tuple[np.ndarray, List[str]]]] = [None] * n_shards
+        self._members: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * n_shards
+        #: Every row's prediction at ``_prepared_time`` (the last prepare pass).
+        self._prepared_positions = np.zeros((0, 2))
         self._prepared_time: Optional[float] = None
         self._prepared_version = -1
         self._dirty = True
@@ -251,7 +251,6 @@ class LocationService:
         self._n = row + 1
         self._records[object_id] = record
         self._rows[object_id] = row
-        self._ids.append(object_id)
         if record.accuracy != float("inf"):
             self._max_finite_accuracy = max(self._max_finite_accuracy, record.accuracy)
         self._dirty = True
@@ -408,14 +407,15 @@ class LocationService:
             self._move(row, target)
         return len(movers)
 
-    def _members_of(self, shard: int) -> Tuple[np.ndarray, List[str]]:
+    def _members_of(self, shard: int) -> Tuple[np.ndarray, np.ndarray]:
         """Rows and ids of *shard*'s reported objects, rebuilt after a change."""
         members = self._members[shard]
         if members is None:
             n = self._n
+            if len(self._id_col) != n:
+                self._id_col = np.array(list(self._records), dtype=str)
             rows = np.flatnonzero(self._reported[:n] & (self._home[:n] == shard))
-            ids = self._ids
-            members = self._members[shard] = (rows, [ids[row] for row in rows.tolist()])
+            members = self._members[shard] = (rows, self._id_col[rows])
         return members
 
     def shard_positions(self, shard: int, time: float) -> np.ndarray:
@@ -471,6 +471,7 @@ class LocationService:
         for shard, engine in enumerate(self.engines):
             rows, ids = self._members_of(shard)
             engine.sync(ids, predicted[rows], time)
+        self._prepared_positions = predicted
         self.counters.syncs += 1
         self._prepared_time = float(time)
         self._prepared_version = self.policy.version
@@ -491,29 +492,29 @@ class LocationService:
         started = _time.perf_counter()
         self.prepare(time)
         expand = margin > 0.0 and self._max_finite_accuracy > 0.0
+        # The probe box contains every object's own expanded box, so its
+        # exact hits are a superset that the margin path refines per object.
         probe = area.expanded(margin * self._max_finite_accuracy) if expand else area
+        # Hits unsorted: one vectorised mask per shard and one final sort
+        # over the union (a per-shard sort order would be discarded anyway).
         hits: List[str] = []
         for shard_id in self.policy.shards_for_box(probe):
-            engine = self.engines[shard_id]
             self.loads[shard_id].engine_queries += 1
-            if not expand:
-                # Exact hits, unsorted: one vectorised mask per shard and
-                # one final sort over the union (a per-shard sort order
-                # would be discarded by the merge anyway).
-                hits.extend(engine.ids_in_box(area))
-                continue
-            for object_id in engine.candidates_in_box(probe):
-                record = self._records[object_id]
-                effective = area
-                if record.accuracy != float("inf"):
-                    effective = area.expanded(margin * record.accuracy)
-                if effective.contains_point(engine.position_of(object_id)):
-                    hits.append(object_id)
+            hits.extend(self.engines[shard_id].ids_in_box(probe))
+        if expand:
+            hits = [oid for oid in hits if self._inside_margin(oid, area, margin)]
         self.counters.range_queries += 1
         elapsed = _time.perf_counter() - started
         self.counters.query_seconds += elapsed
         self.obs.latency("service.query.range").record(elapsed)
         return sorted(hits)
+
+    def _inside_margin(self, object_id: str, area: BoundingBox, margin: float) -> bool:
+        """Whether *object_id*'s prepared prediction lies in *area* grown by its margin."""
+        accuracy = self._records[object_id].accuracy
+        if accuracy != float("inf"):
+            area = area.expanded(margin * accuracy)
+        return area.contains_point(self._prepared_positions[self._rows[object_id]])
 
     def nearest_objects(
         self, point: Vec2, time: float, k: int = 1
@@ -584,10 +585,7 @@ class LocationService:
     # ------------------------------------------------------------------ #
     def shard_rows(self) -> List[Dict[str, object]]:
         """One flat counter row per shard (reports / artifacts)."""
-        return [
-            load.as_dict(objects, engine)
-            for load, objects, engine in zip(self.loads, self.shard_sizes(), self.engines)
-        ]
+        return [load.as_dict(objects) for load, objects in zip(self.loads, self.shard_sizes())]
 
     def service_stats(self) -> Dict[str, object]:
         """Aggregate service statistics plus the per-shard rows."""

@@ -2,7 +2,7 @@
 
 A sharding policy maps positions to shard indices so that a
 :class:`~repro.service.facade.LocationService` can partition its tracked
-objects across several :class:`~repro.service.server.LocationServer` shards.
+objects across several shards (one query engine each).
 Policies are pluggable; the default :class:`GridHashPolicy` hashes a coarse
 spatial grid cell onto the shard ring, which spreads load evenly without
 requiring any knowledge of the covered area.
@@ -17,8 +17,8 @@ threshold, it re-homes the hottest routing cells of the hottest shard onto
 the least-loaded shard via :meth:`GridHashPolicy.override_cell` and sweeps
 the affected records across with
 :meth:`~repro.service.facade.LocationService.rebalance`.  Placement never
-affects query answers — handoffs move records wholesale — so rebalancing
-is free to run under live traffic.
+affects query answers — a handoff only rewrites an object's home shard —
+so rebalancing is free to run under live traffic.
 """
 
 from __future__ import annotations
@@ -257,8 +257,9 @@ class RebalancePolicy:
     records across with the service's ``rebalance``.  Every step is
     deterministic: ties are broken by cell coordinates and shard index.
 
-    Placement changes never change query answers (handoffs move records
-    wholesale and queries route through the same policy that placed them),
+    Placement changes never change query answers (a handoff only rewrites
+    an object's home shard and queries route through the same policy that
+    placed it),
     so the live server can run this between ingest batches under traffic.
 
     Parameters

@@ -845,10 +845,7 @@ class FleetSimulation:
         partials = [o["service_stats"] for o in outcomes if o["service_stats"]]
         if not partials:
             return {}
-        row_keys = (
-            "objects", "updates", "handoffs_in", "handoffs_out",
-            "engine_queries", "engine_syncs", "engine_moves",
-        )
+        row_keys = ("objects", "updates", "handoffs_in", "handoffs_out", "engine_queries")
         n_shards = int(partials[0]["shards"])
         rows: List[Dict[str, object]] = [
             {"shard": s, **{k: 0 for k in row_keys}} for s in range(n_shards)

@@ -7,8 +7,7 @@ candidates item by item.  :class:`MovingObjectIndex` is the production
 :class:`~repro.spatial.grid.GridIndex` (a static index over map links)
 plus the keyed removal, bulk rebuild and k-nearest search that only a
 moving-object index needs.  The columnar engine is asserted
-bit-identical to it (answers, sync and drop counts) across the scenario
-library, and ``benchmarks/bench_query_engine.py`` measures the columnar
+bit-identical to it (answers) across the scenario library, and ``benchmarks/bench_query_engine.py`` measures the columnar
 speedup against it.
 
 Tests that compare engines build a :class:`~repro.service.facade.LocationService`
@@ -214,12 +213,6 @@ class ScalarQueryEngine:
         self._index: MovingObjectIndex[str] = MovingObjectIndex(cell_size=cell_size)
         self._positions: Dict[str, np.ndarray] = {}
         self._cells: Dict[str, Tuple[int, int]] = {}
-        #: Simulation time of the last :meth:`sync` (``None`` before the first).
-        self.synced_time: Optional[float] = None
-        #: Cumulative sync statistics (diagnostics / load counters).
-        self.syncs = 0
-        self.moves = 0
-        self.drops = 0
 
     def __len__(self) -> int:
         return len(self._positions)
@@ -228,26 +221,22 @@ class ScalarQueryEngine:
         """Ids currently held by the engine (insertion order)."""
         return list(self._positions)
 
-    def position_of(self, object_id: str) -> np.ndarray:
-        """The exact position of *object_id* as of the last sync (read-only)."""
-        view = self._positions[object_id][...]
-        view.flags.writeable = False
-        return view
-
     # ------------------------------------------------------------------ #
     # incremental maintenance
     # ------------------------------------------------------------------ #
-    def sync(self, object_ids: List[str], positions: np.ndarray, time: float) -> int:
+    def sync(self, object_ids: np.ndarray, positions: np.ndarray, time: float) -> int:
         """Bring the index up to date with *object_ids* at *positions* at *time*.
 
-        The same call as :meth:`QueryEngine.sync`.  Objects absent from
+        The same call as :meth:`QueryEngine.sync` (ids as a ``'<U'`` array or
+        a list; they are kept as Python strings).  Objects absent from
         *object_ids* are dropped; objects whose position moved into a
         different cell are re-registered; objects that stayed in their cell
         only get their exact position refreshed (their index entry — cell
         bounds plus position-reading distance callback — is still valid).
         Returns the number of re-registered objects.
         """
-        positions = dict(zip(object_ids, np.asarray(positions, dtype=float).reshape(-1, 2)))
+        ids = np.asarray(object_ids, dtype=str).tolist()
+        positions = dict(zip(ids, np.asarray(positions, dtype=float).reshape(-1, 2)))
         moved = 0
         if not self._cells and len(positions) >= _BULK_SYNC_THRESHOLD:
             return self._bulk_sync(positions, time)
@@ -260,7 +249,6 @@ class ScalarQueryEngine:
                 self._index.remove(object_id)
                 del self._cells[object_id]
                 del self._positions[object_id]
-                self.drops += 1
         for object_id, position in positions.items():
             self._positions[object_id] = position
             cell = self._cell_of(position)
@@ -277,9 +265,6 @@ class ScalarQueryEngine:
             )
             self._cells[object_id] = cell
             moved += 1
-        self.synced_time = float(time)
-        self.syncs += 1
-        self.moves += moved
         return moved
 
     def _bulk_sync(self, positions: Mapping[str, np.ndarray], time: float) -> int:
@@ -313,18 +298,11 @@ class ScalarQueryEngine:
         _logger.debug(
             "bulk sync: rebuilt index with %d objects at t=%g", moved, time
         )
-        self.synced_time = float(time)
-        self.syncs += 1
-        self.moves += moved
         return moved
 
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
-    def candidates_in_box(self, box: BoundingBox) -> List[str]:
-        """Ids whose index *cell* intersects *box* (cheap superset)."""
-        return [item.key for item in self._index.query_bbox(box)]
-
     def ids_in_box(self, box: BoundingBox) -> List[str]:
         """Ids whose exact position lies inside *box* (unsorted)."""
         positions = self._positions
@@ -333,10 +311,6 @@ class ScalarQueryEngine:
             for item in self._index.query_bbox(box)
             if box.contains_point(positions[item.key])
         ]
-
-    def range_query(self, box: BoundingBox) -> List[str]:
-        """Ids whose exact position lies inside *box*, sorted."""
-        return sorted(self.ids_in_box(box))
 
     def k_nearest(self, point: Vec2, k: int) -> List[Tuple[str, float]]:
         """The *k* objects closest to *point*, tie-broken by ``(d, id)``.
@@ -400,7 +374,5 @@ def use_scalar_engines(service):
     the new engines start empty and fill on the next sync.  Returns the
     service.
     """
-    service.engines = [
-        ScalarQueryEngine(cell_size=engine.cell_size) for engine in service.engines
-    ]
+    service.engines = [ScalarQueryEngine() for _ in service.engines]
     return service

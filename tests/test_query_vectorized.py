@@ -46,7 +46,7 @@ def _sync(engine, positions, time):
     """Sync *engine* to an ``{object_id: position}`` mapping."""
     ids = list(positions)
     stacked = np.array([positions[oid] for oid in ids], dtype=float).reshape(-1, 2)
-    return engine.sync(ids, stacked, time)
+    return engine.sync(np.array(ids, dtype=str), stacked, time)
 
 
 def _plan_for(name: str):
@@ -150,7 +150,7 @@ class TestExactDistanceTies:
         positions = {
             label: centre + np.array(offset) for label, offset in zip(labels, offsets)
         }
-        columnar = QueryEngine(cell_size=cell_size)
+        columnar = QueryEngine()
         scalar = ScalarQueryEngine(cell_size=cell_size)
         _sync(columnar, positions, 0.0)
         _sync(scalar, positions, 0.0)

@@ -12,7 +12,12 @@ from repro.service.facade import LocationService
 from repro.service.server import LocationServer
 from repro.service.sharding import GridHashPolicy
 
-from reference.linear_queries import geofence_query, nearest_object_query, range_query
+from reference.linear_queries import (
+    LinearScans,
+    geofence_query,
+    nearest_object_query,
+    range_query,
+)
 
 
 def make_message(sequence=0, time=0.0, position=(0.0, 0.0), velocity=(0.0, 0.0)):
@@ -534,3 +539,119 @@ class TestRoutingStaysExact:
         probe = (0.0, -4.982355894804402e-187)
         assert service.policy.shard_for_point(probe) != service.home_shard("a")
         assert service.geofence_query(probe, 0.0, 0.0) == [("a", 0.0)]
+
+
+def _mirrored_pair(n_shards):
+    """A sharded service and the linear-scan oracle over a plain server."""
+    single = LocationServer()
+    return LocationService(n_shards=n_shards, region_size=1000.0), single, LinearScans(single)
+
+
+def _register_both(backends, object_id, accuracy=float("inf")):
+    for backend in backends:
+        backend.register_object(object_id, prediction=LinearPrediction(), accuracy=accuracy)
+
+
+def _ingest_both(service, single, batch, time):
+    for object_id, message in batch:
+        single.receive_update(object_id, message, time)
+    service.ingest_batch(batch, time)
+
+
+class TestMarginRangeQueries:
+    """Margin range queries refine the probe box's hits against each object's accuracy."""
+
+    AREA = BoundingBox(100.0, 100.0, 900.0, 900.0)
+
+    @pytest.mark.parametrize("n_shards", [1, 4])
+    def test_own_accuracy_hit_on_an_unrouted_shard(self, n_shards):
+        service, single, oracle = _mirrored_pair(n_shards)
+        policy = GridHashPolicy(4, region_size=1000.0)
+        routed = set(policy.shards_for_box(self.AREA))
+        # A point only an accuracy of 2000 m reaches, on a shard the exact
+        # area does not route to (for 4 shards).
+        far = next(
+            (x, y)
+            for x in np.arange(-1850.0, 2900.0, 100.0)
+            for y in np.arange(-1850.0, 2900.0, 100.0)
+            if policy.shard_for_point((x, y)) not in routed
+            and not self.AREA.expanded(100.0).contains_point((x, y))
+            and self.AREA.expanded(2000.0).contains_point((x, y))
+        )
+        placed = {
+            "wide": (2000.0, far),  # a hit only through its own expansion
+            "blind": (float("inf"), far),  # same spot, no accuracy bound: never grown
+            "tight-in": (10.0, (905.0, 500.0)),  # 5 m outside, 10 m accuracy
+            "tight-out": (10.0, (920.0, 500.0)),  # 20 m outside, 10 m accuracy
+            "inside": (float("inf"), (500.0, 500.0)),
+        }
+        batch = []
+        for object_id, (accuracy, position) in placed.items():
+            _register_both((service, single), object_id, accuracy)
+            batch.append((object_id, make_message(position=position)))
+        rng = np.random.default_rng(41)
+        for i in range(60):
+            object_id = f"r{i:02d}"
+            _register_both(
+                (service, single), object_id, float(rng.choice([25.0, 300.0, float("inf")]))
+            )
+            batch.append(
+                (
+                    object_id,
+                    make_message(
+                        position=tuple(rng.uniform(-3000.0, 4000.0, size=2)),
+                        velocity=tuple(rng.uniform(-30.0, 30.0, size=2)),
+                    ),
+                )
+            )
+        _register_both((service, single), "silent", 50.0)
+        _ingest_both(service, single, batch, 0.0)
+
+        answer = service.range_query(self.AREA, 0.0, margin=1.0)
+        assert answer == oracle.range_query(self.AREA, 0.0, margin=1.0)
+        assert {"wide", "tight-in", "inside"} <= set(answer)
+        assert not {"blind", "tight-out"} & set(answer)
+        if n_shards == 4:
+            assert service.home_shard("wide") not in service.policy.shards_for_box(self.AREA)
+        for t in (0.0, 20.0):
+            for margin in (0.0, 0.5, 1.0, 2.0):
+                assert service.range_query(self.AREA, t, margin=margin) == oracle.range_query(
+                    self.AREA, t, margin=margin
+                )
+
+
+class TestIdColumnRebuild:
+    """Registrations after a prepare widen the fleet-wide id column."""
+
+    @pytest.mark.parametrize("n_shards", [1, 4])
+    def test_longer_id_after_prepare_matches_the_oracle(self, n_shards):
+        service, single, oracle = _mirrored_pair(n_shards)
+        rng = np.random.default_rng(43)
+        batch = []
+        for i in range(30):
+            object_id = f"o{i:02d}"
+            _register_both((service, single), object_id)
+            batch.append(
+                (object_id, make_message(position=tuple(rng.uniform(0.0, 3000.0, size=2))))
+            )
+        _ingest_both(service, single, batch, 0.0)
+        box = BoundingBox(0.0, 0.0, 3000.0, 3000.0)
+        assert service.range_query(box, 0.0) == oracle.range_query(box, 0.0)
+
+        # Longer than every earlier id, and on the spot of o07: nearest and
+        # geofence answers must tie-break the two by the full id.
+        long_id = "o07-" + "x" * 40
+        _register_both((service, single), long_id)
+        spot = tuple(single.tracked_object("o07").state.position)
+        _ingest_both(service, single, [(long_id, make_message(position=spot))], 1.0)
+
+        for t in (1.0, 2.0):
+            answer = service.range_query(box, t)
+            assert answer == oracle.range_query(box, t)
+            assert long_id in answer
+            nearest = service.nearest_objects(spot, t, k=3)
+            assert nearest == oracle.nearest_objects(spot, t, k=3)
+            assert [object_id for object_id, _ in nearest[:2]] == ["o07", long_id]
+            assert service.geofence_query(spot, 800.0, t) == oracle.geofence_query(
+                spot, 800.0, t
+            )
