@@ -14,6 +14,7 @@ from repro.mapmatching.matcher import (
     IncrementalMapMatcher,
     MatchResult,
     MatchStatus,
+    MatchStream,
     MatcherConfig,
 )
 from repro.mapmatching.offline import match_trace, MatchedTracePoint
@@ -22,6 +23,7 @@ __all__ = [
     "IncrementalMapMatcher",
     "MatchResult",
     "MatchStatus",
+    "MatchStream",
     "MatcherConfig",
     "match_trace",
     "MatchedTracePoint",

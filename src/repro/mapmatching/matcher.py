@@ -15,19 +15,30 @@ position sighting:
 4. when neither finds a link within ``um``, declares the object *off-map*;
    the caller falls back to linear prediction and the matcher periodically
    re-queries the spatial index to return to the map.
+
+:meth:`IncrementalMapMatcher.update` is the one definition of that
+algorithm.  :meth:`IncrementalMapMatcher.match_stream` runs it over a whole
+trace and packs the results into a :class:`MatchStream` of arrays, so
+callers that replay one trace many times (the accuracy sweeps of the
+paper's Figs. 7-10) match it once.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.geo.vec import Vec2, as_vec, distance
 from repro.roadmap.elements import Link
 from repro.roadmap.graph import RoadMap
+
+
+#: Estimated speed (m/s) at or below which the heading estimate is dominated
+#: by sensor noise and is withheld from the matcher.
+HEADING_MIN_SPEED = 1.0
 
 
 class MatchStatus(enum.Enum):
@@ -57,6 +68,46 @@ class MatchResult:
     def is_matched(self) -> bool:
         """Whether a link was found (``MATCHED`` or ``NEW_LINK``)."""
         return self.status is not MatchStatus.OFF_MAP
+
+
+@dataclass(frozen=True, eq=False)
+class MatchStream:
+    """The results of matching every sighting of one trace, as arrays.
+
+    Row *i* holds what :meth:`IncrementalMapMatcher.update` returned for
+    sighting *i*.  Off-map rows have ``matched`` false, link id ``-1``,
+    offset NaN, distance infinity and the sensed position as ``positions``.
+
+    Attributes
+    ----------
+    matched:
+        ``(n,)`` bool, whether a link was found.
+    link_ids:
+        ``(n,)`` int64, the matched link's id (``-1`` when off-map).
+    offsets:
+        ``(n,)`` float64, offset of the corrected position along the link.
+    positions:
+        ``(n, 2)`` float64, the corrected position ``pc``.
+    distances:
+        ``(n,)`` float64, distance between the sensed and corrected position.
+    statistics:
+        The matcher's :meth:`~IncrementalMapMatcher.statistics` after the
+        last sighting.
+    """
+
+    matched: np.ndarray
+    link_ids: np.ndarray
+    offsets: np.ndarray
+    positions: np.ndarray
+    distances: np.ndarray
+    statistics: Dict[str, int]
+
+    def __len__(self) -> int:
+        return len(self.matched)
+
+    def row(self, i: int) -> Tuple[int, float, np.ndarray]:
+        """Link id, offset and (a copy of) the corrected position of matched row *i*."""
+        return int(self.link_ids[i]), float(self.offsets[i]), self.positions[i].copy()
 
 
 @dataclass(frozen=True)
@@ -249,6 +300,45 @@ class IncrementalMapMatcher:
                     return advanced
             return result
         return self._declare_off_map(p)
+
+    def match_stream(
+        self, positions: np.ndarray, velocities: np.ndarray, speeds: np.ndarray
+    ) -> MatchStream:
+        """Match every sighting of a trace; return the results as arrays.
+
+        *positions* and *velocities* are ``(n, 2)`` and *speeds* ``(n,)``,
+        the sliding-window estimates of
+        :func:`~repro.traces.estimation.estimate_trace`.  The heading handed
+        to :meth:`update` is the estimated velocity when the speed exceeds
+        :data:`HEADING_MIN_SPEED` and ``None`` otherwise, as the map-based
+        protocol does per sighting.  Each row is one :meth:`update` call,
+        starting from this matcher's current state, so the stream equals
+        matching the sightings one by one.
+        """
+        positions = np.asarray(positions, dtype=float)
+        n = len(positions)
+        matched = np.zeros(n, dtype=bool)
+        link_ids = np.full(n, -1, dtype=np.int64)
+        offsets = np.full(n, np.nan)
+        corrected = np.empty((n, 2))
+        distances = np.full(n, np.inf)
+        for i, speed in enumerate(np.asarray(speeds, dtype=float).tolist()):
+            result = self.update(
+                positions[i],
+                heading=velocities[i] if speed > HEADING_MIN_SPEED else None,
+            )
+            corrected[i] = result.position
+            if result.is_matched:
+                matched[i] = True
+                link_ids[i] = result.link_id
+                offsets[i] = result.offset
+                distances[i] = result.distance
+        # Streams are shared by every protocol clone that replays the trace.
+        for column in (matched, link_ids, offsets, corrected, distances):
+            column.flags.writeable = False
+        return MatchStream(
+            matched, link_ids, offsets, corrected, distances, self.statistics()
+        )
 
     # ------------------------------------------------------------------ #
     # acquisition and tracking

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.mapmatching.matcher import IncrementalMapMatcher, MatcherConfig
 from repro.roadmap.graph import RoadMap
-from repro.traces.estimation import StateEstimator
+from repro.traces.estimation import estimate_trace
 from repro.traces.trace import Trace
 
 
@@ -38,35 +38,30 @@ def match_trace(
     """Match every sample of *trace* onto *roadmap*.
 
     The same incremental matcher the protocol uses is run over the whole
-    trace; off-map samples yield ``link_id=None``.
+    trace, with headings from a 4-sighting estimation window; off-map
+    samples yield ``link_id=None``.
     """
-    matcher = IncrementalMapMatcher(roadmap, config)
-    estimator = StateEstimator(window=4)
+    positions = trace.positions
+    velocities, speeds = estimate_trace(trace.times, positions, window=4)
+    stream = IncrementalMapMatcher(roadmap, config).match_stream(
+        positions, velocities, speeds
+    )
     results: List[MatchedTracePoint] = []
-    for sample in trace:
-        velocity, speed = estimator.update(sample.time, sample.position)
-        heading = velocity if speed > 1.0 else None
-        match = matcher.update(sample.position, heading=heading)
-        if match.is_matched:
-            results.append(
-                MatchedTracePoint(
-                    time=sample.time,
-                    position=sample.position,
-                    link_id=match.link_id,
-                    matched_position=match.position,
-                    distance=match.distance,
-                )
-            )
+    for i, time in enumerate(trace.times.tolist()):
+        if stream.matched[i]:
+            link_id, _offset, matched_position = stream.row(i)
+            distance: Optional[float] = float(stream.distances[i])
         else:
-            results.append(
-                MatchedTracePoint(
-                    time=sample.time,
-                    position=sample.position,
-                    link_id=None,
-                    matched_position=None,
-                    distance=None,
-                )
+            link_id, matched_position, distance = None, None, None
+        results.append(
+            MatchedTracePoint(
+                time=time,
+                position=positions[i].copy(),
+                link_id=link_id,
+                matched_position=matched_position,
+                distance=distance,
             )
+        )
     return results
 
 

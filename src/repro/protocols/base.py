@@ -192,7 +192,26 @@ class UpdateProtocol(abc.ABC):
         """Process one sensor sighting; return an update if one must be sent."""
         p = as_vec(position)
         velocity, speed = self.estimator.update(time, p)
+        self._pre_decision_hook(time, p, velocity, speed)
         return self._decide(time, p, velocity, speed)
+
+    def prepare_trace(
+        self,
+        times: np.ndarray,
+        positions: np.ndarray,
+        velocities: np.ndarray,
+        speeds: np.ndarray,
+    ) -> None:
+        """Announce the whole trace that :meth:`observe_precomputed` will feed.
+
+        Called once per run, before the first sighting, with the trace's
+        times, sensed positions and the estimates of
+        :func:`repro.traces.estimation.estimate_trace`.  A protocol whose
+        per-sighting work depends only on those inputs (not on the
+        accuracy ``us``) can do it here for the whole trace at once; the
+        map-based protocol matches the trace onto the map.  The default
+        does nothing.
+        """
 
     def observe_precomputed(
         self, time: float, position: Vec2, velocity: np.ndarray, speed: float
@@ -202,18 +221,22 @@ class UpdateProtocol(abc.ABC):
         The simulation engine computes the sliding-window estimates for a
         whole trace in one vectorised pass
         (:func:`repro.traces.estimation.estimate_trace`, bitwise identical
-        to the streaming estimator) and feeds them here, skipping the
-        per-sighting estimator update.  The internal estimator window is
-        *not* advanced by this path; do not mix it with :meth:`observe`
-        within one trace.
+        to the streaming estimator), hands the trace to
+        :meth:`prepare_trace` and then feeds the sightings here in order,
+        skipping the per-sighting estimator update.  The map-based protocol
+        reads its map match for this sighting from the stream prepared
+        there instead of running the matcher.  The internal estimator
+        window is *not* advanced by this path; do not mix it with
+        :meth:`observe` within one trace.
         """
-        return self._decide(time, as_vec(position), velocity, speed)
+        p = as_vec(position)
+        self._precomputed_hook(time, p, velocity, speed)
+        return self._decide(time, p, velocity, speed)
 
     def _decide(
         self, time: float, p: np.ndarray, velocity: np.ndarray, speed: float
     ) -> Optional[UpdateMessage]:
         """The shared decision core behind both observe paths."""
-        self._pre_decision_hook(time, p, velocity, speed)
         if self._last_reported is None:
             reason: Optional[UpdateReason] = UpdateReason.INITIAL
         else:
@@ -278,6 +301,17 @@ class UpdateProtocol(abc.ABC):
         self, time: float, position: np.ndarray, velocity: np.ndarray, speed: float
     ) -> None:
         """Hook run before the update decision (map matching lives here)."""
+
+    def _precomputed_hook(
+        self, time: float, position: np.ndarray, velocity: np.ndarray, speed: float
+    ) -> None:
+        """The :meth:`_pre_decision_hook` of :meth:`observe_precomputed`.
+
+        Defaults to :meth:`_pre_decision_hook`; a protocol that did its
+        per-sighting work in :meth:`prepare_trace` overrides it to read the
+        result instead.
+        """
+        self._pre_decision_hook(time, position, velocity, speed)
 
     def _post_update_hook(self, message: UpdateMessage) -> None:
         """Hook run after an update has been recorded."""

@@ -16,19 +16,35 @@ When the source cannot match the object to any link (forward- and
 backward-tracking both fail), it sends an update with an *empty link* and
 both sides fall back to linear prediction until the object can be matched to
 the map again.
+
+Matching does not depend on the requested accuracy ``us``: its inputs are
+the map, the matcher configuration, the sighting and the estimated heading.
+On the simulation's precomputed path
+(:meth:`~repro.protocols.base.UpdateProtocol.prepare_trace` then
+:meth:`~repro.protocols.base.UpdateProtocol.observe_precomputed`) the
+protocol therefore matches the whole trace once into a
+:class:`~repro.mapmatching.matcher.MatchStream` and reads one row per
+sighting.  Clones made with
+:meth:`~repro.protocols.base.UpdateProtocol.clone_for` share a memo of
+those streams with their prototype, so an accuracy sweep matches each
+trace once, not once per accuracy.  :meth:`observe`, fed one sighting at a
+time, runs the matcher per sighting.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.mapmatching.matcher import (
+    HEADING_MIN_SPEED,
     IncrementalMapMatcher,
     MatcherConfig,
     MatchResult,
+    MatchStream,
 )
 from repro.protocols.base import ObjectState, UpdateProtocol, UpdateReason
 from repro.protocols.prediction import (
@@ -144,6 +160,13 @@ class MapBasedProtocol(UpdateProtocol):
         )
         self.matcher = IncrementalMapMatcher(roadmap, self.config.matcher_config())
         self._last_match: Optional[MatchResult] = None
+        self._matched = False
+        # Match streams by trace content; clone_for shares the dict with
+        # every clone, so a sweep over accuracies matches each trace once.
+        self._match_streams: Dict[tuple, MatchStream] = {}
+        self._stream: Optional[MatchStream] = None
+        self._stream_times: Optional[np.ndarray] = None
+        self._row = 0
 
     # ------------------------------------------------------------------ #
     # UpdateProtocol interface
@@ -151,21 +174,66 @@ class MapBasedProtocol(UpdateProtocol):
     def prediction_function(self) -> PredictionFunction:
         return self._prediction
 
+    def prepare_trace(
+        self,
+        times: np.ndarray,
+        positions: np.ndarray,
+        velocities: np.ndarray,
+        speeds: np.ndarray,
+    ) -> None:
+        """Match the whole trace once (or fetch its memoised stream)."""
+        positions = np.ascontiguousarray(positions, dtype=float)
+        velocities = np.ascontiguousarray(velocities, dtype=float)
+        speeds = np.ascontiguousarray(speeds, dtype=float)
+        digest = hashlib.blake2b(digest_size=16)
+        for array in (positions, velocities, speeds):
+            digest.update(array.data)
+        config = self.config.matcher_config()
+        key = (config, self.estimator.window, len(positions), digest.digest())
+        stream = self._match_streams.get(key)
+        if stream is None:
+            matcher = IncrementalMapMatcher(self.roadmap, config)
+            stream = matcher.match_stream(positions, velocities, speeds)
+            self._match_streams[key] = stream
+        self._stream = stream
+        self._stream_times = np.asarray(times, dtype=float)
+        self._row = 0
+
     def _pre_decision_hook(
         self, time: float, position: np.ndarray, velocity: np.ndarray, speed: float
     ) -> None:
-        # The heading disambiguates the two carriageways of two-way roads;
-        # below ~1 m/s the heading estimate is dominated by sensor noise and
-        # is withheld from the matcher.
-        heading = velocity if speed > 1.0 else None
-        self._last_match = self.matcher.update(position, heading=heading)
+        # The heading disambiguates the two carriageways of two-way roads.
+        heading = velocity if speed > HEADING_MIN_SPEED else None
+        match = self.matcher.update(position, heading=heading)
+        self._last_match = match
+        self._matched = match.is_matched
+
+    def _precomputed_hook(
+        self, time: float, position: np.ndarray, velocity: np.ndarray, speed: float
+    ) -> None:
+        # Read this sighting's row of the prepared stream instead of
+        # matching; the time check catches a stream fed out of step.
+        times = self._stream_times
+        if times is None:
+            raise RuntimeError(
+                "observe_precomputed needs prepare_trace() for the trace first"
+            )
+        row = self._row
+        if row >= len(times) or times[row] != time:
+            expected = f"t={float(times[row])!r}" if row < len(times) else "no more rows"
+            raise ValueError(
+                f"sighting at t={float(time)!r} does not match row {row} of the "
+                f"prepared trace ({expected})"
+            )
+        self._row = row + 1
+        self._last_match = None
+        self._matched = bool(self._stream.matched[row])
 
     def _should_update(
         self, time: float, position: np.ndarray, velocity: np.ndarray, speed: float
     ) -> Optional[UpdateReason]:
         assert self.last_reported is not None
-        match = self._last_match
-        matched = match is not None and match.is_matched
+        matched = self._matched
 
         # Losing the map: tell the server to fall back to linear prediction.
         if (
@@ -190,18 +258,20 @@ class MapBasedProtocol(UpdateProtocol):
     def _build_state(
         self, time: float, position: np.ndarray, velocity: np.ndarray, speed: float
     ) -> ObjectState:
-        match = self._last_match
-        if match is not None and match.is_matched:
-            reported_position = (
-                match.position if self.config.use_corrected_position else position
-            )
+        if self._matched:
+            match = self._last_match
+            if match is None:
+                # Precomputed path: the match is the stream's last read row.
+                link_id, offset, corrected = self._stream.row(self._row - 1)
+            else:
+                link_id, offset, corrected = match.link_id, match.offset, match.position
             return ObjectState(
                 time=time,
-                position=reported_position,
+                position=corrected if self.config.use_corrected_position else position,
                 velocity=velocity,
                 speed=speed,
-                link_id=match.link_id,
-                link_offset=match.offset,
+                link_id=link_id,
+                link_offset=offset,
                 uncertainty=self.sensor_uncertainty,
             )
         # Off-map: transmit the raw position with an empty link; the shared
@@ -221,11 +291,25 @@ class MapBasedProtocol(UpdateProtocol):
     # ------------------------------------------------------------------ #
     @property
     def last_match(self) -> Optional[MatchResult]:
-        """The result of matching the most recent sighting."""
+        """The result of matching the most recent sighting fed to :meth:`observe`.
+
+        ``None`` on the precomputed path, whose matches are the rows of
+        :attr:`match_stream`.
+        """
         return self._last_match
 
+    @property
+    def match_stream(self) -> Optional[MatchStream]:
+        """The stream :meth:`prepare_trace` matched for the current trace."""
+        return self._stream
+
     def matching_statistics(self) -> dict:
-        """Counters of the underlying map matcher."""
+        """Counters of the map matcher: of the prepared stream, if any.
+
+        A prepared stream's counters cover its whole trace.
+        """
+        if self._stream is not None:
+            return dict(self._stream.statistics)
         return self.matcher.statistics()
 
     def _detach_clone_state(self) -> None:
@@ -233,10 +317,14 @@ class MapBasedProtocol(UpdateProtocol):
         # The matcher holds per-run tracking state and statistics; it is
         # cheap to rebuild (the spatial index lives in the road map), so a
         # clone gets its own instead of resetting the prototype's in place.
+        # The memo of match streams stays shared with the prototype.
         self.matcher = IncrementalMapMatcher(self.roadmap, self.config.matcher_config())
-        self._last_match = None
 
     def reset(self) -> None:
         super().reset()
         self.matcher.reset()
         self._last_match = None
+        self._matched = False
+        self._stream = None
+        self._stream_times = None
+        self._row = 0

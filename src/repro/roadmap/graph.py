@@ -63,7 +63,6 @@ class RoadMap:
 
         self._links: Dict[int, Link] = {}
         self._outgoing: Dict[int, List[int]] = {nid: [] for nid in self._intersections}
-        self._incoming: Dict[int, List[int]] = {nid: [] for nid in self._intersections}
         for link in links:
             if link.id in self._links:
                 raise ValueError(f"duplicate link id {link.id}")
@@ -73,7 +72,6 @@ class RoadMap:
                 raise ValueError(f"link {link.id}: unknown to_node {link.to_node}")
             self._links[link.id] = link
             self._outgoing[link.from_node].append(link.id)
-            self._incoming[link.to_node].append(link.id)
 
         # The spatial index is built lazily on the first spatial query:
         # loading a compiled map from cache (and route planning generally)
@@ -141,10 +139,6 @@ class RoadMap:
     def outgoing_links(self, node_id: int) -> List[Link]:
         """Links leaving intersection *node_id*."""
         return [self._links[lid] for lid in self._outgoing.get(node_id, ())]
-
-    def incoming_links(self, node_id: int) -> List[Link]:
-        """Links arriving at intersection *node_id*."""
-        return [self._links[lid] for lid in self._incoming.get(node_id, ())]
 
     def successors(self, link: Link) -> List[Link]:
         """Links that can be followed after traversing *link*.

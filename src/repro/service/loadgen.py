@@ -123,6 +123,7 @@ def build_replay_plan(
         velocities, speeds = estimate_trace(
             times, positions, lane.protocol.estimator.window
         )
+        lane.protocol.prepare_trace(times, positions, velocities, speeds)
         for i in range(len(times)):
             t = float(times[i])
             source.process_estimated(t, positions[i], velocities[i], float(speeds[i]))

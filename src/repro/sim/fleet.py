@@ -19,7 +19,9 @@ Design properties the rest of the stack relies on:
 * **Vectorised hot path** — speed/heading estimates for each sensor trace
   are precomputed in one batched pass
   (:func:`repro.traces.estimation.estimate_trace`, bitwise identical to the
-  streaming estimator), server queries go through the batch
+  streaming estimator) and handed with the trace to the protocol's
+  :meth:`~repro.protocols.base.UpdateProtocol.prepare_trace` (the map-based
+  protocol matches the whole trace there), server queries go through the batch
   :meth:`~repro.service.server.LocationServer.predict_positions` API once
   per timestep, and error samples are accumulated into
   :class:`~repro.sim.metrics.AccuracyMetrics` as one array per lane.
@@ -181,6 +183,9 @@ class _LaneState:
         self.truth_positions = truth.positions
         self.velocities, self.speeds = estimate_trace(
             self.times, self.sensor_positions, lane.protocol.estimator.window
+        )
+        lane.protocol.prepare_trace(
+            self.times, self.sensor_positions, self.velocities, self.speeds
         )
         self.errors: List[float] = []
 

@@ -14,7 +14,11 @@ far the most expensive part of a sweep, so scenarios are cached per process
 and keyed by :class:`ScenarioSpec`; a sweep generates its scenario once per
 process, not once per point.  Under the ``fork`` start method (the Linux
 default) workers additionally inherit the parent's cache for free; under
-``spawn`` each worker rebuilds its scenarios once from the spec.
+``spawn`` each worker rebuilds its scenarios once from the spec.  Protocols
+whose construction is expensive are cached the same way, as per-process
+prototypes that every point clones; a map-based prototype also carries the
+per-trace map-match stream, so an accuracy sweep matches its trace once,
+not once per point.
 
 The runner also writes machine-readable artifacts (JSON and CSV) so
 figures, tables and ablations all leave greppable, diffable records behind.
@@ -176,7 +180,10 @@ def _build_protocol_cached(
     fresh :meth:`~repro.protocols.base.UpdateProtocol.clone_for` — shared
     structure by reference, per-run state detached, results bit-identical
     to a fresh build (asserted by the test-suite).  The prototype itself is
-    never run: even the first point gets a clone.
+    never run: even the first point gets a clone.  A map-based prototype
+    also carries the memo of match streams its clones share: the first
+    point matches the scenario's trace, every later point (and every later
+    sweep of the same key, until :func:`clear_scenario_cache`) reads it.
     """
     if config.protocol_id not in _PROTOTYPE_PROTOCOL_IDS:
         return config.build_protocol(scenario)

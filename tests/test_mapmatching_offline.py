@@ -3,13 +3,49 @@
 import numpy as np
 import pytest
 
-from repro.mapmatching.matcher import MatcherConfig
+from repro.mapmatching.matcher import IncrementalMapMatcher, MatcherConfig
 from repro.mapmatching.offline import (
+    MatchedTracePoint,
     match_trace,
     matched_link_sequence,
     matching_accuracy,
 )
+from repro.sim.runner import ScenarioSpec
+from repro.traces.estimation import StateEstimator
 from repro.traces.trace import Trace
+
+
+def _per_sample_match_trace(trace, roadmap, config=None):
+    """The per-sample loop ``match_trace`` ran before the batch stream (oracle)."""
+    matcher = IncrementalMapMatcher(roadmap, config)
+    estimator = StateEstimator(window=4)
+    results = []
+    for sample in trace:
+        velocity, speed = estimator.update(sample.time, sample.position)
+        heading = velocity if speed > 1.0 else None
+        match = matcher.update(sample.position, heading=heading)
+        matched = match.is_matched
+        results.append(
+            MatchedTracePoint(
+                time=sample.time,
+                position=sample.position,
+                link_id=match.link_id if matched else None,
+                matched_position=match.position if matched else None,
+                distance=match.distance if matched else None,
+            )
+        )
+    return results
+
+
+def _point_key(point):
+    matched = point.matched_position
+    return (
+        point.time,
+        point.position.tobytes(),
+        point.link_id,
+        None if matched is None else matched.tobytes(),
+        point.distance,
+    )
 
 
 class TestMatchTrace:
@@ -33,6 +69,27 @@ class TestMatchTrace:
         for point in points:
             if point.matched_position is not None:
                 assert abs(point.matched_position[1]) < 1e-6
+
+
+class TestBatchEquivalence:
+    @pytest.mark.parametrize("name", ["city", "walking", "urban_canyon_walk"])
+    def test_equals_per_sample_loop_on_library_scenario(self, name):
+        scenario = ScenarioSpec(name=name, scale=0.15).build()
+        config = MatcherConfig(tolerance=scenario.matching_tolerance)
+        for trace in (scenario.sensor_trace, scenario.true_trace):
+            batch = match_trace(trace, scenario.roadmap, config)
+            oracle = _per_sample_match_trace(trace, scenario.roadmap, config)
+            assert [_point_key(p) for p in batch] == [_point_key(p) for p in oracle]
+            assert all(type(p.link_id) in (int, type(None)) for p in batch)
+            assert all(type(p.distance) in (float, type(None)) for p in batch)
+        if name == "urban_canyon_walk":
+            # The canyon's sensor trace strays off the map and comes back.
+            sensed = [
+                p.link_id
+                for p in match_trace(scenario.sensor_trace, scenario.roadmap, config)
+            ]
+            first_off = sensed.index(None)
+            assert any(link_id is not None for link_id in sensed[first_off:])
 
 
 class TestLinkSequence:

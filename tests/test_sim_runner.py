@@ -8,8 +8,10 @@ import pytest
 
 from repro.protocols.linear import LinearPredictionProtocol
 from repro.protocols.reporting import TimeBasedReporting
+from repro.sim import run_simulation
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import ScenarioSpec, SweepRunner, SweepTask, read_artifact
+from repro.traces.trace import Trace
 
 FREEWAY = ScenarioSpec(name="freeway", scale=0.05, seed=0)
 CITY = ScenarioSpec(name="city", scale=0.07, seed=2)
@@ -314,3 +316,69 @@ class TestProtocolPrototypes:
             a = (dirs[0] / f"{names}.{ext}").read_bytes()
             b = (dirs[1] / f"{names}.{ext}").read_bytes()
             assert a == b, f"{ext} artifact differs between jobs=1 and jobs=2"
+
+    @staticmethod
+    def _count_matcher_updates(monkeypatch):
+        """Count ``IncrementalMapMatcher.update`` calls from here on."""
+        from repro.mapmatching.matcher import IncrementalMapMatcher
+
+        calls = [0]
+        update = IncrementalMapMatcher.update
+
+        def counted(self, *args, **kwargs):
+            calls[0] += 1
+            return update(self, *args, **kwargs)
+
+        monkeypatch.setattr(IncrementalMapMatcher, "update", counted)
+        return calls
+
+    def test_map_sweep_matches_each_sighting_once(self, monkeypatch):
+        runner_mod = self._runner_module()
+        runner_mod.clear_scenario_cache()
+        calls = self._count_matcher_updates(monkeypatch)
+        points = SweepRunner(jobs=1).run_config_sweep(FREEWAY, "map", ACCURACIES)
+        assert len(points) == len(ACCURACIES)
+        # One trace, N accuracies: matched once, not N times.
+        assert calls[0] == len(FREEWAY.build().sensor_trace)
+        runner_mod.clear_scenario_cache()
+
+    def test_clear_scenario_cache_drops_the_match_memo(self, monkeypatch):
+        runner_mod = self._runner_module()
+        runner_mod.clear_scenario_cache()
+        calls = self._count_matcher_updates(monkeypatch)
+        runner = SweepRunner(jobs=1)
+        cold = runner.run_config_sweep(FREEWAY, "map", ACCURACIES)
+        per_trace = calls[0]
+        warm = runner.run_config_sweep(FREEWAY, "map", ACCURACIES)
+        assert calls[0] == per_trace  # the prototype's memo served the trace
+        runner_mod.clear_scenario_cache()
+        again = runner.run_config_sweep(FREEWAY, "map", ACCURACIES)
+        assert calls[0] == 2 * per_trace  # matched afresh
+        _assert_points_bit_identical(cold, warm)
+        _assert_points_bit_identical(cold, again)
+        runner_mod.clear_scenario_cache()
+
+    def test_prepared_stream_is_not_reused_for_another_trace(self):
+        scenario = FREEWAY.build()
+        # Another seed's trace, cut to the same length: only content differs.
+        n = len(scenario.sensor_trace)
+        other = ScenarioSpec(name="freeway", scale=0.05, seed=1).build().sensor_trace
+        other = Trace(other.times[:n], other.positions[:n])
+        traces = [scenario.sensor_trace, other, scenario.sensor_trace]
+        prototype = SimulationConfig(protocol_id="map", accuracy=100.0).build_protocol(
+            scenario
+        )
+        fresh_config = SimulationConfig(protocol_id="map", accuracy=200.0)
+        clones = []
+        for trace in traces:
+            clone = prototype.clone_for(200.0)
+            cloned = run_simulation(clone, trace)
+            fresh = run_simulation(fresh_config.build_protocol(scenario), trace)
+            assert cloned.as_dict() == fresh.as_dict()
+            assert np.array_equal(cloned.metrics.errors, fresh.metrics.errors)
+            assert len(clone.match_stream) == len(trace)
+            clones.append(clone)
+        # Two seeds, two streams; the first trace's stream serves its rerun.
+        assert clones[0].match_stream is not clones[1].match_stream
+        assert clones[2].match_stream is clones[0].match_stream
+        assert prototype.match_stream is None
