@@ -1,4 +1,4 @@
-"""Big-map benchmark: streaming tiled ingest + contraction-hierarchy routing.
+"""Big-map benchmark: tiled region generation + contraction-hierarchy routing.
 
 Generates the deterministic ~1M-node synthetic region as a tile store
 (:func:`repro.ingest.tiles.write_region_tiles` — the full map never exists

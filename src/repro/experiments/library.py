@@ -505,23 +505,27 @@ def fleet_lanes(
     """Build the lanes of a heterogeneous fleet from *mix* slices.
 
     Scenarios are resolved through the shared per-process cache (one build
-    per distinct scenario regardless of the object count), and every lane
-    gets its own protocol instance, as :class:`~repro.sim.fleet.FleetSimulation`
-    requires.  Lane ids are ``<scenario>/<protocol>/<us>/<n>``.
+    per distinct scenario regardless of the object count).  Each slice
+    builds one prototype protocol and every lane gets its own
+    :meth:`~repro.protocols.base.UpdateProtocol.clone_for` copy, as
+    :class:`~repro.sim.fleet.FleetSimulation` requires; the clones of a
+    map-based prototype share its match-stream memo, so a slice matches
+    its trace once, not once per lane.  Lane ids are
+    ``<scenario>/<protocol>/<us>/<n>``.
     """
     from repro.sim.runner import ScenarioSpec  # runtime import: runner resolves us
 
     lanes: List[FleetLane] = []
     for m in mix:
         scenario = ScenarioSpec(name=m.scenario, scale=scale, seed=seed).build()
+        prototype = SimulationConfig(
+            protocol_id=m.protocol_id, accuracy=m.accuracy
+        ).build_protocol(scenario)
         for n in range(m.count):
-            protocol = SimulationConfig(
-                protocol_id=m.protocol_id, accuracy=m.accuracy
-            ).build_protocol(scenario)
             lanes.append(
                 FleetLane(
                     object_id=f"{m.scenario}/{m.protocol_id}/{m.accuracy:g}/{n}",
-                    protocol=protocol,
+                    protocol=prototype.clone_for(),
                     sensor_trace=scenario.sensor_trace,
                     truth_trace=scenario.true_trace,
                 )

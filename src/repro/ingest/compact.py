@@ -5,7 +5,7 @@ the projected node/way soup into a clean
 :class:`~repro.roadmap.graph.RoadMap` in four deterministic passes over a
 flat list of :class:`Segment` (one per consecutive node pair of a way):
 
-1. **clip** — drop segments outside a geodesic bounding box (tile imports),
+1. **clip** — drop segments outside a geodesic bounding box (regional imports),
 2. **largest component** — drop disconnected fragments (ferry islands,
    clipped-off suburbs) that no route could ever reach,
 3. **stub pruning** — iteratively remove dead-end chains shorter than a

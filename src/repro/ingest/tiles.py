@@ -1,60 +1,41 @@
-"""Streaming tiled ingestion: bounded-memory import of metro-scale extracts.
+"""The synthetic big-map region fixture, written to disk as spatial tiles.
 
-The one-shot pipeline in :mod:`repro.ingest.cache` materialises the whole
-extract — node table, way list, segment list, compiled map — before anything
-is written.  That is fine for town fixtures and hopeless for a region with a
-million intersections.  This module adds the big-map path:
+``benchmarks/bench_bigmap.py`` exercises the contraction-hierarchy engine
+on a ~1M-node road network, which is too big to build as one
+:class:`~repro.roadmap.graph.RoadMap`.  This module writes that network
+straight to disk and streams it back:
 
-* :func:`stream_osm_to_tiles` parses an OSM XML extract in **three streaming
-  passes** (way scan → node positions → segment emission), never holding
-  more than the road network itself in memory (the extract's non-highway
-  bulk — POIs, buildings, relations — is skipped element by element).
-  Segments are bucketed into **spatially keyed tiles** and appended to
-  per-tile JSONL files as buffers fill, so peak memory is bounded by the
-  flush threshold, not the extract size.
-* :class:`TileStore` is the on-disk result: an ``index.json`` plus one
-  ``tile_<tx>_<ty>.jsonl`` per occupied tile.  Tiles load **lazily** through
-  an LRU cache; a bounding-box query touches only the tiles it overlaps.
-* :func:`write_region_tiles` generates the deterministic synthetic region
-  fixture (a jittered grid with a motorway/primary/secondary/residential
-  speed hierarchy) used by ``benchmarks/bench_bigmap.py`` to exercise the
-  contraction-hierarchy engine at the ~1M-node scale.  The generator writes
-  tiles directly — the full map never exists in memory.
+* :func:`write_region_tiles` generates the deterministic region (a jittered
+  grid with a motorway/primary/secondary/residential speed hierarchy) and
+  appends its segments through a :class:`TileWriter`, whose bounded
+  buffers flush to per-tile JSONL files — the full map never exists in
+  memory.
+* :class:`TileStore` opens the result (an ``index.json`` plus one
+  ``tile_<tx>_<ty>.jsonl`` per occupied tile) and streams it back:
+  :meth:`TileStore.iter_segments` yields every segment, and
+  :meth:`TileStore.routing_links` yields the ``(link_id, from, to,
+  weight)`` rows a :class:`~repro.roadmap.hierarchy.RoutingGraph` is built
+  from, with the link ids the merged road map would assign.
 
-Tile stores live under the same content-hash cache directory scheme as
-compiled maps (:func:`tile_cache_dir` mirrors :func:`repro.ingest.cache.cache_key`):
-re-importing an unchanged extract with unchanged tiling options finds the
-finished store and parses nothing.
+Real OSM extracts take the one import path in :mod:`repro.ingest.cache`.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
-from xml.etree import ElementTree
 
 import numpy as np
 
-from repro.geo.bbox import BoundingBox
-from repro.geo.geodesy import LocalProjection
-from repro.ingest.compact import Segment, segments_to_roadmap
-from repro.ingest.osm import load_osm, normalize_way, project_network
+from repro.ingest.compact import Segment
 from repro.roadmap.elements import RoadClass
-from repro.roadmap.graph import RoadMap
 from repro.roadmap.hierarchy import link_tie_key
 
-#: Bump when the on-disk tile layout or record schema changes; part of the
-#: content-hash key so stale stores are never picked up.
-TILE_FORMAT_VERSION = 1
-
-#: Default tile edge length in metres.  At raw OSM densities this keeps a
-#: tile to a few thousand segments — small enough to load lazily, large
-#: enough that the index stays tiny.
-DEFAULT_TILE_SIZE_M = 4000.0
+#: Bump when the on-disk tile layout or record schema changes; a store
+#: written under another version is rejected on open.
+TILE_FORMAT_VERSION = 2
 
 _INDEX_NAME = "index.json"
 
@@ -105,12 +86,7 @@ class TileWriter:
     independent of the input size.
     """
 
-    def __init__(
-        self,
-        root: Union[str, Path],
-        tile_size_m: float = DEFAULT_TILE_SIZE_M,
-        buffer_segments: int = 20000,
-    ):
+    def __init__(self, root: Union[str, Path], tile_size_m: float, buffer_segments: int):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.tile_size_m = float(tile_size_m)
@@ -118,7 +94,6 @@ class TileWriter:
         self._buffers: Dict[Tuple[int, int], List[str]] = {}
         self._buffered = 0
         self._counts: Dict[Tuple[int, int], int] = {}
-        self._bounds: Optional[List[float]] = None
         self._nodes: set = set()
         self._total = 0
 
@@ -135,16 +110,6 @@ class TileWriter:
         self._total += 1
         self._nodes.add(segment.a)
         self._nodes.add(segment.b)
-        xs = (float(points[0][0]), float(points[-1][0]))
-        ys = (float(points[0][1]), float(points[-1][1]))
-        if self._bounds is None:
-            self._bounds = [min(xs), min(ys), max(xs), max(ys)]
-        else:
-            b = self._bounds
-            b[0] = min(b[0], *xs)
-            b[1] = min(b[1], *ys)
-            b[2] = max(b[2], *xs)
-            b[3] = max(b[3], *ys)
         if self._buffered >= self.buffer_segments:
             self._flush()
 
@@ -157,13 +122,7 @@ class TileWriter:
         self._buffers.clear()
         self._buffered = 0
 
-    def close(
-        self,
-        kind: str,
-        origin: Tuple[float, float] = (0.0, 0.0),
-        stats: Optional[Dict[str, object]] = None,
-        extra: Optional[Dict[str, object]] = None,
-    ) -> Path:
+    def close(self, kind: str, extra: Optional[Dict[str, object]] = None) -> Path:
         """Flush remaining buffers and write ``index.json``; returns its path."""
         self._flush()
         tiles = {
@@ -174,13 +133,10 @@ class TileWriter:
             "format": "repro-tiles",
             "version": TILE_FORMAT_VERSION,
             "kind": kind,
-            "origin": [float(origin[0]), float(origin[1])],
             "tile_size_m": self.tile_size_m,
-            "bounds": self._bounds or [0.0, 0.0, 0.0, 0.0],
             "segments": self._total,
             "nodes": len(self._nodes),
             "tiles": tiles,
-            "stats": dict(stats or {}),
         }
         if extra:
             index.update(extra)
@@ -200,14 +156,9 @@ def tile_file_name(tx: int, ty: int) -> str:
 # store
 # --------------------------------------------------------------------------- #
 class TileStore:
-    """A finished tile directory: lazy, LRU-cached access to its segments.
+    """A finished tile directory, streamed tile by tile in sorted order."""
 
-    ``max_loaded_tiles`` bounds resident memory during spatial queries;
-    whole-store iteration (:meth:`iter_segments`) streams tile files
-    directly and never populates the cache.
-    """
-
-    def __init__(self, root: Union[str, Path], max_loaded_tiles: int = 16):
+    def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
         index_path = self.root / _INDEX_NAME
         if not index_path.exists():
@@ -219,20 +170,10 @@ class TileStore:
             raise ValueError(
                 f"tile format version {self.index.get('version')} != {TILE_FORMAT_VERSION}"
             )
-        self.tile_size_m = float(self.index["tile_size_m"])
-        self.max_loaded_tiles = int(max_loaded_tiles)
-        self._cache: "OrderedDict[Tuple[int, int], List[Segment]]" = OrderedDict()
-        self.tiles_loaded = 0  # lifetime load count (cache misses), for tests
 
-    # -- basic facts ---------------------------------------------------- #
     @property
     def kind(self) -> str:
-        return str(self.index.get("kind", "osm"))
-
-    @property
-    def origin(self) -> Tuple[float, float]:
-        lat, lon = self.index.get("origin", (0.0, 0.0))
-        return (float(lat), float(lon))
+        return str(self.index["kind"])
 
     @property
     def num_segments(self) -> int:
@@ -241,10 +182,6 @@ class TileStore:
     @property
     def num_nodes(self) -> int:
         return int(self.index["nodes"])
-
-    def bounds(self) -> BoundingBox:
-        minx, miny, maxx, maxy = self.index["bounds"]
-        return BoundingBox(minx, miny, maxx, maxy)
 
     def tile_keys(self) -> List[Tuple[int, int]]:
         """All occupied tiles, sorted (the canonical iteration order)."""
@@ -255,30 +192,6 @@ class TileStore:
         keys.sort()
         return keys
 
-    # -- tile access ---------------------------------------------------- #
-    def _read_tile(self, tx: int, ty: int) -> List[Segment]:
-        path = self.root / self.index["tiles"][f"{tx},{ty}"]["file"]
-        segments = []
-        with path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                if line.strip():
-                    segments.append(_record_segment(json.loads(line)))
-        return segments
-
-    def load_tile(self, tx: int, ty: int) -> List[Segment]:
-        """Segments of one tile, through the LRU cache."""
-        key = (tx, ty)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self._cache.move_to_end(key)
-            return cached
-        segments = self._read_tile(tx, ty)
-        self.tiles_loaded += 1
-        self._cache[key] = segments
-        if len(self._cache) > self.max_loaded_tiles:
-            self._cache.popitem(last=False)
-        return segments
-
     def iter_segments(self) -> Iterator[Segment]:
         """Every segment, streamed in sorted-tile order (deterministic)."""
         for tx, ty in self.tile_keys():
@@ -288,64 +201,11 @@ class TileStore:
                     if line.strip():
                         yield _record_segment(json.loads(line))
 
-    def tiles_in_box(self, box: BoundingBox) -> List[Tuple[int, int]]:
-        """Occupied tiles overlapping a planar bounding box."""
-        t0 = _tile_of(box.min_x, box.min_y, self.tile_size_m)
-        t1 = _tile_of(box.max_x, box.max_y, self.tile_size_m)
-        keys = []
-        for tx, ty in self.tile_keys():
-            if t0[0] <= tx <= t1[0] and t0[1] <= ty <= t1[1]:
-                keys.append((tx, ty))
-        return keys
-
-    def segments_in_box(self, box: BoundingBox) -> List[Segment]:
-        """Segments whose midpoint tile overlaps *box* (lazy tile loads)."""
-        out: List[Segment] = []
-        for tx, ty in self.tiles_in_box(box):
-            out.extend(self.load_tile(tx, ty))
-        return out
-
-    # -- graph assembly ------------------------------------------------- #
-    def to_roadmap(
-        self,
-        metadata: Optional[Dict[str, object]] = None,
-        index_cell_size: float = 250.0,
-    ) -> RoadMap:
-        """Merge every tile into one :class:`RoadMap` (small stores only).
-
-        Link ids are assigned in :meth:`iter_segments` order, matching
-        :meth:`routing_links` — a planner built here and a routing graph
-        streamed from the same store describe the same network.
-        """
-        meta = {
-            "source": str(self.root),
-            "kind": self.kind,
-            "origin": list(self.origin),
-            "tiles": len(self.index["tiles"]),
-        }
-        if metadata:
-            meta.update(metadata)
-        return segments_to_roadmap(
-            list(self.iter_segments()), metadata=meta, index_cell_size=index_cell_size
-        )
-
-    def roadmap_for_box(
-        self,
-        box: BoundingBox,
-        metadata: Optional[Dict[str, object]] = None,
-        index_cell_size: float = 250.0,
-    ) -> RoadMap:
-        """A :class:`RoadMap` of just the tiles overlapping *box*."""
-        segments = self.segments_in_box(box)
-        meta = {"source": str(self.root), "clip": box.as_tuple()}
-        if metadata:
-            meta.update(metadata)
-        return segments_to_roadmap(segments, metadata=meta, index_cell_size=index_cell_size)
-
     def routing_links(self, weight: str = "length") -> Iterator[Tuple[int, int, int, float]]:
         """Stream ``(link_id, from, to, weight)`` rows for the whole store.
 
-        Link ids follow the :func:`segments_to_roadmap` assignment rule —
+        Link ids follow the
+        :func:`~repro.ingest.compact.segments_to_roadmap` assignment rule —
         segment order, forward link then reverse link — so paths found on a
         :class:`~repro.roadmap.hierarchy.RoutingGraph` built from this
         stream quote the same link ids as the merged road map, without the
@@ -378,217 +238,6 @@ class TileStore:
             if not segment.oneway:
                 yield (link_id, segment.b, segment.a, w)
                 link_id += 1
-
-
-# --------------------------------------------------------------------------- #
-# streaming OSM import
-# --------------------------------------------------------------------------- #
-def _iter_xml_ways(source: Path) -> Iterator:
-    """Yield normalised :class:`OSMWay` objects from one streaming XML pass."""
-    for _, element in ElementTree.iterparse(str(source), events=("end",)):
-        if element.tag == "way":
-            refs = [int(nd.attrib["ref"]) for nd in element.findall("nd")]
-            tags = {
-                tag.attrib.get("k", ""): tag.attrib.get("v", "")
-                for tag in element.findall("tag")
-            }
-            if "highway" in tags:
-                way = normalize_way(int(element.attrib["id"]), refs, tags)
-                if way is not None:
-                    yield way
-            element.clear()
-        elif element.tag in ("node", "relation"):
-            element.clear()
-
-
-def stream_osm_to_tiles(
-    source: Union[str, Path],
-    out_dir: Union[str, Path],
-    tile_size_m: float = DEFAULT_TILE_SIZE_M,
-    origin: Optional[Tuple[float, float]] = None,
-    buffer_segments: int = 20000,
-) -> TileStore:
-    """Parse an OSM extract into a tile store without materialising it.
-
-    XML extracts go through three streaming passes:
-
-    1. **way scan** — collect the node ids the road network actually
-       references (memory: one id per network node, nothing per POI),
-    2. **node scan** — record ``(lat, lon)`` for exactly those ids and
-       derive the projection origin from their bounding box,
-    3. **segment emission** — re-walk the ways, project each consecutive
-       node pair and append it to its tile through a bounded
-       :class:`TileWriter` buffer.
-
-    JSON (Overpass) extracts are fixture-sized by construction, so they
-    take the in-memory parser and are tiled from its output.
-    """
-    source = Path(source)
-    out = Path(out_dir)
-    head = source.read_text(encoding="utf-8", errors="ignore")[:256].lstrip()
-    if head.startswith("{"):
-        return _tiles_from_small_extract(source, out, tile_size_m, origin, buffer_segments)
-
-    # Pass 1: which nodes does the road network use?
-    needed: set = set()
-    way_count = 0
-    for way in _iter_xml_ways(source):
-        way_count += 1
-        needed.update(way.nodes)
-    if not needed:
-        raise ValueError(f"no road network in {source}")
-
-    # Pass 2: positions of exactly those nodes.
-    positions_ll: Dict[int, Tuple[float, float]] = {}
-    for _, element in ElementTree.iterparse(str(source), events=("end",)):
-        if element.tag == "node":
-            node_id = int(element.attrib["id"])
-            if node_id in needed:
-                positions_ll[node_id] = (
-                    float(element.attrib["lat"]),
-                    float(element.attrib["lon"]),
-                )
-        element.clear()
-    if origin is None:
-        lats = [ll[0] for ll in positions_ll.values()]
-        lons = [ll[1] for ll in positions_ll.values()]
-        origin = ((min(lats) + max(lats)) / 2.0, (min(lons) + max(lons)) / 2.0)
-    projection = LocalProjection(*origin)
-    projected: Dict[int, Tuple[float, float]] = {}
-    for node_id, (lat, lon) in positions_ll.items():
-        x, y = projection.to_local(lat, lon)
-        projected[node_id] = (float(x), float(y))
-    del positions_ll
-
-    # Pass 3: emit per-node-pair segments into tiles.
-    writer = TileWriter(out, tile_size_m=tile_size_m, buffer_segments=buffer_segments)
-    missing_refs = 0
-    emitted_ways = 0
-    for way in _iter_xml_ways(source):
-        refs = [r for r in way.nodes if r in projected]
-        missing_refs += len(way.nodes) - len(refs)
-        deduped: List[int] = []
-        for ref in refs:
-            if not deduped or deduped[-1] != ref:
-                deduped.append(ref)
-        if len(deduped) < 2:
-            continue
-        emitted_ways += 1
-        for a, b in zip(deduped, deduped[1:]):
-            pa, pb = projected[a], projected[b]
-            if math.hypot(pb[0] - pa[0], pb[1] - pa[1]) <= 1e-9:
-                continue
-            writer.add(
-                Segment(
-                    a=a,
-                    b=b,
-                    points=np.array([pa, pb], dtype=float),
-                    road_class=way.road_class,
-                    speed_limit=way.speed_limit,
-                    oneway=way.oneway == "forward",
-                    name=way.name,
-                )
-            )
-    writer.close(
-        kind="osm",
-        origin=origin,
-        stats={
-            "source": source.name,
-            "highway_ways": way_count,
-            "emitted_ways": emitted_ways,
-            "network_nodes": len(projected),
-            "missing_node_refs": missing_refs,
-        },
-    )
-    return TileStore(out)
-
-
-def _tiles_from_small_extract(
-    source: Path,
-    out: Path,
-    tile_size_m: float,
-    origin: Optional[Tuple[float, float]],
-    buffer_segments: int,
-) -> TileStore:
-    """Tile a fixture-sized (JSON) extract via the in-memory parser."""
-    network = load_osm(source)
-    projected = project_network(network, origin=origin)
-    writer = TileWriter(out, tile_size_m=tile_size_m, buffer_segments=buffer_segments)
-    for way in projected.network.ways:
-        for a, b in zip(way.nodes, way.nodes[1:]):
-            pa = projected.positions[a]
-            pb = projected.positions[b]
-            if float(np.hypot(*(pb - pa))) <= 1e-9:
-                continue
-            writer.add(
-                Segment(
-                    a=a,
-                    b=b,
-                    points=np.vstack((pa, pb)),
-                    road_class=way.road_class,
-                    speed_limit=way.speed_limit,
-                    oneway=way.oneway == "forward",
-                    name=way.name,
-                )
-            )
-    writer.close(
-        kind="osm",
-        origin=projected.origin,
-        stats={"source": source.name, "highway_ways": len(projected.network.ways)},
-    )
-    return TileStore(out)
-
-
-def tile_cache_dir(
-    source: Union[str, Path],
-    cache_dir: Union[str, Path],
-    tile_size_m: float = DEFAULT_TILE_SIZE_M,
-    origin: Optional[Tuple[float, float]] = None,
-) -> Path:
-    """The content-hash-keyed directory a tiling of *source* belongs in.
-
-    Mirrors :func:`repro.ingest.cache.cache_key`: the key covers the extract
-    bytes, the tiling options and the format version, so any change to
-    either produces a fresh directory instead of mixing layouts.
-    """
-    source = Path(source)
-    digest = hashlib.sha256(source.read_bytes()).hexdigest()
-    key_material = json.dumps(
-        {
-            "content": digest,
-            "tile_size_m": float(tile_size_m),
-            "origin": list(origin) if origin is not None else None,
-            "tile_format": TILE_FORMAT_VERSION,
-        },
-        sort_keys=True,
-    )
-    key = hashlib.sha256(key_material.encode("utf-8")).hexdigest()[:16]
-    return Path(cache_dir) / f"{source.stem}-tiles-{key}"
-
-
-def import_tiles(
-    source: Union[str, Path],
-    cache_dir: Union[str, Path],
-    tile_size_m: float = DEFAULT_TILE_SIZE_M,
-    origin: Optional[Tuple[float, float]] = None,
-    buffer_segments: int = 20000,
-) -> Tuple[TileStore, bool]:
-    """Tile an extract under *cache_dir*, reusing a finished store if present.
-
-    Returns ``(store, cached)`` — ``cached`` is ``True`` when the
-    content-hash key already had a complete ``index.json``.
-    """
-    target = tile_cache_dir(source, cache_dir, tile_size_m=tile_size_m, origin=origin)
-    if (target / _INDEX_NAME).exists():
-        return TileStore(target), True
-    store = stream_osm_to_tiles(
-        source,
-        target,
-        tile_size_m=tile_size_m,
-        origin=origin,
-        buffer_segments=buffer_segments,
-    )
-    return store, False
 
 
 # --------------------------------------------------------------------------- #
@@ -686,8 +335,6 @@ def write_region_tiles(
                 writer.add(_segment(nid, nid + ncols, col_class))
     writer.close(
         kind="synthetic-region",
-        origin=(0.0, 0.0),
-        stats={"generator": "write_region_tiles"},
         extra={
             "region": {
                 "nrows": nrows,

@@ -578,15 +578,12 @@ class GeneratorSpec:
     matching_tolerance: float = 30.0
     sensor_sigma: float = 2.5
     noise_correlation_s: float = 60.0
-    route_algo: str = "dijkstra"
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("a generated scenario needs a name")
         if self.route_length_m <= 0:
             raise ValueError("route_length_m must be positive")
-        if self.route_algo not in ("dijkstra", "ch"):
-            raise ValueError(f"unknown route_algo {self.route_algo!r}")
 
     @property
     def knobs(self) -> Dict[str, object]:
@@ -605,8 +602,6 @@ class GeneratorSpec:
             out["delivery_stops"] = self.agent.n_stops
         if self.agent.sample_interval != 1.0:
             out["sample_interval_s"] = self.agent.sample_interval
-        if self.route_algo != "dijkstra":
-            out["route_algo"] = self.route_algo
         if self.degradation.dropout_windows:
             out["dropout"] = (
                 f"{self.degradation.dropout_windows}x windows, "
@@ -691,16 +686,15 @@ def _multi_stop_route(
 
 
 @lru_cache(maxsize=8)
-def _shared_planner(roadmap: RoadMap, weight: str, algo: str) -> RoutePlanner:
-    """One planner per (map, weight, algo) across a whole fleet build.
+def _shared_planner(roadmap: RoadMap, weight: str) -> RoutePlanner:
+    """One Dijkstra planner per (map, weight) across a whole fleet build.
 
     Every agent of a fleet plans on the same road map; sharing the planner
-    means the routing graph — and, with ``algo="ch"``, the contraction
-    hierarchy — is built once per map instead of once per agent.  Keyed by
-    map identity (road maps are immutable), bounded so sweeps over many
-    generated towns do not pin every map in memory.
+    means the routing graph is built once per map instead of once per
+    agent.  Keyed by map identity (road maps are immutable), bounded so
+    sweeps over many generated towns do not pin every map in memory.
     """
-    return RoutePlanner(roadmap, weight=weight, algo=algo)
+    return RoutePlanner(roadmap, weight=weight)
 
 
 def _build_route(
@@ -717,9 +711,7 @@ def _build_route(
     if style == "corridor":
         route = corridor_route(roadmap, _corridor_class(roadmap))
         return _truncate_route(route, target_length), []
-    planner = _shared_planner(
-        roadmap, "travel_time" if style == "through" else "length", spec.route_algo
-    )
+    planner = _shared_planner(roadmap, "travel_time" if style == "through" else "length")
     if style == "through":
         route = _through_route(roadmap, planner)
         return _truncate_route(route, target_length), []

@@ -32,8 +32,9 @@ engines agree bitwise even though shortcut weights are pre-summed.
 
 The module works on :class:`RoutingGraph`, a compact adjacency-list view
 that can be extracted from a :class:`~repro.roadmap.graph.RoadMap` or
-streamed straight out of a tiled big-map store
-(:mod:`repro.ingest.tiles`) without materialising link geometry.
+built from streamed ``(link_id, from, to, weight)`` rows — the benchmark's
+synthetic big-map region (:mod:`repro.ingest.tiles`) takes that route,
+since it is too large to materialise as a road map.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ graph, for any query, the hierarchy's bidirectional upward search returns
 *exactly* what the tie-broken reference Dijkstra returns — same
 reachability verdict, bit-identical cost, identical tie key, identical
 link sequence.  The suite exercises it across a seeded random-graph family
-(mixed one-way/two-way, both edge weights), a maximally tie-rich uniform
-grid, and the persistence round-trip through the compiled-map cache.
+(mixed one-way/two-way, both edge weights), the bundled OSM extract, a
+maximally tie-rich uniform grid, and the persistence round-trip through
+the compiled-map cache.
 """
 
 import json
@@ -15,6 +16,8 @@ import random
 import pytest
 
 from repro.ingest.cache import hierarchy_path, load_or_build_hierarchy
+from repro.ingest.compact import compile_roadmap
+from repro.ingest.osm import load_osm, project_network
 from repro.roadmap.builder import RoadMapBuilder
 from repro.roadmap.elements import RoadClass
 from repro.roadmap.generators import city_grid_map
@@ -25,6 +28,8 @@ from repro.roadmap.hierarchy import (
     link_tie_key,
 )
 from repro.roadmap.routing import RoutePlanner
+
+MINIVILLE = "tests/data/miniville.osm"
 
 _CLASSES = (
     RoadClass.MOTORWAY,
@@ -90,20 +95,26 @@ def assert_identical(reference, candidate, context=""):
 
 
 class TestCHEqualsDijkstra:
-    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("case", [*range(6), "miniville"])
     @pytest.mark.parametrize("weight", ["length", "travel_time"])
-    def test_random_graph_family(self, seed, weight):
-        roadmap = random_roadmap(seed)
+    def test_random_graph_family(self, case, weight):
+        # Six seeded random maps, plus the miniville extract compiled
+        # through the one-shot import pipeline (real OSM topology).
+        if case == "miniville":
+            roadmap = compile_roadmap(project_network(load_osm(MINIVILLE))).roadmap
+            rng = random.Random(17)
+        else:
+            roadmap = random_roadmap(case)
+            rng = random.Random(1000 + case)
         graph = RoutingGraph.from_roadmap(roadmap, weight)
         hierarchy = ContractionHierarchy.build(graph)
-        rng = random.Random(1000 + seed)
         ids = graph.node_ids
         for _ in range(80):
             source, target = rng.choice(ids), rng.choice(ids)
             assert_identical(
                 dijkstra_path(graph, source, target),
                 hierarchy.query(source, target),
-                context=f"seed={seed} weight={weight} {source}->{target}",
+                context=f"case={case} weight={weight} {source}->{target}",
             )
 
     def test_tie_rich_uniform_grid(self):

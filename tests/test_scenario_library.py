@@ -21,7 +21,10 @@ from repro.mobility.generator import (
     TrafficRegime,
     generate_scenario,
 )
+from repro.mapmatching.matcher import IncrementalMapMatcher
 from repro.mobility.scenarios import ScenarioName
+from repro.sim.config import PROTOCOL_IDS, SimulationConfig
+from repro.sim.fleet import FleetLane, FleetSimulation
 from repro.sim.runner import ScenarioSpec
 
 
@@ -167,3 +170,36 @@ class TestFleetMix:
         assert len({id(l.protocol) for l in lanes}) == 3
         assert len({id(l.sensor_trace) for l in lanes}) == 1
         assert len({l.object_id for l in lanes}) == 3
+
+    def test_map_slice_matches_its_trace_once(self, monkeypatch):
+        calls = [0]
+        update = IncrementalMapMatcher.update
+
+        def counted(self, *args, **kwargs):
+            calls[0] += 1
+            return update(self, *args, **kwargs)
+
+        monkeypatch.setattr(IncrementalMapMatcher, "update", counted)
+        lanes = fleet_lanes([FleetMix("city", "map", 100.0, 4)], scale=0.07)
+        FleetSimulation(lanes).run()
+        # Four lanes replay one trace: the slice's clones share one match.
+        assert calls[0] == len(lanes[0].sensor_trace)
+
+    @pytest.mark.parametrize(
+        "protocol_id", [p for p in PROTOCOL_IDS if p != "map_probabilistic"]
+    )
+    def test_cloned_lanes_equal_fresh_protocols(self, protocol_id):
+        mix = [FleetMix("city", protocol_id, 100.0, 3)]
+        lanes = fleet_lanes(mix, scale=0.07)
+        scenario = ScenarioSpec(name="city", scale=0.07).build()
+        config = SimulationConfig(protocol_id=protocol_id, accuracy=100.0)
+        fresh = [
+            FleetLane(
+                object_id=lane.object_id,
+                protocol=config.build_protocol(scenario),
+                sensor_trace=lane.sensor_trace,
+                truth_trace=lane.truth_trace,
+            )
+            for lane in lanes
+        ]
+        assert FleetSimulation(lanes).run().as_rows() == FleetSimulation(fresh).run().as_rows()

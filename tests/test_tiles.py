@@ -1,123 +1,80 @@
-"""Streaming tiled ingestion: store layout, lazy loading, graph identity.
+"""The big-map region fixture: tile store layout, streaming, graph identity.
 
 Two contracts matter here:
 
 1. **Tiling is invisible to the graph** — a routing graph streamed from a
    tile store (`routing_links`) is element-for-element identical to the
    one built from the merged :class:`RoadMap`, and the contraction
-   hierarchy on a tile-merged map still answers bit-identically to
-   Dijkstra.
-2. **Tiles load lazily and deterministically** — bbox queries touch only
-   overlapping tiles, the LRU keeps residency bounded, re-imports hit the
-   content-hash cache, and the synthetic region generator is byte-stable.
+   hierarchy on the streamed graph answers bit-identically to Dijkstra.
+2. **The region generator is deterministic** — the same arguments write
+   byte-identical tiles.
 """
 
 import random
 
+import numpy as np
 import pytest
 
-from repro.geo.bbox import BoundingBox
-from repro.ingest.tiles import (
-    TileStore,
-    import_tiles,
-    stream_osm_to_tiles,
-    tile_cache_dir,
-    write_region_tiles,
-)
+from repro.ingest.compact import Segment, segments_to_roadmap
+from repro.ingest.tiles import TileStore, TileWriter, write_region_tiles
+from repro.roadmap.elements import RoadClass
 from repro.roadmap.hierarchy import ContractionHierarchy, RoutingGraph, dijkstra_path
 
-MINIVILLE = "tests/data/miniville.osm"
+
+def _mixed_store(root):
+    """A hand-built store with one-way links, shape points and no speed limit.
+
+    The region fixture is two-way, two-point and speed-limited everywhere;
+    these segments reach the other branches of ``routing_links``.
+    """
+    writer = TileWriter(root, tile_size_m=150.0, buffer_segments=2)
+    positions = {1: (0.0, 0.0), 2: (130.0, 10.0), 3: (260.0, -5.0), 4: (140.0, 170.0)}
+
+    def segment(a, b, oneway, speed=None, shape=()):
+        points = np.array([positions[a], *shape, positions[b]], dtype=float)
+        return Segment(a, b, points, RoadClass.SECONDARY, speed, oneway)
+
+    for seg in (
+        segment(1, 2, oneway=False, speed=14.0),
+        segment(2, 3, oneway=True),
+        segment(3, 4, oneway=False, shape=[(230.0, 90.0), (190.0, 150.0)]),
+        segment(4, 1, oneway=True, speed=9.0, shape=[(60.0, 120.0)]),
+        segment(4, 2, oneway=False),
+    ):
+        writer.add(seg)
+    writer.close(kind="mixed")
+    return TileStore(root)
 
 
-@pytest.fixture(scope="module")
-def miniville_store(tmp_path_factory):
-    root = tmp_path_factory.mktemp("tiles")
-    return stream_osm_to_tiles(MINIVILLE, root / "miniville", tile_size_m=500.0)
-
-
-class TestStreamingImport:
-    def test_store_facts(self, miniville_store):
-        store = miniville_store
-        assert store.kind == "osm"
-        assert store.num_segments > 0
-        assert store.num_nodes > 0
-        assert len(store.tile_keys()) > 1  # the fixture spans several tiles
-
-    def test_streamed_graph_identical_to_merged_roadmap(self, miniville_store):
-        roadmap = miniville_store.to_roadmap()
-        streamed = RoutingGraph.from_links(
-            "length", list(miniville_store.routing_links("length"))
+class TestStreamedGraph:
+    @pytest.mark.parametrize("weight", ["length", "travel_time"])
+    @pytest.mark.parametrize("fixture", ["region", "mixed"])
+    def test_streamed_graph_identical_to_merged_roadmap(self, tmp_path, fixture, weight):
+        if fixture == "region":
+            store = write_region_tiles(tmp_path / "r", 12, 14, tile_nodes=4)
+        else:
+            store = _mixed_store(tmp_path / "m")
+        assert len(store.tile_keys()) > 1  # the store spans several tiles
+        streamed = RoutingGraph.from_links(weight, list(store.routing_links(weight)))
+        merged = RoutingGraph.from_roadmap(
+            segments_to_roadmap(list(store.iter_segments())), weight
         )
-        merged = RoutingGraph.from_roadmap(roadmap, "length")
         assert streamed.node_ids == merged.node_ids
         assert streamed.num_edges() == merged.num_edges()
         for u in range(merged.num_nodes()):
             assert streamed.out_edges[u] == merged.out_edges[u]
 
-    def test_segments_survive_round_trip(self, miniville_store):
-        # Re-tiling the merged segments reproduces counts exactly.
-        total = sum(1 for _ in miniville_store.iter_segments())
-        assert total == miniville_store.num_segments
+    def test_segments_survive_round_trip(self, tmp_path):
+        store = _mixed_store(tmp_path / "m")
+        segments = list(store.iter_segments())
+        assert len(segments) == store.num_segments == 5
+        assert store.num_nodes == 4
+        assert sorted(s.oneway for s in segments) == [False, False, False, True, True]
 
-    def test_import_tiles_hits_content_hash_cache(self, tmp_path):
-        _, cached_first = import_tiles(MINIVILLE, tmp_path, tile_size_m=500.0)
-        _, cached_second = import_tiles(MINIVILLE, tmp_path, tile_size_m=500.0)
-        assert not cached_first and cached_second
-
-    def test_tiling_options_key_the_cache(self, tmp_path):
-        a = tile_cache_dir(MINIVILLE, tmp_path, tile_size_m=500.0)
-        b = tile_cache_dir(MINIVILLE, tmp_path, tile_size_m=1000.0)
-        assert a != b
-
-
-class TestLazyLoading:
-    def test_bbox_touches_only_overlapping_tiles(self, tmp_path):
-        store = stream_osm_to_tiles(MINIVILLE, tmp_path / "mv", tile_size_m=500.0)
-        box = BoundingBox(-200.0, -200.0, 200.0, 200.0)
-        keys = store.tiles_in_box(box)
-        assert 0 < len(keys) < len(store.tile_keys())
-        segments = store.segments_in_box(box)
-        assert segments
-        assert store.tiles_loaded == len(keys)
-
-    def test_lru_bounds_residency(self, tmp_path):
-        store = TileStore(
-            stream_osm_to_tiles(MINIVILLE, tmp_path / "mv", tile_size_m=300.0).root,
-            max_loaded_tiles=2,
-        )
-        keys = store.tile_keys()
-        assert len(keys) > 2
-        for tx, ty in keys:
-            store.load_tile(tx, ty)
-        assert len(store._cache) == 2
-        # Re-loading a resident tile is a cache hit, not a re-read.
-        loads = store.tiles_loaded
-        store.load_tile(*keys[-1])
-        assert store.tiles_loaded == loads
-
-    def test_roadmap_for_box_is_usable(self, miniville_store):
-        box = BoundingBox(-300.0, -300.0, 300.0, 300.0)
-        roadmap = miniville_store.roadmap_for_box(box)
-        assert roadmap.num_intersections() > 0
-        assert roadmap.metadata["clip"] == box.as_tuple()
-
-
-class TestCHAfterTileMerge:
-    @pytest.mark.parametrize("weight", ["length", "travel_time"])
-    def test_ch_equals_dijkstra_on_tile_merged_map(self, miniville_store, weight):
-        roadmap = miniville_store.to_roadmap()
-        graph = RoutingGraph.from_roadmap(roadmap, weight)
-        hierarchy = ContractionHierarchy.build(graph)
-        rng = random.Random(17)
-        ids = graph.node_ids
-        for _ in range(120):
-            source, target = rng.choice(ids), rng.choice(ids)
-            reference = dijkstra_path(graph, source, target)
-            candidate = hierarchy.query(source, target)
-            assert (reference is None) == (candidate is None)
-            if reference is not None:
-                assert candidate.cost == reference.cost
-                assert candidate.links == reference.links
+    def test_unknown_weight_rejected(self, tmp_path):
+        store = _mixed_store(tmp_path / "m")
+        with pytest.raises(ValueError):
+            list(store.routing_links("fuel"))
 
 
 class TestSyntheticRegion:
@@ -157,3 +114,11 @@ class TestSyntheticRegion:
     def test_tiny_region_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_region_tiles(tmp_path / "r", 1, 5)
+
+    def test_store_rejects_other_format_version(self, tmp_path):
+        store = write_region_tiles(tmp_path / "r", 4, 4)
+        index_path = store.root / "index.json"
+        text = index_path.read_text(encoding="utf-8")
+        index_path.write_text(text.replace('"version": 2', '"version": 1'), encoding="utf-8")
+        with pytest.raises(ValueError):
+            TileStore(store.root)
