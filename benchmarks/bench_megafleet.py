@@ -190,7 +190,6 @@ def _sharded_fleet(times, positions, processes: int) -> FleetSimulation:
     return FleetSimulation(
         _lanes_from_arrays(times, positions, channel=channel),
         server=LocationService(n_shards=4),
-        handoff_interval=30.0,
         processes=processes,
     )
 

@@ -49,7 +49,7 @@ from repro.protocols.base import ObjectState, UpdateMessage, UpdateReason
 from repro.protocols.prediction import LinearPrediction
 from repro.service.facade import LocationService
 from repro.service.server import LocationServer
-from repro.sim.workload import QueryWorkload, WorkloadExecutor
+from repro.sim.workload import QueryWorkload, WorkloadReport, execute_call, query_stream
 
 from conftest import run_once
 
@@ -116,18 +116,23 @@ def _build_fleet(n_objects: int, seed: int = 0):
     return messages
 
 
-def _replay(backend, workload: QueryWorkload, times, queries_per_wave: int):
-    """Replay the workload as coalesced waves; return (executor, wall seconds)."""
-    executor = WorkloadExecutor(
-        workload,
-        backend,
-        BoundingBox(0.0, 0.0, _EXTENT_M, _EXTENT_M),
-        record_answers=True,
+def _replay(backend, workload: QueryWorkload, times):
+    """Replay the workload's waves; return (report, answers, wall seconds).
+
+    ``queries_per_tick`` queries share each timestamp in *times* (one
+    facade ``prepare`` for the whole wave) and are answered back to back
+    under one wall-clock measurement.
+    """
+    calls = query_stream(
+        workload, BoundingBox(0.0, 0.0, _EXTENT_M, _EXTENT_M), times, times[-1]
     )
     t0 = time.perf_counter()
-    for t in times:
-        executor.issue_wave(t, queries_per_wave)
-    return executor, time.perf_counter() - t0
+    answers = [execute_call(backend, workload, call) for call in calls]
+    seconds = time.perf_counter() - t0
+    report = WorkloadReport(ticks=len(times), query_seconds=seconds)
+    for call, answer in zip(calls, answers):
+        report.record(call.kind, answer)
+    return report, answers, seconds
 
 
 def compare_query_paths(
@@ -158,7 +163,7 @@ def compare_query_paths(
     times = [0.0, 15.0, 30.0, 45.0, 60.0]
     queries_per_wave = max(1, n_queries // len(times))
     workload = QueryWorkload(
-        queries_per_tick=1.0,
+        queries_per_tick=float(queries_per_wave),
         mix={"range": 1.0, "nearest": 1.0, "geofence": 1.0},
         k=5,
         range_extent_m=1500.0,
@@ -166,15 +171,15 @@ def compare_query_paths(
         seed=seed,
     )
 
-    linear_exec, linear_seconds = _replay(
-        LinearScans(single), workload, times, queries_per_wave
+    linear_report, linear_answers, linear_seconds = _replay(
+        LinearScans(single), workload, times
     )
-    scalar_exec, scalar_seconds = _replay(scalar, workload, times, queries_per_wave)
-    columnar_exec, columnar_seconds = _replay(
-        columnar, workload, times, queries_per_wave
+    scalar_report, scalar_answers, scalar_seconds = _replay(scalar, workload, times)
+    columnar_report, columnar_answers, columnar_seconds = _replay(
+        columnar, workload, times
     )
 
-    identical = linear_exec.answers == scalar_exec.answers == columnar_exec.answers
+    identical = linear_answers == scalar_answers == columnar_answers
     speedup = scalar_seconds / columnar_seconds if columnar_seconds > 0 else None
     speedup_vs_linear = (
         linear_seconds / columnar_seconds if columnar_seconds > 0 else None
@@ -185,7 +190,7 @@ def compare_query_paths(
         "benchmark": "columnar_vs_scalar_vs_linear",
         "objects": n_objects,
         "shards": shards,
-        "queries": columnar_exec.report.queries,
+        "queries": columnar_report.queries,
         "query_waves": len(times),
         "distinct_times": len(times),
         "mix": dict(workload.mix),
@@ -202,13 +207,11 @@ def compare_query_paths(
         "columnar_seconds": round(columnar_seconds, 4),
         "speedup": round(speedup, 3) if speedup else None,
         "speedup_vs_linear": round(speedup_vs_linear, 3) if speedup_vs_linear else None,
-        "linear_queries_per_second": round(linear_exec.report.queries_per_second, 1),
-        "scalar_queries_per_second": round(scalar_exec.report.queries_per_second, 1),
-        "columnar_queries_per_second": round(
-            columnar_exec.report.queries_per_second, 1
-        ),
+        "linear_queries_per_second": round(linear_report.queries_per_second, 1),
+        "scalar_queries_per_second": round(scalar_report.queries_per_second, 1),
+        "columnar_queries_per_second": round(columnar_report.queries_per_second, 1),
         "answers_identical": identical,
-        "hits": columnar_exec.report.hits,
+        "hits": columnar_report.hits,
         "handoffs": stats["handoffs"],
         "load_imbalance": round(stats["load_imbalance"], 3),
         "per_shard": stats["per_shard"],

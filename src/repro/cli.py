@@ -42,8 +42,9 @@ Sweep-shaped commands execute on the shared
 over N worker processes, with results guaranteed identical to a serial run.
 Every simulation runs on the discrete-event kernel (see the README's
 "Simulation kernel" section): channel messages arrive and protocol timers
-fire at their exact instants, lanes keep their own sampling rates, and
-query workloads may arrive as a Poisson process.
+fire at their exact instants, and lanes keep their own sampling rates.
+Query workloads (per tick or Poisson) are replayed beside a fleet's update
+stream from a materialised plan (``query-bench``, ``load-test``).
 
 ``fleet``, ``serve`` and ``load-test`` accept ``--obs`` (and ``--obs-dir
 DIR``) to record metrics, spans and run provenance without changing any
@@ -279,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_qbench = subparsers.add_parser(
         "query-bench",
-        help="replay a query workload against a sharded fleet mid-simulation",
+        help="replay a query workload beside a sharded fleet's update stream",
     )
     p_qbench.add_argument("--scenario", choices=scenario_names(), default="rush_hour_city")
     p_qbench.add_argument("--protocol", choices=list(PROTOCOL_IDS), default="linear")

@@ -94,7 +94,6 @@ class TileWriter:
         self._buffers: Dict[Tuple[int, int], List[str]] = {}
         self._buffered = 0
         self._counts: Dict[Tuple[int, int], int] = {}
-        self._nodes: set = set()
         self._total = 0
 
     def add(self, segment: Segment) -> None:
@@ -108,8 +107,6 @@ class TileWriter:
         self._counts[key] = self._counts.get(key, 0) + 1
         self._buffered += 1
         self._total += 1
-        self._nodes.add(segment.a)
-        self._nodes.add(segment.b)
         if self._buffered >= self.buffer_segments:
             self._flush()
 
@@ -122,8 +119,14 @@ class TileWriter:
         self._buffers.clear()
         self._buffered = 0
 
-    def close(self, kind: str, extra: Optional[Dict[str, object]] = None) -> Path:
-        """Flush remaining buffers and write ``index.json``; returns its path."""
+    def close(
+        self, kind: str, nodes: int, extra: Optional[Dict[str, object]] = None
+    ) -> Path:
+        """Flush remaining buffers and write ``index.json``; returns its path.
+
+        *nodes* is the store's junction count, recorded in the index: the
+        caller knows it, and the writer keeps no per-node state.
+        """
         self._flush()
         tiles = {
             f"{tx},{ty}": {"file": tile_file_name(tx, ty), "segments": count}
@@ -135,7 +138,7 @@ class TileWriter:
             "kind": kind,
             "tile_size_m": self.tile_size_m,
             "segments": self._total,
-            "nodes": len(self._nodes),
+            "nodes": int(nodes),
             "tiles": tiles,
         }
         if extra:
@@ -335,6 +338,7 @@ def write_region_tiles(
                 writer.add(_segment(nid, nid + ncols, col_class))
     writer.close(
         kind="synthetic-region",
+        nodes=nrows * ncols,
         extra={
             "region": {
                 "nrows": nrows,

@@ -276,9 +276,8 @@ class UpdateProtocol(abc.ABC):
         :meth:`on_timer` when it expires, so the protocol acts at the exact
         instant instead of at the first sighting that happens to be polled
         afterwards.  ``None`` (the default) means no timer is pending.  A
-        caller that only feeds sightings (the load generator's replay)
-        never consults these hooks; the protocol then polls its deadline
-        on every sighting.
+        caller that only feeds sightings never consults these hooks; the
+        protocol then polls its deadline on every sighting.
         """
         return None
 

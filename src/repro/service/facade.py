@@ -430,11 +430,11 @@ class LocationService:
     def rebalance(self, time: float) -> int:
         """Hand off every object whose prediction drifted across a boundary.
 
-        Pure placement maintenance for the event kernel's periodic
-        ``HANDOFF`` events and for :class:`~repro.service.sharding.RebalancePolicy`
-        after it moved cells: between updates an object's *predicted*
-        position keeps moving, so a long-silent object can drift out of its
-        home shard's region; this sweeps every row to its spatial home at
+        Pure placement maintenance for
+        :class:`~repro.service.sharding.RebalancePolicy` after it moved
+        cells: between updates an object's *predicted* position keeps
+        moving, so a long-silent object can drift out of its home shard's
+        region; this sweeps every row to its spatial home at
         *time* with the same predict-and-route pass as :meth:`prepare`, but
         does not touch the query engines.  Returns the number of handoffs.
         Handoffs only change placement, so query answers and simulation

@@ -1,19 +1,22 @@
 """Replay scenario traffic against a live location server.
 
 The load generator closes the loop the rest of the repository leaves open:
-the simulators *measure* the protocols, this module *serves* them.  It
+the simulators *measure* the protocols, this module *serves* them.  A
+:class:`ReplayPlan` is the one query driver of the repository:
 
-1. extracts the **update stream** a fleet of lanes would transmit — each
-   lane's protocol processes its sensor trace through a loss-free,
-   zero-latency channel, exactly like the fleet kernel's degenerate
-   schedule — and groups the delivered messages into time-ordered batches;
-2. draws the **query stream** from the workload's seeded Poisson machinery
-   (:func:`repro.sim.workload.poisson_query_stream`), so the arrival
-   pattern over simulated time is the same one the event kernel would
-   schedule;
-3. replays both against a :class:`~repro.service.live.server.LiveLocationServer`
-   as concurrent closed-loop clients, recording per-request wall-clock
-   latency (:class:`~repro.service.live.stats.LatencyRecorder`) and the
+1. it extracts the **update stream** a fleet of lanes would transmit over a
+   loss-free, zero-latency channel — each lane's protocol processes its
+   sensor trace and fires its timers at their exact deadlines, exactly like
+   the fleet kernel — and groups the updates into time-ordered batches;
+2. it draws the **query stream** from the workload's seeded stream
+   (:func:`repro.sim.workload.query_stream`), per tick or Poisson, so the
+   calls fall at the simulated instants the fleet's ticks define;
+3. :func:`replay_in_process` replays both against an in-process
+   :class:`~repro.service.facade.LocationService` (the query bench), and
+   :func:`run_load_test` replays them against a
+   :class:`~repro.service.live.server.LiveLocationServer` as closed-loop
+   clients, recording per-request wall-clock latency
+   (:class:`~repro.service.live.stats.LatencyRecorder`) and the
    **schedule** the server actually executed: the sequence number every
    batch was accepted at and the ``at_seq`` every query was answered at.
 
@@ -27,6 +30,7 @@ reference's — whatever interleaving the network produced.
 from __future__ import annotations
 
 import asyncio
+import heapq
 import math
 import time as _time
 from dataclasses import dataclass, field
@@ -34,19 +38,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.geo.bbox import BoundingBox
 from repro.obs import NO_OBS, Observability
-from repro.protocols.base import UpdateMessage
-from repro.service.channel import MessageChannel
+from repro.protocols.base import UpdateMessage, UpdateProtocol
 from repro.service.facade import LocationService
 from repro.service.live.client import LiveClient
 from repro.service.live.server import service_for_registrations
 from repro.service.live.stats import LatencyRecorder
-from repro.service.source import LocationSource
 from repro.sim.fleet import FleetLane
 from repro.sim.workload import (
     QueryCall,
     QueryWorkload,
+    WorkloadReport,
     execute_call,
-    poisson_query_stream,
+    query_stream,
 )
 from repro.traces.estimation import estimate_trace
 
@@ -62,6 +65,8 @@ class ReplayPlan:
     shared verbatim between the live server's facade and the reference
     facade — prediction functions are deterministic and stateless at query
     time, so sharing the instances keeps both sides bit-identical.
+    ``ticks`` are the sample instants up to ``end`` (the union of every
+    lane's sample times) the per-tick query stream was drawn over.
     """
 
     registrations: List[Tuple[str, object, float]]
@@ -71,6 +76,7 @@ class ReplayPlan:
     workload: QueryWorkload
     start: float
     end: float
+    ticks: List[float]
 
     @property
     def total_updates(self) -> int:
@@ -84,21 +90,21 @@ def build_replay_plan(
     max_batches: Optional[int] = None,
     max_queries: Optional[int] = None,
 ) -> ReplayPlan:
-    """Extract a fleet's update stream and draw its Poisson query stream.
+    """Extract a fleet's update stream and draw its query stream.
 
     The lanes' protocols are *consumed* (they process every sighting), so
-    callers must pass freshly built lanes.  Updates are transmitted over a
-    loss-free zero-latency channel and grouped per simulated instant in
-    lane order — the batches the fleet kernel hands to
-    :meth:`~repro.service.facade.LocationService.ingest_batch`.
+    callers must pass freshly built lanes.  Every lane runs on its own, as
+    over a loss-free zero-latency channel: a protocol that announces
+    deadlines (:meth:`~repro.protocols.base.UpdateProtocol.next_deadline`)
+    has its timer fired exactly as :class:`~repro.sim.fleet.FleetSimulation`
+    fires it.  Updates are grouped per simulated instant in lane order —
+    per instant the same updates the fleet kernel hands to
+    :meth:`~repro.service.facade.LocationService.ingest_batch`.  The query
+    stream is drawn over the union of the lanes' sample instants, per tick
+    or Poisson as *workload* says.
     """
     if not lanes:
         raise ValueError("need at least one lane")
-    if workload.arrival_rate_per_s is None:
-        raise ValueError(
-            "live replay draws query arrivals from the Poisson machinery; "
-            "set QueryWorkload.arrival_rate_per_s"
-        )
     registrations = [
         (lane.object_id, lane.protocol.prediction_function(), lane.protocol.accuracy)
         for lane in lanes
@@ -106,31 +112,19 @@ def build_replay_plan(
     events: List[Tuple[float, int, str, UpdateMessage]] = []
     min_xy = [math.inf, math.inf]
     max_xy = [-math.inf, -math.inf]
-    start = math.inf
-    end = -math.inf
+    ticks: set = set()
     for lane_index, lane in enumerate(lanes):
         truth = lane.truth_trace if lane.truth_trace is not None else lane.sensor_trace
         mins = truth.positions.min(axis=0)
         maxs = truth.positions.max(axis=0)
         min_xy = [min(min_xy[0], float(mins[0])), min(min_xy[1], float(mins[1]))]
         max_xy = [max(max_xy[0], float(maxs[0])), max(max_xy[1], float(maxs[1]))]
-        times = lane.sensor_trace.times
-        positions = lane.sensor_trace.positions
-        start = min(start, float(times[0]))
-        end = max(end, float(times[-1]))
-        channel = MessageChannel()
-        source = LocationSource(lane.object_id, lane.protocol, channel)
-        velocities, speeds = estimate_trace(
-            times, positions, lane.protocol.estimator.window
-        )
-        lane.protocol.prepare_trace(times, positions, velocities, speeds)
-        for i in range(len(times)):
-            t = float(times[i])
-            source.process_estimated(t, positions[i], velocities[i], float(speeds[i]))
-            for object_id, message in channel.deliver_due(t):
-                events.append((t, lane_index, object_id, message))
-    # Group deliveries sharing an instant into one batch, lanes in lane
-    # order within the instant — the fleet loop's batching.
+        ticks.update(lane.sensor_trace.times.tolist())
+        for t, message in _lane_updates(lane):
+            events.append((t, lane_index, lane.object_id, message))
+    # Group updates sharing an instant into one batch, lanes in lane order
+    # within the instant (the sort is stable: a lane's own updates keep
+    # their send order).
     events.sort(key=lambda e: (e[0], e[1]))
     batches: List[Batch] = []
     for t, _lane_index, object_id, message in events:
@@ -138,12 +132,15 @@ def build_replay_plan(
             batches[-1][1].append((object_id, message))
         else:
             batches.append((t, [(object_id, message)]))
+    tick_list = sorted(ticks)
+    start, end = tick_list[0], tick_list[-1]
     if max_batches is not None:
         batches = batches[:max_batches]
         if batches:
             end = min(end, batches[-1][0])
+            tick_list = [t for t in tick_list if t <= end]
     area = BoundingBox(min_xy[0], min_xy[1], max_xy[0], max_xy[1])
-    calls = poisson_query_stream(workload, area, start, end)
+    calls = query_stream(workload, area, tick_list, end)
     if max_queries is not None:
         calls = calls[:max_queries]
     return ReplayPlan(
@@ -154,7 +151,107 @@ def build_replay_plan(
         workload=workload,
         start=start,
         end=end,
+        ticks=tick_list,
     )
+
+
+def _lane_updates(lane: FleetLane) -> List[Tuple[float, UpdateMessage]]:
+    """Every ``(send_time, update)`` one lane transmits, in send order.
+
+    The fleet kernel's schedule for a single lane: at each sample instant
+    the sighting goes first, then the timers due at that instant; a timer
+    due between two sightings fires at its exact deadline.  A popped timer
+    fires only if its deadline is still current, and a protocol that
+    declines a fire without moving its deadline is not re-armed at that
+    deadline (the fleet's progress guard).  Protocols without deadlines
+    skip the timer bookkeeping entirely.
+    """
+    protocol = lane.protocol
+    times = lane.sensor_trace.times
+    positions = lane.sensor_trace.positions
+    velocities, speeds = estimate_trace(times, positions, protocol.estimator.window)
+    protocol.prepare_trace(times, positions, velocities, speeds)
+    observe = protocol.observe_precomputed
+    timed = type(protocol).next_deadline is not UpdateProtocol.next_deadline
+    lane_end = float(times[-1])
+    updates: List[Tuple[float, UpdateMessage]] = []
+    # The lane's timer agenda: scheduled deadlines, superseded ones left in
+    # place and skipped as stale when they pop.
+    agenda: List[float] = []
+    armed: Optional[float] = None
+
+    def arm() -> None:
+        nonlocal armed
+        deadline = protocol.next_deadline()
+        if deadline is None or deadline == armed or deadline > lane_end:
+            return
+        heapq.heappush(agenda, deadline)
+        armed = deadline
+
+    def fire_timers(until: float, inclusive: bool) -> None:
+        nonlocal armed
+        while agenda and (agenda[0] < until or inclusive and agenda[0] == until):
+            deadline = heapq.heappop(agenda)
+            if armed == deadline:
+                armed = None
+            if protocol.next_deadline() == deadline:
+                message = protocol.on_timer(deadline)
+                if message is not None:
+                    updates.append((deadline, message))
+                if protocol.next_deadline() == deadline:
+                    armed = deadline  # declined: spent until it moves
+                    continue
+            arm()
+
+    for i, t in enumerate(times.tolist()):
+        if timed:
+            fire_timers(t, inclusive=False)
+        message = observe(t, positions[i], velocities[i], float(speeds[i]))
+        if message is not None:
+            updates.append((t, message))
+        if timed:
+            arm()
+            fire_timers(t, inclusive=True)
+    return updates
+
+
+def lockstep_order(plan: "ReplayPlan") -> List[Tuple[bool, int]]:
+    """The canonical replay order of *plan*: ``(is_query, index)`` pairs.
+
+    Batches and calls merged by simulated time; at an equal instant every
+    batch comes before every call (the fleet kernel applies an instant's
+    deliveries before anything reads them), and each kind keeps plan order.
+    """
+    merged = [(t, 0, i) for i, (t, _batch) in enumerate(plan.batches)]
+    merged.extend((call.time, 1, i) for i, call in enumerate(plan.calls))
+    merged.sort()
+    return [(kind == 1, index) for _t, kind, index in merged]
+
+
+def replay_in_process(
+    plan: "ReplayPlan", service: LocationService
+) -> Tuple[WorkloadReport, List[object]]:
+    """Replay *plan* against an in-process *service* in :func:`lockstep_order`.
+
+    Batches go through ``ingest_batch``, calls through
+    :func:`~repro.sim.workload.execute_call`, each query timed on the wall
+    clock.  Returns the workload report (``ticks`` is the plan's sample
+    instant count) and every call's answer, in call order.
+    """
+    report = WorkloadReport(ticks=len(plan.ticks))
+    answers: List[object] = [None] * len(plan.calls)
+    for is_query, index in lockstep_order(plan):
+        if is_query:
+            call = plan.calls[index]
+            started = _time.perf_counter()
+            answer = execute_call(service, plan.workload, call)
+            report.query_seconds += _time.perf_counter() - started
+            report.record(call.kind, answer)
+            answers[index] = answer
+        else:
+            t, batch = plan.batches[index]
+            service.ingest_batch(batch, t)
+    return report, answers
 
 
 def plan_region_size(plan: ReplayPlan, n_shards: int) -> float:
@@ -315,22 +412,16 @@ async def _query_one(
 async def _run_lockstep(
     plan: ReplayPlan, host: str, port: int, report: LoadTestReport
 ) -> None:
-    """One connection, plan order, read-your-writes watermarks."""
-    merged: List[Tuple[float, int, str, int]] = []
-    for i, (t, _batch) in enumerate(plan.batches):
-        merged.append((t, 0, "ingest", i))
-    for i, call in enumerate(plan.calls):
-        merged.append((call.time, 1, "query", i))
-    merged.sort(key=lambda e: (e[0], e[1]))
+    """One connection, :func:`lockstep_order`, read-your-writes watermarks."""
     async with await LiveClient.connect(host, port) as client:
         last_seq = 0
-        for _t, _prio, kind, index in merged:
-            if kind == "ingest":
+        for is_query, index in lockstep_order(plan):
+            if is_query:
+                await _query_one(client, plan, index, last_seq, report)
+            else:
                 seq = await _ingest_one(client, plan, index, True, report)
                 if seq is not None:
                     last_seq = seq
-            else:
-                await _query_one(client, plan, index, last_seq, report)
 
 
 async def _run_concurrent(

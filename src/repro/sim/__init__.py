@@ -14,8 +14,7 @@ execution core, with one entry point per job:
 
 * :mod:`repro.sim.kernel` is the deterministic discrete-event scheduler —
   a binary-heap agenda ordered by ``(time, priority, seq)`` with event
-  kinds for sensor samples, protocol timers, channel deliveries, shard
-  handoffs and workload query arrivals.
+  kinds for sensor samples, protocol timers and channel deliveries.
 * :mod:`repro.sim.fleet` is the core: :class:`FleetSimulation` runs any
   number of (object, protocol, trace) lanes through that one event
   schedule — exact delivery and timer instants, per-lane sampling rates —
@@ -31,7 +30,13 @@ execution core, with one entry point per job:
 * :mod:`repro.sim.runner` executes whole sweeps (scenario × protocol ×
   accuracy grids) through :class:`SweepRunner`: per-process scenario
   caching, serial or process-pool execution (``jobs=N``) with bit-identical
-  results regardless of the job count, and JSON/CSV artifact output.
+  results regardless of the job count, and JSON/CSV artifact output; its
+  query bench replays a materialised
+  :class:`~repro.service.loadgen.ReplayPlan` against a sharded service.
+
+Application queries are not simulation events: :mod:`repro.sim.workload`
+describes them (:class:`QueryWorkload`, :func:`~repro.sim.workload.query_stream`),
+and a replay plan drives them.
 
 :mod:`repro.sim.metrics` collects error samples as NumPy arrays
 (:class:`AccuracyMetrics`), :mod:`repro.sim.config` declares runs as
@@ -50,18 +55,12 @@ from repro.sim.runner import (
     SweepTask,
     read_artifact,
 )
-from repro.sim.workload import (
-    QueryWorkload,
-    WorkloadExecutor,
-    WorkloadReport,
-    default_query_mix,
-)
+from repro.sim.workload import QueryWorkload, WorkloadReport, default_query_mix
 
 __all__ = [
     "EventKernel",
     "QueryBenchSpec",
     "QueryWorkload",
-    "WorkloadExecutor",
     "WorkloadReport",
     "default_query_mix",
     "AccuracyMetrics",

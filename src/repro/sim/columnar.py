@@ -19,23 +19,23 @@ shared sampling grid, a threshold protocol with static or linear
 prediction (:class:`~repro.protocols.reporting.DistanceBasedReporting` or
 :class:`~repro.protocols.linear.LinearPredictionProtocol`), and the
 default loss-free zero-latency channel.  Anything richer — per-lane
-channels, latency/loss, timers, map prediction, query workloads — stays on
-the general fleet loop (use :meth:`ColumnarFleetEngine.ineligibility` to
+channels, latency/loss, timers, map prediction, a sharded service — stays
+on the general fleet loop (use :meth:`ColumnarFleetEngine.ineligibility` to
 ask why a fleet does not qualify).  Per-lane accuracies, sensor
 uncertainties and separate truth traces are fully supported: they are
 per-object *columns*, not code paths.
 
 Why bitwise equality is achievable: the scalar trigger is
 ``sqrt(dx*dx + dy*dy) + up > us`` on float64 scalars, and NumPy performs
-the same IEEE-754 operations elementwise; the batched speed/heading
-estimator reduces each window along the last axis exactly like the
-per-lane :func:`~repro.traces.estimation.estimate_trace` (itself proven
-bitwise equal to the streaming estimator).
+the same IEEE-754 operations elementwise, and the batched speed/heading
+estimator :func:`~repro.traces.estimation.estimate_traces` is the very one
+the fleet loop runs per lane (proven bitwise equal to the streaming
+estimator).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -44,89 +44,10 @@ from repro.protocols.linear import LinearPredictionProtocol
 from repro.protocols.reporting import DistanceBasedReporting
 from repro.protocols.base import _BASE_UPDATE_BYTES, UpdateReason
 from repro.sim.metrics import AccuracyMetrics, SimulationResult
+from repro.traces.estimation import estimate_traces
 
 #: Prediction modes the vectorised loop implements.
 STATIC, LINEAR = "static", "linear"
-
-#: Lanes per chunk of the batched estimator: bounds the sliding-window
-#: temporaries to ~100 MB at typical trace lengths while keeping the NumPy
-#: call overhead amortised.
-_ESTIMATE_CHUNK = 4096
-
-
-def estimate_traces(
-    times: np.ndarray, positions: np.ndarray, window: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Sliding-window speed/heading estimates for N lanes sharing one grid.
-
-    ``positions`` has shape ``(n_lanes, n_samples, 2)``; returns
-    ``(velocities, speeds)`` of shapes ``(n_lanes, n_samples, 2)`` and
-    ``(n_lanes, n_samples)``.  Row ``k`` is bitwise identical to
-    ``estimate_trace(times, positions[k], window)`` — the reductions run
-    over the last (window) axis in the same order, and the shared time grid
-    makes the centred-time factors literally the same floats — which is
-    what lets the columnar engine reuse the scalar protocols' equivalence
-    proof.  Lanes are processed in fixed-size chunks so the windowed
-    temporaries stay bounded at mega-fleet widths.
-    """
-    if window < 2:
-        raise ValueError("window must be at least 2")
-    times = np.asarray(times, dtype=float)
-    positions = np.asarray(positions, dtype=float)
-    n_lanes, n = positions.shape[0], positions.shape[1]
-    velocities = np.zeros((n_lanes, n, 2))
-    speeds = np.zeros((n_lanes, n))
-    if n < 2:
-        return velocities, speeds
-    w = int(window)
-    # Ramp-up: growing prefix windows of size 2 .. w - 1, one vectorised
-    # pass per prefix length across all lanes.  The time factors are
-    # scalars shared by every lane (one common grid), computed exactly as
-    # estimate_velocity computes them.
-    for i in range(1, min(w - 1, n)):
-        t = times[: i + 1]
-        t_rel = t - t[-1]
-        t_mean = t_rel.mean()
-        t_centered = t_rel - t_mean
-        denom = float((t_centered * t_centered).sum())
-        if denom == 0.0:
-            continue
-        # ascontiguousarray keeps the per-row reductions on the same pairwise
-        # summation path as the scalar estimator's contiguous prefixes.
-        x = np.ascontiguousarray(positions[:, : i + 1, 0])
-        y = np.ascontiguousarray(positions[:, : i + 1, 1])
-        vx = (t_centered * (x - x.mean(axis=1, keepdims=True))).sum(axis=1) / denom
-        vy = (t_centered * (y - y.mean(axis=1, keepdims=True))).sum(axis=1) / denom
-        velocities[:, i, 0] = vx
-        velocities[:, i, 1] = vy
-        speeds[:, i] = np.hypot(vx, vy)
-    if n < w:
-        return velocities, speeds
-    from numpy.lib.stride_tricks import sliding_window_view
-
-    tw = np.ascontiguousarray(sliding_window_view(times, w))
-    t_rel = tw - tw[:, -1:]
-    t_centered = t_rel - t_rel.mean(axis=1, keepdims=True)
-    denom = (t_centered * t_centered).sum(axis=1)
-    ok = denom != 0.0
-    denom_safe = np.where(ok, denom, 1.0)
-    for lo in range(0, n_lanes, _ESTIMATE_CHUNK):
-        hi = min(lo + _ESTIMATE_CHUNK, n_lanes)
-        xw = np.ascontiguousarray(
-            sliding_window_view(positions[lo:hi, :, 0], w, axis=1)
-        )
-        yw = np.ascontiguousarray(
-            sliding_window_view(positions[lo:hi, :, 1], w, axis=1)
-        )
-        vx = (t_centered * (xw - xw.mean(axis=2, keepdims=True))).sum(axis=2) / denom_safe
-        vy = (t_centered * (yw - yw.mean(axis=2, keepdims=True))).sum(axis=2) / denom_safe
-        vx = np.where(ok, vx, 0.0)
-        vy = np.where(ok, vy, 0.0)
-        velocities[lo:hi, w - 1 :, 0] = vx
-        velocities[lo:hi, w - 1 :, 1] = vy
-        speeds[lo:hi, w - 1 :] = np.hypot(vx, vy)
-    return velocities, speeds
-
 
 class ColumnarStore:
     """Struct-of-arrays state for N tracked objects.
@@ -206,8 +127,6 @@ class ColumnarFleetEngine:
     protocol_name:
         Overrides the reported protocol name (defaults to the scalar
         protocol's).
-    count_initial_update:
-        Same meaning as on :class:`~repro.sim.fleet.FleetSimulation`.
     """
 
     def __init__(
@@ -221,7 +140,6 @@ class ColumnarFleetEngine:
         estimation_window: int = 4,
         object_ids: Optional[Sequence[str]] = None,
         protocol_name: Optional[str] = None,
-        count_initial_update: bool = True,
         obs: Observability = NO_OBS,
     ):
         if mode not in (STATIC, LINEAR):
@@ -242,7 +160,6 @@ class ColumnarFleetEngine:
             raise ValueError("truth must share the sensor array's shape")
         self.mode = mode
         self.estimation_window = int(estimation_window)
-        self.count_initial_update = bool(count_initial_update)
         n = self.sensor.shape[0]
         ids = (
             list(object_ids)
@@ -269,7 +186,7 @@ class ColumnarFleetEngine:
     # lane-based construction and eligibility
     # ------------------------------------------------------------------ #
     @staticmethod
-    def ineligibility(lanes, channel=None, server=None, query_workload=None) -> Optional[str]:
+    def ineligibility(lanes, channel=None, server=None) -> Optional[str]:
         """Why this fleet cannot run columnar — or ``None`` if it can.
 
         The general fleet loop handles everything; the columnar engine
@@ -282,8 +199,6 @@ class ColumnarFleetEngine:
             return "a fleet needs at least one lane"
         if server is not None:
             return "columnar fleets imply the plain in-memory server"
-        if query_workload is not None:
-            return "query workloads need the general fleet loop"
         first = lanes[0].protocol
         if type(first) not in (DistanceBasedReporting, LinearPredictionProtocol):
             return (
@@ -313,9 +228,7 @@ class ColumnarFleetEngine:
         return None
 
     @classmethod
-    def from_lanes(
-        cls, lanes, count_initial_update: bool = True, obs: Observability = NO_OBS
-    ) -> "ColumnarFleetEngine":
+    def from_lanes(cls, lanes, obs: Observability = NO_OBS) -> "ColumnarFleetEngine":
         """Build the engine from :class:`~repro.sim.fleet.FleetLane`\\ s.
 
         Raises ``ValueError`` with the :meth:`ineligibility` reason when the
@@ -347,7 +260,6 @@ class ColumnarFleetEngine:
             estimation_window=first.estimator.window,
             object_ids=[lane.object_id for lane in lanes],
             protocol_name=first.name,
-            count_initial_update=count_initial_update,
             obs=obs,
         )
 
@@ -450,10 +362,9 @@ class ColumnarFleetEngine:
         duration_h = (
             float(times[-1] - times[0]) / 3600.0 if t_count > 1 else 0.0
         )
-        counted = updates if self.count_initial_update else updates - 1
         results: Dict[str, SimulationResult] = {}
         threshold_list = threshold_counts.tolist()
-        counted_list = counted.tolist()
+        updates_list = updates.tolist()
         bytes_list = store.bytes_sent.tolist()
         us_list = us.tolist()
         for k, object_id in enumerate(store.object_ids):
@@ -467,7 +378,7 @@ class ColumnarFleetEngine:
                 protocol_name=self.protocol_name,
                 accuracy=us_list[k],
                 duration_h=duration_h,
-                updates=counted_list[k],
+                updates=updates_list[k],
                 bytes_sent=bytes_list[k],
                 metrics=metrics,
                 update_reasons=reasons,

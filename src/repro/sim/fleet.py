@@ -27,9 +27,9 @@ Design properties the rest of the stack relies on:
   :class:`~repro.sim.metrics.AccuracyMetrics` as one array per lane.
 * **One event-driven kernel** — the fleet runs on the discrete-event
   schedule of :mod:`repro.sim.kernel`: protocol timers fire at their exact
-  deadlines, channel messages arrive at exactly ``send_time + latency``,
-  workload queries may arrive as a Poisson process, and sharded backends
-  can get periodic handoff maintenance.  Sightings are the one event kind
+  deadlines and channel messages arrive at exactly ``send_time + latency``
+  (a sharded backend hands objects between shards as their updates
+  arrive).  Sightings are the one event kind
   known in advance, so they are not pushed through the agenda one by one:
   every lane's sample times are merged once into a time-ordered stream
   (ties in lane order) that the loop walks beside the agenda.  When every
@@ -38,6 +38,12 @@ Design properties the rest of the stack relies on:
   per-timestep loop, and the results are bit-identical to it (the
   test-suite keeps that loop as an oracle and asserts the identity over
   the whole scenario library).
+
+Application queries never change a :class:`~repro.sim.metrics.SimulationResult`,
+so they are not part of the simulation: the query side replays a
+materialised :class:`~repro.service.loadgen.ReplayPlan` against the
+service instead (:meth:`repro.sim.runner.SweepRunner.run_query_bench`,
+the ``load-test`` command).
 """
 
 from __future__ import annotations
@@ -48,7 +54,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.geo.bbox import BoundingBox
 from repro.geo.vec import distance
 from repro.obs import NO_OBS, Observability
 from repro.obs.metrics import publish_service_stats
@@ -58,17 +63,8 @@ from repro.service.facade import LocationService
 from repro.service.server import LocationServer
 from repro.service.sharding import GridHashPolicy
 from repro.service.source import LocationSource
-from repro.sim.kernel import (
-    DELIVERY,
-    HANDOFF,
-    KIND_NAMES,
-    QUERY,
-    SAMPLE,
-    TIMER,
-    EventKernel,
-)
+from repro.sim.kernel import DELIVERY, KIND_NAMES, SAMPLE, TIMER, EventKernel
 from repro.sim.metrics import AccuracyMetrics, SimulationResult
-from repro.sim.workload import QueryWorkload, WorkloadExecutor, WorkloadReport
 from repro.traces.estimation import estimate_trace
 from repro.traces.trace import Trace
 
@@ -105,16 +101,14 @@ class FleetLane:
 class FleetResult:
     """Outcome of one fleet run: per-object results plus aggregates.
 
-    ``service_stats`` carries the serving tier's per-shard load and query
-    counters when the fleet ran against a
+    ``service_stats`` carries the serving tier's per-shard load counters
+    when the fleet ran against a
     :class:`~repro.service.facade.LocationService` backend (empty for the
-    plain single server); ``workload`` is the replayed query workload's
-    report, when one was attached.
+    plain single server).
     """
 
     results: Dict[str, SimulationResult]
     service_stats: Dict[str, object] = field(default_factory=dict)
-    workload: Optional[WorkloadReport] = None
 
     @property
     def object_ids(self) -> List[str]:
@@ -214,13 +208,10 @@ class _LaneState:
         if predicted is not None:
             self.errors.append(distance(predicted, self.truth_positions[i]))
 
-    def finish(self, count_initial_update: bool) -> SimulationResult:
+    def finish(self) -> SimulationResult:
         """Materialise this lane's :class:`SimulationResult`."""
         self.metrics.record_batch(self.errors)
         protocol = self.lane.protocol
-        updates = self.source.updates_sent
-        if not count_initial_update and updates > 0:
-            updates -= 1
         matcher_stats = {}
         matching_statistics = getattr(protocol, "matching_statistics", None)
         if callable(matching_statistics):
@@ -229,7 +220,7 @@ class _LaneState:
             protocol_name=protocol.name,
             accuracy=protocol.accuracy,
             duration_h=self.lane.sensor_trace.duration / 3600.0,
-            updates=updates,
+            updates=self.source.updates_sent,
             bytes_sent=protocol.bytes_sent,
             metrics=self.metrics,
             update_reasons=self.reasons,
@@ -255,27 +246,8 @@ class FleetSimulation:
         :class:`~repro.service.facade.LocationService`.  Backends exposing
         ``ingest_batch`` receive each instant's delivered updates as one batch;
         with one shard the results are bit-identical to the single server.
-    count_initial_update:
-        Whether each object's bootstrap update counts towards its update
-        total (the paper counts transmitted messages, so the default is
-        ``True``).
-    query_workload:
-        Optional :class:`~repro.sim.workload.QueryWorkload` replayed against
-        the backend's query surface at every sample instant (or, with an
-        ``arrival_rate_per_s``, at Poisson arrival instants); its report
-        lands on :attr:`FleetResult.workload`.  The backend must be a
-        :class:`~repro.service.facade.LocationService`.
-        Queries are read-only, so attaching a workload never changes the
-        simulation results.
-    record_query_answers:
-        Keep every workload query's answer on
-        ``self.workload_executor.answers`` (tests / benchmarks only).
-    handoff_interval:
-        Schedule a shard-boundary maintenance event every this many
-        simulated seconds (the backend must be a
-        :class:`~repro.service.facade.LocationService`), so drifting
-        objects are handed between shards even while no query forces a
-        prepare pass.  ``None`` (default) schedules no handoff events.
+        Every object's update total counts its bootstrap update (the paper
+        counts transmitted messages).
     processes:
         Number of worker processes.  With ``processes > 1`` the fleet is
         partitioned into spatial shards (a :class:`GridHashPolicy` over the
@@ -289,9 +261,9 @@ class FleetSimulation:
         order — the merged outcome is **bit-identical** to the
         single-process run: same updates, error samples, channel stats and
         service stats (asserted by the test-suite over the scenario
-        library).  Multi-process runs reject the fleet shapes whose results
-        genuinely depend on cross-object interleaving: unseeded lossy
-        channels and query workloads (one global RNG stream).
+        library).  Multi-process runs reject the one fleet shape whose
+        results genuinely depend on cross-object interleaving: unseeded
+        lossy channels (one global RNG stream).
     obs:
         The :class:`~repro.obs.Observability` bundle the run records
         per-event-kind counts, agenda depth, phase spans and per-lane work
@@ -309,10 +281,6 @@ class FleetSimulation:
         lanes: Sequence[FleetLane],
         channel: Optional[MessageChannel] = None,
         server: Optional[LocationServer] = None,
-        count_initial_update: bool = True,
-        query_workload: Optional[QueryWorkload] = None,
-        record_query_answers: bool = False,
-        handoff_interval: Optional[float] = None,
         processes: int = 1,
         obs: Observability = NO_OBS,
     ):
@@ -328,19 +296,6 @@ class FleetSimulation:
         self.lanes = lanes
         self.server = server if server is not None else LocationServer()
         self.shared_channel = channel if channel is not None else MessageChannel()
-        self.count_initial_update = bool(count_initial_update)
-        self.query_workload = query_workload
-        self.record_query_answers = bool(record_query_answers)
-        if handoff_interval is not None and handoff_interval <= 0:
-            raise ValueError("handoff_interval must be positive")
-        if (query_workload is not None or handoff_interval is not None) and not isinstance(
-            self.server, LocationService
-        ):
-            raise ValueError(
-                "query workloads and handoff events need a LocationService backend "
-                "(its query surface and rebalance())"
-            )
-        self.handoff_interval = handoff_interval
         self.processes = int(processes)
         if self.processes < 1:
             raise ValueError("processes must be at least 1")
@@ -351,22 +306,13 @@ class FleetSimulation:
         # their own registry but must not publish their *partial* service
         # stats — only the parent publishes, after the proven stats merge.
         self._obs_worker = False
-        # Worker-shard clock overrides: a shard task runs a lane *subset*,
-        # but handoff instants and the delivery horizon must be computed
-        # from the whole fleet's clock for the merge to be bit-identical.
-        self._clock_start: Optional[float] = None
+        # Worker-shard clock override: a shard task runs a lane *subset*,
+        # but the delivery horizon must be the whole fleet's for the merge
+        # to be bit-identical.
         self._horizon: Optional[float] = None
-        #: The executor of the last run's query workload (``None`` without one).
-        self.workload_executor: Optional[WorkloadExecutor] = None
 
     def _validate_multiprocess(self) -> None:
         """Reject fleet shapes whose results depend on cross-object order."""
-        if self.query_workload is not None:
-            raise ValueError(
-                "query workloads draw from one global RNG stream; "
-                "processes > 1 cannot reproduce it — run the workload "
-                "single-process"
-            )
         channels: List[MessageChannel] = []
         for lane in self.lanes:
             ch = lane.channel if lane.channel is not None else self.shared_channel
@@ -419,27 +365,14 @@ class FleetSimulation:
         for channel in channels:
             channel.reset()
 
-        executor: Optional[WorkloadExecutor] = None
-        if self.query_workload is not None:
-            executor = WorkloadExecutor(
-                self.query_workload,
-                server,
-                self._fleet_area(states),
-                record_answers=self.record_query_answers,
-            )
-        self.workload_executor = executor
-
         obs = self.obs
         if isinstance(server, LocationService) and not server.obs.enabled:
             # A facade without a bundle of its own records into the fleet's.
             server.obs = obs
         with obs.span("fleet.event_loop", cat="sim", args={"lanes": len(states)}):
-            self._run_loop(states, channels, executor)
+            self._run_loop(states, channels)
 
-        results = {
-            state.lane.object_id: state.finish(self.count_initial_update)
-            for state in states
-        }
+        results = {state.lane.object_id: state.finish() for state in states}
         home_shard = getattr(server, "home_shard", None)
         if callable(home_shard):
             for object_id, result in results.items():
@@ -449,11 +382,7 @@ class FleetSimulation:
         self._record_lane_metrics(obs, states)
         if stats and not self._obs_worker:
             publish_service_stats(obs.registry, stats)
-        return FleetResult(
-            results=results,
-            service_stats=stats,
-            workload=executor.report if executor is not None else None,
-        )
+        return FleetResult(results=results, service_stats=stats)
 
     @staticmethod
     def _record_lane_metrics(obs: Observability, states: List["_LaneState"]) -> None:
@@ -476,36 +405,21 @@ class FleetSimulation:
         for reason in sorted(reasons):
             obs.counter(f"sim.update_reason.{reason}").inc(reasons[reason])
 
-    @staticmethod
-    def _fleet_area(states: List["_LaneState"]) -> BoundingBox:
-        """Bounding box of every lane's truth trace (query-centre domain)."""
-        mins = np.min([state.truth_positions.min(axis=0) for state in states], axis=0)
-        maxs = np.max([state.truth_positions.max(axis=0) for state in states], axis=0)
-        return BoundingBox(float(mins[0]), float(mins[1]), float(maxs[0]), float(maxs[1]))
-
     # ------------------------------------------------------------------ #
     # the event loop
     # ------------------------------------------------------------------ #
-    def _run_loop(
-        self,
-        states: List[_LaneState],
-        channels: List[MessageChannel],
-        executor: Optional[WorkloadExecutor] = None,
-    ) -> None:
+    def _run_loop(self, states: List[_LaneState], channels: List[MessageChannel]) -> None:
         """Run the discrete-event schedule over the lane states.
 
         Every happening is an event: lane sightings (``SAMPLE``), protocol
-        deadline expiries (``TIMER``), exact-instant channel deliveries
-        (``DELIVERY``), periodic shard maintenance (``HANDOFF``) and
-        workload query arrivals (``QUERY``).  Sightings come from the
-        lanes' merged sample stream, every other event from the
-        :class:`EventKernel` agenda.  All events at one instant are applied
-        together in kind order — sightings, then timers, then one delivery
-        batch (per channel, sorted like
-        :meth:`~repro.service.channel.MessageChannel.deliver_due`), then
-        handoff maintenance, the batched error measurement and finally
-        queries — which is what makes the degenerate schedule bit-identical
-        to a per-timestep loop.
+        deadline expiries (``TIMER``) and exact-instant channel deliveries
+        (``DELIVERY``).  Sightings come from the lanes' merged sample
+        stream, the other events from the :class:`EventKernel` agenda.  All
+        events at one instant are applied together in kind order —
+        sightings, then timers, then one delivery batch (per channel,
+        sorted like :meth:`~repro.service.channel.MessageChannel.deliver_due`),
+        then the batched error measurement — which is what makes the
+        degenerate schedule bit-identical to a per-timestep loop.
         """
         server = self.server
         ingest = getattr(server, "ingest_batch", None)
@@ -516,9 +430,8 @@ class FleetSimulation:
         event_counts = [0] * len(KIND_NAMES)
         if enabled:
             # One list-index increment + one ring append per event; the
-            # counts land in the registry after the loop.  SAMPLE/TIMER/
-            # DELIVERY events are per lane (partition-invariant, hence
-            # deterministic); HANDOFF/QUERY are per kernel instance.
+            # counts land in the registry after the loop.  Every kind is
+            # per lane (partition-invariant, hence deterministic).
             flight_note = obs.flight.note
 
             def _on_pop(t, prio, seq, _counts=event_counts, _note=flight_note):
@@ -583,16 +496,6 @@ class FleetSimulation:
         try:
             for channel in channels:
                 channel.bind_scheduler(delivery_scheduler(channel))
-            start_time = sample_times[0] if self._clock_start is None else self._clock_start
-            poisson = executor is not None and executor.poisson_rate is not None
-            if poisson:
-                first = executor.next_arrival(start_time)
-                if first <= end_time:
-                    kern.schedule(first, QUERY, None)
-            if self.handoff_interval is not None:
-                first = start_time + self.handoff_interval
-                if first <= end_time:
-                    kern.schedule(first, HANDOFF, None)
             n_instants = 0
             k = 0
             while True:
@@ -615,10 +518,8 @@ class FleetSimulation:
                     event_counts[SAMPLE] += k - first
                     for j in range(first, k):
                         flight_note(t, SAMPLE, j)
-                n_queries = 0
                 if agenda and agenda[0][0] == t:
                     deliveries: Dict[MessageChannel, List] = {}
-                    run_handoff = False
                     for _t, prio, _seq, payload in kern.drain_instant():
                         if prio == TIMER:
                             n, deadline = payload
@@ -640,13 +541,9 @@ class FleetSimulation:
                                     armed[n] = deadline
                                     continue
                             arm_timer(n)
-                        elif prio == DELIVERY:
+                        else:
                             ch, oid, msg = payload
                             deliveries.setdefault(ch, []).append((t, oid, msg))
-                        elif prio == HANDOFF:
-                            run_handoff = True
-                        else:
-                            n_queries += 1
                     if deliveries:
                         delivered: List = []
                         # Only the channels that actually delivered, in the
@@ -667,11 +564,6 @@ class FleetSimulation:
                         else:
                             for oid, msg in delivered:
                                 server.receive_update(oid, msg, t)
-                    if run_handoff:
-                        server.rebalance(t)
-                        nxt = t + self.handoff_interval
-                        if nxt <= end_time:
-                            kern.schedule(nxt, HANDOFF, None)
                 if k > first:
                     if k - first == 1:
                         # Sparse fleets mostly see one sighting per instant;
@@ -684,23 +576,9 @@ class FleetSimulation:
                         )
                         for j, position in zip(range(first, k), predicted):
                             record[sample_lanes[j]](sample_index[j], position)
-                    if executor is not None:
-                        if poisson:
-                            executor.note_tick()
-                        else:
-                            executor.on_tick(t)
-                while n_queries:
-                    n_queries -= 1
-                    executor.run_query(t)
-                    nxt = executor.next_arrival(t)
-                    if nxt <= end_time:
-                        kern.schedule(nxt, QUERY, None)
             for kind, name in KIND_NAMES.items():
                 if event_counts[kind]:
-                    obs.counter(
-                        f"kernel.events.{name}",
-                        deterministic=kind in (SAMPLE, TIMER, DELIVERY),
-                    ).inc(event_counts[kind])
+                    obs.counter(f"kernel.events.{name}").inc(event_counts[kind])
             obs.counter("kernel.instants", deterministic=False).inc(n_instants)
         except BaseException:
             # The flight recorder earns its keep here: the last events the
@@ -719,7 +597,7 @@ class FleetSimulation:
 
         Each worker receives one pickled :class:`_ShardTask`: its lane
         subset, a replica of the shared channel and of the (empty) server
-        backend, and the whole fleet's clock bounds.  Within one task
+        backend, and the whole fleet's delivery horizon.  Within one task
         payload the pickle memo preserves object identity (lanes sharing a
         channel keep sharing its replica), while separate tasks get
         independent replicas — which is exactly the isolation the merge
@@ -760,7 +638,6 @@ class FleetSimulation:
         for n, lane in enumerate(self.lanes):
             shard = policy.shard_for_point(lane.sensor_trace.positions[0])
             groups.setdefault(shard, []).append(n)
-        clock_start = min(float(lane.sensor_trace.times[0]) for lane in self.lanes)
         horizon = max(float(lane.sensor_trace.times[-1]) for lane in self.lanes)
         tasks = [
             _ShardTask(
@@ -768,9 +645,6 @@ class FleetSimulation:
                 lane_slots=[lane_slots[i] for i in groups[shard]],
                 shared_channel=self.shared_channel,
                 server=server,
-                count_initial_update=self.count_initial_update,
-                handoff_interval=self.handoff_interval,
-                clock_start=clock_start,
                 horizon=horizon,
                 obs=obs.fresh(),
             )
@@ -833,7 +707,6 @@ class FleetSimulation:
                 prediction=lane.protocol.prediction_function(),
                 accuracy=lane.protocol.accuracy,
             )
-        self.workload_executor = None
         return FleetResult(results=results, service_stats=service_stats)
 
     @staticmethod
@@ -844,8 +717,8 @@ class FleetSimulation:
         sum), derived (recomputed from the sums), or a per-instant global
         — ``batches_ingested`` counts instants at which *any* update batch
         arrived, reconstructed as the union of the workers' non-empty
-        ingest instants.  Query counters are identically zero: workloads
-        are rejected for multi-process runs.
+        ingest instants.  Query counters are identically zero: the fleet
+        issues no queries.
         """
         partials = [o["service_stats"] for o in outcomes if o["service_stats"]]
         if not partials:
@@ -891,9 +764,6 @@ class _ShardTask:
     lane_slots: List[int]
     shared_channel: MessageChannel
     server: LocationServer
-    count_initial_update: bool
-    handoff_interval: Optional[float]
-    clock_start: float
     horizon: float
     #: A fresh bundle of the parent's kind (never the parent's own, which
     #: would duplicate whatever it already counted); it travels back in
@@ -906,12 +776,9 @@ class _ShardTask:
             self.lanes,
             channel=self.shared_channel,
             server=self.server,
-            count_initial_update=self.count_initial_update,
-            handoff_interval=self.handoff_interval,
             obs=self.obs,
         )
         fleet._obs_worker = True
-        fleet._clock_start = self.clock_start
         fleet._horizon = self.horizon
         # Record the instants at which this worker's backend ingested a
         # non-empty batch: the parent reconstructs the global
@@ -980,7 +847,6 @@ def run_simulation(
     channel: Optional[MessageChannel] = None,
     *,
     object_id: str = "object-0",
-    count_initial_update: bool = True,
 ) -> SimulationResult:
     """One object, one protocol, one trace: a one-lane :class:`FleetSimulation`.
 
@@ -988,9 +854,8 @@ def run_simulation(
     positioning sensor reports, *truth_trace* (defaulting to the sensor
     trace) the ground truth the server-side error is measured against,
     *channel* the source-to-server channel (loss-free and instantaneous when
-    omitted).  *count_initial_update* says whether the bootstrap update
-    counts towards the update total — the paper counts transmitted
-    messages, so it does by default.
+    omitted).  The bootstrap update counts towards the update total: the
+    paper counts transmitted messages.
     """
     lane = FleetLane(
         object_id=object_id,
@@ -999,5 +864,4 @@ def run_simulation(
         truth_trace=truth_trace,
         channel=channel,
     )
-    fleet = FleetSimulation([lane], count_initial_update=count_initial_update)
-    return fleet.run().results[object_id]
+    return FleetSimulation([lane]).run().results[object_id]

@@ -10,11 +10,11 @@ on.
 
 Event kinds
 -----------
-The fleet simulation handles five kinds of events (the constants double
+The fleet simulation handles three kinds of events (the constants double
 as the ordering priority, see below).  Sightings are known in advance, so
 :class:`~repro.sim.fleet.FleetSimulation` reads them from a pre-merged
 sample stream instead of pushing each one through the agenda; the other
-four kinds are agenda entries.
+two kinds are agenda entries.
 
 ===================  ====================================================
 :data:`SAMPLE`       a sensor sighting reaches an object's source
@@ -22,11 +22,11 @@ four kinds are agenda entries.
                      (:meth:`~repro.protocols.base.UpdateProtocol.next_deadline`)
 :data:`DELIVERY`     an update message arrives at the server — at exactly
                      ``send_time + latency``, not at the next tick
-:data:`HANDOFF`      periodic shard-boundary maintenance of a sharded
-                     service backend
-:data:`QUERY`        a workload query arrives (e.g. from a Poisson
-                     arrival process)
 ===================  ====================================================
+
+Application queries are not simulation events: they only read what the
+updates wrote.  They are replayed afterwards from a materialised plan
+(:func:`repro.service.loadgen.build_replay_plan`).
 
 Determinism rules
 -----------------
@@ -34,10 +34,9 @@ The agenda is ordered by the tuple ``(time, priority, seq)``:
 
 * ``time`` — simulation time of the event;
 * ``priority`` — the event kind: at one instant, samples are processed
-  before timers, timers before deliveries, deliveries before handoffs,
-  handoffs before query arrivals.  This is the classic per-timestep order
-  (all sightings, then all due deliveries, then measurement, then
-  queries), which is what makes the schedule *bit-identical* to a
+  before timers, timers before deliveries.  This is the classic
+  per-timestep order (all sightings, then all due deliveries, then
+  measurement), which is what makes the schedule *bit-identical* to a
   time-stepped loop when every lane shares one sampling grid, channel
   latency is a multiple of it, and no protocol timer deadline falls off
   the grid (off-grid deadlines firing exactly, instead of at the next
@@ -61,16 +60,12 @@ from typing import Iterator, List, Tuple
 SAMPLE = 0
 TIMER = 1
 DELIVERY = 2
-HANDOFF = 3
-QUERY = 4
 
 #: Human-readable names of the event kinds (logs, tests, docs).
 KIND_NAMES = {
     SAMPLE: "sample",
     TIMER: "timer",
     DELIVERY: "delivery",
-    HANDOFF: "handoff",
-    QUERY: "query",
 }
 
 

@@ -41,9 +41,8 @@ import numpy as np
 from repro.mobility.scenarios import Scenario
 from repro.protocols.base import UpdateProtocol
 from repro.service.channel import MessageChannel
-from repro.service.facade import LocationService
 from repro.sim.config import SimulationConfig
-from repro.sim.fleet import FleetLane, FleetSimulation, run_simulation
+from repro.sim.fleet import FleetLane, run_simulation
 from repro.sim.metrics import SimulationResult
 from repro.obs.manifest import build_manifest
 from repro.sim.workload import QueryWorkload, default_query_mix, default_query_rate
@@ -466,18 +465,23 @@ class SweepRunner:
         return run_simulation(protocol, scenario.sensor_trace, scenario.true_trace, channel)
 
     def run_query_bench(self, spec: "QueryBenchSpec") -> Dict[str, object]:
-        """Run one query-workload replay against a live fleet.
+        """Replay one query workload beside a fleet's update stream.
 
         Builds ``count`` objects over the spec's scenario — each on its own
-        seeded route variant, so the fleet spreads spatially — steps them
-        through the fleet loop against a sharded
-        :class:`~repro.service.facade.LocationService` backend while the
-        query workload fires (at every sample instant, or at its Poisson
-        arrival instants), and returns one flat record:
-        fleet summary, workload report (throughput / latency), and the
-        service tier's per-shard load counters.  Runs in-process — the unit
-        of work is a single fleet, not a sweep of independent points.
+        seeded route variant, so the fleet spreads spatially — materialises
+        their update batches and the workload's calls (at every sample
+        instant, or at its Poisson arrival instants) as one
+        :class:`~repro.service.loadgen.ReplayPlan`, replays it in lockstep
+        against a sharded :class:`~repro.service.facade.LocationService`,
+        and returns one flat record: fleet summary, workload report
+        (throughput / latency), and the service tier's per-shard load
+        counters.  Runs in-process — the unit of work is a single fleet,
+        not a sweep of independent points.
         """
+        # Runtime import: the load generator sits above the fleet it replays.
+        from repro.service.live.server import service_for_registrations
+        from repro.service.loadgen import build_replay_plan, replay_in_process
+
         workload = spec.build_workload()
         base_seed = ScenarioSpec(name=spec.scenario, scale=spec.scale, seed=spec.seed).seed
         lanes = []
@@ -502,9 +506,14 @@ class SweepRunner:
         region = spec.region_size
         if region is None:
             region = auto_region_size(lanes, spec.shards)
-        service = LocationService(n_shards=spec.shards, region_size=region)
-        fleet = FleetSimulation(lanes, server=service, query_workload=workload).run()
-        service_stats = dict(fleet.service_stats)
+        object_hours = sum(lane.sensor_trace.duration / 3600.0 for lane in lanes)
+        plan = build_replay_plan(lanes, workload)
+        service = service_for_registrations(
+            plan.registrations, n_shards=spec.shards, region_size=region
+        )
+        report, _answers = replay_in_process(plan, service)
+        updates_per_object_hour = plan.total_updates / object_hours if object_hours > 0 else 0.0
+        service_stats = service.service_stats()
         per_shard = service_stats.pop("per_shard", [])
         record: Dict[str, object] = {
             "scenario": spec.scenario,
@@ -518,8 +527,8 @@ class SweepRunner:
             "queries_per_tick": workload.queries_per_tick,
             "arrival_rate_per_s": workload.arrival_rate_per_s,
             "mix": dict(workload.mix),
-            "updates_per_object_hour": round(fleet.updates_per_object_hour, 2),
-            "workload": fleet.workload.as_dict() if fleet.workload else {},
+            "updates_per_object_hour": round(updates_per_object_hour, 2),
+            "workload": report.as_dict(),
             "service": service_stats,
             "per_shard": per_shard,
         }

@@ -1,30 +1,28 @@
-"""Query workloads replayed against the location service mid-simulation.
+"""Query workloads: the application queries replayed against the service.
 
 The paper evaluates the *update* side of the location service; this module
-exercises the *query* side: a :class:`QueryWorkload` describes a
-deterministic stream of application queries (a range / k-nearest / geofence
-mix), and :class:`WorkloadExecutor` replays it against a sharded
-:class:`~repro.service.facade.LocationService` at every sample instant (a
-simulation tick) or at Poisson arrival instants — the way a live service
-answers "find the nearest taxi" requests while updates keep streaming in.
+describes the *query* side: a :class:`QueryWorkload` is a deterministic
+stream of application queries (a range / k-nearest / geofence mix) issued
+at every sample instant (a simulation tick) or at Poisson arrival
+instants — the way a live service answers "find the nearest taxi" requests
+while updates keep streaming in.
 
-The workload is read-only with respect to the simulation: queries never
-change server records, so a fleet run with a workload attached produces
-bit-identical :class:`~repro.sim.metrics.SimulationResult`\\ s to the same
-run without one (asserted by the test-suite).  The executor calls only the
-service's query surface (``range_query`` / ``nearest_objects`` /
-``geofence_query``); the test-suite replays the identical query stream
-against the linear-scan oracle in ``tests/reference/linear_queries.py``
-through that same surface, which is what makes the equivalence checks and
-the query benchmark fair.
+:func:`query_stream` materialises the stream as :class:`QueryCall`\\ s (it
+is the only consumer of the workload's RNG), and :func:`execute_call`
+answers one call through a backend's query surface (``range_query`` /
+``nearest_objects`` / ``geofence_query``).  Queries only read what the
+updates wrote, so they are not part of the simulation: a
+:class:`~repro.service.loadgen.ReplayPlan` carries the calls beside the
+fleet's update batches, and every query driver — the query bench, the live
+load test, the test-suite's linear-scan oracle in
+``tests/reference/linear_queries.py`` — replays that one plan.
 """
 
 from __future__ import annotations
 
 import random
-import time as _time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.geo.bbox import BoundingBox
 
@@ -39,10 +37,8 @@ class QueryCall:
     The workload's remaining parameters (box extent, ``k``, geofence
     radius, margin) are properties of the :class:`QueryWorkload`, so a
     ``(workload, call)`` pair determines the query completely —
-    :func:`execute_call` turns it into a backend answer.  Materialising
-    calls (instead of drawing them inside an executor) is what lets the
-    live-serving load generator and the event kernel issue bit-identical
-    query streams.
+    :func:`execute_call` turns it into a backend answer.  Materialised
+    calls are what lets every query driver issue the bit-identical stream.
     """
 
     time: float
@@ -53,12 +49,7 @@ class QueryCall:
 
 def _draw_call(rng: random.Random, weights: List[float], area: BoundingBox,
                time: float) -> QueryCall:
-    """Draw one query's kind and centre (the canonical draw order).
-
-    Every consumer of a workload's RNG stream — the per-tick executor, the
-    kernel's Poisson arrivals, :func:`poisson_query_stream` — draws through
-    this helper, so the streams stay aligned by construction.
-    """
+    """Draw one query's kind and centre (the canonical draw order)."""
     kind = rng.choices(QUERY_KINDS, weights=weights)[0]
     cx = rng.uniform(area.min_x, area.max_x)
     cy = rng.uniform(area.min_y, area.max_y)
@@ -84,30 +75,39 @@ def execute_call(backend, workload: "QueryWorkload", call: QueryCall):
     )
 
 
-def poisson_query_stream(
-    workload: "QueryWorkload", area: BoundingBox, start: float, end: float
+def query_stream(
+    workload: "QueryWorkload", area: BoundingBox, ticks: Sequence[float], end: float
 ) -> List[QueryCall]:
-    """Materialise the workload's seeded Poisson query stream over [start, end].
+    """Materialise the workload's seeded query stream over ``[ticks[0], end]``.
 
-    Reproduces the event kernel's draw order exactly — one exponential
-    arrival gap, then the query's kind/centre draws, repeated until the
-    next arrival falls past *end* — so replaying the returned calls against
-    a backend issues the same queries, in the same order, at the same
-    simulated instants as :class:`~repro.sim.fleet.FleetSimulation` with
-    this workload attached.  This is the serving tier's arrival process: the
-    load generator replays these calls against the live server on the wall
-    clock.
+    *ticks* are the simulation's sample instants in increasing order (the
+    union of every lane's sample times).  With an ``arrival_rate_per_s``
+    queries arrive as a Poisson process: an exponential gap from
+    ``ticks[0]``, the query's kind/centre draws, repeated until the next
+    arrival falls past *end*.  Otherwise every tick up to *end* adds
+    ``queries_per_tick`` to a credit, and each whole unit of credit issues
+    one query at that tick — so ``0.25`` issues one query every fourth
+    tick, exactly over time.  Query centres are drawn from *area*.
     """
-    rate = workload.arrival_rate_per_s
-    if rate is None:
-        raise ValueError("workload has no Poisson arrival rate configured")
     rng = random.Random(workload.seed)
     weights = [float(workload.mix.get(kind, 0.0)) for kind in QUERY_KINDS]
     calls: List[QueryCall] = []
-    t = start + rng.expovariate(rate)
-    while t <= end:
-        calls.append(_draw_call(rng, weights, area, t))
-        t += rng.expovariate(rate)
+    rate = workload.arrival_rate_per_s
+    if rate is not None:
+        t = float(ticks[0]) + rng.expovariate(rate)
+        while t <= end:
+            calls.append(_draw_call(rng, weights, area, t))
+            t += rng.expovariate(rate)
+        return calls
+    credit = 0.0
+    for t in ticks:
+        if t > end:
+            break
+        credit += workload.queries_per_tick
+        n = int(credit)
+        if n > 0:
+            credit -= n
+            calls.extend(_draw_call(rng, weights, area, t) for _ in range(n))
     return calls
 
 
@@ -138,7 +138,7 @@ class QueryWorkload:
         When set, queries arrive as a **Poisson process** at this mean rate
         (queries per simulated second) instead of per tick — the natural
         model for independent application requests hitting a live service.
-        Poisson arrivals are scheduled as exact-instant events
+        Poisson arrivals fall at exact instants between ticks
         (``queries_per_tick`` is ignored then).
     """
 
@@ -190,7 +190,11 @@ class QueryWorkload:
 
 @dataclass
 class WorkloadReport:
-    """Outcome of replaying a query workload over one simulation."""
+    """Outcome of replaying a query workload over one simulation.
+
+    ``ticks`` counts the simulation's sample instants, whichever arrival
+    model issued the queries.
+    """
 
     ticks: int = 0
     queries: int = 0
@@ -223,122 +227,12 @@ class WorkloadReport:
             out[f"{kind}_queries"] = self.by_kind.get(kind, 0)
         return out
 
-
-class WorkloadExecutor:
-    """Replays a :class:`QueryWorkload` against one server backend.
-
-    Parameters
-    ----------
-    workload:
-        The query stream description.
-    backend:
-        A :class:`~repro.service.facade.LocationService`, or anything
-        exposing its query surface (see :func:`execute_call`).
-    area:
-        Bounding box the query centres are drawn from — typically the
-        bounding box of the fleet's traces.
-    record_answers:
-        When set, every query's answer is kept on :attr:`answers` (used by
-        equivalence tests and the benchmark; off by default to stay O(1) in
-        memory).
-    """
-
-    def __init__(
-        self,
-        workload: QueryWorkload,
-        backend,
-        area: BoundingBox,
-        record_answers: bool = False,
-    ):
-        self.workload = workload
-        self.backend = backend
-        self.area = area
-        self.report = WorkloadReport()
-        self.record_answers = record_answers
-        self.answers: List[Tuple[float, str, object]] = []
-        self._rng = random.Random(workload.seed)
-        self._credit = 0.0
-        self._weights = [float(workload.mix.get(kind, 0.0)) for kind in QUERY_KINDS]
-
-    def on_tick(self, time: float) -> None:
-        """Issue this tick's queries at simulation time *time*."""
-        self.report.ticks += 1
-        self._credit += self.workload.queries_per_tick
-        n = int(self._credit)
-        if n <= 0:
-            return
-        self._credit -= n
-        for _ in range(n):
-            self._one_query(time)
-
-    # ------------------------------------------------------------------ #
-    # Poisson arrivals (event kernel)
-    # ------------------------------------------------------------------ #
-    @property
-    def poisson_rate(self) -> Optional[float]:
-        """Arrival rate in queries per simulated second (``None`` = per-tick)."""
-        return self.workload.arrival_rate_per_s
-
-    def next_arrival(self, after: float) -> float:
-        """The next Poisson arrival instant strictly after *after*.
-
-        Inter-arrival gaps are exponential draws from the workload's seeded
-        stream, so the arrival pattern is deterministic per seed.
-        """
-        rate = self.workload.arrival_rate_per_s
-        if rate is None:
-            raise ValueError("workload has no Poisson arrival rate configured")
-        return after + self._rng.expovariate(rate)
-
-    def note_tick(self) -> None:
-        """Record a simulated sample instant without issuing queries.
-
-        The Poisson-arrival path's counterpart of :meth:`on_tick`: queries
-        arrive independently of the sampling grid there, but the report's
-        ``ticks`` counter should still say how many instants the simulation
-        stepped through rather than a misleading ``0``.
-        """
-        self.report.ticks += 1
-
-    def run_query(self, time: float) -> None:
-        """Issue one query at exactly *time* (a kernel query-arrival event)."""
-        self._one_query(time)
-
-    def issue_wave(self, time: float, n: int) -> None:
-        """Issue *n* queries at one instant as a coalesced wave.
-
-        The workload model of the live server's query batching: every query
-        in the wave shares the same timestamp (one facade ``prepare`` for
-        the whole group) and is answered back to back, with one wall-clock
-        measurement spanning the wave instead of a timer pair per query.
-        Calls are drawn up front in the canonical order, so the answers are
-        identical to *n* sequential :meth:`run_query` calls at *time*.
-        """
-        if n <= 0:
-            return
-        calls = [_draw_call(self._rng, self._weights, self.area, time) for _ in range(n)]
-        started = _time.perf_counter()
-        answers = [execute_call(self.backend, self.workload, call) for call in calls]
-        self.report.query_seconds += _time.perf_counter() - started
-        for call, answer in zip(calls, answers):
-            self._record(time, call, answer)
-
-    def _one_query(self, time: float) -> None:
-        call = _draw_call(self._rng, self._weights, self.area, time)
-        started = _time.perf_counter()
-        answer = execute_call(self.backend, self.workload, call)
-        self.report.query_seconds += _time.perf_counter() - started
-        self._record(time, call, answer)
-
-    def _record(self, time: float, call: QueryCall, answer) -> None:
-        self.report.queries += 1
-        self.report.hits += len(answer)
-        self.report.by_kind[call.kind] = self.report.by_kind.get(call.kind, 0) + 1
-        self.report.hits_by_kind[call.kind] = (
-            self.report.hits_by_kind.get(call.kind, 0) + len(answer)
-        )
-        if self.record_answers:
-            self.answers.append((time, call.kind, answer))
+    def record(self, kind: str, answer) -> None:
+        """Count one answered query of *kind* and its hits."""
+        self.queries += 1
+        self.hits += len(answer)
+        self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
+        self.hits_by_kind[kind] = self.hits_by_kind.get(kind, 0) + len(answer)
 
 
 def default_query_mix(scenario_name: Optional[str]) -> Dict[str, float]:

@@ -37,7 +37,7 @@ def estimate_velocity(
     t = times - times[-1]
     # Least squares slope per axis: cov(t, x) / var(t).  The sums are written
     # as elementwise products reduced with ``sum`` so that the batched
-    # implementation in :func:`estimate_trace` performs bitwise-identical
+    # implementation in :func:`estimate_traces` performs bitwise-identical
     # arithmetic row by row.
     t_mean = t.mean()
     t_centered = t - t_mean
@@ -51,54 +51,101 @@ def estimate_velocity(
     return velocity, speed
 
 
-def estimate_trace(
+#: Lanes per chunk of :func:`estimate_traces`: bounds the sliding-window
+#: temporaries to ~100 MB at typical trace lengths while keeping the NumPy
+#: call overhead amortised.
+_ESTIMATE_CHUNK = 4096
+
+
+def estimate_traces(
     times: np.ndarray, positions: np.ndarray, window: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Sliding-window estimates for every sample of a whole trace at once.
+    """Sliding-window speed/heading estimates for N lanes sharing one grid.
 
-    Returns ``(velocities, speeds)`` with shapes ``(n, 2)`` and ``(n,)``:
-    exactly what feeding the samples one by one through a
-    :class:`StateEstimator` with the same *window* would produce, but
-    computed with batched NumPy operations.  The fixed-size windows (every
-    index from ``window - 1`` on) are evaluated in one vectorised pass whose
-    arithmetic matches :func:`estimate_velocity` operation for operation, so
-    the results are bitwise identical to the streaming estimator — the
-    simulation engine relies on that to keep its fast path equivalent to the
-    per-sighting protocol API.
+    ``positions`` has shape ``(n_lanes, n_samples, 2)``; returns
+    ``(velocities, speeds)`` of shapes ``(n_lanes, n_samples, 2)`` and
+    ``(n_lanes, n_samples)``.  Row ``k`` is exactly what feeding lane
+    ``k``'s samples one by one through a :class:`StateEstimator` with the
+    same *window* would produce: every window's arithmetic matches
+    :func:`estimate_velocity` operation for operation, reduced over the
+    last (window) axis, and the shared time grid makes the centred-time
+    factors literally the same floats.  The simulation engines rely on that
+    bitwise identity to keep their fast paths equivalent to the
+    per-sighting protocol API.  Lanes are processed in fixed-size chunks so
+    the windowed temporaries stay bounded at mega-fleet widths.
     """
     if window < 2:
         raise ValueError("window must be at least 2")
     times = np.asarray(times, dtype=float)
     positions = np.asarray(positions, dtype=float)
-    n = len(times)
-    velocities = np.zeros((n, 2))
-    speeds = np.zeros(n)
+    n_lanes, n = positions.shape[0], positions.shape[1]
+    velocities = np.zeros((n_lanes, n, 2))
+    speeds = np.zeros((n_lanes, n))
     if n < 2:
         return velocities, speeds
     w = int(window)
-    # Ramp-up: the first sightings see growing windows of size 2 .. w - 1.
+    # Ramp-up: growing prefix windows of size 2 .. w - 1, one vectorised
+    # pass per prefix length across all lanes.  The time factors are
+    # scalars shared by every lane (one common grid), computed exactly as
+    # estimate_velocity computes them.
     for i in range(1, min(w - 1, n)):
-        velocities[i], speeds[i] = estimate_velocity(times[: i + 1], positions[: i + 1])
+        t = times[: i + 1]
+        t_rel = t - t[-1]
+        t_mean = t_rel.mean()
+        t_centered = t_rel - t_mean
+        denom = float((t_centered * t_centered).sum())
+        if denom == 0.0:
+            continue
+        # ascontiguousarray keeps the per-row reductions on the same pairwise
+        # summation path as the streaming estimator's contiguous prefixes.
+        x = np.ascontiguousarray(positions[:, : i + 1, 0])
+        y = np.ascontiguousarray(positions[:, : i + 1, 1])
+        vx = (t_centered * (x - x.mean(axis=1, keepdims=True))).sum(axis=1) / denom
+        vy = (t_centered * (y - y.mean(axis=1, keepdims=True))).sum(axis=1) / denom
+        velocities[:, i, 0] = vx
+        velocities[:, i, 1] = vy
+        speeds[:, i] = np.hypot(vx, vy)
     if n < w:
         return velocities, speeds
     from numpy.lib.stride_tricks import sliding_window_view
 
     tw = np.ascontiguousarray(sliding_window_view(times, w))
-    xw = np.ascontiguousarray(sliding_window_view(positions[:, 0], w))
-    yw = np.ascontiguousarray(sliding_window_view(positions[:, 1], w))
     t_rel = tw - tw[:, -1:]
     t_centered = t_rel - t_rel.mean(axis=1, keepdims=True)
     denom = (t_centered * t_centered).sum(axis=1)
     ok = denom != 0.0
     denom_safe = np.where(ok, denom, 1.0)
-    vx = (t_centered * (xw - xw.mean(axis=1, keepdims=True))).sum(axis=1) / denom_safe
-    vy = (t_centered * (yw - yw.mean(axis=1, keepdims=True))).sum(axis=1) / denom_safe
-    vx = np.where(ok, vx, 0.0)
-    vy = np.where(ok, vy, 0.0)
-    velocities[w - 1 :, 0] = vx
-    velocities[w - 1 :, 1] = vy
-    speeds[w - 1 :] = np.hypot(vx, vy)
+    for lo in range(0, n_lanes, _ESTIMATE_CHUNK):
+        hi = min(lo + _ESTIMATE_CHUNK, n_lanes)
+        xw = np.ascontiguousarray(
+            sliding_window_view(positions[lo:hi, :, 0], w, axis=1)
+        )
+        yw = np.ascontiguousarray(
+            sliding_window_view(positions[lo:hi, :, 1], w, axis=1)
+        )
+        vx = (t_centered * (xw - xw.mean(axis=2, keepdims=True))).sum(axis=2) / denom_safe
+        vy = (t_centered * (yw - yw.mean(axis=2, keepdims=True))).sum(axis=2) / denom_safe
+        vx = np.where(ok, vx, 0.0)
+        vy = np.where(ok, vy, 0.0)
+        velocities[lo:hi, w - 1 :, 0] = vx
+        velocities[lo:hi, w - 1 :, 1] = vy
+        speeds[lo:hi, w - 1 :] = np.hypot(vx, vy)
     return velocities, speeds
+
+
+def estimate_trace(
+    times: np.ndarray, positions: np.ndarray, window: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Sliding-window estimates for every sample of one trace at once.
+
+    Returns ``(velocities, speeds)`` with shapes ``(n, 2)`` and ``(n,)``:
+    row 0 of :func:`estimate_traces` over the one-lane fleet *positions*,
+    hence bitwise identical to the streaming :class:`StateEstimator`.
+    """
+    velocities, speeds = estimate_traces(
+        times, np.asarray(positions, dtype=float)[None], window
+    )
+    return velocities[0], speeds[0]
 
 
 class StateEstimator:

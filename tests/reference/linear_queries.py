@@ -11,10 +11,9 @@ per query.  The sharded service tier
 (:class:`~repro.service.facade.LocationService`) answers the same queries
 through its columnar query engines and is asserted bit-identical to these
 scans by the test-suite.  :class:`LinearScans` puts the service's query
-surface over a plain server, so
-:func:`~repro.sim.workload.execute_call` and
-:class:`~repro.sim.workload.WorkloadExecutor` replay a workload against the
-scans exactly as against the service.
+surface over a plain server, so :func:`~repro.sim.workload.execute_call`
+(and with it a replayed :class:`~repro.service.loadgen.ReplayPlan`) runs a
+workload against the scans exactly as against the service.
 
 Edge cases are well-defined rather than exceptional: a position query for
 an unknown object, and range / nearest / geofence queries against an empty

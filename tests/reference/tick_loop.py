@@ -11,27 +11,25 @@ sample instants is the tick grid, and at each tick
    :meth:`~repro.service.channel.MessageChannel.deliver_due` and the due
    messages are ingested as one batch,
 3. the server's predictions for the sampled lanes are measured against
-   ground truth, and
-4. a per-tick query workload fires.
+   ground truth.
 
 Protocol timers are never consulted: time-triggered protocols poll their
 deadlines on every sighting, and a message is delivered at the first tick
 at or after ``send_time + latency``.  When every lane shares one sampling
 grid, latency is a multiple of it and no timer deadline falls off it, the
 event kernel must reproduce this loop bit for bit; the equivalence tests
-assert exactly that.  Poisson query arrivals, handoff maintenance and
-multi-process runs need the event schedule and are rejected here.
+assert exactly that.  Multi-process runs need the event schedule and are
+rejected here.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from repro.service.channel import MessageChannel
 from repro.sim.fleet import FleetSimulation
-from repro.sim.workload import WorkloadExecutor
 
 
 class TickLoopFleet(FleetSimulation):
@@ -39,20 +37,10 @@ class TickLoopFleet(FleetSimulation):
 
     def __init__(self, lanes, **kwargs):
         super().__init__(lanes, **kwargs)
-        workload = self.query_workload
-        if workload is not None and workload.arrival_rate_per_s is not None:
-            raise ValueError("the tick loop cannot schedule Poisson query arrivals")
-        if self.handoff_interval is not None:
-            raise ValueError("the tick loop cannot schedule handoff events")
         if self.processes > 1:
             raise ValueError("the tick loop runs single-process only")
 
-    def _run_loop(
-        self,
-        states: List,
-        channels: List[MessageChannel],
-        executor: Optional[WorkloadExecutor] = None,
-    ) -> None:
+    def _run_loop(self, states: List, channels: List[MessageChannel]) -> None:
         server = self.server
         times_all = np.concatenate([state.times for state in states])
         lane_ix = np.concatenate(
@@ -94,5 +82,3 @@ class TickLoopFleet(FleetSimulation):
             )
             for (state, i), position in zip(batch, predicted):
                 state.record_error(i, position)
-            if executor is not None:
-                executor.on_tick(t)

@@ -216,7 +216,6 @@ def _library_fleet(mix_text, obs=NO_OBS, processes=1, shards=1, scale=0.1, seed=
     return FleetSimulation(
         lanes,
         server=server,
-        handoff_interval=60.0 if shards > 1 else None,
         processes=processes,
         obs=obs,
     )

@@ -94,15 +94,6 @@ class TestRunSimulation:
         assert result.duration_h == pytest.approx(100.0 / 3600.0)
         assert result.metrics.count == len(l_shaped_trace)
 
-    def test_initial_update_can_be_excluded(self, straight_trace):
-        counted = run_simulation(
-            DistanceBasedReporting(accuracy=100.0), straight_trace, count_initial_update=True
-        )
-        excluded = run_simulation(
-            DistanceBasedReporting(accuracy=100.0), straight_trace, count_initial_update=False
-        )
-        assert counted.updates == excluded.updates + 1
-
     def test_truth_trace_used_for_error(self, straight_trace):
         # Sensor reports a constant 30 m offset; the error against the truth
         # includes that offset even though the protocol never sees it.

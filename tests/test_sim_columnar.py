@@ -15,8 +15,7 @@ from repro.sim.columnar import (
     estimate_traces,
 )
 from repro.sim.fleet import FleetLane, FleetSimulation
-from repro.sim.workload import QueryWorkload
-from repro.traces.estimation import estimate_trace
+from repro.traces.estimation import StateEstimator
 from repro.traces.trace import Trace
 
 from reference.tick_loop import TickLoopFleet
@@ -38,19 +37,22 @@ class TestEstimateTraces:
     @pytest.mark.parametrize("window", [2, 3, 4, 6])
     @pytest.mark.parametrize("n_samples", [1, 2, 3, 5, 9, 40])
     def test_bitwise_equal_to_per_lane_estimator(self, window, n_samples):
+        """Every row equals its lane fed one sighting at a time."""
         times, positions = _random_lanes(7, n_samples, seed=window * 100 + n_samples)
         velocities, speeds = estimate_traces(times, positions, window)
         for k in range(positions.shape[0]):
-            v_ref, s_ref = estimate_trace(times, positions[k], window=window)
-            assert np.array_equal(velocities[k], v_ref), f"lane {k} velocities"
-            assert np.array_equal(speeds[k], s_ref), f"lane {k} speeds"
+            estimator = StateEstimator(window=window)
+            for i in range(n_samples):
+                v_ref, s_ref = estimator.update(float(times[i]), positions[k, i])
+                assert np.array_equal(velocities[k, i], v_ref), f"lane {k} velocity {i}"
+                assert speeds[k, i] == s_ref, f"lane {k} speed {i}"
 
     def test_chunked_lanes_equal_unchunked(self, monkeypatch):
-        import repro.sim.columnar as columnar
+        import repro.traces.estimation as estimation
 
         times, positions = _random_lanes(9, 30, seed=5)
         full = estimate_traces(times, positions, 4)
-        monkeypatch.setattr(columnar, "_ESTIMATE_CHUNK", 2)
+        monkeypatch.setattr(estimation, "_ESTIMATE_CHUNK", 2)
         chunked = estimate_traces(times, positions, 4)
         assert np.array_equal(full[0], chunked[0])
         assert np.array_equal(full[1], chunked[1])
@@ -115,18 +117,6 @@ class TestEngineEquivalence:
         ).run()
         _assert_fleet_results_identical(scalar, columnar)
 
-    @pytest.mark.parametrize("count_initial", [True, False])
-    def test_count_initial_update(self, tiny_freeway_scenario, count_initial):
-        scalar = FleetSimulation(
-            _scenario_lanes(tiny_freeway_scenario, STATIC),
-            count_initial_update=count_initial,
-        ).run()
-        columnar = ColumnarFleetEngine.from_lanes(
-            _scenario_lanes(tiny_freeway_scenario, STATIC),
-            count_initial_update=count_initial,
-        ).run()
-        _assert_fleet_results_identical(scalar, columnar)
-
     def test_channel_stats_match_shared_channel(self, tiny_city_scenario):
         fleet = FleetSimulation(_scenario_lanes(tiny_city_scenario, LINEAR))
         fleet.run()
@@ -168,13 +158,6 @@ class TestEligibility:
             self._lanes(tiny_city_scenario), server=LocationServer()
         )
         assert "server" in reason
-
-    def test_workload_rejected(self, tiny_city_scenario):
-        reason = ColumnarFleetEngine.ineligibility(
-            self._lanes(tiny_city_scenario),
-            query_workload=QueryWorkload(seed=1),
-        )
-        assert "workload" in reason
 
     def test_unsupported_protocol(self, tiny_city_scenario):
         lanes = self._lanes(tiny_city_scenario)

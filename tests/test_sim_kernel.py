@@ -8,8 +8,9 @@ oracle in :mod:`reference.tick_loop` and compared here over the whole
 scenario library.  On top of that sit the capabilities a tick loop lacks:
 exact channel delivery instants (``max_queue_delay == 0``), protocol timers
 firing at exact deadlines, per-message keyed channel loss (identical on
-both loops), per-lane sampling rates, Poisson query arrivals and periodic
-shard-handoff maintenance.
+both loops) and per-lane sampling rates.  Queries are not kernel events:
+per-tick and Poisson query streams are replayed from a materialised plan
+and checked here against the linear-scan oracle.
 """
 
 from __future__ import annotations
@@ -26,12 +27,14 @@ from repro.service.channel import MessageChannel
 from repro.service.facade import LocationService
 from repro.sim.config import SimulationConfig
 from repro.sim.fleet import FleetLane, FleetSimulation, run_simulation
-from repro.sim.kernel import DELIVERY, QUERY, SAMPLE, TIMER, EventKernel
+from repro.service.loadgen import build_replay_plan, replay_in_process
+from repro.sim.kernel import DELIVERY, SAMPLE, TIMER, EventKernel
 from repro.sim.runner import ScenarioSpec, auto_region_size
 from repro.sim.workload import QueryWorkload
 from repro.traces.trace import Trace
 
 from reference.tick_loop import TickLoopFleet
+from test_sim_workload import _LinearScannedService, replay_answers
 
 #: Small per-scenario scales (mirrors the golden suite, so the per-process
 #: scenario cache is shared between the two test modules).
@@ -100,11 +103,11 @@ class TestEventKernel:
         kern = EventKernel()
         kern.schedule(5.0, DELIVERY, "d@5")
         kern.schedule(5.0, SAMPLE, "s@5-first")
-        kern.schedule(2.0, QUERY, "q@2")
+        kern.schedule(2.0, DELIVERY, "d@2")
         kern.schedule(5.0, SAMPLE, "s@5-second")
         kern.schedule(5.0, TIMER, "t@5")
         order = [kern.pop()[3] for _ in range(len(kern))]
-        assert order == ["q@2", "s@5-first", "s@5-second", "t@5", "d@5"]
+        assert order == ["d@2", "s@5-first", "s@5-second", "t@5", "d@5"]
 
     def test_drain_instant_includes_same_instant_reschedules(self):
         kern = EventKernel()
@@ -167,22 +170,18 @@ class TestKernelEquivalence:
         assert outcomes["tick"] == outcomes["event"]
 
     def test_per_tick_workload_replay_is_identical(self):
-        reports = {}
-        for kernel in ("tick", "event"):
+        """A per-tick stream replayed beside the fleet's updates: every tick
+        of the merged sample grid counts, and the indexed service answers
+        exactly as the linear-scan oracle."""
+        workload = QueryWorkload(queries_per_tick=0.5, seed=3)
+        answers = {}
+        for name, service in (("scanned", _LinearScannedService()), ("indexed", LocationService())):
             lanes = fleet_lanes([FleetMix("city", "linear", 100.0, 3)], scale=SCALES["city"])
-            fleet = _fleet(
-                lanes,
-                kernel,
-                server=LocationService(),
-                query_workload=QueryWorkload(queries_per_tick=0.5, seed=3),
-            ).run()
-            report = fleet.workload.as_dict()
-            report.pop("query_seconds")
-            report.pop("mean_query_us")
-            report.pop("queries_per_second")
-            reports[kernel] = report
-        assert reports["tick"] == reports["event"]
-        assert reports["tick"]["queries"] > 0
+            plan = build_replay_plan(lanes, workload)
+            answers[name] = replay_answers(plan, service)
+        assert len(plan.ticks) == len(np.unique(lanes[0].sensor_trace.times))
+        assert len(answers["indexed"]) == len(plan.ticks) // 2
+        assert answers["scanned"] == answers["indexed"]
 
 
 # --------------------------------------------------------------------------- #
@@ -418,81 +417,43 @@ class TestSampleInterval:
 
 
 # --------------------------------------------------------------------------- #
-# Poisson query arrivals
+# Poisson query arrivals (replayed from a plan)
 # --------------------------------------------------------------------------- #
 class TestPoissonArrivals:
     def _lanes(self):
         return fleet_lanes([FleetMix("city", "linear", 100.0, 3)], scale=SCALES["city"])
 
+    def _plan(self, rate=0.3, seed=17):
+        return build_replay_plan(
+            self._lanes(), QueryWorkload(arrival_rate_per_s=rate, seed=seed)
+        )
+
     def test_arrivals_are_deterministic_and_close_to_rate(self):
-        counts = []
+        calls = []
         answers = []
-        for _ in range(2):
-            fleet = FleetSimulation(
-                self._lanes(),
-                server=LocationService(),
-                query_workload=QueryWorkload(arrival_rate_per_s=0.3, seed=17),
-                record_query_answers=True,
-            )
-            result = fleet.run()
-            counts.append(result.workload.queries)
-            answers.append(fleet.workload_executor.answers)
-        assert counts[0] == counts[1] > 0
+        for service in (_LinearScannedService(), LocationService()):
+            plan = self._plan()
+            calls.append(plan.calls)
+            answers.append(replay_answers(plan, service))
+        assert calls[0] == calls[1]
         assert answers[0] == answers[1]
         duration = self._lanes()[0].sensor_trace.duration
         expected = 0.3 * duration
-        assert 0.5 * expected <= counts[0] <= 1.7 * expected
+        assert 0.5 * expected <= len(calls[0]) <= 1.7 * expected
 
     def test_report_counts_sample_instants_as_ticks(self):
-        fleet = FleetSimulation(
-            self._lanes(),
-            server=LocationService(),
-            query_workload=QueryWorkload(arrival_rate_per_s=0.3, seed=17),
-        )
-        result = fleet.run()
+        plan = self._plan()
+        service = LocationService()
+        for object_id, prediction, accuracy in plan.registrations:
+            service.register_object(object_id, prediction=prediction, accuracy=accuracy)
+        report, _answers = replay_in_process(plan, service)
         # One tick per distinct sample instant, not a misleading zero.
-        assert result.workload.ticks == len(self._lanes()[0].sensor_trace.times)
-
-    def test_workload_does_not_change_simulation_results(self):
-        with_queries = FleetSimulation(
-            self._lanes(),
-            server=LocationService(),
-            query_workload=QueryWorkload(arrival_rate_per_s=0.5, seed=1),
-        ).run()
-        without = FleetSimulation(self._lanes(), server=LocationService()).run()
-        assert {o: r.as_dict() for o, r in with_queries.results.items()} == {
-            o: r.as_dict() for o, r in without.results.items()
-        }
+        assert report.ticks == len(self._lanes()[0].sensor_trace.times)
+        assert report.queries == len(plan.calls) > 0
 
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError, match="arrival_rate_per_s"):
             QueryWorkload(arrival_rate_per_s=0.0)
-
-
-# --------------------------------------------------------------------------- #
-# shard-handoff maintenance events
-# --------------------------------------------------------------------------- #
-class TestHandoffEvents:
-    def _fleet(self, **kwargs):
-        lanes = fleet_lanes([FleetMix("city", "linear", 100.0, 4)], scale=SCALES["city"])
-        service = LocationService(n_shards=3, region_size=auto_region_size(lanes, 3))
-        return FleetSimulation(lanes, server=service, **kwargs)
-
-    def test_requires_shardable_backend(self):
-        with pytest.raises(ValueError, match="rebalance"):
-            FleetSimulation(
-                [FleetLane("x", LinearPredictionProtocol(100.0), _straight_trace())],
-                handoff_interval=30.0,
-            )
-
-    def test_maintenance_never_changes_results(self):
-        plain = self._fleet().run()
-        swept = self._fleet(handoff_interval=20.0).run()
-        assert {o: r.as_dict() for o, r in plain.results.items()} == {
-            o: r.as_dict() for o, r in swept.results.items()
-        }
-        # The sweeps can only add handoffs, never remove any.
-        assert swept.service_stats["handoffs"] >= plain.service_stats["handoffs"]
 
 
 # --------------------------------------------------------------------------- #

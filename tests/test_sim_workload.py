@@ -1,31 +1,56 @@
-"""Tests for query workloads and the fleet's pluggable service backend.
+"""Tests for query workloads, the replay plan and the fleet's service backend.
 
-The acceptance-critical property lives here: a fleet served by a
+The acceptance-critical properties live here: a fleet served by a
 ``LocationService`` with one shard (and, since handoff never touches record
 state, any shard count) produces bit-identical simulation results to the
 plain single ``LocationServer`` — asserted over every scenario of the
-library at the golden scales.
+library at the golden scales — and the replay plan, the one query driver,
+serves per instant exactly the update batches the fleet kernel delivers.
 """
+
+import io
+import json
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from test_golden_metrics import GOLDEN_NAMES, golden_scale
 
+from repro.experiments.library import FleetMix, fleet_lanes
 from repro.geo.bbox import BoundingBox
-from repro.service.channel import MessageChannel
+from repro.service.channel import MessageChannel, delivery_order
 from repro.service.facade import LocationService
+from repro.service.loadgen import build_replay_plan, lockstep_order, replay_in_process
 from repro.service.server import LocationServer
 from repro.sim.config import SimulationConfig
 from repro.sim.fleet import FleetLane, FleetSimulation
 from repro.sim.runner import QueryBenchSpec, ScenarioSpec, SweepRunner
 from repro.sim.workload import (
     QueryWorkload,
-    WorkloadExecutor,
+    WorkloadReport,
     default_query_mix,
+    execute_call,
+    query_stream,
 )
 
 from reference.linear_queries import LinearScans
+
+#: ``repro --json query-bench --scale 0.05`` records (wall-clock fields
+#: dropped) of the in-loop query engine the replay plan replaced.
+QUERY_BENCH_PARITY = Path(__file__).parent / "data" / "query_bench_parity.json"
+
+#: The recorded ``query-bench`` runs: the default spec (rush-hour city,
+#: linear, per tick), Poisson arrivals, and timer-driven updates.
+PARITY_RUNS = {
+    "default": [],
+    "poisson_queries_freeway": ["--scenario", "poisson_queries_freeway"],
+    "time": ["--protocol", "time"],
+}
+
+#: Per-query wall-clock fields, the only ones allowed to differ run to run.
+WALL_CLOCK_FIELDS = {"query_seconds", "mean_query_us", "queries_per_second", "mean_query_seconds"}
 
 
 def _build(protocol_id, accuracy, scenario):
@@ -60,6 +85,13 @@ class _LinearScannedService(LocationService):
         self.range_query = scans.range_query
         self.nearest_objects = scans.nearest_objects
         self.geofence_query = scans.geofence_query
+
+
+def replay_answers(plan, service):
+    """Register *plan*'s objects with *service*, replay it, return the answers."""
+    for object_id, prediction, accuracy in plan.registrations:
+        service.register_object(object_id, prediction=prediction, accuracy=accuracy)
+    return replay_in_process(plan, service)[1]
 
 
 def _assert_results_identical(a, b):
@@ -108,7 +140,9 @@ class TestQueryWorkloadSpec:
         }
 
 
-class TestWorkloadExecutor:
+class TestQueryStream:
+    AREA = BoundingBox(0.0, 0.0, 6000.0, 6000.0)
+
     def _service_with_objects(self, n=40, seed=0):
         from repro.protocols.base import ObjectState, UpdateMessage, UpdateReason
         from repro.protocols.prediction import LinearPrediction
@@ -130,39 +164,43 @@ class TestWorkloadExecutor:
         return service
 
     def test_fractional_rate_accumulates_exactly(self):
-        service = self._service_with_objects()
-        workload = QueryWorkload(queries_per_tick=0.25, seed=1)
-        executor = WorkloadExecutor(workload, service, BoundingBox(0.0, 0.0, 6000.0, 6000.0))
-        for t in range(100):
-            executor.on_tick(float(t))
-        assert executor.report.ticks == 100
-        assert executor.report.queries == 25
+        ticks = [float(t) for t in range(100)]
+        calls = query_stream(QueryWorkload(queries_per_tick=0.25, seed=1), self.AREA, ticks, 99.0)
+        assert [call.time for call in calls] == [float(t) for t in range(3, 100, 4)]
+        # Ticks past the end issue nothing.
+        cut = query_stream(QueryWorkload(queries_per_tick=0.25, seed=1), self.AREA, ticks, 49.0)
+        assert cut == calls[:12]
 
     def test_same_seed_same_stream(self):
         service = self._service_with_objects()
-        area = BoundingBox(0.0, 0.0, 6000.0, 6000.0)
+        ticks = [float(t) for t in range(20)]
         answers = []
         for _ in range(2):
             workload = QueryWorkload(queries_per_tick=3.0, seed=9)
-            executor = WorkloadExecutor(workload, service, area, record_answers=True)
-            for t in range(20):
-                executor.on_tick(float(t))
-            answers.append(executor.answers)
+            calls = query_stream(workload, self.AREA, ticks, ticks[-1])
+            answers.append([execute_call(service, workload, call) for call in calls])
+        assert len(answers[0]) == 60
         assert answers[0] == answers[1]
 
     def test_mix_weights_respected(self):
         service = self._service_with_objects()
-        workload = QueryWorkload(
-            queries_per_tick=5.0, mix={"nearest": 1.0}, seed=2
-        )
-        executor = WorkloadExecutor(workload, service, BoundingBox(0.0, 0.0, 6000.0, 6000.0))
-        for t in range(10):
-            executor.on_tick(float(t))
-        assert executor.report.by_kind == {"nearest": 50}
-        assert executor.report.queries == 50
-        summary = executor.report.as_dict()
+        workload = QueryWorkload(queries_per_tick=5.0, mix={"nearest": 1.0}, seed=2)
+        report = WorkloadReport()
+        for call in query_stream(workload, self.AREA, [float(t) for t in range(10)], 9.0):
+            report.record(call.kind, execute_call(service, workload, call))
+        assert report.by_kind == {"nearest": 50}
+        assert report.queries == 50
+        summary = report.as_dict()
         assert summary["nearest_queries"] == 50
         assert summary["range_queries"] == 0
+
+    def test_poisson_stream_covers_start_to_end(self):
+        workload = QueryWorkload(arrival_rate_per_s=2.0, seed=5)
+        calls = query_stream(workload, self.AREA, [10.0, 11.0], 60.0)
+        times = [call.time for call in calls]
+        assert times == sorted(times)
+        assert 10.0 < times[0] and times[-1] <= 60.0
+        assert 50 <= len(calls) <= 150
 
 
 class TestFleetServiceBackend:
@@ -172,15 +210,10 @@ class TestFleetServiceBackend:
     def city(self, tiny_city_scenario):
         return tiny_city_scenario
 
-    def _run(self, scenario, server=None, workload=None, channel=None, record=False):
-        configs = [("distance", 50.0), ("linear", 100.0), ("linear", 200.0), ("map", 100.0)]
-        return FleetSimulation(
-            _lanes(scenario, configs),
-            server=server,
-            channel=channel,
-            query_workload=workload,
-            record_query_answers=record,
-        )
+    CONFIGS = [("distance", 50.0), ("linear", 100.0), ("linear", 200.0), ("map", 100.0)]
+
+    def _run(self, scenario, server=None, channel=None):
+        return FleetSimulation(_lanes(scenario, self.CONFIGS), server=server, channel=channel)
 
     def test_sharded_backend_matches_plain_server(self, city):
         plain = self._run(city).run()
@@ -196,44 +229,23 @@ class TestFleetServiceBackend:
                 assert 0 <= result.service_stats["shard"] < shards
                 assert result.as_dict()["svc_shard"] == result.service_stats["shard"]
 
-    def test_workload_needs_service_backend(self, city):
-        """A plain server has no query surface, so a workload is rejected."""
-        with pytest.raises(ValueError, match="LocationService"):
-            FleetSimulation(
-                _lanes(city, [("linear", 100.0)]), query_workload=QueryWorkload(seed=1)
-            )
-
     def test_plain_results_carry_no_service_stats(self, city):
         plain = self._run(city).run()
         assert plain.service_stats == {}
-        assert plain.workload is None
         for result in plain.results.values():
             assert result.service_stats == {}
             assert "svc_shard" not in result.as_dict()
 
-    def test_workload_does_not_perturb_simulation(self, city):
-        workload = QueryWorkload(queries_per_tick=1.0, seed=3)
-        without = self._run(city, server=LocationService(n_shards=4)).run()
-        with_queries = self._run(
-            city, server=LocationService(n_shards=4), workload=workload
-        ).run()
-        for oid in without.results:
-            _assert_results_identical(without.results[oid], with_queries.results[oid])
-        assert with_queries.workload is not None
-        assert with_queries.workload.queries > 0
-        assert with_queries.workload.ticks > 0
-
     def test_workload_answers_identical_on_both_backends(self, city):
-        """The same query stream gets the same answers, indexed or scanned."""
+        """The same replayed query stream gets the same answers, indexed or scanned."""
         workload = QueryWorkload(queries_per_tick=0.5, seed=4)
         runs = {}
         for name, server in (
             ("scanned", _LinearScannedService()),
             ("sharded", LocationService(n_shards=4)),
         ):
-            sim = self._run(city, server=server, workload=workload, record=True)
-            sim.run()
-            runs[name] = sim.workload_executor.answers
+            plan = build_replay_plan(_lanes(city, self.CONFIGS), workload)
+            runs[name] = replay_answers(plan, server)
         assert len(runs["scanned"]) > 0
         assert runs["scanned"] == runs["sharded"]
 
@@ -303,3 +315,99 @@ class TestQueryBenchRunner:
         spec = QueryBenchSpec(scenario="walking")
         workload = spec.build_workload()
         assert workload.mix == default_query_mix("walking")
+
+    @pytest.mark.parametrize("name", list(PARITY_RUNS))
+    def test_query_bench_matches_recorded_parity(self, name):
+        """Replaying the plan reproduces the in-loop engine's record field
+        for field: per-tick and Poisson arrivals, timer-driven updates."""
+        from repro.cli import main
+
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["--json", "query-bench", "--scale", "0.05", *PARITY_RUNS[name]]) == 0
+        record = json.loads(out.getvalue())
+        expected = json.loads(QUERY_BENCH_PARITY.read_text(encoding="utf-8"))[name]
+        assert _without_wall_clock(record) == expected
+        assert record["workload"]["queries"] > 0
+
+
+def _without_wall_clock(value):
+    if isinstance(value, dict):
+        return {
+            key: _without_wall_clock(item)
+            for key, item in value.items()
+            if key not in WALL_CLOCK_FIELDS
+        }
+    if isinstance(value, list):
+        return [_without_wall_clock(item) for item in value]
+    return value
+
+
+def _fingerprint(object_id, message):
+    state = message.state
+    return (
+        object_id,
+        message.sequence,
+        message.reason.value,
+        state.time,
+        state.position.tolist(),
+        state.velocity.tolist(),
+        state.speed,
+        state.link_id,
+        state.link_offset,
+    )
+
+
+class TestReplayPlanMatchesFleet:
+    @pytest.mark.parametrize(
+        "mix_text",
+        ["city:time:150:3", "freeway:time:333:2", "city:linear:150:3", "city:map:150:2"],
+    )
+    def test_plan_batches_equal_fleet_deliveries(self, mix_text):
+        """Per instant, the plan serves exactly the updates the fleet kernel
+        delivers — timer-fired ones included, at their exact deadlines."""
+        mix = [FleetMix.parse(mix_text)]
+        service = LocationService()
+        delivered = {}
+        ingest = service.ingest_batch
+
+        def recording(messages, time):
+            delivered[time] = sorted(
+                ((time, oid, msg) for oid, msg in messages), key=delivery_order
+            )
+            ingest(messages, time)
+
+        service.ingest_batch = recording
+        fleet = FleetSimulation(fleet_lanes(mix, scale=0.1, seed=11), server=service).run()
+        plan = build_replay_plan(fleet_lanes(mix, scale=0.1, seed=11), QueryWorkload(seed=0))
+        served = {
+            t: sorted(((t, oid, msg) for oid, msg in batch), key=delivery_order)
+            for t, batch in plan.batches
+        }
+        assert len(served) == len(plan.batches)
+        assert list(served) == sorted(delivered)
+        for t, entries in served.items():
+            assert [_fingerprint(oid, m) for _, oid, m in entries] == [
+                _fingerprint(oid, m) for _, oid, m in delivered[t]
+            ]
+        assert plan.total_updates == fleet.total_updates
+        if ":time:" in mix_text:
+            assert any(
+                m.reason.value == "timer" for _, batch in plan.batches for _, m in batch
+            )
+
+    def test_lockstep_order_puts_batches_first_at_equal_instants(self, tiny_city_scenario):
+        plan = build_replay_plan(
+            _lanes(tiny_city_scenario, [("linear", 100.0)]),
+            QueryWorkload(queries_per_tick=1.0, seed=2),
+        )
+        order = lockstep_order(plan)
+        assert len(order) == len(plan.batches) + len(plan.calls)
+        times = [
+            plan.calls[i].time if is_query else plan.batches[i][0] for is_query, i in order
+        ]
+        assert times == sorted(times)
+        steps = list(zip(order, times))
+        for ((query_a, _), t_a), ((query_b, _), t_b) in zip(steps, steps[1:]):
+            if query_a and not query_b:
+                assert t_a < t_b  # a call never precedes a batch of its instant

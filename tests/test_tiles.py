@@ -42,7 +42,7 @@ def _mixed_store(root):
         segment(4, 2, oneway=False),
     ):
         writer.add(seg)
-    writer.close(kind="mixed")
+    writer.close(kind="mixed", nodes=len(positions))
     return TileStore(root)
 
 
