@@ -8,6 +8,7 @@ library at the golden scales — and the replay plan, the one query driver,
 serves per instant exactly the update batches the fleet kernel delivers.
 """
 
+import dataclasses
 import io
 import json
 from contextlib import redirect_stdout
@@ -411,3 +412,45 @@ class TestReplayPlanMatchesFleet:
         for ((query_a, _), t_a), ((query_b, _), t_b) in zip(steps, steps[1:]):
             if query_a and not query_b:
                 assert t_a < t_b  # a call never precedes a batch of its instant
+
+    def test_queries_leave_every_record_unchanged(self, tiny_city_scenario):
+        """Queries only read: replaying a plan with its calls leaves every
+        record exactly as replaying its batches alone does, handoffs made
+        while preparing the sharded engines included."""
+        configs = [("distance", 50.0), ("linear", 100.0), ("map", 100.0)]
+        workload = QueryWorkload(queries_per_tick=1.0, seed=3)
+        plan = build_replay_plan(_lanes(tiny_city_scenario, configs), workload)
+        assert plan.calls
+        silent = dataclasses.replace(plan, calls=[])
+        services = {}
+        for name, replayed in (("queried", plan), ("silent", silent)):
+            services[name] = LocationService(n_shards=4)
+            replay_answers(replayed, services[name])
+        queried, silent_service = services["queried"], services["silent"]
+        assert queried.service_stats()["queries"] == len(plan.calls)
+        assert queried.object_ids() == silent_service.object_ids()
+        for object_id in queried.object_ids():
+            a = queried.tracked_object(object_id)
+            b = silent_service.tracked_object(object_id)
+            assert a.updates_received == b.updates_received > 0
+            assert a.last_update_time == b.last_update_time
+            assert a.state is b.state  # both plans share their update messages
+            assert np.array_equal(
+                queried.predict_position(object_id, plan.end),
+                silent_service.predict_position(object_id, plan.end),
+            )
+
+    def test_max_batches_truncates_ticks_and_calls(self, tiny_city_scenario):
+        """A plan cut at *max_batches* ends at its last batch: no tick and no
+        call lies past it."""
+        lanes = lambda: _lanes(tiny_city_scenario, [("linear", 100.0), ("distance", 50.0)])
+        workload = QueryWorkload(queries_per_tick=1.0, seed=2)
+        full = build_replay_plan(lanes(), workload)
+        cut = build_replay_plan(lanes(), workload, max_batches=5)
+        assert len(full.batches) > 5
+        assert [(t, [_fingerprint(oid, m) for oid, m in batch]) for t, batch in cut.batches] == [
+            (t, [_fingerprint(oid, m) for oid, m in batch]) for t, batch in full.batches[:5]
+        ]
+        assert cut.end == cut.batches[-1][0] < full.end
+        assert cut.ticks == [t for t in full.ticks if t <= cut.end]
+        assert cut.calls and all(call.time <= cut.end for call in cut.calls)
