@@ -16,10 +16,10 @@ instead and records the scaling curve in ``BENCH_megafleet.json``:
 * asserts the 100k fleet runs **faster than real time**
   (``sim_seconds / wall_seconds > 1``) on one machine,
 * asserts the columnar results are **bitwise identical** to the scalar
-  :class:`~repro.sim.fleet.FleetSimulation` event kernel on a small
+  :class:`~repro.sim.fleet.FleetSimulation` loop on a small
   subsample of the same fleet,
 * asserts ``processes=4`` is **bitwise identical** to ``processes=1`` on
-  the event kernel — per-object results, every error sample, channel
+  the fleet loop — per-object results, every error sample, channel
   counters (over a seeded lossy high-latency uplink) and the sharded
   service statistics — and
 * measures the multi-process speedup (``processes=2`` vs ``1``) and
@@ -177,7 +177,7 @@ def _stats_tuple(stats):
 
 
 def check_columnar_identity(n_objects: int = 400, n_samples: int = 120) -> bool:
-    """Columnar engine vs the scalar event kernel, bit for bit."""
+    """Columnar engine vs the scalar fleet loop, bit for bit."""
     times, positions = _build_arrays(n_objects, n_samples)
     scalar = FleetSimulation(_lanes_from_arrays(times, positions))
     columnar = ColumnarFleetEngine.from_lanes(_lanes_from_arrays(times, positions))
@@ -185,7 +185,7 @@ def check_columnar_identity(n_objects: int = 400, n_samples: int = 120) -> bool:
 
 
 def _sharded_fleet(times, positions, processes: int) -> FleetSimulation:
-    """An event-kernel fleet over a seeded lossy uplink and 4 service shards."""
+    """A fleet over a seeded lossy uplink and 4 service shards."""
     channel = MessageChannel(latency=4.0, loss_probability=0.1, seed=42)
     return FleetSimulation(
         _lanes_from_arrays(times, positions, channel=channel),
@@ -220,7 +220,7 @@ def _time_processes(times, positions, processes: int) -> float:
 
 
 def measure_parallel(n_objects: int, n_samples: int = 120) -> dict:
-    """Wall time of ``processes=2`` against ``processes=1`` (event kernel)."""
+    """Wall time of ``processes=2`` against ``processes=1`` (fleet loop)."""
     times, positions = _build_arrays(n_objects, n_samples)
     single_seconds = _time_processes(times, positions, 1)
     multi_seconds = _time_processes(times, positions, 2)
@@ -273,10 +273,10 @@ def _write_record(record):
 
 def _assert_record(record):
     assert record["columnar_identical_to_event"], (
-        "columnar engine diverged from the scalar event kernel"
+        "columnar engine diverged from the scalar fleet loop"
     )
     assert record["multiprocess_identical"], (
-        "processes=4 diverged from processes=1 on the event kernel"
+        "processes=4 diverged from processes=1 on the fleet loop"
     )
     floor = _min_realtime()
     assert record["realtime_factor_largest"] >= floor, (

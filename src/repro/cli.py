@@ -40,9 +40,11 @@ output can be diffed against the paper's numbers or piped into other tools.
 Sweep-shaped commands execute on the shared
 :class:`~repro.sim.runner.SweepRunner`; ``--jobs N`` fans their points out
 over N worker processes, with results guaranteed identical to a serial run.
-Every simulation runs on the discrete-event kernel (see the README's
-"Simulation kernel" section): channel messages arrive and protocol timers
+Every simulation runs on one send schedule per lane (see the README's
+"Simulation loop" section): channel messages arrive and protocol timers
 fire at their exact instants, and lanes keep their own sampling rates.
+``fleet`` runs an eligible homogeneous fleet through the columnar engine
+and everything else through the fleet loop; both give identical rows.
 Query workloads (per tick or Poisson) are replayed beside a fleet's update
 stream from a materialised plan (``query-bench``, ``load-test``).
 
@@ -88,6 +90,7 @@ from repro.roadmap.generators import (
     pedestrian_map,
 )
 from repro.sim.config import PROTOCOL_IDS, SimulationConfig
+from repro.sim.fleet import run_simulation
 from repro.sim.runner import QueryBenchSpec, ScenarioSpec, SweepRunner
 from repro.sim.workload import QueryWorkload
 from repro.traces import io as trace_io
@@ -167,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_obs(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--obs", action="store_true",
-            help="record metrics, wall-time spans and a kernel flight "
+            help="record metrics, wall-time spans and a fleet-loop flight "
                  "recorder for this run (results stay bit-identical; the "
                  "metrics report prints to stderr unless --obs-dir is given)",
         )
@@ -252,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_fleet = subparsers.add_parser(
-        "fleet", help="run a heterogeneous fleet through the event-driven simulation loop"
+        "fleet", help="run a heterogeneous fleet through the simulation loop"
     )
     add_mix(p_fleet)
     p_fleet.add_argument(
@@ -261,14 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("--seed", type=int, default=None, help="scenario seed override")
     p_fleet.add_argument(
         "--processes", type=_positive_int, default=1,
-        help="partition the fleet into spatial shards and run one event "
-             "kernel per worker process (bit-identical to --processes 1)",
-    )
-    p_fleet.add_argument(
-        "--columnar", action="store_true",
-        help="run an eligible homogeneous fleet through the columnar "
-             "(struct-of-arrays) engine — bit-identical and much faster at "
-             "mega-fleet sizes",
+        help="partition the fleet into spatial shards and run one fleet "
+             "loop per worker process (bit-identical to --processes 1)",
     )
     p_fleet.add_argument(
         "--shards", type=_positive_int, default=1,
@@ -623,7 +620,7 @@ def _cmd_simulate(args) -> int:
     protocol = SimulationConfig(
         protocol_id=args.protocol, accuracy=args.accuracy
     ).build_protocol(scenario)
-    result = SweepRunner().run_single(scenario, protocol)
+    result = run_simulation(protocol, scenario.sensor_trace, scenario.true_trace)
     _emit(args, [result.as_dict()], f"{args.protocol} on {args.scenario} (us={args.accuracy:g} m)")
     return 0
 
@@ -649,8 +646,8 @@ def _cmd_fleet(args) -> int:
     if mix is None:
         return 2
     from repro.service.facade import LocationService
-    from repro.sim.fleet import FleetSimulation
-    from repro.sim.runner import auto_region_size
+    from repro.sim.columnar import ColumnarFleetEngine
+    from repro.sim.fleet import FleetSimulation, auto_region_size, fleet_extent
 
     lanes = fleet_lanes(mix, scale=args.scale, seed=args.seed)
     server = None
@@ -659,25 +656,16 @@ def _cmd_fleet(args) -> int:
         # metre value degenerates to a single cell on small-scale runs.
         server = LocationService(
             n_shards=args.shards,
-            region_size=auto_region_size(lanes, args.shards),
+            region_size=auto_region_size(fleet_extent(lanes), args.shards),
         )
     obs = _build_obs(args)
-    if args.columnar:
-        from repro.sim.columnar import ColumnarFleetEngine
-
-        if args.processes > 1 or server is not None:
-            print(
-                "error: --columnar runs the whole fleet in-process against "
-                "the plain server (drop --processes/--shards)",
-                file=sys.stderr,
-            )
-            return 2
-        reason = ColumnarFleetEngine.ineligibility(lanes)
-        if reason is not None:
-            print(f"error: fleet is not columnar-eligible: {reason}", file=sys.stderr)
-            return 2
+    # The two engines give bit-identical results; the columnar one is
+    # faster on the homogeneous in-process fleets it accepts.
+    if args.processes == 1 and ColumnarFleetEngine.ineligibility(lanes, server=server) is None:
+        engine = "columnar"
         fleet = ColumnarFleetEngine.from_lanes(lanes, obs=obs).run()
     else:
+        engine = "fleet"
         fleet = FleetSimulation(
             lanes, server=server, processes=args.processes, obs=obs
         ).run()
@@ -690,7 +678,7 @@ def _cmd_fleet(args) -> int:
             "scale": args.scale,
             "shards": args.shards,
             "processes": args.processes,
-            "columnar": bool(args.columnar),
+            "engine": engine,
         },
         seed=args.seed,
     )
@@ -699,8 +687,6 @@ def _cmd_fleet(args) -> int:
         title += f", {args.shards} shards"
     if args.processes > 1:
         title += f", {args.processes} processes"
-    if args.columnar:
-        title += ", columnar engine"
     if args.per_object:
         _emit(args, fleet.as_rows(), title)
         return 0
@@ -796,7 +782,7 @@ def _cmd_serve(args) -> int:
         registrations_for_lanes,
         service_for_registrations,
     )
-    from repro.sim.runner import auto_region_size
+    from repro.sim.fleet import auto_region_size, fleet_extent
 
     mix = _parse_fleet_mix(args.mix)
     if mix is None:
@@ -805,7 +791,7 @@ def _cmd_serve(args) -> int:
     service = service_for_registrations(
         registrations_for_lanes(lanes),
         n_shards=args.shards,
-        region_size=auto_region_size(lanes, args.shards),
+        region_size=auto_region_size(fleet_extent(lanes), args.shards),
     )
 
     obs = _build_obs(args)

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.experiments.scenarios import get_scenario
 from repro.mapmatching.offline import match_trace, matching_accuracy
 from repro.mapmatching.matcher import MatcherConfig
-from repro.mobility.scenarios import Scenario, ScenarioName
+from repro.mobility.scenarios import ScenarioName
 from repro.protocols.adaptive import (
     AdaptiveDeadReckoning,
     DisconnectionDetectionDeadReckoning,
@@ -34,16 +34,7 @@ from repro.protocols.prediction import (
 )
 from repro.protocols.probabilistic import ProbabilisticMapBasedProtocol
 from repro.roadmap.probability import TurnProbabilityTable
-from repro.sim.metrics import SimulationResult
-from repro.sim.runner import SweepRunner
-
-#: All ablation studies execute through the shared sweep runner, like the
-#: figures and tables — one pipeline, one set of engine fast paths.
-_RUNNER = SweepRunner()
-
-
-def _run(protocol, scenario: Scenario, channel=None) -> SimulationResult:
-    return _RUNNER.run_single(scenario, protocol, channel=channel)
+from repro.sim.fleet import run_simulation
 
 
 # --------------------------------------------------------------------------- #
@@ -84,7 +75,9 @@ def message_loss_robustness(
             ),
         ):
             channel = MessageChannel(loss_probability=float(loss), seed=seed)
-            result = _run(protocol, scenario, channel=channel)
+            result = run_simulation(
+                protocol, scenario.sensor_trace, scenario.true_trace, channel
+            )
             rows.append(
                 {
                     "loss": float(loss),
@@ -123,7 +116,7 @@ def matching_tolerance_ablation(
             estimation_window=scenario.estimation_window,
             config=MapBasedConfig(matching_tolerance=float(um)),
         )
-        result = _run(protocol, scenario)
+        result = run_simulation(protocol, scenario.sensor_trace, scenario.true_trace)
         matched = match_trace(
             scenario.sensor_trace,
             scenario.roadmap,
@@ -167,7 +160,7 @@ def estimation_window_ablation(
             sensor_uncertainty=scenario.sensor_sigma,
             estimation_window=int(window),
         )
-        result = _run(protocol, scenario)
+        result = run_simulation(protocol, scenario.sensor_trace, scenario.true_trace)
         rows.append(
             {
                 "window": float(window),
@@ -247,7 +240,7 @@ def turn_policy_ablation(
     ]
     rows: List[Dict[str, object]] = []
     for label, protocol in protocols:
-        result = _run(protocol, scenario)
+        result = run_simulation(protocol, scenario.sensor_trace, scenario.true_trace)
         rows.append(
             {
                 "policy": label,
@@ -288,7 +281,7 @@ def speed_limit_prediction_ablation(
                 speed_limit_factor=factor,
             ),
         )
-        result = _run(protocol, scenario)
+        result = run_simulation(protocol, scenario.sensor_trace, scenario.true_trace)
         rows.append(
             {
                 "speed_limit_factor": "none (paper)" if factor is None else factor,
@@ -340,7 +333,7 @@ def adaptive_strategy_comparison(
     ]
     rows: List[Dict[str, object]] = []
     for label, protocol in protocols:
-        result = _run(protocol, scenario)
+        result = run_simulation(protocol, scenario.sensor_trace, scenario.true_trace)
         rows.append(
             {
                 "strategy": label,

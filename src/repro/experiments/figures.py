@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.experiments.scenarios import get_scenario
 from repro.mobility.scenarios import Scenario, ScenarioName
 from repro.sim.config import SimulationConfig
+from repro.sim.fleet import run_simulation
 from repro.sim.metrics import SimulationResult
 from repro.sim.runner import ScenarioSpec, SweepPoint, SweepRunner, SweepTask
 
@@ -238,13 +239,12 @@ def route_update_counts(
     scenario route.
     """
     scenario = get_scenario(scenario_name, scale=scale)
-    runner = SweepRunner()
     out: Dict[str, SimulationResult] = {}
     for protocol_id in ("linear", "map"):
         protocol = SimulationConfig(protocol_id=protocol_id, accuracy=accuracy).build_protocol(
             scenario
         )
-        out[protocol_id] = runner.run_single(scenario, protocol)
+        out[protocol_id] = run_simulation(protocol, scenario.sensor_trace, scenario.true_trace)
     return out
 
 

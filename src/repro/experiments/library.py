@@ -352,7 +352,7 @@ register_generated(GeneratorSpec(
     matching_tolerance=20.0,
 ))
 # Heterogeneous sighting rates and Poisson query arrivals (the workloads
-# the discrete-event schedule exists for).
+# the exact-instant schedule exists for).
 register_generated(GeneratorSpec(
     name="mixed_rate_city",
     description=(

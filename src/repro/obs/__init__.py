@@ -10,7 +10,7 @@ instrument instead of ad-hoc ``perf_counter`` calls per benchmark.  The
   per-worker registries from a ``processes=N`` run fold back bit-identically;
 * :mod:`repro.obs.trace` — nested wall-time spans exported as Chrome
   ``trace_event`` JSON (open in Perfetto), plus a bounded flight recorder
-  of recent kernel events dumped on error;
+  of recent fleet-loop events dumped on error;
 * :mod:`repro.obs.manifest` — run provenance (git SHA, seed, config hash,
   toolchain versions) stamped into artifacts.
 
@@ -21,7 +21,7 @@ layer always holds a bundle: :data:`NO_OBS`, the default everywhere, is
 the disabled one.  Its instruments and spans are shared no-ops that keep
 nothing, so instrumented code calls them unconditionally.
 :attr:`Observability.enabled` is read only where a no-op call would still
-cost per event (the fleet kernel's ``on_pop`` hook) or where the answer
+cost per event (the fleet loop's flight-recorder notes) or where the answer
 changes output (the live ``metrics`` op, handing a bundle on to a facade
 that has none enabled).  Nothing about results, goldens or bit-identity
 changes when observability is enabled — the instruments only *watch*.
@@ -132,7 +132,7 @@ class Observability:
         count = len(self.flight)
         if count:
             _logger.error(
-                "flight recorder%s — last %d kernel events:\n%s",
+                "flight recorder%s — last %d fleet-loop events:\n%s",
                 f" ({reason})" if reason else "",
                 count,
                 self.flight.format(),

@@ -1,7 +1,7 @@
 """The deterministic metrics registry: counters, gauges, histograms, latencies.
 
-One instrument family serves every layer of the reproduction — the event
-kernel, the columnar engine, the sharded service facade, the live serving
+One instrument family serves every layer of the reproduction — the fleet
+loop, the columnar engine, the sharded service facade, the live serving
 tier and the benchmarks — under two hard rules:
 
 * **Merges are commutative and associative.**  A ``processes=N`` fleet run
@@ -14,9 +14,9 @@ tier and the benchmarks — under two hard rules:
 * **Determinism is declared, not assumed.**  Every instrument carries a
   ``deterministic`` flag meaning *invariant across worker partitioning and
   wall clock*: samples processed, timers fired, updates sent are the same
-  numbers whether one process ran the fleet or four.  Agenda depth, wall
-  time and handoff-event counts are not (each shard kernel fires its own
-  handoff events), so they are flagged ``deterministic=False`` and excluded
+  numbers whether one process ran the fleet or four.  Wall time and
+  scheduling-dependent counts (live ingest rejections, rebalance passes)
+  are not, so they are flagged ``deterministic=False`` and excluded
   from :meth:`MetricsRegistry.snapshot(deterministic_only=True) <MetricsRegistry.snapshot>`
   — the view the bit-identity tests compare across worker counts.
 

@@ -1,4 +1,4 @@
-"""Span tracing and the kernel flight recorder.
+"""Span tracing and the fleet-loop flight recorder.
 
 :class:`SpanTracer` records **nested wall-time spans** — coarse phases of
 a run (build states, event loop, shard execute, merge), not per-event
@@ -12,9 +12,9 @@ Perfetto view shows the parent's partition/execute/merge phases above one
 lane of spans per shard worker.
 
 :class:`FlightRecorder` is the crash-time counterpart: a bounded ring of
-the most recent kernel events (time, kind, sequence).  Appending a tuple
-to a ``deque`` is cheap enough for the event loop's hot path when
-observability is on; when a handler raises, the fleet dumps the ring to
+the most recent fleet-loop events (time, kind, sequence).  Appending a
+tuple to a ``deque`` is cheap enough for the loop's hot path when
+observability is on; when the loop raises, the fleet dumps the ring to
 the log — the last N events before the failure, in order — instead of
 leaving a ``processes=4`` run to die as a black box.
 """
@@ -24,6 +24,18 @@ from __future__ import annotations
 import time as _time
 from collections import deque
 from typing import Dict, List, Optional, Sequence
+
+#: Event kinds of the fleet loop: a lane's sighting, a protocol timer
+#: firing at its deadline, an update reaching the server.  They name the
+#: ``kernel.events.<kind>`` counters and the flight recorder's entries.
+SAMPLE = 0
+TIMER = 1
+DELIVERY = 2
+KIND_NAMES = {
+    SAMPLE: "sample",
+    TIMER: "timer",
+    DELIVERY: "delivery",
+}
 
 
 class Span:
@@ -176,7 +188,7 @@ def validate_chrome_trace(payload: object) -> List[str]:
 
 
 class FlightRecorder:
-    """A bounded ring of recent kernel events, dumped when a run dies.
+    """A bounded ring of recent fleet-loop events, dumped when a run dies.
 
     ``note()`` is the hot-path call: one tuple append into a ``deque`` with
     ``maxlen``, no formatting, no allocation beyond the tuple.  ``dump()``
@@ -200,10 +212,6 @@ class FlightRecorder:
 
     def dump(self) -> List[Dict[str, object]]:
         """The ring contents, oldest first, with readable event kinds."""
-        # Imported here: the kernel's package pulls in layers that hold an
-        # Observability themselves, so a module-level import would cycle.
-        from repro.sim.kernel import KIND_NAMES
-
         return [
             {"time": t, "kind": KIND_NAMES.get(kind, str(kind)), "seq": seq}
             for t, kind, seq in self._ring

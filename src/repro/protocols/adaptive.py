@@ -173,7 +173,7 @@ class DisconnectionDetectionDeadReckoning(_LinearPredictionThresholdProtocol):
         threshold: a *connected* source moving as predicted would still be
         under the decayed threshold, so a silence this long means the link
         is gone.  Declarations are recorded on
-        :attr:`disconnection_times`.  Under the event kernel the timer
+        :attr:`disconnection_times`.  In the fleet simulation the timer
         fires at exactly ``last_update + disconnect_timeout``; a caller
         that only feeds sightings polls the condition, detecting it at the
         first sighting past the timeout.  ``None`` disables detection.
@@ -240,7 +240,7 @@ class DisconnectionDetectionDeadReckoning(_LinearPredictionThresholdProtocol):
         return self.last_reported.time + self.disconnect_timeout
 
     def on_timer(self, time: float):
-        """Declare the disconnection at the exact timeout (event kernel)."""
+        """Declare the disconnection at the exact timeout (fleet timer)."""
         deadline = self.next_deadline()
         if deadline is not None and time >= deadline:
             self._declare_disconnection(time)

@@ -265,14 +265,14 @@ class UpdateProtocol(abc.ABC):
         return message
 
     # ------------------------------------------------------------------ #
-    # event-kernel timer hooks
+    # timer hooks (the fleet's send schedule)
     # ------------------------------------------------------------------ #
     def next_deadline(self) -> Optional[float]:
         """The next instant at which this protocol's timer must fire.
 
         Protocols whose trigger involves wall-clock time (periodic
         reporting, disconnection timeouts) return the exact deadline; the
-        event kernel schedules a timer event there and calls
+        fleet's send schedule (:func:`repro.sim.fleet.lane_updates`) calls
         :meth:`on_timer` when it expires, so the protocol acts at the exact
         instant instead of at the first sighting that happens to be polled
         afterwards.  ``None`` (the default) means no timer is pending.  A
@@ -285,13 +285,13 @@ class UpdateProtocol(abc.ABC):
         """Handle a timer expiry at exactly *time*.
 
         Returns an update message to transmit, or ``None``.  Called only by
-        the event kernel, and only for deadlines announced via
+        the fleet's send schedule, and only for deadlines announced via
         :meth:`next_deadline`; implementations must tolerate stale fires
         (a sighting processed at the same instant may already have serviced
         the deadline) by re-checking their trigger condition.  An
         implementation that declines a fire while leaving
         :meth:`next_deadline` unchanged is not re-fired at that instant
-        (the kernel guards against spinning); that deadline value is
+        (the schedule guards against spinning); that deadline value is
         treated as spent until the protocol moves it.
         """
         return None

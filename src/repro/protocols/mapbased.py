@@ -198,6 +198,7 @@ class MapBasedProtocol(UpdateProtocol):
         self._stream = stream
         self._stream_times = np.asarray(times, dtype=float)
         self._row = 0
+        self._prediction.forget()
 
     def _pre_decision_hook(
         self, time: float, position: np.ndarray, velocity: np.ndarray, speed: float

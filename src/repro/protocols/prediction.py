@@ -178,6 +178,12 @@ class ProbabilisticTurnPolicy(TurnPolicy):
 # --------------------------------------------------------------------------- #
 # map-based prediction
 # --------------------------------------------------------------------------- #
+#: Predictions a :class:`MapPrediction` keeps for reuse: a trace of up to
+#: this many sightings keeps every source-side prediction until the server
+#: asks for it.
+_MEMO_SIZE = 1 << 14
+
+
 class MapPrediction(PredictionFunction):
     """Advance the object along the road network at its reported speed.
 
@@ -221,12 +227,12 @@ class MapPrediction(PredictionFunction):
         self.speed_limit_factor = speed_limit_factor
         self._linear = LinearPrediction()
         self._turn_cache: Dict[int, Optional[Link]] = {}
-        # One-slot memo for repeated (state, time) queries: within one
-        # simulation step the source (deviation check) and the server
-        # (error measurement) ask for exactly the same prediction.
-        self._memo_state = None
-        self._memo_time: Optional[float] = None
-        self._memo_position: Optional[np.ndarray] = None
+        # Predictions by (state identity, time), each kept until its first
+        # reuse: the server's error measurement asks for the very
+        # predictions the source's deviation checks computed, after the
+        # fleet's send schedule has run the whole trace.  Emptied when full
+        # and by forget() when a new trace starts.
+        self._memo: Dict[Tuple[int, float], Tuple[object, np.ndarray]] = {}
 
     def _next_link(self, link: Link) -> Optional[Link]:
         """The successor chosen by the turn policy, memoised when safe.
@@ -250,13 +256,24 @@ class MapPrediction(PredictionFunction):
         return min(state.speed, self.speed_limit_factor * link.speed_limit)
 
     def predict(self, state, time: float) -> np.ndarray:
-        if state is self._memo_state and time == self._memo_time:
-            return self._memo_position
+        memo = self._memo
+        key = (id(state), time)
+        # An entry holds its state, so no other live state can share its id.
+        hit = memo.pop(key, None)
+        if hit is not None:
+            return hit[1]
         position = self._predict_uncached(state, time)
-        self._memo_state = state
-        self._memo_time = time
-        self._memo_position = position
+        # The source only checks a reported state after its report time, so
+        # a prediction at the report time itself is never asked for again.
+        if time != state.time:
+            if len(memo) >= _MEMO_SIZE:
+                memo.clear()
+            memo[key] = (state, position)
         return position
+
+    def forget(self) -> None:
+        """Drop every memoised prediction (their states belong to a past trace)."""
+        self._memo.clear()
 
     def _predict_uncached(self, state, time: float) -> np.ndarray:
         if state.link_id is None or not self.roadmap.has_link(state.link_id):

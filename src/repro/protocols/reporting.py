@@ -135,12 +135,12 @@ class TimeBasedReporting(UpdateProtocol):
         self._last_seen = None
 
     # ------------------------------------------------------------------ #
-    # event-kernel timer contract
+    # timer contract (the fleet's send schedule)
     # ------------------------------------------------------------------ #
     def next_deadline(self) -> Optional[float]:
         """The exact instant of the next periodic report.
 
-        Under the event kernel the report fires at exactly
+        In the fleet simulation the report fires at exactly
         ``t0 + k * interval`` (``t0`` being the initial report), carrying
         the most recent sighting's state; a caller that only feeds
         sightings polls the protocol, which then reports at the first
@@ -155,8 +155,8 @@ class TimeBasedReporting(UpdateProtocol):
 
         Stale fires (a sighting at the same instant already reported, so
         the deadline moved) are ignored.  The staleness check compares
-        against :meth:`next_deadline` itself — the very float the kernel
-        scheduled — never against a re-derived ``time - last`` difference,
+        against :meth:`next_deadline` itself — the very float the schedule
+        armed — never against a re-derived ``time - last`` difference,
         which rounds differently for non-representable intervals (e.g. any
         :meth:`for_speed` ratio) and would reject the legitimate fire
         forever.  The transmitted state holds the last observed position —

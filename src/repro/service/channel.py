@@ -6,30 +6,30 @@ and byte so the evaluation can report bandwidth alongside update counts, and
 it can add latency and losses for robustness experiments (losses model the
 disconnections Wolfson's dtdr strategy addresses).
 
-A message reaches the server in one of two ways:
+Every send goes through :meth:`MessageChannel.transmit`, which counts the
+message, decides whether it is lost and returns its delivery instant
+``t + L``.  A message then reaches the server in one of two ways:
 
-* During a fleet simulation, the event kernel binds a delivery
-  *scheduler* via :meth:`MessageChannel.bind_scheduler`; ``send`` then
-  hands every message straight to the kernel as a delivery event at
-  exactly ``t + L``, so latency is exact and ``max_queue_delay`` stays
-  ``0``.
-* Unbound, messages queue in an in-flight list and
+* The fleet simulation pushes each lane's whole update stream through
+  ``transmit`` and ingests every surviving message at exactly its delivery
+  instant, so latency is exact and ``max_queue_delay`` stays ``0``.
+* :meth:`MessageChannel.send` queues the message in an in-flight list and
   :meth:`MessageChannel.deliver_due` pops everything whose delivery time
   has been reached — i.e. a message sent at ``t`` with latency ``L`` is
-  delivered at the first polled instant ``>= t + L``.  The load generator
-  replays sources through this queue; the quantisation it introduces is
-  measured by :attr:`ChannelStats.max_queue_delay` (the worst observed gap
-  between a message's nominal delivery instant and the poll that actually
-  delivered it — exactly ``0`` when latency is a multiple of the polling
-  step).
+  delivered at the first polled instant ``>= t + L``.  Per-sighting
+  drivers (the tick-loop test oracle, the examples) poll this queue; the
+  quantisation it introduces is measured by
+  :attr:`ChannelStats.max_queue_delay` (the worst observed gap between a
+  message's nominal delivery instant and the poll that actually delivered
+  it — exactly ``0`` when latency is a multiple of the polling step).
 
 Losses are drawn **per message**, keyed by ``(seed, object_id, sequence)``
 rather than by consuming a shared RNG stream in send order.  Send
-interleaving depends on the schedule and the fleet composition, so a
+interleaving depends on the driver and the fleet composition, so a
 stream-ordered draw would make the loss pattern an artifact of the
-scheduler; the keyed draw gives bit-identical loss sequences for the same
+caller; the keyed draw gives bit-identical loss sequences for the same
 seed on either delivery path.  Unseeded channels keep the legacy stream
-draw (they are non-reproducible by construction).
+draw, consumed in send order (they are non-reproducible by construction).
 """
 
 from __future__ import annotations
@@ -37,25 +37,21 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.protocols.base import UpdateMessage
-
-#: Signature of the event-kernel delivery hook bound by the fleet loop:
-#: ``scheduler(deliver_at, object_id, message)``.
-DeliveryScheduler = Callable[[float, str, UpdateMessage], None]
 
 
 def delivery_order(entry: Tuple[float, str, UpdateMessage]) -> Tuple[float, str, int]:
     """Canonical sort key for a batch of ``(deliver_at, object_id, message)``.
 
     Two messages can share ``(deliver_at, object_id)`` — a zero-latency
-    channel carrying a SAMPLE-triggered and a TIMER-triggered send from the
-    same instant, for example — and :class:`UpdateMessage` is a frozen
+    channel carrying a sighting-triggered and a timer-triggered send from
+    the same instant, for example — and :class:`UpdateMessage` is a frozen
     dataclass without ``order=True``, so sorting raw tuples would fall
     through to comparing messages and raise ``TypeError``.  The message's
-    sequence number is the deterministic tie-break (send order per object);
-    both delivery paths sort with this key.
+    sequence number is the deterministic tie-break (send order per object),
+    as in the fleet's delivery order.
     """
     deliver_at, object_id, message = entry
     return (deliver_at, object_id, message.sequence)
@@ -76,8 +72,8 @@ class ChannelStats:
     #: Worst observed queueing delay in seconds: how long a message sat in
     #: the in-flight queue *past* its nominal delivery instant
     #: ``send_time + latency`` before a poll picked it up.  Exactly ``0``
-    #: under the event kernel (delivery events fire at the exact instant)
-    #: and whenever latency is a multiple of the polling step.
+    #: in the fleet simulation (messages arrive at the exact instant) and
+    #: whenever latency is a multiple of the polling step.
     max_queue_delay: float = 0.0
 
     @property
@@ -117,40 +113,21 @@ class MessageChannel:
         self._rng = random.Random(seed)
         self.stats = ChannelStats()
         self._in_flight: List[Tuple[float, str, UpdateMessage]] = []
-        self._scheduler: Optional[DeliveryScheduler] = None
 
-    # ------------------------------------------------------------------ #
-    # event-kernel binding
-    # ------------------------------------------------------------------ #
-    def bind_scheduler(self, scheduler: DeliveryScheduler) -> None:
-        """Route subsequent sends to *scheduler* as exact delivery events.
-
-        Bound by the event kernel for the duration of a run; while bound,
-        nothing enters the in-flight queue.  A channel can serve one kernel
-        at a time.
-        """
-        if self._scheduler is not None:
-            raise RuntimeError("channel is already bound to a delivery scheduler")
-        self._scheduler = scheduler
-
-    def unbind_scheduler(self) -> None:
-        """Detach the event-kernel delivery hook (back to in-flight queueing)."""
-        self._scheduler = None
-
-    # ------------------------------------------------------------------ #
-    # sending and delivering
-    # ------------------------------------------------------------------ #
-    def send(self, object_id: str, message: UpdateMessage, time: float) -> None:
-        """Submit a message for delivery at ``time + latency`` (unless lost)."""
+    def transmit(self, object_id: str, message: UpdateMessage, time: float) -> Optional[float]:
+        """Count one send at *time*; return its delivery instant, or ``None`` if lost."""
         self.stats.messages_sent += 1
         self.stats.bytes_sent += message.size_bytes
         if self.loss_probability > 0.0 and self._is_lost(object_id, message):
             self.stats.messages_lost += 1
-            return
-        if self._scheduler is not None:
-            self._scheduler(time + self.latency, object_id, message)
-        else:
-            self._in_flight.append((time + self.latency, object_id, message))
+            return None
+        return time + self.latency
+
+    def send(self, object_id: str, message: UpdateMessage, time: float) -> None:
+        """:meth:`transmit`, then queue the message for :meth:`deliver_due`."""
+        deliver_at = self.transmit(object_id, message, time)
+        if deliver_at is not None:
+            self._in_flight.append((deliver_at, object_id, message))
 
     def _is_lost(self, object_id: str, message: UpdateMessage) -> bool:
         """Decide this message's fate (see the module docstring).
@@ -180,47 +157,33 @@ class MessageChannel:
         due = [entry for entry in self._in_flight if entry[0] <= time]
         if due:
             self._in_flight = [entry for entry in self._in_flight if entry[0] > time]
-            self.stats.messages_delivered += len(due)
-            self.stats.bytes_delivered += sum(m.size_bytes for _, _, m in due)
+            self.record_delivered([m for _, _, m in due])
             worst = max(time - deliver_at for deliver_at, _, _ in due)
             if worst > self.stats.max_queue_delay:
                 self.stats.max_queue_delay = worst
         due.sort(key=delivery_order)
         return [(object_id, message) for _, object_id, message in due]
 
-    def record_scheduled_delivery(self, messages: List[Tuple[str, UpdateMessage]]) -> None:
-        """Account for messages the event kernel just delivered exactly.
-
-        The event path's counterpart of the accounting inside
-        :meth:`deliver_due`: delivery happens at the exact nominal instant,
-        so the queueing delay is zero by construction.
-        """
-        if not messages:
-            return
+    def record_delivered(self, messages: Sequence[UpdateMessage]) -> None:
+        """Count *messages* as delivered (polled or at their exact instant)."""
         self.stats.messages_delivered += len(messages)
-        self.stats.bytes_delivered += sum(m.size_bytes for _, m in messages)
+        self.stats.bytes_delivered += sum(m.size_bytes for m in messages)
 
     def reset(self) -> None:
-        """Drop all in-flight messages, zero the statistics, unbind any scheduler.
+        """Drop all in-flight messages and zero the statistics.
 
         Simulations call this at run start so that a caller-supplied channel
         cannot leak undelivered messages (or counters) from a previous run
-        into the next one.  A scheduler left bound by a previous run would
-        be worse than a leak: sends would keep landing on the *dead*
-        kernel's agenda and silently never reach the new run's server, so
-        the binding is dropped here too (an event-kernel run re-binds after
-        resetting).  Seeded channels draw losses per message (keyed by
-        object and sequence number), so repeated runs over one channel
+        into the next one.  Seeded channels draw losses per message (keyed
+        by object and sequence number), so repeated runs over one channel
         replay the same loss pattern — that is the reproducibility contract.
         The unseeded stream RNG is deliberately left alone: resetting it
         would turn independent runs into replays.
         """
         self._in_flight.clear()
-        self._scheduler = None
         self.stats = ChannelStats()
 
     @property
     def in_flight(self) -> int:
-        """Number of messages currently in transit (polled path only; the
-        event kernel keeps pending deliveries on its own agenda)."""
+        """Number of messages queued by :meth:`send` and not yet delivered."""
         return len(self._in_flight)

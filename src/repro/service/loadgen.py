@@ -5,9 +5,10 @@ the simulators *measure* the protocols, this module *serves* them.  A
 :class:`ReplayPlan` is the one query driver of the repository:
 
 1. it extracts the **update stream** a fleet of lanes would transmit over a
-   loss-free, zero-latency channel — each lane's protocol processes its
-   sensor trace and fires its timers at their exact deadlines, exactly like
-   the fleet kernel — and groups the updates into time-ordered batches;
+   loss-free, zero-latency channel — each lane's
+   :func:`~repro.sim.fleet.lane_updates`, the same send schedule the fleet
+   pushes through its channels — and groups the updates into time-ordered
+   batches;
 2. it draws the **query stream** from the workload's seeded stream
    (:func:`repro.sim.workload.query_stream`), per tick or Poisson, so the
    calls fall at the simulated instants the fleet's ticks define;
@@ -30,20 +31,18 @@ reference's — whatever interleaving the network produced.
 from __future__ import annotations
 
 import asyncio
-import heapq
-import math
 import time as _time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.geo.bbox import BoundingBox
 from repro.obs import NO_OBS, Observability
-from repro.protocols.base import UpdateMessage, UpdateProtocol
+from repro.protocols.base import UpdateMessage
 from repro.service.facade import LocationService
 from repro.service.live.client import LiveClient
 from repro.service.live.server import service_for_registrations
 from repro.service.live.stats import LatencyRecorder
-from repro.sim.fleet import FleetLane
+from repro.sim.fleet import FleetLane, auto_region_size, fleet_extent, lane_updates
 from repro.sim.workload import (
     QueryCall,
     QueryWorkload,
@@ -93,15 +92,15 @@ def build_replay_plan(
     """Extract a fleet's update stream and draw its query stream.
 
     The lanes' protocols are *consumed* (they process every sighting), so
-    callers must pass freshly built lanes.  Every lane runs on its own, as
-    over a loss-free zero-latency channel: a protocol that announces
-    deadlines (:meth:`~repro.protocols.base.UpdateProtocol.next_deadline`)
-    has its timer fired exactly as :class:`~repro.sim.fleet.FleetSimulation`
-    fires it.  Updates are grouped per simulated instant in lane order —
-    per instant the same updates the fleet kernel hands to
+    callers must pass freshly built lanes.  Every lane's stream is
+    :func:`~repro.sim.fleet.lane_updates`, as over a loss-free zero-latency
+    channel, timer-fired updates included.  Updates are grouped per
+    simulated instant in lane order — per instant the same updates
+    :class:`~repro.sim.fleet.FleetSimulation` hands to
     :meth:`~repro.service.facade.LocationService.ingest_batch`.  The query
     stream is drawn over the union of the lanes' sample instants, per tick
-    or Poisson as *workload* says.
+    or Poisson as *workload* says, inside the lanes'
+    :func:`~repro.sim.fleet.fleet_extent`.
     """
     if not lanes:
         raise ValueError("need at least one lane")
@@ -110,17 +109,16 @@ def build_replay_plan(
         for lane in lanes
     ]
     events: List[Tuple[float, int, str, UpdateMessage]] = []
-    min_xy = [math.inf, math.inf]
-    max_xy = [-math.inf, -math.inf]
     ticks: set = set()
     for lane_index, lane in enumerate(lanes):
-        truth = lane.truth_trace if lane.truth_trace is not None else lane.sensor_trace
-        mins = truth.positions.min(axis=0)
-        maxs = truth.positions.max(axis=0)
-        min_xy = [min(min_xy[0], float(mins[0])), min(min_xy[1], float(mins[1]))]
-        max_xy = [max(max_xy[0], float(maxs[0])), max(max_xy[1], float(maxs[1]))]
-        ticks.update(lane.sensor_trace.times.tolist())
-        for t, message in _lane_updates(lane):
+        protocol = lane.protocol
+        times = lane.sensor_trace.times
+        positions = lane.sensor_trace.positions
+        velocities, speeds = estimate_trace(times, positions, protocol.estimator.window)
+        protocol.prepare_trace(times, positions, velocities, speeds)
+        ticks.update(times.tolist())
+        stream, _timer_fires = lane_updates(protocol, times, positions, velocities, speeds)
+        for t, message in stream:
             events.append((t, lane_index, lane.object_id, message))
     # Group updates sharing an instant into one batch, lanes in lane order
     # within the instant (the sort is stable: a lane's own updates keep
@@ -139,7 +137,7 @@ def build_replay_plan(
         if batches:
             end = min(end, batches[-1][0])
             tick_list = [t for t in tick_list if t <= end]
-    area = BoundingBox(min_xy[0], min_xy[1], max_xy[0], max_xy[1])
+    area = fleet_extent(lanes)
     calls = query_stream(workload, area, tick_list, end)
     if max_queries is not None:
         calls = calls[:max_queries]
@@ -155,71 +153,11 @@ def build_replay_plan(
     )
 
 
-def _lane_updates(lane: FleetLane) -> List[Tuple[float, UpdateMessage]]:
-    """Every ``(send_time, update)`` one lane transmits, in send order.
-
-    The fleet kernel's schedule for a single lane: at each sample instant
-    the sighting goes first, then the timers due at that instant; a timer
-    due between two sightings fires at its exact deadline.  A popped timer
-    fires only if its deadline is still current, and a protocol that
-    declines a fire without moving its deadline is not re-armed at that
-    deadline (the fleet's progress guard).  Protocols without deadlines
-    skip the timer bookkeeping entirely.
-    """
-    protocol = lane.protocol
-    times = lane.sensor_trace.times
-    positions = lane.sensor_trace.positions
-    velocities, speeds = estimate_trace(times, positions, protocol.estimator.window)
-    protocol.prepare_trace(times, positions, velocities, speeds)
-    observe = protocol.observe_precomputed
-    timed = type(protocol).next_deadline is not UpdateProtocol.next_deadline
-    lane_end = float(times[-1])
-    updates: List[Tuple[float, UpdateMessage]] = []
-    # The lane's timer agenda: scheduled deadlines, superseded ones left in
-    # place and skipped as stale when they pop.
-    agenda: List[float] = []
-    armed: Optional[float] = None
-
-    def arm() -> None:
-        nonlocal armed
-        deadline = protocol.next_deadline()
-        if deadline is None or deadline == armed or deadline > lane_end:
-            return
-        heapq.heappush(agenda, deadline)
-        armed = deadline
-
-    def fire_timers(until: float, inclusive: bool) -> None:
-        nonlocal armed
-        while agenda and (agenda[0] < until or inclusive and agenda[0] == until):
-            deadline = heapq.heappop(agenda)
-            if armed == deadline:
-                armed = None
-            if protocol.next_deadline() == deadline:
-                message = protocol.on_timer(deadline)
-                if message is not None:
-                    updates.append((deadline, message))
-                if protocol.next_deadline() == deadline:
-                    armed = deadline  # declined: spent until it moves
-                    continue
-            arm()
-
-    for i, t in enumerate(times.tolist()):
-        if timed:
-            fire_timers(t, inclusive=False)
-        message = observe(t, positions[i], velocities[i], float(speeds[i]))
-        if message is not None:
-            updates.append((t, message))
-        if timed:
-            arm()
-            fire_timers(t, inclusive=True)
-    return updates
-
-
 def lockstep_order(plan: "ReplayPlan") -> List[Tuple[bool, int]]:
     """The canonical replay order of *plan*: ``(is_query, index)`` pairs.
 
     Batches and calls merged by simulated time; at an equal instant every
-    batch comes before every call (the fleet kernel applies an instant's
+    batch comes before every call (the fleet applies an instant's
     deliveries before anything reads them), and each kind keeps plan order.
     """
     merged = [(t, 0, i) for i, (t, _batch) in enumerate(plan.batches)]
@@ -254,19 +192,12 @@ def replay_in_process(
     return report, answers
 
 
-def plan_region_size(plan: ReplayPlan, n_shards: int) -> float:
-    """Grid-policy region size for a plan's area (the runner's heuristic)."""
-    width = max(plan.area.max_x - plan.area.min_x, 1.0)
-    height = max(plan.area.max_y - plan.area.min_y, 1.0)
-    return max(100.0, math.sqrt(width * height / (8.0 * max(1, n_shards))))
-
-
 def service_for_plan(plan: ReplayPlan, n_shards: int = 1) -> LocationService:
     """A fresh facade with the plan's registrations applied."""
     return service_for_registrations(
         plan.registrations,
         n_shards=n_shards,
-        region_size=plan_region_size(plan, n_shards),
+        region_size=auto_region_size(plan.area, n_shards),
     )
 
 

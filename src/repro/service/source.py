@@ -2,8 +2,11 @@
 
 A :class:`LocationSource` couples one mobile object's sensor stream with an
 update protocol and a message channel: every sensor sighting is handed to
-the protocol, and any update the protocol emits is transmitted over the
-channel towards the server.
+the protocol, and any update the protocol emits is sent over the channel's
+polled queue towards the server.  It is the per-sighting driver of the
+examples and benchmarks that feed sightings one at a time; the fleet
+simulation computes each lane's whole update stream at once instead
+(:func:`repro.sim.fleet.lane_updates`).
 """
 
 from __future__ import annotations
@@ -43,34 +46,6 @@ class LocationSource:
     def process_sighting(self, time: float, position: Vec2) -> Optional[UpdateMessage]:
         """Feed one sensor sighting; transmit and return the update, if any."""
         message = self.protocol.observe(time, position)
-        if message is not None:
-            self.channel.send(self.object_id, message, time)
-            self._sent_messages.append(message)
-        return message
-
-    def process_estimated(
-        self, time: float, position: Vec2, velocity, speed: float
-    ) -> Optional[UpdateMessage]:
-        """Sighting with a precomputed speed/heading estimate.
-
-        The fleet engine's fast path: estimates for the whole trace are
-        computed vectorised up front and handed to the protocol via
-        :meth:`~repro.protocols.base.UpdateProtocol.observe_precomputed`.
-        """
-        message = self.protocol.observe_precomputed(time, position, velocity, speed)
-        if message is not None:
-            self.channel.send(self.object_id, message, time)
-            self._sent_messages.append(message)
-        return message
-
-    def process_timer(self, time: float) -> Optional[UpdateMessage]:
-        """Fire the protocol's timer at exactly *time* (event kernel).
-
-        Any update the protocol emits (a periodic report, a keepalive) is
-        transmitted like a sighting-triggered one.  Stale fires return
-        ``None`` and transmit nothing.
-        """
-        message = self.protocol.on_timer(time)
         if message is not None:
             self.channel.send(self.object_id, message, time)
             self._sent_messages.append(message)

@@ -10,20 +10,19 @@ the resulting accuracy on the server."
 The package is layered so that every experiment entry point shares one
 execution core, with one entry point per job:
 
-``kernel`` → ``fleet`` (+ ``columnar``) → ``runner``
+``fleet`` (+ ``columnar``) → ``runner``
 
-* :mod:`repro.sim.kernel` is the deterministic discrete-event scheduler —
-  a binary-heap agenda ordered by ``(time, priority, seq)`` with event
-  kinds for sensor samples, protocol timers and channel deliveries.
 * :mod:`repro.sim.fleet` is the core: :class:`FleetSimulation` runs any
-  number of (object, protocol, trace) lanes through that one event
-  schedule — exact delivery and timer instants, per-lane sampling rates —
-  against a single
-  :class:`~repro.service.server.LocationServer`, with vectorised
-  speed/heading estimation and batched server queries.
-  :func:`run_simulation` (one object, one protocol, one trace) is a
-  one-lane fleet, so single runs and fleet runs are the same machinery by
-  construction.
+  number of (object, protocol, trace) lanes against a single
+  :class:`~repro.service.server.LocationServer`.  Each lane's update
+  stream comes from one send schedule,
+  :func:`~repro.sim.fleet.lane_updates` (protocol timers at their exact
+  deadlines), pushed through the lane's channel (exact delivery instants);
+  one walk over the merged sample and delivery instants then ingests and
+  measures — per-lane sampling rates, vectorised speed/heading estimation
+  and batched server queries.  :func:`run_simulation` (one object, one
+  protocol, one trace) is a one-lane fleet, so single runs and fleet runs
+  are the same machinery by construction.
 * :mod:`repro.sim.columnar` is the struct-of-arrays fast path
   (:class:`~repro.sim.columnar.ColumnarFleetEngine`) for the fleets it
   declares eligible, bit-identical to the fleet loop on them.
@@ -34,7 +33,7 @@ execution core, with one entry point per job:
   query bench replays a materialised
   :class:`~repro.service.loadgen.ReplayPlan` against a sharded service.
 
-Application queries are not simulation events: :mod:`repro.sim.workload`
+Application queries are not part of the simulation: :mod:`repro.sim.workload`
 describes them (:class:`QueryWorkload`, :func:`~repro.sim.workload.query_stream`),
 and a replay plan drives them.
 
@@ -43,7 +42,6 @@ and a replay plan drives them.
 serialisable :class:`SimulationConfig` values.
 """
 
-from repro.sim.kernel import EventKernel
 from repro.sim.metrics import AccuracyMetrics, SimulationResult
 from repro.sim.fleet import FleetLane, FleetResult, FleetSimulation, run_simulation
 from repro.sim.config import SimulationConfig
@@ -58,7 +56,6 @@ from repro.sim.runner import (
 from repro.sim.workload import QueryWorkload, WorkloadReport, default_query_mix
 
 __all__ = [
-    "EventKernel",
     "QueryBenchSpec",
     "QueryWorkload",
     "WorkloadReport",

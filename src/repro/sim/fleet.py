@@ -2,9 +2,9 @@
 
 :class:`FleetSimulation` is the simulation core every experiment entry point
 ultimately runs on.  It steps any number of *lanes* — one (object, protocol,
-trace) combination each — through a single merged, time-ordered event loop
-against one shared :class:`~repro.service.server.LocationServer` and one (or
-several) :class:`~repro.service.channel.MessageChannel`\\ s, and collects one
+trace) combination each — against one shared
+:class:`~repro.service.server.LocationServer` and one (or several)
+:class:`~repro.service.channel.MessageChannel`\\ s, and collects one
 :class:`~repro.sim.metrics.SimulationResult` per object plus aggregates.
 
 Design properties the rest of the stack relies on:
@@ -25,17 +25,22 @@ Design properties the rest of the stack relies on:
   :meth:`~repro.service.server.LocationServer.predict_positions` API once
   per timestep, and error samples are accumulated into
   :class:`~repro.sim.metrics.AccuracyMetrics` as one array per lane.
-* **One event-driven kernel** — the fleet runs on the discrete-event
-  schedule of :mod:`repro.sim.kernel`: protocol timers fire at their exact
-  deadlines and channel messages arrive at exactly ``send_time + latency``
-  (a sharded backend hands objects between shards as their updates
-  arrive).  Sightings are the one event kind
-  known in advance, so they are not pushed through the agenda one by one:
-  every lane's sample times are merged once into a time-ordered stream
-  (ties in lane order) that the loop walks beside the agenda.  When every
-  lane shares one sampling grid, channel latency is a multiple of it and
-  no protocol timer falls off it, the schedule degenerates to the classic
-  per-timestep loop, and the results are bit-identical to it (the
+* **One send schedule** — a source decides every update from its own
+  sightings and timers and never hears back from the channel or the
+  server, so a lane's update stream depends only on its protocol and
+  trace.  :func:`lane_updates` computes it, protocol timers firing at their
+  exact deadlines; the fleet pushes each lane's stream through its channel
+  (which counts the send, draws the keyed loss and returns the delivery
+  instant ``send_time + latency``), then walks the merged sample stream
+  beside the delivery instants: at each instant one ingest batch, then the
+  error measurement of the lanes sampled there (a sharded backend hands
+  objects between shards as their updates arrive).  The replay plan
+  (:func:`repro.service.loadgen.build_replay_plan`) calls the same
+  function, so it serves exactly what the fleet delivers over a loss-free,
+  zero-latency channel.  When
+  every lane shares one sampling grid, channel latency is a multiple of it
+  and no protocol timer falls off it, the schedule degenerates to the
+  classic per-timestep loop, and the results are bit-identical to it (the
   test-suite keeps that loop as an oracle and asserts the identity over
   the whole scenario library).
 
@@ -48,22 +53,23 @@ the ``load-test`` command).
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.geo.bbox import BoundingBox
 from repro.geo.vec import distance
 from repro.obs import NO_OBS, Observability
 from repro.obs.metrics import publish_service_stats
-from repro.protocols.base import UpdateProtocol
-from repro.service.channel import ChannelStats, MessageChannel, delivery_order
+from repro.obs.trace import DELIVERY, KIND_NAMES, SAMPLE, TIMER
+from repro.protocols.base import UpdateMessage, UpdateProtocol
+from repro.service.channel import ChannelStats, MessageChannel
 from repro.service.facade import LocationService
 from repro.service.server import LocationServer
 from repro.service.sharding import GridHashPolicy
-from repro.service.source import LocationSource
-from repro.sim.kernel import DELIVERY, KIND_NAMES, SAMPLE, TIMER, EventKernel
 from repro.sim.metrics import AccuracyMetrics, SimulationResult
 from repro.traces.estimation import estimate_trace
 from repro.traces.trace import Trace
@@ -155,7 +161,7 @@ class _LaneState:
     """Run-time state of one lane inside the fleet loop."""
 
     __slots__ = (
-        "lane", "channel", "source", "metrics", "reasons", "times",
+        "lane", "channel", "metrics", "reasons", "updates", "times",
         "sensor_positions", "truth_positions", "velocities", "speeds",
         "errors",
     )
@@ -168,10 +174,10 @@ class _LaneState:
             raise ValueError("sensor and truth traces must share their timestamps")
         self.lane = lane
         self.channel = channel
-        self.source = LocationSource(lane.object_id, lane.protocol, channel)
         self.metrics = AccuracyMetrics()
         self.metrics.set_bound(lane.protocol.accuracy)
         self.reasons: Dict[str, int] = {}
+        self.updates = 0
         self.times = lane.sensor_trace.times
         self.sensor_positions = lane.sensor_trace.positions
         self.truth_positions = truth.positions
@@ -183,25 +189,11 @@ class _LaneState:
         )
         self.errors: List[float] = []
 
-    def process_sighting(self, i: int, t: float) -> None:
-        """Feed sample *i* to the protocol; transmit any resulting update."""
-        message = self.source.process_estimated(
-            t, self.sensor_positions[i], self.velocities[i], float(self.speeds[i])
-        )
-        if message is not None:
-            key = message.reason.value
-            self.reasons[key] = self.reasons.get(key, 0) + 1
-
-    def process_timer(self, t: float) -> None:
-        """Fire the protocol's timer at *t*; transmit any resulting update.
-
-        The timer counterpart of :meth:`process_sighting`, sharing its
-        per-update bookkeeping.
-        """
-        message = self.source.process_timer(t)
-        if message is not None:
-            key = message.reason.value
-            self.reasons[key] = self.reasons.get(key, 0) + 1
+    def count_update(self, message: UpdateMessage) -> None:
+        """Count one transmitted update and its reason."""
+        self.updates += 1
+        key = message.reason.value
+        self.reasons[key] = self.reasons.get(key, 0) + 1
 
     def record_error(self, i: int, predicted: Optional[np.ndarray]) -> None:
         """Measure the server's error against ground truth at sample *i*."""
@@ -220,7 +212,7 @@ class _LaneState:
             protocol_name=protocol.name,
             accuracy=protocol.accuracy,
             duration_h=self.lane.sensor_trace.duration / 3600.0,
-            updates=self.source.updates_sent,
+            updates=self.updates,
             bytes_sent=protocol.bytes_sent,
             metrics=self.metrics,
             update_reasons=self.reasons,
@@ -251,8 +243,8 @@ class FleetSimulation:
     processes:
         Number of worker processes.  With ``processes > 1`` the fleet is
         partitioned into spatial shards (a :class:`GridHashPolicy` over the
-        lanes' starting positions) and each shard runs its own event
-        kernel in a worker process against a replica of the (empty) server
+        lanes' starting positions) and each shard runs its own fleet
+        loop in a worker process against a replica of the (empty) server
         backend and channels; the parent merges the per-object results,
         channel counters and service statistics commutatively.  Because
         objects interact only through their own channel messages and server
@@ -266,7 +258,7 @@ class FleetSimulation:
         lossy channels (one global RNG stream).
     obs:
         The :class:`~repro.obs.Observability` bundle the run records
-        per-event-kind counts, agenda depth, phase spans and per-lane work
+        per-event-kind counts, phase spans and per-lane work
         into (workers of a multi-process run record into their own fresh
         bundle; the parent merges the registries back commutatively).  A
         :class:`~repro.service.facade.LocationService` backend without an
@@ -302,7 +294,7 @@ class FleetSimulation:
         if self.processes > 1:
             self._validate_multiprocess()
         self.obs = obs
-        # Set by _ShardTask: worker runs record lane/kernel metrics into
+        # Set by _ShardTask: worker runs record lane/event metrics into
         # their own registry but must not publish their *partial* service
         # stats — only the parent publishes, after the proven stats merge.
         self._obs_worker = False
@@ -395,7 +387,7 @@ class FleetSimulation:
         """
         obs.counter("sim.lanes").inc(len(states))
         obs.counter("sim.samples").inc(sum(len(s.times) for s in states))
-        obs.counter("sim.updates_sent").inc(sum(s.source.updates_sent for s in states))
+        obs.counter("sim.updates_sent").inc(sum(s.updates for s in states))
         obs.counter("sim.bytes_sent").inc(sum(s.lane.protocol.bytes_sent for s in states))
         obs.counter("sim.error_samples").inc(sum(len(s.errors) for s in states))
         reasons: Dict[str, int] = {}
@@ -406,188 +398,133 @@ class FleetSimulation:
             obs.counter(f"sim.update_reason.{reason}").inc(reasons[reason])
 
     # ------------------------------------------------------------------ #
-    # the event loop
+    # the fleet loop
     # ------------------------------------------------------------------ #
     def _run_loop(self, states: List[_LaneState], channels: List[MessageChannel]) -> None:
-        """Run the discrete-event schedule over the lane states.
+        """Push every lane's update stream through its channel, then walk time.
 
-        Every happening is an event: lane sightings (``SAMPLE``), protocol
-        deadline expiries (``TIMER``) and exact-instant channel deliveries
-        (``DELIVERY``).  Sightings come from the lanes' merged sample
-        stream, the other events from the :class:`EventKernel` agenda.  All
-        events at one instant are applied together in kind order —
-        sightings, then timers, then one delivery batch (per channel,
-        sorted like :meth:`~repro.service.channel.MessageChannel.deliver_due`),
-        then the batched error measurement — which is what makes the
-        degenerate schedule bit-identical to a per-timestep loop.
+        1. Each lane's :func:`lane_updates` stream goes through its
+           channel's :meth:`~repro.service.channel.MessageChannel.transmit`,
+           which counts the send, draws the keyed loss and returns the
+           delivery instant.  The simulation clock stops at the last
+           sighting: a message due past it stays undelivered rather than
+           extending the run.
+        2. The merged sample stream — every lane's sightings in time order,
+           simultaneous ones in lane order — is walked beside the delivery
+           instants, sorted by ``(deliver_at, channel order, object id,
+           sequence)``.  At each instant the delivered updates are ingested
+           as one batch, then the lanes sampled there are measured: the
+           per-timestep order, which is what makes the degenerate schedule
+           bit-identical to a per-timestep loop.
         """
         server = self.server
         ingest = getattr(server, "ingest_batch", None)
         obs = self.obs
-        # Read once: the disabled loop installs no per-event hook and skips
-        # the per-instant depth and flight-recorder bookkeeping.
+        # Read once: the disabled loop skips the flight-recorder notes.
         enabled = obs.enabled
-        event_counts = [0] * len(KIND_NAMES)
-        if enabled:
-            # One list-index increment + one ring append per event; the
-            # counts land in the registry after the loop.  Every kind is
-            # per lane (partition-invariant, hence deterministic).
-            flight_note = obs.flight.note
-
-            def _on_pop(t, prio, seq, _counts=event_counts, _note=flight_note):
-                _counts[prio] += 1
-                _note(t, prio, seq)
-
-            kern = EventKernel(on_pop=_on_pop)
-        else:
-            kern = EventKernel()
-        depth_hist = obs.histogram(
-            "kernel.agenda_depth",
-            bounds=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384),
+        flight_note = obs.flight.note
+        end_time = (
+            max(float(state.times[-1]) for state in states)
+            if self._horizon is None
+            else self._horizon
         )
-        agenda = kern.agenda
-        # The merged sample stream: every lane's sightings in time order,
-        # simultaneous ones in lane order, closed by an infinite sentinel.
-        times = np.concatenate([s.times for s in states])
-        lane_of = np.repeat(np.arange(len(states)), [len(s.times) for s in states])
-        index_of = np.concatenate([np.arange(len(s.times)) for s in states])
-        order = np.lexsort((lane_of, times))
-        inf = math.inf
-        sample_times = times[order].tolist()
-        sample_times.append(inf)
-        sample_lanes = lane_of[order].tolist()
-        sample_index = index_of[order].tolist()
-        lane_end = [float(state.times[-1]) for state in states]
-        end_time = max(lane_end) if self._horizon is None else self._horizon
-        sight = [state.process_sighting for state in states]
-        record = [state.record_error for state in states]
-        object_ids = [state.lane.object_id for state in states]
-        # Lanes whose protocol never announces deadlines (the base-class
-        # hook) skip timer arming entirely — it is pure overhead on the
-        # per-sample hot path of threshold-style protocols.
-        uses_timer = [
-            type(state.lane.protocol).next_deadline is not UpdateProtocol.next_deadline
-            for state in states
-        ]
         channel_index = {channel: n for n, channel in enumerate(channels)}
-        #: Deadline currently scheduled per lane; superseded entries stay on
-        #: the agenda and are ignored as stale when they pop.
-        armed: List[Optional[float]] = [None] * len(states)
-
-        def arm_timer(n: int) -> None:
-            deadline = states[n].lane.protocol.next_deadline()
-            if deadline is None or deadline == armed[n] or deadline > lane_end[n]:
-                return
-            kern.schedule(deadline, TIMER, (n, deadline))
-            armed[n] = deadline
-
-        def delivery_scheduler(channel):
-            # The simulation clock stops at the last sighting: a message due
-            # past the horizon stays undelivered rather than extending the
-            # run.
-            def schedule(deliver_at, oid, msg, _ch=channel):
-                if deliver_at <= end_time:
-                    kern.schedule(deliver_at, DELIVERY, (_ch, oid, msg))
-            return schedule
-
-        # Bind inside the try: if any bind raises, the finally below still
-        # unbinds whatever was bound so far (unbinding an unbound channel is
-        # a no-op), leaving every channel usable for another run.
+        timer_fires = 0
         try:
-            for channel in channels:
-                channel.bind_scheduler(delivery_scheduler(channel))
-            n_instants = 0
+            deliveries: List[Tuple[float, int, str, int, UpdateMessage]] = []
+            for state in states:
+                object_id = state.lane.object_id
+                channel = state.channel
+                slot = channel_index[channel]
+                stream, fires = lane_updates(
+                    state.lane.protocol,
+                    state.times,
+                    state.sensor_positions,
+                    state.velocities,
+                    state.speeds,
+                )
+                timer_fires += fires
+                delivered: List[UpdateMessage] = []
+                for t, message in stream:
+                    state.count_update(message)
+                    deliver_at = channel.transmit(object_id, message, t)
+                    if deliver_at is not None and deliver_at <= end_time:
+                        deliveries.append(
+                            (deliver_at, slot, object_id, message.sequence, message)
+                        )
+                        delivered.append(message)
+                channel.record_delivered(delivered)
+            # Sequence numbers are unique per object, so the comparison
+            # never reaches the (unordered) message itself.
+            deliveries.sort()
+            inf = math.inf
+            deliver_times = [entry[0] for entry in deliveries]
+            deliver_times.append(inf)
+
+            times = np.concatenate([s.times for s in states])
+            lane_of = np.repeat(np.arange(len(states)), [len(s.times) for s in states])
+            index_of = np.concatenate([np.arange(len(s.times)) for s in states])
+            order = np.lexsort((lane_of, times))
+            sample_times = times[order].tolist()
+            sample_times.append(inf)
+            sample_lanes = lane_of[order].tolist()
+            sample_index = index_of[order].tolist()
+            record = [state.record_error for state in states]
+            object_ids = [state.lane.object_id for state in states]
+
             k = 0
+            d = 0
             while True:
                 t = sample_times[k]
-                if agenda and agenda[0][0] < t:
-                    t = agenda[0][0]
+                if deliver_times[d] < t:
+                    t = deliver_times[d]
                 elif t == inf:
                     break
-                if enabled:
-                    depth_hist.observe(len(agenda))
-                    n_instants += 1
+                if deliver_times[d] == t:
+                    first_delivery = d
+                    while deliver_times[d] == t:
+                        d += 1
+                    if enabled:
+                        for j in range(first_delivery, d):
+                            flight_note(t, DELIVERY, j)
+                    batch = [(entry[2], entry[4]) for entry in deliveries[first_delivery:d]]
+                    if ingest is not None:
+                        ingest(batch, t)
+                    else:
+                        for oid, msg in batch:
+                            server.receive_update(oid, msg, t)
                 first = k
                 while sample_times[k] == t:
-                    n = sample_lanes[k]
-                    sight[n](sample_index[k], t)
-                    if uses_timer[n]:
-                        arm_timer(n)
                     k += 1
-                if enabled and k > first:
-                    event_counts[SAMPLE] += k - first
+                if k == first:
+                    continue
+                if enabled:
                     for j in range(first, k):
                         flight_note(t, SAMPLE, j)
-                if agenda and agenda[0][0] == t:
-                    deliveries: Dict[MessageChannel, List] = {}
-                    for _t, prio, _seq, payload in kern.drain_instant():
-                        if prio == TIMER:
-                            n, deadline = payload
-                            protocol = states[n].lane.protocol
-                            if armed[n] == deadline:
-                                armed[n] = None
-                            # Fire only if the deadline is still current; a
-                            # sighting at this same instant may already have
-                            # serviced it (degenerate-schedule case).
-                            if protocol.next_deadline() == deadline:
-                                states[n].process_timer(t)
-                                if protocol.next_deadline() == deadline:
-                                    # Progress guard: the protocol declined
-                                    # the fire and left its deadline
-                                    # unchanged — re-arming it at this same
-                                    # instant would spin forever.  Mark it
-                                    # armed-but-spent; arming resumes the
-                                    # moment the protocol moves its deadline.
-                                    armed[n] = deadline
-                                    continue
-                            arm_timer(n)
-                        else:
-                            ch, oid, msg = payload
-                            deliveries.setdefault(ch, []).append((t, oid, msg))
-                    if deliveries:
-                        delivered: List = []
-                        # Only the channels that actually delivered, in the
-                        # fleet's canonical channel order.
-                        ordered = (
-                            sorted(deliveries, key=channel_index.__getitem__)
-                            if len(deliveries) > 1
-                            else deliveries
-                        )
-                        for channel in ordered:
-                            entries = deliveries[channel]
-                            entries.sort(key=delivery_order)
-                            batch = [(oid, msg) for _, oid, msg in entries]
-                            channel.record_scheduled_delivery(batch)
-                            delivered.extend(batch)
-                        if ingest is not None:
-                            ingest(delivered, t)
-                        else:
-                            for oid, msg in delivered:
-                                server.receive_update(oid, msg, t)
-                if k > first:
-                    if k - first == 1:
-                        # Sparse fleets mostly see one sighting per instant;
-                        # skip the batch plumbing for that case.
-                        n = sample_lanes[first]
-                        record[n](sample_index[first], server.predict_position(object_ids[n], t))
-                    else:
-                        predicted = server.predict_positions(
-                            [object_ids[sample_lanes[j]] for j in range(first, k)], t
-                        )
-                        for j, position in zip(range(first, k), predicted):
-                            record[sample_lanes[j]](sample_index[j], position)
+                if k - first == 1:
+                    # Sparse fleets mostly see one sighting per instant;
+                    # skip the batch plumbing for that case.
+                    n = sample_lanes[first]
+                    record[n](sample_index[first], server.predict_position(object_ids[n], t))
+                else:
+                    predicted = server.predict_positions(
+                        [object_ids[sample_lanes[j]] for j in range(first, k)], t
+                    )
+                    for j, position in zip(range(first, k), predicted):
+                        record[sample_lanes[j]](sample_index[j], position)
+            counts = {
+                SAMPLE: len(sample_times) - 1,
+                TIMER: timer_fires,
+                DELIVERY: len(deliveries),
+            }
             for kind, name in KIND_NAMES.items():
-                if event_counts[kind]:
-                    obs.counter(f"kernel.events.{name}").inc(event_counts[kind])
-            obs.counter("kernel.instants", deterministic=False).inc(n_instants)
+                if counts[kind]:
+                    obs.counter(f"kernel.events.{name}").inc(counts[kind])
         except BaseException:
             # The flight recorder earns its keep here: the last events the
             # loop handled, in order, right before the failure.
-            obs.dump_flight(reason="fleet event loop died")
+            obs.dump_flight(reason="fleet loop died")
             raise
-        finally:
-            for channel in channels:
-                channel.unbind_scheduler()
 
     # ------------------------------------------------------------------ #
     # multi-process execution
@@ -625,14 +562,13 @@ class FleetSimulation:
             if lane.channel not in channel_order:
                 channel_order.append(lane.channel)
             lane_slots.append(channel_order.index(lane.channel))
-        from repro.sim.runner import auto_region_size
-
         obs = self.obs
         partition_span = obs.span(
             "fleet.partition", cat="sim", args={"processes": self.processes}
         )
         policy = GridHashPolicy(
-            self.processes, region_size=auto_region_size(self.lanes, self.processes)
+            self.processes,
+            region_size=auto_region_size(fleet_extent(self.lanes), self.processes),
         )
         groups: Dict[int, List[int]] = {}
         for n, lane in enumerate(self.lanes):
@@ -838,6 +774,100 @@ def _execute_shard_tasks(
     with ProcessPoolExecutor(max_workers=min(processes, len(tasks))) as pool:
         futures = [pool.submit(_run_shard_task, task) for task in tasks]
         return [future.result() for future in futures]
+
+
+def lane_updates(
+    protocol: UpdateProtocol,
+    times: np.ndarray,
+    positions: np.ndarray,
+    velocities: np.ndarray,
+    speeds: np.ndarray,
+) -> Tuple[List[Tuple[float, UpdateMessage]], int]:
+    """Every ``(send_time, update)`` one lane transmits, and its timer fires.
+
+    The one per-lane send schedule: the fleet pushes it through the lane's
+    channel and the replay plan batches it.  *protocol* must already be
+    prepared for the trace
+    (:meth:`~repro.protocols.base.UpdateProtocol.prepare_trace`) with these
+    estimates.  At each sample instant the sighting goes first, then the
+    timers due at that instant; a timer due between two sightings fires at
+    its exact deadline.  A popped timer fires only if its deadline is still
+    current, and a protocol that declines a fire without moving its
+    deadline is not re-armed at that deadline (the progress guard:
+    re-arming would spin forever at one instant).  Deadlines past the
+    lane's last sighting are never armed, and protocols without deadlines
+    skip the timer bookkeeping entirely.  The second value counts the
+    :meth:`~repro.protocols.base.UpdateProtocol.on_timer` calls.
+    """
+    observe = protocol.observe_precomputed
+    timed = type(protocol).next_deadline is not UpdateProtocol.next_deadline
+    lane_end = float(times[-1])
+    updates: List[Tuple[float, UpdateMessage]] = []
+    fires = 0
+    # The lane's timer agenda: scheduled deadlines, superseded ones left in
+    # place and skipped as stale when they pop.
+    agenda: List[float] = []
+    armed: Optional[float] = None
+
+    def arm() -> None:
+        nonlocal armed
+        deadline = protocol.next_deadline()
+        if deadline is None or deadline == armed or deadline > lane_end:
+            return
+        heapq.heappush(agenda, deadline)
+        armed = deadline
+
+    def fire_timers(until: float, inclusive: bool) -> None:
+        nonlocal armed, fires
+        while agenda and (agenda[0] < until or inclusive and agenda[0] == until):
+            deadline = heapq.heappop(agenda)
+            if armed == deadline:
+                armed = None
+            if protocol.next_deadline() == deadline:
+                fires += 1
+                message = protocol.on_timer(deadline)
+                if message is not None:
+                    updates.append((deadline, message))
+                if protocol.next_deadline() == deadline:
+                    armed = deadline  # declined: spent until it moves
+                    continue
+            arm()
+
+    for i, (t, speed) in enumerate(zip(times.tolist(), speeds.tolist())):
+        if timed:
+            fire_timers(t, inclusive=False)
+        message = observe(t, positions[i], velocities[i], speed)
+        if message is not None:
+            updates.append((t, message))
+        if timed:
+            arm()
+            fire_timers(t, inclusive=True)
+    return updates, fires
+
+
+def fleet_extent(lanes: Sequence[FleetLane]) -> BoundingBox:
+    """Bounding box of every lane's truth trace (its sensor trace if none)."""
+    mins = []
+    maxs = []
+    for lane in lanes:
+        truth = lane.truth_trace if lane.truth_trace is not None else lane.sensor_trace
+        mins.append(truth.positions.min(axis=0))
+        maxs.append(truth.positions.max(axis=0))
+    lo = np.min(mins, axis=0)
+    hi = np.max(maxs, axis=0)
+    return BoundingBox(float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
+
+
+def auto_region_size(extent: BoundingBox, shards: int) -> float:
+    """Routing cell size targeting ~8 grid-hash cells per shard.
+
+    Sized from the fleet's spatial *extent* (:func:`fleet_extent`) so that
+    shard routing stays meaningful at any scenario scale (a fixed metre
+    value degenerates to a single cell on small-scale test runs).
+    """
+    width = max(extent.width, 1.0)
+    height = max(extent.height, 1.0)
+    return max(100.0, math.sqrt(width * height / (8.0 * max(1, shards))))
 
 
 def run_simulation(

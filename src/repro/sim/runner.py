@@ -30,19 +30,15 @@ import ast
 import csv
 import json
 import logging
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-import numpy as np
-
 from repro.mobility.scenarios import Scenario
 from repro.protocols.base import UpdateProtocol
-from repro.service.channel import MessageChannel
 from repro.sim.config import SimulationConfig
-from repro.sim.fleet import FleetLane, run_simulation
+from repro.sim.fleet import FleetLane, auto_region_size, fleet_extent, run_simulation
 from repro.sim.metrics import SimulationResult
 from repro.obs.manifest import build_manifest
 from repro.sim.workload import QueryWorkload, default_query_mix, default_query_rate
@@ -244,25 +240,6 @@ def _run_task(task: SweepTask) -> SweepPoint:
     return task.run()
 
 
-def auto_region_size(lanes, shards: int) -> float:
-    """Routing cell size targeting ~8 grid-hash cells per shard.
-
-    Sized from the fleet's spatial extent so that shard routing stays
-    meaningful at any scenario scale (a fixed metre value degenerates to a
-    single cell on small-scale test runs).
-    """
-    mins = [lane.truth_trace.positions.min(axis=0) for lane in lanes if lane.truth_trace is not None]
-    maxs = [lane.truth_trace.positions.max(axis=0) for lane in lanes if lane.truth_trace is not None]
-    if not mins:
-        mins = [lane.sensor_trace.positions.min(axis=0) for lane in lanes]
-        maxs = [lane.sensor_trace.positions.max(axis=0) for lane in lanes]
-    lo = np.min(mins, axis=0)
-    hi = np.max(maxs, axis=0)
-    width = max(float(hi[0] - lo[0]), 1.0)
-    height = max(float(hi[1] - lo[1]), 1.0)
-    return max(100.0, math.sqrt(width * height / (8.0 * max(1, shards))))
-
-
 @dataclass(frozen=True)
 class QueryBenchSpec:
     """One query-workload bench: a fleet, a sharded service, a query stream.
@@ -455,15 +432,6 @@ class SweepRunner:
             points.append(SweepPoint(accuracy=float(us), result=result))
         return points
 
-    def run_single(
-        self,
-        scenario: Scenario,
-        protocol: UpdateProtocol,
-        channel: Optional[MessageChannel] = None,
-    ) -> SimulationResult:
-        """One protocol over one scenario (the ablation studies' unit)."""
-        return run_simulation(protocol, scenario.sensor_trace, scenario.true_trace, channel)
-
     def run_query_bench(self, spec: "QueryBenchSpec") -> Dict[str, object]:
         """Replay one query workload beside a fleet's update stream.
 
@@ -505,7 +473,7 @@ class SweepRunner:
             )
         region = spec.region_size
         if region is None:
-            region = auto_region_size(lanes, spec.shards)
+            region = auto_region_size(fleet_extent(lanes), spec.shards)
         object_hours = sum(lane.sensor_trace.duration / 3600.0 for lane in lanes)
         plan = build_replay_plan(lanes, workload)
         service = service_for_registrations(

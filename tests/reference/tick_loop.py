@@ -1,12 +1,13 @@
 """The classic time-stepped fleet loop, kept as a test oracle.
 
 :class:`TickLoopFleet` is a :class:`~repro.sim.fleet.FleetSimulation` whose
-loop hook replaces the event schedule with the per-timestep loop the
+loop hook replaces the fleet's send schedule with the per-timestep loop the
 simulator used before it became event-driven: the union of every lane's
 sample instants is the tick grid, and at each tick
 
 1. every lane sampled at that tick processes its sighting (lanes in lane
-   order),
+   order) and sends any update over its channel's polled queue
+   (:meth:`~repro.service.channel.MessageChannel.send`),
 2. every channel those lanes use is polled with
    :meth:`~repro.service.channel.MessageChannel.deliver_due` and the due
    messages are ingested as one batch,
@@ -17,8 +18,9 @@ Protocol timers are never consulted: time-triggered protocols poll their
 deadlines on every sighting, and a message is delivered at the first tick
 at or after ``send_time + latency``.  When every lane shares one sampling
 grid, latency is a multiple of it and no timer deadline falls off it, the
-event kernel must reproduce this loop bit for bit; the equivalence tests
-assert exactly that.  Multi-process runs need the event schedule and are
+fleet's schedule (:func:`~repro.sim.fleet.lane_updates` pushed through
+each channel, then one walk over time) must reproduce this loop bit for
+bit; the equivalence tests assert exactly that.  Multi-process runs are
 rejected here.
 """
 
@@ -65,7 +67,7 @@ class TickLoopFleet(FleetSimulation):
             batch = [(states[lane_sorted[e]], sample_sorted[e]) for e in range(lo, hi)]
             seen_channels: List[MessageChannel] = []
             for state, i in batch:
-                state.process_sighting(i, t)
+                _sighting(state, i, t)
                 if state.channel not in seen_channels:
                     seen_channels.append(state.channel)
             delivered: List = []
@@ -82,3 +84,13 @@ class TickLoopFleet(FleetSimulation):
             )
             for (state, i), position in zip(batch, predicted):
                 state.record_error(i, position)
+
+
+def _sighting(state, i: int, t: float) -> None:
+    """Feed sample *i* to the lane's protocol; send any update it emits."""
+    message = state.lane.protocol.observe_precomputed(
+        t, state.sensor_positions[i], state.velocities[i], float(state.speeds[i])
+    )
+    if message is not None:
+        state.channel.send(state.lane.object_id, message, t)
+        state.count_update(message)

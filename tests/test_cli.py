@@ -342,7 +342,7 @@ class TestMapFileScenarios:
 
 
 class TestFleetEngines:
-    """--columnar and --processes produce the same rows as the default path."""
+    """The default engine choice and --processes produce the same rows."""
 
     _ARGS = ["--json", "fleet", "--mix", "radial_commute:linear:100:3",
              "--scale", "0.15", "--per-object"]
@@ -351,27 +351,22 @@ class TestFleetEngines:
         assert cli.main(self._ARGS + extra) == 0
         return json.loads(capsys.readouterr().out)
 
-    def test_columnar_matches_default(self, capsys):
-        baseline = self._rows([], capsys)
-        columnar = self._rows(["--columnar"], capsys)
-        assert columnar == baseline
-
     def test_processes_matches_default(self, capsys):
         baseline = self._rows([], capsys)
         sharded = self._rows(["--processes", "2"], capsys)
         assert sharded == baseline
 
-    def test_columnar_with_processes_rejected(self, capsys):
-        assert cli.main(self._ARGS + ["--columnar", "--processes", "2"]) == 2
-        assert "columnar" in capsys.readouterr().err
-
-    def test_columnar_ineligible_fleet_rejected(self, capsys):
-        # Map-based protocols have no columnar decision rule.
+    @pytest.mark.parametrize(
+        "mix, engine",
+        [("radial_commute:linear:100:2", "columnar"), ("radial_commute:map:100:2", "fleet")],
+    )
+    def test_manifest_records_the_engine(self, mix, engine, tmp_path, capsys):
+        obs_dir = tmp_path / "obs"
         assert cli.main(
-            ["fleet", "--mix", "rush_hour_city:map:100:2", "--scale", "0.1",
-             "--columnar"]
-        ) == 2
-        assert "not columnar-eligible" in capsys.readouterr().err
+            ["fleet", "--mix", mix, "--scale", "0.1", "--obs-dir", str(obs_dir)]
+        ) == 0
+        manifest = json.loads((obs_dir / "manifest.json").read_text())
+        assert manifest["config"]["engine"] == engine
 
     def test_processes_must_be_positive(self):
         with pytest.raises(SystemExit):

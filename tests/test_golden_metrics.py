@@ -29,7 +29,8 @@ import pytest
 from repro.experiments.library import scenario_names
 from repro.sim.config import SimulationConfig
 from repro.sim.metrics import SimulationResult
-from repro.sim.runner import ScenarioSpec, SweepRunner
+from repro.sim.fleet import run_simulation
+from repro.sim.runner import ScenarioSpec
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -81,13 +82,13 @@ def compute_golden(name: str) -> Dict[str, object]:
     """Compute the golden payload for one scenario (uses the shared cache)."""
     spec = ScenarioSpec(name=name, scale=golden_scale(name))
     scenario = spec.build()
-    runner = SweepRunner()
     protocols: Dict[str, Dict[str, object]] = {}
     for protocol_id in GOLDEN_PROTOCOLS:
         protocol = SimulationConfig(
             protocol_id=protocol_id, accuracy=GOLDEN_ACCURACY
         ).build_protocol(scenario)
-        protocols[protocol_id] = golden_row(runner.run_single(scenario, protocol))
+        result = run_simulation(protocol, scenario.sensor_trace, scenario.true_trace)
+        protocols[protocol_id] = golden_row(result)
     return {
         "scenario": spec.name,
         "scale": spec.scale,

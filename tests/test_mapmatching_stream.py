@@ -15,7 +15,7 @@ from repro.mapmatching.matcher import IncrementalMapMatcher, MatcherConfig
 from repro.protocols.mapbased import MapBasedConfig, MapBasedProtocol
 from repro.service.channel import MessageChannel
 from repro.service.source import LocationSource
-from repro.sim.fleet import FleetLane, _LaneState
+from repro.sim.fleet import FleetLane, _LaneState, lane_updates
 from repro.sim.runner import ScenarioSpec
 from repro.traces.estimation import estimate_trace
 from repro.traces.trace import Trace
@@ -87,6 +87,15 @@ def _message_key(message):
     )
 
 
+def _fleet_messages(state):
+    """The fleet's update stream for one prepared lane, as message keys."""
+    stream, _timer_fires = lane_updates(
+        state.lane.protocol, state.times, state.sensor_positions,
+        state.velocities, state.speeds,
+    )
+    return [_message_key(m) for _t, m in stream]
+
+
 @pytest.mark.parametrize("advance", [False, True], ids=["clamped", "advance"])
 @pytest.mark.parametrize("name", MAP_SCENARIOS)
 class TestLibraryScenarios:
@@ -112,9 +121,7 @@ class TestLibraryScenarios:
         trace = scenario.sensor_trace
         fleet_protocol = _map_protocol(scenario, advance)
         lane = FleetLane("obj", fleet_protocol, trace)
-        state = _LaneState(lane, MessageChannel())
-        for i, t in enumerate(trace.times.tolist()):
-            state.process_sighting(i, t)
+        fleet_messages = _fleet_messages(_LaneState(lane, MessageChannel()))
         assert fleet_protocol.match_stream is not None
 
         streaming_protocol = _map_protocol(scenario, advance)
@@ -122,7 +129,6 @@ class TestLibraryScenarios:
         for sample in trace:
             source.process_sighting(sample.time, sample.position)
 
-        fleet_messages = [_message_key(m) for m in state.source.sent_messages]
         streaming_messages = [_message_key(m) for m in source.sent_messages]
         assert fleet_messages == streaming_messages
         assert (
@@ -161,14 +167,13 @@ class TestLeavingTheMap:
         trace = self._trace()
         config = MapBasedConfig(reacquire_interval=3, update_on_reacquire=True)
         fleet_protocol = MapBasedProtocol(100.0, straight_map, config=config)
-        state = _LaneState(FleetLane("obj", fleet_protocol, trace), MessageChannel())
-        for i, t in enumerate(trace.times.tolist()):
-            state.process_sighting(i, t)
+        fleet_messages = _fleet_messages(
+            _LaneState(FleetLane("obj", fleet_protocol, trace), MessageChannel())
+        )
         streaming_protocol = MapBasedProtocol(100.0, straight_map, config=config)
         source = LocationSource("obj", streaming_protocol, MessageChannel())
         for sample in trace:
             source.process_sighting(sample.time, sample.position)
-        fleet_messages = [_message_key(m) for m in state.source.sent_messages]
         assert fleet_messages == [_message_key(m) for m in source.sent_messages]
         reasons = {key[1].value for key in fleet_messages}
         assert {"off_map", "reacquired"} <= reasons

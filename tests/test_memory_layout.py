@@ -20,7 +20,6 @@ from repro.service.facade import QueryCounters, ShardLoad
 from repro.service.server import TrackedObject
 from repro.sim.columnar import ColumnarStore
 from repro.sim.fleet import FleetLane, _LaneState
-from repro.sim.kernel import EventKernel
 from repro.traces.trace import Trace
 
 
@@ -53,7 +52,6 @@ def _instances():
         QueryCounters(),
         lane,
         _LaneState(lane, MessageChannel()),
-        EventKernel(),
         Trace(np.array([0.0, 1.0]), np.zeros((2, 2))),
         ColumnarStore(["obj"], accuracy=50.0, sensor_uncertainty=0.0),
     ]
@@ -83,7 +81,7 @@ def test_hot_classes_reject_stray_attributes(instance):
 def test_slots_cover_the_whole_mro():
     """No class in the hierarchy smuggles a ``__dict__`` back in."""
     for cls in (ObjectState, UpdateMessage, TrackedObject, ChannelStats,
-                ShardLoad, QueryCounters, FleetLane, EventKernel, Trace,
+                ShardLoad, QueryCounters, FleetLane, Trace,
                 ColumnarStore):
         offenders = [
             base.__name__

@@ -15,7 +15,7 @@ What the obs package promises, pinned:
   on any canonical scenario.
 * **Chrome-trace export** — the tracer's JSON validates as a
   ``trace_event`` document (Perfetto-openable), worker spans adopt under
-  their own pid, and the flight recorder dumps readable kernel events.
+  their own pid, and the flight recorder dumps readable fleet-loop events.
 * **Provenance** — manifests carry the git SHA and a canonical config
   hash, and sweep artifacts embed one at the top level.
 * **Live tier** — the ``metrics`` wire op answers with and without a
@@ -244,6 +244,7 @@ class TestFleetObservability:
             "interurban:linear:100:3",
             "city:linear:100:3",
             "walking:linear:50:3",
+            "city:time:150:3",
         ],
     )
     def test_obs_changes_no_result_bit(self, mix_text):
@@ -257,6 +258,14 @@ class TestFleetObservability:
         assert snapshot["sim.updates_sent"]["value"] == sum(
             r.updates for r in observed.results.values()
         )
+        # Event counts: every sighting, every on_timer fire (each fire of a
+        # time-based lane sends its report), every update delivered.
+        def value(name):
+            return snapshot.get(name, {"value": 0})["value"]
+
+        assert value("kernel.events.sample") == value("sim.samples")
+        assert value("kernel.events.timer") == value("sim.update_reason.timer")
+        assert value("kernel.events.delivery") == value("sim.updates_sent")
 
     def test_multiprocess_deterministic_metrics_match_single(self):
         obs_1 = Observability()
@@ -272,7 +281,7 @@ class TestFleetObservability:
         det_1 = obs_1.registry.snapshot(deterministic_only=True)
         det_4 = obs_4.registry.snapshot(deterministic_only=True)
         assert det_1 == det_4
-        # The deterministic view is non-trivial: kernel event counts,
+        # The deterministic view is non-trivial: fleet event counts,
         # lane aggregates and the published service stats all survive.
         assert "kernel.events.sample" in det_1
         assert "service.handoffs" in det_1

@@ -106,9 +106,9 @@ class TestChannelDeliveryTies:
         ]
 
     def test_event_kernel_batch_sort_uses_same_key(self):
-        # The event kernel batches simultaneous DELIVERY events and sorts
-        # them with delivery_order; tied entries must order by sequence,
-        # not raise.
+        # The polled path sorts simultaneous deliveries with delivery_order
+        # (the fleet by the same key after its channel order); tied entries
+        # must order by sequence, not raise.
         m1, m2 = make_message(sequence=1), make_message(sequence=2)
         entries = [(5.0, "obj", m2), (5.0, "obj", m1), (4.0, "zzz", m2)]
         entries.sort(key=delivery_order)
@@ -119,7 +119,7 @@ class TestChannelDeliveryTies:
     def test_both_kernels_deliver_tied_instants_identically(self):
         # A latency that parks several objects' sends on the same delivery
         # instant exercises the tie-handling sort inside a real run on the
-        # event kernel and on the tick-loop oracle; the two runs must also
+        # fleet loop and on the tick-loop oracle; the two runs must also
         # stay bit-identical.
         from repro.protocols.linear import LinearPredictionProtocol
 
@@ -146,36 +146,9 @@ class TestChannelDeliveryTies:
 
 
 # --------------------------------------------------------------------------- #
-# channel reuse across runs and kernels (satellite 2)
+# channel reuse across runs and loops
 # --------------------------------------------------------------------------- #
 class TestChannelReuse:
-    def test_reset_unbinds_scheduler(self):
-        channel = MessageChannel()
-        routed = []
-        channel.bind_scheduler(lambda t, oid, m: routed.append((t, oid, m)))
-        channel.reset()
-        channel.send("obj", make_message(sequence=1), time=0.0)
-        # The send must queue for tick delivery, not route into the dead
-        # scheduler.
-        assert routed == []
-        assert channel.in_flight == 1
-        assert [m.sequence for _, m in channel.deliver_due(0.0)] == [1]
-
-    def test_rebind_after_reset_does_not_raise(self):
-        channel = MessageChannel()
-        channel.bind_scheduler(lambda *entry: None)
-        channel.reset()
-        channel.bind_scheduler(lambda *entry: None)  # previously: RuntimeError
-
-    def test_double_bind_raises_and_leaves_channel_usable(self):
-        channel = MessageChannel()
-        channel.bind_scheduler(lambda *entry: None)
-        with pytest.raises(RuntimeError):
-            channel.bind_scheduler(lambda *entry: None)
-        channel.unbind_scheduler()
-        channel.send("obj", make_message(), time=0.0)
-        assert len(channel.deliver_due(0.0)) == 1
-
     def _lanes(self, channel):
         from repro.protocols.linear import LinearPredictionProtocol
 
@@ -194,8 +167,8 @@ class TestChannelReuse:
     def test_channel_reused_tick_then_event(self):
         channel = MessageChannel(latency=1.0)
         first = TickLoopFleet(self._lanes(channel)).run()
-        # The same channel instance now serves an event run; reset() at run
-        # start must leave no polled-queue or scheduler residue.
+        # The same channel instance now serves a fleet run; reset() at run
+        # start must leave no polled-queue residue.
         second = FleetSimulation(self._lanes(channel)).run()
         fresh = FleetSimulation(self._lanes(MessageChannel(latency=1.0))).run()
         assert self._updates(first) > 0
@@ -207,17 +180,6 @@ class TestChannelReuse:
         first = FleetSimulation(self._lanes(channel)).run()
         second = FleetSimulation(self._lanes(channel)).run()
         assert self._updates(first) == self._updates(second) > 0
-
-    def test_stale_bound_channel_is_safe_to_hand_to_a_new_run(self):
-        # The orphaning bug: a channel still bound to a finished kernel's
-        # scheduler would route every send into that dead agenda.  reset()
-        # at run start must sever the binding so updates reach the server.
-        channel = MessageChannel()
-        dead_agenda = []
-        channel.bind_scheduler(lambda t, oid, m: dead_agenda.append(m))
-        result = FleetSimulation(self._lanes(channel)).run()
-        assert dead_agenda == []
-        assert self._updates(result) > 0
 
 
 # --------------------------------------------------------------------------- #

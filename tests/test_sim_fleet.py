@@ -262,3 +262,48 @@ class TestChannelReuse:
         second = FleetSimulation(lanes(), channel=channel).run().results["obj-0"]
         assert first.updates == second.updates
         assert np.array_equal(first.metrics.errors, second.metrics.errors)
+
+
+class TestAutoRegionSize:
+    def test_mixed_truth_fleet_gets_its_full_extent(self):
+        """A lane without a truth trace contributes its sensor trace."""
+        from repro.sim.fleet import auto_region_size, fleet_extent
+        from repro.traces.trace import Trace
+
+        times = np.arange(3.0)
+        near = Trace(times, np.array([[0.0, 0.0], [100.0, 0.0], [200.0, 200.0]]))
+        far = Trace(times, np.array([[0.0, 0.0], [3000.0, 1000.0], [6000.0, 2000.0]]))
+        lanes = [
+            FleetLane("truth", LinearPredictionProtocol(50.0), near, truth_trace=near),
+            FleetLane("sensor-only", LinearPredictionProtocol(50.0), far),
+        ]
+        extent = fleet_extent(lanes)
+        assert (extent.min_x, extent.min_y, extent.max_x, extent.max_y) == (
+            0.0, 0.0, 6000.0, 2000.0,
+        )
+        assert auto_region_size(extent, 2) == np.sqrt(6000.0 * 2000.0 / 16.0)
+        assert auto_region_size(fleet_extent(lanes[:1]), 2) == 100.0
+
+
+class TestMapPredictionReuse:
+    def test_error_measurement_reuses_the_source_predictions(
+        self, tiny_city_scenario, monkeypatch
+    ):
+        """The send schedule runs a lane's whole trace before the server is
+        measured; the server's predictions must still come from the memo
+        the source's deviation checks filled, not be computed twice."""
+        from repro.protocols.prediction import MapPrediction
+
+        computed = []
+        original = MapPrediction._predict_uncached
+
+        def counting(self, state, time):
+            computed.append(time)
+            return original(self, state, time)
+
+        monkeypatch.setattr(MapPrediction, "_predict_uncached", counting)
+        scenario = tiny_city_scenario
+        result = _single_run(_build("map", 100.0, scenario), scenario)
+        # One per sighting (the deviation check) plus, at most, the server's
+        # prediction of each freshly reported state.
+        assert len(computed) <= len(scenario.sensor_trace) + result.updates

@@ -1,19 +1,24 @@
-"""The discrete-event kernel: determinism, equivalence, timers, arrivals.
+"""The fleet's send schedule: determinism, equivalence, timers, arrivals.
 
 The load-bearing contract is **degenerate-schedule equivalence**: when every
-lane shares the tick rate and channel latency is a tick multiple, the event
-kernel must produce bit-identical updates, error metrics, channel statistics
+lane shares the tick rate and channel latency is a tick multiple, the fleet
+loop must produce bit-identical updates, error metrics, channel statistics
 and service statistics to the classic tick loop — kept as an independent
 oracle in :mod:`reference.tick_loop` and compared here over the whole
-scenario library.  On top of that sit the capabilities a tick loop lacks:
-exact channel delivery instants (``max_queue_delay == 0``), protocol timers
-firing at exact deadlines, per-message keyed channel loss (identical on
-both loops) and per-lane sampling rates.  Queries are not kernel events:
-per-tick and Poisson query streams are replayed from a materialised plan
-and checked here against the linear-scan oracle.
+scenario library.  Where the schedule does not degenerate, a recorded run
+pins it bit for bit.  On top of that sit the capabilities a tick loop
+lacks: exact channel delivery instants (``max_queue_delay == 0``),
+protocol timers firing at exact deadlines, per-message keyed channel loss
+(identical on both loops) and per-lane sampling rates.  Queries are not
+part of the simulation: per-tick and Poisson query streams are replayed
+from a materialised plan and checked here against the linear-scan oracle.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,10 +31,15 @@ from repro.protocols.reporting import TimeBasedReporting
 from repro.service.channel import MessageChannel
 from repro.service.facade import LocationService
 from repro.sim.config import SimulationConfig
-from repro.sim.fleet import FleetLane, FleetSimulation, run_simulation
+from repro.sim.fleet import (
+    FleetLane,
+    FleetSimulation,
+    auto_region_size,
+    fleet_extent,
+    run_simulation,
+)
 from repro.service.loadgen import build_replay_plan, replay_in_process
-from repro.sim.kernel import DELIVERY, SAMPLE, TIMER, EventKernel
-from repro.sim.runner import ScenarioSpec, auto_region_size
+from repro.sim.runner import ScenarioSpec
 from repro.sim.workload import QueryWorkload
 from repro.traces.trace import Trace
 
@@ -90,42 +100,13 @@ class RecordingChannel(MessageChannel):
         super().__init__(**kwargs)
         self.sent = []
 
-    def send(self, object_id, message, time):
+    def transmit(self, object_id, message, time):
         self.sent.append((time, message.reason.value))
-        super().send(object_id, message, time)
+        return super().transmit(object_id, message, time)
 
 
 # --------------------------------------------------------------------------- #
-# the kernel itself
-# --------------------------------------------------------------------------- #
-class TestEventKernel:
-    def test_orders_by_time_priority_seq(self):
-        kern = EventKernel()
-        kern.schedule(5.0, DELIVERY, "d@5")
-        kern.schedule(5.0, SAMPLE, "s@5-first")
-        kern.schedule(2.0, DELIVERY, "d@2")
-        kern.schedule(5.0, SAMPLE, "s@5-second")
-        kern.schedule(5.0, TIMER, "t@5")
-        order = [kern.pop()[3] for _ in range(len(kern))]
-        assert order == ["d@2", "s@5-first", "s@5-second", "t@5", "d@5"]
-
-    def test_drain_instant_includes_same_instant_reschedules(self):
-        kern = EventKernel()
-        kern.schedule(1.0, SAMPLE, "a")
-        kern.schedule(2.0, SAMPLE, "later")
-        seen = []
-        for _t, _prio, _seq, payload in kern.drain_instant():
-            seen.append(payload)
-            if payload == "a":
-                # A handler scheduling at the instant being drained (e.g. a
-                # zero-latency delivery) is picked up by the same drain.
-                kern.schedule(1.0, DELIVERY, "b")
-        assert seen == ["a", "b"]
-        assert len(kern) == 1
-
-
-# --------------------------------------------------------------------------- #
-# degenerate-schedule equivalence: event == tick, bit for bit
+# degenerate-schedule equivalence: fleet == tick, bit for bit
 # --------------------------------------------------------------------------- #
 class TestKernelEquivalence:
     @pytest.mark.parametrize("name", LIBRARY_NAMES)
@@ -161,7 +142,7 @@ class TestKernelEquivalence:
         outcomes = {}
         for kernel in ("tick", "event"):
             lanes = fleet_lanes([FleetMix("city", "linear", 100.0, 4)], scale=SCALES["city"])
-            service = LocationService(n_shards=3, region_size=auto_region_size(lanes, 3))
+            service = LocationService(n_shards=3, region_size=auto_region_size(fleet_extent(lanes), 3))
             fleet = _fleet(lanes, kernel, server=service).run()
             stats = dict(fleet.service_stats)
             stats.pop("query_seconds")
@@ -229,11 +210,94 @@ class TestMixedRateFleet:
 
 
 # --------------------------------------------------------------------------- #
+# the non-degenerate schedule, pinned bit for bit
+# --------------------------------------------------------------------------- #
+#: Per-object results, channel stats, service stats and dtdr disconnection
+#: instants of three fleets whose schedule does not degenerate to ticks —
+#: off-grid latency, exact timer deadlines, keyed loss, sharded ingest —
+#: recorded from the agenda-driven fleet loop (``write_schedule_parity``).
+SCHEDULE_PARITY = Path(__file__).parent / "data" / "fleet_schedule_parity.json"
+
+PARITY_CASES = ("time_lossy", "dtdr_latency", "sharded_map_linear")
+
+
+def _parity_fleet(case: str):
+    """The lanes, fleet keyword arguments and channels of one parity case."""
+    if case == "time_lossy":
+        mix = [FleetMix.parse("city:time:150:3"), FleetMix.parse("freeway:time:333:2")]
+        channel = MessageChannel(latency=0.7, loss_probability=0.2, seed=5)
+        return fleet_lanes(mix, scale=0.1, seed=11), {"channel": channel}, [channel]
+    if case == "dtdr_latency":
+        lanes = []
+        for name in ("city", "freeway", "walking"):
+            scenario = ScenarioSpec(name=name, scale=0.1, seed=11).build()
+            for accuracy in (100.0, 200.0, 400.0):
+                protocol = DisconnectionDetectionDeadReckoning(
+                    accuracy, disconnect_timeout=20.0
+                )
+                lanes.append(FleetLane(
+                    f"{name}/dtdr/{accuracy:g}", protocol,
+                    scenario.sensor_trace, scenario.true_trace,
+                ))
+        channel = MessageChannel(latency=1.5)
+        return lanes, {"channel": channel}, [channel]
+    mix = [FleetMix.parse("city:map:150:2"), FleetMix.parse("city:linear:150:3")]
+    lanes = fleet_lanes(mix, scale=0.1, seed=11)
+    service = LocationService(n_shards=3, region_size=auto_region_size(fleet_extent(lanes), 3))
+    return lanes, {"server": service}, []
+
+
+def schedule_outcome(case: str) -> dict:
+    """Run one parity case and return its JSON-ready outcome."""
+    lanes, kwargs, channels = _parity_fleet(case)
+    fleet = FleetSimulation(lanes, **kwargs).run()
+    results = {}
+    for object_id, result in fleet.results.items():
+        errors = np.asarray(result.metrics.errors, dtype="<f8").tobytes()
+        results[object_id] = {
+            **result.as_dict(),
+            "errors_sha256": hashlib.sha256(errors).hexdigest(),
+        }
+    service = dict(fleet.service_stats)
+    service.pop("query_seconds", None)
+    service.pop("mean_query_seconds", None)
+    outcome = {
+        "results": results,
+        "channels": [
+            {name: getattr(ch.stats, name) for name in ch.stats.__slots__}
+            for ch in channels
+        ],
+        "service": service,
+        "disconnections": {
+            lane.object_id: lane.protocol.disconnection_times
+            for lane in lanes
+            if isinstance(lane.protocol, DisconnectionDetectionDeadReckoning)
+        },
+    }
+    return json.loads(json.dumps(outcome))
+
+
+def write_schedule_parity() -> None:
+    """Re-record :data:`SCHEDULE_PARITY` from the current fleet loop."""
+    record = {case: schedule_outcome(case) for case in PARITY_CASES}
+    SCHEDULE_PARITY.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+
+
+class TestScheduleParity:
+    @pytest.mark.parametrize("case", PARITY_CASES)
+    def test_fleet_reproduces_recorded_schedule(self, case):
+        """Updates, error samples, channel and service stats and dtdr
+        disconnection instants equal the recorded run, bit for bit."""
+        expected = json.loads(SCHEDULE_PARITY.read_text(encoding="utf-8"))[case]
+        assert schedule_outcome(case) == expected
+
+
+# --------------------------------------------------------------------------- #
 # protocol timer contracts
 # --------------------------------------------------------------------------- #
 class TestProtocolTimers:
     def test_time_based_reporting_fires_at_exact_deadlines(self):
-        """Under the event kernel reports go out at exactly t0 + k·interval
+        """In the fleet, reports go out at exactly t0 + k·interval
         even though no sighting falls on those instants."""
         trace = _straight_trace(n=61)  # 1 Hz sightings
         channel = RecordingChannel()
@@ -247,7 +311,7 @@ class TestProtocolTimers:
     def test_non_representable_interval_terminates_and_fires_exactly(self):
         """Regression: a for_speed()-style interval whose float rounding
         makes ``(last + interval) - last < interval`` must not wedge the
-        kernel in a refire loop — the staleness check compares against the
+        schedule in a refire loop — the staleness check compares against the
         scheduled deadline itself, never a re-derived difference."""
         interval = 3.597122302158273  # 500 m / 139 m/s — not representable
         times = np.arange(3) * 1.0 + 0.406
@@ -307,7 +371,7 @@ class TestProtocolTimers:
 
     def test_declining_protocol_with_sticky_deadline_terminates(self):
         """Progress guard: a protocol that declines every timer fire while
-        never moving its deadline must not wedge the kernel at one instant."""
+        never moving its deadline must not wedge the schedule at one instant."""
 
         class StickyDeadline(LinearPredictionProtocol):
             def next_deadline(self):
@@ -335,7 +399,7 @@ class TestProtocolTimers:
 
 
 # --------------------------------------------------------------------------- #
-# channel loss: keyed per message, reproducible across kernels
+# channel loss: keyed per message, reproducible across loops
 # --------------------------------------------------------------------------- #
 class TestKeyedLoss:
     def test_seeded_loss_pattern_is_kernel_invariant(self):

@@ -1,7 +1,7 @@
 """Sharded multi-process fleet execution: bit-identity with one process.
 
 ``FleetSimulation(processes=N)`` partitions the lanes into spatial shards
-and runs one event kernel per shard.  These tests assert the promise the
+and runs one fleet loop per shard.  These tests assert the promise the
 mode makes: the merged outcome — per-object results, every error sample,
 channel counters, service statistics — is **bitwise identical** to the
 single-process run (and, on the degenerate schedule, to the tick-loop
@@ -87,7 +87,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("fixture", _SCENARIO_FIXTURES)
     @pytest.mark.parametrize("kernel", ["tick", "event"])
     def test_processes_4_equals_1_on_library_scenarios(self, request, fixture, kernel):
-        """``processes=4`` against one process — the event kernel itself,
+        """``processes=4`` against one process — the fleet loop itself,
         or the tick-loop oracle (``kernel="tick"``)."""
         scenario = request.getfixturevalue(fixture)
         single_cls = TickLoopFleet if kernel == "tick" else FleetSimulation

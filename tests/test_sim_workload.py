@@ -5,7 +5,7 @@ The acceptance-critical properties live here: a fleet served by a
 state, any shard count) produces bit-identical simulation results to the
 plain single ``LocationServer`` — asserted over every scenario of the
 library at the golden scales — and the replay plan, the one query driver,
-serves per instant exactly the update batches the fleet kernel delivers.
+serves per instant exactly the update batches the fleet delivers.
 """
 
 import dataclasses
@@ -365,7 +365,7 @@ class TestReplayPlanMatchesFleet:
         ["city:time:150:3", "freeway:time:333:2", "city:linear:150:3", "city:map:150:2"],
     )
     def test_plan_batches_equal_fleet_deliveries(self, mix_text):
-        """Per instant, the plan serves exactly the updates the fleet kernel
+        """Per instant, the plan serves exactly the updates the fleet
         delivers — timer-fired ones included, at their exact deadlines."""
         mix = [FleetMix.parse(mix_text)]
         service = LocationService()
