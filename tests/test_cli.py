@@ -368,6 +368,17 @@ class TestFleetEngines:
         manifest = json.loads((obs_dir / "manifest.json").read_text())
         assert manifest["config"]["engine"] == engine
 
+    def test_processes_run_the_fleet_loop(self, tmp_path, capsys):
+        # An eligible fleet leaves the columnar engine once it is sharded.
+        obs_dir = tmp_path / "obs"
+        assert cli.main(
+            ["fleet", "--mix", "radial_commute:linear:100:2", "--scale", "0.1",
+             "--processes", "2", "--obs-dir", str(obs_dir)]
+        ) == 0
+        manifest = json.loads((obs_dir / "manifest.json").read_text())
+        assert manifest["config"]["engine"] == "fleet"
+        assert manifest["config"]["processes"] == 2
+
     def test_processes_must_be_positive(self):
         with pytest.raises(SystemExit):
             cli.main(["fleet", "--mix", "walking:linear:50:2", "--processes", "0"])

@@ -4,9 +4,9 @@ Covers three areas that ship together:
 
 * **Channel delivery correctness** — tied ``(deliver_at, object_id)``
   entries must not crash the sort (``UpdateMessage`` has no ordering), and
-  a channel must be safely reusable across runs and kernels (``reset()``
-  unbinds a stale event-kernel scheduler; a failed bind leaves every
-  channel usable).
+  a channel must be safely reusable across runs and loops, and the
+  fleet's ``transmit`` path must count and lose messages exactly as the
+  polled ``send`` does.
 * **Facade margin queries on all-infinite-accuracy fleets** — pinned
   bit-identical to the linear reference scans.
 * **The live server itself** — wire protocol round trips, latency
@@ -180,6 +180,45 @@ class TestChannelReuse:
         first = FleetSimulation(self._lanes(channel)).run()
         second = FleetSimulation(self._lanes(channel)).run()
         assert self._updates(first) == self._updates(second) > 0
+
+
+# --------------------------------------------------------------------------- #
+# transmit: the fleet's send path, shared with the polled send
+# --------------------------------------------------------------------------- #
+class TestChannelTransmit:
+    def test_transmit_counts_the_send_without_queueing(self):
+        channel = MessageChannel(latency=2.5)
+        message = make_message(sequence=4)
+        assert channel.transmit("obj", message, time=10.0) == 12.5
+        assert channel.in_flight == 0
+        assert channel.deliver_due(1e9) == []
+        assert channel.stats.messages_sent == 1
+        assert channel.stats.bytes_sent == message.size_bytes
+        assert channel.stats.messages_delivered == 0
+
+    def test_transmit_and_send_draw_the_same_keyed_losses(self):
+        """A seeded channel loses the same (object, sequence) messages on
+        the fleet's transmit path and on the polled send path."""
+        messages = [make_message(sequence=n) for n in range(200)]
+        fleet_side = MessageChannel(latency=1.0, loss_probability=0.3, seed=9)
+        kept = {
+            m.sequence for m in messages
+            if fleet_side.transmit("obj", m, time=0.0) is not None
+        }
+        polled = MessageChannel(latency=1.0, loss_probability=0.3, seed=9)
+        for m in messages:
+            polled.send("obj", m, time=0.0)
+        assert {m.sequence for _, m in polled.deliver_due(1.0)} == kept
+        assert 0 < len(kept) < len(messages)
+        assert fleet_side.stats.messages_lost == polled.stats.messages_lost
+
+    def test_record_delivered_counts_messages_and_bytes(self):
+        channel = MessageChannel()
+        messages = [make_message(sequence=n) for n in range(3)]
+        channel.record_delivered(messages)
+        channel.record_delivered([])
+        assert channel.stats.messages_delivered == 3
+        assert channel.stats.bytes_delivered == sum(m.size_bytes for m in messages)
 
 
 # --------------------------------------------------------------------------- #

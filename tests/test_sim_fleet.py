@@ -8,6 +8,7 @@ from repro.service.channel import MessageChannel
 from repro.service.server import LocationServer
 from repro.sim.config import SimulationConfig
 from repro.sim.fleet import FleetLane, FleetResult, FleetSimulation, run_simulation
+from repro.traces.trace import Trace
 
 
 def _single_run(protocol, scenario, object_id="object-0", channel=None):
@@ -307,3 +308,81 @@ class TestMapPredictionReuse:
         # One per sighting (the deviation check) plus, at most, the server's
         # prediction of each freshly reported state.
         assert len(computed) <= len(scenario.sensor_trace) + result.updates
+
+
+class _SendLog(MessageChannel):
+    """A channel that logs every transmitted update as ``(time, sequence)``."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.sent = []
+
+    def transmit(self, object_id, message, time):
+        self.sent.append((time, message.sequence))
+        return super().transmit(object_id, message, time)
+
+
+class TestLaneUpdates:
+    """``lane_updates`` is the one per-lane send schedule."""
+
+    @staticmethod
+    def _stream(protocol, trace):
+        from repro.sim.fleet import _LaneState, lane_updates
+
+        state = _LaneState(FleetLane("x", protocol, trace), MessageChannel())
+        return lane_updates(
+            protocol, state.times, state.sensor_positions, state.velocities, state.speeds
+        )
+
+    def test_fleet_transmits_exactly_the_lane_stream(self, straight_trace):
+        """Every update the stream lists goes through the lane's channel at
+        its send time, lost ones included, and nothing else does."""
+        from repro.protocols.reporting import TimeBasedReporting
+
+        stream, fires = self._stream(
+            TimeBasedReporting(accuracy=100.0, interval=7.5), straight_trace
+        )
+        channel = _SendLog(latency=0.7, loss_probability=0.3, seed=3)
+        lane = FleetLane(
+            "x", TimeBasedReporting(accuracy=100.0, interval=7.5), straight_trace,
+            channel=channel,
+        )
+        result = FleetSimulation([lane]).run()
+        assert channel.sent == [(t, m.sequence) for t, m in stream]
+        # Reports go out at 7.5 k for k = 1..8; the sighting goes first at
+        # an equal instant, so only the four off-grid deadlines fire a timer.
+        assert [t for t, _ in stream] == [7.5 * k for k in range(9)]
+        assert fires == 4
+        assert result.results["x"].updates == len(stream)
+        assert 0 < channel.stats.messages_lost < len(stream)
+
+    def test_untimed_protocol_sends_only_at_sightings(self, straight_trace):
+        stream, fires = self._stream(LinearPredictionProtocol(accuracy=5.0), straight_trace)
+        sightings = set(straight_trace.times.tolist())
+        assert fires == 0
+        assert len(stream) >= 1
+        assert all(t in sightings for t, _ in stream)
+
+    def test_fire_count_includes_declined_timers(self):
+        """The second value counts ``on_timer`` calls, also those that send
+        nothing; a declined deadline that moves is re-armed, one that stays
+        put is spent."""
+        calls = []
+
+        class DeclinesEveryFire(LinearPredictionProtocol):
+            def next_deadline(self):
+                if self.last_reported is None:
+                    return None
+                # Moves on after each fire, and stays put after the sixth.
+                return self.last_reported.time + 2.5 * min(len(calls) + 1, 6)
+
+            def on_timer(self, time):
+                calls.append(time)
+                return None
+
+        times = np.arange(0.0, 21.0)  # 400 m: the threshold never trips
+        trace = Trace(times, np.column_stack((times * 20.0, np.zeros_like(times))))
+        stream, fires = self._stream(DeclinesEveryFire(1000.0), trace)
+        assert fires == len(calls) == 6
+        assert calls == [2.5 * k for k in range(1, 7)]
+        assert len(stream) == 1  # just the initial report
