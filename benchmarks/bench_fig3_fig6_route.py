@@ -13,6 +13,7 @@ from repro.experiments.scenarios import get_scenario
 from repro.experiments.visualize import render_route_updates, render_update_summary
 from repro.mobility.scenarios import ScenarioName
 from repro.sim.config import SimulationConfig
+from repro.sim.fleet import trace_updates
 
 from conftest import run_once
 
@@ -39,11 +40,10 @@ def test_fig3_fig6_route_updates(benchmark, scale):
         protocol = SimulationConfig(protocol_id=protocol_id, accuracy=200.0).build_protocol(
             scenario
         )
-        updates = []
-        for sample in scenario.sensor_trace[:horizon]:
-            message = protocol.observe(sample.time, sample.position)
-            if message is not None:
-                updates.append(message.state.position)
+        updates = [
+            message.state.position
+            for _t, message in trace_updates(protocol, scenario.sensor_trace[:horizon])
+        ]
         print()
         print(
             render_update_summary(

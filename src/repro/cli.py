@@ -90,7 +90,7 @@ from repro.roadmap.generators import (
     pedestrian_map,
 )
 from repro.sim.config import PROTOCOL_IDS, SimulationConfig
-from repro.sim.fleet import run_simulation
+from repro.sim.fleet import run_simulation, trace_updates
 from repro.sim.runner import QueryBenchSpec, ScenarioSpec, SweepRunner
 from repro.sim.workload import QueryWorkload
 from repro.traces import io as trace_io
@@ -1168,11 +1168,10 @@ def _cmd_visualize(args) -> int:
     protocol = SimulationConfig(
         protocol_id=args.protocol, accuracy=args.accuracy
     ).build_protocol(scenario)
-    updates = []
-    for sample in scenario.sensor_trace:
-        message = protocol.observe(sample.time, sample.position)
-        if message is not None:
-            updates.append(message.state.position)
+    updates = [
+        message.state.position
+        for _t, message in trace_updates(protocol, scenario.sensor_trace)
+    ]
     print(render_update_summary(scenario.true_trace, updates, protocol.name))
     print(
         render_route_updates(

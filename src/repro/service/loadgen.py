@@ -42,7 +42,7 @@ from repro.service.facade import LocationService
 from repro.service.live.client import LiveClient
 from repro.service.live.server import service_for_registrations
 from repro.service.live.stats import LatencyRecorder
-from repro.sim.fleet import FleetLane, auto_region_size, fleet_extent, lane_updates
+from repro.sim.fleet import FleetLane, auto_region_size, fleet_extent, trace_updates
 from repro.sim.workload import (
     QueryCall,
     QueryWorkload,
@@ -50,7 +50,6 @@ from repro.sim.workload import (
     execute_call,
     query_stream,
 )
-from repro.traces.estimation import estimate_trace
 
 #: One ingest batch: every update delivered at one simulated instant.
 Batch = Tuple[float, List[Tuple[str, UpdateMessage]]]
@@ -111,14 +110,8 @@ def build_replay_plan(
     events: List[Tuple[float, int, str, UpdateMessage]] = []
     ticks: set = set()
     for lane_index, lane in enumerate(lanes):
-        protocol = lane.protocol
-        times = lane.sensor_trace.times
-        positions = lane.sensor_trace.positions
-        velocities, speeds = estimate_trace(times, positions, protocol.estimator.window)
-        protocol.prepare_trace(times, positions, velocities, speeds)
-        ticks.update(times.tolist())
-        stream, _timer_fires = lane_updates(protocol, times, positions, velocities, speeds)
-        for t, message in stream:
+        ticks.update(lane.sensor_trace.times.tolist())
+        for t, message in trace_updates(lane.protocol, lane.sensor_trace):
             events.append((t, lane_index, lane.object_id, message))
     # Group updates sharing an instant into one batch, lanes in lane order
     # within the instant (the sort is stable: a lane's own updates keep

@@ -17,12 +17,14 @@ execution core, with one entry point per job:
   :class:`~repro.service.server.LocationServer`.  Each lane's update
   stream comes from one send schedule,
   :func:`~repro.sim.fleet.lane_updates` (protocol timers at their exact
-  deadlines), pushed through the lane's channel (exact delivery instants);
-  one walk over the merged sample and delivery instants then ingests and
-  measures — per-lane sampling rates, vectorised speed/heading estimation
-  and batched server queries.  :func:`run_simulation` (one object, one
-  protocol, one trace) is a one-lane fleet, so single runs and fleet runs
-  are the same machinery by construction.
+  deadlines; a first-crossing array search for distance-based reporting
+  and linear DR), pushed through the lane's channel (exact delivery
+  instants); one walk over the merged sample and delivery instants then
+  ingests and measures — per-lane sampling rates, vectorised speed/heading
+  estimation, batched server queries, and closed-form measurement of the
+  static and linear lanes of a plain server.  :func:`run_simulation` (one
+  object, one protocol, one trace) is a one-lane fleet, so single runs and
+  fleet runs are the same machinery by construction.
 * :mod:`repro.sim.columnar` is the struct-of-arrays fast path
   (:class:`~repro.sim.columnar.ColumnarFleetEngine`) for the fleets it
   declares eligible, bit-identical to the fleet loop on them.

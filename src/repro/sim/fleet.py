@@ -21,9 +21,17 @@ Design properties the rest of the stack relies on:
   (:func:`repro.traces.estimation.estimate_trace`, bitwise identical to the
   streaming estimator) and handed with the trace to the protocol's
   :meth:`~repro.protocols.base.UpdateProtocol.prepare_trace` (the map-based
-  protocol matches the whole trace there), server queries go through the batch
-  :meth:`~repro.service.server.LocationServer.predict_positions` API once
-  per timestep, and error samples are accumulated into
+  protocol matches the whole trace there).  Distance-based reporting and
+  linear DR find their sends with a first-crossing search over arrays of
+  deviations instead of one protocol call per sighting (see
+  :func:`lane_updates`).  Against a plain
+  :class:`~repro.service.server.LocationServer`, every lane whose record
+  predicts in closed form (static or linear prediction: distance, linear,
+  time-based, …) is measured from its own delivered stream in one
+  vectorised pass and leaves the walk; the walk measures the rest (map,
+  route, quadratic lanes, and every lane of any other backend) through
+  the batch :meth:`~repro.service.server.LocationServer.predict_positions`
+  API once per timestep.  Error samples are accumulated into
   :class:`~repro.sim.metrics.AccuracyMetrics` as one array per lane.
 * **One send schedule** — a source decides every update from its own
   sightings and timers and never hears back from the channel or the
@@ -56,16 +64,19 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.geo.bbox import BoundingBox
-from repro.geo.vec import distance
+from repro.geo.vec import as_vec, distance
 from repro.obs import NO_OBS, Observability
 from repro.obs.metrics import publish_service_stats
 from repro.obs.trace import DELIVERY, KIND_NAMES, SAMPLE, TIMER
-from repro.protocols.base import UpdateMessage, UpdateProtocol
+from repro.protocols.base import UpdateMessage, UpdateProtocol, UpdateReason
+from repro.protocols.linear import LinearPredictionProtocol
+from repro.protocols.prediction import LinearPrediction, StaticPrediction
+from repro.protocols.reporting import DistanceBasedReporting
 from repro.service.channel import ChannelStats, MessageChannel
 from repro.service.facade import LocationService
 from repro.service.server import LocationServer
@@ -187,7 +198,8 @@ class _LaneState:
         lane.protocol.prepare_trace(
             self.times, self.sensor_positions, self.velocities, self.speeds
         )
-        self.errors: List[float] = []
+        #: A list the walk appends to, or one array measured in closed form.
+        self.errors: Union[List[float], np.ndarray] = []
 
     def count_update(self, message: UpdateMessage) -> None:
         """Count one transmitted update and its reason."""
@@ -199,6 +211,37 @@ class _LaneState:
         """Measure the server's error against ground truth at sample *i*."""
         if predicted is not None:
             self.errors.append(distance(predicted, self.truth_positions[i]))
+
+    def measure_closed_form(
+        self, arrivals: List[float], messages: List[UpdateMessage], linear: bool
+    ) -> None:
+        """Measure every sample at once against the lane's delivered stream.
+
+        The walk's measurement of a record with a static or linear
+        prediction, on arrays: at sample *i* the record holds the last
+        message delivered at or before ``times[i]`` (``side="right"``: an
+        instant's deliveries are ingested before its samples are
+        measured), and samples before the first delivery are not measured.
+        The same IEEE operations in the same order as the walk's
+        ``predict`` and :func:`~repro.geo.vec.distance` keep every error
+        sample bit-identical.
+        """
+        if not messages:
+            return
+        # Stream order is sequence order, so a stable sort by delivery
+        # instant is the walk's (deliver_at, sequence) order.
+        order = np.argsort(arrivals, kind="stable")
+        held = np.searchsorted(np.asarray(arrivals)[order], self.times, side="right") - 1
+        first = int(np.searchsorted(held, 0))
+        held = order[held[first:]]
+        states = [message.state for message in messages]
+        predicted = np.array([state.position for state in states])[held]
+        if linear:
+            dt = self.times[first:] - np.array([state.time for state in states])[held]
+            velocity = np.array([state.velocity for state in states])[held]
+            predicted = predicted + velocity * dt[:, None]
+        d = predicted - self.truth_positions[first:]
+        self.errors = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
 
     def finish(self) -> SimulationResult:
         """Materialise this lane's :class:`SimulationResult`."""
@@ -416,6 +459,15 @@ class FleetSimulation:
            as one batch, then the lanes sampled there are measured: the
            per-timestep order, which is what makes the degenerate schedule
            bit-identical to a per-timestep loop.
+
+        On a plain :class:`~repro.service.server.LocationServer`, a lane
+        whose record has a static or linear prediction is measured in
+        closed form from its own delivered stream
+        (:meth:`_LaneState.measure_closed_form`, the same samples in the
+        same order) and its samples leave the walk; the walk still ingests
+        every delivery, so the server's records end as before.  The
+        ``kernel.events.sample`` counter counts every lane's sightings,
+        but the flight recorder notes SAMPLE events of walked lanes only.
         """
         server = self.server
         ingest = getattr(server, "ingest_batch", None)
@@ -429,9 +481,14 @@ class FleetSimulation:
             else self._horizon
         )
         channel_index = {channel: n for n, channel in enumerate(channels)}
+        # A plain server's static and linear records are measured in
+        # closed form; any other backend is measured by the walk.
+        closed_form = type(server) is LocationServer
         timer_fires = 0
+        samples = 0
         try:
             deliveries: List[Tuple[float, int, str, int, UpdateMessage]] = []
+            walked: List[_LaneState] = []
             for state in states:
                 object_id = state.lane.object_id
                 channel = state.channel
@@ -444,7 +501,9 @@ class FleetSimulation:
                     state.speeds,
                 )
                 timer_fires += fires
+                samples += len(state.times)
                 delivered: List[UpdateMessage] = []
+                arrivals: List[float] = []
                 for t, message in stream:
                     state.count_update(message)
                     deliver_at = channel.transmit(object_id, message, t)
@@ -453,7 +512,17 @@ class FleetSimulation:
                             (deliver_at, slot, object_id, message.sequence, message)
                         )
                         delivered.append(message)
+                        arrivals.append(deliver_at)
                 channel.record_delivered(delivered)
+                prediction = (
+                    type(server.tracked_object(object_id).prediction) if closed_form else None
+                )
+                if prediction is StaticPrediction or prediction is LinearPrediction:
+                    state.measure_closed_form(
+                        arrivals, delivered, prediction is LinearPrediction
+                    )
+                else:
+                    walked.append(state)
             # Sequence numbers are unique per object, so the comparison
             # never reaches the (unordered) message itself.
             deliveries.sort()
@@ -461,16 +530,18 @@ class FleetSimulation:
             deliver_times = [entry[0] for entry in deliveries]
             deliver_times.append(inf)
 
-            times = np.concatenate([s.times for s in states])
-            lane_of = np.repeat(np.arange(len(states)), [len(s.times) for s in states])
-            index_of = np.concatenate([np.arange(len(s.times)) for s in states])
+            times = np.concatenate([s.times for s in walked] or [np.empty(0)])
+            lane_of = np.repeat(np.arange(len(walked)), [len(s.times) for s in walked])
+            index_of = np.concatenate(
+                [np.arange(len(s.times)) for s in walked] or [np.empty(0, dtype=np.intp)]
+            )
             order = np.lexsort((lane_of, times))
             sample_times = times[order].tolist()
             sample_times.append(inf)
             sample_lanes = lane_of[order].tolist()
             sample_index = index_of[order].tolist()
-            record = [state.record_error for state in states]
-            object_ids = [state.lane.object_id for state in states]
+            record = [state.record_error for state in walked]
+            object_ids = [state.lane.object_id for state in walked]
 
             k = 0
             d = 0
@@ -513,7 +584,7 @@ class FleetSimulation:
                     for j, position in zip(range(first, k), predicted):
                         record[sample_lanes[j]](sample_index[j], position)
             counts = {
-                SAMPLE: len(sample_times) - 1,
+                SAMPLE: samples,
                 TIMER: timer_fires,
                 DELIVERY: len(deliveries),
             }
@@ -798,7 +869,21 @@ def lane_updates(
     lane's last sighting are never armed, and protocols without deadlines
     skip the timer bookkeeping entirely.  The second value counts the
     :meth:`~repro.protocols.base.UpdateProtocol.on_timer` calls.
+
+    Distance-based reporting and linear DR (exactly
+    :class:`~repro.protocols.reporting.DistanceBasedReporting` and
+    :class:`~repro.protocols.linear.LinearPredictionProtocol`, with their
+    own static or linear prediction) send when the paper's trigger first
+    fires against a closed-form prediction from the last send, and take
+    the first-crossing search (:func:`_first_crossings`) instead of one
+    :meth:`~repro.protocols.base.UpdateProtocol.observe_precomputed` call
+    per sighting.  Subclasses and every other protocol stay on the
+    per-sighting loop, which is the search's oracle.
     """
+    prediction = _CROSSING_PREDICTIONS.get(type(protocol))
+    if prediction is not None and type(protocol.prediction_function()) is prediction:
+        linear = prediction is LinearPrediction
+        return _first_crossings(protocol, times, positions, velocities, speeds, linear), 0
     observe = protocol.observe_precomputed
     timed = type(protocol).next_deadline is not UpdateProtocol.next_deadline
     lane_end = float(times[-1])
@@ -843,6 +928,105 @@ def lane_updates(
             arm()
             fire_timers(t, inclusive=True)
     return updates, fires
+
+
+#: The threshold protocols :func:`lane_updates` runs on arrays, each with
+#: the prediction it must use for the search to apply.
+_CROSSING_PREDICTIONS = {
+    DistanceBasedReporting: StaticPrediction,
+    LinearPredictionProtocol: LinearPrediction,
+}
+
+#: The first-crossing search's window in samples: it starts at
+#: ``_FIRST_WINDOW`` after each send and doubles on every window without a
+#: crossing, up to ``_MAX_WINDOW``.
+_FIRST_WINDOW = 32
+_MAX_WINDOW = 1024
+
+
+def _first_crossings(
+    protocol: UpdateProtocol,
+    times: np.ndarray,
+    positions: np.ndarray,
+    velocities: np.ndarray,
+    speeds: np.ndarray,
+    linear: bool,
+) -> List[Tuple[float, UpdateMessage]]:
+    """The sends of a static or linear threshold protocol, found on arrays.
+
+    From the protocol's last report (or an ``INITIAL`` send at the first
+    sample) the next send is the first later sample where
+    ``sqrt(dx*dx + dy*dy) + up > us``, with ``(dx, dy)`` the deviation from
+    the report's position, moved along its velocity for linear DR.  Growing
+    windows of samples are searched with one ``argmax`` over the trigger
+    mask each.  The same IEEE operations in the same order as the
+    prediction's ``predict`` and :func:`~repro.geo.vec.distance` make every
+    decision bit-identical to the per-sighting path, and messages are built
+    only at send indices through the protocol's own ``_emit_update``, so
+    its sequence, counters and last report end as that path leaves them.
+    A non-finite sighting raises :func:`~repro.geo.vec.as_vec`'s
+    ``ValueError`` after the sends before it, as the per-sighting path does.
+    """
+    finite = np.isfinite(positions).all(axis=1)
+    stop = len(times) if finite.all() else int(finite.argmin())
+    xs = positions[:stop, 0]
+    ys = positions[:stop, 1]
+    time_list = times.tolist()
+    speed_list = speeds.tolist()
+    up = protocol.sensor_uncertainty
+    us = protocol.accuracy
+    updates: List[Tuple[float, UpdateMessage]] = []
+
+    def send(j: int, reason: UpdateReason) -> None:
+        t = time_list[j]
+        message = protocol._emit_update(t, positions[j], velocities[j], speed_list[j], reason)
+        updates.append((t, message))
+
+    i = 0
+    if protocol.last_reported is None and stop:
+        send(0, UpdateReason.INITIAL)
+        i = 1
+    window = _FIRST_WINDOW
+    while i < stop:
+        state = protocol.last_reported
+        px, py = state.position.tolist()
+        end = min(i + window, stop)
+        if linear:
+            vx, vy = state.velocity.tolist()
+            dt = times[i:end] - state.time
+            dx = xs[i:end] - (px + vx * dt)
+            dy = ys[i:end] - (py + vy * dt)
+        else:
+            dx = xs[i:end] - px
+            dy = ys[i:end] - py
+        crossed = np.sqrt(dx * dx + dy * dy) + up > us
+        j = int(crossed.argmax())
+        if crossed[j]:
+            send(i + j, UpdateReason.THRESHOLD)
+            i += j + 1
+            window = _FIRST_WINDOW
+        else:
+            i = end
+            window = min(2 * window, _MAX_WINDOW)
+    if stop < len(times):
+        as_vec(positions[stop])  # raises the per-sighting path's ValueError
+    return updates
+
+
+def trace_updates(protocol: UpdateProtocol, trace: Trace) -> List[Tuple[float, UpdateMessage]]:
+    """Every ``(send_time, update)`` *protocol* transmits over *trace*.
+
+    The fleet's sighting path for one trace, without channel or server:
+    the trace's speed/heading estimates
+    (:func:`~repro.traces.estimation.estimate_trace`), the protocol's
+    :meth:`~repro.protocols.base.UpdateProtocol.prepare_trace`, then
+    :func:`lane_updates`.
+    """
+    times = trace.times
+    positions = trace.positions
+    velocities, speeds = estimate_trace(times, positions, protocol.estimator.window)
+    protocol.prepare_trace(times, positions, velocities, speeds)
+    return lane_updates(protocol, times, positions, velocities, speeds)[0]
 
 
 def fleet_extent(lanes: Sequence[FleetLane]) -> BoundingBox:

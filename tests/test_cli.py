@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface (repro.cli)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +140,29 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "updates over" in out
         assert "S" in out and "E" in out
+
+
+#: ``visualize`` stdout per ``scenario:scale:protocol`` (accuracy 100 m,
+#: 60x15 canvas), recorded when the command still fed every sighting to
+#: ``UpdateProtocol.observe``; it now takes the fleet's sighting path.
+VISUALIZE_PARITY = Path(__file__).parent / "data" / "visualize_parity.json"
+
+
+class TestVisualizeParity:
+    @pytest.mark.parametrize(
+        "scenario,scale", [("walking", "0.1"), ("freeway", "0.05"), ("city", "0.07")]
+    )
+    def test_stdout_matches_recorded(self, scenario, scale, capsys):
+        expected = json.loads(VISUALIZE_PARITY.read_text(encoding="utf-8"))
+        for protocol in ("distance", "linear", "map"):
+            assert cli.main(
+                [
+                    "visualize", "--scenario", scenario, "--protocol", protocol,
+                    "--accuracy", "100", "--scale", scale, "--width", "60", "--height", "15",
+                ]
+            ) == 0
+            out = capsys.readouterr().out
+            assert out == expected[f"{scenario}:{scale}:{protocol}"], protocol
 
 
 class TestLibraryCommands:
