@@ -146,6 +146,30 @@ class Polyline:
         t = local / seg_len
         return a + (b - a) * t
 
+    def points_at(self, offsets: np.ndarray) -> np.ndarray:
+        """:meth:`point_at` at every offset of *offsets*, as an ``(n, 2)`` array.
+
+        The same clamps, segment search, zero-length-segment rule and IEEE
+        operations as :meth:`point_at`, so every row is bit-identical to it.
+        """
+        offsets = np.asarray(offsets, dtype=float)
+        cumulative = self._cumulative
+        last = len(self._points) - 2
+        idx = np.minimum(np.searchsorted(cumulative, offsets, side="right") - 1, last)
+        local = np.where(
+            offsets >= self._length,
+            cumulative[last + 1] - cumulative[last],
+            offsets - cumulative[idx],
+        )
+        low = offsets <= 0.0
+        idx = np.where(low, 0, idx)
+        local = np.where(low, 0.0, local)
+        a = self._points[idx]
+        seg_len = cumulative[idx + 1] - cumulative[idx]
+        zero = seg_len == 0.0
+        t = local / np.where(zero, 1.0, seg_len)
+        return np.where(zero[:, None], a, a + (self._points[idx + 1] - a) * t[:, None])
+
     def direction_at(self, offset: float) -> np.ndarray:
         """Unit tangent direction at arc-length *offset* (direction of travel)."""
         idx, _ = self._locate(offset)

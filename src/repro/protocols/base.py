@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import abc
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -103,19 +103,23 @@ _LINK_FIELD_BYTES = 4
 
 @dataclass(frozen=True, slots=True)
 class UpdateMessage:
-    """A location update transmitted from the source to the server."""
+    """A location update transmitted from the source to the server.
+
+    ``size_bytes``, the approximate payload size, is computed once at
+    construction: the sender, the channel's send and its delivery count
+    all read it.
+    """
 
     sequence: int
     state: ObjectState
     reason: UpdateReason
+    size_bytes: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def size_bytes(self) -> int:
-        """Approximate message payload size in bytes."""
+    def __post_init__(self) -> None:
         size = _BASE_UPDATE_BYTES
         if self.state.link_id is not None:
             size += _LINK_FIELD_BYTES
-        return size
+        object.__setattr__(self, "size_bytes", size)
 
 
 class UpdateProtocol(abc.ABC):

@@ -19,16 +19,24 @@ the map again.
 
 Matching does not depend on the requested accuracy ``us``: its inputs are
 the map, the matcher configuration, the sighting and the estimated heading.
-On the simulation's precomputed path
-(:meth:`~repro.protocols.base.UpdateProtocol.prepare_trace` then
-:meth:`~repro.protocols.base.UpdateProtocol.observe_precomputed`) the
-protocol therefore matches the whole trace once into a
-:class:`~repro.mapmatching.matcher.MatchStream` and reads one row per
-sighting.  Clones made with
+:meth:`~repro.protocols.base.UpdateProtocol.prepare_trace` therefore
+matches the whole trace once into a
+:class:`~repro.mapmatching.matcher.MatchStream`, and clones made with
 :meth:`~repro.protocols.base.UpdateProtocol.clone_for` share a memo of
 those streams with their prototype, so an accuracy sweep matches each
 trace once, not once per accuracy.  :meth:`observe`, fed one sighting at a
-time, runs the matcher per sighting.
+time, runs the matcher per sighting instead.
+
+The fleet's send schedule (:func:`repro.sim.fleet.lane_updates`) reads the
+prepared stream without a call per sighting: with the paper's prediction
+(a stateless turn policy, no speed limits) it searches the stream's
+``matched`` column and one window of
+:meth:`~repro.protocols.prediction.MapPrediction.predict_many` positions
+at a time for the first sighting where :meth:`_should_update` would fire,
+and builds a message only there, after :meth:`_read_row` has taken that
+sighting's row.  :meth:`~repro.protocols.base.UpdateProtocol.observe_precomputed`,
+which reads one row per sighting, serves every other configuration and
+is the definition the search is tested against.
 """
 
 from __future__ import annotations
@@ -198,7 +206,6 @@ class MapBasedProtocol(UpdateProtocol):
         self._stream = stream
         self._stream_times = np.asarray(times, dtype=float)
         self._row = 0
-        self._prediction.forget()
 
     def _pre_decision_hook(
         self, time: float, position: np.ndarray, velocity: np.ndarray, speed: float
@@ -226,6 +233,10 @@ class MapBasedProtocol(UpdateProtocol):
                 f"sighting at t={float(time)!r} does not match row {row} of the "
                 f"prepared trace ({expected})"
             )
+        self._read_row(row)
+
+    def _read_row(self, row: int) -> None:
+        """Take row *row* of the prepared stream as the current sighting's match."""
         self._row = row + 1
         self._last_match = None
         self._matched = bool(self._stream.matched[row])

@@ -19,7 +19,7 @@ link at an intersection:
 from __future__ import annotations
 
 import abc
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -53,6 +53,12 @@ class StaticPrediction(PredictionFunction):
     def predict(self, state, time: float) -> np.ndarray:
         return state.position.copy()
 
+    def predict_many(self, state, times: np.ndarray) -> np.ndarray:
+        """:meth:`predict` at each of *times*, as an ``(n, 2)`` array."""
+        predicted = np.empty((len(times), 2))
+        predicted[:] = state.position
+        return predicted
+
 
 class LinearPrediction(PredictionFunction):
     """Constant-velocity extrapolation (the paper's linear prediction).
@@ -63,6 +69,14 @@ class LinearPrediction(PredictionFunction):
     def predict(self, state, time: float) -> np.ndarray:
         dt = time - state.time
         return state.position + state.velocity * dt
+
+    def predict_many(self, state, times: np.ndarray) -> np.ndarray:
+        """:meth:`predict` at each of *times*, as an ``(n, 2)`` array.
+
+        The same IEEE operations per element, so every row is bit-identical.
+        """
+        dt = np.asarray(times, dtype=float) - state.time
+        return state.position + state.velocity * dt[:, None]
 
 
 class QuadraticPrediction(PredictionFunction):
@@ -178,12 +192,6 @@ class ProbabilisticTurnPolicy(TurnPolicy):
 # --------------------------------------------------------------------------- #
 # map-based prediction
 # --------------------------------------------------------------------------- #
-#: Predictions a :class:`MapPrediction` keeps for reuse: a trace of up to
-#: this many sightings keeps every source-side prediction until the server
-#: asks for it.
-_MEMO_SIZE = 1 << 14
-
-
 class MapPrediction(PredictionFunction):
     """Advance the object along the road network at its reported speed.
 
@@ -227,12 +235,6 @@ class MapPrediction(PredictionFunction):
         self.speed_limit_factor = speed_limit_factor
         self._linear = LinearPrediction()
         self._turn_cache: Dict[int, Optional[Link]] = {}
-        # Predictions by (state identity, time), each kept until its first
-        # reuse: the server's error measurement asks for the very
-        # predictions the source's deviation checks computed, after the
-        # fleet's send schedule has run the whole trace.  Emptied when full
-        # and by forget() when a new trace starts.
-        self._memo: Dict[Tuple[int, float], Tuple[object, np.ndarray]] = {}
 
     def _next_link(self, link: Link) -> Optional[Link]:
         """The successor chosen by the turn policy, memoised when safe.
@@ -256,26 +258,6 @@ class MapPrediction(PredictionFunction):
         return min(state.speed, self.speed_limit_factor * link.speed_limit)
 
     def predict(self, state, time: float) -> np.ndarray:
-        memo = self._memo
-        key = (id(state), time)
-        # An entry holds its state, so no other live state can share its id.
-        hit = memo.pop(key, None)
-        if hit is not None:
-            return hit[1]
-        position = self._predict_uncached(state, time)
-        # The source only checks a reported state after its report time, so
-        # a prediction at the report time itself is never asked for again.
-        if time != state.time:
-            if len(memo) >= _MEMO_SIZE:
-                memo.clear()
-            memo[key] = (state, position)
-        return position
-
-    def forget(self) -> None:
-        """Drop every memoised prediction (their states belong to a past trace)."""
-        self._memo.clear()
-
-    def _predict_uncached(self, state, time: float) -> np.ndarray:
         if state.link_id is None or not self.roadmap.has_link(state.link_id):
             return self._linear.predict(state, time)
         link = self.roadmap.link(state.link_id)
@@ -314,27 +296,56 @@ class MapPrediction(PredictionFunction):
             offset = 0.0
         return link.point_at(link.length)
 
-    def predict_link(self, state, time: float) -> Tuple[Optional[int], float]:
-        """The link and offset the object is predicted to occupy at *time*.
+    def predict_many(self, state, times: np.ndarray) -> np.ndarray:
+        """:meth:`predict` of one state at each of *times*, as an ``(n, 2)`` array.
 
-        Exposed for diagnostics and tests; mirrors :meth:`predict`.
+        Row for row bit-identical to :meth:`predict`: the distance-budget
+        walk runs once for all times, each budget reduced by the same
+        sequential ``remaining -= available`` per link, and the points are
+        :meth:`~repro.geo.polyline.Polyline.points_at` of each link's own
+        geometry.  Budgets only grow with time, so after sorting them the
+        ones that end on a link are a run of the pending ones.  The
+        speed-limit variant's time-budget walk runs once per time.
         """
+        times = np.asarray(times, dtype=float)
         if state.link_id is None or not self.roadmap.has_link(state.link_id):
-            return None, 0.0
+            return self._linear.predict_many(state, times)
+        if self.speed_limit_factor is not None:
+            return np.array(
+                [self.predict(state, t) for t in times.tolist()]
+            ).reshape(-1, 2)
         link = self.roadmap.link(state.link_id)
-        offset = float(state.link_offset or 0.0)
-        remaining = state.speed * max(0.0, time - state.time)
+        offset = float(state.link_offset if state.link_offset is not None else 0.0)
+        dt = times - state.time
+        remaining = state.speed * np.where(dt > 0.0, dt, 0.0)
+        order = None
+        if not (remaining[:-1] <= remaining[1:]).all():
+            order = np.argsort(remaining, kind="stable")
+            remaining = remaining[order]
+        out = np.empty((len(remaining), 2))
+        done = 0
         for _ in range(self.max_links_ahead):
             available = link.length - offset
-            if remaining <= available:
-                return link.id, offset + remaining
-            remaining -= available
+            here = int(np.count_nonzero(remaining <= available))
+            if here:
+                out[done:done + here] = link.geometry.points_at(offset + remaining[:here])
+                done += here
+                remaining = remaining[here:]
+            if not len(remaining):
+                break
+            remaining = remaining - available
             nxt = self._next_link(link)
             if nxt is None:
-                return link.id, link.length
+                break
             link = nxt
             offset = 0.0
-        return link.id, link.length
+        if len(remaining):
+            out[done:] = link.point_at(link.length)
+        if order is None:
+            return out
+        unsorted = np.empty_like(out)
+        unsorted[order] = out
+        return unsorted
 
     def describe(self) -> str:
         return f"MapPrediction({type(self.turn_policy).__name__})"

@@ -17,12 +17,13 @@ execution core, with one entry point per job:
   :class:`~repro.service.server.LocationServer`.  Each lane's update
   stream comes from one send schedule,
   :func:`~repro.sim.fleet.lane_updates` (protocol timers at their exact
-  deadlines; a first-crossing array search for distance-based reporting
-  and linear DR), pushed through the lane's channel (exact delivery
-  instants); one walk over the merged sample and delivery instants then
-  ingests and measures — per-lane sampling rates, vectorised speed/heading
-  estimation, batched server queries, and closed-form measurement of the
-  static and linear lanes of a plain server.  :func:`run_simulation` (one
+  deadlines; a first-crossing array search for distance-based reporting,
+  linear DR and map-based DR), pushed through the lane's channel (exact
+  delivery instants); one walk over the merged sample and delivery
+  instants then ingests and measures — per-lane sampling rates,
+  vectorised speed/heading estimation, batched server queries, and
+  closed-form measurement of the static, linear and map lanes of a plain
+  server.  :func:`run_simulation` (one
   object, one protocol, one trace) is a one-lane fleet, so single runs and
   fleet runs are the same machinery by construction.
 * :mod:`repro.sim.columnar` is the struct-of-arrays fast path

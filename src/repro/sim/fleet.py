@@ -21,15 +21,15 @@ Design properties the rest of the stack relies on:
   (:func:`repro.traces.estimation.estimate_trace`, bitwise identical to the
   streaming estimator) and handed with the trace to the protocol's
   :meth:`~repro.protocols.base.UpdateProtocol.prepare_trace` (the map-based
-  protocol matches the whole trace there).  Distance-based reporting and
-  linear DR find their sends with a first-crossing search over arrays of
-  deviations instead of one protocol call per sighting (see
-  :func:`lane_updates`).  Against a plain
+  protocol matches the whole trace there).  Distance-based reporting,
+  linear DR and map-based DR find their sends with a first-crossing
+  search over arrays of deviations instead of one protocol call per
+  sighting (see :func:`lane_updates`).  Against a plain
   :class:`~repro.service.server.LocationServer`, every lane whose record
-  predicts in closed form (static or linear prediction: distance, linear,
-  time-based, …) is measured from its own delivered stream in one
-  vectorised pass and leaves the walk; the walk measures the rest (map,
-  route, quadratic lanes, and every lane of any other backend) through
+  predicts in closed form (static, linear or map prediction: distance,
+  linear, map, time-based, …) is measured from its own delivered stream
+  on arrays and leaves the walk; the walk measures the rest (route,
+  quadratic lanes, and every lane of any other backend) through
   the batch :meth:`~repro.service.server.LocationServer.predict_positions`
   API once per timestep.  Error samples are accumulated into
   :class:`~repro.sim.metrics.AccuracyMetrics` as one array per lane.
@@ -75,7 +75,13 @@ from repro.obs.metrics import publish_service_stats
 from repro.obs.trace import DELIVERY, KIND_NAMES, SAMPLE, TIMER
 from repro.protocols.base import UpdateMessage, UpdateProtocol, UpdateReason
 from repro.protocols.linear import LinearPredictionProtocol
-from repro.protocols.prediction import LinearPrediction, StaticPrediction
+from repro.protocols.mapbased import MapBasedProtocol
+from repro.protocols.prediction import (
+    LinearPrediction,
+    MapPrediction,
+    PredictionFunction,
+    StaticPrediction,
+)
 from repro.protocols.reporting import DistanceBasedReporting
 from repro.service.channel import ChannelStats, MessageChannel
 from repro.service.facade import LocationService
@@ -213,15 +219,21 @@ class _LaneState:
             self.errors.append(distance(predicted, self.truth_positions[i]))
 
     def measure_closed_form(
-        self, arrivals: List[float], messages: List[UpdateMessage], linear: bool
+        self,
+        arrivals: List[float],
+        messages: List[UpdateMessage],
+        prediction: PredictionFunction,
     ) -> None:
         """Measure every sample at once against the lane's delivered stream.
 
-        The walk's measurement of a record with a static or linear
+        The walk's measurement of a record with a static, linear or map
         prediction, on arrays: at sample *i* the record holds the last
         message delivered at or before ``times[i]`` (``side="right"``: an
         instant's deliveries are ingested before its samples are
         measured), and samples before the first delivery are not measured.
+        Static and linear predictions are gathered for all samples at
+        once; a map prediction is asked once per run of samples that hold
+        the same message (:meth:`~repro.protocols.prediction.MapPrediction.predict_many`).
         The same IEEE operations in the same order as the walk's
         ``predict`` and :func:`~repro.geo.vec.distance` keep every error
         sample bit-identical.
@@ -234,12 +246,20 @@ class _LaneState:
         held = np.searchsorted(np.asarray(arrivals)[order], self.times, side="right") - 1
         first = int(np.searchsorted(held, 0))
         held = order[held[first:]]
+        times = self.times[first:]
         states = [message.state for message in messages]
-        predicted = np.array([state.position for state in states])[held]
-        if linear:
-            dt = self.times[first:] - np.array([state.time for state in states])[held]
-            velocity = np.array([state.velocity for state in states])[held]
-            predicted = predicted + velocity * dt[:, None]
+        if type(prediction) is MapPrediction:
+            predicted = np.empty((len(held), 2))
+            if len(held):
+                runs = (np.flatnonzero(held[1:] != held[:-1]) + 1).tolist()
+                for a, b in zip([0, *runs], [*runs, len(held)]):
+                    predicted[a:b] = prediction.predict_many(states[held[a]], times[a:b])
+        else:
+            predicted = np.array([state.position for state in states])[held]
+            if type(prediction) is LinearPrediction:
+                dt = times - np.array([state.time for state in states])[held]
+                velocity = np.array([state.velocity for state in states])[held]
+                predicted = predicted + velocity * dt[:, None]
         d = predicted - self.truth_positions[first:]
         self.errors = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
 
@@ -461,7 +481,7 @@ class FleetSimulation:
            bit-identical to a per-timestep loop.
 
         On a plain :class:`~repro.service.server.LocationServer`, a lane
-        whose record has a static or linear prediction is measured in
+        whose record has a static, linear or map prediction is measured in
         closed form from its own delivered stream
         (:meth:`_LaneState.measure_closed_form`, the same samples in the
         same order) and its samples leave the walk; the walk still ingests
@@ -481,7 +501,7 @@ class FleetSimulation:
             else self._horizon
         )
         channel_index = {channel: n for n, channel in enumerate(channels)}
-        # A plain server's static and linear records are measured in
+        # A plain server's static, linear and map records are measured in
         # closed form; any other backend is measured by the walk.
         closed_form = type(server) is LocationServer
         timer_fires = 0
@@ -515,12 +535,10 @@ class FleetSimulation:
                         arrivals.append(deliver_at)
                 channel.record_delivered(delivered)
                 prediction = (
-                    type(server.tracked_object(object_id).prediction) if closed_form else None
+                    server.tracked_object(object_id).prediction if closed_form else None
                 )
-                if prediction is StaticPrediction or prediction is LinearPrediction:
-                    state.measure_closed_form(
-                        arrivals, delivered, prediction is LinearPrediction
-                    )
+                if type(prediction) in _CLOSED_FORM:
+                    state.measure_closed_form(arrivals, delivered, prediction)
                 else:
                     walked.append(state)
             # Sequence numbers are unique per object, so the comparison
@@ -870,20 +888,24 @@ def lane_updates(
     skip the timer bookkeeping entirely.  The second value counts the
     :meth:`~repro.protocols.base.UpdateProtocol.on_timer` calls.
 
-    Distance-based reporting and linear DR (exactly
-    :class:`~repro.protocols.reporting.DistanceBasedReporting` and
-    :class:`~repro.protocols.linear.LinearPredictionProtocol`, with their
-    own static or linear prediction) send when the paper's trigger first
-    fires against a closed-form prediction from the last send, and take
-    the first-crossing search (:func:`_first_crossings`) instead of one
+    Distance-based reporting, linear DR and map-based DR (exactly
+    :class:`~repro.protocols.reporting.DistanceBasedReporting`,
+    :class:`~repro.protocols.linear.LinearPredictionProtocol` and
+    :class:`~repro.protocols.mapbased.MapBasedProtocol`, each with its own
+    static, linear or map prediction) send when the paper's trigger (or
+    the map protocol's off-map / reacquire trigger) first fires against a
+    prediction from the last send, and take the first-crossing search
+    (:func:`_first_crossings`) instead of one
     :meth:`~repro.protocols.base.UpdateProtocol.observe_precomputed` call
-    per sighting.  Subclasses and every other protocol stay on the
-    per-sighting loop, which is the search's oracle.
+    per sighting.  The map protocol does so only with the
+    distance-budget walk (a stateless turn policy, no speed limits) and
+    a match stream prepared for these times (:func:`_searchable`).
+    Subclasses and every other protocol stay on the per-sighting loop,
+    which is the search's oracle.
     """
-    prediction = _CROSSING_PREDICTIONS.get(type(protocol))
-    if prediction is not None and type(protocol.prediction_function()) is prediction:
-        linear = prediction is LinearPrediction
-        return _first_crossings(protocol, times, positions, velocities, speeds, linear), 0
+    prediction = protocol.prediction_function()
+    if _searchable(protocol, prediction, times):
+        return _first_crossings(protocol, times, positions, velocities, speeds, prediction), 0
     observe = protocol.observe_precomputed
     timed = type(protocol).next_deadline is not UpdateProtocol.next_deadline
     lane_end = float(times[-1])
@@ -935,7 +957,37 @@ def lane_updates(
 _CROSSING_PREDICTIONS = {
     DistanceBasedReporting: StaticPrediction,
     LinearPredictionProtocol: LinearPrediction,
+    MapBasedProtocol: MapPrediction,
 }
+
+#: The record predictions a plain server's lanes are measured with in
+#: closed form (:meth:`_LaneState.measure_closed_form`).
+_CLOSED_FORM = (StaticPrediction, LinearPrediction, MapPrediction)
+
+
+def _searchable(
+    protocol: UpdateProtocol, prediction: PredictionFunction, times: np.ndarray
+) -> bool:
+    """Whether :func:`_first_crossings` may find *protocol*'s sends.
+
+    The protocol's type must be exactly one of :data:`_CROSSING_PREDICTIONS`
+    with that prediction.  A map-based protocol also needs the
+    distance-budget walk (a stateless turn policy, no speed limits) and a
+    match stream prepared for exactly these times and not yet read; the
+    per-sighting loop serves, or rejects, every other case.
+    """
+    if type(prediction) is not _CROSSING_PREDICTIONS.get(type(protocol)):
+        return False
+    if type(prediction) is not MapPrediction:
+        return True
+    stream_times = protocol._stream_times
+    return (
+        prediction.turn_policy.stateless
+        and prediction.speed_limit_factor is None
+        and protocol._row == 0
+        and stream_times is not None
+        and np.array_equal(stream_times, times)
+    )
 
 #: The first-crossing search's window in samples: it starts at
 #: ``_FIRST_WINDOW`` after each send and doubles on every window without a
@@ -950,34 +1002,46 @@ def _first_crossings(
     positions: np.ndarray,
     velocities: np.ndarray,
     speeds: np.ndarray,
-    linear: bool,
+    prediction: PredictionFunction,
 ) -> List[Tuple[float, UpdateMessage]]:
-    """The sends of a static or linear threshold protocol, found on arrays.
+    """The sends of a threshold protocol, found on arrays.
 
     From the protocol's last report (or an ``INITIAL`` send at the first
     sample) the next send is the first later sample where
-    ``sqrt(dx*dx + dy*dy) + up > us``, with ``(dx, dy)`` the deviation from
-    the report's position, moved along its velocity for linear DR.  Growing
-    windows of samples are searched with one ``argmax`` over the trigger
-    mask each.  The same IEEE operations in the same order as the
+    ``sqrt(dx*dx + dy*dy) + up > us``, with ``(dx, dy)`` the deviation of
+    the sighting from the report's prediction
+    (:meth:`~repro.protocols.prediction.MapPrediction.predict_many` and its
+    static and linear twins).  The map-based protocol's match stream adds
+    the triggers of its ``_should_update``, which win over the threshold:
+    ``OFF_MAP`` at an unmatched sample while the report holds a link,
+    ``REACQUIRED`` (if configured) at a matched one while it holds none.
+    Growing windows of samples are searched with one ``argmax`` over the
+    trigger mask each.  The same IEEE operations in the same order as the
     prediction's ``predict`` and :func:`~repro.geo.vec.distance` make every
     decision bit-identical to the per-sighting path, and messages are built
-    only at send indices through the protocol's own ``_emit_update``, so
-    its sequence, counters and last report end as that path leaves them.
+    only at send indices through the protocol's own ``_emit_update`` (the
+    map protocol first reads the send's stream row), so its sequence,
+    counters, stream row and last report end as that path leaves them.
     A non-finite sighting raises :func:`~repro.geo.vec.as_vec`'s
     ``ValueError`` after the sends before it, as the per-sighting path does.
     """
     finite = np.isfinite(positions).all(axis=1)
     stop = len(times) if finite.all() else int(finite.argmin())
-    xs = positions[:stop, 0]
-    ys = positions[:stop, 1]
     time_list = times.tolist()
     speed_list = speeds.tolist()
     up = protocol.sensor_uncertainty
     us = protocol.accuracy
+    predict_many = prediction.predict_many
+    matched = None
+    if type(protocol) is MapBasedProtocol:
+        matched = protocol.match_stream.matched
+        off_map = protocol.config.update_on_off_map
+        reacquire = protocol.config.update_on_reacquire
     updates: List[Tuple[float, UpdateMessage]] = []
 
     def send(j: int, reason: UpdateReason) -> None:
+        if matched is not None:
+            protocol._read_row(j)
         t = time_list[j]
         message = protocol._emit_update(t, positions[j], velocities[j], speed_list[j], reason)
         updates.append((t, message))
@@ -989,25 +1053,29 @@ def _first_crossings(
     window = _FIRST_WINDOW
     while i < stop:
         state = protocol.last_reported
-        px, py = state.position.tolist()
         end = min(i + window, stop)
-        if linear:
-            vx, vy = state.velocity.tolist()
-            dt = times[i:end] - state.time
-            dx = xs[i:end] - (px + vx * dt)
-            dy = ys[i:end] - (py + vy * dt)
-        else:
-            dx = xs[i:end] - px
-            dy = ys[i:end] - py
-        crossed = np.sqrt(dx * dx + dy * dy) + up > us
+        d = positions[i:end] - predict_many(state, times[i:end])
+        d *= d
+        crossed = np.sqrt(d[:, 0] + d[:, 1]) + up > us
+        event = None
+        if matched is not None:
+            if state.link_id is not None:
+                if off_map:
+                    event, reason = ~matched[i:end], UpdateReason.OFF_MAP
+            elif reacquire:
+                event, reason = matched[i:end], UpdateReason.REACQUIRED
+        if event is not None:
+            crossed |= event
         j = int(crossed.argmax())
         if crossed[j]:
-            send(i + j, UpdateReason.THRESHOLD)
+            send(i + j, reason if event is not None and event[j] else UpdateReason.THRESHOLD)
             i += j + 1
             window = _FIRST_WINDOW
         else:
             i = end
             window = min(2 * window, _MAX_WINDOW)
+    if matched is not None and stop:
+        protocol._read_row(stop - 1)
     if stop < len(times):
         as_vec(positions[stop])  # raises the per-sighting path's ValueError
     return updates

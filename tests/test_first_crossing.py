@@ -1,11 +1,12 @@
 """The first-crossing search and the closed-form error measurement.
 
 :func:`repro.sim.fleet.lane_updates` finds the sends of distance-based
-reporting and linear DR with an array search for the first sample where the
-paper's trigger fires; the per-sighting loop
+reporting, linear DR and map-based DR with an array search for the first
+sample where the paper's trigger (or the map protocol's off-map /
+reacquire trigger) fires; the per-sighting loop
 (``tests/reference/per_sighting.py``) is its oracle.  A plain
 :class:`~repro.service.server.LocationServer` fleet measures every lane with
-a static or linear prediction in closed form from the lane's delivered
+a static, linear or map prediction in closed form from the lane's delivered
 stream; the tick-loop oracle (``tests/reference/tick_loop.py``) still walks
 every sample.  Both must agree with their oracles bit for bit.
 """
@@ -15,11 +16,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.geo.polyline import Polyline
 from repro.obs import Observability
 from repro.protocols.base import UpdateReason
 from repro.protocols.linear import LinearPredictionProtocol
-from repro.protocols.prediction import QuadraticPrediction
+from repro.protocols.mapbased import MapBasedConfig, MapBasedProtocol
+from repro.protocols.prediction import (
+    MapPrediction,
+    ProbabilisticTurnPolicy,
+    QuadraticPrediction,
+)
 from repro.protocols.reporting import DistanceBasedReporting, TimeBasedReporting
+from repro.roadmap.elements import Intersection, Link
+from repro.roadmap.generators import straight_road_map, t_junction_map
+from repro.roadmap.graph import RoadMap
+from repro.roadmap.probability import TurnProbabilityTable
 from repro.service.channel import MessageChannel
 from repro.service.server import LocationServer
 from repro.sim import fleet
@@ -33,6 +44,7 @@ from reference.tick_loop import TickLoopFleet
 from test_sim_kernel import LIBRARY_NAMES, _protocol, _scenario
 
 PROTOCOLS = {"distance": DistanceBasedReporting, "linear": LinearPredictionProtocol}
+SEARCHED = {**PROTOCOLS, "map": MapBasedProtocol}
 
 
 def _estimates(protocol, times, positions):
@@ -50,6 +62,7 @@ def _state_key(state):
         state.speed,
         state.uncertainty,
         state.link_id,
+        state.link_offset,
     )
 
 
@@ -67,6 +80,9 @@ def _protocol_key(protocol):
         protocol.bytes_sent,
         protocol._sequence,
         None if last is None else _state_key(last),
+        # The map protocol's stream cursor and current match.
+        getattr(protocol, "_row", None),
+        getattr(protocol, "_matched", None),
     )
 
 
@@ -105,7 +121,7 @@ def _stationary(n, jump_at=None):
 
 
 class TestKernelMatchesScalar:
-    @pytest.mark.parametrize("protocol_id", sorted(PROTOCOLS))
+    @pytest.mark.parametrize("protocol_id", sorted(SEARCHED))
     @pytest.mark.parametrize("name", LIBRARY_NAMES)
     def test_library_accuracy_sweep(self, name, protocol_id, searches):
         """Every library scenario x its accuracy sweep: the same messages."""
@@ -119,7 +135,7 @@ class TestKernelMatchesScalar:
                 trace.times,
                 trace.positions,
             )
-        assert searches == [PROTOCOLS[protocol_id]] * len(scenario.us_values)
+        assert searches == [SEARCHED[protocol_id]] * len(scenario.us_values)
 
     @pytest.mark.parametrize("cls", PROTOCOLS.values())
     def test_one_sample_trace(self, cls):
@@ -143,7 +159,7 @@ class TestKernelMatchesScalar:
         moved = _compare(cls(100.0), cls(100.0), times, positions)
         assert [t for t, _m in moved][:2] == [0.0, float(n - 3)]
 
-    @pytest.mark.parametrize("protocol_id", sorted(PROTOCOLS))
+    @pytest.mark.parametrize("protocol_id", sorted(SEARCHED))
     def test_protocol_already_holding_a_report(self, protocol_id):
         """A second trace continues from the first one's last report."""
         scenario = _scenario("city")
@@ -174,6 +190,127 @@ class TestKernelMatchesScalar:
         assert searches == [LinearPredictionProtocol]
 
 
+def _along_x(speed, n, x0=0.0, stop_at=None):
+    """A 1 Hz trace along +x at *speed* m/s, halted at *stop_at* if given."""
+    times = np.arange(float(n))
+    xs = x0 + speed * times
+    if stop_at is not None:
+        xs = np.minimum(xs, stop_at)
+    return times, np.column_stack((xs, np.zeros(n)))
+
+
+def _compare_map(roadmap, times, positions, accuracy=50.0, **kwargs):
+    """The map search against the per-sighting oracle; the search's stream."""
+    return _compare(
+        MapBasedProtocol(accuracy, roadmap, **kwargs),
+        MapBasedProtocol(accuracy, roadmap, **kwargs),
+        times,
+        positions,
+    )
+
+
+def _dead_end_with_zero_length_segments():
+    """One 600 m two-way road whose polylines repeat their far vertex."""
+    a = Intersection(id=0, position=np.array([0.0, 0.0]))
+    b = Intersection(id=1, position=np.array([600.0, 0.0]))
+    ahead = Polyline([(0.0, 0.0), (300.0, 0.0), (600.0, 0.0), (600.0, 0.0)])
+    back = Polyline([(600.0, 0.0), (600.0, 0.0), (300.0, 0.0), (0.0, 0.0)])
+    return RoadMap([a, b], [Link(0, 0, 1, ahead), Link(1, 1, 0, back)])
+
+
+class TestMapSearch:
+    """Map-based DR on the search: its triggers and the walk's corner cases."""
+
+    @staticmethod
+    def _off_and_back():
+        times, positions = _along_x(10.0, 120, x0=100.0)
+        positions[40:60, 1] = 300.0  # 300 m off the road: no link within um
+        return straight_road_map(2000.0, n_links=4), times, positions
+
+    def test_off_map_send(self, searches):
+        roadmap, times, positions = self._off_and_back()
+        stream = _compare_map(roadmap, times, positions)
+        reasons = [(t, m.reason) for t, m in stream]
+        assert (40.0, UpdateReason.OFF_MAP) in reasons
+        assert UpdateReason.REACQUIRED not in {r for _t, r in reasons}
+        assert searches == [MapBasedProtocol]
+
+    def test_reacquired_send(self):
+        roadmap, times, positions = self._off_and_back()
+        config = MapBasedConfig(update_on_reacquire=True)
+        stream = _compare_map(roadmap, times, positions, config=config)
+        reasons = [(t, m.reason) for t, m in stream]
+        assert (40.0, UpdateReason.OFF_MAP) in reasons
+        back = [t for t, r in reasons if r is UpdateReason.REACQUIRED]
+        assert back and back[0] >= 60.0
+
+    def test_dead_end(self):
+        """Past the T junction's east end the prediction stops, as the object does."""
+        roadmap = t_junction_map(arm_length_m=500.0)
+        times, positions = _along_x(20.0, 90, x0=-450.0, stop_at=500.0)
+        stream = _compare_map(roadmap, times, positions)
+        assert stream[-1][0] < 48.0
+        last = stream[-1][1].state
+        end = MapPrediction(roadmap).predict(last, 1e4)
+        assert end.tolist() == [500.0, 0.0]
+
+    def test_window_crossing_several_links(self):
+        """100 m links at 30 m/s: one 32-sample window spans ~10 links."""
+        roadmap = straight_road_map(3000.0, n_links=30)
+        times, positions = _along_x(30.0, 95, x0=10.0)
+        stream = _compare_map(roadmap, times, positions)
+        assert stream[-1][0] < 10.0
+        links = {m.state.link_id for _t, m in stream}
+        assert len(links) <= 2
+
+    def test_max_links_ahead_exhaustion(self):
+        """On 10 m links the walk stops after 64 links: the sends repeat."""
+        roadmap = straight_road_map(2000.0, n_links=200)
+        times, positions = _along_x(10.0, 190, x0=5.0)
+        stream = _compare_map(roadmap, times, positions)
+        thresholds = [t for t, m in stream if m.reason is UpdateReason.THRESHOLD]
+        assert len(thresholds) >= 2
+        # A report 64 links (640 m) from the walk's cap is off by the
+        # distance travelled since: the next send follows within us / v.
+        assert np.diff(thresholds).max() <= 64 + 50.0 / 10.0 + 1
+
+    def test_zero_length_segment(self):
+        """The dead end lands on a zero-length last segment: its start vertex.
+
+        The object stops 60 m short of it, so the send that follows is
+        decided against that vertex."""
+        roadmap = _dead_end_with_zero_length_segments()
+        times, positions = _along_x(20.0, 60, stop_at=540.0)
+        stream = _compare_map(roadmap, times, positions)
+        assert [t for t, _m in stream if t > 27.0] == [30.0]
+        assert MapPrediction(roadmap).predict(stream[1][1].state, 30.0).tolist() == [600.0, 0.0]
+
+    def test_other_map_protocols_stay_on_the_scalar_loop(self, searches):
+        """A subclass, a speed-limit walk and a learning turn policy: per sighting."""
+
+        class Sub(MapBasedProtocol):
+            pass
+
+        scenario = _scenario("city")
+        roadmap = scenario.roadmap
+        trace = scenario.sensor_trace
+        variants = [
+            lambda: Sub(100.0, roadmap),
+            lambda: MapBasedProtocol(
+                100.0, roadmap, config=MapBasedConfig(speed_limit_factor=0.8)
+            ),
+            lambda: MapBasedProtocol(
+                100.0, roadmap, turn_policy=ProbabilisticTurnPolicy(TurnProbabilityTable(roadmap))
+            ),
+        ]
+        for make in variants:
+            _compare(make(), make(), trace.times, trace.positions)
+        assert searches == []
+        _compare(MapBasedProtocol(100.0, roadmap), MapBasedProtocol(100.0, roadmap),
+                 trace.times, trace.positions)
+        assert searches == [MapBasedProtocol]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # estimation over the bad sighting
 class TestNonFiniteGuard:
     @pytest.mark.parametrize("where", [0, 17, -1])
@@ -193,6 +330,30 @@ class TestNonFiniteGuard:
             lane_updates(kernel, *arrays)
         with pytest.raises(ValueError, match="finite") as expected:
             sighting_updates(oracle, *arrays)
+        assert str(raised.value) == str(expected.value)
+        assert _protocol_key(kernel) == _protocol_key(oracle)
+        if where == -1:
+            assert kernel.updates_sent > 1
+
+    @pytest.mark.parametrize("where", [0, 17, -1])
+    def test_map_sighting(self, where, searches):
+        """Matching the trace rejects a non-finite sighting before any send;
+        a stream prepared from clean sightings leaves the guard to the search."""
+        scenario = _scenario("walking")
+        times = scenario.sensor_trace.times[:60]
+        clean = scenario.sensor_trace.positions[:60]
+        positions = clean.copy()
+        positions[where, 1] = np.nan
+        kernel, oracle = (_protocol(scenario, "map", 20.0) for _ in range(2))
+        with pytest.raises(ValueError, match="finite"):
+            _estimates(kernel, times, positions)
+        _times, _clean, velocities, speeds = _estimates(kernel, times, clean)
+        _estimates(oracle, times, clean)
+        with pytest.raises(ValueError, match="finite") as raised:
+            lane_updates(kernel, times, positions, velocities, speeds)
+        with pytest.raises(ValueError, match="finite") as expected:
+            sighting_updates(oracle, times, positions, velocities, speeds)
+        assert searches == [MapBasedProtocol]
         assert str(raised.value) == str(expected.value)
         assert _protocol_key(kernel) == _protocol_key(oracle)
         if where == -1:
@@ -221,6 +382,12 @@ class TestClosedFormMeasurement:
                       walking.sensor_trace, walking.true_trace),
             FleetLane("city/map", _protocol(city, "map"),
                       city.sensor_trace, city.true_trace),
+            FleetLane("walking/map", _protocol(walking, "map", 50.0),
+                      walking.sensor_trace, walking.true_trace),
+            FleetLane("city/map-speed-limit",
+                      MapBasedProtocol(100.0, city.roadmap,
+                                       config=MapBasedConfig(speed_limit_factor=0.8)),
+                      city.sensor_trace, city.true_trace),
             FleetLane("city/time", TimeBasedReporting(150.0, interval=6.0),
                       city.sensor_trace, city.true_trace),
         ]
@@ -247,10 +414,12 @@ class TestClosedFormMeasurement:
 
         monkeypatch.setattr(fleet._LaneState, "measure_closed_form", counting)
         closed = self._run(FleetSimulation, LocationServer())
-        assert measured == ["city/distance", "city/linear", "walking/linear", "city/time"]
+        # Every lane's record predicts in closed form, the map lanes' too
+        # (the speed-limit lane sends per sighting but is measured here).
+        assert measured == [lane.object_id for lane in self._lanes()]
         tick = self._run(TickLoopFleet, LocationServer())
         walked = self._run(FleetSimulation, _WalkedServer())
-        assert len(measured) == 4  # both oracle runs measure every sample on the walk
+        assert len(measured) == len(self._lanes())  # the oracle runs walk every sample
 
         result, stats, records, counters = closed
         assert stats.messages_lost > 0

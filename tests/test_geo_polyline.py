@@ -75,6 +75,29 @@ class TestPointAt:
         assert l_shape.bearing_at(50.0) == pytest.approx(math.pi / 2)
         assert l_shape.bearing_at(150.0) == pytest.approx(0.0)
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(0.0, 0.0), (100.0, 0.0), (100.0, 100.0)],
+            [(0.0, 0.0), (0.0, 0.0), (30.0, 40.0)],  # zero-length first segment
+            [(0.0, 0.0), (30.0, 40.0), (30.0, 40.0)],  # zero-length last segment
+            [(0.0, 0.0), (3.0, 0.0), (3.0, 0.0), (3.0, 0.1), (7.0, 7.0)],
+            [(5.0, 5.0), (5.0, 5.0)],  # a zero-length polyline
+        ],
+    )
+    def test_points_at_equals_point_at_bitwise(self, points):
+        line = Polyline.from_array(np.array(points))
+        length = line.length
+        offsets = np.concatenate((
+            [-1.0, -0.0, 0.0, length, np.nextafter(length, np.inf), length + 7.0],
+            line._cumulative,
+            np.linspace(-3.0, length + 3.0, 41),
+        ))
+        many = line.points_at(offsets)
+        assert many.shape == (len(offsets), 2)
+        for offset, row in zip(offsets.tolist(), many):
+            assert row.tobytes() == line.point_at(offset).tobytes(), offset
+
 
 class TestProjection:
     def test_project_onto_first_leg(self, l_shape):

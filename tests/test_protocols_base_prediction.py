@@ -217,22 +217,6 @@ class TestMapPrediction:
         predicted = MapPrediction(roadmap).predict(state, 1000.0)
         np.testing.assert_allclose(predicted, to_east.point_at(to_east.length), atol=1e-6)
 
-    def test_predict_link_diagnostic(self, freeway):
-        roadmap, route = freeway
-        link = route.links[0]
-        state = ObjectState(
-            time=0.0, position=link.point_at(0.0), velocity=link.direction_at(0.0) * 20.0,
-            speed=20.0, link_id=link.id, link_offset=0.0,
-        )
-        link_id, offset = MapPrediction(roadmap).predict_link(state, 5.0)
-        assert link_id == link.id
-        assert offset == pytest.approx(100.0)
-
-    def test_predict_link_without_link(self, freeway):
-        roadmap, _ = freeway
-        state = make_state()
-        assert MapPrediction(roadmap).predict_link(state, 5.0) == (None, 0.0)
-
 
 class TestRoutePrediction:
     def test_advances_along_route(self, straight_map):

@@ -286,28 +286,27 @@ class TestAutoRegionSize:
         assert auto_region_size(fleet_extent(lanes[:1]), 2) == 100.0
 
 
-class TestMapPredictionReuse:
-    def test_error_measurement_reuses_the_source_predictions(
+class TestMapPredictionCalls:
+    def test_map_lane_makes_no_per_sighting_prediction(
         self, tiny_city_scenario, monkeypatch
     ):
-        """The send schedule runs a lane's whole trace before the server is
-        measured; the server's predictions must still come from the memo
-        the source's deviation checks filled, not be computed twice."""
+        """On a plain server a map lane's sends come from the first-crossing
+        search and its errors from the closed-form measurement, both over
+        ``predict_many``: not one ``predict`` call per sighting or sample."""
         from repro.protocols.prediction import MapPrediction
 
-        computed = []
-        original = MapPrediction._predict_uncached
+        calls = []
+        original = MapPrediction.predict
 
         def counting(self, state, time):
-            computed.append(time)
+            calls.append(time)
             return original(self, state, time)
 
-        monkeypatch.setattr(MapPrediction, "_predict_uncached", counting)
+        monkeypatch.setattr(MapPrediction, "predict", counting)
         scenario = tiny_city_scenario
         result = _single_run(_build("map", 100.0, scenario), scenario)
-        # One per sighting (the deviation check) plus, at most, the server's
-        # prediction of each freshly reported state.
-        assert len(computed) <= len(scenario.sensor_trace) + result.updates
+        assert result.updates > 1
+        assert calls == []
 
 
 class _SendLog(MessageChannel):
