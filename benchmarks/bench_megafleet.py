@@ -17,23 +17,13 @@ instead and records the scaling curve in ``BENCH_megafleet.json``:
   (``sim_seconds / wall_seconds > 1``) on one machine,
 * asserts the columnar results are **bitwise identical** to the scalar
   :class:`~repro.sim.fleet.FleetSimulation` loop on a small
-  subsample of the same fleet,
-* asserts ``processes=4`` is **bitwise identical** to ``processes=1`` on
-  the fleet loop — per-object results, every error sample, channel
-  counters (over a seeded lossy high-latency uplink) and the sharded
-  service statistics — and
-* measures the multi-process speedup (``processes=2`` vs ``1``) and
-  records the parallel efficiency honestly; on a single-core container
-  the sharded run mostly pays serialisation, so the asserted efficiency
-  floor defaults to 0 and the number is informational.
+  subsample of the same fleet.
 
 Tunables for quick local runs / CI smoke: ``REPRO_BENCH_MF_SIZES``
 (comma-separated fleet sizes, default ``1000,10000,100000``),
-``REPRO_BENCH_MF_SAMPLES`` (sighting instants per lane, default 240),
+``REPRO_BENCH_MF_SAMPLES`` (sighting instants per lane, default 240) and
 ``REPRO_BENCH_MF_MIN_REALTIME`` (asserted realtime factor at the largest
-size, default 1.0), ``REPRO_BENCH_MF_PARALLEL_OBJECTS`` (fleet size of
-the processes=2 timing, default 800) and ``REPRO_BENCH_MF_MIN_EFFICIENCY``
-(asserted parallel-efficiency floor, default 0.0).
+size, default 1.0).
 """
 
 from __future__ import annotations
@@ -48,8 +38,6 @@ import tracemalloc
 import numpy as np
 
 from repro.protocols.linear import LinearPredictionProtocol
-from repro.service.channel import MessageChannel
-from repro.service.facade import LocationService
 from repro.sim.columnar import LINEAR, ColumnarFleetEngine
 from repro.sim.fleet import FleetLane, FleetSimulation
 from repro.traces.trace import Trace
@@ -97,14 +85,13 @@ def _build_arrays(n_objects: int, n_samples: int, seed: int = _SEED):
     return times, positions
 
 
-def _lanes_from_arrays(times, positions, channel=None):
+def _lanes_from_arrays(times, positions):
     """Per-object :class:`FleetLane` view of the same fleet (scalar path)."""
     return [
         FleetLane(
             object_id=f"mf/{k:06d}",
             protocol=LinearPredictionProtocol(_ACCURACY_M),
             sensor_trace=Trace(times, positions[k]),
-            channel=channel,
         )
         for k in range(positions.shape[0])
     ]
@@ -165,17 +152,6 @@ def _identical(a, b) -> bool:
     )
 
 
-def _stats_tuple(stats):
-    return (
-        stats.messages_sent,
-        stats.messages_delivered,
-        stats.messages_lost,
-        stats.bytes_sent,
-        stats.bytes_delivered,
-        stats.max_queue_delay,
-    )
-
-
 def check_columnar_identity(n_objects: int = 400, n_samples: int = 120) -> bool:
     """Columnar engine vs the scalar fleet loop, bit for bit."""
     times, positions = _build_arrays(n_objects, n_samples)
@@ -184,59 +160,8 @@ def check_columnar_identity(n_objects: int = 400, n_samples: int = 120) -> bool:
     return _identical(scalar.run(), columnar.run())
 
 
-def _sharded_fleet(times, positions, processes: int) -> FleetSimulation:
-    """A fleet over a seeded lossy uplink and 4 service shards."""
-    channel = MessageChannel(latency=4.0, loss_probability=0.1, seed=42)
-    return FleetSimulation(
-        _lanes_from_arrays(times, positions, channel=channel),
-        server=LocationService(n_shards=4),
-        processes=processes,
-    )
-
-
-def check_multiprocess_identity(n_objects: int = 200, n_samples: int = 90) -> bool:
-    """``processes=4`` vs ``processes=1``: results, channel, service stats."""
-    times, positions = _build_arrays(n_objects, n_samples)
-    single = _sharded_fleet(times, positions, processes=1)
-    result_1 = single.run()
-    stats_1 = _stats_tuple(single.shared_channel.stats)
-    sharded = _sharded_fleet(times, positions, processes=4)
-    result_4 = sharded.run()
-    stats_4 = _stats_tuple(sharded.shared_channel.stats)
-    return (
-        _identical(result_1, result_4)
-        and stats_1 == stats_4
-        and result_1.service_stats == result_4.service_stats
-    )
-
-
-def _time_processes(times, positions, processes: int) -> float:
-    fleet = FleetSimulation(
-        _lanes_from_arrays(times, positions), processes=processes
-    )
-    started = time.perf_counter()
-    fleet.run()
-    return time.perf_counter() - started
-
-
-def measure_parallel(n_objects: int, n_samples: int = 120) -> dict:
-    """Wall time of ``processes=2`` against ``processes=1`` (fleet loop)."""
-    times, positions = _build_arrays(n_objects, n_samples)
-    single_seconds = _time_processes(times, positions, 1)
-    multi_seconds = _time_processes(times, positions, 2)
-    speedup = single_seconds / multi_seconds if multi_seconds > 0 else None
-    return {
-        "objects": n_objects,
-        "processes": 2,
-        "single_seconds": round(single_seconds, 4),
-        "multi_seconds": round(multi_seconds, 4),
-        "speedup": round(speedup, 3) if speedup else None,
-        "efficiency": round(speedup / 2, 3) if speedup else None,
-    }
-
-
-def run_megafleet(sizes, n_samples: int, parallel_objects: int) -> dict:
-    """The full benchmark: scaling curve + identity checks + parallel timing."""
+def run_megafleet(sizes, n_samples: int) -> dict:
+    """The full benchmark: scaling curve + identity check."""
     curve = [_run_columnar_point(n, n_samples) for n in sizes]
     return {
         "benchmark": "megafleet_columnar_scaling",
@@ -255,8 +180,6 @@ def run_megafleet(sizes, n_samples: int, parallel_objects: int) -> dict:
         "curve": curve,
         "realtime_factor_largest": curve[-1]["realtime_factor"],
         "columnar_identical_to_event": check_columnar_identity(),
-        "multiprocess_identical": check_multiprocess_identity(),
-        "parallel": measure_parallel(parallel_objects, min(n_samples, 120)),
     }
 
 
@@ -275,18 +198,10 @@ def _assert_record(record):
     assert record["columnar_identical_to_event"], (
         "columnar engine diverged from the scalar fleet loop"
     )
-    assert record["multiprocess_identical"], (
-        "processes=4 diverged from processes=1 on the fleet loop"
-    )
     floor = _min_realtime()
     assert record["realtime_factor_largest"] >= floor, (
         f"realtime factor {record['realtime_factor_largest']}x at "
         f"{record['curve'][-1]['objects']} objects is below the {floor}x floor"
-    )
-    eff_floor = _min_efficiency()
-    efficiency = record["parallel"]["efficiency"] or 0.0
-    assert efficiency >= eff_floor, (
-        f"parallel efficiency {efficiency} is below the {eff_floor} floor"
     )
 
 
@@ -299,17 +214,11 @@ def _min_realtime() -> float:
     return float(os.environ.get("REPRO_BENCH_MF_MIN_REALTIME", _REQUIRED_REALTIME))
 
 
-def _min_efficiency() -> float:
-    """The asserted parallel-efficiency floor (default: off — 1-core CI)."""
-    return float(os.environ.get("REPRO_BENCH_MF_MIN_EFFICIENCY", 0.0))
-
-
 def _params():
     sizes = os.environ.get("REPRO_BENCH_MF_SIZES", "1000,10000,100000")
     return dict(
         sizes=[int(s) for s in sizes.split(",") if s.strip()],
         n_samples=_env_int("REPRO_BENCH_MF_SAMPLES", 240),
-        parallel_objects=_env_int("REPRO_BENCH_MF_PARALLEL_OBJECTS", 800),
     )
 
 
@@ -326,11 +235,6 @@ def test_megafleet_scaling(benchmark):
 def test_columnar_identity_small():
     """Tiny cross-check runnable without the benchmark harness."""
     assert check_columnar_identity(n_objects=60, n_samples=50)
-
-
-def test_multiprocess_identity_small():
-    """Tiny cross-check runnable without the benchmark harness."""
-    assert check_multiprocess_identity(n_objects=40, n_samples=40)
 
 
 if __name__ == "__main__":  # pragma: no cover - manual / CI smoke entry point

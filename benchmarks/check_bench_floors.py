@@ -66,7 +66,7 @@ _SPECS = {
     },
     "BENCH_megafleet.json": {
         "floors": {"realtime_factor_largest": "required_realtime"},
-        "flags": ["columnar_identical_to_event", "multiprocess_identical"],
+        "flags": ["columnar_identical_to_event"],
     },
     "BENCH_serve.json": {
         "floors": {

@@ -40,11 +40,11 @@ output can be diffed against the paper's numbers or piped into other tools.
 Sweep-shaped commands execute on the shared
 :class:`~repro.sim.runner.SweepRunner`; ``--jobs N`` fans their points out
 over N worker processes, with results guaranteed identical to a serial run.
-Every simulation runs on one send schedule per lane (see the README's
-"Simulation loop" section): channel messages arrive and protocol timers
-fire at their exact instants, and lanes keep their own sampling rates.
-``fleet`` runs an eligible homogeneous fleet through the columnar engine
-and everything else through the fleet loop; both give identical rows.
+Each simulation runs in one process on one send schedule per lane (see the
+README's "Simulation loop" section): channel messages arrive and protocol
+timers fire at their exact instants, and lanes keep their own sampling
+rates.  ``fleet`` runs an eligible homogeneous fleet through the columnar
+engine and everything else through the fleet loop; both give identical rows.
 Query workloads (per tick or Poisson) are replayed beside a fleet's update
 stream from a materialised plan (``query-bench``, ``load-test``).
 
@@ -262,11 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--per-object", action="store_true", help="emit one row per object instead of a summary"
     )
     p_fleet.add_argument("--seed", type=int, default=None, help="scenario seed override")
-    p_fleet.add_argument(
-        "--processes", type=_positive_int, default=1,
-        help="partition the fleet into spatial shards and run one fleet "
-             "loop per worker process (bit-identical to --processes 1)",
-    )
     p_fleet.add_argument(
         "--shards", type=_positive_int, default=1,
         help="serve the fleet from a spatially sharded LocationService (default 1)",
@@ -660,15 +655,13 @@ def _cmd_fleet(args) -> int:
         )
     obs = _build_obs(args)
     # The two engines give bit-identical results; the columnar one is
-    # faster on the homogeneous in-process fleets it accepts.
-    if args.processes == 1 and ColumnarFleetEngine.ineligibility(lanes, server=server) is None:
+    # faster on the homogeneous fleets it accepts.
+    if ColumnarFleetEngine.ineligibility(lanes, server=server) is None:
         engine = "columnar"
         fleet = ColumnarFleetEngine.from_lanes(lanes, obs=obs).run()
     else:
         engine = "fleet"
-        fleet = FleetSimulation(
-            lanes, server=server, processes=args.processes, obs=obs
-        ).run()
+        fleet = FleetSimulation(lanes, server=server, obs=obs).run()
     _finish_obs(
         args,
         obs,
@@ -677,7 +670,6 @@ def _cmd_fleet(args) -> int:
             "mix": list(args.mix),
             "scale": args.scale,
             "shards": args.shards,
-            "processes": args.processes,
             "engine": engine,
         },
         seed=args.seed,
@@ -685,8 +677,6 @@ def _cmd_fleet(args) -> int:
     title = f"Fleet of {len(lanes)} objects (scale {args.scale:g})"
     if args.shards > 1:
         title += f", {args.shards} shards"
-    if args.processes > 1:
-        title += f", {args.processes} processes"
     if args.per_object:
         _emit(args, fleet.as_rows(), title)
         return 0

@@ -5,9 +5,8 @@ costs, latency distributions — so counting and timing deserve one shared
 instrument instead of ad-hoc ``perf_counter`` calls per benchmark.  The
 ``obs`` package provides it in three pieces:
 
-* :mod:`repro.obs.metrics` — a deterministic registry of counters, gauges,
-  histograms and latency recorders whose ``merge()`` is commutative, so
-  per-worker registries from a ``processes=N`` run fold back bit-identically;
+* :mod:`repro.obs.metrics` — a registry of counters, gauges, histograms
+  and latency recorders, each flagged deterministic or not;
 * :mod:`repro.obs.trace` — nested wall-time spans exported as Chrome
   ``trace_event`` JSON (open in Perfetto), plus a bounded flight recorder
   of recent fleet-loop events dumped on error;
@@ -76,9 +75,7 @@ _logger = logging.getLogger(__name__)
 class Observability:
     """One registry + tracer + flight recorder, passed around as a unit.
 
-    Pickles cleanly (each fleet worker receives a :meth:`fresh` one and
-    ships it back for the parent to merge), and exposes thin
-    pass-throughs so instrumented code reads as
+    Exposes thin pass-throughs so instrumented code reads as
     ``obs.counter("kernel.events.sample").inc()`` without reaching into
     the bundle's internals.
     """
@@ -92,10 +89,6 @@ class Observability:
         self.registry = MetricsRegistry()
         self.tracer = SpanTracer()
         self.flight = FlightRecorder(flight_capacity)
-
-    def fresh(self) -> "Observability":
-        """An empty bundle of the same kind (a fleet worker's own)."""
-        return Observability(self.flight.capacity)
 
     # ------------------------------------------------------------------ #
     # instrument pass-throughs
@@ -218,9 +211,6 @@ class _DisabledObservability(Observability):
 
     def __reduce__(self) -> str:
         return "NO_OBS"
-
-    def fresh(self) -> Observability:
-        return self
 
     def _noop(self, *args, **kwargs) -> _NoOp:
         return _NOOP

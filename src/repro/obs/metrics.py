@@ -2,23 +2,15 @@
 
 One instrument family serves every layer of the reproduction — the fleet
 loop, the columnar engine, the sharded service facade, the live serving
-tier and the benchmarks — under two hard rules:
-
-* **Merges are commutative and associative.**  A ``processes=N`` fleet run
-  hands each worker its own :class:`MetricsRegistry`; the parent folds
-  them back with :meth:`MetricsRegistry.merge`.  Counters add, histograms
-  add bucket-wise, gauges combine by an explicit mode (``max``/``min``/
-  ``sum``) — never "last write wins", which would depend on worker
-  completion order.  Counter values are integers (exact under addition),
-  so a merged registry is *bit-identical* regardless of merge order.
-* **Determinism is declared, not assumed.**  Every instrument carries a
-  ``deterministic`` flag meaning *invariant across worker partitioning and
-  wall clock*: samples processed, timers fired, updates sent are the same
-  numbers whether one process ran the fleet or four.  Wall time and
-  scheduling-dependent counts (live ingest rejections, rebalance passes)
-  are not, so they are flagged ``deterministic=False`` and excluded
-  from :meth:`MetricsRegistry.snapshot(deterministic_only=True) <MetricsRegistry.snapshot>`
-  — the view the bit-identity tests compare across worker counts.
+tier and the benchmarks.  **Determinism is declared, not assumed**: every
+instrument carries a ``deterministic`` flag meaning *a function of the
+run's inputs, not of the wall clock*: samples processed, timers fired,
+updates sent are the same numbers on every run of the same fleet.  Wall
+time and scheduling-dependent counts (live ingest rejections, rebalance
+passes) are not, so they are flagged ``deterministic=False`` and excluded
+from :meth:`MetricsRegistry.snapshot(deterministic_only=True) <MetricsRegistry.snapshot>`.
+Gauges combine successive values by an explicit mode (``max``/``min``/
+``sum``).
 
 Percentiles are **nearest-rank** (``pq = sorted[ceil(q/100 * n) - 1]``):
 exact, monotone in *q*, always an actual sample, and — because the samples
@@ -53,7 +45,7 @@ def nearest_rank(ordered: Sequence[float], q: float) -> float:
 
 
 class Counter:
-    """A monotonically increasing integer count; merges by addition."""
+    """A monotonically increasing integer count."""
 
     __slots__ = ("value", "deterministic")
 
@@ -66,12 +58,6 @@ class Counter:
     def inc(self, n: int = 1) -> None:
         self.value += n
 
-    def fresh(self) -> "Counter":
-        return Counter(deterministic=self.deterministic)
-
-    def merge(self, other: "Counter") -> None:
-        self.value += other.value
-
     def snapshot(self) -> Dict[str, object]:
         return {
             "kind": self.kind,
@@ -80,13 +66,12 @@ class Counter:
         }
 
 
-#: The gauge combine modes — every one commutative and associative, so a
-#: merged gauge never depends on worker completion order.
+#: The gauge combine modes: how a gauge folds each new value into its own.
 GAUGE_MODES = ("max", "min", "sum")
 
 
 class Gauge:
-    """A point-in-time value combined across registries by ``mode``."""
+    """A point-in-time value; successive values combine by ``mode``."""
 
     __slots__ = ("value", "mode", "deterministic", "_set")
 
@@ -112,15 +97,6 @@ class Gauge:
         else:
             self.value += value
 
-    def fresh(self) -> "Gauge":
-        return Gauge(mode=self.mode, deterministic=self.deterministic)
-
-    def merge(self, other: "Gauge") -> None:
-        if self.mode != other.mode:
-            raise ValueError(f"gauge mode mismatch: {self.mode!r} != {other.mode!r}")
-        if other._set:
-            self.set(other.value)
-
     def snapshot(self) -> Dict[str, object]:
         return {
             "kind": self.kind,
@@ -131,11 +107,10 @@ class Gauge:
 
 
 class Histogram:
-    """A fixed-bucket histogram; merges by element-wise bucket addition.
+    """A fixed-bucket histogram.
 
     ``bounds`` are the finite, strictly ascending *inclusive upper edges*;
-    an implicit overflow bucket (``+inf``) catches the rest.  Two
-    histograms merge only when their bounds match exactly.
+    an implicit overflow bucket (``+inf``) catches the rest.
     """
 
     __slots__ = ("bounds", "counts", "count", "total", "minimum", "maximum", "deterministic")
@@ -163,22 +138,6 @@ class Histogram:
             self.minimum = value
         if self.maximum is None or value > self.maximum:
             self.maximum = value
-
-    def fresh(self) -> "Histogram":
-        return Histogram(self.bounds, deterministic=self.deterministic)
-
-    def merge(self, other: "Histogram") -> None:
-        if self.bounds != other.bounds:
-            raise ValueError("cannot merge histograms with different bounds")
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.count += other.count
-        self.total += other.total
-        for bound, value in (("minimum", other.minimum), ("maximum", other.maximum)):
-            if value is not None:
-                mine = getattr(self, bound)
-                combine = min if bound == "minimum" else max
-                setattr(self, bound, value if mine is None else combine(mine, value))
 
     def snapshot(self) -> Dict[str, object]:
         return {
@@ -215,9 +174,6 @@ class LatencyRecorder:
     def record(self, seconds: float) -> None:
         """Add one request's wall-clock duration."""
         self._samples.append(float(seconds))
-
-    def fresh(self) -> "LatencyRecorder":
-        return LatencyRecorder(deterministic=self.deterministic)
 
     def merge(self, other: "LatencyRecorder") -> None:
         """Fold another recorder's samples into this one."""
@@ -272,13 +228,12 @@ _PROM_NAME = re.compile(r"[^a-zA-Z0-9_:]")
 
 
 class MetricsRegistry:
-    """A named collection of instruments with a commutative ``merge``.
+    """A named collection of instruments.
 
     ``counter``/``gauge``/``histogram``/``latency`` are get-or-create (the
     same name always returns the same instrument; a kind clash raises), so
     instrumented code never holds registry bookkeeping — it just asks for
-    the instrument by name on the spot.  Registries pickle cleanly, which
-    is what lets fleet workers ship theirs back to the parent process.
+    the instrument by name on the spot.
     """
 
     __slots__ = ("_metrics",)
@@ -317,35 +272,14 @@ class MetricsRegistry:
         return self._get_or_create(name, LatencyRecorder, LatencyRecorder.kind)
 
     # ------------------------------------------------------------------ #
-    # merging and views
+    # views
     # ------------------------------------------------------------------ #
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold *other* into this registry (commutative and associative).
-
-        Instruments are matched by name; an absent instrument is created
-        empty with the incoming one's configuration, so merging never
-        mutates (or aliases) *other*.  Returns ``self`` for chaining.
-        """
-        for name in sorted(other._metrics):
-            incoming = other._metrics[name]
-            mine = self._metrics.get(name)
-            if mine is None:
-                mine = incoming.fresh()
-                self._metrics[name] = mine
-            elif mine.kind != incoming.kind:
-                raise ValueError(
-                    f"metric {name!r} is a {mine.kind} here but a "
-                    f"{incoming.kind} in the merged registry"
-                )
-            mine.merge(incoming)
-        return self
-
     def snapshot(self, deterministic_only: bool = False) -> Dict[str, Dict[str, object]]:
         """A plain-data view, sorted by name (JSON-ready).
 
-        ``deterministic_only=True`` keeps only instruments whose values are
-        invariant across worker partitioning and wall clock — the view that
-        must be bit-identical between ``processes=1`` and ``processes=N``.
+        ``deterministic_only=True`` keeps only instruments whose values do
+        not depend on the wall clock — the view that is the same on every
+        run of the same fleet.
         """
         return {
             name: instrument.snapshot()
@@ -408,12 +342,10 @@ class MetricsRegistry:
 def publish_service_stats(registry: MetricsRegistry, stats: Mapping[str, object]) -> None:
     """Publish a facade ``service_stats()`` dict into *registry*.
 
-    Called once per fleet run **at the top level only**: in a multi-process
-    run the per-shard stats have already been folded by the fleet's proven
-    merge (``batches_ingested`` is a union over ingest instants, not a
-    sum), so publishing merged stats here yields the same numbers as the
-    single-process run — which is exactly what makes these counters safe to
-    flag deterministic.  The per-shard rows are the hot-shard-skew study's
+    Called once per fleet run, after the loop.  The fleet issues no
+    queries, so every published value is a function of the fleet's
+    inputs, which is what makes these counters safe to flag
+    deterministic.  The per-shard rows are the hot-shard-skew study's
     data: ``service.shard.<n>.updates`` etc. attribute work to shards.
     """
     for key in (

@@ -1,29 +1,26 @@
 """Span tracing and the fleet-loop flight recorder.
 
 :class:`SpanTracer` records **nested wall-time spans** — coarse phases of
-a run (build states, event loop, shard execute, merge), not per-event
-timings — and exports them as Chrome ``trace_event`` JSON, the format the
-``chrome://tracing`` and `Perfetto <https://ui.perfetto.dev>`_ viewers
-open directly.  Spans are "complete" (``ph: "X"``) events carrying a
-microsecond timestamp and duration; properly nested spans on one ``tid``
-render as a flame graph with no begin/end pairing needed.  A multi-process
-fleet run adopts each worker's spans under its own ``pid``, so the
-Perfetto view shows the parent's partition/execute/merge phases above one
-lane of spans per shard worker.
+a run (the fleet loop, the columnar estimate and loop, a load test), not
+per-event timings — and exports them as Chrome ``trace_event`` JSON, the
+format the ``chrome://tracing`` and `Perfetto <https://ui.perfetto.dev>`_
+viewers open directly.  Spans are "complete" (``ph: "X"``) events carrying
+a microsecond timestamp and duration; properly nested spans on one ``tid``
+render as a flame graph with no begin/end pairing needed.
 
 :class:`FlightRecorder` is the crash-time counterpart: a bounded ring of
 the most recent fleet-loop events (time, kind, sequence).  Appending a
 tuple to a ``deque`` is cheap enough for the loop's hot path when
 observability is on; when the loop raises, the fleet dumps the ring to
 the log — the last N events before the failure, in order — instead of
-leaving a ``processes=4`` run to die as a black box.
+leaving the run to die as a black box.
 """
 
 from __future__ import annotations
 
 import time as _time
 from collections import deque
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 #: Event kinds of the fleet loop: a lane's sighting, a protocol timer
 #: firing at its deadline, an update reaching the server.  They name the
@@ -69,14 +66,13 @@ class Span:
 class SpanTracer:
     """Collects spans and instants; exports Chrome ``trace_event`` JSON."""
 
-    __slots__ = ("_events", "_origin", "_pid_names")
+    __slots__ = ("_events", "_origin")
 
     def __init__(self) -> None:
         # The origin anchors perf_counter offsets at zero so trace
         # timestamps are small and stable across runs of equal shape.
         self._origin = _time.perf_counter()
         self._events: List[Dict[str, object]] = []
-        self._pid_names: Dict[int, str] = {0: "main"}
 
     def span(self, name: str, cat: str = "repro", args: Optional[Dict] = None) -> Span:
         """Open a span; use as a context manager or ``close()`` explicitly."""
@@ -111,40 +107,19 @@ class SpanTracer:
             }
         )
 
-    def adopt(self, events: Sequence[Dict[str, object]], pid: int, name: str = "") -> None:
-        """Fold another process's exported events in under process *pid*.
-
-        Worker timestamps come from that worker's own ``perf_counter``
-        origin — comparable within the pid's lane, not across pids, which
-        is how Perfetto renders separate processes anyway.
-        """
-        for event in events:
-            adopted = dict(event)
-            adopted["pid"] = pid
-            self._events.append(adopted)
-        if name:
-            self._pid_names[pid] = name
-
-    def events(self) -> List[Dict[str, object]]:
-        """The raw event list (what a worker ships back for ``adopt``)."""
-        return list(self._events)
-
     def __len__(self) -> int:
         return len(self._events)
 
     def to_chrome(self) -> Dict[str, object]:
         """The Chrome ``trace_event`` document (open in Perfetto)."""
-        metadata = [
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "args": {"name": label},
-            }
-            for pid, label in sorted(self._pid_names.items())
-        ]
-        return {"traceEvents": metadata + self._events, "displayTimeUnit": "ms"}
+        metadata = {
+            "name": "process_name",
+            "ph": "M",
+            "pid": 0,
+            "tid": 0,
+            "args": {"name": "main"},
+        }
+        return {"traceEvents": [metadata, *self._events], "displayTimeUnit": "ms"}
 
 
 #: Phases ("ph") the exporter emits; validation accepts exactly these.
@@ -205,10 +180,6 @@ class FlightRecorder:
 
     def __len__(self) -> int:
         return len(self._ring)
-
-    @property
-    def capacity(self) -> int:
-        return self._ring.maxlen or 0
 
     def dump(self) -> List[Dict[str, object]]:
         """The ring contents, oldest first, with readable event kinds."""

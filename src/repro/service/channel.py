@@ -61,8 +61,7 @@ def delivery_order(entry: Tuple[float, str, UpdateMessage]) -> Tuple[float, str,
 class ChannelStats:
     """Counters describing the traffic that went through a channel.
 
-    Slotted: every fleet channel touches these counters once per message,
-    and worker processes ship them back to the parent for merging."""
+    Slotted: every fleet channel touches these counters once per message."""
 
     messages_sent: int = 0
     messages_delivered: int = 0

@@ -210,9 +210,8 @@ class LocationService:
         return self.policy.n_shards
 
     def __getstate__(self) -> Dict[str, object]:
-        # Observability never crosses process boundaries: a worker replica
-        # records into its worker's own fresh bundle, and pickling the
-        # parent's would duplicate whatever it already recorded.
+        # Observability never crosses process boundaries: pickling the
+        # bundle would duplicate whatever it already recorded.
         state = self.__dict__.copy()
         state["obs"] = NO_OBS
         return state

@@ -51,6 +51,12 @@ Design properties the rest of the stack relies on:
   classic per-timestep loop, and the results are bit-identical to it (the
   test-suite keeps that loop as an oracle and asserts the identity over
   the whole scenario library).
+* **One loop** — a run is this loop in the calling process.  An eligible
+  homogeneous fleet gets its speed from the columnar engine
+  (:class:`~repro.sim.columnar.ColumnarFleetEngine`, bit-identical), and a
+  sweep spreads its points over a worker pool
+  (:class:`~repro.sim.runner.SweepRunner`); no fleet is split across
+  workers.
 
 Application queries never change a :class:`~repro.sim.metrics.SimulationResult`,
 so they are not part of the simulation: the query side replays a
@@ -83,10 +89,9 @@ from repro.protocols.prediction import (
     StaticPrediction,
 )
 from repro.protocols.reporting import DistanceBasedReporting
-from repro.service.channel import ChannelStats, MessageChannel
+from repro.service.channel import MessageChannel
 from repro.service.facade import LocationService
 from repro.service.server import LocationServer
-from repro.service.sharding import GridHashPolicy
 from repro.sim.metrics import AccuracyMetrics, SimulationResult
 from repro.traces.estimation import estimate_trace
 from repro.traces.trace import Trace
@@ -303,27 +308,9 @@ class FleetSimulation:
         with one shard the results are bit-identical to the single server.
         Every object's update total counts its bootstrap update (the paper
         counts transmitted messages).
-    processes:
-        Number of worker processes.  With ``processes > 1`` the fleet is
-        partitioned into spatial shards (a :class:`GridHashPolicy` over the
-        lanes' starting positions) and each shard runs its own fleet
-        loop in a worker process against a replica of the (empty) server
-        backend and channels; the parent merges the per-object results,
-        channel counters and service statistics commutatively.  Because
-        objects interact only through their own channel messages and server
-        record — and seeded lossy channels draw each message's loss from
-        ``(seed, object_id, sequence)``, not from a stream consumed in send
-        order — the merged outcome is **bit-identical** to the
-        single-process run: same updates, error samples, channel stats and
-        service stats (asserted by the test-suite over the scenario
-        library).  Multi-process runs reject the one fleet shape whose
-        results genuinely depend on cross-object interleaving: unseeded
-        lossy channels (one global RNG stream).
     obs:
         The :class:`~repro.obs.Observability` bundle the run records
-        per-event-kind counts, phase spans and per-lane work
-        into (workers of a multi-process run record into their own fresh
-        bundle; the parent merges the registries back commutatively).  A
+        per-event-kind counts, phase spans and per-lane work into.  A
         :class:`~repro.service.facade.LocationService` backend without an
         enabled bundle of its own records into this one too.  The default,
         the disabled :data:`~repro.obs.NO_OBS`, records nothing.  The
@@ -336,7 +323,6 @@ class FleetSimulation:
         lanes: Sequence[FleetLane],
         channel: Optional[MessageChannel] = None,
         server: Optional[LocationServer] = None,
-        processes: int = 1,
         obs: Observability = NO_OBS,
     ):
         lanes = list(lanes)
@@ -351,35 +337,7 @@ class FleetSimulation:
         self.lanes = lanes
         self.server = server if server is not None else LocationServer()
         self.shared_channel = channel if channel is not None else MessageChannel()
-        self.processes = int(processes)
-        if self.processes < 1:
-            raise ValueError("processes must be at least 1")
-        if self.processes > 1:
-            self._validate_multiprocess()
         self.obs = obs
-        # Set by _ShardTask: worker runs record lane/event metrics into
-        # their own registry but must not publish their *partial* service
-        # stats — only the parent publishes, after the proven stats merge.
-        self._obs_worker = False
-        # Worker-shard clock override: a shard task runs a lane *subset*,
-        # but the delivery horizon must be the whole fleet's for the merge
-        # to be bit-identical.
-        self._horizon: Optional[float] = None
-
-    def _validate_multiprocess(self) -> None:
-        """Reject fleet shapes whose results depend on cross-object order."""
-        channels: List[MessageChannel] = []
-        for lane in self.lanes:
-            ch = lane.channel if lane.channel is not None else self.shared_channel
-            if ch not in channels:
-                channels.append(ch)
-        for ch in channels:
-            if ch.loss_probability > 0.0 and ch._seed is None:
-                raise ValueError(
-                    "unseeded lossy channels draw losses from a shared RNG "
-                    "stream in send order; seed the channel for "
-                    "reproducible multi-process runs"
-                )
 
     def run(self) -> FleetResult:
         """Execute the fleet simulation and return per-object results.
@@ -389,8 +347,6 @@ class FleetSimulation:
         same long-lived server with overlapping ids) is rejected here,
         before any state is mutated.
         """
-        if self.processes > 1:
-            return self._run_multiprocess()
         server = self.server
         already = [lane.object_id for lane in self.lanes if server.is_registered(lane.object_id)]
         if already:
@@ -435,19 +391,13 @@ class FleetSimulation:
         service_stats = getattr(server, "service_stats", None)
         stats = service_stats() if callable(service_stats) else {}
         self._record_lane_metrics(obs, states)
-        if stats and not self._obs_worker:
+        if stats:
             publish_service_stats(obs.registry, stats)
         return FleetResult(results=results, service_stats=stats)
 
     @staticmethod
     def _record_lane_metrics(obs: Observability, states: List["_LaneState"]) -> None:
-        """Record per-run lane aggregates — all partition-invariant.
-
-        Samples, updates, bytes and error samples are per-lane sums, so a
-        worker partition records exactly its share and the merged registry
-        matches the single-process run bit for bit (the counters stay
-        integers, exact under addition).
-        """
+        """Record per-run lane aggregates: samples, updates, bytes, errors."""
         obs.counter("sim.lanes").inc(len(states))
         obs.counter("sim.samples").inc(sum(len(s.times) for s in states))
         obs.counter("sim.updates_sent").inc(sum(s.updates for s in states))
@@ -495,11 +445,7 @@ class FleetSimulation:
         # Read once: the disabled loop skips the flight-recorder notes.
         enabled = obs.enabled
         flight_note = obs.flight.note
-        end_time = (
-            max(float(state.times[-1]) for state in states)
-            if self._horizon is None
-            else self._horizon
-        )
+        end_time = max(float(state.times[-1]) for state in states)
         channel_index = {channel: n for n, channel in enumerate(channels)}
         # A plain server's static, linear and map records are measured in
         # closed form; any other backend is measured by the walk.
@@ -614,255 +560,6 @@ class FleetSimulation:
             # loop handled, in order, right before the failure.
             obs.dump_flight(reason="fleet loop died")
             raise
-
-    # ------------------------------------------------------------------ #
-    # multi-process execution
-    # ------------------------------------------------------------------ #
-    def _run_multiprocess(self) -> FleetResult:
-        """Partition the fleet into spatial shards and run them in workers.
-
-        Each worker receives one pickled :class:`_ShardTask`: its lane
-        subset, a replica of the shared channel and of the (empty) server
-        backend, and the whole fleet's delivery horizon.  Within one task
-        payload the pickle memo preserves object identity (lanes sharing a
-        channel keep sharing its replica), while separate tasks get
-        independent replicas — which is exactly the isolation the merge
-        assumes.  Results are merged commutatively: per-lane results in
-        lane order, channel counters summed into the parent's channel
-        objects, and service statistics reconstructed (the one global
-        counter, ``batches_ingested``, is the cardinality of the union of
-        the workers' non-empty ingest instants).
-        """
-        server = self.server
-        if server.object_ids():
-            raise ValueError(
-                "processes > 1 replicates the server backend into workers, "
-                "which requires an empty (freshly constructed) backend; "
-                f"this one already tracks {len(server.object_ids())} objects"
-            )
-        # Canonical channel slots: 0 is the fleet's shared channel, further
-        # slots are per-lane channels in first-use order.
-        channel_order: List[MessageChannel] = [self.shared_channel]
-        lane_slots: List[int] = []
-        for lane in self.lanes:
-            if lane.channel is None or lane.channel is self.shared_channel:
-                lane_slots.append(0)
-                continue
-            if lane.channel not in channel_order:
-                channel_order.append(lane.channel)
-            lane_slots.append(channel_order.index(lane.channel))
-        obs = self.obs
-        partition_span = obs.span(
-            "fleet.partition", cat="sim", args={"processes": self.processes}
-        )
-        policy = GridHashPolicy(
-            self.processes,
-            region_size=auto_region_size(fleet_extent(self.lanes), self.processes),
-        )
-        groups: Dict[int, List[int]] = {}
-        for n, lane in enumerate(self.lanes):
-            shard = policy.shard_for_point(lane.sensor_trace.positions[0])
-            groups.setdefault(shard, []).append(n)
-        horizon = max(float(lane.sensor_trace.times[-1]) for lane in self.lanes)
-        tasks = [
-            _ShardTask(
-                lanes=[self.lanes[i] for i in groups[shard]],
-                lane_slots=[lane_slots[i] for i in groups[shard]],
-                shared_channel=self.shared_channel,
-                server=server,
-                horizon=horizon,
-                obs=obs.fresh(),
-            )
-            for shard in sorted(groups)
-        ]
-        partition_span.args["tasks"] = len(tasks)
-        partition_span.close()
-        with obs.span("fleet.execute_shards", cat="sim", args={"tasks": len(tasks)}):
-            outcomes = _execute_shard_tasks(tasks, self.processes)
-        merge_span = obs.span("fleet.merge", cat="sim")
-
-        # Per-lane results, in lane order (the single-process dict order).
-        by_object: Dict[str, SimulationResult] = {}
-        for outcome in outcomes:
-            by_object.update(outcome["results"])
-        results = {lane.object_id: by_object[lane.object_id] for lane in self.lanes}
-
-        # Channel counters: reset the parent channels the single-process
-        # run would have reset, then write the summed worker counters back.
-        used_channels: List[MessageChannel] = []
-        for lane in self.lanes:
-            ch = lane.channel if lane.channel is not None else self.shared_channel
-            if ch not in used_channels:
-                used_channels.append(ch)
-        for ch in used_channels:
-            ch.reset()
-        merged: Dict[int, ChannelStats] = {}
-        for outcome in outcomes:
-            for slot, stats in outcome["channel_stats"].items():
-                agg = merged.setdefault(slot, ChannelStats())
-                agg.messages_sent += stats.messages_sent
-                agg.messages_delivered += stats.messages_delivered
-                agg.messages_lost += stats.messages_lost
-                agg.bytes_sent += stats.bytes_sent
-                agg.bytes_delivered += stats.bytes_delivered
-                agg.max_queue_delay = max(agg.max_queue_delay, stats.max_queue_delay)
-        for slot, agg in merged.items():
-            channel_order[slot].stats = agg
-
-        service_stats = self._merge_service_stats(outcomes)
-
-        # Fold every worker's registry back (commutative, so worker
-        # completion order cannot matter) and adopt its spans under a
-        # per-shard pid for the Perfetto view.  The merged service stats
-        # are published here — and only here — so the counters match a
-        # single-process run of the same fleet exactly.
-        for k, outcome in enumerate(outcomes):
-            worker = outcome["obs"]
-            obs.registry.merge(worker.registry)
-            obs.tracer.adopt(worker.tracer.events(), pid=k + 1, name=f"shard-{k}")
-        if service_stats:
-            publish_service_stats(obs.registry, service_stats)
-        merge_span.close()
-
-        # Register the lanes with the parent backend so the one-shot
-        # protection (and any later lookups) behave as after a local run.
-        for lane in self.lanes:
-            server.register_object(
-                lane.object_id,
-                prediction=lane.protocol.prediction_function(),
-                accuracy=lane.protocol.accuracy,
-            )
-        return FleetResult(results=results, service_stats=service_stats)
-
-    @staticmethod
-    def _merge_service_stats(outcomes: List[Dict[str, object]]) -> Dict[str, object]:
-        """Reconstruct the sharded service's statistics from worker stats.
-
-        Every service counter is either per-object (so the worker values
-        sum), derived (recomputed from the sums), or a per-instant global
-        — ``batches_ingested`` counts instants at which *any* update batch
-        arrived, reconstructed as the union of the workers' non-empty
-        ingest instants.  Query counters are identically zero: the fleet
-        issues no queries.
-        """
-        partials = [o["service_stats"] for o in outcomes if o["service_stats"]]
-        if not partials:
-            return {}
-        row_keys = ("objects", "updates", "handoffs_in", "handoffs_out", "engine_queries")
-        n_shards = int(partials[0]["shards"])
-        rows: List[Dict[str, object]] = [
-            {"shard": s, **{k: 0 for k in row_keys}} for s in range(n_shards)
-        ]
-        for partial in partials:
-            for row in partial["per_shard"]:
-                target = rows[int(row["shard"])]
-                for key in row_keys:
-                    target[key] += row[key]
-        instants: set = set()
-        for outcome in outcomes:
-            instants.update(outcome["ingest_instants"])
-        objects = [int(row["objects"]) for row in rows]
-        mean_objects = sum(objects) / len(objects) if objects else 0.0
-        return {
-            "shards": n_shards,
-            "objects": sum(int(p["objects"]) for p in partials),
-            "updates_ingested": sum(int(p["updates_ingested"]) for p in partials),
-            "batches_ingested": len(instants),
-            "handoffs": sum(int(p["handoffs"]) for p in partials),
-            "prepare_passes": sum(int(p["prepare_passes"]) for p in partials),
-            "range_queries": 0,
-            "nearest_queries": 0,
-            "geofence_queries": 0,
-            "queries": 0,
-            "query_seconds": 0.0,
-            "mean_query_seconds": 0.0,
-            "load_imbalance": (max(objects) / mean_objects) if mean_objects else 0.0,
-            "per_shard": rows,
-        }
-
-
-@dataclass
-class _ShardTask:
-    """One worker's share of a multi-process fleet run (picklable)."""
-
-    lanes: List[FleetLane]
-    lane_slots: List[int]
-    shared_channel: MessageChannel
-    server: LocationServer
-    horizon: float
-    #: A fresh bundle of the parent's kind (never the parent's own, which
-    #: would duplicate whatever it already counted); it travels back in
-    #: the outcome for the parent to merge.
-    obs: Observability
-
-    def run(self) -> Dict[str, object]:
-        """Run this shard's lanes and package the mergeable outcome."""
-        fleet = FleetSimulation(
-            self.lanes,
-            channel=self.shared_channel,
-            server=self.server,
-            obs=self.obs,
-        )
-        fleet._obs_worker = True
-        fleet._horizon = self.horizon
-        # Record the instants at which this worker's backend ingested a
-        # non-empty batch: the parent reconstructs the global
-        # ``batches_ingested`` counter as the union across workers.
-        instants: List[float] = []
-        ingest = getattr(fleet.server, "ingest_batch", None)
-        if ingest is not None:
-            def recording(messages, time, _ingest=ingest):
-                if messages:
-                    instants.append(float(time))
-                _ingest(messages, time)
-
-            fleet.server.ingest_batch = recording
-        outcome = fleet.run()
-        channel_stats: Dict[int, ChannelStats] = {}
-        reported: List[MessageChannel] = []
-        for lane, slot in zip(self.lanes, self.lane_slots):
-            ch = lane.channel if lane.channel is not None else self.shared_channel
-            if ch in reported:
-                continue
-            reported.append(ch)
-            channel_stats[slot] = ch.stats
-        return {
-            "results": outcome.results,
-            "channel_stats": channel_stats,
-            "ingest_instants": instants,
-            "service_stats": outcome.service_stats or None,
-            "obs": self.obs,
-        }
-
-
-def _run_shard_task(task: _ShardTask) -> Dict[str, object]:
-    """Module-level trampoline so shard tasks can cross process boundaries."""
-    return task.run()
-
-
-def _execute_shard_tasks(
-    tasks: List[_ShardTask], processes: int
-) -> List[Dict[str, object]]:
-    """Run shard tasks and return their outcomes in task order.
-
-    The merge is commutative and keyed by task order, so worker scheduling
-    cannot influence the result (asserted by the test-suite, which also
-    monkeypatches this seam to permute completion order).  A single task
-    runs inline — the partition put every lane in one spatial shard, and a
-    worker round-trip would only add pickling cost.
-    """
-    if len(tasks) == 1 or processes <= 1:
-        # Inline execution still round-trips each task through pickle: the
-        # run must mutate worker *replicas*, never the parent's lanes,
-        # channels or server template — same isolation as a real worker.
-        import pickle
-
-        return [_run_shard_task(pickle.loads(pickle.dumps(task))) for task in tasks]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=min(processes, len(tasks))) as pool:
-        futures = [pool.submit(_run_shard_task, task) for task in tasks]
-        return [future.result() for future in futures]
 
 
 def lane_updates(

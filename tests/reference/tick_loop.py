@@ -20,8 +20,7 @@ at or after ``send_time + latency``.  When every lane shares one sampling
 grid, latency is a multiple of it and no timer deadline falls off it, the
 fleet's schedule (:func:`~repro.sim.fleet.lane_updates` pushed through
 each channel, then one walk over time) must reproduce this loop bit for
-bit; the equivalence tests assert exactly that.  Multi-process runs are
-rejected here.
+bit; the equivalence tests assert exactly that.
 """
 
 from __future__ import annotations
@@ -36,11 +35,6 @@ from repro.sim.fleet import FleetSimulation
 
 class TickLoopFleet(FleetSimulation):
     """A fleet simulation stepped tick by tick (test oracle only)."""
-
-    def __init__(self, lanes, **kwargs):
-        super().__init__(lanes, **kwargs)
-        if self.processes > 1:
-            raise ValueError("the tick loop runs single-process only")
 
     def _run_loop(self, states: List, channels: List[MessageChannel]) -> None:
         server = self.server

@@ -81,10 +81,10 @@ def test_false_identity_flag_detected(tmp_path):
     _rewrite(
         tmp_path,
         "BENCH_megafleet.json",
-        lambda r: r.__setitem__("multiprocess_identical", False),
+        lambda r: r.__setitem__("columnar_identical_to_event", False),
     )
     failures = guard.check_all(str(tmp_path))
-    assert any("multiprocess_identical" in f for f in failures)
+    assert any("columnar_identical_to_event" in f for f in failures)
 
 
 def test_missing_artifact_detected(tmp_path):

@@ -366,43 +366,26 @@ class TestMapFileScenarios:
 
 
 class TestFleetEngines:
-    """The default engine choice and --processes produce the same rows."""
-
-    _ARGS = ["--json", "fleet", "--mix", "radial_commute:linear:100:3",
-             "--scale", "0.15", "--per-object"]
-
-    def _rows(self, extra, capsys):
-        assert cli.main(self._ARGS + extra) == 0
-        return json.loads(capsys.readouterr().out)
-
-    def test_processes_matches_default(self, capsys):
-        baseline = self._rows([], capsys)
-        sharded = self._rows(["--processes", "2"], capsys)
-        assert sharded == baseline
+    """``fleet`` names the engine it picked in the ``--obs-dir`` manifest."""
 
     @pytest.mark.parametrize(
-        "mix, engine",
-        [("radial_commute:linear:100:2", "columnar"), ("radial_commute:map:100:2", "fleet")],
+        "mix, extra, engine",
+        [
+            ("radial_commute:linear:100:2", [], "columnar"),
+            ("radial_commute:map:100:2", [], "fleet"),
+            # An eligible fleet leaves the columnar engine once it is sharded.
+            ("radial_commute:linear:100:2", ["--shards", "2"], "fleet"),
+        ],
+        ids=[
+            "radial_commute:linear:100:2-columnar",
+            "radial_commute:map:100:2-fleet",
+            "radial_commute:linear:100:2-shards-fleet",
+        ],
     )
-    def test_manifest_records_the_engine(self, mix, engine, tmp_path, capsys):
+    def test_manifest_records_the_engine(self, mix, extra, engine, tmp_path, capsys):
         obs_dir = tmp_path / "obs"
         assert cli.main(
-            ["fleet", "--mix", mix, "--scale", "0.1", "--obs-dir", str(obs_dir)]
+            ["fleet", "--mix", mix, "--scale", "0.1", "--obs-dir", str(obs_dir), *extra]
         ) == 0
         manifest = json.loads((obs_dir / "manifest.json").read_text())
         assert manifest["config"]["engine"] == engine
-
-    def test_processes_run_the_fleet_loop(self, tmp_path, capsys):
-        # An eligible fleet leaves the columnar engine once it is sharded.
-        obs_dir = tmp_path / "obs"
-        assert cli.main(
-            ["fleet", "--mix", "radial_commute:linear:100:2", "--scale", "0.1",
-             "--processes", "2", "--obs-dir", str(obs_dir)]
-        ) == 0
-        manifest = json.loads((obs_dir / "manifest.json").read_text())
-        assert manifest["config"]["engine"] == "fleet"
-        assert manifest["config"]["processes"] == 2
-
-    def test_processes_must_be_positive(self):
-        with pytest.raises(SystemExit):
-            cli.main(["fleet", "--mix", "walking:linear:50:2", "--processes", "0"])

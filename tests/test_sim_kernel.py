@@ -132,9 +132,12 @@ class TestKernelEquivalence:
             outcomes[kernel] = (
                 {oid: r.as_dict() for oid, r in fleet.results.items()},
                 channel.stats,
+                {oid: r.metrics.errors for oid, r in fleet.results.items()},
             )
         assert outcomes["tick"][0] == outcomes["event"][0]
         assert outcomes["tick"][1] == outcomes["event"][1]
+        for oid, errors in outcomes["tick"][2].items():
+            assert np.array_equal(errors, outcomes["event"][2][oid]), oid
         assert outcomes["tick"][1].messages_lost > 0
         assert outcomes["tick"][1].max_queue_delay == 0.0
 
@@ -149,6 +152,8 @@ class TestKernelEquivalence:
             stats.pop("mean_query_seconds")
             outcomes[kernel] = ({oid: r.as_dict() for oid, r in fleet.results.items()}, stats)
         assert outcomes["tick"] == outcomes["event"]
+        # Handoffs happen on ingest, so the walk's batches must move objects.
+        assert outcomes["event"][1]["handoffs"] > 0
 
     def test_per_tick_workload_replay_is_identical(self):
         """A per-tick stream replayed beside the fleet's updates: every tick
