@@ -1,7 +1,7 @@
 """Span tracing and the fleet-loop flight recorder.
 
 :class:`SpanTracer` records **nested wall-time spans** — coarse phases of
-a run (the fleet loop, the columnar estimate and loop, a load test), not
+a run (the fleet loop, the columnar loop, a load test), not
 per-event timings — and exports them as Chrome ``trace_event`` JSON, the
 format the ``chrome://tracing`` and `Perfetto <https://ui.perfetto.dev>`_
 viewers open directly.  Spans are "complete" (``ph: "X"``) events carrying

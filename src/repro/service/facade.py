@@ -209,13 +209,6 @@ class LocationService:
         """Number of shards."""
         return self.policy.n_shards
 
-    def __getstate__(self) -> Dict[str, object]:
-        # Observability never crosses process boundaries: pickling the
-        # bundle would duplicate whatever it already recorded.
-        state = self.__dict__.copy()
-        state["obs"] = NO_OBS
-        return state
-
     # ------------------------------------------------------------------ #
     # LocationServer-compatible surface
     # ------------------------------------------------------------------ #

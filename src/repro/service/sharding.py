@@ -113,8 +113,7 @@ class GridHashPolicy(ShardingPolicy):
         self.region_size = float(region_size)
         #: Per-cell overrides installed by :class:`RebalancePolicy` (or by
         #: hand): routing cells whose objects were re-homed away from their
-        #: hash shard.  Deterministic like everything else — the table is
-        #: plain state that pickles across worker processes.
+        #: hash shard.  Deterministic like everything else.
         self.overrides: Dict[Tuple[int, int], int] = {}
 
     def cell_for_point(self, point: Vec2) -> tuple[int, int]:

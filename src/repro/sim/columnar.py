@@ -27,10 +27,12 @@ per-object *columns*, not code paths.
 
 Why bitwise equality is achievable: the scalar trigger is
 ``sqrt(dx*dx + dy*dy) + up > us`` on float64 scalars, and NumPy performs
-the same IEEE-754 operations elementwise, and the batched speed/heading
-estimator :func:`~repro.traces.estimation.estimate_traces` is the very one
-the fleet loop runs per lane (proven bitwise equal to the streaming
-estimator).
+the same IEEE-754 operations elementwise.  The speed and heading a lane
+reports matter only at the instants it sends, so the loop estimates them
+there alone, with :func:`~repro.traces.estimation.estimate_at` over the
+sending lanes' last *window* sightings: that is row for row the sliding
+estimate :func:`~repro.traces.estimation.estimate_traces` the fleet loop
+runs per lane (proven bitwise equal to the streaming estimator).
 """
 
 from __future__ import annotations
@@ -44,7 +46,13 @@ from repro.protocols.linear import LinearPredictionProtocol
 from repro.protocols.reporting import DistanceBasedReporting
 from repro.protocols.base import _BASE_UPDATE_BYTES, UpdateReason
 from repro.sim.metrics import AccuracyMetrics, SimulationResult
-from repro.traces.estimation import estimate_traces
+from repro.traces.estimation import estimate_at, estimate_traces
+
+# estimate_traces stays importable from here: perfbench/layers.py wraps it
+# by name on this module, and tests import it from here.
+__all__ = [
+    "LINEAR", "STATIC", "ColumnarFleetEngine", "ColumnarStore", "estimate_traces",
+]
 
 #: Prediction modes the vectorised loop implements.
 STATIC, LINEAR = "static", "linear"
@@ -119,9 +127,9 @@ class ColumnarFleetEngine:
     accuracy / sensor_uncertainty:
         Scalars or per-lane arrays — the protocol columns ``us`` and ``up``.
     estimation_window:
-        The speed/heading estimation window shared by the fleet (only
-        consulted in ``linear`` mode; static prediction never reads the
-        velocity estimate and skips the estimator entirely).
+        The speed/heading estimation window shared by the fleet.  Only
+        ``linear`` mode estimates, and only for the lanes that send at an
+        instant; static prediction never reads the velocity estimate.
     object_ids:
         Optional explicit ids; default ``obj/<k>``.
     protocol_name:
@@ -160,6 +168,8 @@ class ColumnarFleetEngine:
             raise ValueError("truth must share the sensor array's shape")
         self.mode = mode
         self.estimation_window = int(estimation_window)
+        if mode == LINEAR and self.estimation_window < 2:
+            raise ValueError("estimation_window must be at least 2")
         n = self.sensor.shape[0]
         ids = (
             list(object_ids)
@@ -178,7 +188,7 @@ class ColumnarFleetEngine:
         #: The :class:`~repro.obs.Observability` bundle; the run records the
         #: same deterministic ``sim.*`` counters the scalar fleet loop
         #: records (the columnar engine is bit-identical to it, so the
-        #: counts agree), plus estimate/loop phase spans.  Aggregate-only:
+        #: counts agree), plus a loop phase span.  Aggregate-only:
         #: nothing is recorded per instant, so obs-on overhead is noise.
         self.obs = obs
 
@@ -273,7 +283,8 @@ class ColumnarFleetEngine:
         — decide (threshold on the predicted deviation), transmit+deliver
         (zero latency folds these into the reported-state columns), measure
         (server prediction against truth) — as a handful of whole-fleet
-        array operations.
+        array operations.  In ``linear`` mode the sending lanes' velocities
+        are estimated at that instant from their last *window* sightings.
         """
         from repro.sim.fleet import FleetResult  # runtime: fleet imports us too
 
@@ -281,12 +292,8 @@ class ColumnarFleetEngine:
         times = self.times
         n, t_count = store.n, len(times)
         linear = self.mode == LINEAR
+        window = self.estimation_window
         obs = self.obs
-        with obs.span("columnar.estimate", cat="sim", args={"lanes": n, "samples": t_count}):
-            if linear:
-                velocities, _speeds = estimate_traces(
-                    times, self.sensor, self.estimation_window
-                )
         loop_span = obs.span(
             "columnar.loop", cat="sim", args={"lanes": n, "samples": t_count}
         )
@@ -304,9 +311,9 @@ class ColumnarFleetEngine:
             pos = sensor[:, i, :]
             if i == 0:
                 # INITIAL: the server knows nothing yet — everyone reports.
+                # One sighting gives no velocity: the estimate's row 0 is 0.
                 rep_pos[:] = pos
-                if linear:
-                    rep_vel[:] = velocities[:, i, :]
+                rep_vel[:] = 0.0
                 rep_time[:] = t
             else:
                 if linear:
@@ -321,11 +328,15 @@ class ColumnarFleetEngine:
                 deviation = np.sqrt(dx * dx + dy * dy)
                 trig = deviation + up > us
                 if trig.any():
-                    rep_pos[trig] = pos[trig]
+                    sent = np.flatnonzero(trig)
+                    rep_pos[sent] = pos[sent]
                     if linear:
-                        rep_vel[trig] = velocities[trig, i, :]
-                    rep_time[trig] = t
-                    threshold_counts[trig] += 1
+                        lo = max(0, i + 1 - window)
+                        rep_vel[sent] = estimate_at(
+                            times[lo : i + 1], sensor[sent, lo : i + 1], window
+                        )
+                    rep_time[sent] = t
+                    threshold_counts[sent] += 1
             # Server-side error at this instant: with zero latency the
             # freshly delivered states are already in the reported columns;
             # dt is exactly 0 for just-updated lanes, so the linear

@@ -51,10 +51,43 @@ def estimate_velocity(
     return velocity, speed
 
 
-#: Lanes per chunk of :func:`estimate_traces`: bounds the sliding-window
-#: temporaries to ~100 MB at typical trace lengths while keeping the NumPy
-#: call overhead amortised.
-_ESTIMATE_CHUNK = 4096
+def estimate_at(
+    times: np.ndarray, positions: np.ndarray, window: int
+) -> np.ndarray:
+    """Speed/heading estimate at the last sample of N lanes sharing one grid.
+
+    ``positions`` has shape ``(n_lanes, m, 2)`` over the ``m`` sightings
+    ``times``; returns the ``(n_lanes, 2)`` velocities at sample ``m - 1``
+    — exactly row ``m - 1`` of :func:`estimate_traces` over the same
+    arrays.  Only the last ``min(m, window)`` sightings are read, so a
+    caller may pass just that slice.  The window's arithmetic is
+    :func:`estimate_velocity`'s, reduced over the sample axis of every
+    lane at once; fewer than two sightings, or a degenerate time spread,
+    give zero velocity.
+    """
+    if window < 2:
+        raise ValueError("window must be at least 2")
+    times = np.asarray(times, dtype=float)
+    positions = np.asarray(positions, dtype=float)
+    velocities = np.zeros((positions.shape[0], 2))
+    m = len(times)
+    if m < 2:
+        return velocities
+    lo = m - min(m, int(window))
+    t = times[lo:]
+    t_rel = t - t[-1]
+    t_centered = t_rel - t_rel.mean()
+    denom = float((t_centered * t_centered).sum())
+    if denom == 0.0:
+        return velocities
+    for axis in (0, 1):
+        # ascontiguousarray keeps the per-row reductions on the same pairwise
+        # summation path as the streaming estimator's contiguous windows.
+        x = np.ascontiguousarray(positions[:, lo:, axis])
+        velocities[:, axis] = (
+            t_centered * (x - x.mean(axis=1, keepdims=True))
+        ).sum(axis=1) / denom
+    return velocities
 
 
 def estimate_traces(
@@ -71,8 +104,9 @@ def estimate_traces(
     last (window) axis, and the shared time grid makes the centred-time
     factors literally the same floats.  The simulation engines rely on that
     bitwise identity to keep their fast paths equivalent to the
-    per-sighting protocol API.  Lanes are processed in fixed-size chunks so
-    the windowed temporaries stay bounded at mega-fleet widths.
+    per-sighting protocol API.  The windowed temporaries hold ``window``
+    copies of *positions*; a wide fleet that needs the estimate only at a
+    few samples calls :func:`estimate_at` there instead.
     """
     if window < 2:
         raise ValueError("window must be at least 2")
@@ -81,30 +115,12 @@ def estimate_traces(
     n_lanes, n = positions.shape[0], positions.shape[1]
     velocities = np.zeros((n_lanes, n, 2))
     speeds = np.zeros((n_lanes, n))
-    if n < 2:
-        return velocities, speeds
     w = int(window)
-    # Ramp-up: growing prefix windows of size 2 .. w - 1, one vectorised
-    # pass per prefix length across all lanes.  The time factors are
-    # scalars shared by every lane (one common grid), computed exactly as
-    # estimate_velocity computes them.
+    # Ramp-up: growing prefix windows of size 2 .. w - 1.
     for i in range(1, min(w - 1, n)):
-        t = times[: i + 1]
-        t_rel = t - t[-1]
-        t_mean = t_rel.mean()
-        t_centered = t_rel - t_mean
-        denom = float((t_centered * t_centered).sum())
-        if denom == 0.0:
-            continue
-        # ascontiguousarray keeps the per-row reductions on the same pairwise
-        # summation path as the streaming estimator's contiguous prefixes.
-        x = np.ascontiguousarray(positions[:, : i + 1, 0])
-        y = np.ascontiguousarray(positions[:, : i + 1, 1])
-        vx = (t_centered * (x - x.mean(axis=1, keepdims=True))).sum(axis=1) / denom
-        vy = (t_centered * (y - y.mean(axis=1, keepdims=True))).sum(axis=1) / denom
-        velocities[:, i, 0] = vx
-        velocities[:, i, 1] = vy
-        speeds[:, i] = np.hypot(vx, vy)
+        v = estimate_at(times[: i + 1], positions[:, : i + 1], w)
+        velocities[:, i] = v
+        speeds[:, i] = np.hypot(v[:, 0], v[:, 1])
     if n < w:
         return velocities, speeds
     from numpy.lib.stride_tricks import sliding_window_view
@@ -115,21 +131,15 @@ def estimate_traces(
     denom = (t_centered * t_centered).sum(axis=1)
     ok = denom != 0.0
     denom_safe = np.where(ok, denom, 1.0)
-    for lo in range(0, n_lanes, _ESTIMATE_CHUNK):
-        hi = min(lo + _ESTIMATE_CHUNK, n_lanes)
-        xw = np.ascontiguousarray(
-            sliding_window_view(positions[lo:hi, :, 0], w, axis=1)
-        )
-        yw = np.ascontiguousarray(
-            sliding_window_view(positions[lo:hi, :, 1], w, axis=1)
-        )
-        vx = (t_centered * (xw - xw.mean(axis=2, keepdims=True))).sum(axis=2) / denom_safe
-        vy = (t_centered * (yw - yw.mean(axis=2, keepdims=True))).sum(axis=2) / denom_safe
-        vx = np.where(ok, vx, 0.0)
-        vy = np.where(ok, vy, 0.0)
-        velocities[lo:hi, w - 1 :, 0] = vx
-        velocities[lo:hi, w - 1 :, 1] = vy
-        speeds[lo:hi, w - 1 :] = np.hypot(vx, vy)
+    xw = np.ascontiguousarray(sliding_window_view(positions[:, :, 0], w, axis=1))
+    yw = np.ascontiguousarray(sliding_window_view(positions[:, :, 1], w, axis=1))
+    vx = (t_centered * (xw - xw.mean(axis=2, keepdims=True))).sum(axis=2) / denom_safe
+    vy = (t_centered * (yw - yw.mean(axis=2, keepdims=True))).sum(axis=2) / denom_safe
+    vx = np.where(ok, vx, 0.0)
+    vy = np.where(ok, vy, 0.0)
+    velocities[:, w - 1 :, 0] = vx
+    velocities[:, w - 1 :, 1] = vy
+    speeds[:, w - 1 :] = np.hypot(vx, vy)
     return velocities, speeds
 
 

@@ -263,13 +263,6 @@ class TestDisabledBundle:
         NO_OBS.registry.counter("scratch").inc()
         _assert_holds_nothing(NO_OBS)
 
-    def test_pickled_service_comes_back_disabled(self):
-        service = LocationService(n_shards=2)
-        assert service.obs is NO_OBS
-        assert pickle.loads(pickle.dumps(service)).obs is NO_OBS
-        service.obs = Observability()
-        assert pickle.loads(pickle.dumps(service)).obs is NO_OBS
-
     def test_runs_without_obs_record_nothing(self):
         fleet = _library_fleet("city:linear:100:6", shards=4)
         assert fleet.obs is NO_OBS

@@ -15,7 +15,7 @@ from repro.sim.columnar import (
     estimate_traces,
 )
 from repro.sim.fleet import FleetLane, FleetSimulation
-from repro.traces.estimation import StateEstimator
+from repro.traces.estimation import StateEstimator, estimate_at
 from repro.traces.trace import Trace
 
 from reference.tick_loop import TickLoopFleet
@@ -47,31 +47,83 @@ class TestEstimateTraces:
                 assert np.array_equal(velocities[k, i], v_ref), f"lane {k} velocity {i}"
                 assert speeds[k, i] == s_ref, f"lane {k} speed {i}"
 
-    def test_chunked_lanes_equal_unchunked(self, monkeypatch):
-        import repro.traces.estimation as estimation
-
-        times, positions = _random_lanes(9, 30, seed=5)
-        full = estimate_traces(times, positions, 4)
-        monkeypatch.setattr(estimation, "_ESTIMATE_CHUNK", 2)
-        chunked = estimate_traces(times, positions, 4)
-        assert np.array_equal(full[0], chunked[0])
-        assert np.array_equal(full[1], chunked[1])
-
     def test_window_below_two_rejected(self):
         times, positions = _random_lanes(1, 5)
         with pytest.raises(ValueError):
             estimate_traces(times, positions, 1)
 
 
+def _lanes_with_signed_zeros(n_samples, seed, jitter):
+    """Random walks plus still and subnormal-step lanes.
+
+    Products of centred times with subnormal deviations round to zeros of
+    either sign, so the estimates hold ``-0.0`` as well as ``+0.0``.
+    """
+    times, walks = _random_lanes(4, n_samples, seed=seed, jitter=jitter)
+    tiny = np.nextafter(0.0, 1.0)
+    k = np.arange(n_samples, dtype=float)
+    creeping = [
+        np.stack([-k * tiny, k * tiny], axis=-1),
+        np.stack([-(k % 2) * tiny, (k % 3) * tiny], axis=-1),
+        np.stack([-k * 1e-320, np.full(n_samples, 12.5)], axis=-1),
+    ]
+    return times, np.concatenate([walks, np.stack(creeping)])
+
+
+class TestEstimateAt:
+    @pytest.mark.parametrize("jitter", [False, True], ids=["uniform", "jittered"])
+    @pytest.mark.parametrize("window", [2, 3, 4, 5, 6, 7, 8, 9, 12])
+    def test_every_row_bitwise_equal_to_estimate_traces(self, window, jitter):
+        """Row i of the sliding estimate, ramp-up rows and signed zeros included."""
+        n_samples = 3 * window + 5
+        times, positions = _lanes_with_signed_zeros(n_samples, window, jitter)
+        velocities, _speeds = estimate_traces(times, positions, window)
+        if window > 2:  # a two-sample window rounds these lanes to +0.0 only
+            assert np.any((velocities == 0.0) & np.signbit(velocities))
+        for i in range(n_samples):
+            lo = max(0, i + 1 - window)
+            for t, p in (
+                (times[lo : i + 1], positions[:, lo : i + 1]),
+                (times[: i + 1], positions[:, : i + 1]),
+            ):
+                row = estimate_at(t, p, window)
+                expected = velocities[:, i]
+                assert np.array_equal(row, expected), f"row {i}"
+                assert np.array_equal(np.signbit(row), np.signbit(expected)), (
+                    f"sign of zero in row {i}"
+                )
+
+    def test_lane_subset_equals_its_rows(self):
+        times, positions = _random_lanes(9, 20, seed=3)
+        full = estimate_at(times, positions, 4)
+        sent = np.array([1, 4, 8])
+        assert np.array_equal(estimate_at(times, positions[sent], 4), full[sent])
+
+    def test_degenerate_inputs_give_zeros(self):
+        times, positions = _random_lanes(3, 5, seed=1)
+        assert np.array_equal(estimate_at(times[:1], positions[:, :1], 4), np.zeros((3, 2)))
+        assert np.array_equal(estimate_at(times[:0], positions[:, :0], 4), np.zeros((3, 2)))
+        with pytest.raises(ValueError):
+            estimate_at(times, positions, 1)
+
+
 # --------------------------------------------------------------------------- #
 # engine vs the scalar fleet loop
 # --------------------------------------------------------------------------- #
-def _scenario_lanes(scenario, mode, accuracies=(50.0, 100.0, 200.0), up=0.0):
-    protocol_cls = DistanceBasedReporting if mode == STATIC else LinearPredictionProtocol
+def _scenario_lanes(
+    scenario, mode, accuracies=(50.0, 100.0, 200.0), up=0.0, window=4
+):
+    def make(accuracy):
+        if mode == STATIC:
+            return DistanceBasedReporting(accuracy, sensor_uncertainty=up)
+        return LinearPredictionProtocol(
+            accuracy, sensor_uncertainty=up, estimation_window=window
+        )
+
     return [
         FleetLane(
             object_id=f"{mode}/{int(accuracy)}/{k}",
-            protocol=protocol_cls(accuracy, sensor_uncertainty=up),
+            protocol=make(accuracy),
             sensor_trace=scenario.sensor_trace,
             truth_trace=scenario.true_trace,
         )
@@ -108,6 +160,33 @@ class TestEngineEquivalence:
         scalar = fleet_cls(_scenario_lanes(scenario, mode)).run()
         columnar = ColumnarFleetEngine.from_lanes(_scenario_lanes(scenario, mode)).run()
         _assert_fleet_results_identical(scalar, columnar)
+
+    @pytest.mark.parametrize("fixture", _SCENARIO_FIXTURES)
+    @pytest.mark.parametrize("window", [2, 3, 8, 9])
+    def test_estimation_windows_identical_to_fleet(self, request, fixture, window):
+        scenario = request.getfixturevalue(fixture)
+        scalar = FleetSimulation(_scenario_lanes(scenario, LINEAR, window=window)).run()
+        columnar = ColumnarFleetEngine.from_lanes(
+            _scenario_lanes(scenario, LINEAR, window=window)
+        ).run()
+        _assert_fleet_results_identical(scalar, columnar)
+
+    @pytest.mark.parametrize("fixture", _SCENARIO_FIXTURES)
+    @pytest.mark.parametrize("window", [2, 4, 9])
+    def test_dense_sends_identical_to_fleet(self, request, fixture, window):
+        """up >= us: the up > us lane sends at every sample, the others often."""
+        scenario = request.getfixturevalue(fixture)
+
+        def lanes():
+            return _scenario_lanes(
+                scenario, LINEAR, accuracies=(1.0, 4.0, 5.0), up=4.0, window=window
+            )
+
+        scalar = FleetSimulation(lanes()).run()
+        columnar = ColumnarFleetEngine.from_lanes(lanes()).run()
+        _assert_fleet_results_identical(scalar, columnar)
+        every_sample = next(iter(columnar.results.values()))
+        assert every_sample.updates == len(scenario.sensor_trace.times)
 
     def test_sensor_uncertainty_column(self, tiny_city_scenario):
         lanes = _scenario_lanes(tiny_city_scenario, LINEAR, up=15.0)
