@@ -7,7 +7,10 @@ full accuracy sweep (Figures 7-10 protocols: distance-based reporting,
 linear DR, map-based DR) twice over the same freeway scenario:
 
 * once through a faithful re-implementation of the seed's serial per-sample
-  loop (streaming estimator, scalar metrics, one protocol at a time), and
+  loop (one protocol at a time; per sighting a streaming estimate, one
+  protocol call, a poll of the channel's in-flight queue, one server
+  prediction and a scalar metric), built from the per-sighting oracles in
+  ``tests/reference/streaming.py``, and
 * once through ``SweepRunner(jobs=4)`` on the current engine,
 
 asserts that both produce *identical* updates/hour numbers, requires the
@@ -20,19 +23,23 @@ from __future__ import annotations
 import json
 import os
 import platform
+import sys
 import time
 
 from repro.experiments.figures import FIGURE_PROTOCOLS
 from repro.experiments.report import format_table
 from repro.geo.vec import distance
-from repro.service.channel import MessageChannel
 from repro.service.server import LocationServer
-from repro.service.source import LocationSource
 from repro.sim.config import SimulationConfig
 from repro.sim.metrics import AccuracyMetrics
 from repro.sim.runner import ScenarioSpec, SweepRunner
 
 from conftest import run_once
+
+# Appended, not prepended: tests/ has its own conftest.py, which must not
+# shadow this directory's.
+sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
+from reference.streaming import LocationSource  # noqa: E402
 
 _RESULT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_sweep_runner.json")
 
@@ -40,34 +47,34 @@ _RESULT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_sweep_runner
 def _seed_serial_sweep(scenario, protocol_id, accuracies):
     """The seed's simulation loop, reproduced verbatim.
 
-    One fresh protocol per point; per-sample ``observe`` (streaming
+    One fresh protocol per point; per-sample protocol call (streaming
     estimator), per-sample channel poll, per-sample scalar metrics — the
     exact algorithm of the seed's single-object simulation loop and its
     accuracy sweep, kept here as the reference the new engine is
-    measured against.  (The full-scale freeway sweep of the current tree
-    was additionally cross-checked against the actual seed commit: all 33
-    points agree in update counts and mean errors.)
+    measured against.  The map protocol matches the trace in
+    ``prepare_trace`` before the loop, one ``update`` call per sighting.
+    (The full-scale freeway sweep of the current tree was additionally
+    cross-checked against the actual seed commit: all 33 points agree in
+    update counts and mean errors.)
     """
     points = []
     for us in accuracies:
         protocol = SimulationConfig(protocol_id=protocol_id, accuracy=float(us)).build_protocol(
             scenario
         )
-        channel = MessageChannel()
         server = LocationServer()
         server.register_object(
             "object-0", prediction=protocol.prediction_function(), accuracy=protocol.accuracy
         )
-        source = LocationSource("object-0", protocol, channel)
+        source = LocationSource("object-0", protocol)
         metrics = AccuracyMetrics()
         metrics.set_bound(protocol.accuracy)
-        times = scenario.sensor_trace.times
-        sensor_positions = scenario.sensor_trace.positions
+        sightings = source.sightings(
+            scenario.sensor_trace.times, scenario.sensor_trace.positions
+        )
         truth_positions = scenario.true_trace.positions
-        for i in range(len(times)):
-            t = float(times[i])
-            source.process_sighting(t, sensor_positions[i])
-            for obj_id, delivered in channel.deliver_due(t):
+        for i, t in enumerate(sightings):
+            for obj_id, delivered in source.queue.deliver_due(t):
                 server.receive_update(obj_id, delivered, t)
             predicted = server.predict_position("object-0", t)
             if predicted is not None:

@@ -6,11 +6,12 @@ objects at once:
 
 * a city road network and one simulated drive per taxi,
 * each taxi's *source* runs the map-based dead-reckoning protocol and sends
-  updates over a message channel with latency and occasional losses,
-* the *location service* (one shard) holds the last reported state per
-  taxi and answers the application queries motivated in the paper's
-  introduction — "find the nearest taxi cab" and "address all users
-  inside an area".
+  updates over its own message channel with latency and occasional losses,
+* the fleet simulation drives every taxi's sightings through its protocol
+  and delivers the surviving updates to the *location service* (one
+  shard), which holds the last reported state per taxi and answers the
+  application queries motivated in the paper's introduction — "find the
+  nearest taxi cab" and "address all users inside an area".
 
 Run with::
 
@@ -30,7 +31,7 @@ from repro.roadmap.generators import city_grid_map
 from repro.roadmap.routing import RoutePlanner
 from repro.service.channel import MessageChannel
 from repro.service.facade import LocationService
-from repro.service.source import LocationSource
+from repro.sim.fleet import FleetLane, FleetSimulation
 from repro.traces.noise import GaussMarkovNoise
 
 N_TAXIS = 5
@@ -45,14 +46,18 @@ def main() -> None:
     planner = RoutePlanner(roadmap)
     server = LocationService()
 
-    # --- set up one journey + source per taxi -------------------------------
-    fleet = []
+    # --- one journey, protocol and channel per taxi ---------------------------
+    journeys = []
     for i in range(N_TAXIS):
         route = planner.random_route(min_length=6_000.0, rng=rng, straight_bias=0.7)
-        journey = VehicleSimulator(route, CITY_DRIVER, rng=rng).run(name=f"taxi-{i}")
-        noise = GaussMarkovNoise(sigma=2.5, correlation_time=60.0, seed=100 + i)
-        sensor_trace = noise.apply(journey.trace)
+        journeys.append(VehicleSimulator(route, CITY_DRIVER, rng=rng).run(name=f"taxi-{i}"))
 
+    # --- run the fleet for the duration of the shortest journey -------------
+    horizon = int(min(len(journey.trace) for journey in journeys))
+    lanes = []
+    for i, journey in enumerate(journeys):
+        truth = journey.trace[:horizon]
+        noise = GaussMarkovNoise(sigma=2.5, correlation_time=60.0, seed=100 + i)
         protocol = MapBasedProtocol(
             accuracy=ACCURACY,
             roadmap=roadmap,
@@ -60,44 +65,30 @@ def main() -> None:
             estimation_window=4,
             config=MapBasedConfig(matching_tolerance=30.0),
         )
-        channel = MessageChannel(latency=1.5, loss_probability=0.01, seed=200 + i)
-        source = LocationSource(f"taxi-{i}", protocol, channel)
-        server.register_object(
-            f"taxi-{i}", prediction=protocol.prediction_function(), accuracy=ACCURACY
+        lanes.append(
+            FleetLane(
+                object_id=f"taxi-{i}",
+                protocol=protocol,
+                sensor_trace=noise.apply(truth),
+                truth_trace=truth,
+                channel=MessageChannel(latency=1.5, loss_probability=0.01, seed=200 + i),
+            )
         )
-        fleet.append(
-            {
-                "id": f"taxi-{i}",
-                "journey": journey,
-                "sensor": sensor_trace,
-                "source": source,
-                "channel": channel,
-            }
-        )
-
-    # --- run the fleet for the duration of the shortest journey -------------
-    horizon = int(min(len(taxi["sensor"]) for taxi in fleet))
-    for step in range(horizon):
-        now = float(step)
-        for taxi in fleet:
-            sample = taxi["sensor"][step]
-            taxi["source"].process_sighting(sample.time, sample.position)
-            for object_id, message in taxi["channel"].deliver_due(now):
-                server.receive_update(object_id, message, now)
+    results = FleetSimulation(lanes, server=server).run().results
 
     # --- report tracking cost and accuracy -----------------------------------
     now = float(horizon - 1)
     rows = []
-    for taxi in fleet:
-        truth = taxi["journey"].trace[horizon - 1].position
-        predicted = server.predict_position(taxi["id"], now)
+    for lane in lanes:
+        truth = lane.truth_trace[horizon - 1].position
+        predicted = server.predict_position(lane.object_id, now)
         error = float(np.hypot(*(predicted - truth))) if predicted is not None else float("nan")
         rows.append(
             {
-                "taxi": taxi["id"],
-                "updates sent": taxi["source"].updates_sent,
-                "bytes sent": taxi["channel"].stats.bytes_sent,
-                "msgs lost": taxi["channel"].stats.messages_lost,
+                "taxi": lane.object_id,
+                "updates sent": results[lane.object_id].updates,
+                "bytes sent": lane.channel.stats.bytes_sent,
+                "msgs lost": lane.channel.stats.messages_lost,
                 "error now [m]": round(error, 1),
             }
         )

@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.geo.vec import Vec2, as_vec, distance, norm
 from repro.protocols.prediction import PredictionFunction
-from repro.traces.estimation import StateEstimator
 
 
 class UpdateReason(enum.Enum):
@@ -135,7 +134,9 @@ class UpdateProtocol(abc.ABC):
         the *true* position, as in the paper's pseudo code.
     estimation_window:
         Number of recent sightings used to estimate speed and heading
-        (the paper's *n*; see :mod:`repro.traces.estimation`).
+        (the paper's *n*; see :mod:`repro.traces.estimation`).  The caller
+        estimates with it and hands the estimates to :meth:`prepare_trace`
+        and :meth:`observe_precomputed`.
     """
 
     #: Human-readable protocol name used in reports and figures.
@@ -151,9 +152,11 @@ class UpdateProtocol(abc.ABC):
             raise ValueError("accuracy (us) must be positive")
         if sensor_uncertainty < 0:
             raise ValueError("sensor_uncertainty (up) must be non-negative")
+        if estimation_window < 2:
+            raise ValueError("window must be at least 2")
         self.accuracy = float(accuracy)
         self.sensor_uncertainty = float(sensor_uncertainty)
-        self.estimator = StateEstimator(window=estimation_window)
+        self.estimation_window = int(estimation_window)
         self._last_reported: Optional[ObjectState] = None
         self._sequence = 0
         self._updates_sent = 0
@@ -192,13 +195,6 @@ class UpdateProtocol(abc.ABC):
     # ------------------------------------------------------------------ #
     # the common source loop
     # ------------------------------------------------------------------ #
-    def observe(self, time: float, position: Vec2) -> Optional[UpdateMessage]:
-        """Process one sensor sighting; return an update if one must be sent."""
-        p = as_vec(position)
-        velocity, speed = self.estimator.update(time, p)
-        self._pre_decision_hook(time, p, velocity, speed)
-        return self._decide(time, p, velocity, speed)
-
     def prepare_trace(
         self,
         times: np.ndarray,
@@ -220,27 +216,20 @@ class UpdateProtocol(abc.ABC):
     def observe_precomputed(
         self, time: float, position: Vec2, velocity: np.ndarray, speed: float
     ) -> Optional[UpdateMessage]:
-        """Process a sighting whose speed/heading estimate is already known.
+        """Process one sighting; return an update if one must be sent.
 
-        The simulation engine computes the sliding-window estimates for a
-        whole trace in one vectorised pass
-        (:func:`repro.traces.estimation.estimate_trace`, bitwise identical
-        to the streaming estimator), hands the trace to
-        :meth:`prepare_trace` and then feeds the sightings here in order,
-        skipping the per-sighting estimator update.  The map-based protocol
-        reads its map match for this sighting from the stream prepared
-        there instead of running the matcher.  The internal estimator
-        window is *not* advanced by this path; do not mix it with
-        :meth:`observe` within one trace.
+        This is the paper's source loop (Fig. 1), once per sighting, and the
+        only way a protocol sees one.  The caller computes the
+        sliding-window speed/heading estimates over the last
+        :attr:`estimation_window` sightings for the whole trace
+        (:func:`repro.traces.estimation.estimate_trace`), hands the trace to
+        :meth:`prepare_trace` and then feeds its sightings here in order
+        (:func:`repro.sim.fleet.trace_updates` does all three).  The
+        map-based protocol reads this sighting's map match from the stream
+        prepared there.
         """
         p = as_vec(position)
-        self._precomputed_hook(time, p, velocity, speed)
-        return self._decide(time, p, velocity, speed)
-
-    def _decide(
-        self, time: float, p: np.ndarray, velocity: np.ndarray, speed: float
-    ) -> Optional[UpdateMessage]:
-        """The shared decision core behind both observe paths."""
+        self._pre_decision_hook(time, p, velocity, speed)
         if self._last_reported is None:
             reason: Optional[UpdateReason] = UpdateReason.INITIAL
         else:
@@ -280,8 +269,9 @@ class UpdateProtocol(abc.ABC):
         :meth:`on_timer` when it expires, so the protocol acts at the exact
         instant instead of at the first sighting that happens to be polled
         afterwards.  ``None`` (the default) means no timer is pending.  A
-        caller that only feeds sightings never consults these hooks; the
-        protocol then polls its deadline on every sighting.
+        caller that only feeds sightings to :meth:`observe_precomputed`
+        never consults these hooks; the protocol then polls its deadline on
+        every sighting.
         """
         return None
 
@@ -303,18 +293,11 @@ class UpdateProtocol(abc.ABC):
     def _pre_decision_hook(
         self, time: float, position: np.ndarray, velocity: np.ndarray, speed: float
     ) -> None:
-        """Hook run before the update decision (map matching lives here)."""
+        """Hook run before the update decision.
 
-    def _precomputed_hook(
-        self, time: float, position: np.ndarray, velocity: np.ndarray, speed: float
-    ) -> None:
-        """The :meth:`_pre_decision_hook` of :meth:`observe_precomputed`.
-
-        Defaults to :meth:`_pre_decision_hook`; a protocol that did its
-        per-sighting work in :meth:`prepare_trace` overrides it to read the
-        result instead.
+        Per-sighting source state lives here; the map-based protocol reads
+        the sighting's row of the match stream :meth:`prepare_trace` built.
         """
-        self._pre_decision_hook(time, position, velocity, speed)
 
     def _post_update_hook(self, message: UpdateMessage) -> None:
         """Hook run after an update has been recorded."""
@@ -358,8 +341,12 @@ class UpdateProtocol(abc.ABC):
         return self._bytes_sent
 
     def reset(self) -> None:
-        """Restore the protocol to its initial state (new trace)."""
-        self.estimator.reset()
+        """Restore the protocol to its initial state (new trace).
+
+        Subclasses rebind (not clear in place) their mutable per-run
+        members here: :meth:`clone_for` resets a shallow copy, so the
+        rebinding is what gives the clone state of its own.
+        """
         self._last_reported = None
         self._sequence = 0
         self._updates_sent = 0
@@ -369,11 +356,10 @@ class UpdateProtocol(abc.ABC):
         """A fresh-state copy of this protocol, optionally with a new accuracy.
 
         This is the sweep-reuse hook: expensive shared structure (road map,
-        routes, prediction geometry) is shared by reference, while the
-        mutable per-run components are replaced with fresh ones
-        (:meth:`_detach_clone_state`), so cloning never disturbs the
-        prototype — its estimator window, matcher state and statistics stay
-        exactly as they were.
+        routes, prediction geometry) is shared by reference, and
+        :meth:`reset` rebinds every mutable per-run member on the clone, so
+        cloning never disturbs the prototype — its prepared trace and
+        statistics stay exactly as they were.
         """
         import copy
 
@@ -382,19 +368,8 @@ class UpdateProtocol(abc.ABC):
         clone = copy.copy(self)
         if accuracy is not None:
             clone.accuracy = float(accuracy)
-        clone._detach_clone_state()
         clone.reset()
         return clone
-
-    def _detach_clone_state(self) -> None:
-        """Replace mutable components that ``copy.copy`` left shared.
-
-        Called on the clone before its reset so that neither the reset nor
-        the clone's subsequent run can touch the prototype's state.
-        Subclasses with extra mutable members (matchers, deques) extend
-        this; genuinely shared immutable structure stays by reference.
-        """
-        self.estimator = StateEstimator(window=self.estimator.window)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(us={self.accuracy:.0f} m)"

@@ -86,10 +86,6 @@ class HigherOrderPredictionProtocol(UpdateProtocol):
             return UpdateReason.THRESHOLD
         return None
 
-    def _detach_clone_state(self) -> None:
-        super()._detach_clone_state()
-        self._velocities = deque(maxlen=self._velocities.maxlen)
-
     def reset(self) -> None:
         super().reset()
-        self._velocities.clear()
+        self._velocities = deque(maxlen=self._velocities.maxlen)

@@ -24,8 +24,9 @@ matches the whole trace once into a
 :class:`~repro.mapmatching.matcher.MatchStream`, and clones made with
 :meth:`~repro.protocols.base.UpdateProtocol.clone_for` share a memo of
 those streams with their prototype, so an accuracy sweep matches each
-trace once, not once per accuracy.  :meth:`observe`, fed one sighting at a
-time, runs the matcher per sighting instead.
+trace once, not once per accuracy.  A sighting fed to
+:meth:`~repro.protocols.base.UpdateProtocol.observe_precomputed` reads its
+row of that stream; no matcher runs per sighting.
 
 The fleet's send schedule (:func:`repro.sim.fleet.lane_updates`) reads the
 prepared stream without a call per sighting: with the paper's prediction
@@ -47,13 +48,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.mapmatching.matcher import (
-    HEADING_MIN_SPEED,
-    IncrementalMapMatcher,
-    MatcherConfig,
-    MatchResult,
-    MatchStream,
-)
+from repro.mapmatching.matcher import IncrementalMapMatcher, MatcherConfig, MatchStream
 from repro.protocols.base import ObjectState, UpdateProtocol, UpdateReason
 from repro.protocols.prediction import (
     MapPrediction,
@@ -166,8 +161,6 @@ class MapBasedProtocol(UpdateProtocol):
             self._turn_policy,
             speed_limit_factor=self.config.speed_limit_factor,
         )
-        self.matcher = IncrementalMapMatcher(roadmap, self.config.matcher_config())
-        self._last_match: Optional[MatchResult] = None
         self._matched = False
         # Match streams by trace content; clone_for shares the dict with
         # every clone, so a sweep over accuracies matches each trace once.
@@ -197,7 +190,7 @@ class MapBasedProtocol(UpdateProtocol):
         for array in (positions, velocities, speeds):
             digest.update(array.data)
         config = self.config.matcher_config()
-        key = (config, self.estimator.window, len(positions), digest.digest())
+        key = (config, self.estimation_window, len(positions), digest.digest())
         stream = self._match_streams.get(key)
         if stream is None:
             matcher = IncrementalMapMatcher(self.roadmap, config)
@@ -210,17 +203,8 @@ class MapBasedProtocol(UpdateProtocol):
     def _pre_decision_hook(
         self, time: float, position: np.ndarray, velocity: np.ndarray, speed: float
     ) -> None:
-        # The heading disambiguates the two carriageways of two-way roads.
-        heading = velocity if speed > HEADING_MIN_SPEED else None
-        match = self.matcher.update(position, heading=heading)
-        self._last_match = match
-        self._matched = match.is_matched
-
-    def _precomputed_hook(
-        self, time: float, position: np.ndarray, velocity: np.ndarray, speed: float
-    ) -> None:
-        # Read this sighting's row of the prepared stream instead of
-        # matching; the time check catches a stream fed out of step.
+        # Read this sighting's row of the prepared stream; the time check
+        # catches a stream fed out of step.
         times = self._stream_times
         if times is None:
             raise RuntimeError(
@@ -238,7 +222,6 @@ class MapBasedProtocol(UpdateProtocol):
     def _read_row(self, row: int) -> None:
         """Take row *row* of the prepared stream as the current sighting's match."""
         self._row = row + 1
-        self._last_match = None
         self._matched = bool(self._stream.matched[row])
 
     def _should_update(
@@ -271,12 +254,8 @@ class MapBasedProtocol(UpdateProtocol):
         self, time: float, position: np.ndarray, velocity: np.ndarray, speed: float
     ) -> ObjectState:
         if self._matched:
-            match = self._last_match
-            if match is None:
-                # Precomputed path: the match is the stream's last read row.
-                link_id, offset, corrected = self._stream.row(self._row - 1)
-            else:
-                link_id, offset, corrected = match.link_id, match.offset, match.position
+            # The match is the stream's last read row.
+            link_id, offset, corrected = self._stream.row(self._row - 1)
             return ObjectState(
                 time=time,
                 position=corrected if self.config.use_corrected_position else position,
@@ -302,40 +281,24 @@ class MapBasedProtocol(UpdateProtocol):
     # diagnostics
     # ------------------------------------------------------------------ #
     @property
-    def last_match(self) -> Optional[MatchResult]:
-        """The result of matching the most recent sighting fed to :meth:`observe`.
-
-        ``None`` on the precomputed path, whose matches are the rows of
-        :attr:`match_stream`.
-        """
-        return self._last_match
-
-    @property
     def match_stream(self) -> Optional[MatchStream]:
         """The stream :meth:`prepare_trace` matched for the current trace."""
         return self._stream
 
     def matching_statistics(self) -> dict:
-        """Counters of the map matcher: of the prepared stream, if any.
+        """Counters of the map matcher over the prepared stream's whole trace.
 
-        A prepared stream's counters cover its whole trace.
+        Without a prepared stream, the zero counters of a matcher that has
+        seen no sighting.
         """
         if self._stream is not None:
             return dict(self._stream.statistics)
-        return self.matcher.statistics()
-
-    def _detach_clone_state(self) -> None:
-        super()._detach_clone_state()
-        # The matcher holds per-run tracking state and statistics; it is
-        # cheap to rebuild (the spatial index lives in the road map), so a
-        # clone gets its own instead of resetting the prototype's in place.
-        # The memo of match streams stays shared with the prototype.
-        self.matcher = IncrementalMapMatcher(self.roadmap, self.config.matcher_config())
+        return IncrementalMapMatcher(self.roadmap, self.config.matcher_config()).statistics()
 
     def reset(self) -> None:
+        # Rebinds only: the memo of match streams stays shared with every
+        # clone_for copy.
         super().reset()
-        self.matcher.reset()
-        self._last_match = None
         self._matched = False
         self._stream = None
         self._stream_times = None

@@ -3,10 +3,11 @@
 The paper's system model (Fig. 1) has a *source* co-located with the mobile
 object's positioning sensor and a *location server* that stores the reported
 object state, applies the shared prediction function and answers position
-queries from applications.  This package provides those two components plus
-the message channel between them and the query API applications use
-("find the nearest taxi cab", "address all users inside an area",
-paper Sec. 1).
+queries from applications.  This package provides the server, the message
+channel from the source to it and the query API applications use ("find
+the nearest taxi cab", "address all users inside an area", paper Sec. 1);
+the source is an update protocol (:mod:`repro.protocols`) whose sends the
+fleet simulation computes (:func:`repro.sim.fleet.lane_updates`).
 
 Beyond the paper's single server, the package also provides the sharded
 serving tier the ROADMAP's fleet-scale north star needs:
@@ -25,7 +26,6 @@ tier load-adaptive under live traffic.
 
 from repro.service.channel import ChannelStats, MessageChannel
 from repro.service.server import LocationServer, TrackedObject
-from repro.service.source import LocationSource
 from repro.service.sharding import (
     GridHashPolicy,
     RebalancePolicy,
@@ -41,7 +41,6 @@ __all__ = [
     "ChannelStats",
     "LocationServer",
     "TrackedObject",
-    "LocationSource",
     "LocationService",
     "QueryEngine",
     "QueryCounters",

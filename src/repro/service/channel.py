@@ -6,29 +6,24 @@ and byte so the evaluation can report bandwidth alongside update counts, and
 it can add latency and losses for robustness experiments (losses model the
 disconnections Wolfson's dtdr strategy addresses).
 
-Every send goes through :meth:`MessageChannel.transmit`, which counts the
-message, decides whether it is lost and returns its delivery instant
-``t + L``.  A message then reaches the server in one of two ways:
-
-* The fleet simulation pushes each lane's whole update stream through
-  ``transmit`` and ingests every surviving message at exactly its delivery
-  instant, so latency is exact and ``max_queue_delay`` stays ``0``.
-* :meth:`MessageChannel.send` queues the message in an in-flight list and
-  :meth:`MessageChannel.deliver_due` pops everything whose delivery time
-  has been reached — i.e. a message sent at ``t`` with latency ``L`` is
-  delivered at the first polled instant ``>= t + L``.  Per-sighting
-  drivers (the tick-loop test oracle, the examples) poll this queue; the
-  quantisation it introduces is measured by
-  :attr:`ChannelStats.max_queue_delay` (the worst observed gap between a
-  message's nominal delivery instant and the poll that actually delivered
-  it — exactly ``0`` when latency is a multiple of the polling step).
+The channel has one delivery path.  Every send goes through
+:meth:`MessageChannel.transmit`, which counts the message, decides whether
+it is lost and returns its delivery instant ``t + L``; whoever delivers the
+message counts it with :meth:`MessageChannel.record_delivered`.  The fleet
+simulation pushes each lane's whole update stream through ``transmit`` and
+ingests every surviving message at exactly its delivery instant, so latency
+is exact and :attr:`ChannelStats.max_queue_delay` stays ``0``.  The
+test-suite's tick-loop oracle instead holds transmitted messages in a
+polled in-flight queue of its own and delivers them at the first tick
+``>= t + L``; it records the quantisation that introduces in
+``max_queue_delay``.
 
 Losses are drawn **per message**, keyed by ``(seed, object_id, sequence)``
 rather than by consuming a shared RNG stream in send order.  Send
 interleaving depends on the driver and the fleet composition, so a
 stream-ordered draw would make the loss pattern an artifact of the
 caller; the keyed draw gives bit-identical loss sequences for the same
-seed on either delivery path.  Unseeded channels keep the legacy stream
+seed whatever the driver.  Unseeded channels keep the legacy stream
 draw, consumed in send order (they are non-reproducible by construction).
 """
 
@@ -37,24 +32,9 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.protocols.base import UpdateMessage
-
-
-def delivery_order(entry: Tuple[float, str, UpdateMessage]) -> Tuple[float, str, int]:
-    """Canonical sort key for a batch of ``(deliver_at, object_id, message)``.
-
-    Two messages can share ``(deliver_at, object_id)`` — a zero-latency
-    channel carrying a sighting-triggered and a timer-triggered send from
-    the same instant, for example — and :class:`UpdateMessage` is a frozen
-    dataclass without ``order=True``, so sorting raw tuples would fall
-    through to comparing messages and raise ``TypeError``.  The message's
-    sequence number is the deterministic tie-break (send order per object),
-    as in the fleet's delivery order.
-    """
-    deliver_at, object_id, message = entry
-    return (deliver_at, object_id, message.sequence)
 
 
 @dataclass(slots=True)
@@ -69,10 +49,10 @@ class ChannelStats:
     bytes_sent: int = 0
     bytes_delivered: int = 0
     #: Worst observed queueing delay in seconds: how long a message sat in
-    #: the in-flight queue *past* its nominal delivery instant
+    #: a polled in-flight queue *past* its nominal delivery instant
     #: ``send_time + latency`` before a poll picked it up.  Exactly ``0``
-    #: in the fleet simulation (messages arrive at the exact instant) and
-    #: whenever latency is a multiple of the polling step.
+    #: in the fleet simulation (messages arrive at the exact instant); only
+    #: a polling driver (the test-suite's tick-loop oracle) raises it.
     max_queue_delay: float = 0.0
 
     @property
@@ -95,8 +75,8 @@ class MessageChannel:
     seed:
         Seed for the loss process.  Seeded channels draw each message's
         loss independently from ``(seed, object_id, sequence)``, so the
-        loss pattern is identical on both delivery paths and across
-        repeated runs; unseeded channels draw from a process-random stream.
+        loss pattern is identical for every driver and across repeated
+        runs; unseeded channels draw from a process-random stream.
     """
 
     def __init__(
@@ -111,7 +91,6 @@ class MessageChannel:
         self._seed = seed
         self._rng = random.Random(seed)
         self.stats = ChannelStats()
-        self._in_flight: List[Tuple[float, str, UpdateMessage]] = []
 
     def transmit(self, object_id: str, message: UpdateMessage, time: float) -> Optional[float]:
         """Count one send at *time*; return its delivery instant, or ``None`` if lost."""
@@ -121,12 +100,6 @@ class MessageChannel:
             self.stats.messages_lost += 1
             return None
         return time + self.latency
-
-    def send(self, object_id: str, message: UpdateMessage, time: float) -> None:
-        """:meth:`transmit`, then queue the message for :meth:`deliver_due`."""
-        deliver_at = self.transmit(object_id, message, time)
-        if deliver_at is not None:
-            self._in_flight.append((deliver_at, object_id, message))
 
     def _is_lost(self, object_id: str, message: UpdateMessage) -> bool:
         """Decide this message's fate (see the module docstring).
@@ -144,45 +117,19 @@ class MessageChannel:
         draw = int.from_bytes(digest, "big") / 2.0**64  # uniform in [0, 1)
         return draw < self.loss_probability
 
-    def deliver_due(self, time: float) -> List[Tuple[str, UpdateMessage]]:
-        """Pop every message whose delivery time has been reached.
-
-        This is the polled path: a message becomes visible at the first
-        poll at or after its nominal delivery instant; the quantisation gap
-        is recorded on :attr:`ChannelStats.max_queue_delay`.
-        """
-        if not self._in_flight:
-            return []
-        due = [entry for entry in self._in_flight if entry[0] <= time]
-        if due:
-            self._in_flight = [entry for entry in self._in_flight if entry[0] > time]
-            self.record_delivered([m for _, _, m in due])
-            worst = max(time - deliver_at for deliver_at, _, _ in due)
-            if worst > self.stats.max_queue_delay:
-                self.stats.max_queue_delay = worst
-        due.sort(key=delivery_order)
-        return [(object_id, message) for _, object_id, message in due]
-
     def record_delivered(self, messages: Sequence[UpdateMessage]) -> None:
-        """Count *messages* as delivered (polled or at their exact instant)."""
+        """Count *messages* as delivered."""
         self.stats.messages_delivered += len(messages)
         self.stats.bytes_delivered += sum(m.size_bytes for m in messages)
 
     def reset(self) -> None:
-        """Drop all in-flight messages and zero the statistics.
+        """Zero the statistics.
 
         Simulations call this at run start so that a caller-supplied channel
-        cannot leak undelivered messages (or counters) from a previous run
-        into the next one.  Seeded channels draw losses per message (keyed
+        cannot leak counters from a previous run into the next one.  Seeded channels draw losses per message (keyed
         by object and sequence number), so repeated runs over one channel
         replay the same loss pattern — that is the reproducibility contract.
         The unseeded stream RNG is deliberately left alone: resetting it
         would turn independent runs into replays.
         """
-        self._in_flight.clear()
         self.stats = ChannelStats()
-
-    @property
-    def in_flight(self) -> int:
-        """Number of messages queued by :meth:`send` and not yet delivered."""
-        return len(self._in_flight)

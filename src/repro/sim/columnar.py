@@ -1,7 +1,7 @@
 """Columnar (struct-of-arrays) mega-fleet engine.
 
 At 100k tracked objects the per-object representation of the fleet loop —
-one protocol instance, one estimator deque, one server record each — spends
+one protocol instance, one lane state, one server record each — spends
 its time on attribute access and allocation.  This module keeps the whole
 fleet's hot state in contiguous NumPy columns instead:
 
@@ -32,7 +32,7 @@ reports matter only at the instants it sends, so the loop estimates them
 there alone, with :func:`~repro.traces.estimation.estimate_at` over the
 sending lanes' last *window* sightings: that is row for row the sliding
 estimate :func:`~repro.traces.estimation.estimate_traces` the fleet loop
-runs per lane (proven bitwise equal to the streaming estimator).
+runs per lane (proven bitwise equal to estimating sighting by sighting).
 """
 
 from __future__ import annotations
@@ -215,12 +215,12 @@ class ColumnarFleetEngine:
                 f"protocol {type(first).__name__} has no columnar decision rule "
                 "(supported: DistanceBasedReporting, LinearPredictionProtocol)"
             )
-        window = first.estimator.window
+        window = first.estimation_window
         times = lanes[0].sensor_trace.times
         for lane in lanes:
             if type(lane.protocol) is not type(first):
                 return "columnar fleets need one protocol class across all lanes"
-            if lane.protocol.estimator.window != window:
+            if lane.protocol.estimation_window != window:
                 return "columnar fleets share one estimation window"
             if lane.channel is not None:
                 ch = lane.channel
@@ -267,7 +267,7 @@ class ColumnarFleetEngine:
             sensor_uncertainty=np.array(
                 [lane.protocol.sensor_uncertainty for lane in lanes]
             ),
-            estimation_window=first.estimator.window,
+            estimation_window=first.estimation_window,
             object_ids=[lane.object_id for lane in lanes],
             protocol_name=first.name,
             obs=obs,

@@ -18,8 +18,8 @@ Design properties the rest of the stack relies on:
   fleet, so the equivalence is structural, not coincidental.
 * **Vectorised hot path** — speed/heading estimates for each sensor trace
   are precomputed in one batched pass
-  (:func:`repro.traces.estimation.estimate_trace`, bitwise identical to the
-  streaming estimator) and handed with the trace to the protocol's
+  (:func:`repro.traces.estimation.estimate_trace`, bitwise identical to
+  estimating sighting by sighting) and handed with the trace to the protocol's
   :meth:`~repro.protocols.base.UpdateProtocol.prepare_trace` (the map-based
   protocol matches the whole trace there).  Distance-based reporting,
   linear DR and map-based DR find their sends with a first-crossing
@@ -204,7 +204,7 @@ class _LaneState:
         self.sensor_positions = lane.sensor_trace.positions
         self.truth_positions = truth.positions
         self.velocities, self.speeds = estimate_trace(
-            self.times, self.sensor_positions, lane.protocol.estimator.window
+            self.times, self.sensor_positions, lane.protocol.estimation_window
         )
         lane.protocol.prepare_trace(
             self.times, self.sensor_positions, self.velocities, self.speeds
@@ -789,7 +789,7 @@ def trace_updates(protocol: UpdateProtocol, trace: Trace) -> List[Tuple[float, U
     """
     times = trace.times
     positions = trace.positions
-    velocities, speeds = estimate_trace(times, positions, protocol.estimator.window)
+    velocities, speeds = estimate_trace(times, positions, protocol.estimation_window)
     protocol.prepare_trace(times, positions, velocities, speeds)
     return lane_updates(protocol, times, positions, velocities, speeds)[0]
 

@@ -9,7 +9,7 @@ simulation.
 
 from repro.traces.trace import TraceSample, Trace
 from repro.traces.noise import GpsNoiseModel, GaussianNoise, GaussMarkovNoise, NoNoise
-from repro.traces.estimation import StateEstimator, estimate_velocity
+from repro.traces.estimation import estimate_velocity
 from repro.traces.filters import MovingAverageFilter, AlphaBetaFilter
 from repro.traces.stats import TraceStatistics, compute_statistics
 from repro.traces.resample import resample_uniform, decimate
@@ -22,7 +22,6 @@ __all__ = [
     "GaussianNoise",
     "GaussMarkovNoise",
     "NoNoise",
-    "StateEstimator",
     "estimate_velocity",
     "MovingAverageFilter",
     "AlphaBetaFilter",

@@ -5,18 +5,17 @@ and direction of movement.  Footnote 1 of the paper notes that "if speed and
 direction are not directly available, they can be inferred from the last *n*
 position sightings", and Sec. 4 reports the window sizes that worked best:
 n = 2 for freeway traffic, 4 for city and inter-urban traffic and 8 for a
-walking person.  :class:`StateEstimator` implements exactly that sliding
-window least-squares estimate.
+walking person.  :func:`estimate_velocity` is that least-squares estimate
+over one window; :func:`estimate_traces` (and its one-trace form
+:func:`estimate_trace`) slides it over whole traces at once, and
+:func:`estimate_at` evaluates it at one instant for many lanes.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Tuple
+from typing import Tuple
 
 import numpy as np
-
-from repro.geo.vec import Vec2, as_vec
 
 
 def estimate_velocity(
@@ -82,7 +81,7 @@ def estimate_at(
         return velocities
     for axis in (0, 1):
         # ascontiguousarray keeps the per-row reductions on the same pairwise
-        # summation path as the streaming estimator's contiguous windows.
+        # summation path as estimate_velocity's contiguous windows.
         x = np.ascontiguousarray(positions[:, lo:, axis])
         velocities[:, axis] = (
             t_centered * (x - x.mean(axis=1, keepdims=True))
@@ -97,14 +96,14 @@ def estimate_traces(
 
     ``positions`` has shape ``(n_lanes, n_samples, 2)``; returns
     ``(velocities, speeds)`` of shapes ``(n_lanes, n_samples, 2)`` and
-    ``(n_lanes, n_samples)``.  Row ``k`` is exactly what feeding lane
-    ``k``'s samples one by one through a :class:`StateEstimator` with the
-    same *window* would produce: every window's arithmetic matches
-    :func:`estimate_velocity` operation for operation, reduced over the
-    last (window) axis, and the shared time grid makes the centred-time
-    factors literally the same floats.  The simulation engines rely on that
+    ``(n_lanes, n_samples)``.  Row ``k``, sample ``i`` is exactly
+    :func:`estimate_velocity` over lane ``k``'s last ``min(i + 1, window)``
+    sightings up to ``i`` (zero before the second sighting): every window's
+    arithmetic matches it operation for operation, reduced over the last
+    (window) axis, and the shared time grid makes the centred-time factors
+    literally the same floats.  The simulation engines rely on that
     bitwise identity to keep their fast paths equivalent to the
-    per-sighting protocol API.  The windowed temporaries hold ``window``
+    per-sighting estimate.  The windowed temporaries hold ``window``
     copies of *positions*; a wide fleet that needs the estimate only at a
     few samples calls :func:`estimate_at` there instead.
     """
@@ -150,63 +149,12 @@ def estimate_trace(
 
     Returns ``(velocities, speeds)`` with shapes ``(n, 2)`` and ``(n,)``:
     row 0 of :func:`estimate_traces` over the one-lane fleet *positions*,
-    hence bitwise identical to the streaming :class:`StateEstimator`.
+    hence bitwise identical to estimating sighting by sighting.
     """
     velocities, speeds = estimate_traces(
         times, np.asarray(positions, dtype=float)[None], window
     )
     return velocities[0], speeds[0]
-
-
-class StateEstimator:
-    """Sliding-window speed/heading estimator fed one sighting at a time.
-
-    Parameters
-    ----------
-    window:
-        Number of most recent sightings used for the estimate (the paper's
-        *n*).  ``window = 2`` reproduces a simple finite difference.
-    """
-
-    def __init__(self, window: int = 4):
-        if window < 2:
-            raise ValueError("window must be at least 2")
-        self.window = int(window)
-        self._times: Deque[float] = deque(maxlen=window)
-        self._positions: Deque[np.ndarray] = deque(maxlen=window)
-
-    def reset(self) -> None:
-        """Forget all past sightings."""
-        self._times.clear()
-        self._positions.clear()
-
-    def update(self, time: float, position: Vec2) -> Tuple[np.ndarray, float]:
-        """Add a sighting and return the current ``(velocity, speed)`` estimate.
-
-        Until two sightings have been seen the estimate is zero velocity,
-        which is also what a receiver reports before it has a fix history.
-        """
-        self._times.append(float(time))
-        self._positions.append(as_vec(position))
-        if len(self._times) < 2:
-            return np.zeros(2), 0.0
-        return estimate_velocity(
-            np.array(self._times), np.array(self._positions)
-        )
-
-    @property
-    def n_samples(self) -> int:
-        """Number of sightings currently inside the window."""
-        return len(self._times)
-
-    def current_direction(self) -> np.ndarray:
-        """Unit direction of the current velocity estimate (zero if unknown)."""
-        velocity, speed = estimate_velocity(
-            np.array(self._times), np.array(self._positions)
-        ) if len(self._times) >= 2 else (np.zeros(2), 0.0)
-        if speed == 0.0:
-            return np.zeros(2)
-        return velocity / speed
 
 
 def recommended_window(mean_speed: float) -> int:

@@ -7,9 +7,9 @@ sample instants is the tick grid, and at each tick
 
 1. every lane sampled at that tick processes its sighting (lanes in lane
    order) and sends any update over its channel's polled queue
-   (:meth:`~repro.service.channel.MessageChannel.send`),
-2. every channel those lanes use is polled with
-   :meth:`~repro.service.channel.MessageChannel.deliver_due` and the due
+   (:meth:`reference.streaming.PolledQueue.send`),
+2. every channel those lanes use has its queue polled with
+   :meth:`reference.streaming.PolledQueue.deliver_due` and the due
    messages are ingested as one batch,
 3. the server's predictions for the sampled lanes are measured against
    ground truth.
@@ -25,12 +25,14 @@ bit; the equivalence tests assert exactly that.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
 import numpy as np
 
 from repro.service.channel import MessageChannel
 from repro.sim.fleet import FleetSimulation
+
+from reference.streaming import PolledQueue
 
 
 class TickLoopFleet(FleetSimulation):
@@ -55,18 +57,22 @@ class TickLoopFleet(FleetSimulation):
         starts.append(len(t_list))
 
         ingest = getattr(server, "ingest_batch", None)
+        queues: Dict[int, PolledQueue] = {}
+        for state in states:
+            queues.setdefault(id(state.channel), PolledQueue(state.channel))
         for g in range(len(starts) - 1):
             lo, hi = starts[g], starts[g + 1]
             t = t_list[lo]
             batch = [(states[lane_sorted[e]], sample_sorted[e]) for e in range(lo, hi)]
-            seen_channels: List[MessageChannel] = []
+            seen: List[PolledQueue] = []
             for state, i in batch:
-                _sighting(state, i, t)
-                if state.channel not in seen_channels:
-                    seen_channels.append(state.channel)
+                queue = queues[id(state.channel)]
+                _sighting(state, queue, i, t)
+                if queue not in seen:
+                    seen.append(queue)
             delivered: List = []
-            for channel in seen_channels:
-                delivered.extend(channel.deliver_due(t))
+            for queue in seen:
+                delivered.extend(queue.deliver_due(t))
             if delivered:
                 if ingest is not None:
                     ingest(delivered, t)
@@ -80,11 +86,11 @@ class TickLoopFleet(FleetSimulation):
                 state.record_error(i, position)
 
 
-def _sighting(state, i: int, t: float) -> None:
+def _sighting(state, queue: PolledQueue, i: int, t: float) -> None:
     """Feed sample *i* to the lane's protocol; send any update it emits."""
     message = state.lane.protocol.observe_precomputed(
         t, state.sensor_positions[i], state.velocities[i], float(state.speeds[i])
     )
     if message is not None:
-        state.channel.send(state.lane.object_id, message, t)
+        queue.send(state.lane.object_id, message, t)
         state.count_update(message)

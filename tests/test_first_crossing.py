@@ -49,7 +49,7 @@ SEARCHED = {**PROTOCOLS, "map": MapBasedProtocol}
 
 def _estimates(protocol, times, positions):
     """The arrays the fleet feeds a lane's schedule, the protocol prepared."""
-    velocities, speeds = estimate_trace(times, positions, protocol.estimator.window)
+    velocities, speeds = estimate_trace(times, positions, protocol.estimation_window)
     protocol.prepare_trace(times, positions, velocities, speeds)
     return times, positions, velocities, speeds
 

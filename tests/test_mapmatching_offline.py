@@ -11,8 +11,9 @@ from repro.mapmatching.offline import (
     matching_accuracy,
 )
 from repro.sim.runner import ScenarioSpec
-from repro.traces.estimation import StateEstimator
 from repro.traces.trace import Trace
+
+from reference.streaming import StateEstimator
 
 
 def _per_sample_match_trace(trace, roadmap, config=None):

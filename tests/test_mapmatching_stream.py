@@ -1,24 +1,26 @@
 """Oracle tests for the batch match stream.
 
 ``IncrementalMapMatcher.match_stream`` matches a whole trace at once and the
-map-based protocol's precomputed path reads its rows instead of calling
+map-based protocol reads its rows instead of calling
 ``IncrementalMapMatcher.update``.  Per-sighting ``update`` stays the oracle:
-the stream must equal it bit for bit, and the fleet's precomputed path must
-send the same update messages as the streaming ``observe`` path.
+the stream must equal it bit for bit, and the fleet must send the same
+update messages as a protocol whose rows are built from ``update`` results
+(estimates from the streaming estimator) and fed one sighting at a time.
 """
 
 import numpy as np
 import pytest
 
 from repro.experiments.library import scenario_names
-from repro.mapmatching.matcher import IncrementalMapMatcher, MatcherConfig
+from repro.mapmatching.matcher import IncrementalMapMatcher, MatcherConfig, MatchStream
 from repro.protocols.mapbased import MapBasedConfig, MapBasedProtocol
 from repro.service.channel import MessageChannel
-from repro.service.source import LocationSource
 from repro.sim.fleet import FleetLane, _LaneState, lane_updates
 from repro.sim.runner import ScenarioSpec
 from repro.traces.estimation import estimate_trace
 from repro.traces.trace import Trace
+
+from reference.streaming import StateEstimator
 
 #: The kernel-equivalence suite's scales, so the per-process scenario cache
 #: is shared between the modules.
@@ -56,19 +58,29 @@ def _per_sighting(matcher, positions, velocities, speeds):
     return results
 
 
+def _stream_of(results, statistics):
+    """The rows of per-sighting ``update`` *results*, as a :class:`MatchStream`."""
+    return MatchStream(
+        matched=np.array([r.is_matched for r in results], dtype=bool),
+        link_ids=np.array(
+            [r.link_id if r.is_matched else -1 for r in results], dtype=np.int64
+        ),
+        offsets=np.array([r.offset if r.is_matched else np.nan for r in results]),
+        positions=np.array([r.position for r in results]).reshape(-1, 2),
+        distances=np.array([r.distance for r in results]),
+        statistics=statistics,
+    )
+
+
 def _assert_stream_equals(stream, results, statistics):
     assert len(stream) == len(results)
-    matched = np.array([r.is_matched for r in results])
-    link_ids = np.array([r.link_id if r.is_matched else -1 for r in results])
-    offsets = np.array([r.offset if r.is_matched else np.nan for r in results])
-    positions = np.array([r.position for r in results]).reshape(-1, 2)
-    distances = np.array([r.distance for r in results])
-    assert np.array_equal(stream.matched, matched)
-    assert np.array_equal(stream.link_ids, link_ids)
+    oracle = _stream_of(results, statistics)
+    assert np.array_equal(stream.matched, oracle.matched)
+    assert np.array_equal(stream.link_ids, oracle.link_ids)
     # Bit for bit, NaN (off-map offset) included.
-    assert stream.offsets.tobytes() == offsets.tobytes()
-    assert stream.positions.tobytes() == positions.tobytes()
-    assert stream.distances.tobytes() == distances.tobytes()
+    assert stream.offsets.tobytes() == oracle.offsets.tobytes()
+    assert stream.positions.tobytes() == oracle.positions.tobytes()
+    assert stream.distances.tobytes() == oracle.distances.tobytes()
     assert stream.statistics == statistics
 
 
@@ -84,6 +96,7 @@ def _message_key(message):
         state.link_id,
         state.link_offset,
         state.uncertainty,
+        None if state.acceleration is None else state.acceleration.tobytes(),
     )
 
 
@@ -94,6 +107,31 @@ def _fleet_messages(state):
         state.velocities, state.speeds,
     )
     return [_message_key(m) for _t, m in stream]
+
+
+def _update_messages(protocol, trace):
+    """The oracle's messages, as keys, and its matcher's statistics.
+
+    Speed and heading come from the streaming estimator, the match of each
+    sighting from one ``IncrementalMapMatcher.update`` call; the protocol
+    reads those rows, one ``observe_precomputed`` call per sighting.
+    """
+    times, positions = trace.times, trace.positions
+    estimator = StateEstimator(protocol.estimation_window)
+    estimates = [estimator.update(t, positions[i]) for i, t in enumerate(times.tolist())]
+    velocities = np.array([v for v, _ in estimates])
+    speeds = np.array([s for _, s in estimates])
+    matcher = IncrementalMapMatcher(protocol.roadmap, protocol.config.matcher_config())
+    results = _per_sighting(matcher, positions, velocities, speeds)
+    protocol.prepare_trace(times, positions, velocities, speeds)
+    # Replace the batch stream prepare_trace matched with the update-built rows.
+    protocol._stream = _stream_of(results, matcher.statistics())
+    messages = [
+        protocol.observe_precomputed(t, positions[i], velocities[i], speeds[i])
+        for i, t in enumerate(times.tolist())
+    ]
+    keys = [_message_key(m) for m in messages if m is not None]
+    return keys, matcher.statistics()
 
 
 @pytest.mark.parametrize("advance", [False, True], ids=["clamped", "advance"])
@@ -124,17 +162,11 @@ class TestLibraryScenarios:
         fleet_messages = _fleet_messages(_LaneState(lane, MessageChannel()))
         assert fleet_protocol.match_stream is not None
 
-        streaming_protocol = _map_protocol(scenario, advance)
-        source = LocationSource("obj", streaming_protocol, MessageChannel())
-        for sample in trace:
-            source.process_sighting(sample.time, sample.position)
-
-        streaming_messages = [_message_key(m) for m in source.sent_messages]
-        assert fleet_messages == streaming_messages
-        assert (
-            fleet_protocol.matching_statistics()
-            == streaming_protocol.matching_statistics()
+        oracle_messages, oracle_statistics = _update_messages(
+            _map_protocol(scenario, advance), trace
         )
+        assert fleet_messages == oracle_messages
+        assert fleet_protocol.matching_statistics() == oracle_statistics
 
 
 class TestLeavingTheMap:
@@ -170,11 +202,10 @@ class TestLeavingTheMap:
         fleet_messages = _fleet_messages(
             _LaneState(FleetLane("obj", fleet_protocol, trace), MessageChannel())
         )
-        streaming_protocol = MapBasedProtocol(100.0, straight_map, config=config)
-        source = LocationSource("obj", streaming_protocol, MessageChannel())
-        for sample in trace:
-            source.process_sighting(sample.time, sample.position)
-        assert fleet_messages == [_message_key(m) for m in source.sent_messages]
+        oracle_messages, _ = _update_messages(
+            MapBasedProtocol(100.0, straight_map, config=config), trace
+        )
+        assert fleet_messages == oracle_messages
         reasons = {key[1].value for key in fleet_messages}
         assert {"off_map", "reacquired"} <= reasons
 

@@ -11,14 +11,13 @@ from repro.protocols.adaptive import (
 from repro.protocols.linear import LinearPredictionProtocol
 from repro.traces.trace import Trace
 
+from reference.streaming import stream_observe
+
 
 def feed(protocol, trace):
-    messages = []
-    for sample in trace:
-        message = protocol.observe(sample.time, sample.position)
-        if message is not None:
-            messages.append(message)
-    return messages
+    """Run a protocol over a trace, sighting by sighting; return its messages."""
+    messages = stream_observe(protocol, trace.times, trace.positions)
+    return [m for m in messages if m is not None]
 
 
 @pytest.fixture()
@@ -106,7 +105,7 @@ class TestDisconnectionDetection:
             initial_threshold=100.0, decay_time=100.0, floor_fraction=0.2,
             estimation_window=2,
         )
-        protocol.observe(0.0, (0.0, 0.0))
+        stream_observe(protocol, [0.0], [(0.0, 0.0)])
         assert protocol.current_threshold(0.0) == pytest.approx(100.0)
         assert protocol.current_threshold(50.0) == pytest.approx(50.0)
         assert protocol.current_threshold(1000.0) == pytest.approx(20.0)

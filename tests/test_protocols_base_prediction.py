@@ -3,8 +3,23 @@
 import numpy as np
 import pytest
 
-from repro.protocols.base import ObjectState, UpdateMessage, UpdateReason
+import repro.protocols
+from repro.protocols.adaptive import (
+    AdaptiveDeadReckoning,
+    DisconnectionDetectionDeadReckoning,
+    SpeedDeadReckoning,
+)
+from repro.protocols.base import ObjectState, UpdateMessage, UpdateProtocol, UpdateReason
+from repro.protocols.higher_order import HigherOrderPredictionProtocol
+from repro.protocols.known_route import KnownRouteProtocol
 from repro.protocols.linear import LinearPredictionProtocol
+from repro.protocols.mapbased import MapBasedProtocol
+from repro.protocols.probabilistic import ProbabilisticMapBasedProtocol
+from repro.protocols.reporting import (
+    DistanceBasedReporting,
+    MovementBasedReporting,
+    TimeBasedReporting,
+)
 from repro.protocols.prediction import (
     LinearPrediction,
     MainRoadTurnPolicy,
@@ -20,6 +35,8 @@ from repro.roadmap.generators import freeway_map, t_junction_map
 from repro.roadmap.probability import TurnProbabilityTable
 from repro.roadmap.routing import RoutePlanner
 from repro.mobility.scenarios import corridor_route
+
+from reference.streaming import stream_observe
 
 
 def make_state(time=0.0, position=(0.0, 0.0), velocity=(10.0, 0.0), **kwargs):
@@ -239,6 +256,36 @@ class TestRoutePrediction:
         np.testing.assert_allclose(predicted, [2000.0, 0.0], atol=1e-6)
 
 
+def _protocol_factories(roadmap):
+    """One constructor per protocol class, taking the estimation window."""
+    planner = RoutePlanner(roadmap)
+    start, _ = roadmap.nearest_intersection((0.0, 0.0))
+    end, _ = roadmap.nearest_intersection((2000.0, 0.0))
+    route = planner.shortest_route(start.id, end.id)
+    table = TurnProbabilityTable(roadmap)
+    return {
+        DistanceBasedReporting: lambda w: DistanceBasedReporting(100.0, estimation_window=w),
+        TimeBasedReporting: lambda w: TimeBasedReporting(100.0, 5.0, estimation_window=w),
+        MovementBasedReporting: lambda w: MovementBasedReporting(100.0, estimation_window=w),
+        LinearPredictionProtocol: lambda w: LinearPredictionProtocol(
+            100.0, estimation_window=w
+        ),
+        HigherOrderPredictionProtocol: lambda w: HigherOrderPredictionProtocol(
+            100.0, estimation_window=w
+        ),
+        MapBasedProtocol: lambda w: MapBasedProtocol(100.0, roadmap, estimation_window=w),
+        ProbabilisticMapBasedProtocol: lambda w: ProbabilisticMapBasedProtocol(
+            100.0, roadmap, table, estimation_window=w
+        ),
+        KnownRouteProtocol: lambda w: KnownRouteProtocol(100.0, route, estimation_window=w),
+        SpeedDeadReckoning: lambda w: SpeedDeadReckoning(100.0, estimation_window=w),
+        AdaptiveDeadReckoning: lambda w: AdaptiveDeadReckoning(100.0, estimation_window=w),
+        DisconnectionDetectionDeadReckoning: lambda w: DisconnectionDetectionDeadReckoning(
+            100.0, estimation_window=w
+        ),
+    }
+
+
 class TestUpdateProtocolMachinery:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -246,9 +293,23 @@ class TestUpdateProtocolMachinery:
         with pytest.raises(ValueError):
             LinearPredictionProtocol(accuracy=100.0, sensor_uncertainty=-1.0)
 
+    def test_every_protocol_rejects_an_estimation_window_below_two(self, straight_map):
+        factories = _protocol_factories(straight_map)
+        exported = {
+            cls for cls in vars(repro.protocols).values()
+            if isinstance(cls, type) and issubclass(cls, UpdateProtocol)
+            and cls is not UpdateProtocol
+        }
+        assert set(factories) == exported
+        for cls, build in factories.items():
+            assert build(2).estimation_window == 2, cls.__name__
+            for window in (1, 0, -3):
+                with pytest.raises(ValueError, match="window must be at least 2"):
+                    build(window)
+
     def test_first_observation_triggers_initial_update(self):
         protocol = LinearPredictionProtocol(accuracy=100.0)
-        message = protocol.observe(0.0, (0.0, 0.0))
+        (message,) = stream_observe(protocol, [0.0], [(0.0, 0.0)])
         assert message is not None
         assert message.reason is UpdateReason.INITIAL
         assert protocol.updates_sent == 1
@@ -260,13 +321,12 @@ class TestUpdateProtocolMachinery:
 
     def test_bytes_accumulate(self):
         protocol = LinearPredictionProtocol(accuracy=10.0)
-        protocol.observe(0.0, (0.0, 0.0))
-        protocol.observe(1.0, (100.0, 0.0))
+        stream_observe(protocol, [0.0, 1.0], [(0.0, 0.0), (100.0, 0.0)])
         assert protocol.bytes_sent >= 2 * 32
 
     def test_reset(self):
         protocol = LinearPredictionProtocol(accuracy=10.0)
-        protocol.observe(0.0, (0.0, 0.0))
+        stream_observe(protocol, [0.0], [(0.0, 0.0)])
         protocol.reset()
         assert protocol.updates_sent == 0
         assert protocol.last_reported is None

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.mapmatching.matcher import IncrementalMapMatcher
 from repro.protocols.base import UpdateReason
 from repro.protocols.known_route import KnownRouteProtocol
 from repro.protocols.linear import LinearPredictionProtocol
@@ -12,14 +13,13 @@ from repro.roadmap.probability import TurnProbabilityTable
 from repro.sim.fleet import run_simulation
 from repro.traces.trace import Trace
 
+from reference.streaming import stream_observe
+
 
 def feed(protocol, trace):
-    messages = []
-    for sample in trace:
-        message = protocol.observe(sample.time, sample.position)
-        if message is not None:
-            messages.append(message)
-    return messages
+    """Run a protocol over a trace, sighting by sighting; return its messages."""
+    messages = stream_observe(protocol, trace.times, trace.positions)
+    return [m for m in messages if m is not None]
 
 
 class TestMapBasedConfig:
@@ -139,13 +139,45 @@ class TestMapBasedProtocol:
         stats = protocol.matching_statistics()
         assert "forward_tracks" in stats
 
+    def test_unprepared_matching_statistics_equal_a_fresh_matchers(self, straight_map):
+        config = MapBasedConfig(matching_tolerance=17.0, reacquire_interval=3)
+        protocol = MapBasedProtocol(accuracy=100.0, roadmap=straight_map, config=config)
+        fresh = IncrementalMapMatcher(straight_map, config.matcher_config()).statistics()
+        assert protocol.match_stream is None
+        assert list(protocol.matching_statistics().items()) == list(fresh.items())
+        assert set(fresh.values()) == {0}
+
+    def test_clone_has_its_own_row_and_stream_state(self, straight_map, straight_trace):
+        times, positions = straight_trace.times, straight_trace.positions
+        prototype = MapBasedProtocol(accuracy=100.0, roadmap=straight_map)
+        stream_observe(prototype, times, positions)
+        stream = prototype.match_stream
+        assert stream is not None and prototype._row == len(times)
+
+        clone = prototype.clone_for(200.0)
+        assert clone.match_stream is None and clone._row == 0
+        assert not clone._matched
+        with pytest.raises(RuntimeError):
+            clone.observe_precomputed(times[0], positions[0], np.zeros(2), 0.0)
+        # The clone replays the trace from the shared memo, on its own row.
+        clone_messages = stream_observe(clone, times, positions)
+        assert clone._match_streams is prototype._match_streams
+        assert clone.match_stream is stream
+        assert clone._row == len(times)
+        assert clone_messages[0] is not None and clone.updates_sent >= 1
+        # A new trace on the clone fills the shared memo; the prototype's
+        # own stream and row stay where its run left them.
+        stream_observe(clone, times[:20], positions[:20] + 3.0)
+        assert clone.match_stream is not stream and clone._row == 20
+        assert len(prototype._match_streams) == 2
+        assert prototype.match_stream is stream and prototype._row == len(times)
+
     def test_reset(self, straight_map, straight_trace):
         protocol = MapBasedProtocol(accuracy=100.0, roadmap=straight_map)
         feed(protocol, straight_trace)
         protocol.reset()
         assert protocol.updates_sent == 0
-        assert protocol.last_match is None
-        assert protocol.matcher.current_link is None
+        assert protocol.match_stream is None
 
 
 class TestProbabilisticMapBased:

@@ -14,15 +14,13 @@ from repro.protocols.reporting import (
 from repro.sim.fleet import run_simulation
 from repro.traces.trace import Trace
 
+from reference.streaming import stream_observe
+
 
 def feed(protocol, trace):
-    """Run a protocol over a trace and return the emitted messages."""
-    messages = []
-    for sample in trace:
-        message = protocol.observe(sample.time, sample.position)
-        if message is not None:
-            messages.append(message)
-    return messages
+    """Run a protocol over a trace, sighting by sighting; return its messages."""
+    messages = stream_observe(protocol, trace.times, trace.positions)
+    return [m for m in messages if m is not None]
 
 
 class TestDistanceBasedReporting:
@@ -153,14 +151,14 @@ class TestHigherOrderProtocol:
 
     def test_state_carries_acceleration(self):
         protocol = HigherOrderPredictionProtocol(accuracy=10.0, estimation_window=2)
-        protocol.observe(0.0, (0.0, 0.0))
-        protocol.observe(1.0, (5.0, 0.0))
-        message = protocol.observe(2.0, (30.0, 0.0))
+        *_, message = stream_observe(
+            protocol, [0.0, 1.0, 2.0], [(0.0, 0.0), (5.0, 0.0), (30.0, 0.0)]
+        )
         if message is not None:
             assert message.state.acceleration is not None
 
     def test_reset(self):
         protocol = HigherOrderPredictionProtocol(accuracy=10.0)
-        protocol.observe(0.0, (0.0, 0.0))
+        stream_observe(protocol, [0.0], [(0.0, 0.0)])
         protocol.reset()
         assert protocol.updates_sent == 0

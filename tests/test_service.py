@@ -1,5 +1,5 @@
-"""Unit tests for the location-service substrate (channel, server, source) and
-the linear-scan query oracle."""
+"""Unit tests for the location-service substrate (channel, server), the
+reference source and polled queue, and the linear-scan query oracle."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from repro.protocols.linear import LinearPredictionProtocol
 from repro.protocols.prediction import LinearPrediction, StaticPrediction
 from repro.service.channel import MessageChannel
 from repro.service.server import LocationServer
-from repro.service.source import LocationSource
 
 from reference.linear_queries import (
     geofence_query,
@@ -18,6 +17,7 @@ from reference.linear_queries import (
     position_query,
     range_query,
 )
+from reference.streaming import LocationSource, PolledQueue
 
 
 def make_message(sequence=0, time=0.0, position=(0.0, 0.0), velocity=(10.0, 0.0), link_id=None):
@@ -37,33 +37,43 @@ class TestMessageChannel:
 
     def test_instant_delivery(self):
         channel = MessageChannel()
-        channel.send("obj", make_message(), time=5.0)
-        delivered = channel.deliver_due(5.0)
+        queue = PolledQueue(channel)
+        queue.send("obj", make_message(), time=5.0)
+        delivered = queue.deliver_due(5.0)
         assert len(delivered) == 1
         assert delivered[0][0] == "obj"
         assert channel.stats.messages_delivered == 1
 
     def test_latency_delays_delivery(self):
-        channel = MessageChannel(latency=2.0)
-        channel.send("obj", make_message(), time=0.0)
-        assert channel.deliver_due(1.0) == []
-        assert channel.in_flight == 1
-        assert len(channel.deliver_due(2.0)) == 1
+        queue = PolledQueue(MessageChannel(latency=2.0))
+        queue.send("obj", make_message(), time=0.0)
+        assert queue.deliver_due(1.0) == []
+        assert queue.in_flight == 1
+        assert len(queue.deliver_due(2.0)) == 1
+
+    def test_poll_past_the_delivery_instant_records_queue_delay(self):
+        channel = MessageChannel(latency=1.5)
+        queue = PolledQueue(channel)
+        queue.send("obj", make_message(), time=0.0)
+        assert len(queue.deliver_due(2.0)) == 1
+        assert channel.stats.max_queue_delay == 0.5
 
     def test_loss(self):
         channel = MessageChannel(loss_probability=0.5, seed=0)
+        queue = PolledQueue(channel)
         for i in range(200):
-            channel.send("obj", make_message(sequence=i), time=float(i))
-        channel.deliver_due(1e9)
+            queue.send("obj", make_message(sequence=i), time=float(i))
+        queue.deliver_due(1e9)
         assert channel.stats.messages_lost > 0
         assert channel.stats.messages_delivered + channel.stats.messages_lost == 200
         assert 0.3 < channel.stats.loss_rate < 0.7
 
     def test_byte_accounting(self):
         channel = MessageChannel()
+        queue = PolledQueue(channel)
         message = make_message()
-        channel.send("obj", message, time=0.0)
-        channel.deliver_due(0.0)
+        queue.send("obj", message, time=0.0)
+        queue.deliver_due(0.0)
         assert channel.stats.bytes_sent == message.size_bytes
         assert channel.stats.bytes_delivered == message.size_bytes
 
@@ -120,17 +130,18 @@ class TestLocationSource:
         protocol = LinearPredictionProtocol(accuracy=50.0, estimation_window=2)
         channel = MessageChannel()
         source = LocationSource("car-1", protocol, channel)
-        for sample in straight_trace:
-            source.process_sighting(sample.time, sample.position)
+        times = list(source.sightings(straight_trace.times, straight_trace.positions))
+        assert times == straight_trace.times.tolist()
         assert source.updates_sent == protocol.updates_sent
         assert channel.stats.messages_sent == source.updates_sent
         assert len(source.sent_messages) == source.updates_sent
 
     def test_default_channel_created(self):
         source = LocationSource("car-2", LinearPredictionProtocol(accuracy=100.0))
-        message = source.process_sighting(0.0, (0.0, 0.0))
-        assert message is not None
+        list(source.sightings([0.0], [(0.0, 0.0)]))
+        assert source.updates_sent == 1
         assert source.channel.stats.messages_sent == 1
+        assert source.queue.deliver_due(0.0) == [("car-2", source.sent_messages[0])]
 
 
 class TestQueries:

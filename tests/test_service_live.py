@@ -5,8 +5,8 @@ Covers three areas that ship together:
 * **Channel delivery correctness** — tied ``(deliver_at, object_id)``
   entries must not crash the sort (``UpdateMessage`` has no ordering), and
   a channel must be safely reusable across runs and loops, and the
-  fleet's ``transmit`` path must count and lose messages exactly as the
-  polled ``send`` does.
+  reference polled queue over ``transmit`` must count and lose messages
+  exactly as the fleet's direct ``transmit`` calls do.
 * **Facade margin queries on all-infinite-accuracy fleets** — pinned
   bit-identical to the linear reference scans.
 * **The live server itself** — wire protocol round trips, latency
@@ -28,7 +28,7 @@ from repro.geo.bbox import BoundingBox
 from repro.obs import Observability
 from repro.protocols.base import ObjectState, UpdateMessage, UpdateReason
 from repro.protocols.prediction import LinearPrediction
-from repro.service.channel import MessageChannel, delivery_order
+from repro.service.channel import MessageChannel
 from repro.service.facade import LocationService
 from repro.service.live.client import LiveClient, LiveRequestError
 from repro.service.live.protocol import (
@@ -53,6 +53,7 @@ from repro.sim.workload import QueryWorkload
 from repro.traces.trace import Trace
 
 from reference.linear_queries import range_query as reference_range_query
+from reference.streaming import PolledQueue, delivery_order
 from reference.tick_loop import TickLoopFleet
 
 
@@ -89,18 +90,18 @@ class TestChannelDeliveryTies:
         # Two messages from the same object due at the same instant used to
         # crash: sorted() fell through the equal (deliver_at, object_id)
         # prefix into comparing UpdateMessage objects.
-        channel = MessageChannel(latency=2.0)
-        channel.send("obj", make_message(sequence=2, time=1.0), time=1.0)
-        channel.send("obj", make_message(sequence=1, time=1.0), time=1.0)
-        delivered = channel.deliver_due(5.0)
+        queue = PolledQueue(MessageChannel(latency=2.0))
+        queue.send("obj", make_message(sequence=2, time=1.0), time=1.0)
+        queue.send("obj", make_message(sequence=1, time=1.0), time=1.0)
+        delivered = queue.deliver_due(5.0)
         assert [m.sequence for _, m in delivered] == [1, 2]
 
     def test_tie_break_is_per_object_send_order(self):
-        channel = MessageChannel()
-        channel.send("b", make_message(sequence=1), time=0.0)
-        channel.send("a", make_message(sequence=3), time=0.0)
-        channel.send("a", make_message(sequence=2), time=0.0)
-        delivered = channel.deliver_due(0.0)
+        queue = PolledQueue(MessageChannel())
+        queue.send("b", make_message(sequence=1), time=0.0)
+        queue.send("a", make_message(sequence=3), time=0.0)
+        queue.send("a", make_message(sequence=2), time=0.0)
+        delivered = queue.deliver_due(0.0)
         assert [(oid, m.sequence) for oid, m in delivered] == [
             ("a", 2), ("a", 3), ("b", 1),
         ]
@@ -168,7 +169,7 @@ class TestChannelReuse:
         channel = MessageChannel(latency=1.0)
         first = TickLoopFleet(self._lanes(channel)).run()
         # The same channel instance now serves a fleet run; reset() at run
-        # start must leave no polled-queue residue.
+        # start must leave no counters of the tick run behind.
         second = FleetSimulation(self._lanes(channel)).run()
         fresh = FleetSimulation(self._lanes(MessageChannel(latency=1.0))).run()
         assert self._updates(first) > 0
@@ -183,15 +184,13 @@ class TestChannelReuse:
 
 
 # --------------------------------------------------------------------------- #
-# transmit: the fleet's send path, shared with the polled send
+# transmit: the channel's one send path, under the fleet and the polled queue
 # --------------------------------------------------------------------------- #
 class TestChannelTransmit:
     def test_transmit_counts_the_send_without_queueing(self):
         channel = MessageChannel(latency=2.5)
         message = make_message(sequence=4)
         assert channel.transmit("obj", message, time=10.0) == 12.5
-        assert channel.in_flight == 0
-        assert channel.deliver_due(1e9) == []
         assert channel.stats.messages_sent == 1
         assert channel.stats.bytes_sent == message.size_bytes
         assert channel.stats.messages_delivered == 0
@@ -206,9 +205,10 @@ class TestChannelTransmit:
             if fleet_side.transmit("obj", m, time=0.0) is not None
         }
         polled = MessageChannel(latency=1.0, loss_probability=0.3, seed=9)
+        queue = PolledQueue(polled)
         for m in messages:
-            polled.send("obj", m, time=0.0)
-        assert {m.sequence for _, m in polled.deliver_due(1.0)} == kept
+            queue.send("obj", m, time=0.0)
+        assert {m.sequence for _, m in queue.deliver_due(1.0)} == kept
         assert 0 < len(kept) < len(messages)
         assert fleet_side.stats.messages_lost == polled.stats.messages_lost
 

@@ -155,7 +155,7 @@ class TestSimulationConfig:
     def test_scenario_defaults_used(self, tiny_freeway_scenario):
         config = SimulationConfig(protocol_id="linear", accuracy=100.0)
         protocol = config.build_protocol(tiny_freeway_scenario)
-        assert protocol.estimator.window == tiny_freeway_scenario.estimation_window
+        assert protocol.estimation_window == tiny_freeway_scenario.estimation_window
         assert protocol.sensor_uncertainty == tiny_freeway_scenario.sensor_sigma
 
     def test_time_protocol_extra_interval(self, tiny_freeway_scenario):

@@ -15,9 +15,10 @@ from repro.sim.columnar import (
     estimate_traces,
 )
 from repro.sim.fleet import FleetLane, FleetSimulation
-from repro.traces.estimation import StateEstimator, estimate_at
+from repro.traces.estimation import estimate_at
 from repro.traces.trace import Trace
 
+from reference.streaming import StateEstimator
 from reference.tick_loop import TickLoopFleet
 
 

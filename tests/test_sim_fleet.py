@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro.protocols.linear import LinearPredictionProtocol
-from repro.service.channel import MessageChannel
+from repro.service.channel import ChannelStats, MessageChannel
 from repro.service.server import LocationServer
 from repro.sim.config import SimulationConfig
 from repro.sim.fleet import FleetLane, FleetResult, FleetSimulation, run_simulation
 from repro.traces.trace import Trace
+
+from reference.streaming import PolledQueue
 
 
 def _single_run(protocol, scenario, object_id="object-0", channel=None):
@@ -88,7 +90,8 @@ class TestFleetValidation:
         assert prototype.matching_statistics() == stats_before
         assert prototype.updates_sent == before.updates
         assert clone.updates_sent == 0
-        assert clone.matcher is not prototype.matcher
+        assert clone.match_stream is None
+        assert clone._match_streams is prototype._match_streams
 
     def test_mismatched_traces_rejected(self, straight_trace, l_shaped_trace):
         lane = FleetLane(
@@ -225,20 +228,20 @@ class TestFleetEquivalence:
 
 
 class TestChannelReuse:
-    """Satellite fix: a reused channel must not leak in-flight messages."""
+    """Satellite fix: a reused channel must not leak state between runs."""
 
-    def test_channel_reset_drains_in_flight(self):
+    def test_channel_reset_zeroes_the_counters(self):
         from repro.protocols.base import ObjectState, UpdateMessage, UpdateReason
 
         channel = MessageChannel(latency=100.0)
         state = ObjectState(time=0.0, position=(0.0, 0.0), velocity=(0.0, 0.0), speed=0.0)
-        channel.send("x", UpdateMessage(0, state, UpdateReason.INITIAL), 0.0)
-        assert channel.in_flight == 1
-        assert channel.stats.messages_sent == 1
+        queue = PolledQueue(channel)
+        queue.send("x", UpdateMessage(0, state, UpdateReason.INITIAL), 0.0)
+        queue.deliver_due(150.0)
+        assert channel.stats.messages_sent == channel.stats.messages_delivered == 1
+        assert channel.stats.max_queue_delay == 50.0
         channel.reset()
-        assert channel.in_flight == 0
-        assert channel.stats.messages_sent == 0
-        assert channel.deliver_due(1e9) == []
+        assert channel.stats == ChannelStats()
 
     def test_reused_channel_gives_identical_runs(self, tiny_freeway_scenario):
         """Back-to-back runs over one high-latency channel must agree."""

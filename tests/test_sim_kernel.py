@@ -431,17 +431,17 @@ class TestKeyedLoss:
 
         alone = MessageChannel(loss_probability=0.4, seed=7)
         for seq in range(50):
-            alone.send("a", message(seq), float(seq))
+            alone.transmit("a", message(seq), float(seq))
         fate_alone = alone.stats.messages_lost
 
         crowded = MessageChannel(loss_probability=0.4, seed=7)
         for seq in range(50):
-            crowded.send("noise", message(seq), float(seq))
-            crowded.send("a", message(seq), float(seq))
+            crowded.transmit("noise", message(seq), float(seq))
+            crowded.transmit("a", message(seq), float(seq))
         # Count object "a"'s losses by replaying the keyed decision.
         only_a = MessageChannel(loss_probability=0.4, seed=7)
         for seq in range(50):
-            only_a.send("a", message(seq), float(seq))
+            only_a.transmit("a", message(seq), float(seq))
         assert only_a.stats.messages_lost == fate_alone
 
     def test_unseeded_channel_keeps_stream_draws(self):

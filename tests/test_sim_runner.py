@@ -191,8 +191,8 @@ class TestCloneForSweeps:
         # Heavy immutable structure is shared; per-run state is detached.
         assert clone.roadmap is prototype.roadmap
         assert clone.prediction_function() is prototype.prediction_function()
-        assert clone.matcher is not prototype.matcher
-        assert clone.estimator is not prototype.estimator
+        assert clone.estimation_window == prototype.estimation_window
+        assert clone._match_streams is prototype._match_streams
         assert clone.accuracy == 250.0
         assert prototype.accuracy == 100.0
 

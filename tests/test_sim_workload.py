@@ -21,7 +21,7 @@ from test_golden_metrics import GOLDEN_NAMES, golden_scale
 
 from repro.experiments.library import FleetMix, fleet_lanes
 from repro.geo.bbox import BoundingBox
-from repro.service.channel import MessageChannel, delivery_order
+from repro.service.channel import MessageChannel
 from repro.service.facade import LocationService
 from repro.service.loadgen import build_replay_plan, lockstep_order, replay_in_process
 from repro.service.server import LocationServer
@@ -37,6 +37,7 @@ from repro.sim.workload import (
 )
 
 from reference.linear_queries import LinearScans
+from reference.streaming import delivery_order
 
 #: ``repro --json query-bench --scale 0.05`` records (wall-clock fields
 #: dropped) of the in-loop query engine the replay plan replaced.
@@ -251,7 +252,7 @@ class TestFleetServiceBackend:
         assert runs["scanned"] == runs["sharded"]
 
     def test_channel_stats_identical_under_batched_ingestion(self, city):
-        """Satellite: messages / drops / in-flight match the per-message path."""
+        """Satellite: messages / drops / queue delay match the per-message path."""
         results = {}
         for name, server in (("plain", None), ("sharded", LocationService(n_shards=4))):
             channel = MessageChannel(latency=7.0, loss_probability=0.2, seed=42)
@@ -262,7 +263,7 @@ class TestFleetServiceBackend:
                 channel.stats.messages_lost,
                 channel.stats.bytes_sent,
                 channel.stats.bytes_delivered,
-                channel.in_flight,
+                channel.stats.max_queue_delay,
                 {oid: r.updates for oid, r in fleet.results.items()},
             )
             assert channel.stats.messages_sent > 0

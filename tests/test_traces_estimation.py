@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from repro.traces.estimation import (
-    StateEstimator,
     estimate_trace,
     estimate_velocity,
     recommended_window,
 )
+
+from reference.streaming import StateEstimator
 
 
 class TestEstimateTrace:
