@@ -48,16 +48,17 @@ class _LinearPredictionThresholdProtocol(UpdateProtocol):
         return self._prediction
 
     def current_threshold(self, time: float) -> float:
-        """The deviation threshold in force at *time* (overridden by dtdr/adr)."""
+        """The deviation threshold in force at *time*."""
+        return float(np.ravel(self._thresholds(np.array([float(time)])))[0])
+
+    def _thresholds(self, times: np.ndarray):
+        """The threshold at each of *times*: one number when it is constant
+        between reports (sdr, adr), else one per time (dtdr)."""
         return self.accuracy
 
-    def _should_update(
-        self, time: float, position: np.ndarray, velocity: np.ndarray, speed: float
-    ) -> Optional[UpdateReason]:
-        deviation = self.deviation(time, position)
-        if deviation + self.sensor_uncertainty > self.current_threshold(time):
-            return UpdateReason.THRESHOLD
-        return None
+    def _trigger(self, lo, hi):
+        threshold = self._thresholds(self._times[lo:hi])
+        return [(self._exceeds(lo, hi, threshold), UpdateReason.THRESHOLD)]
 
 
 class SpeedDeadReckoning(_LinearPredictionThresholdProtocol):
@@ -130,7 +131,7 @@ class AdaptiveDeadReckoning(_LinearPredictionThresholdProtocol):
         self.max_threshold = float(max_threshold)
         self._threshold = float(initial_threshold)
 
-    def current_threshold(self, time: float) -> float:
+    def _thresholds(self, times: np.ndarray) -> float:
         return self._threshold
 
     def _post_update_hook(self, message) -> None:
@@ -173,10 +174,9 @@ class DisconnectionDetectionDeadReckoning(_LinearPredictionThresholdProtocol):
         threshold: a *connected* source moving as predicted would still be
         under the decayed threshold, so a silence this long means the link
         is gone.  Declarations are recorded on
-        :attr:`disconnection_times`.  In the fleet simulation the timer
-        fires at exactly ``last_update + disconnect_timeout``; a caller
-        that only feeds sightings polls the condition, detecting it at the
-        first sighting past the timeout.  ``None`` disables detection.
+        :attr:`disconnection_times`, at exactly ``last_update +
+        disconnect_timeout`` (:meth:`next_deadline`).  ``None`` disables
+        detection.
     """
 
     name = "disconnection-detection dead reckoning (dtdr)"
@@ -205,12 +205,11 @@ class DisconnectionDetectionDeadReckoning(_LinearPredictionThresholdProtocol):
         self._disconnected = False
         self._disconnection_times: list = []
 
-    def current_threshold(self, time: float) -> float:
+    def _thresholds(self, times: np.ndarray):
         if self.last_reported is None:
             return self.accuracy
-        elapsed = max(0.0, time - self.last_reported.time)
-        fraction = max(self.floor_fraction, 1.0 - elapsed / self.decay_time)
-        return self.accuracy * fraction
+        elapsed = np.maximum(0.0, times - self.last_reported.time)
+        return self.accuracy * np.maximum(self.floor_fraction, 1.0 - elapsed / self.decay_time)
 
     # ------------------------------------------------------------------ #
     # disconnection detection
@@ -225,10 +224,6 @@ class DisconnectionDetectionDeadReckoning(_LinearPredictionThresholdProtocol):
         """Whether the tracker currently believes the link is down."""
         return self._disconnected
 
-    def _declare_disconnection(self, time: float) -> None:
-        self._disconnected = True
-        self._disconnection_times.append(float(time))
-
     def next_deadline(self) -> Optional[float]:
         """The exact instant at which silence becomes a disconnection."""
         if (
@@ -239,21 +234,14 @@ class DisconnectionDetectionDeadReckoning(_LinearPredictionThresholdProtocol):
             return None
         return self.last_reported.time + self.disconnect_timeout
 
-    def on_timer(self, time: float):
-        """Declare the disconnection at the exact timeout (fleet timer)."""
-        deadline = self.next_deadline()
-        if deadline is not None and time >= deadline:
-            self._declare_disconnection(time)
-        return None
+    #: A sighting at exactly the timeout declares the disconnection before
+    #: its own decision, so an update sent there still follows it.
+    deadline_before_decision = True
 
-    def _pre_decision_hook(
-        self, time: float, position: np.ndarray, velocity: np.ndarray, speed: float
-    ) -> None:
-        # Tick-loop (polled) detection: declared at the first sighting past
-        # the timeout rather than at the exact instant.
-        deadline = self.next_deadline()
-        if deadline is not None and time >= deadline:
-            self._declare_disconnection(time)
+    def _on_deadline(self, time: float) -> None:
+        """Declare the disconnection at *time*; nothing is sent."""
+        self._disconnected = True
+        self._disconnection_times.append(float(time))
 
     def _post_update_hook(self, message) -> None:
         # Any transmitted update proves the link is up again.

@@ -9,9 +9,12 @@ The general dead-reckoning mechanism of the paper (Fig. 1):
 * when ``Distance(op.pos, pred(or, param, t)) + up > us`` it sends an update
   containing the current object state.
 
-:class:`UpdateProtocol` implements that loop once; concrete protocols
-provide the prediction function, the content of the transmitted state and
-(for the non-DR baselines) a different trigger condition.
+:class:`UpdateProtocol` states that trigger once, on arrays: a window
+method judges rows of the prepared trace against the last report, and
+:func:`repro.sim.fleet.lane_updates` searches it for the first send.
+Concrete protocols provide the prediction function, the content of the
+transmitted state and (for the non-DR baselines and the Wolfson variants)
+a different trigger or a deadline.
 """
 
 from __future__ import annotations
@@ -19,11 +22,11 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.geo.vec import Vec2, as_vec, distance, norm
+from repro.geo.vec import Vec2, as_vec, norm
 from repro.protocols.prediction import PredictionFunction
 
 
@@ -135,8 +138,7 @@ class UpdateProtocol(abc.ABC):
     estimation_window:
         Number of recent sightings used to estimate speed and heading
         (the paper's *n*; see :mod:`repro.traces.estimation`).  The caller
-        estimates with it and hands the estimates to :meth:`prepare_trace`
-        and :meth:`observe_precomputed`.
+        estimates with it and hands the estimates to :meth:`prepare_trace`.
     """
 
     #: Human-readable protocol name used in reports and figures.
@@ -161,6 +163,7 @@ class UpdateProtocol(abc.ABC):
         self._sequence = 0
         self._updates_sent = 0
         self._bytes_sent = 0
+        self._forget_trace()
 
     # ------------------------------------------------------------------ #
     # to be provided by concrete protocols
@@ -169,26 +172,44 @@ class UpdateProtocol(abc.ABC):
     def prediction_function(self) -> PredictionFunction:
         """The prediction function shared between source and server."""
 
-    @abc.abstractmethod
-    def _should_update(
-        self, time: float, position: np.ndarray, velocity: np.ndarray, speed: float
-    ) -> Optional[UpdateReason]:
-        """Decide whether an update must be sent for this sighting."""
+    def _trigger(self, lo: int, hi: int) -> List[Tuple[np.ndarray, UpdateReason]]:
+        """The protocol's send rule for rows ``lo..hi`` of the prepared trace.
 
-    def _build_state(
-        self, time: float, position: np.ndarray, velocity: np.ndarray, speed: float
-    ) -> ObjectState:
-        """Build the object state transmitted in an update.
+        Every row is judged against :attr:`last_reported`, as if no update
+        had been sent since.  The rule is a list of ``(mask, reason)``
+        pairs in priority order: a row sends if any mask holds there, for
+        the first reason whose mask does.  The default is the paper's
+        trigger ``Distance(pos, pred(or, t)) + up > us`` (:meth:`_exceeds`).
+        """
+        return [(self._exceeds(lo, hi, self.accuracy), UpdateReason.THRESHOLD)]
 
+    def _exceeds(self, lo: int, hi: int, threshold) -> np.ndarray:
+        """Rows ``lo..hi`` whose deviation from the prediction plus ``up``
+        exceeds *threshold* (a number or one per row).
+
+        ``sqrt(dx*dx + dy*dy)`` against
+        :meth:`~repro.protocols.prediction.PredictionFunction.predict_many`
+        of the last report: the IEEE operations of
+        :func:`~repro.geo.vec.distance` and ``predict``, in their order.
+        """
+        d = self._positions[lo:hi] - self.prediction_function().predict_many(
+            self._last_reported, self._times[lo:hi]
+        )
+        d *= d
+        return np.sqrt(d[:, 0] + d[:, 1]) + self.sensor_uncertainty > threshold
+
+    def _build_state(self, time: float, row: int) -> ObjectState:
+        """Build the object state an update sent at *time* transmits.
+
+        *row* is the sighting of the prepared trace the update reports.
         The default sends the raw sensor position; the map-based protocol
-        overrides this to send the corrected (map-matched) position and the
-        current link.
+        sends the corrected (map-matched) position and the current link.
         """
         return ObjectState(
             time=time,
-            position=position,
-            velocity=velocity,
-            speed=speed,
+            position=self._positions[row],
+            velocity=self._velocities[row],
+            speed=float(self._speeds[row]),
             uncertainty=self.sensor_uncertainty,
         )
 
@@ -202,105 +223,102 @@ class UpdateProtocol(abc.ABC):
         velocities: np.ndarray,
         speeds: np.ndarray,
     ) -> None:
-        """Announce the whole trace that :meth:`observe_precomputed` will feed.
+        """Hand the protocol the trace whose sends it decides.
 
-        Called once per run, before the first sighting, with the trace's
-        times, sensed positions and the estimates of
-        :func:`repro.traces.estimation.estimate_trace`.  A protocol whose
-        per-sighting work depends only on those inputs (not on the
-        accuracy ``us``) can do it here for the whole trace at once; the
-        map-based protocol matches the trace onto the map.  The default
-        does nothing.
+        Called once per run with the trace's times, sensed positions and
+        the estimates of :func:`repro.traces.estimation.estimate_trace`.
+        :meth:`_trigger` judges rows of these arrays, and a protocol whose
+        rule needs more per-row inputs derives them here (the map-based
+        protocol matches the trace onto the map).
         """
+        self._forget_trace()
+        self._times = np.asarray(times, dtype=float)
+        self._positions = np.asarray(positions, dtype=float)
+        self._velocities = np.asarray(velocities, dtype=float)
+        self._speeds = np.asarray(speeds, dtype=float)
+
+    def _forget_trace(self) -> None:
+        """Drop the prepared trace, once its rows are decided or on reset.
+
+        Also rewinds the next row to decide (:attr:`_row`) and the row the
+        last report carried (:attr:`_reported_row`, -1 for none of this
+        trace).
+        """
+        self._times = self._positions = self._velocities = self._speeds = None
+        self._row = 0
+        self._reported_row = -1
 
     def observe_precomputed(
         self, time: float, position: Vec2, velocity: np.ndarray, speed: float
     ) -> Optional[UpdateMessage]:
-        """Process one sighting; return an update if one must be sent.
+        """Decide the prepared trace's next sighting; return its update, if any.
 
-        This is the paper's source loop (Fig. 1), once per sighting, and the
-        only way a protocol sees one.  The caller computes the
-        sliding-window speed/heading estimates over the last
-        :attr:`estimation_window` sightings for the whole trace
-        (:func:`repro.traces.estimation.estimate_trace`), hands the trace to
-        :meth:`prepare_trace` and then feeds its sightings here in order
-        (:func:`repro.sim.fleet.trace_updates` does all three).  The
-        map-based protocol reads this sighting's map match from the stream
-        prepared there.
+        One row of :meth:`_trigger`: the sighting at *time* must be the
+        next row of the trace handed to :meth:`prepare_trace`, whose
+        position and estimates are what the rule reads.  Deadlines are
+        not consulted.  :func:`repro.sim.fleet.lane_updates` decides a
+        whole trace at once, deadlines included.
         """
-        p = as_vec(position)
-        self._pre_decision_hook(time, p, velocity, speed)
+        times = self._times
+        if times is None:
+            raise RuntimeError("observe_precomputed needs prepare_trace() for the trace first")
+        row = self._row
+        if row >= len(times) or times[row] != time:
+            expected = f"t={float(times[row])!r}" if row < len(times) else "no more rows"
+            raise ValueError(
+                f"sighting at t={float(time)!r} does not match row {row} of the "
+                f"prepared trace ({expected})"
+            )
+        self._row = row + 1
         if self._last_reported is None:
-            reason: Optional[UpdateReason] = UpdateReason.INITIAL
-        else:
-            reason = self._should_update(time, p, velocity, speed)
-        if reason is None:
-            return None
-        return self._emit_update(time, p, velocity, speed, reason)
+            return self._emit_update(time, row, UpdateReason.INITIAL)
+        for mask, reason in self._trigger(row, row + 1):
+            if mask[0]:
+                return self._emit_update(time, row, reason)
+        return None
 
-    def _emit_update(
-        self,
-        time: float,
-        p: np.ndarray,
-        velocity: np.ndarray,
-        speed: float,
-        reason: UpdateReason,
-    ) -> UpdateMessage:
-        """Build, account and record one update message (shared by the
-        sighting path and the timer path)."""
-        state = self._build_state(time, p, velocity, speed)
+    def _emit_update(self, time: float, row: int, reason: UpdateReason) -> UpdateMessage:
+        """Build, account and record the update sent at *time* for *row*."""
+        state = self._build_state(time, row)
         message = UpdateMessage(sequence=self._sequence, state=state, reason=reason)
         self._sequence += 1
         self._updates_sent += 1
         self._bytes_sent += message.size_bytes
         self._last_reported = state
+        self._reported_row = row
         self._post_update_hook(message)
         return message
 
-    # ------------------------------------------------------------------ #
-    # timer hooks (the fleet's send schedule)
-    # ------------------------------------------------------------------ #
-    def next_deadline(self) -> Optional[float]:
-        """The next instant at which this protocol's timer must fire.
-
-        Protocols whose trigger involves wall-clock time (periodic
-        reporting, disconnection timeouts) return the exact deadline; the
-        fleet's send schedule (:func:`repro.sim.fleet.lane_updates`) calls
-        :meth:`on_timer` when it expires, so the protocol acts at the exact
-        instant instead of at the first sighting that happens to be polled
-        afterwards.  ``None`` (the default) means no timer is pending.  A
-        caller that only feeds sightings to :meth:`observe_precomputed`
-        never consults these hooks; the protocol then polls its deadline on
-        every sighting.
-        """
-        return None
-
-    def on_timer(self, time: float) -> Optional[UpdateMessage]:
-        """Handle a timer expiry at exactly *time*.
-
-        Returns an update message to transmit, or ``None``.  Called only by
-        the fleet's send schedule, and only for deadlines announced via
-        :meth:`next_deadline`; implementations must tolerate stale fires
-        (a sighting processed at the same instant may already have serviced
-        the deadline) by re-checking their trigger condition.  An
-        implementation that declines a fire while leaving
-        :meth:`next_deadline` unchanged is not re-fired at that instant
-        (the schedule guards against spinning); that deadline value is
-        treated as spent until the protocol moves it.
-        """
-        return None
-
-    def _pre_decision_hook(
-        self, time: float, position: np.ndarray, velocity: np.ndarray, speed: float
-    ) -> None:
-        """Hook run before the update decision.
-
-        Per-sighting source state lives here; the map-based protocol reads
-        the sighting's row of the match stream :meth:`prepare_trace` built.
-        """
-
     def _post_update_hook(self, message: UpdateMessage) -> None:
         """Hook run after an update has been recorded."""
+
+    # ------------------------------------------------------------------ #
+    # deadlines (the fleet's send schedule)
+    # ------------------------------------------------------------------ #
+    #: Whether a sighting at exactly :meth:`next_deadline` meets the
+    #: deadline before its own decision, as no timer fire (dtdr's polled
+    #: disconnection check), rather than the deadline firing after the
+    #: sighting's decision (time-based reporting's periodic report).
+    deadline_before_decision: bool = False
+
+    def next_deadline(self) -> Optional[float]:
+        """The next instant at which this protocol acts without a sighting.
+
+        Protocols whose rule involves wall-clock time (periodic reporting,
+        disconnection timeouts) return the exact instant;
+        :func:`repro.sim.fleet.lane_updates` calls :meth:`_on_deadline`
+        there.  ``None`` (the default) means no deadline is pending.
+        """
+        return None
+
+    def _on_deadline(self, time: float) -> Optional[UpdateReason]:
+        """Act on the deadline at *time*; the reason to send an update then.
+
+        The update carries the last sighting at or before *time*.  A
+        protocol that sends nothing and leaves :meth:`next_deadline`
+        where it was has spent that deadline: it does not fire again.
+        """
+        return None
 
     # ------------------------------------------------------------------ #
     # helpers available to subclasses
@@ -309,23 +327,6 @@ class UpdateProtocol(abc.ABC):
     def last_reported(self) -> Optional[ObjectState]:
         """The last state transmitted to the server (``or`` in the paper)."""
         return self._last_reported
-
-    def predicted_position(self, time: float) -> Optional[np.ndarray]:
-        """Where the server currently believes the object to be."""
-        if self._last_reported is None:
-            return None
-        return self.prediction_function().predict(self._last_reported, time)
-
-    def deviation(self, time: float, position: Vec2) -> float:
-        """Distance between the actual position and the server's prediction."""
-        predicted = self.predicted_position(time)
-        if predicted is None:
-            return float("inf")
-        return distance(as_vec(position), predicted)
-
-    def _threshold_exceeded(self, time: float, position: np.ndarray) -> bool:
-        """The paper's trigger: ``Distance(pos, pred(or, t)) + up > us``."""
-        return self.deviation(time, position) + self.sensor_uncertainty > self.accuracy
 
     # ------------------------------------------------------------------ #
     # statistics
@@ -351,6 +352,7 @@ class UpdateProtocol(abc.ABC):
         self._sequence = 0
         self._updates_sent = 0
         self._bytes_sent = 0
+        self._forget_trace()
 
     def clone_for(self, accuracy: Optional[float] = None) -> "UpdateProtocol":
         """A fresh-state copy of this protocol, optionally with a new accuracy.

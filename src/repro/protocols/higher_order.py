@@ -10,12 +10,11 @@ noisy second derivative is extrapolated too far.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.protocols.base import ObjectState, UpdateProtocol, UpdateReason
+from repro.protocols.base import ObjectState, UpdateProtocol
 from repro.protocols.prediction import PredictionFunction, QuadraticPrediction
 
 
@@ -47,45 +46,29 @@ class HigherOrderPredictionProtocol(UpdateProtocol):
         super().__init__(accuracy, sensor_uncertainty, estimation_window)
         if acceleration_window < 2:
             raise ValueError("acceleration_window must be at least 2")
+        self.acceleration_window = int(acceleration_window)
         self._prediction = QuadraticPrediction(max_horizon=max_horizon)
-        self._velocities: Deque[tuple[float, np.ndarray]] = deque(maxlen=acceleration_window)
 
     def prediction_function(self) -> PredictionFunction:
         return self._prediction
 
-    def _pre_decision_hook(
-        self, time: float, position: np.ndarray, velocity: np.ndarray, speed: float
-    ) -> None:
-        self._velocities.append((time, velocity.copy()))
-
-    def _current_acceleration(self) -> Optional[np.ndarray]:
-        if len(self._velocities) < 2:
+    def _acceleration_at(self, row: int) -> Optional[np.ndarray]:
+        """Finite difference over the velocity estimates of the last
+        ``acceleration_window`` sightings up to *row*."""
+        first = max(0, row - self.acceleration_window + 1)
+        if first == row:
             return None
-        (t0, v0), (t1, v1) = self._velocities[0], self._velocities[-1]
-        dt = t1 - t0
+        dt = self._times[row] - self._times[first]
         if dt <= 0:
             return None
-        return (v1 - v0) / dt
+        return (self._velocities[row] - self._velocities[first]) / dt
 
-    def _build_state(
-        self, time: float, position: np.ndarray, velocity: np.ndarray, speed: float
-    ) -> ObjectState:
+    def _build_state(self, time: float, row: int) -> ObjectState:
         return ObjectState(
             time=time,
-            position=position,
-            velocity=velocity,
-            speed=speed,
+            position=self._positions[row],
+            velocity=self._velocities[row],
+            speed=float(self._speeds[row]),
             uncertainty=self.sensor_uncertainty,
-            acceleration=self._current_acceleration(),
+            acceleration=self._acceleration_at(row),
         )
-
-    def _should_update(
-        self, time: float, position: np.ndarray, velocity: np.ndarray, speed: float
-    ) -> Optional[UpdateReason]:
-        if self._threshold_exceeded(time, position):
-            return UpdateReason.THRESHOLD
-        return None
-
-    def reset(self) -> None:
-        super().reset()
-        self._velocities = deque(maxlen=self._velocities.maxlen)

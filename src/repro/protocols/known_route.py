@@ -10,11 +10,9 @@ intersection.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.protocols.base import UpdateProtocol, UpdateReason
+from repro.protocols.base import UpdateProtocol
 from repro.protocols.prediction import PredictionFunction, RoutePrediction
 from repro.roadmap.routing import Route
 
@@ -42,31 +40,28 @@ class KnownRouteProtocol(UpdateProtocol):
         super().__init__(accuracy, sensor_uncertainty, estimation_window)
         self.route = route
         self._prediction = RoutePrediction(route)
-        self._route_offset: Optional[float] = None
 
     def prediction_function(self) -> PredictionFunction:
         return self._prediction
 
-    def _pre_decision_hook(
-        self, time: float, position: np.ndarray, velocity: np.ndarray, speed: float
-    ) -> None:
-        if self._route_offset is None:
-            self._route_offset = self.route.project(position)[1]
-        else:
-            _, offset, _ = self.route.project_near(position, self._route_offset)
-            self._route_offset = offset
+    def prepare_trace(self, times, positions, velocities, speeds) -> None:
+        """Track the route offset of every sighting: a global projection
+        for the first, then each one projected near the one before."""
+        super().prepare_trace(times, positions, velocities, speeds)
+        offsets = np.empty(len(self._positions))
+        offset = None
+        for i, position in enumerate(self._positions):
+            if offset is None:
+                offset = self.route.project(position)[1]
+            else:
+                offset = self.route.project_near(position, offset)[1]
+            offsets[i] = offset
+        self._route_offsets = offsets
 
-    def _build_state(self, time, position, velocity, speed):
-        state = super()._build_state(time, position, velocity, speed)
-        return state.with_link(None, self._route_offset)
+    def _forget_trace(self) -> None:
+        super()._forget_trace()
+        self._route_offsets = None
 
-    def _should_update(
-        self, time: float, position: np.ndarray, velocity: np.ndarray, speed: float
-    ) -> Optional[UpdateReason]:
-        if self._threshold_exceeded(time, position):
-            return UpdateReason.THRESHOLD
-        return None
-
-    def reset(self) -> None:
-        super().reset()
-        self._route_offset = None
+    def _build_state(self, time, row):
+        state = super()._build_state(time, row)
+        return state.with_link(None, float(self._route_offsets[row]))

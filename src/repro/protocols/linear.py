@@ -12,11 +12,7 @@ uncertainty exceeds the requested accuracy.
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
-from repro.protocols.base import UpdateProtocol, UpdateReason
+from repro.protocols.base import UpdateProtocol
 from repro.protocols.prediction import LinearPrediction, PredictionFunction
 
 
@@ -36,10 +32,3 @@ class LinearPredictionProtocol(UpdateProtocol):
 
     def prediction_function(self) -> PredictionFunction:
         return self._prediction
-
-    def _should_update(
-        self, time: float, position: np.ndarray, velocity: np.ndarray, speed: float
-    ) -> Optional[UpdateReason]:
-        if self._threshold_exceeded(time, position):
-            return UpdateReason.THRESHOLD
-        return None

@@ -24,20 +24,17 @@ matches the whole trace once into a
 :class:`~repro.mapmatching.matcher.MatchStream`, and clones made with
 :meth:`~repro.protocols.base.UpdateProtocol.clone_for` share a memo of
 those streams with their prototype, so an accuracy sweep matches each
-trace once, not once per accuracy.  A sighting fed to
-:meth:`~repro.protocols.base.UpdateProtocol.observe_precomputed` reads its
-row of that stream; no matcher runs per sighting.
+trace once, not once per accuracy.  No matcher runs per sighting.
 
-The fleet's send schedule (:func:`repro.sim.fleet.lane_updates`) reads the
-prepared stream without a call per sighting: with the paper's prediction
-(a stateless turn policy, no speed limits) it searches the stream's
-``matched`` column and one window of
-:meth:`~repro.protocols.prediction.MapPrediction.predict_many` positions
-at a time for the first sighting where :meth:`_should_update` would fire,
-and builds a message only there, after :meth:`_read_row` has taken that
-sighting's row.  :meth:`~repro.protocols.base.UpdateProtocol.observe_precomputed`,
-which reads one row per sighting, serves every other configuration and
-is the definition the search is tested against.
+Its send rule is the paper's threshold plus the match stream's
+``matched`` column: an ``OFF_MAP`` update at an unmatched sighting while
+the last report holds a link, and (if configured) a ``REACQUIRED`` one at
+a matched sighting while it holds none.  Both win over the threshold.
+:func:`repro.sim.fleet.lane_updates` searches that rule over windows of
+the stream and of
+:meth:`~repro.protocols.prediction.MapPrediction.predict_many` positions,
+and the update sent at a sighting carries that sighting's row of the
+stream.
 """
 
 from __future__ import annotations
@@ -161,13 +158,10 @@ class MapBasedProtocol(UpdateProtocol):
             self._turn_policy,
             speed_limit_factor=self.config.speed_limit_factor,
         )
-        self._matched = False
         # Match streams by trace content; clone_for shares the dict with
         # every clone, so a sweep over accuracies matches each trace once.
         self._match_streams: Dict[tuple, MatchStream] = {}
         self._stream: Optional[MatchStream] = None
-        self._stream_times: Optional[np.ndarray] = None
-        self._row = 0
 
     # ------------------------------------------------------------------ #
     # UpdateProtocol interface
@@ -183,6 +177,7 @@ class MapBasedProtocol(UpdateProtocol):
         speeds: np.ndarray,
     ) -> None:
         """Match the whole trace once (or fetch its memoised stream)."""
+        super().prepare_trace(times, positions, velocities, speeds)
         positions = np.ascontiguousarray(positions, dtype=float)
         velocities = np.ascontiguousarray(velocities, dtype=float)
         speeds = np.ascontiguousarray(speeds, dtype=float)
@@ -197,83 +192,32 @@ class MapBasedProtocol(UpdateProtocol):
             stream = matcher.match_stream(positions, velocities, speeds)
             self._match_streams[key] = stream
         self._stream = stream
-        self._stream_times = np.asarray(times, dtype=float)
-        self._row = 0
 
-    def _pre_decision_hook(
-        self, time: float, position: np.ndarray, velocity: np.ndarray, speed: float
-    ) -> None:
-        # Read this sighting's row of the prepared stream; the time check
-        # catches a stream fed out of step.
-        times = self._stream_times
-        if times is None:
-            raise RuntimeError(
-                "observe_precomputed needs prepare_trace() for the trace first"
-            )
-        row = self._row
-        if row >= len(times) or times[row] != time:
-            expected = f"t={float(times[row])!r}" if row < len(times) else "no more rows"
-            raise ValueError(
-                f"sighting at t={float(time)!r} does not match row {row} of the "
-                f"prepared trace ({expected})"
-            )
-        self._read_row(row)
+    def _trigger(self, lo, hi):
+        triggers = super()._trigger(lo, hi)
+        matched = self._stream.matched[lo:hi]
+        if self._last_reported.link_id is not None:
+            # Losing the map: tell the server to fall back to linear prediction.
+            if self.config.update_on_off_map:
+                return [(~matched, UpdateReason.OFF_MAP), *triggers]
+        elif self.config.update_on_reacquire:
+            # Returning to the map (optional behaviour).
+            return [(matched, UpdateReason.REACQUIRED), *triggers]
+        return triggers
 
-    def _read_row(self, row: int) -> None:
-        """Take row *row* of the prepared stream as the current sighting's match."""
-        self._row = row + 1
-        self._matched = bool(self._stream.matched[row])
-
-    def _should_update(
-        self, time: float, position: np.ndarray, velocity: np.ndarray, speed: float
-    ) -> Optional[UpdateReason]:
-        assert self.last_reported is not None
-        matched = self._matched
-
-        # Losing the map: tell the server to fall back to linear prediction.
-        if (
-            self.config.update_on_off_map
-            and not matched
-            and self.last_reported.link_id is not None
-        ):
-            return UpdateReason.OFF_MAP
-
-        # Returning to the map (optional behaviour).
-        if (
-            self.config.update_on_reacquire
-            and matched
-            and self.last_reported.link_id is None
-        ):
-            return UpdateReason.REACQUIRED
-
-        if self._threshold_exceeded(time, position):
-            return UpdateReason.THRESHOLD
-        return None
-
-    def _build_state(
-        self, time: float, position: np.ndarray, velocity: np.ndarray, speed: float
-    ) -> ObjectState:
-        if self._matched:
-            # The match is the stream's last read row.
-            link_id, offset, corrected = self._stream.row(self._row - 1)
-            return ObjectState(
-                time=time,
-                position=corrected if self.config.use_corrected_position else position,
-                velocity=velocity,
-                speed=speed,
-                link_id=link_id,
-                link_offset=offset,
-                uncertainty=self.sensor_uncertainty,
-            )
-        # Off-map: transmit the raw position with an empty link; the shared
-        # prediction function degrades to linear prediction for such states.
+    def _build_state(self, time: float, row: int) -> ObjectState:
+        if not self._stream.matched[row]:
+            # Off-map: transmit the raw position with an empty link; the
+            # shared prediction function degrades to linear prediction.
+            return super()._build_state(time, row)
+        link_id, offset, corrected = self._stream.row(row)
         return ObjectState(
             time=time,
-            position=position,
-            velocity=velocity,
-            speed=speed,
-            link_id=None,
-            link_offset=None,
+            position=corrected if self.config.use_corrected_position else self._positions[row],
+            velocity=self._velocities[row],
+            speed=float(self._speeds[row]),
+            link_id=link_id,
+            link_offset=offset,
             uncertainty=self.sensor_uncertainty,
         )
 
@@ -299,7 +243,4 @@ class MapBasedProtocol(UpdateProtocol):
         # Rebinds only: the memo of match streams stays shared with every
         # clone_for copy.
         super().reset()
-        self._matched = False
         self._stream = None
-        self._stream_times = None
-        self._row = 0

@@ -38,6 +38,17 @@ class PredictionFunction(abc.ABC):
     def predict(self, state, time: float) -> np.ndarray:
         """Predicted position of the object at *time*, in metres."""
 
+    def predict_many(self, state, times: np.ndarray) -> np.ndarray:
+        """:meth:`predict` of one state at each of *times*, as an ``(n, 2)`` array.
+
+        Row for row bit-identical to :meth:`predict`; this default calls it
+        once per time, and the concrete predictions do the same arithmetic
+        on arrays.
+        """
+        return np.array(
+            [self.predict(state, t) for t in np.asarray(times, dtype=float).tolist()]
+        ).reshape(-1, 2)
+
     def describe(self) -> str:
         """Short human-readable description used in reports."""
         return type(self).__name__
@@ -95,6 +106,14 @@ class QuadraticPrediction(PredictionFunction):
 
     def predict(self, state, time: float) -> np.ndarray:
         dt = min(time - state.time, self.max_horizon)
+        position = state.position + state.velocity * dt
+        acceleration = getattr(state, "acceleration", None)
+        if acceleration is not None:
+            position = position + 0.5 * as_vec(acceleration) * dt * dt
+        return position
+
+    def predict_many(self, state, times: np.ndarray) -> np.ndarray:
+        dt = np.minimum(np.asarray(times, dtype=float) - state.time, self.max_horizon)[:, None]
         position = state.position + state.velocity * dt
         acceleration = getattr(state, "acceleration", None)
         if acceleration is not None:
@@ -311,9 +330,7 @@ class MapPrediction(PredictionFunction):
         if state.link_id is None or not self.roadmap.has_link(state.link_id):
             return self._linear.predict_many(state, times)
         if self.speed_limit_factor is not None:
-            return np.array(
-                [self.predict(state, t) for t in times.tolist()]
-            ).reshape(-1, 2)
+            return super().predict_many(state, times)
         link = self.roadmap.link(state.link_id)
         offset = float(state.link_offset if state.link_offset is not None else 0.0)
         dt = times - state.time
@@ -365,20 +382,17 @@ class RoutePrediction(PredictionFunction):
 
     def __init__(self, route: Route):
         self.route = route
-        self._offset_cache: Dict[int, float] = {}
 
     def _start_offset(self, state) -> float:
         if state.link_offset is not None:
             return float(state.link_offset)
-        key = id(state)
-        cached = self._offset_cache.get(key)
-        if cached is None:
-            cached = self.route.project(state.position)[1]
-            if len(self._offset_cache) > 256:
-                self._offset_cache.clear()
-            self._offset_cache[key] = cached
-        return cached
+        return self.route.project(state.position)[1]
 
     def predict(self, state, time: float) -> np.ndarray:
         offset = self._start_offset(state) + state.speed * max(0.0, time - state.time)
         return self.route.point_at(min(offset, self.route.length))
+
+    def predict_many(self, state, times: np.ndarray) -> np.ndarray:
+        dt = np.asarray(times, dtype=float) - state.time
+        offsets = self._start_offset(state) + state.speed * np.where(dt > 0.0, dt, 0.0)
+        return self.route.points_at(np.minimum(offsets, self.route.length))

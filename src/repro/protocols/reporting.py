@@ -19,7 +19,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.geo.vec import distance
 from repro.protocols.base import UpdateProtocol, UpdateReason
 from repro.protocols.prediction import PredictionFunction, StaticPrediction
 
@@ -46,13 +45,6 @@ class DistanceBasedReporting(UpdateProtocol):
     def prediction_function(self) -> PredictionFunction:
         return self._prediction
 
-    def _should_update(
-        self, time: float, position: np.ndarray, velocity: np.ndarray, speed: float
-    ) -> Optional[UpdateReason]:
-        if self._threshold_exceeded(time, position):
-            return UpdateReason.THRESHOLD
-        return None
-
 
 class TimeBasedReporting(UpdateProtocol):
     """Send an update every ``interval`` seconds.
@@ -77,9 +69,6 @@ class TimeBasedReporting(UpdateProtocol):
             raise ValueError("interval must be positive")
         self.interval = float(interval)
         self._prediction = StaticPrediction()
-        # The most recent sighting, replayed by timer-fired reports (only
-        # this protocol pays the bookkeeping; see _pre_decision_hook).
-        self._last_seen: Optional[tuple] = None
 
     @classmethod
     def for_speed(
@@ -117,57 +106,29 @@ class TimeBasedReporting(UpdateProtocol):
             clone.interval = self.interval * (clone.accuracy / self.accuracy)
         return clone
 
-    def _should_update(
-        self, time: float, position: np.ndarray, velocity: np.ndarray, speed: float
-    ) -> Optional[UpdateReason]:
-        assert self.last_reported is not None
-        if time - self.last_reported.time >= self.interval:
-            return UpdateReason.TIMER
-        return None
+    def _trigger(self, lo, hi):
+        """A sighting at least ``interval`` after the last report sends."""
+        elapsed = self._times[lo:hi] - self._last_reported.time
+        return [(elapsed >= self.interval, UpdateReason.TIMER)]
 
-    def _pre_decision_hook(
-        self, time: float, position: np.ndarray, velocity: np.ndarray, speed: float
-    ) -> None:
-        self._last_seen = (time, position, velocity, speed)
-
-    def reset(self) -> None:
-        super().reset()
-        self._last_seen = None
-
-    # ------------------------------------------------------------------ #
-    # timer contract (the fleet's send schedule)
-    # ------------------------------------------------------------------ #
     def next_deadline(self) -> Optional[float]:
         """The exact instant of the next periodic report.
 
-        In the fleet simulation the report fires at exactly
-        ``t0 + k * interval`` (``t0`` being the initial report), carrying
-        the most recent sighting's state; a caller that only feeds
-        sightings polls the protocol, which then reports at the first
-        sighting past the deadline.
+        ``last_reported.time + interval``, that very float: the report
+        fires there, between sightings, carrying the latest sighting, so
+        reports go out at exactly ``t0 + k * interval``.  It is never
+        compared against a re-derived ``time - last`` difference, which
+        rounds differently for non-representable intervals (e.g. any
+        :meth:`for_speed` ratio).  The server performs no prediction for
+        this protocol, so holding the latest position is exactly what
+        reporting does.
         """
         if self.last_reported is None:
             return None
         return self.last_reported.time + self.interval
 
-    def on_timer(self, time: float):
-        """Emit the periodic report at the exact deadline.
-
-        Stale fires (a sighting at the same instant already reported, so
-        the deadline moved) are ignored.  The staleness check compares
-        against :meth:`next_deadline` itself — the very float the schedule
-        armed — never against a re-derived ``time - last`` difference,
-        which rounds differently for non-representable intervals (e.g. any
-        :meth:`for_speed` ratio) and would reject the legitimate fire
-        forever.  The transmitted state holds the last observed position —
-        the server performs no prediction for this protocol, so holding is
-        exactly what reporting does.
-        """
-        deadline = self.next_deadline()
-        if deadline is None or self._last_seen is None or time < deadline:
-            return None
-        _, position, velocity, speed = self._last_seen
-        return self._emit_update(time, position, velocity, speed, UpdateReason.TIMER)
+    def _on_deadline(self, time: float) -> UpdateReason:
+        return UpdateReason.TIMER
 
 
 class MovementBasedReporting(UpdateProtocol):
@@ -188,30 +149,28 @@ class MovementBasedReporting(UpdateProtocol):
     ):
         super().__init__(accuracy, sensor_uncertainty, estimation_window)
         self._prediction = StaticPrediction()
-        self._travelled_since_update = 0.0
-        self._last_position: Optional[np.ndarray] = None
 
     def prediction_function(self) -> PredictionFunction:
         return self._prediction
 
-    def _pre_decision_hook(
-        self, time: float, position: np.ndarray, velocity: np.ndarray, speed: float
-    ) -> None:
-        if self._last_position is not None:
-            self._travelled_since_update += distance(position, self._last_position)
-        self._last_position = position.copy()
+    def prepare_trace(self, times, positions, velocities, speeds) -> None:
+        super().prepare_trace(times, positions, velocities, speeds)
+        # Step m is the path from sighting m - 1 to sighting m.
+        d = np.diff(self._positions, axis=0)
+        d *= d
+        self._steps = np.concatenate(([0.0], np.sqrt(d[:, 0] + d[:, 1])))
 
-    def _should_update(
-        self, time: float, position: np.ndarray, velocity: np.ndarray, speed: float
-    ) -> Optional[UpdateReason]:
-        if self._travelled_since_update + self.sensor_uncertainty > self.accuracy:
-            return UpdateReason.THRESHOLD
-        return None
+    def _forget_trace(self) -> None:
+        super()._forget_trace()
+        self._steps = None
 
-    def _post_update_hook(self, message) -> None:
-        self._travelled_since_update = 0.0
+    def _trigger(self, lo, hi):
+        """The path travelled since the last report's sighting exceeds ``us``.
 
-    def reset(self) -> None:
-        super().reset()
-        self._travelled_since_update = 0.0
-        self._last_position = None
+        ``np.add.accumulate`` adds the steps one after another from the
+        report's row, so every row's path is the same left-to-right sum a
+        running total would hold.
+        """
+        start = self._reported_row + 1
+        travelled = np.add.accumulate(self._steps[start:hi])[lo - start:]
+        return [(travelled + self.sensor_uncertainty > self.accuracy, UpdateReason.THRESHOLD)]

@@ -53,9 +53,8 @@ class Route:
                 )
         self.roadmap = roadmap
         self.links: Tuple[Link, ...] = tuple(links)
-        self._link_start_offsets = np.concatenate(
-            ([0.0], np.cumsum([l.length for l in links]))
-        )
+        self._link_lengths = np.array([l.length for l in links], dtype=float)
+        self._link_start_offsets = np.concatenate(([0.0], np.cumsum(self._link_lengths)))
         geometry = links[0].geometry
         for link in links[1:]:
             geometry = geometry.concat(link.geometry)
@@ -118,6 +117,25 @@ class Route:
         """Position at route offset *offset* (clamped to the route)."""
         link, local = self.link_at(offset)
         return link.point_at(local)
+
+    def points_at(self, offsets: np.ndarray) -> np.ndarray:
+        """:meth:`point_at` at every offset of *offsets*, as an ``(n, 2)`` array.
+
+        The same link search, clamps and per-link
+        :meth:`~repro.geo.polyline.Polyline.points_at`, so every row is
+        bit-identical to :meth:`point_at`.
+        """
+        offsets = np.asarray(offsets, dtype=float)
+        last = len(self.links) - 1
+        starts = self._link_start_offsets
+        idx = np.minimum(np.searchsorted(starts, offsets, side="right") - 1, last)
+        idx = np.where(offsets <= 0.0, 0, np.where(offsets >= self.length, last, idx))
+        local = np.minimum(np.maximum(offsets - starts[idx], 0.0), self._link_lengths[idx])
+        out = np.empty((len(offsets), 2))
+        for k in np.unique(idx).tolist():
+            rows = idx == k
+            out[rows] = self.links[k].geometry.points_at(local[rows])
+        return out
 
     def direction_at(self, offset: float) -> np.ndarray:
         """Unit direction of travel at route offset *offset*."""

@@ -16,9 +16,9 @@ execution core, with one entry point per job:
   number of (object, protocol, trace) lanes against a single
   :class:`~repro.service.server.LocationServer`.  Each lane's update
   stream comes from one send schedule,
-  :func:`~repro.sim.fleet.lane_updates` (protocol timers at their exact
-  deadlines; a first-crossing array search for distance-based reporting,
-  linear DR and map-based DR), pushed through the lane's channel (exact
+  :func:`~repro.sim.fleet.lane_updates` (one first-crossing array search
+  over each protocol's window trigger, protocol deadlines at their exact
+  instants), pushed through the lane's channel (exact
   delivery instants); one walk over the merged sample and delivery
   instants then ingests and measures — per-lane sampling rates,
   vectorised speed/heading estimation, batched server queries, and

@@ -21,10 +21,11 @@ Design properties the rest of the stack relies on:
   (:func:`repro.traces.estimation.estimate_trace`, bitwise identical to
   estimating sighting by sighting) and handed with the trace to the protocol's
   :meth:`~repro.protocols.base.UpdateProtocol.prepare_trace` (the map-based
-  protocol matches the whole trace there).  Distance-based reporting,
-  linear DR and map-based DR find their sends with a first-crossing
-  search over arrays of deviations instead of one protocol call per
-  sighting (see :func:`lane_updates`).  Against a plain
+  protocol matches the whole trace there).  Every protocol states its
+  send rule once, as a window trigger over the prepared rows, and
+  :func:`lane_updates` finds the sends with one first-crossing search
+  over it, deadlines included, instead of one protocol call per
+  sighting.  Against a plain
   :class:`~repro.service.server.LocationServer`, every lane whose record
   predicts in closed form (static, linear or map prediction: distance,
   linear, map, time-based, …) is measured from its own delivered stream
@@ -36,8 +37,8 @@ Design properties the rest of the stack relies on:
 * **One send schedule** — a source decides every update from its own
   sightings and timers and never hears back from the channel or the
   server, so a lane's update stream depends only on its protocol and
-  trace.  :func:`lane_updates` computes it, protocol timers firing at their
-  exact deadlines; the fleet pushes each lane's stream through its channel
+  trace.  :func:`lane_updates` computes it, protocol deadlines acting at
+  their exact instants; the fleet pushes each lane's stream through its channel
   (which counts the send, draws the keyed loss and returns the delivery
   instant ``send_time + latency``), then walks the merged sample stream
   beside the delivery instants: at each instant one ingest batch, then the
@@ -47,10 +48,10 @@ Design properties the rest of the stack relies on:
   function, so it serves exactly what the fleet delivers over a loss-free,
   zero-latency channel.  When
   every lane shares one sampling grid, channel latency is a multiple of it
-  and no protocol timer falls off it, the schedule degenerates to the
+  and no protocol deadline falls off it, the schedule degenerates to the
   classic per-timestep loop, and the results are bit-identical to it (the
-  test-suite keeps that loop as an oracle and asserts the identity over
-  the whole scenario library).
+  test-suite keeps that loop and the per-sighting protocol rules as
+  oracles and asserts the identity over the whole scenario library).
 * **One loop** — a run is this loop in the calling process.  An eligible
   homogeneous fleet gets its speed from the columnar engine
   (:class:`~repro.sim.columnar.ColumnarFleetEngine`, bit-identical), and a
@@ -67,7 +68,7 @@ the ``load-test`` command).
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -80,15 +81,12 @@ from repro.obs import NO_OBS, Observability
 from repro.obs.metrics import publish_service_stats
 from repro.obs.trace import DELIVERY, KIND_NAMES, SAMPLE, TIMER
 from repro.protocols.base import UpdateMessage, UpdateProtocol, UpdateReason
-from repro.protocols.linear import LinearPredictionProtocol
-from repro.protocols.mapbased import MapBasedProtocol
 from repro.protocols.prediction import (
     LinearPrediction,
     MapPrediction,
     PredictionFunction,
     StaticPrediction,
 )
-from repro.protocols.reporting import DistanceBasedReporting
 from repro.service.channel import MessageChannel
 from repro.service.facade import LocationService
 from repro.service.server import LocationServer
@@ -459,13 +457,7 @@ class FleetSimulation:
                 object_id = state.lane.object_id
                 channel = state.channel
                 slot = channel_index[channel]
-                stream, fires = lane_updates(
-                    state.lane.protocol,
-                    state.times,
-                    state.sensor_positions,
-                    state.velocities,
-                    state.speeds,
-                )
+                stream, fires = lane_updates(state.lane.protocol)
                 timer_fires += fires
                 samples += len(state.times)
                 delivered: List[UpdateMessage] = []
@@ -562,129 +554,9 @@ class FleetSimulation:
             raise
 
 
-def lane_updates(
-    protocol: UpdateProtocol,
-    times: np.ndarray,
-    positions: np.ndarray,
-    velocities: np.ndarray,
-    speeds: np.ndarray,
-) -> Tuple[List[Tuple[float, UpdateMessage]], int]:
-    """Every ``(send_time, update)`` one lane transmits, and its timer fires.
-
-    The one per-lane send schedule: the fleet pushes it through the lane's
-    channel and the replay plan batches it.  *protocol* must already be
-    prepared for the trace
-    (:meth:`~repro.protocols.base.UpdateProtocol.prepare_trace`) with these
-    estimates.  At each sample instant the sighting goes first, then the
-    timers due at that instant; a timer due between two sightings fires at
-    its exact deadline.  A popped timer fires only if its deadline is still
-    current, and a protocol that declines a fire without moving its
-    deadline is not re-armed at that deadline (the progress guard:
-    re-arming would spin forever at one instant).  Deadlines past the
-    lane's last sighting are never armed, and protocols without deadlines
-    skip the timer bookkeeping entirely.  The second value counts the
-    :meth:`~repro.protocols.base.UpdateProtocol.on_timer` calls.
-
-    Distance-based reporting, linear DR and map-based DR (exactly
-    :class:`~repro.protocols.reporting.DistanceBasedReporting`,
-    :class:`~repro.protocols.linear.LinearPredictionProtocol` and
-    :class:`~repro.protocols.mapbased.MapBasedProtocol`, each with its own
-    static, linear or map prediction) send when the paper's trigger (or
-    the map protocol's off-map / reacquire trigger) first fires against a
-    prediction from the last send, and take the first-crossing search
-    (:func:`_first_crossings`) instead of one
-    :meth:`~repro.protocols.base.UpdateProtocol.observe_precomputed` call
-    per sighting.  The map protocol does so only with the
-    distance-budget walk (a stateless turn policy, no speed limits) and
-    a match stream prepared for these times (:func:`_searchable`).
-    Subclasses and every other protocol stay on the per-sighting loop,
-    which is the search's oracle.
-    """
-    prediction = protocol.prediction_function()
-    if _searchable(protocol, prediction, times):
-        return _first_crossings(protocol, times, positions, velocities, speeds, prediction), 0
-    observe = protocol.observe_precomputed
-    timed = type(protocol).next_deadline is not UpdateProtocol.next_deadline
-    lane_end = float(times[-1])
-    updates: List[Tuple[float, UpdateMessage]] = []
-    fires = 0
-    # The lane's timer agenda: scheduled deadlines, superseded ones left in
-    # place and skipped as stale when they pop.
-    agenda: List[float] = []
-    armed: Optional[float] = None
-
-    def arm() -> None:
-        nonlocal armed
-        deadline = protocol.next_deadline()
-        if deadline is None or deadline == armed or deadline > lane_end:
-            return
-        heapq.heappush(agenda, deadline)
-        armed = deadline
-
-    def fire_timers(until: float, inclusive: bool) -> None:
-        nonlocal armed, fires
-        while agenda and (agenda[0] < until or inclusive and agenda[0] == until):
-            deadline = heapq.heappop(agenda)
-            if armed == deadline:
-                armed = None
-            if protocol.next_deadline() == deadline:
-                fires += 1
-                message = protocol.on_timer(deadline)
-                if message is not None:
-                    updates.append((deadline, message))
-                if protocol.next_deadline() == deadline:
-                    armed = deadline  # declined: spent until it moves
-                    continue
-            arm()
-
-    for i, (t, speed) in enumerate(zip(times.tolist(), speeds.tolist())):
-        if timed:
-            fire_timers(t, inclusive=False)
-        message = observe(t, positions[i], velocities[i], speed)
-        if message is not None:
-            updates.append((t, message))
-        if timed:
-            arm()
-            fire_timers(t, inclusive=True)
-    return updates, fires
-
-
-#: The threshold protocols :func:`lane_updates` runs on arrays, each with
-#: the prediction it must use for the search to apply.
-_CROSSING_PREDICTIONS = {
-    DistanceBasedReporting: StaticPrediction,
-    LinearPredictionProtocol: LinearPrediction,
-    MapBasedProtocol: MapPrediction,
-}
-
 #: The record predictions a plain server's lanes are measured with in
 #: closed form (:meth:`_LaneState.measure_closed_form`).
 _CLOSED_FORM = (StaticPrediction, LinearPrediction, MapPrediction)
-
-
-def _searchable(
-    protocol: UpdateProtocol, prediction: PredictionFunction, times: np.ndarray
-) -> bool:
-    """Whether :func:`_first_crossings` may find *protocol*'s sends.
-
-    The protocol's type must be exactly one of :data:`_CROSSING_PREDICTIONS`
-    with that prediction.  A map-based protocol also needs the
-    distance-budget walk (a stateless turn policy, no speed limits) and a
-    match stream prepared for exactly these times and not yet read; the
-    per-sighting loop serves, or rejects, every other case.
-    """
-    if type(prediction) is not _CROSSING_PREDICTIONS.get(type(protocol)):
-        return False
-    if type(prediction) is not MapPrediction:
-        return True
-    stream_times = protocol._stream_times
-    return (
-        prediction.turn_policy.stateless
-        and prediction.speed_limit_factor is None
-        and protocol._row == 0
-        and stream_times is not None
-        and np.array_equal(stream_times, times)
-    )
 
 #: The first-crossing search's window in samples: it starts at
 #: ``_FIRST_WINDOW`` after each send and doubles on every window without a
@@ -693,89 +565,112 @@ _FIRST_WINDOW = 32
 _MAX_WINDOW = 1024
 
 
-def _first_crossings(
-    protocol: UpdateProtocol,
-    times: np.ndarray,
-    positions: np.ndarray,
-    velocities: np.ndarray,
-    speeds: np.ndarray,
-    prediction: PredictionFunction,
-) -> List[Tuple[float, UpdateMessage]]:
-    """The sends of a threshold protocol, found on arrays.
+def lane_updates(protocol: UpdateProtocol) -> Tuple[List[Tuple[float, UpdateMessage]], int]:
+    """Every ``(send_time, update)`` one lane transmits, and its timer fires.
+
+    The one per-lane send schedule, and the one search for every protocol:
+    the fleet pushes it through the lane's channel and the replay plan
+    batches it.  *protocol* must already be prepared for the lane's trace
+    (:meth:`~repro.protocols.base.UpdateProtocol.prepare_trace`); the
+    search decides every row and then drops the trace.
 
     From the protocol's last report (or an ``INITIAL`` send at the first
-    sample) the next send is the first later sample where
-    ``sqrt(dx*dx + dy*dy) + up > us``, with ``(dx, dy)`` the deviation of
-    the sighting from the report's prediction
-    (:meth:`~repro.protocols.prediction.MapPrediction.predict_many` and its
-    static and linear twins).  The map-based protocol's match stream adds
-    the triggers of its ``_should_update``, which win over the threshold:
-    ``OFF_MAP`` at an unmatched sample while the report holds a link,
-    ``REACQUIRED`` (if configured) at a matched one while it holds none.
-    Growing windows of samples are searched with one ``argmax`` over the
-    trigger mask each.  The same IEEE operations in the same order as the
-    prediction's ``predict`` and :func:`~repro.geo.vec.distance` make every
-    decision bit-identical to the per-sighting path, and messages are built
-    only at send indices through the protocol's own ``_emit_update`` (the
-    map protocol first reads the send's stream row), so its sequence,
-    counters, stream row and last report end as that path leaves them.
-    A non-finite sighting raises :func:`~repro.geo.vec.as_vec`'s
-    ``ValueError`` after the sends before it, as the per-sighting path does.
+    row) the next send is the first later row where the protocol's
+    trigger (:meth:`~repro.protocols.base.UpdateProtocol._trigger`) fires,
+    for the first reason whose mask holds there.  Growing windows of rows
+    are judged at once and searched with one ``argmax`` each.  The
+    triggers do the per-sighting arithmetic on arrays with the same IEEE
+    operations in the same order, and messages are built only at send
+    rows through the protocol's own ``_emit_update``, so sequence,
+    counters and last report end as a sighting-by-sighting run leaves
+    them.
+
+    A protocol with a :meth:`~repro.protocols.base.UpdateProtocol.next_deadline`
+    acts on it at its exact instant ``d``, interleaved with the rows:
+
+    * a deadline before row ``j``'s time fires (a timer) before row ``j``
+      is decided, its update carrying row ``j - 1``;
+    * a deadline at row ``j``'s time fires after row ``j`` is decided,
+      carrying row ``j``, unless that row sent; with
+      ``deadline_before_decision`` row ``j`` meets it first instead, as
+      no timer fire;
+    * a deadline past the lane's last row never fires, and one that
+      fired and stayed put is spent.
+
+    The second value counts the timer fires.  A non-finite sighting raises
+    :func:`~repro.geo.vec.as_vec`'s ``ValueError`` after the sends before
+    it.
     """
+    times = protocol._times
+    positions = protocol._positions
     finite = np.isfinite(positions).all(axis=1)
     stop = len(times) if finite.all() else int(finite.argmin())
     time_list = times.tolist()
-    speed_list = speeds.tolist()
-    up = protocol.sensor_uncertainty
-    us = protocol.accuracy
-    predict_many = prediction.predict_many
-    matched = None
-    if type(protocol) is MapBasedProtocol:
-        matched = protocol.match_stream.matched
-        off_map = protocol.config.update_on_off_map
-        reacquire = protocol.config.update_on_reacquire
+    lane_end = time_list[-1] if time_list else -math.inf
+    trigger = protocol._trigger
+    timed = type(protocol).next_deadline is not UpdateProtocol.next_deadline
     updates: List[Tuple[float, UpdateMessage]] = []
+    fires = 0
+    spent = None
 
-    def send(j: int, reason: UpdateReason) -> None:
-        if matched is not None:
-            protocol._read_row(j)
-        t = time_list[j]
-        message = protocol._emit_update(t, positions[j], velocities[j], speed_list[j], reason)
-        updates.append((t, message))
+    def send(t: float, row: int, reason: Optional[UpdateReason]) -> None:
+        if reason is not None:
+            updates.append((t, protocol._emit_update(t, row, reason)))
 
-    i = 0
-    if protocol.last_reported is None and stop:
-        send(0, UpdateReason.INITIAL)
-        i = 1
+    i = protocol._row
+    if protocol.last_reported is None and i < stop:
+        send(time_list[i], i, UpdateReason.INITIAL)
+        i += 1
     window = _FIRST_WINDOW
     while i < stop:
-        state = protocol.last_reported
         end = min(i + window, stop)
-        d = positions[i:end] - predict_many(state, times[i:end])
-        d *= d
-        crossed = np.sqrt(d[:, 0] + d[:, 1]) + up > us
-        event = None
-        if matched is not None:
-            if state.link_id is not None:
-                if off_map:
-                    event, reason = ~matched[i:end], UpdateReason.OFF_MAP
-            elif reacquire:
-                event, reason = matched[i:end], UpdateReason.REACQUIRED
-        if event is not None:
-            crossed |= event
+        triggers = trigger(i, end)
+        crossed = triggers[0][0]
+        for n in range(1, len(triggers)):
+            crossed = crossed | triggers[n][0]
         j = int(crossed.argmax())
-        if crossed[j]:
-            send(i + j, reason if event is not None and event[j] else UpdateReason.THRESHOLD)
+        sends = bool(crossed[j])
+        deadline = protocol.next_deadline() if timed else None
+        if deadline is not None and deadline != spent and deadline <= lane_end:
+            # The first undecided row at or past the deadline, and the
+            # last row this window decides.
+            k = bisect.bisect_left(time_list, deadline, i)
+            last = i + j if sends else end - 1
+            met = k <= last
+            if met and k > 0 and time_list[k] > deadline:
+                # A timer between rows k - 1 and k.
+                fires += 1
+                send(deadline, k - 1, protocol._on_deadline(deadline))
+                i = k
+            elif met and protocol.deadline_before_decision:
+                # Row k meets the deadline before its own decision.
+                send(time_list[k], k, protocol._on_deadline(time_list[k]))
+                i = k
+            elif met and (k < last or not sends):
+                # A timer right after row k, which sent nothing.
+                fires += 1
+                send(deadline, k, protocol._on_deadline(deadline))
+                i = k + 1
+            else:
+                met = False  # not due yet, or row k's own update supersedes it
+            if met:
+                spent = deadline
+                window = _FIRST_WINDOW
+                continue
+        if sends:
+            for mask, reason in triggers:
+                if mask[j]:
+                    break
+            send(time_list[i + j], i + j, reason)
             i += j + 1
             window = _FIRST_WINDOW
         else:
             i = end
             window = min(2 * window, _MAX_WINDOW)
-    if matched is not None and stop:
-        protocol._read_row(stop - 1)
+    protocol._forget_trace()
     if stop < len(times):
-        as_vec(positions[stop])  # raises the per-sighting path's ValueError
-    return updates
+        as_vec(positions[stop])  # raises the ValueError of the bad sighting
+    return updates, fires
 
 
 def trace_updates(protocol: UpdateProtocol, trace: Trace) -> List[Tuple[float, UpdateMessage]]:
@@ -791,7 +686,7 @@ def trace_updates(protocol: UpdateProtocol, trace: Trace) -> List[Tuple[float, U
     positions = trace.positions
     velocities, speeds = estimate_trace(times, positions, protocol.estimation_window)
     protocol.prepare_trace(times, positions, velocities, speeds)
-    return lane_updates(protocol, times, positions, velocities, speeds)[0]
+    return lane_updates(protocol)[0]
 
 
 def fleet_extent(lanes: Sequence[FleetLane]) -> BoundingBox:

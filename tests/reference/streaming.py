@@ -12,8 +12,10 @@ of ``benchmarks/bench_sweep_runner.py``:
   one sighting at a time; the oracle of ``estimate_trace`` /
   ``estimate_traces`` / ``estimate_at``.
 * :func:`stream_observe` — a protocol fed one sighting at a time, its
-  estimates from a :class:`StateEstimator`.  Protocol timers are never
-  consulted: a timed protocol polls its deadline on every sighting.
+  estimates from a :class:`StateEstimator`, through the per-sighting
+  rules of :class:`reference.per_sighting.SightingStepper`.  Protocol
+  timers are never consulted: a timed protocol polls its deadline on
+  every sighting.
 * :class:`PolledQueue` — an in-flight queue over
   :meth:`~repro.service.channel.MessageChannel.transmit`, delivering each
   message at the first poll at or after its delivery instant and recording
@@ -34,6 +36,8 @@ from repro.geo.vec import Vec2, as_vec
 from repro.protocols.base import UpdateMessage, UpdateProtocol
 from repro.service.channel import MessageChannel
 from repro.traces.estimation import estimate_velocity
+
+from reference.per_sighting import SightingStepper
 
 
 class StateEstimator:
@@ -89,9 +93,8 @@ def stream_observe(
     Estimates speed and heading with a :class:`StateEstimator` of the
     protocol's window, sighting by sighting, hands the trace to
     :meth:`~repro.protocols.base.UpdateProtocol.prepare_trace`, then makes
-    one :meth:`~repro.protocols.base.UpdateProtocol.observe_precomputed`
-    call per sighting.  Entry *i* is the update sent at sighting *i*, or
-    ``None``.
+    one :meth:`reference.per_sighting.SightingStepper.observe` call per
+    sighting.  Entry *i* is the update sent at sighting *i*, or ``None``.
     """
     times = np.asarray(times, dtype=float)
     positions = np.asarray(positions, dtype=float)
@@ -101,8 +104,9 @@ def stream_observe(
     for i, t in enumerate(times.tolist()):
         velocities[i], speeds[i] = estimator.update(t, positions[i])
     protocol.prepare_trace(times, positions, velocities, speeds)
+    stepper = SightingStepper(protocol)
     return [
-        protocol.observe_precomputed(t, positions[i], velocities[i], float(speeds[i]))
+        stepper.observe(i, t, positions[i], velocities[i], float(speeds[i]))
         for i, t in enumerate(times.tolist())
     ]
 

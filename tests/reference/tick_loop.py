@@ -14,8 +14,10 @@ sample instants is the tick grid, and at each tick
 3. the server's predictions for the sampled lanes are measured against
    ground truth.
 
-Protocol timers are never consulted: time-triggered protocols poll their
-deadlines on every sighting, and a message is delivered at the first tick
+Each lane's protocol runs the per-sighting rules of
+:class:`reference.per_sighting.SightingStepper`.  Protocol timers are
+never consulted: time-triggered protocols poll their deadlines on every
+sighting, and a message is delivered at the first tick
 at or after ``send_time + latency``.  When every lane shares one sampling
 grid, latency is a multiple of it and no timer deadline falls off it, the
 fleet's schedule (:func:`~repro.sim.fleet.lane_updates` pushed through
@@ -32,6 +34,7 @@ import numpy as np
 from repro.service.channel import MessageChannel
 from repro.sim.fleet import FleetSimulation
 
+from reference.per_sighting import SightingStepper
 from reference.streaming import PolledQueue
 
 
@@ -58,8 +61,10 @@ class TickLoopFleet(FleetSimulation):
 
         ingest = getattr(server, "ingest_batch", None)
         queues: Dict[int, PolledQueue] = {}
+        steppers = {}
         for state in states:
             queues.setdefault(id(state.channel), PolledQueue(state.channel))
+            steppers[id(state)] = SightingStepper(state.lane.protocol)
         for g in range(len(starts) - 1):
             lo, hi = starts[g], starts[g + 1]
             t = t_list[lo]
@@ -67,7 +72,7 @@ class TickLoopFleet(FleetSimulation):
             seen: List[PolledQueue] = []
             for state, i in batch:
                 queue = queues[id(state.channel)]
-                _sighting(state, queue, i, t)
+                _sighting(state, steppers[id(state)], queue, i, t)
                 if queue not in seen:
                     seen.append(queue)
             delivered: List = []
@@ -86,10 +91,10 @@ class TickLoopFleet(FleetSimulation):
                 state.record_error(i, position)
 
 
-def _sighting(state, queue: PolledQueue, i: int, t: float) -> None:
+def _sighting(state, stepper: SightingStepper, queue: PolledQueue, i: int, t: float) -> None:
     """Feed sample *i* to the lane's protocol; send any update it emits."""
-    message = state.lane.protocol.observe_precomputed(
-        t, state.sensor_positions[i], state.velocities[i], float(state.speeds[i])
+    message = stepper.observe(
+        i, t, state.sensor_positions[i], state.velocities[i], float(state.speeds[i])
     )
     if message is not None:
         queue.send(state.lane.object_id, message, t)

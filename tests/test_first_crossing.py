@@ -1,9 +1,8 @@
 """The first-crossing search and the closed-form error measurement.
 
-:func:`repro.sim.fleet.lane_updates` finds the sends of distance-based
-reporting, linear DR and map-based DR with an array search for the first
-sample where the paper's trigger (or the map protocol's off-map /
-reacquire trigger) fires; the per-sighting loop
+:func:`repro.sim.fleet.lane_updates` finds every protocol's sends with an
+array search for the first sample where the protocol's trigger fires;
+the per-sighting loop with its timer agenda
 (``tests/reference/per_sighting.py``) is its oracle.  A plain
 :class:`~repro.service.server.LocationServer` fleet measures every lane with
 a static, linear or map prediction in closed form from the lane's delivered
@@ -80,36 +79,22 @@ def _protocol_key(protocol):
         protocol.bytes_sent,
         protocol._sequence,
         None if last is None else _state_key(last),
-        # The map protocol's stream cursor and current match.
-        getattr(protocol, "_row", None),
-        getattr(protocol, "_matched", None),
+        # adr's adapted threshold and dtdr's declarations.
+        getattr(protocol, "_threshold", None),
+        getattr(protocol, "disconnection_times", None),
     )
 
 
 def _compare(kernel, oracle, times, positions):
-    """Run both paths on one trace; assert equal streams and end states."""
-    arrays = _estimates(kernel, times, positions)
+    """Run both paths on one trace; assert equal streams, fires and end states."""
+    _estimates(kernel, times, positions)
     _estimates(oracle, times, positions)
-    stream, fires = lane_updates(kernel, *arrays)
-    expected = sighting_updates(oracle, *arrays)
-    assert fires == 0
+    stream, fires = lane_updates(kernel)
+    expected, expected_fires = sighting_updates(oracle)
     assert _stream_key(stream) == _stream_key(expected)
+    assert fires == expected_fires
     assert _protocol_key(kernel) == _protocol_key(oracle)
     return stream
-
-
-@pytest.fixture
-def searches(monkeypatch):
-    """Count the lanes that take the first-crossing search."""
-    calls = []
-    search = fleet._first_crossings
-
-    def counting(protocol, *args):
-        calls.append(type(protocol))
-        return search(protocol, *args)
-
-    monkeypatch.setattr(fleet, "_first_crossings", counting)
-    return calls
 
 
 def _stationary(n, jump_at=None):
@@ -123,7 +108,7 @@ def _stationary(n, jump_at=None):
 class TestKernelMatchesScalar:
     @pytest.mark.parametrize("protocol_id", sorted(SEARCHED))
     @pytest.mark.parametrize("name", LIBRARY_NAMES)
-    def test_library_accuracy_sweep(self, name, protocol_id, searches):
+    def test_library_accuracy_sweep(self, name, protocol_id):
         """Every library scenario x its accuracy sweep: the same messages."""
         scenario = _scenario(name)
         trace = scenario.sensor_trace
@@ -135,7 +120,6 @@ class TestKernelMatchesScalar:
                 trace.times,
                 trace.positions,
             )
-        assert searches == [SEARCHED[protocol_id]] * len(scenario.us_values)
 
     @pytest.mark.parametrize("cls", PROTOCOLS.values())
     def test_one_sample_trace(self, cls):
@@ -172,7 +156,10 @@ class TestKernelMatchesScalar:
         stream = _compare(kernel, oracle, times[half:], positions[half:])
         assert stream and all(m.reason is UpdateReason.THRESHOLD for _t, m in stream)
 
-    def test_subclass_and_swapped_prediction_stay_on_the_scalar_loop(self, searches):
+    def test_subclass_and_swapped_prediction(self):
+        """A subclass and a swapped prediction (the default ``predict_many``)
+        take the same search."""
+
         class Sub(LinearPredictionProtocol):
             pass
 
@@ -184,10 +171,6 @@ class TestKernelMatchesScalar:
         trace = scenario.sensor_trace
         _compare(Sub(100.0), Sub(100.0), trace.times, trace.positions)
         _compare(swapped, oracle, trace.times, trace.positions)
-        assert searches == []
-        _compare(LinearPredictionProtocol(100.0), LinearPredictionProtocol(100.0),
-                 trace.times, trace.positions)
-        assert searches == [LinearPredictionProtocol]
 
 
 def _along_x(speed, n, x0=0.0, stop_at=None):
@@ -227,13 +210,12 @@ class TestMapSearch:
         positions[40:60, 1] = 300.0  # 300 m off the road: no link within um
         return straight_road_map(2000.0, n_links=4), times, positions
 
-    def test_off_map_send(self, searches):
+    def test_off_map_send(self):
         roadmap, times, positions = self._off_and_back()
         stream = _compare_map(roadmap, times, positions)
         reasons = [(t, m.reason) for t, m in stream]
         assert (40.0, UpdateReason.OFF_MAP) in reasons
         assert UpdateReason.REACQUIRED not in {r for _t, r in reasons}
-        assert searches == [MapBasedProtocol]
 
     def test_reacquired_send(self):
         roadmap, times, positions = self._off_and_back()
@@ -285,8 +267,8 @@ class TestMapSearch:
         assert [t for t, _m in stream if t > 27.0] == [30.0]
         assert MapPrediction(roadmap).predict(stream[1][1].state, 30.0).tolist() == [600.0, 0.0]
 
-    def test_other_map_protocols_stay_on_the_scalar_loop(self, searches):
-        """A subclass, a speed-limit walk and a learning turn policy: per sighting."""
+    def test_other_map_protocols(self):
+        """A subclass, a speed-limit walk and a turn-probability policy."""
 
         class Sub(MapBasedProtocol):
             pass
@@ -305,10 +287,6 @@ class TestMapSearch:
         ]
         for make in variants:
             _compare(make(), make(), trace.times, trace.positions)
-        assert searches == []
-        _compare(MapBasedProtocol(100.0, roadmap), MapBasedProtocol(100.0, roadmap),
-                 trace.times, trace.positions)
-        assert searches == [MapBasedProtocol]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # estimation over the bad sighting
@@ -324,40 +302,30 @@ class TestNonFiniteGuard:
         positions = scenario.sensor_trace.positions[:60].copy()
         positions[where, 1] = bad
         kernel, oracle = cls(20.0), cls(20.0)
-        arrays = _estimates(kernel, times, positions)
+        _estimates(kernel, times, positions)
         _estimates(oracle, times, positions)
         with pytest.raises(ValueError, match="finite") as raised:
-            lane_updates(kernel, *arrays)
+            lane_updates(kernel)
         with pytest.raises(ValueError, match="finite") as expected:
-            sighting_updates(oracle, *arrays)
+            sighting_updates(oracle)
         assert str(raised.value) == str(expected.value)
         assert _protocol_key(kernel) == _protocol_key(oracle)
         if where == -1:
             assert kernel.updates_sent > 1
 
+    @pytest.mark.parametrize("protocol_id", ["map", "known_route"])
     @pytest.mark.parametrize("where", [0, 17, -1])
-    def test_map_sighting(self, where, searches):
-        """Matching the trace rejects a non-finite sighting before any send;
-        a stream prepared from clean sightings leaves the guard to the search."""
+    def test_projected_sighting(self, where, protocol_id):
+        """Matching (or projecting onto the route) rejects a non-finite
+        sighting when the trace is prepared, before any send."""
         scenario = _scenario("walking")
         times = scenario.sensor_trace.times[:60]
-        clean = scenario.sensor_trace.positions[:60]
-        positions = clean.copy()
+        positions = scenario.sensor_trace.positions[:60].copy()
         positions[where, 1] = np.nan
-        kernel, oracle = (_protocol(scenario, "map", 20.0) for _ in range(2))
+        protocol = _protocol(scenario, protocol_id, 20.0)
         with pytest.raises(ValueError, match="finite"):
-            _estimates(kernel, times, positions)
-        _times, _clean, velocities, speeds = _estimates(kernel, times, clean)
-        _estimates(oracle, times, clean)
-        with pytest.raises(ValueError, match="finite") as raised:
-            lane_updates(kernel, times, positions, velocities, speeds)
-        with pytest.raises(ValueError, match="finite") as expected:
-            sighting_updates(oracle, times, positions, velocities, speeds)
-        assert searches == [MapBasedProtocol]
-        assert str(raised.value) == str(expected.value)
-        assert _protocol_key(kernel) == _protocol_key(oracle)
-        if where == -1:
-            assert kernel.updates_sent > 1
+            _estimates(protocol, times, positions)
+        assert protocol.updates_sent == 0
 
 
 class _WalkedServer(LocationServer):

@@ -102,10 +102,7 @@ def _message_key(message):
 
 def _fleet_messages(state):
     """The fleet's update stream for one prepared lane, as message keys."""
-    stream, _timer_fires = lane_updates(
-        state.lane.protocol, state.times, state.sensor_positions,
-        state.velocities, state.speeds,
-    )
+    stream, _timer_fires = lane_updates(state.lane.protocol)
     return [_message_key(m) for _t, m in stream]
 
 

@@ -6,10 +6,13 @@ position :meth:`~repro.protocols.prediction.PredictionFunction.predict`
 returns for that time, or a send or an error sample would move.  States
 sit on the links of the library maps (offsets inside and past the link
 length), carry no link or an unknown one (linear fallback), and are asked
-before, at and after their report time.
+before, at and after their report time; quadratic and known-route
+predictions are asked the same times.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +25,8 @@ from repro.protocols.prediction import (
     MainRoadTurnPolicy,
     MapPrediction,
     ProbabilisticTurnPolicy,
+    QuadraticPrediction,
+    RoutePrediction,
     StaticPrediction,
 )
 from repro.roadmap.elements import Intersection, Link
@@ -47,6 +52,11 @@ def roadmaps():
     maps["t_junction"] = t_junction_map(arm_length_m=300.0)
     maps["zero_length"] = _zero_length_segments_map()
     return maps
+
+
+@pytest.fixture(scope="module")
+def routes():
+    return [_scenario(name).route for name in LIBRARY_NAMES]
 
 
 finite = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False)
@@ -118,3 +128,25 @@ def test_predict_many_of_the_other_map_walks(roadmaps, data):
         MapPrediction(roadmap, ProbabilisticTurnPolicy(TurnProbabilityTable(roadmap))),
     ):
         _assert_rows_equal(prediction, state, times)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_predict_many_of_quadratic_and_route_predictions(roadmaps, routes, data):
+    """Constant acceleration (frozen past the horizon) and a known route
+    (from the state's route offset, or its projection): the same rows."""
+    _roadmap, state, times = data.draw(queries(roadmaps))
+    acceleration = data.draw(st.one_of(
+        st.none(), st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
+    ))
+    horizon = data.draw(st.sampled_from([0.5, 30.0, 1e6]))
+    _assert_rows_equal(
+        QuadraticPrediction(max_horizon=horizon), replace(state, acceleration=acceleration), times
+    )
+    route = data.draw(st.sampled_from(routes))
+    offset = data.draw(st.one_of(
+        st.none(),
+        st.floats(min_value=0.0, max_value=1.2 * route.length),
+        st.sampled_from([0.0, route.length]),
+    ))
+    _assert_rows_equal(RoutePrediction(route), replace(state, link_id=None, link_offset=offset), times)

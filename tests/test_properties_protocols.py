@@ -4,7 +4,8 @@ The central guarantee of every accuracy-bounded protocol (paper Sec. 2): as
 long as source and server share the prediction function, the server-side
 position error never exceeds the requested accuracy ``us`` by more than the
 sensor uncertainty plus the movement within one sampling interval (the
-deviation is only checked once per sighting).
+deviation is only checked once per sighting).  Over a channel with
+latency the server holds an older report, and the bound grows with it.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro.protocols.linear import LinearPredictionProtocol
 from repro.protocols.higher_order import HigherOrderPredictionProtocol
 from repro.protocols.reporting import DistanceBasedReporting, MovementBasedReporting
+from repro.service.channel import MessageChannel
 from repro.sim.fleet import run_simulation
 from repro.traces.trace import Trace
 
@@ -68,6 +70,51 @@ def test_movement_based_error_bounded(trace, accuracy):
     # bounds the displacement from the last report.
     result = run_simulation(MovementBasedReporting(accuracy=accuracy), trace)
     assert result.metrics.max_error <= accuracy + MAX_STEP + 1e-6
+
+
+#: Channel latencies (seconds): on and off the 1 s sampling grid.
+LATENCIES = [0.5, 1.0, 2.5, 4.0, 7.3]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    trace=random_walk_trace(),
+    accuracy=st.floats(min_value=30.0, max_value=400.0),
+    latency=st.sampled_from(LATENCIES),
+)
+def test_distance_based_error_bounded_under_latency(trace, accuracy, latency):
+    """``max_error <= us + 40 (L + 1)`` over a channel of latency ``L``.
+
+    At a sample at ``t`` the server holds the last report sent by
+    ``t - L``.  Every sighting up to the last one at or before ``t - L``
+    was within ``us`` of that report (or sent it), and that sighting is at
+    most ``L + 1`` s before ``t`` on a 1 s grid: the record can be ``L + 1``
+    s older than the last sighting checked against it.  The object moves
+    at most 40 m/s meanwhile, and the static prediction does not move.
+    """
+    channel = MessageChannel(latency=latency)
+    result = run_simulation(DistanceBasedReporting(accuracy=accuracy), trace, channel=channel)
+    assert result.metrics.max_error <= accuracy + MAX_STEP * (latency + 1.0) + 1e-6
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    trace=random_walk_trace(),
+    accuracy=st.floats(min_value=30.0, max_value=400.0),
+    latency=st.sampled_from(LATENCIES),
+)
+def test_linear_prediction_error_bounded_under_latency(trace, accuracy, latency):
+    """``max_error <= us + 2 * 40 (L + 1)`` over a channel of latency ``L``.
+
+    The derivation of the distance-based bound, except that the prediction
+    moves too: with window 2 the reported speed is one step over one
+    second, at most 40 m/s, so over the ``L + 1`` s the object and the
+    prediction can each move 40 m/s apart.
+    """
+    channel = MessageChannel(latency=latency)
+    protocol = LinearPredictionProtocol(accuracy=accuracy, estimation_window=2)
+    result = run_simulation(protocol, trace, channel=channel)
+    assert result.metrics.max_error <= accuracy + 2 * MAX_STEP * (latency + 1.0) + 1e-6
 
 
 @settings(max_examples=30, deadline=None)

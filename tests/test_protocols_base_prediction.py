@@ -35,6 +35,8 @@ from repro.roadmap.generators import freeway_map, t_junction_map
 from repro.roadmap.probability import TurnProbabilityTable
 from repro.roadmap.routing import RoutePlanner
 from repro.mobility.scenarios import corridor_route
+from repro.sim.fleet import lane_updates
+from repro.traces.estimation import estimate_trace
 
 from reference.streaming import stream_observe
 
@@ -255,6 +257,33 @@ class TestRoutePrediction:
         predicted = RoutePrediction(route).predict(state, 1000.0)
         np.testing.assert_allclose(predicted, [2000.0, 0.0], atol=1e-6)
 
+    def test_offsetless_states_project_their_own_position(self, straight_map):
+        """A state without ``link_offset`` starts from its own projection,
+        even when it reuses the id of a state dropped before it."""
+        planner = RoutePlanner(straight_map)
+        start, _ = straight_map.nearest_intersection((0.0, 0.0))
+        end, _ = straight_map.nearest_intersection((2000.0, 0.0))
+        route = planner.shortest_route(start.id, end.id)
+        prediction = RoutePrediction(route)
+        for k in range(50):
+            position = (20.0 + 37.0 * k, 3.0)
+            predicted = prediction.predict(make_state(position=position), 0.0)
+            assert predicted.tolist() == route.project(position)[0].tolist(), k
+
+    def test_predict_many_matches_predict(self, straight_map):
+        planner = RoutePlanner(straight_map)
+        start, _ = straight_map.nearest_intersection((0.0, 0.0))
+        end, _ = straight_map.nearest_intersection((2000.0, 0.0))
+        route = planner.shortest_route(start.id, end.id)
+        prediction = RoutePrediction(route)
+        times = np.linspace(-5.0, 200.0, 83)
+        for state in (
+            make_state(position=(300.0, 2.0), velocity=(13.7, 0.0)),
+            make_state(time=4.0, position=(10.0, 0.0), link_offset=499.999),
+        ):
+            expected = np.array([prediction.predict(state, t) for t in times.tolist()])
+            assert prediction.predict_many(state, times).tobytes() == expected.tobytes()
+
 
 def _protocol_factories(roadmap):
     """One constructor per protocol class, taking the estimation window."""
@@ -314,10 +343,26 @@ class TestUpdateProtocolMachinery:
         assert message.reason is UpdateReason.INITIAL
         assert protocol.updates_sent == 1
 
-    def test_predicted_position_none_before_first_update(self):
-        protocol = LinearPredictionProtocol(accuracy=100.0)
-        assert protocol.predicted_position(0.0) is None
-        assert protocol.deviation(0.0, (0.0, 0.0)) == float("inf")
+    def test_observe_precomputed_is_one_row_of_the_search(self):
+        """One ``observe_precomputed`` call per prepared row sends what
+        ``lane_updates`` finds for the whole trace."""
+        times = np.arange(40.0)
+        positions = np.column_stack((times * 12.0, np.sqrt(times) * 30.0))
+        velocities, speeds = estimate_trace(times, positions, 4)
+        sent = []
+        for protocol in (LinearPredictionProtocol(25.0), LinearPredictionProtocol(25.0)):
+            protocol.prepare_trace(times, positions, velocities, speeds)
+            sent.append(protocol)
+        stepped = [
+            (t, sent[0].observe_precomputed(t, positions[i], velocities[i], speeds[i]))
+            for i, t in enumerate(times.tolist())
+        ]
+        stepped = [(t, m) for t, m in stepped if m is not None]
+        searched, _fires = lane_updates(sent[1])
+        assert [(t, m.reason, m.state.position.tolist()) for t, m in stepped] == [
+            (t, m.reason, m.state.position.tolist()) for t, m in searched
+        ]
+        assert len(searched) > 2
 
     def test_bytes_accumulate(self):
         protocol = LinearPredictionProtocol(accuracy=10.0)

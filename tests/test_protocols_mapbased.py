@@ -152,25 +152,23 @@ class TestMapBasedProtocol:
         prototype = MapBasedProtocol(accuracy=100.0, roadmap=straight_map)
         stream_observe(prototype, times, positions)
         stream = prototype.match_stream
-        assert stream is not None and prototype._row == len(times)
+        assert stream is not None
 
         clone = prototype.clone_for(200.0)
         assert clone.match_stream is None and clone._row == 0
-        assert not clone._matched
         with pytest.raises(RuntimeError):
             clone.observe_precomputed(times[0], positions[0], np.zeros(2), 0.0)
-        # The clone replays the trace from the shared memo, on its own row.
+        # The clone replays the trace from the shared memo, on its own rows.
         clone_messages = stream_observe(clone, times, positions)
         assert clone._match_streams is prototype._match_streams
         assert clone.match_stream is stream
-        assert clone._row == len(times)
         assert clone_messages[0] is not None and clone.updates_sent >= 1
         # A new trace on the clone fills the shared memo; the prototype's
-        # own stream and row stay where its run left them.
+        # own stream and trace stay where its run left them.
         stream_observe(clone, times[:20], positions[:20] + 3.0)
-        assert clone.match_stream is not stream and clone._row == 20
+        assert clone.match_stream is not stream and len(clone._times) == 20
         assert len(prototype._match_streams) == 2
-        assert prototype.match_stream is stream and prototype._row == len(times)
+        assert prototype.match_stream is stream and len(prototype._times) == len(times)
 
     def test_reset(self, straight_map, straight_trace):
         protocol = MapBasedProtocol(accuracy=100.0, roadmap=straight_map)

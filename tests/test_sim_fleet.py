@@ -331,10 +331,8 @@ class TestLaneUpdates:
     def _stream(protocol, trace):
         from repro.sim.fleet import _LaneState, lane_updates
 
-        state = _LaneState(FleetLane("x", protocol, trace), MessageChannel())
-        return lane_updates(
-            protocol, state.times, state.sensor_positions, state.velocities, state.speeds
-        )
+        _LaneState(FleetLane("x", protocol, trace), MessageChannel())
+        return lane_updates(protocol)
 
     def test_fleet_transmits_exactly_the_lane_stream(self, straight_trace):
         """Every update the stream lists goes through the lane's channel at
@@ -366,8 +364,8 @@ class TestLaneUpdates:
         assert all(t in sightings for t, _ in stream)
 
     def test_fire_count_includes_declined_timers(self):
-        """The second value counts ``on_timer`` calls, also those that send
-        nothing; a declined deadline that moves is re-armed, one that stays
+        """The second value counts timer fires, also those that send
+        nothing; a declined deadline that moves fires again, one that stays
         put is spent."""
         calls = []
 
@@ -378,7 +376,7 @@ class TestLaneUpdates:
                 # Moves on after each fire, and stays put after the sixth.
                 return self.last_reported.time + 2.5 * min(len(calls) + 1, 6)
 
-            def on_timer(self, time):
+            def _on_deadline(self, time):
                 calls.append(time)
                 return None
 

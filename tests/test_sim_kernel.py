@@ -36,13 +36,16 @@ from repro.sim.fleet import (
     FleetSimulation,
     auto_region_size,
     fleet_extent,
+    lane_updates,
     run_simulation,
 )
 from repro.service.loadgen import build_replay_plan, replay_in_process
 from repro.sim.runner import ScenarioSpec
 from repro.sim.workload import QueryWorkload
+from repro.traces.estimation import estimate_trace
 from repro.traces.trace import Trace
 
+from reference.per_sighting import sighting_updates
 from reference.tick_loop import TickLoopFleet
 from test_sim_workload import _LinearScannedService, replay_answers
 
@@ -384,7 +387,7 @@ class TestProtocolTimers:
                     return None
                 return self.last_reported.time + 2.5
 
-            def on_timer(self, time):
+            def _on_deadline(self, time):
                 return None  # always declines; deadline stays put
 
         protocol = StickyDeadline(1000.0)  # threshold never trips
@@ -392,6 +395,16 @@ class TestProtocolTimers:
             [FleetLane("x", protocol, _straight_trace(n=21))]
         ).run()  # must terminate
         assert result.results["x"].updates == 1  # just the initial report
+        # The search spends the deadline after one fire, as the agenda does.
+        trace = _straight_trace(n=21)
+        outcomes = []
+        for decide in (lane_updates, sighting_updates):
+            protocol = StickyDeadline(1000.0)
+            velocities, speeds = estimate_trace(trace.times, trace.positions, 4)
+            protocol.prepare_trace(trace.times, trace.positions, velocities, speeds)
+            stream, fires = decide(protocol)
+            outcomes.append(([t for t, _m in stream], fires))
+        assert outcomes == [([0.0], 1)] * 2
 
     def test_dtdr_without_timeout_has_no_timer(self):
         protocol = DisconnectionDetectionDeadReckoning(initial_threshold=50.0)
