@@ -24,7 +24,8 @@ from typing import Dict, List, Optional
 
 #: Event kinds of the fleet loop: a lane's sighting, a protocol timer
 #: firing at its deadline, an update reaching the server.  They name the
-#: ``kernel.events.<kind>`` counters and the flight recorder's entries.
+#: ``kernel.events.<kind>`` counters; the fleet's flight recorder notes
+#: ``DELIVERY`` entries only.
 SAMPLE = 0
 TIMER = 1
 DELIVERY = 2

@@ -41,12 +41,14 @@ only when its membership changed, and the id column only when
 registrations grew the table.  Rows whose prediction is not finite keep
 their home: placement never changes answers.
 
-The facade implements the :class:`LocationServer` surface the fleet loop
-drives (``register_object`` / ``receive_update`` / ``predict_position`` /
-``predict_positions`` / …), which makes it a drop-in server backend for
-:class:`~repro.sim.fleet.FleetSimulation`; with ``n_shards=1`` every result
-is bit-identical to the plain single server (asserted by the test-suite
-over the whole scenario library).  Its ``range_query`` /
+The facade implements the :class:`LocationServer` surface
+(``register_object`` / ``receive_update`` / ``predict_position`` /
+``predict_positions`` / …) plus ``ingest_batch``, which makes it a drop-in
+server backend for :class:`~repro.sim.fleet.FleetSimulation`: the fleet
+registers every object and ingests each delivery instant's updates as one
+batch, and measures errors from each lane's own delivered stream; with
+``n_shards=1`` every result is bit-identical to the plain single server
+(asserted by the test-suite over the whole scenario library).  Its ``range_query`` /
 ``nearest_objects`` / ``geofence_query`` methods are the one query surface
 in the package; the linear scans they are asserted bit-identical to live in
 ``tests/reference/linear_queries.py`` as a test oracle.
@@ -284,7 +286,7 @@ class LocationService:
     def predict_positions(
         self, object_ids: Sequence[str], time: float
     ) -> List[Optional[np.ndarray]]:
-        """Batch position predictions (the fleet loop's per-tick entry point)."""
+        """Batch position predictions (``None`` for objects yet to report)."""
         records = self._records
         return [records[object_id].predict(time) for object_id in object_ids]
 

@@ -6,8 +6,14 @@ assumed position at any query time — the right-hand side of the paper's
 Fig. 1.
 
 :class:`LocationServer` is the plain single-server backend of the fleet
-loop (one :class:`TrackedObject` record per object, predicted one record at
-a time) and the store the linear-scan test oracle reads.  The sharded
+loop (one :class:`TrackedObject` record per object) and the store the
+linear-scan test oracle reads.  The fleet only registers objects and
+ingests their delivered updates here; it measures errors from each lane's
+own delivered stream.  :meth:`~LocationServer.predict_position`,
+:meth:`~LocationServer.predict_positions` and
+:meth:`~LocationServer.all_positions` (one record predicted at a time) are
+the query surface for callers and oracles; the benchmark's layer tracer
+wraps them by name.  The sharded
 :class:`~repro.service.facade.LocationService` keeps the same records in
 one columnar row table of its own and predicts every closed-form row in one
 vectorised pass; it does not sit on top of this class.
@@ -110,9 +116,8 @@ class LocationServer:
     ) -> List[Optional[np.ndarray]]:
         """Predicted positions for many objects at one query time.
 
-        The batch entry point the fleet simulation loop uses: one call per
-        simulation timestep instead of one per object.  Objects that have
-        not reported yet yield ``None`` at their position in the result.
+        Objects that have not reported yet yield ``None`` at their position
+        in the result.
         """
         objects = self._objects
         return [objects[object_id].predict(time) for object_id in object_ids]

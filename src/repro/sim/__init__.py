@@ -13,17 +13,16 @@ execution core, with one entry point per job:
 ``fleet`` (+ ``columnar``) → ``runner``
 
 * :mod:`repro.sim.fleet` is the core: :class:`FleetSimulation` runs any
-  number of (object, protocol, trace) lanes against a single
-  :class:`~repro.service.server.LocationServer`.  Each lane's update
+  number of (object, protocol, trace) lanes against one backend, a plain
+  :class:`~repro.service.server.LocationServer` or a sharded
+  :class:`~repro.service.facade.LocationService`.  Each lane's update
   stream comes from one send schedule,
   :func:`~repro.sim.fleet.lane_updates` (one first-crossing array search
   over each protocol's window trigger, protocol deadlines at their exact
-  instants), pushed through the lane's channel (exact
-  delivery instants); one walk over the merged sample and delivery
-  instants then ingests and measures — per-lane sampling rates,
-  vectorised speed/heading estimation, batched server queries, and
-  closed-form measurement of the static, linear and map lanes of a plain
-  server.  :func:`run_simulation` (one
+  instants), pushed through the lane's channel (exact delivery instants).
+  Each lane is then measured on arrays from its own delivered stream,
+  whatever its prediction, and the deliveries are ingested one batch per
+  delivery instant.  :func:`run_simulation` (one
   object, one protocol, one trace) is a one-lane fleet, so single runs and
   fleet runs are the same machinery by construction.
 * :mod:`repro.sim.columnar` is the struct-of-arrays fast path

@@ -5,9 +5,8 @@ one protocol instance, one lane state, one server record each — spends
 its time on attribute access and allocation.  This module keeps the whole
 fleet's hot state in contiguous NumPy columns instead:
 
-* :class:`ColumnarStore` — one array per field (current position, last
-  reported position/velocity/time, thresholds, per-object message sequence
-  counters, update/byte totals).
+* :class:`ColumnarStore` — one array per field (last reported
+  position/velocity/time, thresholds, byte totals).
 * :class:`ColumnarFleetEngine` — a vectorised simulation loop over that
   store whose arithmetic matches the scalar protocol/server code operation
   for operation, so its results are **bitwise identical** to
@@ -60,19 +59,15 @@ STATIC, LINEAR = "static", "linear"
 class ColumnarStore:
     """Struct-of-arrays state for N tracked objects.
 
-    One contiguous column per field instead of N Python objects: current
-    position, last *reported* position / velocity / time (the protocol's
-    ``or`` and, with a zero-latency loss-free channel, also the server's
-    record), the per-object protocol thresholds ``us`` / ``up``, per-object
-    message sequence counters (the channel's keyed-loss counter), and the
-    update/byte totals.
+    One contiguous column per field instead of N Python objects: last
+    *reported* position / velocity / time (the protocol's ``or`` and, with a
+    zero-latency loss-free channel, also the server's record), the
+    per-object protocol thresholds ``us`` / ``up``, and the byte totals.
     """
 
     __slots__ = (
-        "n", "object_ids", "position", "reported_position",
-        "reported_velocity", "reported_time", "accuracy",
-        "sensor_uncertainty", "sequence", "updates", "bytes_sent",
-        "has_report",
+        "n", "object_ids", "reported_position", "reported_velocity",
+        "reported_time", "accuracy", "sensor_uncertainty", "bytes_sent",
     )
 
     def __init__(
@@ -98,13 +93,9 @@ class ColumnarStore:
             raise ValueError("accuracy (us) must be positive")
         if np.any(self.sensor_uncertainty < 0):
             raise ValueError("sensor_uncertainty (up) must be non-negative")
-        self.position = np.zeros((n, 2))
         self.reported_position = np.zeros((n, 2))
         self.reported_velocity = np.zeros((n, 2))
         self.reported_time = np.zeros(n)
-        self.has_report = np.zeros(n, dtype=bool)
-        self.sequence = np.zeros(n, dtype=np.int64)
-        self.updates = np.zeros(n, dtype=np.int64)
         self.bytes_sent = np.zeros(n, dtype=np.int64)
 
 
@@ -352,11 +343,7 @@ class ColumnarFleetEngine:
             ey = srv_y - truth[:, i, 1]
             errors[:, i] = np.sqrt(ex * ex + ey * ey)
         loop_span.close()
-        store.position[:] = sensor[:, -1, :]
-        store.has_report[:] = True
         updates = threshold_counts + 1
-        store.sequence[:] = updates
-        store.updates[:] = updates
         store.bytes_sent[:] = updates * _BASE_UPDATE_BYTES
         # The same deterministic counters the scalar fleet loop records
         # in _record_lane_metrics — the engines are bit-identical, so
@@ -395,23 +382,3 @@ class ColumnarFleetEngine:
                 update_reasons=reasons,
             )
         return FleetResult(results=results)
-
-    def channel_stats(self):
-        """The shared channel's counters implied by the run (all delivered).
-
-        Matches the :class:`~repro.service.channel.ChannelStats` a default
-        fleet channel would have accumulated: zero latency and zero loss
-        mean every sent message was delivered in the same instant.
-        """
-        from repro.service.channel import ChannelStats
-
-        sent = int(self.store.updates.sum())
-        size = int(self.store.bytes_sent.sum())
-        return ChannelStats(
-            messages_sent=sent,
-            messages_delivered=sent,
-            messages_lost=0,
-            bytes_sent=size,
-            bytes_delivered=size,
-        )
-

@@ -2,8 +2,9 @@
 
 :class:`FleetSimulation` is the simulation core every experiment entry point
 ultimately runs on.  It steps any number of *lanes* — one (object, protocol,
-trace) combination each — against one shared
-:class:`~repro.service.server.LocationServer` and one (or several)
+trace) combination each — against one shared backend (a plain
+:class:`~repro.service.server.LocationServer` or a sharded
+:class:`~repro.service.facade.LocationService`) and one (or several)
 :class:`~repro.service.channel.MessageChannel`\\ s, and collects one
 :class:`~repro.sim.metrics.SimulationResult` per object plus aggregates.
 
@@ -16,48 +17,44 @@ Design properties the rest of the stack relies on:
   from one RNG stream and therefore differs from N per-run RNGs).
   :func:`run_simulation`, the single-object entry point, is a one-lane
   fleet, so the equivalence is structural, not coincidental.
-* **Vectorised hot path** — speed/heading estimates for each sensor trace
+* **One send schedule** — speed/heading estimates for each sensor trace
   are precomputed in one batched pass
   (:func:`repro.traces.estimation.estimate_trace`, bitwise identical to
-  estimating sighting by sighting) and handed with the trace to the protocol's
-  :meth:`~repro.protocols.base.UpdateProtocol.prepare_trace` (the map-based
-  protocol matches the whole trace there).  Every protocol states its
-  send rule once, as a window trigger over the prepared rows, and
-  :func:`lane_updates` finds the sends with one first-crossing search
-  over it, deadlines included, instead of one protocol call per
-  sighting.  Against a plain
-  :class:`~repro.service.server.LocationServer`, every lane whose record
-  predicts in closed form (static, linear or map prediction: distance,
-  linear, map, time-based, …) is measured from its own delivered stream
-  on arrays and leaves the walk; the walk measures the rest (route,
-  quadratic lanes, and every lane of any other backend) through
-  the batch :meth:`~repro.service.server.LocationServer.predict_positions`
-  API once per timestep.  Error samples are accumulated into
-  :class:`~repro.sim.metrics.AccuracyMetrics` as one array per lane.
-* **One send schedule** — a source decides every update from its own
-  sightings and timers and never hears back from the channel or the
-  server, so a lane's update stream depends only on its protocol and
-  trace.  :func:`lane_updates` computes it, protocol deadlines acting at
-  their exact instants; the fleet pushes each lane's stream through its channel
-  (which counts the send, draws the keyed loss and returns the delivery
-  instant ``send_time + latency``), then walks the merged sample stream
-  beside the delivery instants: at each instant one ingest batch, then the
-  error measurement of the lanes sampled there (a sharded backend hands
-  objects between shards as their updates arrive).  The replay plan
+  estimating sighting by sighting) and handed with the trace to the
+  protocol's :meth:`~repro.protocols.base.UpdateProtocol.prepare_trace`
+  (the map-based protocol matches the whole trace there).  A source
+  decides every update from its own sightings and timers and never hears
+  back from the channel or the server, so a lane's update stream depends
+  only on its protocol and trace.  Every protocol states its send rule
+  once, as a window trigger over the prepared rows, and
+  :func:`lane_updates` finds the sends with one first-crossing search over
+  it, protocol deadlines acting at their exact instants.  The replay plan
   (:func:`repro.service.loadgen.build_replay_plan`) calls the same
   function, so it serves exactly what the fleet delivers over a loss-free,
-  zero-latency channel.  When
-  every lane shares one sampling grid, channel latency is a multiple of it
-  and no protocol deadline falls off it, the schedule degenerates to the
-  classic per-timestep loop, and the results are bit-identical to it (the
-  test-suite keeps that loop and the per-sighting protocol rules as
-  oracles and asserts the identity over the whole scenario library).
-* **One loop** — a run is this loop in the calling process.  An eligible
-  homogeneous fleet gets its speed from the columnar engine
-  (:class:`~repro.sim.columnar.ColumnarFleetEngine`, bit-identical), and a
-  sweep spreads its points over a worker pool
-  (:class:`~repro.sim.runner.SweepRunner`); no fleet is split across
-  workers.
+  zero-latency channel.
+* **One measurement** — the fleet pushes each lane's stream through its
+  channel (which counts the send, draws the keyed loss and returns the
+  delivery instant ``send_time + latency``) and measures the lane from its
+  own delivered stream: the error at a sample is the distance from ground
+  truth of the registered prediction of the last message delivered by
+  then, gathered on arrays for static and linear predictions and asked
+  once per held message for the others.  Error samples are accumulated
+  into :class:`~repro.sim.metrics.AccuracyMetrics` as one array per lane.
+  The deliveries are then ingested in time order, one batch per instant,
+  so the backend — a plain server or a sharded service, which hands
+  objects between shards as their updates arrive — ends as a
+  per-timestep loop leaves it.  When every lane shares one sampling grid,
+  channel latency is a multiple of it and no protocol deadline falls off
+  it, the results are bit-identical to the classic per-timestep loop (the
+  test-suite keeps that loop, a per-sample walk over the backend's
+  predictions and the per-sighting protocol rules as oracles and asserts
+  the identities over the whole scenario library).
+* **One loop** — a run is this loop in the calling process; no fleet is
+  split across workers.  A sweep spreads its points over a worker pool
+  (:class:`~repro.sim.runner.SweepRunner`).  The columnar engine
+  (:class:`~repro.sim.columnar.ColumnarFleetEngine`) is a separate,
+  bit-identical engine for the homogeneous fleets it accepts; callers
+  choose it (the ``fleet`` command does), the fleet never does.
 
 Application queries never change a :class:`~repro.sim.metrics.SimulationResult`,
 so they are not part of the simulation: the query side replays a
@@ -71,22 +68,17 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.geo.bbox import BoundingBox
-from repro.geo.vec import as_vec, distance
+from repro.geo.vec import as_vec
 from repro.obs import NO_OBS, Observability
 from repro.obs.metrics import publish_service_stats
 from repro.obs.trace import DELIVERY, KIND_NAMES, SAMPLE, TIMER
 from repro.protocols.base import UpdateMessage, UpdateProtocol, UpdateReason
-from repro.protocols.prediction import (
-    LinearPrediction,
-    MapPrediction,
-    PredictionFunction,
-    StaticPrediction,
-)
+from repro.protocols.prediction import LinearPrediction, PredictionFunction, StaticPrediction
 from repro.service.channel import MessageChannel
 from repro.service.facade import LocationService
 from repro.service.server import LocationServer
@@ -181,19 +173,20 @@ class _LaneState:
     """Run-time state of one lane inside the fleet loop."""
 
     __slots__ = (
-        "lane", "channel", "metrics", "reasons", "updates", "times",
-        "sensor_positions", "truth_positions", "velocities", "speeds",
-        "errors",
+        "lane", "channel", "prediction", "metrics", "reasons", "updates", "times",
+        "sensor_positions", "truth_positions", "velocities", "speeds", "errors",
     )
 
     def __init__(self, lane: FleetLane, channel: MessageChannel):
         truth = lane.truth_trace if lane.truth_trace is not None else lane.sensor_trace
         if len(truth) != len(lane.sensor_trace):
             raise ValueError("sensor and truth traces must have the same length")
-        if not np.allclose(truth.times, lane.sensor_trace.times):
+        if not np.array_equal(truth.times, lane.sensor_trace.times):
             raise ValueError("sensor and truth traces must share their timestamps")
         self.lane = lane
         self.channel = channel
+        #: The prediction the lane's server record is registered with.
+        self.prediction: PredictionFunction = lane.protocol.prediction_function()
         self.metrics = AccuracyMetrics()
         self.metrics.set_bound(lane.protocol.accuracy)
         self.reasons: Dict[str, int] = {}
@@ -207,8 +200,8 @@ class _LaneState:
         lane.protocol.prepare_trace(
             self.times, self.sensor_positions, self.velocities, self.speeds
         )
-        #: A list the walk appends to, or one array measured in closed form.
-        self.errors: Union[List[float], np.ndarray] = []
+        #: One error per measured sample (:meth:`measure`).
+        self.errors = np.empty(0)
 
     def count_update(self, message: UpdateMessage) -> None:
         """Count one transmitted update and its reason."""
@@ -216,53 +209,44 @@ class _LaneState:
         key = message.reason.value
         self.reasons[key] = self.reasons.get(key, 0) + 1
 
-    def record_error(self, i: int, predicted: Optional[np.ndarray]) -> None:
-        """Measure the server's error against ground truth at sample *i*."""
-        if predicted is not None:
-            self.errors.append(distance(predicted, self.truth_positions[i]))
-
-    def measure_closed_form(
-        self,
-        arrivals: List[float],
-        messages: List[UpdateMessage],
-        prediction: PredictionFunction,
-    ) -> None:
+    def measure(self, arrivals: List[float], messages: List[UpdateMessage]) -> None:
         """Measure every sample at once against the lane's delivered stream.
 
-        The walk's measurement of a record with a static, linear or map
-        prediction, on arrays: at sample *i* the record holds the last
-        message delivered at or before ``times[i]`` (``side="right"``: an
-        instant's deliveries are ingested before its samples are
-        measured), and samples before the first delivery are not measured.
-        Static and linear predictions are gathered for all samples at
-        once; a map prediction is asked once per run of samples that hold
-        the same message (:meth:`~repro.protocols.prediction.MapPrediction.predict_many`).
-        The same IEEE operations in the same order as the walk's
-        ``predict`` and :func:`~repro.geo.vec.distance` keep every error
-        sample bit-identical.
+        At sample *i* the server's record holds the last message delivered
+        at or before ``times[i]`` (``side="right"``: a message counts from
+        its own delivery instant on, the per-timestep ingest-then-measure
+        order), and samples before the first delivery are not measured.  Static and
+        linear predictions are gathered for all samples at once; any other
+        prediction is asked once per run of samples that hold the same
+        message (:meth:`~repro.protocols.prediction.PredictionFunction.predict_many`,
+        row for row bit-identical to ``predict``).  The error is
+        :func:`~repro.geo.vec.distance`'s arithmetic on arrays, so every
+        sample is bit for bit the error of the record's own prediction
+        asked at that sample.
         """
         if not messages:
             return
         # Stream order is sequence order, so a stable sort by delivery
-        # instant is the walk's (deliver_at, sequence) order.
+        # instant is the server's (deliver_at, sequence) ingest order.
         order = np.argsort(arrivals, kind="stable")
         held = np.searchsorted(np.asarray(arrivals)[order], self.times, side="right") - 1
         first = int(np.searchsorted(held, 0))
         held = order[held[first:]]
         times = self.times[first:]
         states = [message.state for message in messages]
-        if type(prediction) is MapPrediction:
-            predicted = np.empty((len(held), 2))
-            if len(held):
-                runs = (np.flatnonzero(held[1:] != held[:-1]) + 1).tolist()
-                for a, b in zip([0, *runs], [*runs, len(held)]):
-                    predicted[a:b] = prediction.predict_many(states[held[a]], times[a:b])
-        else:
+        prediction = self.prediction
+        if type(prediction) in (StaticPrediction, LinearPrediction):
             predicted = np.array([state.position for state in states])[held]
             if type(prediction) is LinearPrediction:
                 dt = times - np.array([state.time for state in states])[held]
                 velocity = np.array([state.velocity for state in states])[held]
                 predicted = predicted + velocity * dt[:, None]
+        else:
+            predicted = np.empty((len(held), 2))
+            if len(held):
+                runs = (np.flatnonzero(held[1:] != held[:-1]) + 1).tolist()
+                for a, b in zip([0, *runs], [*runs, len(held)]):
+                    predicted[a:b] = prediction.predict_many(states[held[a]], times[a:b])
         d = predicted - self.truth_positions[first:]
         self.errors = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
 
@@ -287,7 +271,7 @@ class _LaneState:
 
 
 class FleetSimulation:
-    """Step many (object, protocol, trace) lanes through one merged loop.
+    """Run many (object, protocol, trace) lanes against one backend.
 
     Parameters
     ----------
@@ -301,11 +285,13 @@ class FleetSimulation:
         The service backend — a plain
         :class:`~repro.service.server.LocationServer` (fresh one when
         omitted) or a sharded
-        :class:`~repro.service.facade.LocationService`.  Backends exposing
-        ``ingest_batch`` receive each instant's delivered updates as one batch;
-        with one shard the results are bit-identical to the single server.
-        Every object's update total counts its bootstrap update (the paper
-        counts transmitted messages).
+        :class:`~repro.service.facade.LocationService`.  The fleet registers
+        every lane's object there and ingests every delivered update (one
+        ``ingest_batch`` per delivery instant where the backend has it);
+        it measures errors from each lane's own delivered stream, so the
+        backend never changes an error sample.  Every object's update
+        total counts its bootstrap update (the paper counts transmitted
+        messages).
     obs:
         The :class:`~repro.obs.Observability` bundle the run records
         per-event-kind counts, phase spans and per-lane work into.  A
@@ -366,7 +352,7 @@ class FleetSimulation:
         for state in states:
             server.register_object(
                 state.lane.object_id,
-                prediction=state.lane.protocol.prediction_function(),
+                prediction=state.prediction,
                 accuracy=state.lane.protocol.accuracy,
             )
         # A caller-supplied channel may still carry undelivered messages
@@ -412,7 +398,7 @@ class FleetSimulation:
     # the fleet loop
     # ------------------------------------------------------------------ #
     def _run_loop(self, states: List[_LaneState], channels: List[MessageChannel]) -> None:
-        """Push every lane's update stream through its channel, then walk time.
+        """Push every lane's update stream through its channel, measure, ingest.
 
         1. Each lane's :func:`lane_updates` stream goes through its
            channel's :meth:`~repro.service.channel.MessageChannel.transmit`,
@@ -420,22 +406,16 @@ class FleetSimulation:
            delivery instant.  The simulation clock stops at the last
            sighting: a message due past it stays undelivered rather than
            extending the run.
-        2. The merged sample stream — every lane's sightings in time order,
-           simultaneous ones in lane order — is walked beside the delivery
-           instants, sorted by ``(deliver_at, channel order, object id,
-           sequence)``.  At each instant the delivered updates are ingested
-           as one batch, then the lanes sampled there are measured: the
-           per-timestep order, which is what makes the degenerate schedule
-           bit-identical to a per-timestep loop.
+        2. The lane is measured from its own delivered stream
+           (:meth:`_LaneState.measure`): its error at a sample depends on
+           nothing but the messages delivered to its record by then.
+        3. Every delivery, sorted by ``(deliver_at, channel order, object
+           id, sequence)``, is ingested, one batch per delivery instant, so
+           the backend's records (and a sharded service's homes, handoffs
+           and counters) end as a per-timestep loop leaves them.
 
-        On a plain :class:`~repro.service.server.LocationServer`, a lane
-        whose record has a static, linear or map prediction is measured in
-        closed form from its own delivered stream
-        (:meth:`_LaneState.measure_closed_form`, the same samples in the
-        same order) and its samples leave the walk; the walk still ingests
-        every delivery, so the server's records end as before.  The
-        ``kernel.events.sample`` counter counts every lane's sightings,
-        but the flight recorder notes SAMPLE events of walked lanes only.
+        The ``kernel.events.sample`` counter counts every lane's sightings;
+        the flight recorder notes DELIVERY events.
         """
         server = self.server
         ingest = getattr(server, "ingest_batch", None)
@@ -445,21 +425,15 @@ class FleetSimulation:
         flight_note = obs.flight.note
         end_time = max(float(state.times[-1]) for state in states)
         channel_index = {channel: n for n, channel in enumerate(channels)}
-        # A plain server's static, linear and map records are measured in
-        # closed form; any other backend is measured by the walk.
-        closed_form = type(server) is LocationServer
         timer_fires = 0
-        samples = 0
         try:
             deliveries: List[Tuple[float, int, str, int, UpdateMessage]] = []
-            walked: List[_LaneState] = []
             for state in states:
                 object_id = state.lane.object_id
                 channel = state.channel
                 slot = channel_index[channel]
                 stream, fires = lane_updates(state.lane.protocol)
                 timer_fires += fires
-                samples += len(state.times)
                 delivered: List[UpdateMessage] = []
                 arrivals: List[float] = []
                 for t, message in stream:
@@ -472,75 +446,27 @@ class FleetSimulation:
                         delivered.append(message)
                         arrivals.append(deliver_at)
                 channel.record_delivered(delivered)
-                prediction = (
-                    server.tracked_object(object_id).prediction if closed_form else None
-                )
-                if type(prediction) in _CLOSED_FORM:
-                    state.measure_closed_form(arrivals, delivered, prediction)
-                else:
-                    walked.append(state)
+                state.measure(arrivals, delivered)
             # Sequence numbers are unique per object, so the comparison
             # never reaches the (unordered) message itself.
             deliveries.sort()
-            inf = math.inf
-            deliver_times = [entry[0] for entry in deliveries]
-            deliver_times.append(inf)
-
-            times = np.concatenate([s.times for s in walked] or [np.empty(0)])
-            lane_of = np.repeat(np.arange(len(walked)), [len(s.times) for s in walked])
-            index_of = np.concatenate(
-                [np.arange(len(s.times)) for s in walked] or [np.empty(0, dtype=np.intp)]
-            )
-            order = np.lexsort((lane_of, times))
-            sample_times = times[order].tolist()
-            sample_times.append(inf)
-            sample_lanes = lane_of[order].tolist()
-            sample_index = index_of[order].tolist()
-            record = [state.record_error for state in walked]
-            object_ids = [state.lane.object_id for state in walked]
-
-            k = 0
             d = 0
-            while True:
-                t = sample_times[k]
-                if deliver_times[d] < t:
-                    t = deliver_times[d]
-                elif t == inf:
-                    break
-                if deliver_times[d] == t:
-                    first_delivery = d
-                    while deliver_times[d] == t:
-                        d += 1
-                    if enabled:
-                        for j in range(first_delivery, d):
-                            flight_note(t, DELIVERY, j)
-                    batch = [(entry[2], entry[4]) for entry in deliveries[first_delivery:d]]
-                    if ingest is not None:
-                        ingest(batch, t)
-                    else:
-                        for oid, msg in batch:
-                            server.receive_update(oid, msg, t)
-                first = k
-                while sample_times[k] == t:
-                    k += 1
-                if k == first:
-                    continue
+            while d < len(deliveries):
+                t = deliveries[d][0]
+                first = d
+                while d < len(deliveries) and deliveries[d][0] == t:
+                    d += 1
                 if enabled:
-                    for j in range(first, k):
-                        flight_note(t, SAMPLE, j)
-                if k - first == 1:
-                    # Sparse fleets mostly see one sighting per instant;
-                    # skip the batch plumbing for that case.
-                    n = sample_lanes[first]
-                    record[n](sample_index[first], server.predict_position(object_ids[n], t))
+                    for j in range(first, d):
+                        flight_note(t, DELIVERY, j)
+                batch = [(entry[2], entry[4]) for entry in deliveries[first:d]]
+                if ingest is not None:
+                    ingest(batch, t)
                 else:
-                    predicted = server.predict_positions(
-                        [object_ids[sample_lanes[j]] for j in range(first, k)], t
-                    )
-                    for j, position in zip(range(first, k), predicted):
-                        record[sample_lanes[j]](sample_index[j], position)
+                    for oid, msg in batch:
+                        server.receive_update(oid, msg, t)
             counts = {
-                SAMPLE: samples,
+                SAMPLE: sum(len(state.times) for state in states),
                 TIMER: timer_fires,
                 DELIVERY: len(deliveries),
             }
@@ -553,10 +479,6 @@ class FleetSimulation:
             obs.dump_flight(reason="fleet loop died")
             raise
 
-
-#: The record predictions a plain server's lanes are measured with in
-#: closed form (:meth:`_LaneState.measure_closed_form`).
-_CLOSED_FORM = (StaticPrediction, LinearPrediction, MapPrediction)
 
 #: The first-crossing search's window in samples: it starts at
 #: ``_FIRST_WINDOW`` after each send and doubles on every window without a

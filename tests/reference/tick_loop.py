@@ -21,8 +21,9 @@ sighting, and a message is delivered at the first tick
 at or after ``send_time + latency``.  When every lane shares one sampling
 grid, latency is a multiple of it and no timer deadline falls off it, the
 fleet's schedule (:func:`~repro.sim.fleet.lane_updates` pushed through
-each channel, then one walk over time) must reproduce this loop bit for
-bit; the equivalence tests assert exactly that.
+each channel, each lane measured from its own delivered stream, then the
+deliveries ingested in time order) must reproduce this loop bit for bit;
+the equivalence tests assert exactly that.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from typing import Dict, List
 
 import numpy as np
 
+from repro.geo.vec import distance
 from repro.service.channel import MessageChannel
 from repro.sim.fleet import FleetSimulation
 
@@ -62,6 +64,7 @@ class TickLoopFleet(FleetSimulation):
         ingest = getattr(server, "ingest_batch", None)
         queues: Dict[int, PolledQueue] = {}
         steppers = {}
+        errors: Dict[int, List[float]] = {id(state): [] for state in states}
         for state in states:
             queues.setdefault(id(state.channel), PolledQueue(state.channel))
             steppers[id(state)] = SightingStepper(state.lane.protocol)
@@ -88,7 +91,10 @@ class TickLoopFleet(FleetSimulation):
                 [state.lane.object_id for state, _ in batch], t
             )
             for (state, i), position in zip(batch, predicted):
-                state.record_error(i, position)
+                if position is not None:
+                    errors[id(state)].append(distance(position, state.truth_positions[i]))
+        for state in states:
+            state.errors = np.array(errors[id(state)], dtype=float)
 
 
 def _sighting(state, stepper: SightingStepper, queue: PolledQueue, i: int, t: float) -> None:

@@ -1,13 +1,14 @@
-"""The first-crossing search and the closed-form error measurement.
+"""The first-crossing search and the fleet's error measurement.
 
 :func:`repro.sim.fleet.lane_updates` finds every protocol's sends with an
 array search for the first sample where the protocol's trigger fires;
 the per-sighting loop with its timer agenda
-(``tests/reference/per_sighting.py``) is its oracle.  A plain
-:class:`~repro.service.server.LocationServer` fleet measures every lane with
-a static, linear or map prediction in closed form from the lane's delivered
-stream; the tick-loop oracle (``tests/reference/tick_loop.py``) still walks
-every sample.  Both must agree with their oracles bit for bit.
+(``tests/reference/per_sighting.py``) is its oracle.  The fleet measures
+every lane on arrays from the lane's own delivered stream, whatever its
+prediction and whatever the backend; the tick-loop oracle
+(``tests/reference/tick_loop.py``) and the per-sample walk over the
+backend's predictions (``tests/reference/walk.py``) still measure sample by
+sample.  Both must agree with their oracles bit for bit.
 """
 
 from __future__ import annotations
@@ -31,15 +32,24 @@ from repro.roadmap.generators import straight_road_map, t_junction_map
 from repro.roadmap.graph import RoadMap
 from repro.roadmap.probability import TurnProbabilityTable
 from repro.service.channel import MessageChannel
+from repro.service.facade import LocationService
 from repro.service.server import LocationServer
 from repro.sim import fleet
 from repro.sim.config import SimulationConfig
-from repro.sim.fleet import FleetLane, FleetSimulation, lane_updates
+from repro.sim.fleet import (
+    FleetLane,
+    FleetSimulation,
+    auto_region_size,
+    fleet_extent,
+    lane_updates,
+)
 from repro.traces.estimation import estimate_trace
 from repro.traces.trace import Trace
 
 from reference.per_sighting import sighting_updates
 from reference.tick_loop import TickLoopFleet
+from reference.walk import WalkedFleet
+from test_stream_observe import BUILDERS
 from test_sim_kernel import LIBRARY_NAMES, _protocol, _scenario
 
 PROTOCOLS = {"distance": DistanceBasedReporting, "linear": LinearPredictionProtocol}
@@ -328,10 +338,6 @@ class TestNonFiniteGuard:
         assert protocol.updates_sent == 0
 
 
-class _WalkedServer(LocationServer):
-    """A plain server the fleet does not recognise: every lane is walked."""
-
-
 def _record_key(record):
     return (_state_key(record.state), record.updates_received, record.last_update_time)
 
@@ -372,22 +378,10 @@ class TestClosedFormMeasurement:
         records = {oid: _record_key(server.tracked_object(oid)) for oid in result.results}
         return result, channel.stats, records, counters
 
-    def test_identical_to_the_tick_loop_and_the_walk(self, monkeypatch):
-        measured = []
-        measure = fleet._LaneState.measure_closed_form
-
-        def counting(state, *args):
-            measured.append(state.lane.object_id)
-            return measure(state, *args)
-
-        monkeypatch.setattr(fleet._LaneState, "measure_closed_form", counting)
+    def test_identical_to_the_tick_loop_and_the_walk(self):
         closed = self._run(FleetSimulation, LocationServer())
-        # Every lane's record predicts in closed form, the map lanes' too
-        # (the speed-limit lane sends per sighting but is measured here).
-        assert measured == [lane.object_id for lane in self._lanes()]
         tick = self._run(TickLoopFleet, LocationServer())
-        walked = self._run(FleetSimulation, _WalkedServer())
-        assert len(measured) == len(self._lanes())  # the oracle runs walk every sample
+        walked = self._run(WalkedFleet, LocationServer())
 
         result, stats, records, counters = closed
         assert stats.messages_lost > 0
@@ -408,7 +402,7 @@ class TestClosedFormMeasurement:
         assert counters["timer"] == 0
 
     def test_off_grid_timers_match_the_walk(self):
-        """Timer-fired reports between sightings: closed form == walk."""
+        """Timer-fired reports between sightings: the fleet == the walk."""
         city = _scenario("city")
 
         def lanes():
@@ -420,10 +414,11 @@ class TestClosedFormMeasurement:
             ]
 
         outcomes = []
-        for server in (LocationServer(), _WalkedServer()):
+        for cls in (FleetSimulation, WalkedFleet):
+            server = LocationServer()
             channel = MessageChannel(latency=0.7, loss_probability=0.2, seed=5)
             obs = Observability()
-            result = FleetSimulation(lanes(), channel=channel, server=server, obs=obs).run()
+            result = cls(lanes(), channel=channel, server=server, obs=obs).run()
             outcomes.append((
                 {oid: r.as_dict() for oid, r in result.results.items()},
                 {oid: np.asarray(r.metrics.errors).tobytes() for oid, r in result.results.items()},
@@ -433,6 +428,47 @@ class TestClosedFormMeasurement:
             ))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][4]["kernel.events.timer"]["value"] > 0
+
+    @pytest.mark.parametrize("shards", [None, 3])
+    @pytest.mark.parametrize("variant", sorted(BUILDERS))
+    def test_every_protocol_variant_matches_the_walk(self, variant, shards):
+        """Every prediction (static, linear, quadratic, route, map), off-grid
+        latency, keyed loss, a plain server or a 3-shard service: the fleet's
+        measurement from each delivered stream == the per-sample walk."""
+        scenarios = [_scenario("city"), _scenario("freeway")]
+
+        def lanes():
+            return [
+                FleetLane(f"{s.name}/{variant}", BUILDERS[variant](s, 100.0),
+                          s.sensor_trace, s.true_trace)
+                for s in scenarios
+            ]
+
+        outcomes = []
+        for cls in (FleetSimulation, WalkedFleet):
+            if shards is None:
+                server = LocationServer()
+            else:
+                region = auto_region_size(fleet_extent(lanes()), shards)
+                server = LocationService(n_shards=shards, region_size=region)
+            channel = MessageChannel(latency=0.7, loss_probability=0.2, seed=5)
+            result = cls(lanes(), channel=channel, server=server).run()
+            service_stats = {
+                key: value for key, value in result.service_stats.items()
+                if key not in ("query_seconds", "mean_query_seconds")
+            }
+            outcomes.append((
+                {oid: r.metrics.errors.tobytes() for oid, r in result.results.items()},
+                {oid: _record_key(server.tracked_object(oid)) for oid in result.results},
+                {oid: r.as_dict() for oid, r in result.results.items()},
+                channel.stats,
+                service_stats,
+            ))
+        assert outcomes[0] == outcomes[1]
+        assert all(outcomes[0][0].values()), "every lane is measured"
+        assert outcomes[0][3].messages_lost > 0
+        if shards is not None:
+            assert outcomes[0][4]["updates_ingested"] == outcomes[0][3].messages_delivered
 
     def test_lane_without_a_delivery_records_no_error(self):
         """A lane whose only message lands past the horizon is never measured."""

@@ -1,6 +1,6 @@
 """``predict_many`` equals ``predict`` row for row, bit for bit (hypothesis).
 
-The first-crossing search and the closed-form measurement ask a prediction
+The first-crossing search and the fleet's error measurement ask a prediction
 for one reported state at many times at once; each row must be exactly the
 position :meth:`~repro.protocols.prediction.PredictionFunction.predict`
 returns for that time, or a send or an error sample would move.  States

@@ -197,15 +197,6 @@ class TestEngineEquivalence:
         ).run()
         _assert_fleet_results_identical(scalar, columnar)
 
-    def test_channel_stats_match_shared_channel(self, tiny_city_scenario):
-        fleet = FleetSimulation(_scenario_lanes(tiny_city_scenario, LINEAR))
-        fleet.run()
-        engine = ColumnarFleetEngine.from_lanes(
-            _scenario_lanes(tiny_city_scenario, LINEAR)
-        )
-        engine.run()
-        assert engine.channel_stats() == fleet.shared_channel.stats
-
     def test_raw_array_constructor_equals_lane_path(self):
         times, positions = _random_lanes(5, 60, seed=9, jitter=False)
         ids = [f"obj/{k}" for k in range(5)]

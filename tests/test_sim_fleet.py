@@ -100,6 +100,19 @@ class TestFleetValidation:
         with pytest.raises(ValueError):
             FleetSimulation([lane]).run()
 
+    def test_truth_shifted_in_time_rejected(self):
+        """Sensor and truth timestamps must be equal, not merely close: at
+        Unix-epoch times a relative tolerance lets a truth trace 30 s off
+        run silently."""
+        times = 1.6e9 + np.arange(120, dtype=float)
+        positions = np.column_stack([10.0 * np.arange(120.0), np.zeros(120)])
+        lane = FleetLane(
+            "a", LinearPredictionProtocol(accuracy=100.0),
+            Trace(times, positions), Trace(times + 30.0, positions),
+        )
+        with pytest.raises(ValueError, match="share their timestamps"):
+            FleetSimulation([lane]).run()
+
     def test_run_is_one_shot(self, straight_trace):
         sim = FleetSimulation(
             [FleetLane("a", LinearPredictionProtocol(accuracy=100.0), straight_trace)]
@@ -293,8 +306,8 @@ class TestMapPredictionCalls:
     def test_map_lane_makes_no_per_sighting_prediction(
         self, tiny_city_scenario, monkeypatch
     ):
-        """On a plain server a map lane's sends come from the first-crossing
-        search and its errors from the closed-form measurement, both over
+        """A map lane's sends come from the first-crossing search and its
+        errors from the measurement of its delivered stream, both over
         ``predict_many``: not one ``predict`` call per sighting or sample."""
         from repro.protocols.prediction import MapPrediction
 

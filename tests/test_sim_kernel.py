@@ -155,7 +155,7 @@ class TestKernelEquivalence:
             stats.pop("mean_query_seconds")
             outcomes[kernel] = ({oid: r.as_dict() for oid, r in fleet.results.items()}, stats)
         assert outcomes["tick"] == outcomes["event"]
-        # Handoffs happen on ingest, so the walk's batches must move objects.
+        # Handoffs happen on ingest, so the fleet's batches must move objects.
         assert outcomes["event"][1]["handoffs"] > 0
 
     def test_per_tick_workload_replay_is_identical(self):
