@@ -108,17 +108,6 @@ def register_scenario(entry: ScenarioEntry) -> ScenarioEntry:
     return entry
 
 
-def unregister_scenario(name: str) -> None:
-    """Remove a runtime-registered scenario (tests, ad-hoc map imports).
-
-    Raises ``KeyError`` for unknown names.  Removing one of the built-in
-    entries is possible but pointless; reimporting the module does not
-    bring it back within the same process.
-    """
-    del _REGISTRY[name]
-    GENERATED_SPECS.pop(name, None)
-
-
 def get_entry(name: Union[str, ScenarioName]) -> ScenarioEntry:
     """The registry entry for *name* (accepts :class:`ScenarioName` members)."""
     key = name.value if isinstance(name, enum.Enum) else str(name)

@@ -19,31 +19,20 @@ from repro.geo.vec import (
     distance,
     distance_sq,
     norm,
-    normalize,
     dot,
-    cross,
-    lerp,
-    rotate,
-    perpendicular,
 )
 from repro.geo.angles import (
     normalize_angle,
     normalize_bearing,
     angle_between,
     bearing,
-    bearing_to_unit,
-    unit_to_bearing,
     angle_difference,
     TWO_PI,
 )
 from repro.geo.segment import Segment
 from repro.geo.polyline import Polyline
 from repro.geo.bbox import BoundingBox
-from repro.geo.geodesy import (
-    EARTH_RADIUS_M,
-    haversine_distance,
-    LocalProjection,
-)
+from repro.geo.geodesy import EARTH_RADIUS_M, LocalProjection
 
 __all__ = [
     "Vec2",
@@ -51,24 +40,16 @@ __all__ = [
     "distance",
     "distance_sq",
     "norm",
-    "normalize",
     "dot",
-    "cross",
-    "lerp",
-    "rotate",
-    "perpendicular",
     "normalize_angle",
     "normalize_bearing",
     "angle_between",
     "bearing",
-    "bearing_to_unit",
-    "unit_to_bearing",
     "angle_difference",
     "TWO_PI",
     "Segment",
     "Polyline",
     "BoundingBox",
     "EARTH_RADIUS_M",
-    "haversine_distance",
     "LocalProjection",
 ]

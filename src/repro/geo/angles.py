@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 
 from repro.geo.vec import Vec2, as_vec
 
@@ -58,19 +57,6 @@ def bearing(origin: Vec2, target: Vec2) -> float:
     dx = t[0] - o[0]
     dy = t[1] - o[1]
     return normalize_bearing(math.atan2(dx, dy))
-
-
-def bearing_to_unit(bearing_rad: float) -> np.ndarray:
-    """Unit direction vector (east, north) for a compass bearing."""
-    return np.array([math.sin(bearing_rad), math.cos(bearing_rad)])
-
-
-def unit_to_bearing(direction: Vec2) -> float:
-    """Compass bearing of a direction vector; 0 for the zero vector."""
-    d = as_vec(direction)
-    if d[0] == 0.0 and d[1] == 0.0:
-        return 0.0
-    return normalize_bearing(math.atan2(d[0], d[1]))
 
 
 def angle_between(u: Vec2, v: Vec2) -> float:

@@ -100,15 +100,6 @@ class BoundingBox:
             or other.max_y < self.min_y
         )
 
-    def contains_box(self, other: "BoundingBox") -> bool:
-        """Whether *other* lies entirely inside this box."""
-        return (
-            self.min_x <= other.min_x
-            and self.min_y <= other.min_y
-            and self.max_x >= other.max_x
-            and self.max_y >= other.max_y
-        )
-
     def union(self, other: "BoundingBox") -> "BoundingBox":
         """Smallest box containing both boxes."""
         return BoundingBox(
@@ -126,10 +117,3 @@ class BoundingBox:
             self.max_x + margin,
             self.max_y + margin,
         )
-
-    def distance_to_point(self, point: Vec2) -> float:
-        """Distance from *point* to the box (0 if the point is inside)."""
-        p = as_vec(point)
-        dx = max(self.min_x - p[0], 0.0, p[0] - self.max_x)
-        dy = max(self.min_y - p[1], 0.0, p[1] - self.max_y)
-        return float(np.hypot(dx, dy))

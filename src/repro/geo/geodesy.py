@@ -17,32 +17,16 @@ import numpy as np
 
 from repro.geo.vec import Vec2, as_vec
 
-#: Mean Earth radius used by the haversine formula, in metres.
+#: Mean Earth radius, in metres.
 EARTH_RADIUS_M = 6_371_008.8
-
-
-def haversine_distance(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    """Great-circle distance between two WGS-84 points, in metres.
-
-    Parameters are in decimal degrees.
-    """
-    phi1 = math.radians(lat1)
-    phi2 = math.radians(lat2)
-    dphi = math.radians(lat2 - lat1)
-    dlambda = math.radians(lon2 - lon1)
-    a = (
-        math.sin(dphi / 2.0) ** 2
-        + math.cos(phi1) * math.cos(phi2) * math.sin(dlambda / 2.0) ** 2
-    )
-    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
 
 
 @dataclass(frozen=True)
 class LocalProjection:
     """Equirectangular projection centred on a reference latitude/longitude.
 
-    ``to_local`` maps (lat, lon) degrees to (x, y) metres east/north of the
-    reference point; ``to_geodetic`` is the inverse.  The projection is its
+    ``to_local_array`` maps (lat, lon) degrees to (x, y) metres east/north
+    of the reference point; ``to_geodetic`` is the inverse.  The projection is its
     own documentation of accuracy: for extents below ~100 km the distortion
     is negligible compared to GPS noise.
     """
@@ -55,11 +39,6 @@ class LocalProjection:
         meters_per_deg_lat = math.pi * EARTH_RADIUS_M / 180.0
         meters_per_deg_lon = meters_per_deg_lat * math.cos(lat_rad)
         return meters_per_deg_lon, meters_per_deg_lat
-
-    def to_local(self, lat: float, lon: float) -> np.ndarray:
-        """Convert WGS-84 degrees to local planar metres (east, north)."""
-        sx, sy = self._scale()
-        return np.array([(lon - self.ref_lon) * sx, (lat - self.ref_lat) * sy])
 
     def to_geodetic(self, point: Vec2) -> tuple[float, float]:
         """Convert local planar metres back to ``(lat, lon)`` degrees."""

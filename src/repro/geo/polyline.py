@@ -10,7 +10,7 @@ speed, and the map matcher projects sensed positions onto it.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -65,16 +65,6 @@ class Polyline:
         self._length = float(self._cumulative[-1])
         self._proj = None
         return self
-
-    @classmethod
-    def from_segments(cls, segments: Sequence[Segment]) -> "Polyline":
-        """Build a polyline from consecutive segments (must share endpoints)."""
-        if not segments:
-            raise ValueError("need at least one segment")
-        points = [segments[0].start]
-        for seg in segments:
-            points.append(seg.end)
-        return cls(points)
 
     # ------------------------------------------------------------------ #
     # basic properties
@@ -226,40 +216,6 @@ class Polyline:
     # ------------------------------------------------------------------ #
     # geometry editing helpers
     # ------------------------------------------------------------------ #
-    def resample(self, spacing: float) -> "Polyline":
-        """Return a polyline with vertices spaced roughly *spacing* metres apart.
-
-        The first and last vertices are always preserved.  Useful for turning
-        coarse link geometry into a denser set of shape points and for
-        history-based map learning.
-        """
-        if spacing <= 0:
-            raise ValueError("spacing must be positive")
-        n = max(2, int(math.ceil(self._length / spacing)) + 1)
-        offsets = np.linspace(0.0, self._length, n)
-        return Polyline([self.point_at(o) for o in offsets])
-
-    def subpolyline(self, start_offset: float, end_offset: float) -> "Polyline":
-        """Extract the portion between two arc-length offsets (start < end)."""
-        if end_offset <= start_offset:
-            raise ValueError("end_offset must be greater than start_offset")
-        start_offset = max(0.0, start_offset)
-        end_offset = min(self._length, end_offset)
-        points = [self.point_at(start_offset)]
-        mask = (self._cumulative > start_offset) & (self._cumulative < end_offset)
-        for idx in np.nonzero(mask)[0]:
-            points.append(self._points[idx])
-        points.append(self.point_at(end_offset))
-        # Remove consecutive duplicates that can appear when offsets coincide
-        # with existing vertices.
-        unique = [points[0]]
-        for pt in points[1:]:
-            if distance(pt, unique[-1]) > 1e-9:
-                unique.append(pt)
-        if len(unique) < 2:
-            unique.append(points[-1] + np.array([1e-9, 0.0]))
-        return Polyline(unique)
-
     def concat(self, other: "Polyline") -> "Polyline":
         """Concatenate two polylines (the junction point is de-duplicated)."""
         pts = list(self._points)

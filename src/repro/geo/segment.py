@@ -57,11 +57,6 @@ class Segment:
         """Compass bearing from start to end in radians."""
         return bearing(self.start, self.end)
 
-    @property
-    def midpoint(self) -> np.ndarray:
-        """Middle point of the segment."""
-        return (self.start + self.end) * 0.5
-
     def reversed(self) -> "Segment":
         """The same segment traversed in the opposite direction."""
         return Segment(self.end.copy(), self.start.copy())
@@ -95,10 +90,6 @@ class Segment:
         t = self.project_parameter(point)
         return self.start + (self.end - self.start) * t
 
-    def project_offset(self, point: Vec2) -> float:
-        """Arc-length offset (metres from start) of the projection of *point*."""
-        return self.project_parameter(point) * self._length
-
     def distance_to(self, point: Vec2) -> float:
         """Shortest distance from *point* to the segment in metres."""
         return distance(self.project(point), point)
@@ -114,22 +105,6 @@ class Segment:
             float(max(self.start[0], self.end[0])),
             float(max(self.start[1], self.end[1])),
         )
-
-    def side_of(self, point: Vec2) -> int:
-        """Which side of the directed segment *point* lies on.
-
-        Returns ``+1`` for the left side, ``-1`` for the right side and ``0``
-        for collinear points.
-        """
-        p = as_vec(point)
-        d = self.end - self.start
-        v = p - self.start
-        c = float(d[0] * v[1] - d[1] * v[0])
-        if c > 0:
-            return 1
-        if c < 0:
-            return -1
-        return 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -65,46 +65,6 @@ def norm(v: Vec2) -> float:
     return math.hypot(x, y)
 
 
-def normalize(v: Vec2) -> np.ndarray:
-    """Return the unit vector pointing in the direction of *v*.
-
-    A zero vector is returned unchanged (rather than raising) because the
-    protocols frequently deal with stationary objects whose velocity vector
-    is exactly zero.
-    """
-    arr = as_vec(v)
-    length = math.hypot(arr[0], arr[1])
-    if length == 0.0:
-        return arr.copy()
-    return arr / length
-
-
 def dot(a: Vec2, b: Vec2) -> float:
     """Dot product of two 2-D vectors."""
     return float(a[0]) * float(b[0]) + float(a[1]) * float(b[1])
-
-
-def cross(a: Vec2, b: Vec2) -> float:
-    """Z component of the 3-D cross product (signed parallelogram area)."""
-    return float(a[0]) * float(b[1]) - float(a[1]) * float(b[0])
-
-
-def lerp(a: Vec2, b: Vec2, t: float) -> np.ndarray:
-    """Linear interpolation between *a* (``t == 0``) and *b* (``t == 1``)."""
-    av = as_vec(a)
-    bv = as_vec(b)
-    return av + (bv - av) * float(t)
-
-
-def rotate(v: Vec2, angle: float) -> np.ndarray:
-    """Rotate vector *v* counter-clockwise by *angle* radians."""
-    arr = as_vec(v)
-    c = math.cos(angle)
-    s = math.sin(angle)
-    return np.array([c * arr[0] - s * arr[1], s * arr[0] + c * arr[1]])
-
-
-def perpendicular(v: Vec2) -> np.ndarray:
-    """Return *v* rotated by +90 degrees (counter-clockwise)."""
-    arr = as_vec(v)
-    return np.array([-arr[1], arr[0]])

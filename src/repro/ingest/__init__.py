@@ -21,7 +21,6 @@ from repro.ingest.compact import CompiledMap, ConditioningReport, compile_roadma
 from repro.ingest.fixtures import (
     FIXTURES,
     build_fixture_xml,
-    synthetic_town_json,
     synthetic_town_xml,
     write_fixture_xml,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "parse_osm_json",
     "parse_osm_xml",
     "project_network",
-    "synthetic_town_json",
     "synthetic_town_xml",
     "write_fixture_xml",
 ]

@@ -237,17 +237,6 @@ def _render_xml(
     return "\n".join(lines) + "\n"
 
 
-def _render_json(nodes: List[_Node], ways: List[_Way]) -> str:
-    import json
-
-    elements: List[Dict[str, object]] = []
-    for node_id, lat, lon in nodes:
-        elements.append({"type": "node", "id": node_id, "lat": lat, "lon": lon})
-    for wid, refs, tags in ways:
-        elements.append({"type": "way", "id": wid, "nodes": refs, "tags": tags})
-    return json.dumps({"version": 0.6, "generator": "repro-fixture", "elements": elements})
-
-
 def synthetic_town_xml(
     seed: int = 0,
     rows: int = 6,
@@ -262,27 +251,6 @@ def synthetic_town_xml(
         seed, rows, cols, spacing_m, chain_step_m, include_clutter, origin
     )
     return _render_xml(nodes, ways, relation_members)
-
-
-def synthetic_town_json(
-    seed: int = 0,
-    rows: int = 6,
-    cols: int = 6,
-    spacing_m: float = 220.0,
-    chain_step_m: float = 70.0,
-    include_clutter: bool = True,
-    origin: Tuple[float, float] = DEFAULT_ORIGIN,
-) -> str:
-    """The same town as an Overpass ``[out:json]`` document.
-
-    Relations are omitted (Overpass road queries rarely return them), which
-    is also why the XML/JSON equivalence test compares *networks*, not raw
-    element counts.
-    """
-    nodes, ways, _ = _town_elements(
-        seed, rows, cols, spacing_m, chain_step_m, include_clutter, origin
-    )
-    return _render_json(nodes, ways)
 
 
 def write_fixture_xml(path, seed: int = 0, **params) -> None:

@@ -179,10 +179,6 @@ class TileStore:
         return str(self.index["kind"])
 
     @property
-    def num_segments(self) -> int:
-        return int(self.index["segments"])
-
-    @property
     def num_nodes(self) -> int:
         return int(self.index["nodes"])
 

@@ -218,10 +218,6 @@ class IncrementalMapMatcher:
     # ------------------------------------------------------------------ #
     # public API
     # ------------------------------------------------------------------ #
-    @property
-    def current_link(self) -> Optional[Link]:
-        """The link the object is currently matched to, if any."""
-        return self._current_link
 
     def reset(self) -> None:
         """Forget the current link and history (object teleported / new trace)."""

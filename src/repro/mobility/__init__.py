@@ -22,7 +22,6 @@ from repro.mobility.scenarios import (
     interurban_scenario,
     city_scenario,
     walking_scenario,
-    all_scenarios,
 )
 from repro.mobility.generator import (
     REGIMES,
@@ -48,7 +47,6 @@ __all__ = [
     "interurban_scenario",
     "city_scenario",
     "walking_scenario",
-    "all_scenarios",
     "REGIMES",
     "AgentSpec",
     "Degradation",

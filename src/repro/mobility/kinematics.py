@@ -85,24 +85,7 @@ class DriverProfile:
             raise ValueError("stop_probability must be in [0, 1]")
 
 
-#: Profiles roughly matching the paper's four movement patterns.
-FREEWAY_DRIVER = DriverProfile(
-    speed_factor=0.93,
-    max_acceleration=1.5,
-    max_deceleration=2.0,
-    lateral_acceleration=3.5,
-    stop_probability=0.0,
-    speed_noise_sigma=0.05,
-)
-INTERURBAN_DRIVER = DriverProfile(
-    speed_factor=0.88,
-    max_acceleration=1.6,
-    max_deceleration=2.2,
-    lateral_acceleration=2.5,
-    stop_probability=0.12,
-    stop_duration_range=(5.0, 30.0),
-    speed_noise_sigma=0.06,
-)
+#: A stop-and-go city driver (the examples' taxi and commuter fleets).
 CITY_DRIVER = DriverProfile(
     speed_factor=0.9,
     max_acceleration=1.8,
@@ -140,8 +123,7 @@ class SpeedController:
         self.rng = rng or random.Random()
         self._offsets = np.arange(0.0, route.length + ds, ds)
         self._offsets[-1] = route.length
-        self._target = self._compute_target_speeds()
-        self._feasible = self._enforce_acceleration_limits(self._target)
+        self._feasible = self._enforce_acceleration_limits(self._compute_target_speeds())
         self._stops = self._plan_stops()
 
     # ------------------------------------------------------------------ #
@@ -225,15 +207,3 @@ class SpeedController:
     def speed_at(self, offset: float) -> float:
         """Feasible speed (m/s) at a route offset (linear interpolation)."""
         return float(np.interp(offset, self._offsets, self._feasible))
-
-    def target_speed_at(self, offset: float) -> float:
-        """Target (pre-limit) speed at a route offset."""
-        return float(np.interp(offset, self._offsets, self._target))
-
-    def estimated_travel_time(self) -> float:
-        """Approximate travel time along the route including stops, in seconds."""
-        ds = np.diff(self._offsets)
-        mid_speeds = 0.5 * (self._feasible[:-1] + self._feasible[1:])
-        moving = float(np.sum(ds / np.maximum(mid_speeds, 0.1)))
-        stopped = sum(duration for _, duration in self._stops)
-        return moving + stopped

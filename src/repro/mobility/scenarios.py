@@ -338,11 +338,6 @@ def build_scenario(
     return builder(seed=seed, scale=scale)
 
 
-def all_scenarios(scale: float = 1.0) -> List[Scenario]:
-    """Build all four canonical scenarios (freeway, inter-urban, city, walking)."""
-    return [build_scenario(name, scale=scale) for name in ScenarioName]
-
-
 def _check_scale(scale: float) -> None:
     if not (0.0 < scale <= 1.0):
         raise ValueError("scale must be in (0, 1]")

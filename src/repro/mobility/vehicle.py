@@ -43,12 +43,6 @@ class SimulatedJourney:
     route: Route
     stop_count: int = 0
 
-    def average_speed(self) -> float:
-        """Average speed over the journey in m/s."""
-        if self.trace.duration == 0:
-            return 0.0
-        return self.trace.path_length() / self.trace.duration
-
 
 class VehicleSimulator:
     """Drives a vehicle along a route and records its trace.

@@ -15,8 +15,8 @@ Gauges combine successive values by an explicit mode (``max``/``min``/
 Percentiles are **nearest-rank** (``pq = sorted[ceil(q/100 * n) - 1]``):
 exact, monotone in *q*, always an actual sample, and — because the samples
 are sorted before ranking — invariant to the order recorders were merged
-in.  This is the one percentile implementation in the repository; the live
-tier's :class:`repro.service.live.stats.LatencyRecorder` re-exports it and
+in.  This is the one percentile implementation in the repository: the live
+tier's per-request :class:`LatencyRecorder` is built on it and
 ``benchmarks/bench_bigmap.py`` routes its p50/p99 through it.
 """
 

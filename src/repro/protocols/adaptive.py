@@ -47,10 +47,6 @@ class _LinearPredictionThresholdProtocol(UpdateProtocol):
     def prediction_function(self) -> PredictionFunction:
         return self._prediction
 
-    def current_threshold(self, time: float) -> float:
-        """The deviation threshold in force at *time*."""
-        return float(np.ravel(self._thresholds(np.array([float(time)])))[0])
-
     def _thresholds(self, times: np.ndarray):
         """The threshold at each of *times*: one number when it is constant
         between reports (sdr, adr), else one per time (dtdr)."""

@@ -49,10 +49,6 @@ class PredictionFunction(abc.ABC):
             [self.predict(state, t) for t in np.asarray(times, dtype=float).tolist()]
         ).reshape(-1, 2)
 
-    def describe(self) -> str:
-        """Short human-readable description used in reports."""
-        return type(self).__name__
-
 
 class StaticPrediction(PredictionFunction):
     """The object is assumed to stay at its last reported position.
@@ -363,9 +359,6 @@ class MapPrediction(PredictionFunction):
         unsorted = np.empty_like(out)
         unsorted[order] = out
         return unsorted
-
-    def describe(self) -> str:
-        return f"MapPrediction({type(self.turn_policy).__name__})"
 
 
 class RoutePrediction(PredictionFunction):

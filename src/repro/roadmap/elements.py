@@ -169,14 +169,6 @@ class Link:
         """Shortest distance from *point* to the link geometry."""
         return self.geometry.distance_to(point)
 
-    def entry_bearing(self) -> float:
-        """Bearing of the first sub-link (direction when entering the link)."""
-        return self.geometry.bearing_at(0.0)
-
-    def exit_bearing(self) -> float:
-        """Bearing of the last sub-link (direction when leaving the link)."""
-        return self.geometry.bearing_at(self.geometry.length)
-
     def shape_points(self) -> np.ndarray:
         """Intermediate shape points (vertices excluding the two endpoints)."""
         return self.geometry.points[1:-1]

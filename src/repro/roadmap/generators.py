@@ -629,32 +629,3 @@ def corridor_city_map(
         name="connector",
     )
     return builder.build()
-
-
-# --------------------------------------------------------------------------- #
-# tiny maps for unit tests and documentation examples
-# --------------------------------------------------------------------------- #
-def straight_road_map(
-    length_m: float = 2000.0, n_links: int = 4, speed_limit_kmh: float = 50.0
-) -> RoadMap:
-    """A single straight two-way road split into *n_links* links (test fixture)."""
-    builder = RoadMapBuilder()
-    xs = np.linspace(0.0, length_m, n_links + 1)
-    nodes = [builder.add_intersection((x, 0.0)).id for x in xs]
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        builder.add_two_way_link(
-            a, b, road_class=RoadClass.RESIDENTIAL, speed_limit=speed_limit_kmh / 3.6
-        )
-    return builder.build()
-
-
-def t_junction_map(arm_length_m: float = 500.0) -> RoadMap:
-    """A T junction: three arms meeting at a central node (test fixture)."""
-    builder = RoadMapBuilder()
-    center = builder.add_intersection((0.0, 0.0)).id
-    west = builder.add_intersection((-arm_length_m, 0.0)).id
-    east = builder.add_intersection((arm_length_m, 0.0)).id
-    north = builder.add_intersection((0.0, arm_length_m)).id
-    for other in (west, east, north):
-        builder.add_two_way_link(center, other, road_class=RoadClass.RESIDENTIAL)
-    return builder.build()

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.geo.bbox import BoundingBox
@@ -209,45 +208,9 @@ class RoadMap:
         """Links whose bounding boxes intersect *box*."""
         return [self._links[item.key] for item in self._index.query_bbox(box)]
 
-    def nearest_intersection(self, point: Vec2) -> Tuple[Intersection, float]:
-        """The intersection closest to *point* (linear scan; nodes are few)."""
-        p = as_vec(point)
-        best_node = None
-        best_dist = float("inf")
-        for node in self._intersections.values():
-            d = node.distance_to(p)
-            if d < best_dist:
-                best_dist = d
-                best_node = node
-        if best_node is None:
-            raise ValueError("the road map has no intersections")
-        return best_node, best_dist
-
     # ------------------------------------------------------------------ #
-    # conversions
+    # summaries
     # ------------------------------------------------------------------ #
-    def to_networkx(self) -> nx.DiGraph:
-        """Export the topology as a ``networkx.DiGraph``.
-
-        Nodes are intersection ids with a ``position`` attribute; edges carry
-        ``link_id``, ``length``, ``travel_time`` and ``road_class`` attributes
-        so that standard graph algorithms (shortest paths for the route
-        planner, connectivity checks in the tests) can run directly on it.
-        """
-        graph = nx.DiGraph()
-        for node in self._intersections.values():
-            graph.add_node(node.id, position=tuple(node.position))
-        for link in self._links.values():
-            graph.add_edge(
-                link.from_node,
-                link.to_node,
-                link_id=link.id,
-                length=link.length,
-                travel_time=link.travel_time(),
-                road_class=link.road_class.value,
-            )
-        return graph
-
     def statistics(self) -> dict:
         """Summary statistics used in reports and examples."""
         lengths = [l.length for l in self._links.values()]

@@ -67,7 +67,6 @@ class HistoryMapLearner:
         self._position_sum: Dict[Cell, np.ndarray] = defaultdict(lambda: np.zeros(2))
         self._edges: Dict[Cell, Set[Cell]] = defaultdict(set)
         self._observed_max_speed = 0.0
-        self._n_positions = 0
 
     # ------------------------------------------------------------------ #
     # data ingestion
@@ -95,7 +94,6 @@ class HistoryMapLearner:
             cell = self._cell_of(point)
             self._visits[cell] += 1
             self._position_sum[cell] += point
-            self._n_positions += 1
             if previous_cell is not None and cell != previous_cell:
                 self._edges[previous_cell].add(cell)
                 self._edges[cell].add(previous_cell)
@@ -122,16 +120,6 @@ class HistoryMapLearner:
 
     def _kept_cells(self) -> Set[Cell]:
         return {c for c, v in self._visits.items() if v >= self.min_cell_visits}
-
-    def coverage_statistics(self) -> dict:
-        """How much data the learner has seen so far."""
-        kept = self._kept_cells()
-        return {
-            "positions": self._n_positions,
-            "cells": len(self._visits),
-            "kept_cells": len(kept),
-            "observed_max_speed": self._observed_max_speed,
-        }
 
     def build_map(self) -> RoadMap:
         """Extract the learned road map.

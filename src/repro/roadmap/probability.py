@@ -73,9 +73,6 @@ class TurnProbabilityTable:
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
-    def transition_count(self, from_link_id: int, to_link_id: int) -> float:
-        """Raw observation count for a transition."""
-        return self._counts.get(from_link_id, {}).get(to_link_id, 0.0)
 
     def transition_probabilities(self, from_link: Link) -> Dict[int, float]:
         """Probability of each legal successor of *from_link*.

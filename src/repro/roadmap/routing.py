@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
@@ -77,12 +77,6 @@ class Route:
     def end(self) -> np.ndarray:
         """End position of the route."""
         return self.links[-1].end_position
-
-    def node_sequence(self) -> List[int]:
-        """The intersection ids visited, in order."""
-        nodes = [self.links[0].from_node]
-        nodes.extend(link.to_node for link in self.links)
-        return nodes
 
     def __len__(self) -> int:
         return len(self.links)
@@ -151,11 +145,6 @@ class Route:
         """Speed limit (m/s) of the link at route offset *offset*."""
         link, _ = self.link_at(offset)
         return float(link.speed_limit)
-
-    def distance_to_next_node(self, offset: float) -> float:
-        """Distance from route offset *offset* to the next intersection ahead."""
-        idx = self.link_index_at(offset)
-        return float(self._link_start_offsets[idx + 1]) - offset
 
     def project(self, point: Vec2) -> Tuple[np.ndarray, float, float]:
         """Project *point* onto the route geometry: ``(point, offset, distance)``."""
@@ -229,9 +218,6 @@ class RoutePlanner:
     hierarchy: Optional[ContractionHierarchy] = None
     cache_entry: str = ""
     _graph: RoutingGraph = field(init=False, repr=False)
-    _pair_link: Optional[Dict[Tuple[int, int], int]] = field(
-        init=False, repr=False, default=None
-    )
 
     def __post_init__(self) -> None:
         if self.weight not in ("length", "travel_time"):
@@ -309,26 +295,6 @@ class RoutePlanner:
         if not path.links:
             raise ValueError("a route needs at least two nodes")
         return self.route_from_links(path.links)
-
-    def route_from_nodes(self, node_path: Sequence[int]) -> Route:
-        """Build a route from a sequence of adjacent intersection ids."""
-        if len(node_path) < 2:
-            raise ValueError("a route needs at least two nodes")
-        pair_link = self._pair_link
-        if pair_link is None:
-            ids = self._graph.node_ids
-            pair_link = {
-                (ids[u], ids[v]): link
-                for link, (_w, _tie, u, v) in self._graph.link_info.items()
-            }
-            self._pair_link = pair_link
-        links: List[Link] = []
-        for a, b in zip(node_path, node_path[1:]):
-            link_id = pair_link.get((a, b))
-            if link_id is None:
-                raise ValueError(f"nodes {a} and {b} are not connected by a link")
-            links.append(self.roadmap.link(link_id))
-        return Route(self.roadmap, links)
 
     def route_from_links(self, link_ids: Sequence[int]) -> Route:
         """Build a route from an explicit sequence of link ids."""

@@ -23,14 +23,13 @@ rather than by consuming a shared RNG stream in send order.  Send
 interleaving depends on the driver and the fleet composition, so a
 stream-ordered draw would make the loss pattern an artifact of the
 caller; the keyed draw gives bit-identical loss sequences for the same
-seed whatever the driver.  Unseeded channels keep the legacy stream
-draw, consumed in send order (they are non-reproducible by construction).
+seed whatever the driver.  A lossy channel therefore needs a seed; only a
+loss-free channel may omit it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -55,13 +54,6 @@ class ChannelStats:
     #: a polling driver (the test-suite's tick-loop oracle) raises it.
     max_queue_delay: float = 0.0
 
-    @property
-    def loss_rate(self) -> float:
-        """Fraction of sent messages that were lost."""
-        if self.messages_sent == 0:
-            return 0.0
-        return self.messages_lost / self.messages_sent
-
 
 class MessageChannel:
     """Unidirectional source-to-server channel with latency and loss.
@@ -73,10 +65,10 @@ class MessageChannel:
     loss_probability:
         Probability that a message is silently dropped.
     seed:
-        Seed for the loss process.  Seeded channels draw each message's
-        loss independently from ``(seed, object_id, sequence)``, so the
-        loss pattern is identical for every driver and across repeated
-        runs; unseeded channels draw from a process-random stream.
+        Seed for the loss process, required when ``loss_probability > 0``.
+        Each message's loss is drawn independently from ``(seed,
+        object_id, sequence)``, so the loss pattern is identical for every
+        driver and across repeated runs.
     """
 
     def __init__(
@@ -86,10 +78,11 @@ class MessageChannel:
             raise ValueError("latency must be non-negative")
         if not (0.0 <= loss_probability < 1.0):
             raise ValueError("loss_probability must be in [0, 1)")
+        if loss_probability > 0.0 and seed is None:
+            raise ValueError("a lossy channel needs a seed (losses are keyed by it)")
         self.latency = float(latency)
         self.loss_probability = float(loss_probability)
         self._seed = seed
-        self._rng = random.Random(seed)
         self.stats = ChannelStats()
 
     def transmit(self, object_id: str, message: UpdateMessage, time: float) -> Optional[float]:
@@ -110,8 +103,6 @@ class MessageChannel:
         and the digest is stable across processes (unlike ``hash()`` of a
         string under ``PYTHONHASHSEED``).
         """
-        if self._seed is None:
-            return self._rng.random() < self.loss_probability
         key = f"{self._seed}|{object_id}|{message.sequence}".encode()
         digest = hashlib.blake2b(key, digest_size=8).digest()
         draw = int.from_bytes(digest, "big") / 2.0**64  # uniform in [0, 1)
@@ -126,10 +117,9 @@ class MessageChannel:
         """Zero the statistics.
 
         Simulations call this at run start so that a caller-supplied channel
-        cannot leak counters from a previous run into the next one.  Seeded channels draw losses per message (keyed
-        by object and sequence number), so repeated runs over one channel
-        replay the same loss pattern — that is the reproducibility contract.
-        The unseeded stream RNG is deliberately left alone: resetting it
-        would turn independent runs into replays.
+        cannot leak counters from a previous run into the next one.  Losses
+        are drawn per message (keyed by object and sequence number), so
+        repeated runs over one channel replay the same loss pattern — that
+        is the reproducibility contract.
         """
         self.stats = ChannelStats()

@@ -12,8 +12,9 @@ simulation; this package runs it as a long-lived network server:
   watermark-consistent queries.
 * :mod:`repro.service.live.client` — :class:`LiveClient`, the async
   request/response client used by the load generator, tests and CLI.
-* :mod:`repro.service.live.stats` — :class:`LatencyRecorder`, the
-  per-request wall-clock latency histogram (avg/p50/p95/p99).
+* :class:`~repro.obs.metrics.LatencyRecorder` — the per-request
+  wall-clock latency histogram (avg/p50/p95/p99), re-exported here from
+  the shared metrics module.
 
 The load generator that drives a server with replayed scenario traffic
 lives one level up, in :mod:`repro.service.loadgen`.
@@ -21,7 +22,7 @@ lives one level up, in :mod:`repro.service.loadgen`.
 
 from repro.service.live.client import LiveClient, LiveRequestError
 from repro.service.live.server import LiveLocationServer
-from repro.service.live.stats import LatencyRecorder
+from repro.obs.metrics import LatencyRecorder
 
 __all__ = [
     "LiveClient",

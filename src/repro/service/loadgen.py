@@ -17,7 +17,7 @@ the simulators *measure* the protocols, this module *serves* them.  A
    :func:`run_load_test` replays them against a
    :class:`~repro.service.live.server.LiveLocationServer` as closed-loop
    clients, recording per-request wall-clock latency
-   (:class:`~repro.service.live.stats.LatencyRecorder`) and the
+   (:class:`~repro.obs.metrics.LatencyRecorder`) and the
    **schedule** the server actually executed: the sequence number every
    batch was accepted at and the ``at_seq`` every query was answered at.
 
@@ -37,11 +37,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.geo.bbox import BoundingBox
 from repro.obs import NO_OBS, Observability
+from repro.obs.metrics import LatencyRecorder
 from repro.protocols.base import UpdateMessage
 from repro.service.facade import LocationService
 from repro.service.live.client import LiveClient
 from repro.service.live.server import service_for_registrations
-from repro.service.live.stats import LatencyRecorder
 from repro.sim.fleet import FleetLane, auto_region_size, fleet_extent, trace_updates
 from repro.sim.workload import (
     QueryCall,

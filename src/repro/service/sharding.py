@@ -155,11 +155,6 @@ class GridHashPolicy(ShardingPolicy):
         self.version += 1
         return previous
 
-    def clear_overrides(self) -> None:
-        """Drop every override (back to the pure hash mapping)."""
-        self.overrides.clear()
-        self.version += 1
-
     def shard_for_point(self, point: Vec2) -> int:
         return self.shard_for_cell(self.cell_for_point(point))
 

@@ -53,7 +53,6 @@ from repro.sim.runner import (
     SweepPoint,
     SweepRunner,
     SweepTask,
-    read_artifact,
 )
 from repro.sim.workload import QueryWorkload, WorkloadReport, default_query_mix
 
@@ -73,5 +72,4 @@ __all__ = [
     "ScenarioSpec",
     "SweepRunner",
     "SweepTask",
-    "read_artifact",
 ]

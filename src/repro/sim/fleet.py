@@ -174,7 +174,7 @@ class _LaneState:
 
     __slots__ = (
         "lane", "channel", "prediction", "metrics", "reasons", "updates", "times",
-        "sensor_positions", "truth_positions", "velocities", "speeds", "errors",
+        "truth_positions", "errors",
     )
 
     def __init__(self, lane: FleetLane, channel: MessageChannel):
@@ -192,14 +192,8 @@ class _LaneState:
         self.reasons: Dict[str, int] = {}
         self.updates = 0
         self.times = lane.sensor_trace.times
-        self.sensor_positions = lane.sensor_trace.positions
         self.truth_positions = truth.positions
-        self.velocities, self.speeds = estimate_trace(
-            self.times, self.sensor_positions, lane.protocol.estimation_window
-        )
-        lane.protocol.prepare_trace(
-            self.times, self.sensor_positions, self.velocities, self.speeds
-        )
+        _prepare(lane.protocol, lane.sensor_trace)
         #: One error per measured sample (:meth:`measure`).
         self.errors = np.empty(0)
 
@@ -604,11 +598,16 @@ def trace_updates(protocol: UpdateProtocol, trace: Trace) -> List[Tuple[float, U
     :meth:`~repro.protocols.base.UpdateProtocol.prepare_trace`, then
     :func:`lane_updates`.
     """
-    times = trace.times
-    positions = trace.positions
-    velocities, speeds = estimate_trace(times, positions, protocol.estimation_window)
-    protocol.prepare_trace(times, positions, velocities, speeds)
+    _prepare(protocol, trace)
     return lane_updates(protocol)[0]
+
+
+def _prepare(protocol: UpdateProtocol, trace: Trace) -> None:
+    """Hand *protocol* the sensor *trace* with its speed/heading estimates."""
+    velocities, speeds = estimate_trace(
+        trace.times, trace.positions, protocol.estimation_window
+    )
+    protocol.prepare_trace(trace.times, trace.positions, velocities, speeds)
 
 
 def fleet_extent(lanes: Sequence[FleetLane]) -> BoundingBox:

@@ -26,7 +26,6 @@ figures, tables and ablations all leave greppable, diffable records behind.
 
 from __future__ import annotations
 
-import ast
 import csv
 import json
 import logging
@@ -577,50 +576,3 @@ class SweepRunner:
             _logger.info("wrote %s artifact %s", fmt, path)
             written[fmt] = path
         return written
-
-
-def read_artifact(path: str) -> Dict[str, object]:
-    """Read a sweep artifact written by :meth:`SweepRunner.write_artifacts`.
-
-    Returns ``{"name", "metadata", "points"}`` for both formats.  JSON
-    artifacts parse natively; CSV artifacts (which carry neither name nor
-    metadata) get the file stem as name, empty metadata, and rows with
-    numeric fields restored — so a JSON/CSV pair round-trips to the same
-    point dictionaries.
-    """
-    if path.endswith(".json"):
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        for key in ("name", "metadata", "points"):
-            if key not in payload:
-                raise ValueError(f"artifact {path!r} lacks the {key!r} field")
-        return payload
-    if path.endswith(".csv"):
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = [
-                {key: _parse_csv_cell(value) for key, value in row.items()}
-                for row in csv.DictReader(fh)
-            ]
-        name = os.path.splitext(os.path.basename(path))[0]
-        return {"name": name, "metadata": {}, "points": rows}
-    raise ValueError(f"unknown artifact format for {path!r} (expected .json or .csv)")
-
-
-def _parse_csv_cell(value: Optional[str]) -> object:
-    """Restore a CSV cell to the value the JSON artifact would carry."""
-    if value is None or value == "":
-        return value
-    try:
-        number = float(value)
-    except ValueError:
-        # Nested dicts (update reasons, matcher stats) are serialised as
-        # their Python repr by DictWriter; eval them back conservatively.
-        if value.startswith("{") and value.endswith("}"):
-            try:
-                return ast.literal_eval(value)
-            except (ValueError, SyntaxError):
-                return value
-        return value
-    if number.is_integer() and "." not in value and "e" not in value.lower():
-        return int(number)
-    return number

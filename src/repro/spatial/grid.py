@@ -200,13 +200,3 @@ class GridIndex(Generic[T]):
     # ------------------------------------------------------------------ #
     # diagnostics
     # ------------------------------------------------------------------ #
-    def cell_statistics(self) -> dict:
-        """Occupancy statistics, useful for choosing a cell size."""
-        counts = [len(v) for v in self._cells.values()]
-        if not counts:
-            return {"cells": 0, "max_per_cell": 0, "mean_per_cell": 0.0}
-        return {
-            "cells": len(counts),
-            "max_per_cell": max(counts),
-            "mean_per_cell": sum(counts) / len(counts),
-        }

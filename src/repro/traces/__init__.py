@@ -1,33 +1,33 @@
-"""GPS traces: containers, noise models, estimation and statistics.
+"""GPS traces: the container, sensor noise, speed estimation and statistics.
 
 A *trace* is a time-ordered sequence of position sightings, exactly what the
 paper records from its Differential-GPS receiver once per second.  The
 protocols never see the true position of the mobile object — they consume a
-trace (possibly noisy) sample by sample, mirroring the paper's trace-driven
-simulation.
+trace (possibly noisy), mirroring the paper's trace-driven simulation.
+
+* :mod:`~repro.traces.trace` — :class:`Trace`, the array-backed container;
+* :mod:`~repro.traces.noise` — :class:`GaussMarkovNoise`, the correlated
+  error of the paper's DGPS receiver;
+* :mod:`~repro.traces.estimation` — sliding-window speed/heading estimates
+  for whole traces (``estimate_trace`` / ``estimate_traces``) or one
+  instant (``estimate_at``);
+* :mod:`~repro.traces.stats` — the Table 1 statistics;
+* :mod:`~repro.traces.resample` — :func:`decimate`, a coarser sighting rate;
+* :mod:`~repro.traces.io` — ``time,x,y`` CSV export.
 """
 
 from repro.traces.trace import TraceSample, Trace
-from repro.traces.noise import GpsNoiseModel, GaussianNoise, GaussMarkovNoise, NoNoise
-from repro.traces.estimation import estimate_velocity
-from repro.traces.filters import MovingAverageFilter, AlphaBetaFilter
+from repro.traces.noise import GaussMarkovNoise
 from repro.traces.stats import TraceStatistics, compute_statistics
-from repro.traces.resample import resample_uniform, decimate
+from repro.traces.resample import decimate
 from repro.traces import io
 
 __all__ = [
     "TraceSample",
     "Trace",
-    "GpsNoiseModel",
-    "GaussianNoise",
     "GaussMarkovNoise",
-    "NoNoise",
-    "estimate_velocity",
-    "MovingAverageFilter",
-    "AlphaBetaFilter",
     "TraceStatistics",
     "compute_statistics",
-    "resample_uniform",
     "decimate",
     "io",
 ]

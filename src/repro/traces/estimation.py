@@ -5,10 +5,10 @@ and direction of movement.  Footnote 1 of the paper notes that "if speed and
 direction are not directly available, they can be inferred from the last *n*
 position sightings", and Sec. 4 reports the window sizes that worked best:
 n = 2 for freeway traffic, 4 for city and inter-urban traffic and 8 for a
-walking person.  :func:`estimate_velocity` is that least-squares estimate
-over one window; :func:`estimate_traces` (and its one-trace form
-:func:`estimate_trace`) slides it over whole traces at once, and
-:func:`estimate_at` evaluates it at one instant for many lanes.
+walking person.  The estimate is a least-squares line fitted per axis to
+the window (a finite difference for n = 2).  :func:`estimate_traces` (and
+its one-trace form :func:`estimate_trace`) slides it over whole traces at
+once, and :func:`estimate_at` evaluates it at one instant for many lanes.
 """
 
 from __future__ import annotations
@@ -16,38 +16,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-
-
-def estimate_velocity(
-    times: np.ndarray, positions: np.ndarray
-) -> Tuple[np.ndarray, float]:
-    """Least-squares velocity estimate from a window of sightings.
-
-    Fits ``position(t) = p0 + v * t`` independently per axis over the given
-    window and returns ``(velocity_vector, speed)``.  With exactly two
-    samples this degenerates to the finite difference the paper uses for the
-    freeway case; larger windows average out sensor noise at the cost of lag,
-    matching the trade-off described in the paper.
-    """
-    times = np.asarray(times, dtype=float)
-    positions = np.asarray(positions, dtype=float)
-    if len(times) < 2:
-        return np.zeros(2), 0.0
-    t = times - times[-1]
-    # Least squares slope per axis: cov(t, x) / var(t).  The sums are written
-    # as elementwise products reduced with ``sum`` so that the batched
-    # implementation in :func:`estimate_traces` performs bitwise-identical
-    # arithmetic row by row.
-    t_mean = t.mean()
-    t_centered = t - t_mean
-    denom = float((t_centered * t_centered).sum())
-    if denom == 0.0:
-        return np.zeros(2), 0.0
-    vx = float((t_centered * (positions[:, 0] - positions[:, 0].mean())).sum()) / denom
-    vy = float((t_centered * (positions[:, 1] - positions[:, 1].mean())).sum()) / denom
-    velocity = np.array([vx, vy])
-    speed = float(np.hypot(vx, vy))
-    return velocity, speed
 
 
 def estimate_at(
@@ -60,7 +28,7 @@ def estimate_at(
     — exactly row ``m - 1`` of :func:`estimate_traces` over the same
     arrays.  Only the last ``min(m, window)`` sightings are read, so a
     caller may pass just that slice.  The window's arithmetic is
-    :func:`estimate_velocity`'s, reduced over the sample axis of every
+    the one-window least-squares fit's, reduced over the sample axis of every
     lane at once; fewer than two sightings, or a degenerate time spread,
     give zero velocity.
     """
@@ -81,7 +49,7 @@ def estimate_at(
         return velocities
     for axis in (0, 1):
         # ascontiguousarray keeps the per-row reductions on the same pairwise
-        # summation path as estimate_velocity's contiguous windows.
+        # summation path as a one-window fit over contiguous arrays.
         x = np.ascontiguousarray(positions[:, lo:, axis])
         velocities[:, axis] = (
             t_centered * (x - x.mean(axis=1, keepdims=True))
@@ -97,7 +65,7 @@ def estimate_traces(
     ``positions`` has shape ``(n_lanes, n_samples, 2)``; returns
     ``(velocities, speeds)`` of shapes ``(n_lanes, n_samples, 2)`` and
     ``(n_lanes, n_samples)``.  Row ``k``, sample ``i`` is exactly
-    :func:`estimate_velocity` over lane ``k``'s last ``min(i + 1, window)``
+    the least-squares fit over lane ``k``'s last ``min(i + 1, window)``
     sightings up to ``i`` (zero before the second sighting): every window's
     arithmetic matches it operation for operation, reduced over the last
     (window) axis, and the shared time grid makes the centred-time factors
@@ -155,17 +123,3 @@ def estimate_trace(
         times, np.asarray(positions, dtype=float)[None], window
     )
     return velocities[0], speeds[0]
-
-
-def recommended_window(mean_speed: float) -> int:
-    """The paper's recommended estimation window for a given mean speed.
-
-    Sec. 4: 2 positions for freeway traffic, 4 for city or inter-urban
-    traffic, 8 for a walking person.  The thresholds interpolate those
-    choices by mean speed (m/s).
-    """
-    if mean_speed >= 22.0:  # ~80 km/h and above: freeway-like
-        return 2
-    if mean_speed >= 5.0:  # between ~18 and ~80 km/h: urban / inter-urban
-        return 4
-    return 8

@@ -1,20 +1,16 @@
 """Trace I/O.
 
-Traces are stored as plain CSV (``time,x,y`` in seconds and metres) — the
+Traces are written as plain CSV (``time,x,y`` in seconds and metres) — the
 format the paper describes for its receiver output ("its output has been
-written to a file every second") — and optionally as CSV with WGS-84
-coordinates (``time,lat,lon``) for interoperability with real GPS logs.
+written to a file every second").
 """
 
 from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
-import numpy as np
-
-from repro.geo.geodesy import LocalProjection
 from repro.traces.trace import Trace
 
 
@@ -26,48 +22,3 @@ def save_trace_csv(trace: Trace, path: Union[str, Path]) -> None:
         writer.writerow(["time", "x", "y"])
         for time, (x, y) in zip(trace.times, trace.positions):
             writer.writerow([f"{time:.3f}", f"{x:.3f}", f"{y:.3f}"])
-
-
-def load_trace_csv(path: Union[str, Path], name: Optional[str] = None) -> Trace:
-    """Read a trace written by :func:`save_trace_csv`."""
-    path = Path(path)
-    times = []
-    positions = []
-    with path.open("r", newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not {"time", "x", "y"} <= set(reader.fieldnames):
-            raise ValueError(f"{path}: expected columns time,x,y")
-        for row in reader:
-            times.append(float(row["time"]))
-            positions.append((float(row["x"]), float(row["y"])))
-    return Trace(times, np.array(positions), name=name or path.stem)
-
-
-def load_trace_wgs84_csv(
-    path: Union[str, Path],
-    projection: Optional[LocalProjection] = None,
-    name: Optional[str] = None,
-) -> Trace:
-    """Read a ``time,lat,lon`` CSV and project it into local planar metres.
-
-    When *projection* is omitted, a projection centred on the first fix is
-    created — the natural choice when importing a standalone GPS log.
-    """
-    path = Path(path)
-    times = []
-    lats = []
-    lons = []
-    with path.open("r", newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not {"time", "lat", "lon"} <= set(reader.fieldnames):
-            raise ValueError(f"{path}: expected columns time,lat,lon")
-        for row in reader:
-            times.append(float(row["time"]))
-            lats.append(float(row["lat"]))
-            lons.append(float(row["lon"]))
-    if not times:
-        raise ValueError(f"{path}: empty trace")
-    if projection is None:
-        projection = LocalProjection(ref_lat=lats[0], ref_lon=lons[0])
-    positions = projection.to_local_array(np.array(lats), np.array(lons))
-    return Trace(times, positions, name=name or path.stem)

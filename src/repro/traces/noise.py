@@ -1,17 +1,16 @@
-"""GPS sensor noise models.
+"""GPS sensor noise.
 
 The paper's traces were recorded with a Differential-GPS receiver accurate to
-2-5 m.  The noise models here perturb a ground-truth trace to emulate such a
-sensor.  Consumer GPS errors are *correlated* in time (the error wanders
-slowly rather than jumping independently each second), which matters for the
-protocols: correlated noise produces smooth, plausible-looking — but offset —
-tracks, whereas white noise produces jitter that inflates estimated speeds.
-Both models are provided.
+2-5 m.  :class:`GaussMarkovNoise` perturbs a ground-truth trace to emulate
+such a sensor.  Consumer GPS errors are *correlated* in time (the error
+wanders slowly rather than jumping independently each second), which matters
+for the protocols: correlated noise produces smooth, plausible-looking — but
+offset — tracks, whereas white noise produces jitter that inflates estimated
+speeds.
 """
 
 from __future__ import annotations
 
-import abc
 import math
 from typing import Optional
 
@@ -20,57 +19,7 @@ import numpy as np
 from repro.traces.trace import Trace
 
 
-class GpsNoiseModel(abc.ABC):
-    """Base class of position-noise models."""
-
-    @abc.abstractmethod
-    def apply(self, trace: Trace) -> Trace:
-        """Return a copy of *trace* with noisy positions."""
-
-    @property
-    @abc.abstractmethod
-    def typical_error(self) -> float:
-        """A representative 1-sigma position error in metres (the paper's ``up``)."""
-
-
-class NoNoise(GpsNoiseModel):
-    """Identity noise model (perfect sensor); useful for isolating protocol effects."""
-
-    def apply(self, trace: Trace) -> Trace:
-        return trace.with_positions(trace.positions.copy())
-
-    @property
-    def typical_error(self) -> float:
-        return 0.0
-
-
-class GaussianNoise(GpsNoiseModel):
-    """Independent, zero-mean Gaussian noise on every sample.
-
-    Parameters
-    ----------
-    sigma:
-        Standard deviation per axis in metres.
-    seed:
-        Seed of the internal random generator.
-    """
-
-    def __init__(self, sigma: float = 3.0, seed: Optional[int] = None):
-        if sigma < 0:
-            raise ValueError("sigma must be non-negative")
-        self.sigma = float(sigma)
-        self._rng = np.random.default_rng(seed)
-
-    def apply(self, trace: Trace) -> Trace:
-        noise = self._rng.normal(0.0, self.sigma, size=(len(trace), 2))
-        return trace.with_positions(trace.positions + noise)
-
-    @property
-    def typical_error(self) -> float:
-        return self.sigma
-
-
-class GaussMarkovNoise(GpsNoiseModel):
+class GaussMarkovNoise:
     """First-order Gauss-Markov (exponentially correlated) position noise.
 
     The error on each axis follows ``e[k+1] = a * e[k] + w[k]`` with
@@ -104,6 +53,7 @@ class GaussMarkovNoise(GpsNoiseModel):
         self._rng = np.random.default_rng(seed)
 
     def apply(self, trace: Trace) -> Trace:
+        """Return a copy of *trace* with noisy positions."""
         n = len(trace)
         times = trace.times
         errors = np.zeros((n, 2))
@@ -120,13 +70,5 @@ class GaussMarkovNoise(GpsNoiseModel):
 
     @property
     def typical_error(self) -> float:
+        """A representative 1-sigma position error in metres (the paper's ``up``)."""
         return self.sigma
-
-
-def dgps_noise(seed: Optional[int] = None) -> GaussMarkovNoise:
-    """Convenience constructor matching the paper's Differential-GPS receiver.
-
-    2-5 m accuracy is modelled as a 2.5 m stationary sigma with a one-minute
-    correlation time.
-    """
-    return GaussMarkovNoise(sigma=2.5, correlation_time=60.0, seed=seed)

@@ -1,9 +1,7 @@
 """Resampling utilities for traces.
 
-The paper's receiver logs one fix per second; other data sources (or the
-mobility simulator run at a finer time step) may use different rates.  These
-helpers convert between sampling rates so protocols are always compared on
-identical inputs.
+The paper's receiver logs one fix per second; :func:`decimate` thins a
+trace to a coarser sighting rate (a scenario's ``sample_interval``).
 """
 
 from __future__ import annotations
@@ -11,29 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.traces.trace import Trace
-
-
-def resample_uniform(trace: Trace, interval: float) -> Trace:
-    """Resample *trace* to a uniform *interval* by linear interpolation.
-
-    The first and last timestamps are preserved; intermediate positions are
-    interpolated per axis.  Raises for non-positive intervals or single-sample
-    traces.
-    """
-    if interval <= 0:
-        raise ValueError("interval must be positive")
-    if len(trace) < 2:
-        raise ValueError("cannot resample a trace with fewer than two samples")
-    t0 = float(trace.times[0])
-    t1 = float(trace.times[-1])
-    n = max(2, int(np.floor((t1 - t0) / interval)) + 1)
-    new_times = t0 + np.arange(n) * interval
-    new_times = new_times[new_times <= t1 + 1e-9]
-    if new_times[-1] < t1 - 1e-9:
-        new_times = np.append(new_times, t1)
-    xs = np.interp(new_times, trace.times, trace.positions[:, 0])
-    ys = np.interp(new_times, trace.times, trace.positions[:, 1])
-    return Trace(new_times, np.column_stack((xs, ys)), name=trace.name)
 
 
 def decimate(trace: Trace, factor: int) -> Trace:

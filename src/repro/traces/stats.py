@@ -29,17 +29,6 @@ class TraceStatistics:
     n_samples: int
     sampling_interval_s: float
 
-    def as_row(self) -> dict:
-        """Dictionary with human-friendly keys, used by the report renderer."""
-        return {
-            "trace": self.name,
-            "length [km]": round(self.length_km, 1),
-            "duration [h]": round(self.duration_h, 2),
-            "avg speed [km/h]": round(self.average_speed_kmh, 1),
-            "max speed [km/h]": round(self.max_speed_kmh, 1),
-            "samples": self.n_samples,
-        }
-
 
 def compute_statistics(trace: Trace, smoothing_window_s: float = 5.0) -> TraceStatistics:
     """Compute Table 1 style statistics for *trace*.

@@ -10,7 +10,7 @@ object allocation would dominate the run time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -70,19 +70,6 @@ class Trace:
         self._times = t
         self._positions = p
         self.name = name
-
-    # ------------------------------------------------------------------ #
-    # constructors
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_samples(cls, samples: Iterable[TraceSample], name: str = "") -> "Trace":
-        """Build a trace from :class:`TraceSample` objects."""
-        samples = list(samples)
-        if not samples:
-            raise ValueError("a trace needs at least one sample")
-        return cls(
-            [s.time for s in samples], np.array([s.position for s in samples]), name=name
-        )
 
     # ------------------------------------------------------------------ #
     # array access
@@ -164,13 +151,6 @@ class Trace:
             self._positions + as_vec(position_offset),
             name=self.name,
         )
-
-    def clipped(self, start_time: float, end_time: float) -> "Trace":
-        """The sub-trace with ``start_time <= t <= end_time``."""
-        mask = (self._times >= start_time) & (self._times <= end_time)
-        if not np.any(mask):
-            raise ValueError("no samples fall inside the requested interval")
-        return Trace(self._times[mask], self._positions[mask], name=self.name)
 
     def with_positions(self, positions: np.ndarray) -> "Trace":
         """A copy with the same timestamps but different positions.

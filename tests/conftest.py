@@ -19,8 +19,9 @@ from repro.mobility.scenarios import (
 )
 from repro.roadmap.builder import RoadMapBuilder
 from repro.roadmap.elements import RoadClass
-from repro.roadmap.generators import straight_road_map, t_junction_map
 from repro.traces.trace import Trace
+
+from reference.maps import straight_road_map, t_junction_map
 
 
 # CI runs every property test with ``--hypothesis-profile=ci``: examples

@@ -1,1 +1,1 @@
-"""Independent reference implementations used as test oracles only."""
+"""Independent reference implementations and fixtures used by tests only."""

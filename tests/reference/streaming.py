@@ -8,7 +8,8 @@ at exactly its instant.  This module keeps the per-sighting shape of the
 paper's source loop (Fig. 1) for the tests and for the seed-loop baseline
 of ``benchmarks/bench_sweep_runner.py``:
 
-* :class:`StateEstimator` — the sliding-window speed/heading estimate fed
+* :func:`estimate_velocity` — the least-squares estimate over one window
+  of sightings, and :class:`StateEstimator`, which slides it over a trace
   one sighting at a time; the oracle of ``estimate_trace`` /
   ``estimate_traces`` / ``estimate_at``.
 * :func:`stream_observe` — a protocol fed one sighting at a time, its
@@ -35,9 +36,40 @@ import numpy as np
 from repro.geo.vec import Vec2, as_vec
 from repro.protocols.base import UpdateMessage, UpdateProtocol
 from repro.service.channel import MessageChannel
-from repro.traces.estimation import estimate_velocity
 
 from reference.per_sighting import SightingStepper
+
+
+def estimate_velocity(
+    times: np.ndarray, positions: np.ndarray
+) -> Tuple[np.ndarray, float]:
+    """Least-squares velocity estimate from a window of sightings.
+
+    Fits ``position(t) = p0 + v * t`` independently per axis over the given
+    window and returns ``(velocity_vector, speed)``.  With exactly two
+    samples this degenerates to the finite difference the paper uses for the
+    freeway case; larger windows average out sensor noise at the cost of lag,
+    matching the trade-off described in the paper.
+    """
+    times = np.asarray(times, dtype=float)
+    positions = np.asarray(positions, dtype=float)
+    if len(times) < 2:
+        return np.zeros(2), 0.0
+    t = times - times[-1]
+    # Least squares slope per axis: cov(t, x) / var(t).  The sums are written
+    # as elementwise products reduced with ``sum`` so that the batched
+    # implementation in :func:`~repro.traces.estimation.estimate_traces` performs bitwise-identical
+    # arithmetic row by row.
+    t_mean = t.mean()
+    t_centered = t - t_mean
+    denom = float((t_centered * t_centered).sum())
+    if denom == 0.0:
+        return np.zeros(2), 0.0
+    vx = float((t_centered * (positions[:, 0] - positions[:, 0].mean())).sum()) / denom
+    vy = float((t_centered * (positions[:, 1] - positions[:, 1].mean())).sum()) / denom
+    velocity = np.array([vx, vy])
+    speed = float(np.hypot(vx, vy))
+    return velocity, speed
 
 
 class StateEstimator:

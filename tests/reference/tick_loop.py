@@ -35,6 +35,7 @@ import numpy as np
 from repro.geo.vec import distance
 from repro.service.channel import MessageChannel
 from repro.sim.fleet import FleetSimulation
+from repro.traces.estimation import estimate_trace
 
 from reference.per_sighting import SightingStepper
 from reference.streaming import PolledQueue
@@ -64,10 +65,17 @@ class TickLoopFleet(FleetSimulation):
         ingest = getattr(server, "ingest_batch", None)
         queues: Dict[int, PolledQueue] = {}
         steppers = {}
+        sightings = {}
         errors: Dict[int, List[float]] = {id(state): [] for state in states}
         for state in states:
             queues.setdefault(id(state.channel), PolledQueue(state.channel))
             steppers[id(state)] = SightingStepper(state.lane.protocol)
+            # The oracle's own speed/heading estimates of every sighting.
+            trace = state.lane.sensor_trace
+            window = state.lane.protocol.estimation_window
+            sightings[id(state)] = (
+                trace.positions, *estimate_trace(trace.times, trace.positions, window)
+            )
         for g in range(len(starts) - 1):
             lo, hi = starts[g], starts[g + 1]
             t = t_list[lo]
@@ -75,7 +83,7 @@ class TickLoopFleet(FleetSimulation):
             seen: List[PolledQueue] = []
             for state, i in batch:
                 queue = queues[id(state.channel)]
-                _sighting(state, steppers[id(state)], queue, i, t)
+                _sighting(state, steppers[id(state)], sightings[id(state)], queue, i, t)
                 if queue not in seen:
                     seen.append(queue)
             delivered: List = []
@@ -97,11 +105,15 @@ class TickLoopFleet(FleetSimulation):
             state.errors = np.array(errors[id(state)], dtype=float)
 
 
-def _sighting(state, stepper: SightingStepper, queue: PolledQueue, i: int, t: float) -> None:
-    """Feed sample *i* to the lane's protocol; send any update it emits."""
-    message = stepper.observe(
-        i, t, state.sensor_positions[i], state.velocities[i], float(state.speeds[i])
-    )
+def _sighting(
+    state, stepper: SightingStepper, sightings, queue: PolledQueue, i: int, t: float
+) -> None:
+    """Feed sample *i* to the lane's protocol; send any update it emits.
+
+    *sightings* is the lane's ``(positions, velocities, speeds)``.
+    """
+    positions, velocities, speeds = sightings
+    message = stepper.observe(i, t, positions[i], velocities[i], float(speeds[i]))
     if message is not None:
         queue.send(state.lane.object_id, message, t)
         state.count_update(message)

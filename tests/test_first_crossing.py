@@ -28,7 +28,6 @@ from repro.protocols.prediction import (
 )
 from repro.protocols.reporting import DistanceBasedReporting, TimeBasedReporting
 from repro.roadmap.elements import Intersection, Link
-from repro.roadmap.generators import straight_road_map, t_junction_map
 from repro.roadmap.graph import RoadMap
 from repro.roadmap.probability import TurnProbabilityTable
 from repro.service.channel import MessageChannel
@@ -46,6 +45,7 @@ from repro.sim.fleet import (
 from repro.traces.estimation import estimate_trace
 from repro.traces.trace import Trace
 
+from reference.maps import straight_road_map, t_junction_map
 from reference.per_sighting import sighting_updates
 from reference.tick_loop import TickLoopFleet
 from reference.walk import WalkedFleet

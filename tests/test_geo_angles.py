@@ -8,10 +8,8 @@ from repro.geo.angles import (
     angle_between,
     angle_difference,
     bearing,
-    bearing_to_unit,
     normalize_angle,
     normalize_bearing,
-    unit_to_bearing,
 )
 
 
@@ -69,14 +67,6 @@ class TestBearing:
 
     def test_west(self):
         assert bearing((0, 0), (-10, 0)) == pytest.approx(3 * math.pi / 2)
-
-    def test_roundtrip_with_unit(self):
-        for b in (0.0, 0.7, math.pi / 2, 3.0, 5.5):
-            unit = bearing_to_unit(b)
-            assert unit_to_bearing(unit) == pytest.approx(b)
-
-    def test_unit_to_bearing_zero_vector(self):
-        assert unit_to_bearing((0.0, 0.0)) == 0.0
 
 
 class TestAngleBetween:

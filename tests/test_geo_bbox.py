@@ -53,12 +53,6 @@ class TestPredicates:
         b = BoundingBox(20, 20, 30, 30)
         assert not a.intersects(b)
 
-    def test_contains_box(self):
-        outer = BoundingBox(0, 0, 10, 10)
-        inner = BoundingBox(2, 2, 8, 8)
-        assert outer.contains_box(inner)
-        assert not inner.contains_box(outer)
-
 
 class TestOperations:
     def test_union(self):
@@ -69,15 +63,3 @@ class TestOperations:
     def test_expanded(self):
         box = BoundingBox(0, 0, 10, 10).expanded(2.0)
         assert box.as_tuple() == (-2.0, -2.0, 12.0, 12.0)
-
-    def test_distance_to_point_inside_is_zero(self):
-        box = BoundingBox(0, 0, 10, 10)
-        assert box.distance_to_point((5, 5)) == 0.0
-
-    def test_distance_to_point_outside(self):
-        box = BoundingBox(0, 0, 10, 10)
-        assert box.distance_to_point((13, 14)) == pytest.approx(5.0)
-
-    def test_distance_to_point_beside(self):
-        box = BoundingBox(0, 0, 10, 10)
-        assert box.distance_to_point((-3, 5)) == pytest.approx(3.0)

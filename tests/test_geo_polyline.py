@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.geo.polyline import Polyline
-from repro.geo.segment import Segment
 
 
 @pytest.fixture()
@@ -29,16 +28,6 @@ class TestConstruction:
 
     def test_len_returns_vertex_count(self, l_shape):
         assert len(l_shape) == 3
-
-    def test_from_segments(self):
-        segs = [Segment((0, 0), (10, 0)), Segment((10, 0), (10, 10))]
-        poly = Polyline.from_segments(segs)
-        assert poly.length == pytest.approx(20.0)
-        assert len(poly) == 3
-
-    def test_from_segments_empty_raises(self):
-        with pytest.raises(ValueError):
-            Polyline.from_segments([])
 
     def test_points_are_read_only(self, l_shape):
         with pytest.raises(ValueError):
@@ -131,30 +120,6 @@ class TestTransformations:
         rev = l_shape.reversed()
         assert rev.start.tolist() == [100.0, 100.0]
         assert rev.length == pytest.approx(l_shape.length)
-
-    def test_resample_spacing(self, l_shape):
-        dense = l_shape.resample(10.0)
-        assert dense.length == pytest.approx(l_shape.length, rel=1e-6)
-        assert len(dense) >= 20
-
-    def test_resample_preserves_endpoints(self, l_shape):
-        dense = l_shape.resample(7.0)
-        np.testing.assert_allclose(dense.start, l_shape.start)
-        np.testing.assert_allclose(dense.end, l_shape.end)
-
-    def test_resample_invalid_spacing(self, l_shape):
-        with pytest.raises(ValueError):
-            l_shape.resample(0.0)
-
-    def test_subpolyline(self, l_shape):
-        sub = l_shape.subpolyline(50.0, 150.0)
-        assert sub.length == pytest.approx(100.0)
-        np.testing.assert_allclose(sub.start, [50.0, 0.0])
-        np.testing.assert_allclose(sub.end, [100.0, 50.0])
-
-    def test_subpolyline_invalid_range(self, l_shape):
-        with pytest.raises(ValueError):
-            l_shape.subpolyline(120.0, 80.0)
 
     def test_concat(self, l_shape):
         other = Polyline([(100.0, 100.0), (200.0, 100.0)])

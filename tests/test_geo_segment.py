@@ -22,9 +22,6 @@ class TestBasicProperties:
     def test_bearing_east(self, horizontal):
         assert horizontal.bearing == pytest.approx(math.pi / 2)
 
-    def test_midpoint(self, horizontal):
-        assert horizontal.midpoint.tolist() == [50.0, 0.0]
-
     def test_reversed(self, horizontal):
         rev = horizontal.reversed()
         assert rev.start.tolist() == [100.0, 0.0]
@@ -76,21 +73,7 @@ class TestProjection:
     def test_distance_beyond_end_uses_endpoint(self, horizontal):
         assert horizontal.distance_to((103.0, 4.0)) == pytest.approx(5.0)
 
-    def test_project_offset(self, horizontal):
-        assert horizontal.project_offset((64.0, 10.0)) == pytest.approx(64.0)
-
     def test_project_parameter_degenerate(self):
         seg = Segment((1.0, 1.0), (1.0, 1.0))
         assert seg.project_parameter((5.0, 5.0)) == 0.0
         assert seg.distance_to((4.0, 5.0)) == pytest.approx(5.0)
-
-
-class TestSideOf:
-    def test_left(self, horizontal):
-        assert horizontal.side_of((50.0, 1.0)) == 1
-
-    def test_right(self, horizontal):
-        assert horizontal.side_of((50.0, -1.0)) == -1
-
-    def test_collinear(self, horizontal):
-        assert horizontal.side_of((150.0, 0.0)) == 0

@@ -1,21 +1,14 @@
 """Unit tests for repro.geo.vec."""
 
-import math
-
 import numpy as np
 import pytest
 
 from repro.geo.vec import (
     as_vec,
-    cross,
     distance,
     distance_sq,
     dot,
-    lerp,
     norm,
-    normalize,
-    perpendicular,
-    rotate,
 )
 
 
@@ -61,18 +54,6 @@ class TestNormAndNormalize:
     def test_norm(self):
         assert norm((3, 4)) == pytest.approx(5.0)
 
-    def test_normalize_unit_length(self):
-        n = normalize((10.0, 0.0))
-        assert n.tolist() == [1.0, 0.0]
-
-    def test_normalize_preserves_direction(self):
-        n = normalize((3.0, 4.0))
-        assert n[0] == pytest.approx(0.6)
-        assert n[1] == pytest.approx(0.8)
-
-    def test_normalize_zero_vector_returns_zero(self):
-        assert normalize((0.0, 0.0)).tolist() == [0.0, 0.0]
-
 
 class TestProducts:
     def test_dot(self):
@@ -80,35 +61,3 @@ class TestProducts:
 
     def test_dot_orthogonal(self):
         assert dot((1, 0), (0, 5)) == 0.0
-
-    def test_cross_right_handed(self):
-        assert cross((1, 0), (0, 1)) == pytest.approx(1.0)
-        assert cross((0, 1), (1, 0)) == pytest.approx(-1.0)
-
-    def test_cross_parallel_is_zero(self):
-        assert cross((2, 2), (4, 4)) == pytest.approx(0.0)
-
-
-class TestLerpRotatePerpendicular:
-    def test_lerp_endpoints(self):
-        assert lerp((0, 0), (10, 20), 0.0).tolist() == [0.0, 0.0]
-        assert lerp((0, 0), (10, 20), 1.0).tolist() == [10.0, 20.0]
-
-    def test_lerp_midpoint(self):
-        assert lerp((0, 0), (10, 20), 0.5).tolist() == [5.0, 10.0]
-
-    def test_rotate_quarter_turn(self):
-        r = rotate((1.0, 0.0), math.pi / 2)
-        assert r[0] == pytest.approx(0.0, abs=1e-12)
-        assert r[1] == pytest.approx(1.0)
-
-    def test_rotate_preserves_length(self):
-        r = rotate((3.0, 4.0), 1.234)
-        assert norm(r) == pytest.approx(5.0)
-
-    def test_perpendicular_is_orthogonal(self):
-        v = (3.0, 4.0)
-        assert dot(v, perpendicular(v)) == pytest.approx(0.0)
-
-    def test_perpendicular_is_left_turn(self):
-        assert perpendicular((1.0, 0.0)).tolist() == [0.0, 1.0]

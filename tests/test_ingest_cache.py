@@ -149,10 +149,8 @@ class TestReviewRegressions:
 
 class TestRegisterMapFileScenario:
     def test_identical_recipe_is_idempotent_different_options_raise(self, extract):
-        from repro.experiments.library import (
-            register_map_file_scenario,
-            unregister_scenario,
-        )
+        from repro.experiments import library
+        from repro.experiments.library import register_map_file_scenario
 
         name = register_map_file_scenario(str(extract))
         try:
@@ -164,4 +162,5 @@ class TestRegisterMapFileScenario:
                     str(extract), bbox=(48.7, 9.1, 48.8, 9.2)
                 )
         finally:
-            unregister_scenario(name)
+            library._REGISTRY.pop(name)
+            library.GENERATED_SPECS.pop(name, None)

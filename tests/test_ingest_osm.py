@@ -1,9 +1,11 @@
 """Unit tests for repro.ingest.osm: parsing, tag normalisation, projection."""
 
+import json
+import xml.etree.ElementTree as ET
+
 import numpy as np
 import pytest
 
-from repro.geo.geodesy import haversine_distance
 from repro.ingest.osm import (
     HIGHWAY_CLASSES,
     ONEWAY_BOTH,
@@ -16,8 +18,27 @@ from repro.ingest.osm import (
     parse_osm_xml,
     project_network,
 )
-from repro.ingest.fixtures import synthetic_town_json, synthetic_town_xml
+from repro.ingest.fixtures import synthetic_town_xml
 from repro.roadmap.elements import RoadClass
+
+from reference.geodesy import haversine_distance
+
+
+def _overpass_json(xml_doc: str) -> str:
+    """The nodes and ways of an OSM XML document as Overpass ``[out:json]``."""
+    root = ET.fromstring(xml_doc)
+    elements = [
+        {"type": "node", "id": int(n.get("id")), "lat": float(n.get("lat")),
+         "lon": float(n.get("lon"))}
+        for n in root.iter("node")
+    ]
+    elements += [
+        {"type": "way", "id": int(w.get("id")),
+         "nodes": [int(nd.get("ref")) for nd in w.iter("nd")],
+         "tags": {tag.get("k"): tag.get("v") for tag in w.iter("tag")}}
+        for w in root.iter("way")
+    ]
+    return json.dumps({"version": 0.6, "elements": elements})
 
 
 # --------------------------------------------------------------------------- #
@@ -194,7 +215,7 @@ class TestLoadOsm:
             assert load_osm(fh).stats.kept_ways > 0
 
     def test_sniffs_json(self, tmp_path):
-        doc = synthetic_town_json(seed=3)
+        doc = _overpass_json(synthetic_town_xml(seed=3))
         path = tmp_path / "town.json"
         path.write_text(doc, encoding="utf-8")
         assert load_osm(doc).stats.kept_ways > 0
@@ -202,7 +223,7 @@ class TestLoadOsm:
 
     def test_xml_and_json_fixtures_agree(self):
         from_xml = load_osm(synthetic_town_xml(seed=5))
-        from_json = parse_osm_json(synthetic_town_json(seed=5))
+        from_json = parse_osm_json(_overpass_json(synthetic_town_xml(seed=5)))
         assert set(from_xml.nodes) == set(from_json.nodes)
         assert [w.nodes for w in from_xml.ways] == [w.nodes for w in from_json.ways]
         assert [w.road_class for w in from_xml.ways] == [

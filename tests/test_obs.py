@@ -44,10 +44,9 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import FlightRecorder, SpanTracer, validate_chrome_trace
 from repro.service.facade import LocationService
-from repro.service.live import stats as live_stats
 from repro.service.live.server import LiveLocationServer
 from repro.sim.fleet import FleetSimulation
-from repro.sim.runner import ScenarioSpec, SweepRunner, read_artifact
+from repro.sim.runner import ScenarioSpec, SweepRunner
 
 
 # --------------------------------------------------------------------------- #
@@ -84,12 +83,6 @@ class TestNearestRank:
         for bad in (0.0, -1.0, 100.1):
             with pytest.raises(ValueError):
                 nearest_rank(ordered, bad)
-
-
-class TestStatsReExport:
-    def test_live_stats_is_the_shared_implementation(self):
-        assert live_stats.LatencyRecorder is LatencyRecorder
-        assert live_stats.nearest_rank is nearest_rank
 
 
 # --------------------------------------------------------------------------- #
@@ -344,16 +337,13 @@ class TestProvenance:
         points = runner.run_config_sweep(
             ScenarioSpec(name="freeway", scale=0.05, seed=0), "linear", [100.0]
         )
-        written = runner.write_artifacts(
+        runner.write_artifacts(
             points, "obs_prov", out_dir=str(tmp_path), metadata={"scale": 0.05}
         )
         payload = json.loads((tmp_path / "obs_prov.json").read_text())
         assert payload["metadata"] == {"scale": 0.05}
         provenance = payload["provenance"]
         assert "config_hash" in provenance and "git" in provenance
-        # read_artifact still round-trips (provenance rides along).
-        parsed = read_artifact(written["json"])
-        assert parsed["points"] == payload["points"]
 
 
 # --------------------------------------------------------------------------- #

@@ -5,7 +5,7 @@ import math
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.geo.angles import angle_between, bearing, bearing_to_unit, unit_to_bearing
+from repro.geo.angles import angle_between, bearing
 from repro.geo.polyline import Polyline
 from repro.geo.segment import Segment
 from repro.geo.vec import distance
@@ -31,7 +31,7 @@ def test_segment_projection_lies_on_segment(a, b, q):
     proj = seg.project(q)
     # The projected point is within the segment's bounding box (with slack)
     # and its offset is consistent with point_at.
-    offset = seg.project_offset(q)
+    offset = seg.project_parameter(q) * seg.length
     assert 0.0 <= offset <= seg.length + 1e-9
     np.testing.assert_allclose(seg.point_at(offset), proj, atol=1e-6)
 
@@ -80,12 +80,6 @@ def test_point_at_is_on_or_near_some_segment(points, fraction):
     # The generated point must lie (numerically) on the polyline.
     _, _, dist = poly.project(target)
     assert dist < 1e-6 * max(1.0, poly.length)
-
-
-@settings(max_examples=100, deadline=None)
-@given(b=st.floats(min_value=0.0, max_value=2 * math.pi - 1e-9))
-def test_bearing_unit_roundtrip(b):
-    assert math.isclose(unit_to_bearing(bearing_to_unit(b)), b, abs_tol=1e-9)
 
 
 @settings(max_examples=100, deadline=None)

@@ -32,6 +32,8 @@ from repro.ingest import (
     synthetic_town_xml,
 )
 
+from reference.maps import to_networkx
+
 FIXTURE_PATH = Path(__file__).parent / "data" / "miniville.osm"
 
 towns = st.fixed_dictionaries(
@@ -63,7 +65,7 @@ def test_every_link_has_positive_length(params):
 @given(params=towns)
 def test_contracted_graph_is_connected(params):
     _, compact = _compiled_pair(params)
-    assert nx.is_weakly_connected(compact.to_networkx())
+    assert nx.is_weakly_connected(to_networkx(compact))
 
 
 @settings(max_examples=12, deadline=None)
@@ -83,8 +85,8 @@ def test_junction_degrees_preserved(params):
 @given(params=towns, pair_seed=st.integers(min_value=0, max_value=999))
 def test_shortest_path_distances_identical(params, pair_seed):
     raw, compact = _compiled_pair(params)
-    raw_graph = raw.to_networkx()
-    compact_graph = compact.to_networkx()
+    raw_graph = to_networkx(raw)
+    compact_graph = to_networkx(compact)
     junctions = sorted(compact.intersections)
     rng = np.random.default_rng(pair_seed)
     for _ in range(6):

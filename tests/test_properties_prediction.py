@@ -30,11 +30,12 @@ from repro.protocols.prediction import (
     StaticPrediction,
 )
 from repro.roadmap.elements import Intersection, Link
-from repro.roadmap.generators import t_junction_map
 from repro.roadmap.graph import RoadMap
 from repro.roadmap.probability import TurnProbabilityTable
 
 from test_sim_kernel import LIBRARY_NAMES, _scenario
+
+from reference.maps import t_junction_map
 
 
 def _zero_length_segments_map() -> RoadMap:

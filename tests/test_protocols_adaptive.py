@@ -14,6 +14,11 @@ from repro.traces.trace import Trace
 from reference.streaming import stream_observe
 
 
+def threshold_at(protocol, time):
+    """The deviation threshold *protocol* applies at *time*."""
+    return float(np.ravel(protocol._thresholds(np.array([float(time)])))[0])
+
+
 def feed(protocol, trace):
     """Run a protocol over a trace, sighting by sighting; return its messages."""
     messages = stream_observe(protocol, trace.times, trace.positions)
@@ -57,9 +62,9 @@ class TestAdaptiveDeadReckoning:
             initial_threshold=100.0, update_cost=1.0, deviation_cost=0.001,
             estimation_window=2,
         )
-        initial = protocol.current_threshold(0.0)
+        initial = threshold_at(protocol, 0.0)
         feed(protocol, zigzag_trace)
-        assert protocol.current_threshold(zigzag_trace.duration) != initial
+        assert threshold_at(protocol, zigzag_trace.duration) != initial
 
     def test_threshold_respects_bounds(self, zigzag_trace):
         protocol = AdaptiveDeadReckoning(
@@ -67,7 +72,7 @@ class TestAdaptiveDeadReckoning:
             min_threshold=40.0, max_threshold=150.0, estimation_window=2,
         )
         feed(protocol, zigzag_trace)
-        assert 40.0 <= protocol.current_threshold(zigzag_trace.duration) <= 150.0
+        assert 40.0 <= threshold_at(protocol, zigzag_trace.duration) <= 150.0
 
     def test_higher_update_cost_means_fewer_updates(self, zigzag_trace):
         cheap_updates = feed(
@@ -90,7 +95,7 @@ class TestAdaptiveDeadReckoning:
         protocol = AdaptiveDeadReckoning(initial_threshold=123.0, estimation_window=2)
         feed(protocol, zigzag_trace)
         protocol.reset()
-        assert protocol.current_threshold(0.0) == 123.0
+        assert threshold_at(protocol, 0.0) == 123.0
 
 
 class TestDisconnectionDetection:
@@ -106,13 +111,13 @@ class TestDisconnectionDetection:
             estimation_window=2,
         )
         stream_observe(protocol, [0.0], [(0.0, 0.0)])
-        assert protocol.current_threshold(0.0) == pytest.approx(100.0)
-        assert protocol.current_threshold(50.0) == pytest.approx(50.0)
-        assert protocol.current_threshold(1000.0) == pytest.approx(20.0)
+        assert threshold_at(protocol, 0.0) == pytest.approx(100.0)
+        assert threshold_at(protocol, 50.0) == pytest.approx(50.0)
+        assert threshold_at(protocol, 1000.0) == pytest.approx(20.0)
 
     def test_threshold_without_reports_is_initial(self):
         protocol = DisconnectionDetectionDeadReckoning(initial_threshold=80.0)
-        assert protocol.current_threshold(500.0) == 80.0
+        assert threshold_at(protocol, 500.0) == 80.0
 
     def test_more_updates_than_fixed_threshold(self, zigzag_trace):
         fixed = feed(SpeedDeadReckoning(threshold=100.0, estimation_window=2), zigzag_trace)

@@ -31,13 +31,14 @@ from repro.protocols.prediction import (
     StaticPrediction,
 )
 from repro.roadmap.elements import RoadClass
-from repro.roadmap.generators import freeway_map, t_junction_map
+from repro.roadmap.generators import freeway_map
 from repro.roadmap.probability import TurnProbabilityTable
 from repro.roadmap.routing import RoutePlanner
 from repro.mobility.scenarios import corridor_route
 from repro.sim.fleet import lane_updates
 from repro.traces.estimation import estimate_trace
 
+from reference.maps import nearest_intersection, t_junction_map
 from reference.streaming import stream_observe
 
 
@@ -109,8 +110,8 @@ class TestTurnPolicies:
     @pytest.fixture()
     def junction(self):
         roadmap = t_junction_map(arm_length_m=500.0)
-        center, _ = roadmap.nearest_intersection((0.0, 0.0))
-        west, _ = roadmap.nearest_intersection((-500.0, 0.0))
+        center, _ = nearest_intersection(roadmap, (0.0, 0.0))
+        west, _ = nearest_intersection(roadmap, (-500.0, 0.0))
         incoming = next(
             l for l in roadmap.outgoing_links(west.id) if l.to_node == center.id
         )
@@ -226,8 +227,8 @@ class TestMapPrediction:
 
     def test_dead_end_stops_at_link_end(self):
         roadmap = t_junction_map(arm_length_m=400.0)
-        center, _ = roadmap.nearest_intersection((0.0, 0.0))
-        east, _ = roadmap.nearest_intersection((400.0, 0.0))
+        center, _ = nearest_intersection(roadmap, (0.0, 0.0))
+        east, _ = nearest_intersection(roadmap, (400.0, 0.0))
         to_east = next(l for l in roadmap.outgoing_links(center.id) if l.to_node == east.id)
         state = ObjectState(
             time=0.0, position=to_east.point_at(0.0), velocity=(20.0, 0.0), speed=20.0,
@@ -240,8 +241,8 @@ class TestMapPrediction:
 class TestRoutePrediction:
     def test_advances_along_route(self, straight_map):
         planner = RoutePlanner(straight_map)
-        start, _ = straight_map.nearest_intersection((0.0, 0.0))
-        end, _ = straight_map.nearest_intersection((2000.0, 0.0))
+        start, _ = nearest_intersection(straight_map, (0.0, 0.0))
+        end, _ = nearest_intersection(straight_map, (2000.0, 0.0))
         route = planner.shortest_route(start.id, end.id)
         state = make_state(time=0.0, position=(100.0, 4.0), velocity=(15.0, 0.0))
         prediction = RoutePrediction(route)
@@ -250,8 +251,8 @@ class TestRoutePrediction:
 
     def test_clamps_at_route_end(self, straight_map):
         planner = RoutePlanner(straight_map)
-        start, _ = straight_map.nearest_intersection((0.0, 0.0))
-        end, _ = straight_map.nearest_intersection((2000.0, 0.0))
+        start, _ = nearest_intersection(straight_map, (0.0, 0.0))
+        end, _ = nearest_intersection(straight_map, (2000.0, 0.0))
         route = planner.shortest_route(start.id, end.id)
         state = make_state(time=0.0, position=(1900.0, 0.0), velocity=(30.0, 0.0))
         predicted = RoutePrediction(route).predict(state, 1000.0)
@@ -261,8 +262,8 @@ class TestRoutePrediction:
         """A state without ``link_offset`` starts from its own projection,
         even when it reuses the id of a state dropped before it."""
         planner = RoutePlanner(straight_map)
-        start, _ = straight_map.nearest_intersection((0.0, 0.0))
-        end, _ = straight_map.nearest_intersection((2000.0, 0.0))
+        start, _ = nearest_intersection(straight_map, (0.0, 0.0))
+        end, _ = nearest_intersection(straight_map, (2000.0, 0.0))
         route = planner.shortest_route(start.id, end.id)
         prediction = RoutePrediction(route)
         for k in range(50):
@@ -272,8 +273,8 @@ class TestRoutePrediction:
 
     def test_predict_many_matches_predict(self, straight_map):
         planner = RoutePlanner(straight_map)
-        start, _ = straight_map.nearest_intersection((0.0, 0.0))
-        end, _ = straight_map.nearest_intersection((2000.0, 0.0))
+        start, _ = nearest_intersection(straight_map, (0.0, 0.0))
+        end, _ = nearest_intersection(straight_map, (2000.0, 0.0))
         route = planner.shortest_route(start.id, end.id)
         prediction = RoutePrediction(route)
         times = np.linspace(-5.0, 200.0, 83)
@@ -288,8 +289,8 @@ class TestRoutePrediction:
 def _protocol_factories(roadmap):
     """One constructor per protocol class, taking the estimation window."""
     planner = RoutePlanner(roadmap)
-    start, _ = roadmap.nearest_intersection((0.0, 0.0))
-    end, _ = roadmap.nearest_intersection((2000.0, 0.0))
+    start, _ = nearest_intersection(roadmap, (0.0, 0.0))
+    end, _ = nearest_intersection(roadmap, (2000.0, 0.0))
     route = planner.shortest_route(start.id, end.id)
     table = TurnProbabilityTable(roadmap)
     return {

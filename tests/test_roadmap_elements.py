@@ -1,7 +1,5 @@
 """Unit tests for repro.roadmap.elements."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -80,10 +78,6 @@ class TestLink:
     def test_point_and_direction(self, l_link):
         assert l_link.point_at(150.0).tolist() == [100.0, 50.0]
         assert l_link.direction_at(150.0).tolist() == [0.0, 1.0]
-
-    def test_entry_exit_bearings(self, l_link):
-        assert l_link.entry_bearing() == pytest.approx(math.pi / 2)
-        assert l_link.exit_bearing() == pytest.approx(0.0)
 
     def test_projection(self, l_link):
         matched, offset, dist = l_link.project((40.0, 10.0))

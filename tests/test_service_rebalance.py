@@ -95,13 +95,6 @@ class TestCellOverrides:
         assert policy.overrides == {}
         assert policy.shard_for_cell(cell) == natural
 
-    def test_clear_overrides(self):
-        policy = GridHashPolicy(4, region_size=100.0)
-        policy.override_cell((1, 1), 0)
-        policy.override_cell((2, 2), 3)
-        policy.clear_overrides()
-        assert policy.overrides == {}
-
     def test_out_of_range_shard_rejected(self):
         policy = GridHashPolicy(4)
         with pytest.raises(ValueError):

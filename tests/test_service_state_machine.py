@@ -31,16 +31,16 @@ from repro.protocols.prediction import (
     RoutePrediction,
     StaticPrediction,
 )
-from repro.roadmap.generators import straight_road_map
 from repro.roadmap.routing import RoutePlanner
 from repro.service.facade import LocationService
 from repro.service.server import LocationServer
 
 from reference.linear_queries import LinearScans
+from reference.maps import nearest_intersection, straight_road_map
 
 ROAD = straight_road_map(length_m=4000.0, n_links=4)
-_START, _ = ROAD.nearest_intersection((0.0, 0.0))
-_END, _ = ROAD.nearest_intersection((4000.0, 0.0))
+_START, _ = nearest_intersection(ROAD, (0.0, 0.0))
+_END, _ = nearest_intersection(ROAD, (4000.0, 0.0))
 ROUTE = RoutePlanner(ROAD).shortest_route(_START.id, _END.id)
 LINK_IDS = sorted(ROAD.links)
 

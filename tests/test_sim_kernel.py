@@ -457,9 +457,18 @@ class TestKeyedLoss:
             only_a.transmit("a", message(seq), float(seq))
         assert only_a.stats.messages_lost == fate_alone
 
-    def test_unseeded_channel_keeps_stream_draws(self):
-        channel = MessageChannel(loss_probability=0.5)
-        assert channel.stats.messages_lost == 0  # nothing sent, just constructs
+    def test_unseeded_channel_must_be_loss_free(self):
+        from repro.protocols.base import ObjectState, UpdateMessage, UpdateReason
+
+        with pytest.raises(ValueError, match="seed"):
+            MessageChannel(loss_probability=0.5)
+        channel = MessageChannel(latency=2.0)
+        state = ObjectState(time=0.0, position=(0.0, 0.0), velocity=(0.0, 0.0), speed=0.0)
+        for seq in range(20):
+            message = UpdateMessage(sequence=seq, state=state, reason=UpdateReason.THRESHOLD)
+            assert channel.transmit("a", message, float(seq)) == float(seq) + 2.0
+        assert channel.stats.messages_sent == 20
+        assert channel.stats.messages_lost == 0
 
 
 # --------------------------------------------------------------------------- #

@@ -10,7 +10,7 @@ from repro.protocols.linear import LinearPredictionProtocol
 from repro.protocols.reporting import TimeBasedReporting
 from repro.sim import run_simulation
 from repro.sim.config import SimulationConfig
-from repro.sim.runner import ScenarioSpec, SweepRunner, SweepTask, read_artifact
+from repro.sim.runner import ScenarioSpec, SweepRunner, SweepTask
 from repro.traces.trace import Trace
 
 FREEWAY = ScenarioSpec(name="freeway", scale=0.05, seed=0)
@@ -220,7 +220,7 @@ class TestArtifacts:
 
 
 class TestArtifactRoundTrip:
-    """Satellite: JSON/CSV artifacts parse back to the same point values."""
+    """JSON/CSV artifacts carry exactly the sweep's point values."""
 
     SPECS = [
         ScenarioSpec(name="freeway", scale=0.05, seed=0),
@@ -237,29 +237,19 @@ class TestArtifactRoundTrip:
             points, name, out_dir=str(tmp_path), metadata={"scenario": spec.name}
         )
         expected_rows = [point.result.as_dict() for point in points]
-        json_payload = read_artifact(written["json"])
+        with open(written["json"], encoding="utf-8") as fh:
+            json_payload = json.load(fh)
         assert json_payload["name"] == name
         assert json_payload["metadata"] == {"scenario": spec.name}
         assert json_payload["points"] == expected_rows
-        csv_payload = read_artifact(written["csv"])
-        assert csv_payload["name"] == name
-        assert csv_payload["points"] == expected_rows
-        # Both formats carry the identical rows, so they agree with each
-        # other as well as with the in-memory sweep.
-        assert csv_payload["points"] == json_payload["points"]
-        assert [row["us_m"] for row in csv_payload["points"]] == [p.accuracy for p in points]
-
-    def test_read_artifact_rejects_unknown_extension(self, tmp_path):
-        path = tmp_path / "artifact.yaml"
-        path.write_text("points: []\n")
-        with pytest.raises(ValueError):
-            read_artifact(str(path))
-
-    def test_read_artifact_rejects_malformed_json(self, tmp_path):
-        path = tmp_path / "artifact.json"
-        path.write_text(json.dumps({"points": []}))
-        with pytest.raises(ValueError):
-            read_artifact(str(path))
+        with open(written["csv"], encoding="utf-8", newline="") as fh:
+            csv_rows = list(csv.DictReader(fh))
+        # The CSV holds the identical rows, every cell its value's ``str``.
+        assert csv_rows == [
+            {key: "" if value is None else str(value) for key, value in row.items()}
+            for row in expected_rows
+        ]
+        assert [float(row["us_m"]) for row in csv_rows] == [p.accuracy for p in points]
 
 
 class TestProtocolPrototypes:

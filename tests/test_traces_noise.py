@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.traces.noise import GaussMarkovNoise, GaussianNoise, NoNoise, dgps_noise
+from repro.traces.noise import GaussMarkovNoise
 from repro.traces.trace import Trace
 
 
@@ -12,38 +12,6 @@ def long_trace():
     times = np.arange(0.0, 2000.0)
     positions = np.column_stack((times * 10.0, np.zeros_like(times)))
     return Trace(times, positions)
-
-
-class TestNoNoise:
-    def test_identity(self, long_trace):
-        noisy = NoNoise().apply(long_trace)
-        np.testing.assert_allclose(noisy.positions, long_trace.positions)
-        assert NoNoise().typical_error == 0.0
-
-
-class TestGaussianNoise:
-    def test_invalid_sigma(self):
-        with pytest.raises(ValueError):
-            GaussianNoise(sigma=-1.0)
-
-    def test_zero_sigma_is_identity(self, long_trace):
-        noisy = GaussianNoise(sigma=0.0, seed=0).apply(long_trace)
-        np.testing.assert_allclose(noisy.positions, long_trace.positions)
-
-    def test_error_statistics(self, long_trace):
-        sigma = 3.0
-        noisy = GaussianNoise(sigma=sigma, seed=1).apply(long_trace)
-        errors = noisy.positions - long_trace.positions
-        assert abs(errors.mean()) < 0.5
-        assert errors.std() == pytest.approx(sigma, rel=0.1)
-
-    def test_preserves_times_and_length(self, long_trace):
-        noisy = GaussianNoise(sigma=2.0, seed=2).apply(long_trace)
-        assert len(noisy) == len(long_trace)
-        np.testing.assert_allclose(noisy.times, long_trace.times)
-
-    def test_typical_error(self):
-        assert GaussianNoise(sigma=4.2).typical_error == 4.2
 
 
 class TestGaussMarkovNoise:
@@ -75,7 +43,3 @@ class TestGaussMarkovNoise:
         a = GaussMarkovNoise(sigma=2.0, seed=6).apply(long_trace)
         b = GaussMarkovNoise(sigma=2.0, seed=6).apply(long_trace)
         np.testing.assert_allclose(a.positions, b.positions)
-
-    def test_dgps_preset(self):
-        model = dgps_noise(seed=0)
-        assert 2.0 <= model.typical_error <= 5.0

@@ -32,16 +32,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Trace([0.0, 1.0], np.array([[0.0, 0.0], [np.nan, 1.0]]))
 
-    def test_from_samples(self):
-        samples = [TraceSample(0.0, (0, 0)), TraceSample(1.0, (10, 0))]
-        trace = Trace.from_samples(samples, name="two")
-        assert len(trace) == 2
-        assert trace.name == "two"
-
-    def test_from_samples_empty(self):
-        with pytest.raises(ValueError):
-            Trace.from_samples([])
-
     def test_views_read_only(self, straight_trace):
         with pytest.raises(ValueError):
             straight_trace.times[0] = 5.0
@@ -102,15 +92,6 @@ class TestTransformations:
     def test_shifted_position(self, straight_trace):
         shifted = straight_trace.shifted(position_offset=(5.0, -5.0))
         assert shifted.positions[0].tolist() == [5.0, -5.0]
-
-    def test_clipped(self, straight_trace):
-        clipped = straight_trace.clipped(10.0, 20.0)
-        assert clipped.times[0] == 10.0
-        assert clipped.times[-1] == 20.0
-
-    def test_clipped_empty_raises(self, straight_trace):
-        with pytest.raises(ValueError):
-            straight_trace.clipped(1000.0, 2000.0)
 
     def test_with_positions(self, straight_trace):
         new_positions = straight_trace.positions + 1.0
