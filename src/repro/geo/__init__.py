@@ -18,8 +18,6 @@ from repro.geo.vec import (
     as_vec,
     distance,
     distance_sq,
-    norm,
-    dot,
 )
 from repro.geo.angles import (
     normalize_angle,
@@ -29,7 +27,6 @@ from repro.geo.angles import (
     angle_difference,
     TWO_PI,
 )
-from repro.geo.segment import Segment
 from repro.geo.polyline import Polyline
 from repro.geo.bbox import BoundingBox
 from repro.geo.geodesy import EARTH_RADIUS_M, LocalProjection
@@ -39,15 +36,12 @@ __all__ = [
     "as_vec",
     "distance",
     "distance_sq",
-    "norm",
-    "dot",
     "normalize_angle",
     "normalize_bearing",
     "angle_between",
     "bearing",
     "angle_difference",
     "TWO_PI",
-    "Segment",
     "Polyline",
     "BoundingBox",
     "EARTH_RADIUS_M",

@@ -65,18 +65,6 @@ class BoundingBox:
         """Extent along the y axis."""
         return self.max_y - self.min_y
 
-    @property
-    def area(self) -> float:
-        """Area in square metres."""
-        return self.width * self.height
-
-    @property
-    def center(self) -> np.ndarray:
-        """Centre point of the box."""
-        return np.array(
-            [(self.min_x + self.max_x) * 0.5, (self.min_y + self.max_y) * 0.5]
-        )
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         """``(min_x, min_y, max_x, max_y)``."""
         return (self.min_x, self.min_y, self.max_x, self.max_y)

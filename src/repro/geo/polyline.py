@@ -14,7 +14,6 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.geo.segment import Segment
 from repro.geo.vec import Vec2, as_vec, distance
 from repro.geo.angles import bearing
 
@@ -81,29 +80,8 @@ class Polyline:
         """Total arc length in metres."""
         return self._length
 
-    @property
-    def start(self) -> np.ndarray:
-        """First vertex."""
-        return self._points[0].copy()
-
-    @property
-    def end(self) -> np.ndarray:
-        """Last vertex."""
-        return self._points[-1].copy()
-
     def __len__(self) -> int:
         return len(self._points)
-
-    def segments(self) -> list[Segment]:
-        """The polyline decomposed into its directed segments."""
-        return [
-            Segment(self._points[i], self._points[i + 1])
-            for i in range(len(self._points) - 1)
-        ]
-
-    def reversed(self) -> "Polyline":
-        """The same geometry traversed in the opposite direction."""
-        return Polyline(self._points[::-1].copy())
 
     def bounds(self) -> tuple[float, float, float, float]:
         """Axis-aligned bounds ``(min_x, min_y, max_x, max_y)``."""

@@ -57,14 +57,3 @@ def distance_sq(a: Vec2, b: Vec2) -> float:
 def distance(a: Vec2, b: Vec2) -> float:
     """Euclidean distance between two points in metres."""
     return math.sqrt(distance_sq(a, b))
-
-
-def norm(v: Vec2) -> float:
-    """Euclidean length of a vector."""
-    x, y = float(v[0]), float(v[1])
-    return math.hypot(x, y)
-
-
-def dot(a: Vec2, b: Vec2) -> float:
-    """Dot product of two 2-D vectors."""
-    return float(a[0]) * float(b[0]) + float(a[1]) * float(b[1])

@@ -174,14 +174,6 @@ class TileStore:
                 f"tile format version {self.index.get('version')} != {TILE_FORMAT_VERSION}"
             )
 
-    @property
-    def kind(self) -> str:
-        return str(self.index["kind"])
-
-    @property
-    def num_nodes(self) -> int:
-        return int(self.index["nodes"])
-
     def tile_keys(self) -> List[Tuple[int, int]]:
         """All occupied tiles, sorted (the canonical iteration order)."""
         keys = []

@@ -219,14 +219,6 @@ class IncrementalMapMatcher:
     # public API
     # ------------------------------------------------------------------ #
 
-    def reset(self) -> None:
-        """Forget the current link and history (object teleported / new trace)."""
-        self._current_link = None
-        self._last_offset = 0.0
-        self._link_history.clear()
-        self._off_map_counter = 0
-        self._heading = None
-
     def update(self, position: Vec2, heading: Optional[Vec2] = None) -> MatchResult:
         """Match one sensed position and return the result.
 

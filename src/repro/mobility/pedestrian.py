@@ -86,11 +86,6 @@ class PedestrianSimulator:
             extra_stops=extra_stops,
         )
 
-    @property
-    def route(self) -> Route:
-        """The route being walked."""
-        return self._vehicle.route
-
     def run(self, name: str = "walking person") -> SimulatedJourney:
         """Simulate the walk and return the recorded journey."""
         return self._vehicle.run(name=name)

@@ -79,21 +79,6 @@ class SpanTracer:
         """Open a span; use as a context manager or ``close()`` explicitly."""
         return Span(self, name, cat, args)
 
-    def instant(self, name: str, cat: str = "repro", args: Optional[Dict] = None) -> None:
-        """Record a zero-duration marker event."""
-        self._events.append(
-            {
-                "name": name,
-                "cat": cat,
-                "ph": "i",
-                "ts": round((_time.perf_counter() - self._origin) * 1e6, 3),
-                "pid": 0,
-                "tid": 0,
-                "s": "p",
-                "args": dict(args) if args else {},
-            }
-        )
-
     def _record(self, name: str, cat: str, start: float, duration: float, args: Dict) -> None:
         self._events.append(
             {

@@ -215,11 +215,6 @@ class DisconnectionDetectionDeadReckoning(_LinearPredictionThresholdProtocol):
         """Instants at which a probable disconnection was declared."""
         return list(self._disconnection_times)
 
-    @property
-    def disconnected(self) -> bool:
-        """Whether the tracker currently believes the link is down."""
-        return self._disconnected
-
     def next_deadline(self) -> Optional[float]:
         """The exact instant at which silence becomes a disconnection."""
         if (

@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.geo.vec import Vec2, as_vec, norm
+from repro.geo.vec import Vec2, as_vec
 from repro.protocols.prediction import PredictionFunction
 
 
@@ -81,16 +81,6 @@ class ObjectState:
             object.__setattr__(self, "acceleration", as_vec(self.acceleration))
         if self.speed < 0:
             raise ValueError("speed must be non-negative")
-
-    @property
-    def direction(self) -> np.ndarray:
-        """Unit direction of movement (zero vector when stationary)."""
-        if self.speed == 0.0:
-            return np.zeros(2)
-        n = norm(self.velocity)
-        if n == 0.0:
-            return np.zeros(2)
-        return self.velocity / n
 
     def with_link(self, link_id: Optional[int], link_offset: Optional[float]) -> "ObjectState":
         """A copy of the state with different link information."""

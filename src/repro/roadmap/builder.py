@@ -137,13 +137,6 @@ class RoadMapBuilder:
     # ------------------------------------------------------------------ #
     # assembly
     # ------------------------------------------------------------------ #
-    def num_intersections(self) -> int:
-        """Number of intersections added so far."""
-        return len(self._intersections)
-
-    def num_links(self) -> int:
-        """Number of links added so far."""
-        return len(self._links)
 
     def build(self, metadata: Optional[Dict] = None) -> RoadMap:
         """Assemble the immutable :class:`RoadMap`.

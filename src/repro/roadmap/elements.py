@@ -81,11 +81,6 @@ class Intersection:
     def __post_init__(self) -> None:
         object.__setattr__(self, "position", as_vec(self.position))
 
-    def distance_to(self, point: Vec2) -> float:
-        """Euclidean distance from the intersection to *point*."""
-        p = as_vec(point)
-        return float(np.hypot(*(self.position - p)))
-
 
 @dataclass(frozen=True)
 class Link:
@@ -134,16 +129,6 @@ class Link:
     def length(self) -> float:
         """Arc length of the link geometry in metres."""
         return self.geometry.length
-
-    @property
-    def start_position(self) -> np.ndarray:
-        """Position of the start intersection."""
-        return self.geometry.start
-
-    @property
-    def end_position(self) -> np.ndarray:
-        """Position of the end intersection."""
-        return self.geometry.end
 
     def bounds(self) -> BoundingBox:
         """Bounding box of the link geometry."""

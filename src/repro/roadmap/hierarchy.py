@@ -84,37 +84,16 @@ class PlannedPath:
 
     ``cost`` is the left-to-right float sum of link weights along the path
     (bit-identical between engines), ``tie`` the exact integer tie-key sum
-    that broke any equal-cost ties, ``nodes`` the intersection ids visited
-    and ``links`` the link ids traversed (empty for a source == target
-    query).
-
-    ``nodes`` is materialised lazily: most consumers (route construction,
-    benchmark identity checks) work from ``links`` alone, and on big maps
-    the node list is an extra O(path) pass that would otherwise be paid
-    inside the sub-millisecond query budget.
+    that broke any equal-cost ties and ``links`` the link ids traversed
+    (empty for a source == target query).
     """
 
-    __slots__ = ("cost", "tie", "links", "_nodes", "_graph")
+    __slots__ = ("cost", "tie", "links")
 
-    def __init__(
-        self,
-        cost: float,
-        tie: int,
-        links: List[int],
-        nodes: Optional[List[int]] = None,
-        graph: Optional["RoutingGraph"] = None,
-    ):
+    def __init__(self, cost: float, tie: int, links: List[int]):
         self.cost = cost
         self.tie = tie
         self.links = links
-        self._nodes = nodes
-        self._graph = graph
-
-    @property
-    def nodes(self) -> List[int]:
-        if self._nodes is None:
-            self._nodes = self._graph.nodes_of_path(self.links)
-        return self._nodes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PlannedPath(cost={self.cost:.1f}, {len(self.links)} links)"
@@ -217,16 +196,6 @@ class RoutingGraph:
             tie += info[1]
         return cost, tie
 
-    def nodes_of_path(self, link_ids: Sequence[int]) -> List[int]:
-        """Original node ids visited by a link-id path."""
-        if not link_ids:
-            return []
-        first = self.link_info[link_ids[0]]
-        nodes = [self.node_ids[first[2]]]
-        for lid in link_ids:
-            nodes.append(self.node_ids[self.link_info[lid][3]])
-        return nodes
-
 
 def dijkstra_path(graph: RoutingGraph, source: int, target: int) -> Optional[PlannedPath]:
     """Reference shortest path with deterministic tie-breaking.
@@ -242,7 +211,7 @@ def dijkstra_path(graph: RoutingGraph, source: int, target: int) -> Optional[Pla
     s = index_of[source]
     t = index_of[target]
     if s == t:
-        return PlannedPath(0.0, 0, [], nodes=[source])
+        return PlannedPath(0.0, 0, [])
     out_edges = graph.out_edges
     dist: Dict[int, Tuple[float, int]] = {s: (0.0, 0)}
     parent: Dict[int, Tuple[int, int]] = {}
@@ -275,7 +244,7 @@ def dijkstra_path(graph: RoutingGraph, source: int, target: int) -> Optional[Pla
         node = prev
     links.reverse()
     cost, tie = graph.path_cost(links)
-    return PlannedPath(cost, tie, links, graph=graph)
+    return PlannedPath(cost, tie, links)
 
 
 class ContractionHierarchy:
@@ -470,7 +439,7 @@ class ContractionHierarchy:
         s = index_of[source]
         t = index_of[target]
         if s == t:
-            return PlannedPath(0.0, 0, [], nodes=[source])
+            return PlannedPath(0.0, 0, [])
         fwd_up = self.fwd_up
         bwd_up = self.bwd_up
         scratch = self._query_scratch
@@ -621,7 +590,7 @@ class ContractionHierarchy:
                 for w in seg_ws:
                     cost += w
                 tie += seg_tie
-        return PlannedPath(cost, tie, links, graph=self.graph)
+        return PlannedPath(cost, tie, links)
 
     #: Soft cap on :attr:`_expand_cache` entries; crossing it clears the
     #: memo wholesale (queries only repopulate what they actually touch).

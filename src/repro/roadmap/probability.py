@@ -15,7 +15,7 @@ bootstrap the statistics.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro.roadmap.elements import Link
 from repro.roadmap.graph import RoadMap
@@ -64,12 +64,6 @@ class TurnProbabilityTable:
                 continue
             self.record_transition(a, b, weight)
 
-    def merge(self, other: "TurnProbabilityTable") -> None:
-        """Add the counts of *other* into this table (user-independent pooling)."""
-        for from_id, row in other._counts.items():
-            for to_id, count in row.items():
-                self._counts[from_id][to_id] += count
-
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
@@ -107,29 +101,3 @@ class TurnProbabilityTable:
             probabilities, key=lambda link_id: (-probabilities[link_id], link_id)
         )
         return self.roadmap.link(best_id)
-
-    def observed_transitions(self) -> Iterable[Tuple[int, int, float]]:
-        """Iterate over ``(from_link_id, to_link_id, count)`` triples."""
-        for from_id, row in self._counts.items():
-            for to_id, count in row.items():
-                yield from_id, to_id, count
-
-    # ------------------------------------------------------------------ #
-    # serialisation
-    # ------------------------------------------------------------------ #
-    def to_dict(self) -> dict:
-        """JSON-serialisable representation of the counts."""
-        return {
-            "laplace_smoothing": self.laplace_smoothing,
-            "transitions": [
-                {"from": f, "to": t, "count": c} for f, t, c in self.observed_transitions()
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, roadmap: RoadMap, data: Mapping) -> "TurnProbabilityTable":
-        """Rebuild a table from :meth:`to_dict` output."""
-        table = cls(roadmap, laplace_smoothing=float(data.get("laplace_smoothing", 0.0)))
-        for entry in data.get("transitions", []):
-            table.record_transition(int(entry["from"]), int(entry["to"]), float(entry["count"]))
-        return table

@@ -68,16 +68,6 @@ class Route:
         """Total route length in metres."""
         return float(self._link_start_offsets[-1])
 
-    @property
-    def start(self) -> np.ndarray:
-        """Start position of the route."""
-        return self.links[0].start_position
-
-    @property
-    def end(self) -> np.ndarray:
-        """End position of the route."""
-        return self.links[-1].end_position
-
     def __len__(self) -> int:
         return len(self.links)
 
@@ -130,11 +120,6 @@ class Route:
             rows = idx == k
             out[rows] = self.links[k].geometry.points_at(local[rows])
         return out
-
-    def direction_at(self, offset: float) -> np.ndarray:
-        """Unit direction of travel at route offset *offset*."""
-        link, local = self.link_at(offset)
-        return link.direction_at(local)
 
     def bearing_at(self, offset: float) -> float:
         """Compass bearing of travel at route offset *offset*."""
@@ -272,7 +257,7 @@ class RoutePlanner:
             if node not in self._graph.index_of and node not in self.roadmap.intersections:
                 raise nx.NodeNotFound(f"node {node} is not in the road map")
         if from_node == to_node:
-            return PlannedPath(0.0, 0, [], nodes=[from_node])
+            return PlannedPath(0.0, 0, [])
         if self.algo == "ch":
             path = self.build_hierarchy().query(from_node, to_node)
         else:

@@ -85,15 +85,6 @@ class LiveClient:
     # ------------------------------------------------------------------ #
     # operations
     # ------------------------------------------------------------------ #
-    async def ping(self) -> int:
-        """Round-trip; returns the server's ``applied_seq``."""
-        response = await self.request({"op": "ping"})
-        return int(response["applied_seq"])
-
-    async def register(self, objects: List[Dict[str, object]]) -> List[str]:
-        """Register objects (``{"id", "prediction", "accuracy"}`` specs)."""
-        response = await self.request({"op": "register", "objects": objects})
-        return [str(object_id) for object_id in response["registered"]]
 
     async def ingest(
         self,
@@ -202,11 +193,3 @@ class LiveClient:
                 min_seq=min_seq,
             )
         return answer, at_seq
-
-    async def stats(self) -> Dict[str, object]:
-        """Server + service statistics."""
-        return await self.request({"op": "stats"})
-
-    async def shutdown(self) -> None:
-        """Ask the server to shut down (it finishes in-flight work first)."""
-        await self.request({"op": "shutdown"})

@@ -41,7 +41,7 @@ and a replay plan drives them.
 
 :mod:`repro.sim.metrics` collects error samples as NumPy arrays
 (:class:`AccuracyMetrics`), :mod:`repro.sim.config` declares runs as
-serialisable :class:`SimulationConfig` values.
+:class:`SimulationConfig` values.
 """
 
 from repro.sim.metrics import AccuracyMetrics, SimulationResult

@@ -2,10 +2,9 @@
 
 :class:`SimulationConfig` captures everything needed to reproduce one
 protocol-versus-scenario run (protocol name and parameters, requested
-accuracy, scenario, seed, scale), can be serialised to/from a plain
-dictionary, and builds the protocol instance for a given scenario.  The
-benchmark harness and the examples use it so their parameters are explicit
-and greppable rather than buried in code.
+accuracy, scenario, seed, scale) and builds the protocol instance for a
+given scenario.  The benchmark harness and the examples use it so their
+parameters are explicit and greppable rather than buried in code.
 """
 
 from __future__ import annotations
@@ -130,29 +129,3 @@ class SimulationConfig:
                 self.accuracy, scenario.route, sensor_uncertainty=up, estimation_window=window
             )
         raise AssertionError(f"unhandled protocol id {self.protocol_id!r}")
-
-    # ------------------------------------------------------------------ #
-    # serialisation
-    # ------------------------------------------------------------------ #
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dictionary representation (JSON serialisable)."""
-        return {
-            "protocol_id": self.protocol_id,
-            "accuracy": self.accuracy,
-            "use_sensor_uncertainty": self.use_sensor_uncertainty,
-            "estimation_window": self.estimation_window,
-            "matching_tolerance": self.matching_tolerance,
-            "extra": dict(self.extra),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SimulationConfig":
-        """Rebuild a config from :meth:`to_dict` output."""
-        return cls(
-            protocol_id=data["protocol_id"],
-            accuracy=float(data["accuracy"]),
-            use_sensor_uncertainty=bool(data.get("use_sensor_uncertainty", True)),
-            estimation_window=data.get("estimation_window"),
-            matching_tolerance=data.get("matching_tolerance"),
-            extra=dict(data.get("extra", {})),
-        )

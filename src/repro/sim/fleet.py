@@ -129,11 +129,6 @@ class FleetResult:
     service_stats: Dict[str, object] = field(default_factory=dict)
 
     @property
-    def object_ids(self) -> List[str]:
-        """Tracked object ids, in lane order."""
-        return list(self.results)
-
-    @property
     def total_updates(self) -> int:
         """Update messages summed over the whole fleet."""
         return sum(r.updates for r in self.results.values())

@@ -36,11 +36,6 @@ class AccuracyMetrics:
         """Define the accuracy bound used to count violations (``us``)."""
         self._bound = float(bound)
 
-    @property
-    def bound(self) -> Optional[float]:
-        """The configured accuracy bound ``us`` (or ``None``)."""
-        return self._bound
-
     def record(self, error: float) -> None:
         """Record one server-vs-truth position error sample (metres)."""
         self._pending.append(float(error))

@@ -196,7 +196,3 @@ class GridIndex(Generic[T]):
         rounds to within *radius*.
         """
         return BoundingBox.around(p, radius + 1e-9 + 1e-12 * radius)
-
-    # ------------------------------------------------------------------ #
-    # diagnostics
-    # ------------------------------------------------------------------ #

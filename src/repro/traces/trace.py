@@ -14,7 +14,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from repro.geo.vec import Vec2, as_vec
+from repro.geo.vec import as_vec
 
 
 @dataclass(frozen=True)
@@ -144,13 +144,6 @@ class Trace:
     # ------------------------------------------------------------------ #
     # transformations
     # ------------------------------------------------------------------ #
-    def shifted(self, time_offset: float = 0.0, position_offset: Vec2 = (0.0, 0.0)) -> "Trace":
-        """A copy with all timestamps and/or positions offset."""
-        return Trace(
-            self._times + float(time_offset),
-            self._positions + as_vec(position_offset),
-            name=self.name,
-        )
 
     def with_positions(self, positions: np.ndarray) -> "Trace":
         """A copy with the same timestamps but different positions.

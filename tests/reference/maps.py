@@ -13,7 +13,7 @@ from typing import Tuple
 import networkx as nx
 import numpy as np
 
-from repro.geo.vec import Vec2, as_vec
+from repro.geo.vec import Vec2, as_vec, distance
 from repro.roadmap.builder import RoadMapBuilder
 from repro.roadmap.elements import Intersection, RoadClass
 from repro.roadmap.graph import RoadMap
@@ -51,7 +51,7 @@ def nearest_intersection(roadmap: RoadMap, point: Vec2) -> Tuple[Intersection, f
     nodes = list(roadmap.intersections.values())
     if not nodes:
         raise ValueError("the road map has no intersections")
-    distances = [node.distance_to(p) for node in nodes]
+    distances = [distance(node.position, p) for node in nodes]
     best = int(np.argmin(distances))
     return nodes[best], distances[best]
 

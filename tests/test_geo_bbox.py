@@ -26,8 +26,6 @@ class TestConstruction:
         box = BoundingBox(0.0, 0.0, 4.0, 3.0)
         assert box.width == 4.0
         assert box.height == 3.0
-        assert box.area == 12.0
-        assert box.center.tolist() == [2.0, 1.5]
 
 
 class TestPredicates:

@@ -23,8 +23,8 @@ class TestConstruction:
         assert l_shape.length == pytest.approx(200.0)
 
     def test_start_end(self, l_shape):
-        assert l_shape.start.tolist() == [0.0, 0.0]
-        assert l_shape.end.tolist() == [100.0, 100.0]
+        assert l_shape.points[0].tolist() == [0.0, 0.0]
+        assert l_shape.points[-1].tolist() == [100.0, 100.0]
 
     def test_len_returns_vertex_count(self, l_shape):
         assert len(l_shape) == 3
@@ -32,11 +32,6 @@ class TestConstruction:
     def test_points_are_read_only(self, l_shape):
         with pytest.raises(ValueError):
             l_shape.points[0][0] = 99.0
-
-    def test_segments_roundtrip(self, l_shape):
-        segs = l_shape.segments()
-        assert len(segs) == 2
-        assert segs[0].length == pytest.approx(100.0)
 
     def test_bounds(self, l_shape):
         assert l_shape.bounds() == (0.0, 0.0, 100.0, 100.0)
@@ -116,10 +111,6 @@ class TestProjection:
 
 
 class TestTransformations:
-    def test_reversed_geometry(self, l_shape):
-        rev = l_shape.reversed()
-        assert rev.start.tolist() == [100.0, 100.0]
-        assert rev.length == pytest.approx(l_shape.length)
 
     def test_concat(self, l_shape):
         other = Polyline([(100.0, 100.0), (200.0, 100.0)])

@@ -7,8 +7,6 @@ from repro.geo.vec import (
     as_vec,
     distance,
     distance_sq,
-    dot,
-    norm,
 )
 
 
@@ -48,16 +46,3 @@ class TestDistance:
 
     def test_symmetry(self):
         assert distance((1, 2), (5, -3)) == pytest.approx(distance((5, -3), (1, 2)))
-
-
-class TestNormAndNormalize:
-    def test_norm(self):
-        assert norm((3, 4)) == pytest.approx(5.0)
-
-
-class TestProducts:
-    def test_dot(self):
-        assert dot((1, 2), (3, 4)) == pytest.approx(11.0)
-
-    def test_dot_orthogonal(self):
-        assert dot((1, 0), (0, 5)) == 0.0

@@ -44,7 +44,7 @@ class TestAcquisition:
         eastbound = matcher.update((250.0, 2.0), heading=(1.0, 0.0))
         link = straight_map.link(eastbound.link_id)
         assert link.direction_at(eastbound.offset)[0] > 0
-        matcher.reset()
+        matcher = IncrementalMapMatcher(straight_map, MatcherConfig(tolerance=30.0))
         westbound = matcher.update((250.0, 2.0), heading=(-1.0, 0.0))
         link = straight_map.link(westbound.link_id)
         assert link.direction_at(westbound.offset)[0] < 0
@@ -97,7 +97,7 @@ class TestTracking:
         assert result.is_matched
         link = t_map.link(result.link_id)
         # The matched link leads towards the north arm.
-        assert link.end_position[1] > 100.0 or link.start_position[1] > 100.0
+        assert link.geometry.points[-1][1] > 100.0 or link.geometry.points[0][1] > 100.0
 
     def test_backward_tracking_recovers_wrong_choice(self, t_map):
         matcher = IncrementalMapMatcher(
@@ -113,7 +113,7 @@ class TestTracking:
         north = matcher.update((1.0, 120.0), heading=(0.0, 1.0))
         assert north.is_matched
         link = t_map.link(north.link_id)
-        assert abs(link.start_position[0]) < 1e-6 or abs(link.end_position[0]) < 1e-6
+        assert abs(link.geometry.points[0][0]) < 1e-6 or abs(link.geometry.points[-1][0]) < 1e-6
         assert matcher.statistics()["backward_tracks"] + matcher.statistics()["forward_tracks"] >= 1
 
     def test_off_map_after_leaving_network(self, straight_map):
@@ -132,13 +132,6 @@ class TestTracking:
         assert second.is_matched
         assert second.link_id != first.link_id
         assert matcher.statistics()["direction_flips"] >= 1
-
-    def test_reset_clears_state(self, straight_map):
-        matcher = IncrementalMapMatcher(straight_map)
-        matcher.update((100.0, 0.0))
-        assert matcher._current_link is not None
-        matcher.reset()
-        assert matcher._current_link is None
 
 
 class TestCorrectedPosition:

@@ -36,8 +36,11 @@ class TestVehicleSimulator:
         )
         journey = sim.run(name="test drive")
         assert journey.trace.name == "test drive"
-        np.testing.assert_allclose(journey.trace.positions[0], straight_route.start)
-        np.testing.assert_allclose(journey.trace.positions[-1], straight_route.end, atol=1e-6)
+        first, last = straight_route.links[0], straight_route.links[-1]
+        np.testing.assert_allclose(journey.trace.positions[0], first.geometry.points[0])
+        np.testing.assert_allclose(
+            journey.trace.positions[-1], last.geometry.points[-1], atol=1e-6
+        )
         assert journey.trace.path_length() == pytest.approx(straight_route.length, rel=0.01)
 
     def test_sampling_interval(self, straight_route):
@@ -134,10 +137,6 @@ class TestPedestrianSimulator:
         journey = sim.run()
         avg_kmh = journey.trace.path_length() / journey.trace.duration * 3.6
         assert 2.5 <= avg_kmh <= 6.0
-
-    def test_route_property(self, walk_route):
-        sim = PedestrianSimulator(walk_route)
-        assert sim.route is walk_route
 
     def test_trace_name(self, walk_route):
         journey = PedestrianSimulator(walk_route, rng=random.Random(2)).run(name="stroll")

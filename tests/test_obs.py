@@ -280,7 +280,6 @@ class TestTracing:
         with tracer.span("outer", cat="test", args={"k": 1}):
             with tracer.span("inner", cat="test"):
                 pass
-        tracer.instant("marker", cat="test")
         payload = tracer.to_chrome()
         assert validate_chrome_trace(payload) == []
         names = [e["name"] for e in payload["traceEvents"] if e["ph"] == "X"]

@@ -7,33 +7,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.geo.angles import angle_between, bearing
 from repro.geo.polyline import Polyline
-from repro.geo.segment import Segment
 from repro.geo.vec import distance
 
 coordinate = st.floats(min_value=-50_000.0, max_value=50_000.0, allow_nan=False)
 point = st.tuples(coordinate, coordinate)
-
-
-@settings(max_examples=100, deadline=None)
-@given(a=point, b=point, q=point)
-def test_segment_projection_is_closest_vertexwise(a, b, q):
-    """The projection is at least as close as either endpoint."""
-    seg = Segment(a, b)
-    d = seg.distance_to(q)
-    assert d <= distance(a, q) + 1e-6
-    assert d <= distance(b, q) + 1e-6
-
-
-@settings(max_examples=100, deadline=None)
-@given(a=point, b=point, q=point)
-def test_segment_projection_lies_on_segment(a, b, q):
-    seg = Segment(a, b)
-    proj = seg.project(q)
-    # The projected point is within the segment's bounding box (with slack)
-    # and its offset is consistent with point_at.
-    offset = seg.project_parameter(q) * seg.length
-    assert 0.0 <= offset <= seg.length + 1e-9
-    np.testing.assert_allclose(seg.point_at(offset), proj, atol=1e-6)
 
 
 @settings(max_examples=100, deadline=None)
@@ -61,15 +38,8 @@ def test_polyline_projection_offset_consistency(points, q):
 @given(points=st.lists(point, min_size=2, max_size=12))
 def test_polyline_length_equals_sum_of_segments(points):
     poly = Polyline(points)
-    total = sum(seg.length for seg in poly.segments())
+    total = sum(distance(a, b) for a, b in zip(points, points[1:]))
     assert math.isclose(poly.length, total, rel_tol=1e-9, abs_tol=1e-9)
-
-
-@settings(max_examples=100, deadline=None)
-@given(points=st.lists(point, min_size=2, max_size=10))
-def test_polyline_reverse_preserves_length(points):
-    poly = Polyline(points)
-    assert math.isclose(poly.reversed().length, poly.length, rel_tol=1e-12, abs_tol=1e-9)
 
 
 @settings(max_examples=100, deadline=None)

@@ -111,7 +111,7 @@ def test_fleet_equals_single_on_every_generated_scenario():
         )
         singles[name] = _run(scenario, "linear", 100.0)
     fleet = FleetSimulation(lanes).run()
-    assert fleet.object_ids == GENERATED_NAMES
+    assert list(fleet.results) == GENERATED_NAMES
     for name in GENERATED_NAMES:
         merged = fleet.results[name]
         single = singles[name]

@@ -10,24 +10,18 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from repro.geo.bbox import BoundingBox
-from repro.geo.segment import Segment
 from repro.spatial.grid import GridIndex
-from repro.spatial.index import IndexedItem, brute_force_nearest
+from repro.spatial.index import brute_force_nearest
 
 from reference.scalar_query_engine import MovingObjectIndex
+from reference.segments import segment_distance, segment_item
 
 coordinate = st.floats(min_value=-10_000.0, max_value=10_000.0, allow_nan=False)
 point = st.tuples(coordinate, coordinate)
 
 
 def build_items(segments):
-    items = []
-    for i, (a, b) in enumerate(segments):
-        seg = Segment(a, b)
-        items.append(
-            IndexedItem(key=i, bounds=BoundingBox(*seg.bounds()), distance=seg.distance_to)
-        )
-    return items
+    return [segment_item(i, a, b) for i, (a, b) in enumerate(segments)]
 
 
 @settings(max_examples=50, deadline=None)
@@ -172,7 +166,9 @@ def test_polyline_projection_matches_segmentwise_minimum(vertices, query):
 
     line = Polyline(vertices)
     matched, offset, dist = line.project(np.asarray(query))
-    segment_min = min(seg.distance_to(np.asarray(query)) for seg in line.segments())
+    segment_min = min(
+        segment_distance(a, b, query) for a, b in zip(line.points, line.points[1:])
+    )
     assert np.isclose(dist, segment_min, atol=1e-6)
     assert 0.0 <= offset <= line.length + 1e-9
     # The matched point lies on the polyline at the reported offset and at
@@ -202,8 +198,7 @@ def test_polyline_projection_agrees_across_index_backends(vertices, query):
 
     line = Polyline(vertices)
     items = [
-        IndexedItem(key=i, bounds=BoundingBox(*seg.bounds()), distance=seg.distance_to)
-        for i, seg in enumerate(line.segments())
+        segment_item(i, a, b) for i, (a, b) in enumerate(zip(line.points, line.points[1:]))
     ]
     _, _, direct = line.project(np.asarray(query))
     got = GridIndex(cell_size=400.0, items=items).nearest(query)

@@ -48,14 +48,9 @@ def make_state(time=0.0, position=(0.0, 0.0), velocity=(10.0, 0.0), **kwargs):
 
 
 class TestObjectState:
-    def test_coercion_and_direction(self):
+    def test_coercion(self):
         state = make_state(velocity=(3.0, 4.0))
         assert state.speed == pytest.approx(5.0)
-        np.testing.assert_allclose(state.direction, [0.6, 0.8])
-
-    def test_zero_speed_direction(self):
-        state = ObjectState(time=0.0, position=(0, 0), velocity=(0, 0), speed=0.0)
-        assert state.direction.tolist() == [0.0, 0.0]
 
     def test_negative_speed_rejected(self):
         with pytest.raises(ValueError):
@@ -122,7 +117,7 @@ class TestTurnPolicies:
         chosen = SmallestAngleTurnPolicy().choose(roadmap, incoming)
         assert chosen is not None
         # Continuing east (straight) rather than turning north.
-        assert chosen.end_position[0] > 100.0
+        assert chosen.geometry.points[-1][0] > 100.0
 
     def test_smallest_angle_dead_end_returns_none(self, junction):
         roadmap, incoming = junction
@@ -154,7 +149,7 @@ class TestTurnPolicies:
     def test_probabilistic_policy_follows_counts(self, junction):
         roadmap, incoming = junction
         north_link = next(
-            l for l in roadmap.successors(incoming) if l.end_position[1] > 100.0
+            l for l in roadmap.successors(incoming) if l.geometry.points[-1][1] > 100.0
         )
         table = TurnProbabilityTable(roadmap)
         table.record_transition(incoming.id, north_link.id, 10.0)

@@ -28,7 +28,7 @@ def first_link(roadmap, from_x, to_x):
     return next(
         l
         for l in roadmap.links.values()
-        if l.start_position[0] == from_x and l.end_position[0] == to_x
+        if l.geometry.points[0][0] == from_x and l.geometry.points[-1][0] == to_x
     )
 
 

@@ -8,7 +8,9 @@ a name counts as used where it is loaded, read as an attribute, or spelled
 inside a string that is neither a docstring nor an ``__all__`` entry
 (``perfbench`` wraps functions by name).  A definition's own body does not
 count, and neither do imports, so the re-exports of package ``__init__``
-modules keep nothing alive.
+modules keep nothing alive.  Names are matched without their owner: a name
+spelled elsewhere for another module or library (``np.dot``) counts as a
+use, and methods are not checked at all.
 """
 
 from __future__ import annotations

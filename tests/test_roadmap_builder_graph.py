@@ -73,8 +73,9 @@ class TestBuilder:
         a = builder.add_intersection((0, 0)).id
         b = builder.add_intersection((50, 0)).id
         builder.add_two_way_link(a, b)
-        assert builder.num_intersections() == 2
-        assert builder.num_links() == 2
+        roadmap = builder.build()
+        assert roadmap.num_intersections() == 2
+        assert roadmap.num_links() == 2
 
 
 class TestRoadMap:

@@ -39,10 +39,6 @@ class TestIntersection:
         node = Intersection(id=3, position=(1.0, 2.0))
         assert isinstance(node.position, np.ndarray)
 
-    def test_distance_to(self):
-        node = Intersection(id=3, position=(0.0, 0.0))
-        assert node.distance_to((3.0, 4.0)) == pytest.approx(5.0)
-
 
 class TestLink:
     def test_length(self, l_link):
@@ -72,8 +68,8 @@ class TestLink:
             )
 
     def test_endpoints(self, l_link):
-        assert l_link.start_position.tolist() == [0.0, 0.0]
-        assert l_link.end_position.tolist() == [100.0, 100.0]
+        assert l_link.geometry.points[0].tolist() == [0.0, 0.0]
+        assert l_link.geometry.points[-1].tolist() == [100.0, 100.0]
 
     def test_point_and_direction(self, l_link):
         assert l_link.point_at(150.0).tolist() == [100.0, 50.0]

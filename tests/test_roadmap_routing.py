@@ -40,8 +40,9 @@ class TestRoute:
 
     def test_point_at_endpoints(self, planner):
         route = planner.random_route(min_length=1500.0, rng=random.Random(2))
-        np.testing.assert_allclose(route.point_at(0.0), route.start)
-        np.testing.assert_allclose(route.point_at(route.length), route.end)
+        first, last = route.links[0], route.links[-1]
+        np.testing.assert_allclose(route.point_at(0.0), first.geometry.points[0])
+        np.testing.assert_allclose(route.point_at(route.length), last.geometry.points[-1])
 
     def test_link_at_boundaries(self, planner):
         route = planner.random_route(min_length=1500.0, rng=random.Random(3))

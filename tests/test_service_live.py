@@ -66,6 +66,11 @@ def make_message(sequence=0, time=0.0, position=(0.0, 0.0), velocity=(10.0, 0.0)
     return UpdateMessage(sequence=sequence, state=state, reason=UpdateReason.THRESHOLD)
 
 
+async def _ping(client: LiveClient) -> int:
+    """Round-trip a ``ping``; the server's ``applied_seq``."""
+    return int((await client.request({"op": "ping"}))["applied_seq"])
+
+
 def _straight_trace(n: int = 40, dt: float = 1.0, speed: float = 15.0) -> Trace:
     times = np.arange(n) * dt
     return Trace(times, np.column_stack((times * speed, np.zeros(n))))
@@ -376,14 +381,16 @@ class TestLiveServer:
             host, port = await server.start()
             try:
                 async with await LiveClient.connect(host, port) as client:
-                    assert await client.ping() == 0
-                    registered = await client.register([
+                    assert await _ping(client) == 0
+                    registered = await client.request({"op": "register", "objects": [
                         {"id": "a", "prediction": "linear", "accuracy": 50.0},
                         {"id": "b"},
-                    ])
-                    assert registered == ["a", "b"]
+                    ]})
+                    assert registered["registered"] == ["a", "b"]
                     with pytest.raises(LiveRequestError):
-                        await client.register([{"id": "c", "prediction": "warp"}])
+                        await client.request(
+                            {"op": "register", "objects": [{"id": "c", "prediction": "warp"}]}
+                        )
                     with pytest.raises(LiveRequestError):
                         await client.request({"op": "no-such-op"})
                     # Ingesting for an unknown object is an error, and the
@@ -417,7 +424,7 @@ class TestLiveServer:
             host, port = await server.start()
             try:
                 async with await LiveClient.connect(host, port) as client:
-                    await client.ping()
+                    await _ping(client)
                     for n in range(200):
                         with pytest.raises(LiveRequestError):
                             await client.request({"op": f"bogus-{n}"})
@@ -450,7 +457,7 @@ class TestLiveServer:
                 await send_malformed(host, port, struct.pack(">I", 1 << 30))  # oversize
                 await send_malformed(host, port, struct.pack(">I", 3) + b"{x}")  # not JSON
                 async with await LiveClient.connect(host, port) as client:
-                    assert await client.ping() == 0
+                    assert await _ping(client) == 0
                     stats = await client.request({"op": "stats"})
             finally:
                 await server.stop()
@@ -588,7 +595,7 @@ class TestLiveServer:
             server = LiveLocationServer()
             host, port = await server.start()
             client = await LiveClient.connect(host, port)
-            assert await client.ping() == 0
+            assert await _ping(client) == 0
             # The connection stays open (handler parked on read_frame); the
             # grace period must cut it loose rather than hang the stop.
             await asyncio.wait_for(server.stop(grace=0.2), timeout=5.0)
@@ -602,7 +609,7 @@ class TestLiveServer:
             host, port = await server.start()
             runner = asyncio.create_task(server.run_until_shutdown())
             async with await LiveClient.connect(host, port) as client:
-                await client.shutdown()
+                await client.request({"op": "shutdown"})
             await asyncio.wait_for(runner, timeout=5.0)
 
         asyncio.run(go())
@@ -650,7 +657,7 @@ class TestLiveServer:
                     response = await client.request(
                         {"op": "ingest", "t": t, "updates": [message]}, check=False
                     )
-                    assert await client.ping() == 0
+                    assert await _ping(client) == 0
             finally:
                 await server.stop()
             return server, response

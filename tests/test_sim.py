@@ -82,7 +82,7 @@ class TestRunSimulation:
             run_simulation(LinearPredictionProtocol(accuracy=100.0), straight_trace, other)
 
     def test_mismatched_times_rejected(self, straight_trace):
-        other = straight_trace.shifted(time_offset=10.0)
+        other = Trace(straight_trace.times + 10.0, straight_trace.positions)
         with pytest.raises(ValueError):
             run_simulation(LinearPredictionProtocol(accuracy=100.0), straight_trace, other)
 
@@ -97,7 +97,7 @@ class TestRunSimulation:
     def test_truth_trace_used_for_error(self, straight_trace):
         # Sensor reports a constant 30 m offset; the error against the truth
         # includes that offset even though the protocol never sees it.
-        sensor = straight_trace.shifted(position_offset=(0.0, 30.0))
+        sensor = straight_trace.with_positions(straight_trace.positions + (0.0, 30.0))
         result = run_simulation(
             DistanceBasedReporting(accuracy=100.0), sensor, truth_trace=straight_trace
         )
@@ -129,11 +129,6 @@ class TestSimulationConfig:
     def test_invalid_accuracy(self):
         with pytest.raises(ValueError):
             SimulationConfig(protocol_id="linear", accuracy=0.0)
-
-    def test_roundtrip(self):
-        config = SimulationConfig(protocol_id="map", accuracy=150.0, matching_tolerance=25.0)
-        rebuilt = SimulationConfig.from_dict(config.to_dict())
-        assert rebuilt == config
 
     def test_build_all_protocols(self, tiny_freeway_scenario):
         from repro.roadmap.probability import TurnProbabilityTable

@@ -165,7 +165,7 @@ class TestFleetEquivalence:
         ]
         fleet = FleetSimulation(lanes).run()
         assert isinstance(fleet, FleetResult)
-        assert fleet.object_ids == [f"obj-{n}" for n in range(len(configs))]
+        assert list(fleet.results) == [f"obj-{n}" for n in range(len(configs))]
         for n, (pid, us) in enumerate(configs):
             single = _single_run(_build(pid, us, scenario), scenario)
             _assert_results_identical(fleet.results[f"obj-{n}"], single)
@@ -234,10 +234,10 @@ class TestFleetEquivalence:
             for n in range(3)
         ]
         result = FleetSimulation(lanes, server=server).run()
-        assert sorted(server.object_ids()) == sorted(result.object_ids)
+        assert sorted(server.object_ids()) == sorted(result.results)
         t_end = float(scenario.sensor_trace.times[-1])
         positions = server.all_positions(t_end)
-        assert set(positions) == set(result.object_ids)
+        assert set(positions) == set(result.results)
 
 
 class TestChannelReuse:

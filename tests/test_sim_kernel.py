@@ -361,7 +361,7 @@ class TestProtocolTimers:
         )
         FleetSimulation([FleetLane("x", exact, trace)]).run()
         assert exact.disconnection_times == [12.5]
-        assert exact.disconnected
+        assert exact._disconnected
         polled = DisconnectionDetectionDeadReckoning(
             initial_threshold=50.0, disconnect_timeout=12.5
         )
@@ -375,7 +375,7 @@ class TestProtocolTimers:
         trace = _straight_trace(n=31)  # moves fast: threshold updates fire
         FleetSimulation([FleetLane("x", protocol, trace)]).run()
         assert protocol.disconnection_times == []
-        assert not protocol.disconnected
+        assert not protocol._disconnected
 
     def test_declining_protocol_with_sticky_deadline_terminates(self):
         """Progress guard: a protocol that declines every timer fire while

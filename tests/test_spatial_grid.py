@@ -11,16 +11,11 @@ import random
 import pytest
 
 from repro.geo.bbox import BoundingBox
-from repro.geo.segment import Segment
 from repro.spatial.grid import GridIndex
 from repro.spatial.index import IndexedItem, brute_force_nearest
 
 from reference.scalar_query_engine import MovingObjectIndex
-
-
-def segment_item(key, start, end):
-    seg = Segment(start, end)
-    return IndexedItem(key=key, bounds=BoundingBox(*seg.bounds()), distance=seg.distance_to)
+from reference.segments import segment_item
 
 
 @pytest.fixture()

@@ -68,7 +68,7 @@ class TestStreamedGraph:
         store = _mixed_store(tmp_path / "m")
         segments = list(store.iter_segments())
         assert len(segments) == store.index["segments"] == 5
-        assert store.num_nodes == 4
+        assert store.index["nodes"] == 4
         assert sorted(s.oneway for s in segments) == [False, False, False, True, True]
 
     def test_unknown_weight_rejected(self, tmp_path):
@@ -89,8 +89,8 @@ class TestSyntheticRegion:
 
     def test_region_shape(self, tmp_path):
         store = write_region_tiles(tmp_path / "r", 20, 24, tile_nodes=8)
-        assert store.kind == "synthetic-region"
-        assert store.num_nodes == 20 * 24
+        assert store.index["kind"] == "synthetic-region"
+        assert store.index["nodes"] == 20 * 24
         # Two-way grid: one segment per adjacent pair.
         assert store.index["segments"] == 19 * 24 + 20 * 23
         assert store.index["region"]["nrows"] == 20

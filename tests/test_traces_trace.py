@@ -84,15 +84,6 @@ class TestDerived:
 
 
 class TestTransformations:
-    def test_shifted_time(self, straight_trace):
-        shifted = straight_trace.shifted(time_offset=100.0)
-        assert shifted.times[0] == 100.0
-        assert shifted.duration == straight_trace.duration
-
-    def test_shifted_position(self, straight_trace):
-        shifted = straight_trace.shifted(position_offset=(5.0, -5.0))
-        assert shifted.positions[0].tolist() == [5.0, -5.0]
-
     def test_with_positions(self, straight_trace):
         new_positions = straight_trace.positions + 1.0
         replaced = straight_trace.with_positions(new_positions)
