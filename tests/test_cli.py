@@ -386,3 +386,183 @@ class TestFleetEngines:
         ) == 0
         manifest = json.loads((obs_dir / "manifest.json").read_text())
         assert manifest["config"]["engine"] == engine
+
+
+class TestArgumentTypes:
+    @pytest.mark.parametrize("value", ["two", "0", "-3"])
+    def test_positive_int_rejects(self, value):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["sweep", "--scenario", "city", "--jobs", value])
+
+    def test_bbox_rejects_non_numbers(self):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["import-map", "x.osm", "--bbox", "1,2,3,north"])
+
+    def test_bbox_parses_four_numbers(self):
+        args = cli.build_parser().parse_args(["import-map", "x.osm", "--bbox", "1,2.5,3,4"])
+        assert args.bbox == [1.0, 2.5, 3.0, 4.0]
+
+
+class TestRouteCommand:
+    @pytest.fixture
+    def extract(self, tmp_path):
+        from repro.ingest import write_fixture_xml
+
+        path = tmp_path / "routeville.osm"
+        write_fixture_xml(path, seed=17, rows=4, cols=4)
+        return path
+
+    def _route(self, extract, tmp_path, capsys, *extra):
+        code = cli.main(
+            [
+                "--json", "route", str(extract),
+                "--cache-dir", str(tmp_path / "cache"), "--repeat", "2", *extra,
+            ]
+        )
+        return code, capsys.readouterr()
+
+    def test_default_endpoints_span_the_map(self, extract, tmp_path, capsys):
+        code, captured = self._route(extract, tmp_path, capsys)
+        assert code == 0
+        row = json.loads(captured.out)[0]
+        assert row["algo"] == "dijkstra"
+        assert row["unit"] == "m"
+        assert row["from"] != row["to"]
+        assert row["cost"] > 0.0 and row["links"] > 0
+        assert "ch_shortcuts" not in row
+
+    def test_ch_plans_the_dijkstra_route(self, extract, tmp_path, capsys):
+        _, plain = self._route(extract, tmp_path, capsys)
+        code, captured = self._route(extract, tmp_path, capsys, "--algo", "ch")
+        assert code == 0
+        dijkstra = json.loads(plain.out)[0]
+        ch = json.loads(captured.out)[0]
+        assert (ch["from"], ch["to"], ch["cost"], ch["links"]) == (
+            dijkstra["from"], dijkstra["to"], dijkstra["cost"], dijkstra["links"],
+        )
+        assert ch["ch_shortcuts"] >= 0
+        assert ch["ch_prep_seconds"] >= 0.0
+
+    def test_travel_time_weight_reports_seconds(self, extract, tmp_path, capsys):
+        code, captured = self._route(extract, tmp_path, capsys, "--weight", "travel_time")
+        assert code == 0
+        row = json.loads(captured.out)[0]
+        assert row["unit"] == "s"
+        assert row["cost"] > 0.0
+
+    def test_route_to_the_start_node_is_empty(self, extract, tmp_path, capsys):
+        _, first = self._route(extract, tmp_path, capsys)
+        start = json.loads(first.out)[0]["from"]
+        code, captured = self._route(
+            extract, tmp_path, capsys, "--from", str(start), "--to", str(start)
+        )
+        assert code == 0
+        row = json.loads(captured.out)[0]
+        assert (row["cost"], row["links"]) == (0.0, 0)
+
+    def test_unknown_node_is_an_error(self, extract, tmp_path, capsys):
+        code, captured = self._route(extract, tmp_path, capsys, "--to", "987654321")
+        assert code == 2
+        assert "error" in captured.err
+
+    def test_missing_extract_is_an_error(self, tmp_path, capsys):
+        code, captured = self._route(tmp_path / "nope.osm", tmp_path, capsys)
+        assert code == 2
+        assert "error" in captured.err
+
+
+class TestObsReportJson:
+    def _write(self, directory, trace_events):
+        directory.mkdir()
+        (directory / "manifest.json").write_text(json.dumps({"git": {"sha": "abc"}}))
+        (directory / "metrics.json").write_text(json.dumps({"metrics": {"c": {"value": 1}}}))
+        (directory / "trace.json").write_text(json.dumps({"traceEvents": trace_events}))
+
+    def test_valid_directory(self, tmp_path, capsys):
+        obs_dir = tmp_path / "obs"
+        self._write(obs_dir, [{"ph": "X", "name": "a", "pid": 1, "ts": 0, "dur": 2}])
+        assert cli.main(["--json", "obs-report", str(obs_dir)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["manifest"] == {"git": {"sha": "abc"}}
+        assert report["metrics"] == {"c": {"value": 1}}
+        assert report["trace_events"] == 1
+        assert report["trace_problems"] == []
+
+    def test_a_file_path_reports_its_directory(self, tmp_path, capsys):
+        obs_dir = tmp_path / "obs"
+        self._write(obs_dir, [])
+        assert cli.main(["--json", "obs-report", str(obs_dir / "manifest.json")]) == 0
+        assert json.loads(capsys.readouterr().out)["directory"] == str(obs_dir)
+
+    def test_malformed_trace_fails(self, tmp_path, capsys):
+        obs_dir = tmp_path / "obs"
+        self._write(obs_dir, [{"ph": "X", "name": "a", "pid": 1, "ts": 0, "dur": -5}])
+        assert cli.main(["--json", "obs-report", str(obs_dir)]) == 1
+        problems = json.loads(capsys.readouterr().out)["trace_problems"]
+        assert problems == ["event 0 has no non-negative dur"]
+
+
+class TestServiceCommands:
+    def test_sharded_fleet_json_carries_per_shard_rows(self, capsys):
+        assert cli.main(
+            ["--json", "fleet", "--mix", "freeway:linear:200:3", "--scale", "0.05",
+             "--shards", "2"]
+        ) == 0
+        summary = json.loads(capsys.readouterr().out)[0]
+        assert summary["objects"] == 3
+        assert len(summary["per_shard"]) == 2
+        assert "handoffs" in summary
+
+    def test_query_bench_table_and_artifact(self, tmp_path, capsys):
+        assert cli.main(
+            [
+                "query-bench", "--scenario", "freeway", "--count", "3", "--shards", "2",
+                "--scale", "0.05", "--out-dir", str(tmp_path),
+            ]
+        ) == 0
+        captured = capsys.readouterr()
+        assert "Query bench on freeway" in captured.out
+        assert "Per-shard load" in captured.out
+        written = list(tmp_path.glob("query_bench_freeway_*.json"))
+        assert len(written) == 1
+        record = json.loads(written[0].read_text())
+        assert record["objects"] == 3 and record["shards"] == 2
+
+    def test_query_bench_rejects_an_unknown_query_kind(self, capsys):
+        assert cli.main(
+            ["query-bench", "--scenario", "freeway", "--query-mix", "teleport=1"]
+        ) == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_serve_rebalance_needs_shards(self, capsys):
+        assert cli.main(
+            ["serve", "--mix", "freeway:linear:200:2", "--scale", "0.05",
+             "--rebalance-skew", "1.5"]
+        ) == 2
+        assert "--shards > 1" in capsys.readouterr().err
+
+    def test_serve_rejects_malformed_mix(self, capsys):
+        assert cli.main(["serve", "--mix", "nonsense"]) == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_load_test_verify_needs_the_in_process_server(self, capsys):
+        assert cli.main(
+            ["load-test", "--mix", "freeway:linear:200:2", "--connect", "localhost:1",
+             "--verify"]
+        ) == 2
+        assert "--verify" in capsys.readouterr().err
+
+    def test_load_test_in_process_answers_match_the_facade(self, capsys):
+        assert cli.main(
+            [
+                "--json", "load-test", "--mix", "freeway:linear:200:2", "--scale", "0.05",
+                "--mode", "lockstep", "--clients", "1",
+                "--max-batches", "20", "--max-queries", "10", "--verify",
+            ]
+        ) == 0
+        captured = capsys.readouterr()
+        summary = json.loads(captured.out)
+        assert summary["mode"] == "lockstep"
+        assert summary["batches"] == summary["accepted_batches"] > 0
+        assert summary["rejected_batches"] == 0
+        assert "verified" in captured.err

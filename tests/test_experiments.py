@@ -11,6 +11,7 @@ from repro.experiments.figures import (
     FigureResult,
     FigureSeries,
     figure_for_scenario,
+    route_update_counts,
 )
 from repro.experiments.scenarios import clear_scenario_cache, get_scenario
 from repro.experiments.tables import PAPER_TABLE1, table1
@@ -76,6 +77,23 @@ class TestFigureDataStructures:
         figure = FigureResult("x", "x", series)
         assert figure.relative_series()["linear"] == [0.0]
         assert figure.reduction_between("map", "linear") == 0.0
+
+    def test_empty_sweep_has_no_reduction(self):
+        series = {pid: FigureSeries(pid, pid, []) for pid in ("distance", "linear", "map")}
+        assert FigureResult("x", "x", series).reduction_vs_baseline("map") == 0.0
+
+
+class TestRouteUpdateCounts:
+    def test_map_protocol_sends_fewer_updates_on_the_same_route(self):
+        clear_scenario_cache()
+        try:
+            results = route_update_counts(scale=0.05, accuracy=200.0)
+        finally:
+            clear_scenario_cache()
+        assert set(results) == {"linear", "map"}
+        linear, mapped = results["linear"], results["map"]
+        assert linear.duration_h == mapped.duration_h > 0.0
+        assert 0 < mapped.updates < linear.updates
 
 
 class TestFigureForScenario:
@@ -169,6 +187,13 @@ class TestReport:
         parsed = json.loads(report.to_json(data))
         assert parsed["value"] == 1.5
         assert parsed["array"] == [1.0, 2.0]
+
+    def test_to_json_uses_as_dict_and_numpy_scalars(self):
+        class Row:
+            def as_dict(self):
+                return {"count": np.int64(3)}
+
+        assert json.loads(report.to_json({"row": Row()})) == {"row": {"count": 3}}
 
     def test_to_json_rejects_unknown(self):
         with pytest.raises(TypeError):

@@ -199,6 +199,35 @@ class TestHierarchyPersistence:
         with pytest.raises(ValueError):
             ContractionHierarchy.from_dict(graph_b, data)
 
+    def test_from_dict_rejects_a_foreign_document(self):
+        graph = RoutingGraph.from_roadmap(random_roadmap(8), "length")
+        data = ContractionHierarchy.build(graph).to_dict()
+        data["format"] = "something-else"
+        with pytest.raises(ValueError, match="not a repro"):
+            ContractionHierarchy.from_dict(graph, data)
+
+    def test_from_dict_rejects_another_format_version(self):
+        graph = RoutingGraph.from_roadmap(random_roadmap(8), "length")
+        data = ContractionHierarchy.build(graph).to_dict()
+        data["version"] = -1
+        with pytest.raises(ValueError, match="version"):
+            ContractionHierarchy.from_dict(graph, data)
+
+    def test_from_dict_rejects_a_truncated_rank_table(self):
+        graph = RoutingGraph.from_roadmap(random_roadmap(8), "length")
+        data = ContractionHierarchy.build(graph).to_dict()
+        data["rank"] = data["rank"][:-1]
+        with pytest.raises(ValueError, match="rank table"):
+            ContractionHierarchy.from_dict(graph, data)
+
+    def test_from_dict_rejects_a_stale_edge_weight(self):
+        graph = RoutingGraph.from_roadmap(random_roadmap(8), "length")
+        data = json.loads(json.dumps(ContractionHierarchy.build(graph).to_dict()))
+        original = data["edges"]["mid"].index(-1)
+        data["edges"]["w"][original] += 1.0
+        with pytest.raises(ValueError, match="edge table"):
+            ContractionHierarchy.from_dict(graph, data)
+
     def test_sidecar_cache_round_trip(self, tmp_path):
         graph = RoutingGraph.from_roadmap(random_roadmap(7), "length")
         entry = tmp_path / "somemap-0123456789abcdef.json"

@@ -18,7 +18,7 @@ from repro.ingest.osm import (
     parse_osm_xml,
     project_network,
 )
-from repro.ingest.fixtures import synthetic_town_xml
+from repro.ingest.fixtures import build_fixture_xml, synthetic_town_xml
 from repro.roadmap.elements import RoadClass
 
 from reference.geodesy import haversine_distance
@@ -221,6 +221,18 @@ class TestLoadOsm:
         assert load_osm(doc).stats.kept_ways > 0
         assert load_osm(path).stats.kept_ways > 0
 
+    def test_json_parser_accepts_a_mapping_and_an_open_file(self, tmp_path):
+        doc = _overpass_json(synthetic_town_xml(seed=3))
+        from_text = parse_osm_json(doc)
+        from_mapping = parse_osm_json(json.loads(doc))
+        path = tmp_path / "town.json"
+        path.write_text(doc, encoding="utf-8")
+        with path.open("r", encoding="utf-8") as fh:
+            from_file = parse_osm_json(fh)
+        for network in (from_mapping, from_file):
+            assert set(network.nodes) == set(from_text.nodes)
+            assert [w.nodes for w in network.ways] == [w.nodes for w in from_text.ways]
+
     def test_xml_and_json_fixtures_agree(self):
         from_xml = load_osm(synthetic_town_xml(seed=5))
         from_json = parse_osm_json(_overpass_json(synthetic_town_xml(seed=5)))
@@ -232,6 +244,27 @@ class TestLoadOsm:
         assert [w.speed_limit for w in from_xml.ways] == [
             w.speed_limit for w in from_json.ways
         ]
+
+
+class TestFixtureTowns:
+    @pytest.mark.parametrize(
+        "params",
+        [{"rows": 2}, {"cols": 2}, {"spacing_m": 0.0}, {"chain_step_m": -1.0}],
+        ids=["two_rows", "two_cols", "zero_spacing", "negative_chain_step"],
+    )
+    def test_invalid_town_rejected(self, params):
+        with pytest.raises(ValueError):
+            synthetic_town_xml(seed=1, **params)
+
+    def test_unknown_fixture_lists_the_known_ones(self):
+        with pytest.raises(ValueError, match="town_dense"):
+            build_fixture_xml("atlantis", seed=1)
+
+    def test_named_fixture_renders_its_recipe_with_overrides(self):
+        assert build_fixture_xml("town", seed=4) == synthetic_town_xml(seed=4)
+        assert build_fixture_xml("town", seed=4, overrides={"rows": 4, "cols": 4}) == (
+            synthetic_town_xml(seed=4, rows=4, cols=4)
+        )
 
 
 # --------------------------------------------------------------------------- #

@@ -136,5 +136,17 @@ class TestMatchingAccuracy:
         with pytest.raises(ValueError):
             matching_accuracy(points, [1, 2, 3], straight_map)
 
+    def test_reverse_twin_counts_and_unmatched_does_not(self, straight_map):
+        forward = next(l for l in straight_map.links.values() if l.from_node == 1)
+        twin = straight_map.reverse_link(forward)
+        position = np.zeros(2)
+
+        def point(link_id):
+            return MatchedTracePoint(0.0, position, link_id, None, None)
+
+        points = [point(forward.id), point(twin.id), point(None), point(None)]
+        truth = [forward.id] * 4
+        assert matching_accuracy(points, truth, straight_map) == 0.5
+
     def test_empty_points(self, straight_map):
         assert matching_accuracy([], [], straight_map) == 0.0

@@ -162,6 +162,25 @@ class TestRegistryViews:
         assert 'repro_hist_bucket{le="2"' in text or 'le="2.0"' in text
         assert "repro_lat{quantile" in text
 
+    def test_text_view_has_one_row_per_instrument(self):
+        registry = _registry({"a": 3, "b": 5})
+        registry.histogram("hist", bounds=(1.0, 2.0)).observe(1.5)
+        lines = registry.render().splitlines()
+        assert lines[0].split() == ["metric", "kind", "det", "value"]
+        rows = {line.split()[0]: line.split(None, 3)[1:] for line in lines[1:]}
+        assert sorted(rows) == ["a", "b", "g", "hist", "lat"]
+        assert rows["a"] == ["counter", "yes", "3"]
+        assert rows["g"] == ["gauge", "no", "5 (max)"]
+        assert rows["hist"][:2] == ["histogram", "no"]
+        assert rows["hist"][2] == "n=1 min=1.5 max=1.5"
+        assert rows["lat"][:2] == ["latency", "no"]
+        assert rows["lat"][2].startswith("n=2 p50=")
+
+    def test_bundle_gauge_registers_in_its_registry(self):
+        obs = Observability()
+        obs.gauge("depth", mode="sum").set(4.0)
+        assert obs.registry.snapshot()["depth"]["value"] == 4.0
+
 
 # --------------------------------------------------------------------------- #
 # fleet integration: the bundle changes no result bit
@@ -291,6 +310,27 @@ class TestTracing:
     def test_validate_rejects_malformed_documents(self):
         assert validate_chrome_trace([]) != []
         assert validate_chrome_trace({"traceEvents": [{"ph": "Q"}]}) != []
+
+    @pytest.mark.parametrize(
+        "events, problem",
+        [
+            (["not an event"], "event 0 is not an object"),
+            ([{"ph": "i", "pid": 1, "ts": 0}], "event 0 has no name"),
+            ([{"ph": "i", "name": "n", "ts": 0}], "event 0 has no integer pid"),
+            ([{"ph": "i", "name": "n", "pid": 1}], "event 0 has no numeric ts"),
+            ([{"ph": "X", "name": "n", "pid": 1, "ts": 0, "dur": -1}],
+             "event 0 has no non-negative dur"),
+        ],
+        ids=["not_an_object", "no_name", "no_pid", "no_ts", "negative_dur"],
+    )
+    def test_validate_names_the_malformed_event(self, events, problem):
+        assert validate_chrome_trace({"traceEvents": events}) == [problem]
+
+    def test_validate_requires_an_event_list(self):
+        assert validate_chrome_trace({}) == ["traceEvents is missing or not a list"]
+        assert validate_chrome_trace({"traceEvents": {}}) == [
+            "traceEvents is missing or not a list"
+        ]
 
     def test_flight_recorder_is_bounded_and_readable(self):
         flight = FlightRecorder(4)

@@ -9,8 +9,30 @@ from repro.geo.angles import angle_between, bearing
 from repro.geo.polyline import Polyline
 from repro.geo.vec import distance
 
+from reference.segments import segment_distance
+
 coordinate = st.floats(min_value=-50_000.0, max_value=50_000.0, allow_nan=False)
 point = st.tuples(coordinate, coordinate)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=point, b=point, q=point)
+def test_segment_projection_is_closest_vertexwise(a, b, q):
+    """On one segment the projection is at least as close as either endpoint."""
+    d = Polyline([a, b]).distance_to(q)
+    assert d <= distance(a, q) + 1e-6
+    assert d <= distance(b, q) + 1e-6
+    scale = max(1.0, distance(a, b), distance(a, q))
+    assert math.isclose(d, segment_distance(a, b, q), rel_tol=1e-9, abs_tol=1e-9 * scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=point, b=point, q=point)
+def test_segment_projection_lies_on_segment(a, b, q):
+    seg = Polyline([a, b])
+    proj, offset, _ = seg.project(q)
+    assert 0.0 <= offset <= seg.length + 1e-9
+    np.testing.assert_allclose(seg.point_at(offset), proj, atol=1e-6)
 
 
 @settings(max_examples=100, deadline=None)
@@ -40,6 +62,17 @@ def test_polyline_length_equals_sum_of_segments(points):
     poly = Polyline(points)
     total = sum(distance(a, b) for a, b in zip(points, points[1:]))
     assert math.isclose(poly.length, total, rel_tol=1e-9, abs_tol=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=st.lists(point, min_size=2, max_size=10), q=point)
+def test_polyline_reverse_preserves_length(points, q):
+    """The reversed vertex list has the same length and the same closest point."""
+    poly = Polyline(points)
+    rev = Polyline(points[::-1])
+    assert math.isclose(rev.length, poly.length, rel_tol=1e-12, abs_tol=1e-9)
+    scale = max(1.0, poly.length, distance(points[0], q))
+    assert math.isclose(rev.distance_to(q), poly.distance_to(q), rel_tol=1e-9, abs_tol=1e-9 * scale)
 
 
 @settings(max_examples=100, deadline=None)

@@ -104,6 +104,8 @@ class TestDisconnectionDetection:
             DisconnectionDetectionDeadReckoning(initial_threshold=100.0, decay_time=0.0)
         with pytest.raises(ValueError):
             DisconnectionDetectionDeadReckoning(initial_threshold=100.0, floor_fraction=0.0)
+        with pytest.raises(ValueError):
+            DisconnectionDetectionDeadReckoning(initial_threshold=100.0, disconnect_timeout=0.0)
 
     def test_threshold_decays_with_silence(self):
         protocol = DisconnectionDetectionDeadReckoning(

@@ -29,6 +29,20 @@ class TestBuilder:
         with pytest.raises(ValueError):
             builder.add_link(0, 99)
 
+    def test_link_requires_an_existing_start_node(self):
+        builder = RoadMapBuilder()
+        builder.add_intersection((0, 0))
+        with pytest.raises(ValueError, match="from_node"):
+            builder.add_link(99, 0)
+
+    def test_duplicate_link_id_rejected_by_builder(self):
+        builder = RoadMapBuilder()
+        a = builder.add_intersection((0, 0))
+        b = builder.add_intersection((10, 0))
+        builder.add_link(a.id, b.id, link_id=3)
+        with pytest.raises(ValueError, match="already used"):
+            builder.add_link(b.id, a.id, link_id=3)
+
     def test_link_geometry_includes_endpoints_and_shape(self):
         builder = RoadMapBuilder()
         a = builder.add_intersection((0, 0)).id
@@ -117,6 +131,29 @@ class TestRoadMap:
         assert twin is not None
         assert twin.from_node == link.to_node
         assert twin.to_node == link.from_node
+
+    def test_duplicate_intersection_id_rejected(self, straight_map):
+        nodes = list(straight_map.intersections.values())
+        with pytest.raises(ValueError, match="duplicate intersection"):
+            RoadMap(nodes + [nodes[0]], [])
+
+    def test_unknown_to_node_rejected(self, straight_map):
+        links = list(straight_map.links.values())
+        nodes = [n for n in straight_map.intersections.values() if n.id != links[0].to_node]
+        with pytest.raises(ValueError, match="unknown to_node"):
+            RoadMap(nodes, [links[0]])
+
+    def test_bounds_without_links_span_the_intersections(self, straight_map):
+        nodes_only = RoadMap(straight_map.intersections.values(), [])
+        assert nodes_only.bounds().as_tuple() == (0.0, 0.0, 2000.0, 0.0)
+        assert nodes_only.bounds().as_tuple() == straight_map.bounds().as_tuple()
+
+    def test_one_way_link_has_no_reverse(self):
+        builder = RoadMapBuilder()
+        a = builder.add_intersection((0.0, 0.0))
+        b = builder.add_intersection((100.0, 0.0))
+        link = builder.add_link(a.id, b.id)
+        assert builder.build().reverse_link(link) is None
 
     def test_degree(self, t_map):
         # Centre of the T junction has three outgoing links.

@@ -1,5 +1,7 @@
 """Unit tests for repro.roadmap.elements."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,10 @@ class TestLink:
     def test_endpoints(self, l_link):
         assert l_link.geometry.points[0].tolist() == [0.0, 0.0]
         assert l_link.geometry.points[-1].tolist() == [100.0, 100.0]
+
+    def test_entry_exit_bearings(self, l_link):
+        assert l_link.geometry.bearing_at(0.0) == pytest.approx(math.pi / 2)
+        assert l_link.geometry.bearing_at(l_link.length) == pytest.approx(0.0)
 
     def test_point_and_direction(self, l_link):
         assert l_link.point_at(150.0).tolist() == [100.0, 50.0]

@@ -11,8 +11,10 @@ from repro.roadmap.generators import (
     city_grid_map,
     curved_path,
     freeway_map,
+    corridor_city_map,
     interurban_map,
     pedestrian_map,
+    radial_ring_map,
 )
 
 from reference.maps import nearest_intersection, straight_road_map, t_junction_map, to_networkx
@@ -117,6 +119,24 @@ class TestCityGridMap:
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             city_grid_map(rows=1, cols=5)
+
+
+class TestInvalidGeneratorArguments:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: radial_ring_map(n_arms=2),
+            lambda: radial_ring_map(n_rings=0),
+            lambda: corridor_city_map(rows=1),
+            lambda: corridor_city_map(cols=1),
+            lambda: corridor_city_map(corridor_km=0.0),
+        ],
+        ids=["radial_two_arms", "radial_no_rings", "corridor_one_row", "corridor_one_col",
+             "corridor_zero_km"],
+    )
+    def test_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
 
 
 class TestPedestrianMap:

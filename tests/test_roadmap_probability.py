@@ -42,6 +42,22 @@ class TestRecording:
         with pytest.raises(KeyError):
             table.record_transition(9999, t_map_with_links["to_east"].id)
 
+    def test_unknown_successor_link_rejected(self, t_map_with_links):
+        table = TurnProbabilityTable(t_map_with_links["map"])
+        with pytest.raises(KeyError):
+            table.record_transition(t_map_with_links["west_in"].id, 9999)
+
+    def test_record_link_sequence_skips_unmatched_gaps(self, t_map_with_links):
+        table = TurnProbabilityTable(t_map_with_links["map"])
+        west_in = t_map_with_links["west_in"].id
+        to_east = t_map_with_links["to_east"].id
+        to_north = t_map_with_links["to_north"].id
+        # ``None`` marks a sighting the matcher could not place on a link.
+        table.record_link_sequence([west_in, to_east, None, to_north], weight=2.0)
+        assert _count(table, west_in, to_east) == 2.0
+        assert _count(table, to_east, to_north) == 0.0
+        assert sum(sum(row.values()) for row in table._counts.values()) == 2.0
+
     def test_record_and_count(self, t_map_with_links):
         table = TurnProbabilityTable(t_map_with_links["map"])
         table.record_transition(t_map_with_links["west_in"].id, t_map_with_links["to_east"].id)

@@ -6,7 +6,9 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro.roadmap.builder import RoadMapBuilder
 from repro.roadmap.generators import city_grid_map
+from repro.roadmap.graph import RoadMap
 from repro.roadmap.routing import Route, RoutePlanner
 
 from reference.maps import nearest_intersection
@@ -43,6 +45,17 @@ class TestRoute:
         first, last = route.links[0], route.links[-1]
         np.testing.assert_allclose(route.point_at(0.0), first.geometry.points[0])
         np.testing.assert_allclose(route.point_at(route.length), last.geometry.points[-1])
+
+    def test_node_sequence_consistent(self, planner):
+        route = planner.random_route(min_length=1500.0, rng=random.Random(5))
+        for link, following in zip(route.links, route.links[1:]):
+            assert link.to_node == following.from_node
+            np.testing.assert_allclose(link.geometry.points[-1], following.geometry.points[0])
+
+    def test_len_and_iteration_follow_the_links(self, planner):
+        route = planner.random_route(min_length=1500.0, rng=random.Random(7))
+        assert len(route) == len(route.links)
+        assert [link.id for link in route] == [link.id for link in route.links]
 
     def test_link_at_boundaries(self, planner):
         route = planner.random_route(min_length=1500.0, rng=random.Random(3))
@@ -120,6 +133,59 @@ class TestRoutePlanner:
     def test_random_route_invalid_bias(self, planner):
         with pytest.raises(ValueError):
             planner.random_route(min_length=100.0, straight_bias=1.5)
+
+    def test_invalid_algo(self, city):
+        with pytest.raises(ValueError):
+            RoutePlanner(city, algo="astar")
+
+    def test_hierarchy_for_another_weight_rejected(self, city):
+        hierarchy = RoutePlanner(city, weight="length", algo="ch").build_hierarchy()
+        with pytest.raises(ValueError, match="weight"):
+            RoutePlanner(city, weight="travel_time", algo="ch", hierarchy=hierarchy)
+
+    def test_injected_hierarchy_answers_like_a_fresh_one(self, city, planner):
+        hierarchy = RoutePlanner(city, algo="ch").build_hierarchy()
+        reused = RoutePlanner(city, algo="ch", hierarchy=hierarchy)
+        assert reused.build_hierarchy() is hierarchy
+        expected = planner.shortest_route(0, 35)
+        assert [l.id for l in reused.shortest_route(0, 35).links] == [
+            l.id for l in expected.links
+        ]
+
+    def test_plan_to_the_start_node_is_empty(self, planner):
+        path = planner.plan(3, 3)
+        assert path.cost == 0.0
+        assert path.links == []
+
+    def test_shortest_route_to_the_start_node_rejected(self, planner):
+        with pytest.raises(ValueError):
+            planner.shortest_route(3, 3)
+
+    @pytest.mark.parametrize("algo", ["dijkstra", "ch"])
+    def test_disconnected_destination_raises_no_path(self, algo):
+        builder = RoadMapBuilder()
+        a = builder.add_intersection((0.0, 0.0))
+        b = builder.add_intersection((100.0, 0.0))
+        c = builder.add_intersection((500.0, 0.0))
+        d = builder.add_intersection((600.0, 0.0))
+        builder.add_two_way_link(a.id, b.id)
+        builder.add_two_way_link(c.id, d.id)
+        with pytest.raises(nx.NetworkXNoPath):
+            RoutePlanner(builder.build(), algo=algo).plan(a.id, d.id)
+
+    def test_random_route_on_a_map_without_links(self, city):
+        empty = RoadMap(city.intersections.values(), [])
+        with pytest.raises(ValueError, match="no links"):
+            RoutePlanner(empty).random_route(min_length=100.0)
+
+    def test_random_route_longer_than_the_map_allows(self):
+        builder = RoadMapBuilder()
+        a = builder.add_intersection((0.0, 0.0))
+        b = builder.add_intersection((100.0, 0.0))
+        builder.add_link(a.id, b.id)
+        planner = RoutePlanner(builder.build())
+        with pytest.raises(RuntimeError):
+            planner.random_route(min_length=1_000.0, rng=random.Random(0), max_attempts=5)
 
     def test_unreachable_raises(self, city, planner):
         corner_a, _ = nearest_intersection(city, (0.0, 0.0))

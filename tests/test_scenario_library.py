@@ -14,9 +14,11 @@ from repro.experiments.library import (
     scenario_names,
 )
 from repro.mobility.generator import (
+    FREE_FLOW,
     AgentSpec,
     Degradation,
     GeneratorSpec,
+    RealMapTopology,
     Topology,
     TrafficRegime,
     generate_scenario,
@@ -145,6 +147,107 @@ class TestGeneratedCompositions:
             Degradation(dropout_fraction=0.95)
         with pytest.raises(ValueError):
             generate_scenario(GENERATED_SPECS["rush_hour_city"], scale=0.0)
+
+
+class TestAxisValidation:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: AgentSpec(straight_bias=1.5),
+            lambda: AgentSpec(straight_bias=-0.1),
+            lambda: AgentSpec(n_stops=0),
+            lambda: AgentSpec(sample_interval=0.0),
+            lambda: Degradation(dropout_windows=-1),
+            lambda: Degradation(burst_windows=-1),
+            lambda: Degradation(burst_fraction=1.5),
+            lambda: Degradation(burst_sigma=-1.0),
+            lambda: RealMapTopology(),
+            lambda: RealMapTopology(map_file="town.osm", fixture="small_town"),
+            lambda: GeneratorSpec("", "no name", Topology(kind="grid"), FREE_FLOW),
+            lambda: GeneratorSpec(
+                "x", "empty trip", Topology(kind="grid"), FREE_FLOW, route_length_m=0.0
+            ),
+        ],
+        ids=[
+            "bias_above_one",
+            "bias_negative",
+            "no_stops",
+            "zero_sample_interval",
+            "negative_dropout_windows",
+            "negative_burst_windows",
+            "burst_fraction_above_one",
+            "negative_burst_sigma",
+            "osm_without_source",
+            "osm_with_two_sources",
+            "spec_without_name",
+            "spec_with_empty_route",
+        ],
+    )
+    def test_invalid_axis_value_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_degradation_with_nothing_to_degrade_is_null(self):
+        assert Degradation().is_null
+        assert Degradation(dropout_windows=3, dropout_fraction=0.0).is_null
+        assert not Degradation(burst_windows=2, burst_sigma=5.0, burst_fraction=0.1).is_null
+
+
+class TestKnobs:
+    @pytest.mark.parametrize(
+        "topology, expected",
+        [
+            (Topology(kind="grid", rows=4, cols=5, spacing_m=150.0),
+             {"rows": 4, "cols": 5, "spacing_m": 150.0}),
+            (Topology(kind="footpath", rows=3, cols=3, spacing_m=80.0),
+             {"rows": 3, "cols": 3, "spacing_m": 80.0}),
+            (Topology(kind="radial", n_arms=6, n_rings=2, ring_spacing_m=400.0),
+             {"n_arms": 6, "n_rings": 2, "ring_spacing_m": 400.0}),
+            (Topology(kind="corridor", length_km=12.0), {"length_km": 12.0}),
+            (Topology(kind="interurban", n_towns=3, town_spacing_km=8.0),
+             {"n_towns": 3, "town_spacing_km": 8.0}),
+            (Topology(kind="mixed", length_km=5.0, rows=4, cols=4, spacing_m=200.0),
+             {"corridor_km": 5.0, "rows": 4, "cols": 4, "spacing_m": 200.0}),
+        ],
+        ids=lambda value: value.kind if isinstance(value, Topology) else "",
+    )
+    def test_topology_knobs_name_the_parameters_of_its_kind(self, topology, expected):
+        assert topology.knobs == expected
+
+    def test_real_map_knobs(self):
+        assert RealMapTopology(fixture="small_town").knobs == {"source": "fixture:small_town"}
+        clipped = RealMapTopology(map_file="town.osm", bbox=(1.0, 2.0, 3.0, 4.0), contract=False)
+        assert clipped.knobs == {
+            "source": "town.osm", "bbox": (1.0, 2.0, 3.0, 4.0), "contract": False,
+        }
+
+    def test_spec_knobs_name_every_non_default_axis(self):
+        spec = GeneratorSpec(
+            "knobs",
+            "every optional knob set",
+            Topology(kind="corridor", length_km=10.0),
+            FREE_FLOW,
+            agent=AgentSpec(kind="delivery", n_stops=5, sample_interval=5.0),
+            degradation=Degradation(
+                dropout_windows=2, dropout_fraction=0.1,
+                burst_windows=3, burst_sigma=12.0, burst_fraction=0.2,
+            ),
+            route_length_m=8_000.0,
+        )
+        knobs = spec.knobs
+        assert knobs["topology"] == "corridor"
+        assert knobs["length_km"] == 10.0
+        assert knobs["route_style"] == "multi_stop"
+        assert knobs["route_km"] == 8.0
+        assert knobs["delivery_stops"] == 5
+        assert knobs["sample_interval_s"] == 5.0
+        assert knobs["dropout"] == "2x windows, 10%"
+        assert knobs["noise_bursts"] == "3x +12 m"
+
+    def test_default_spec_knobs_omit_optional_axes(self):
+        knobs = GeneratorSpec("plain", "defaults", Topology(kind="grid"), FREE_FLOW).knobs
+        for key in ("delivery_stops", "sample_interval_s", "dropout", "noise_bursts"):
+            assert key not in knobs
 
 
 class TestFleetMix:

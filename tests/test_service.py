@@ -68,6 +68,12 @@ class TestMessageChannel:
         assert channel.stats.messages_delivered + channel.stats.messages_lost == 200
         assert 0.3 < channel.stats.messages_lost / 200 < 0.7
 
+    def test_fresh_channel_counts_nothing(self):
+        stats = MessageChannel().stats
+        assert (stats.messages_sent, stats.messages_delivered, stats.messages_lost) == (0, 0, 0)
+        assert (stats.bytes_sent, stats.bytes_delivered) == (0, 0)
+        assert stats.max_queue_delay == 0.0
+
     def test_byte_accounting(self):
         channel = MessageChannel()
         queue = PolledQueue(channel)

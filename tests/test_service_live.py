@@ -314,6 +314,10 @@ class TestWireProtocol:
     def test_read_frame_clean_eof_returns_none(self):
         assert self._read(b"") is None
 
+    def test_read_frame_rejects_a_truncated_length_prefix(self):
+        with pytest.raises(FrameError, match="mid-frame"):
+            self._read(b"\x00\x00")
+
     def test_read_frame_rejects_garbage(self):
         import struct
 
@@ -683,6 +687,21 @@ class TestReplayedTraffic:
         # same calls.
         again = _small_plan()
         assert again.calls == plan.calls
+
+    def test_plan_needs_a_lane(self):
+        with pytest.raises(ValueError, match="lane"):
+            build_replay_plan([], QueryWorkload(arrival_rate_per_s=1.0, seed=0))
+
+    @pytest.mark.parametrize(
+        "mode, clients, message",
+        [("burst", 1, "unknown mode"), ("concurrent", 0, "at least one client")],
+        ids=["unknown_mode", "no_clients"],
+    )
+    def test_load_test_arguments_checked_before_connecting(self, mode, clients, message):
+        plan = _small_plan(max_batches=2, max_queries=1)
+        with pytest.raises(ValueError, match=message):
+            # Port 1 is never dialled: the arguments are rejected first.
+            asyncio.run(run_load_test(plan, "127.0.0.1", 1, clients=clients, mode=mode))
 
     def _run(self, plan, mode, clients, n_shards=2, queue_size=8):
         async def go():

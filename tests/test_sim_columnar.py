@@ -313,6 +313,16 @@ class TestColumnarStore:
             ColumnarFleetEngine(
                 np.array([0.0, 1.0]), np.zeros((1, 2, 2)), mode="warp"
             )
+        with pytest.raises(ValueError, match="non-empty"):
+            ColumnarFleetEngine(np.array([]), np.zeros((1, 0, 2)))
+        with pytest.raises(ValueError, match="truth"):
+            ColumnarFleetEngine(
+                np.array([0.0, 1.0]), np.zeros((1, 2, 2)), truth=np.zeros((2, 2, 2))
+            )
+        with pytest.raises(ValueError, match="estimation_window"):
+            ColumnarFleetEngine(
+                np.array([0.0, 1.0]), np.zeros((1, 2, 2)), mode=LINEAR, estimation_window=1
+            )
         with pytest.raises(ValueError, match="object_ids"):
             ColumnarFleetEngine(
                 np.array([0.0, 1.0]), np.zeros((2, 2, 2)), object_ids=["just-one"]

@@ -368,6 +368,20 @@ class TestProtocolTimers:
         TickLoopFleet([FleetLane("x", polled, trace)]).run()
         assert polled.disconnection_times == [13.0]  # polled: first sighting past it
 
+    def test_dtdr_reset_forgets_disconnections(self):
+        trace = Trace(np.arange(0.0, 41.0), np.zeros((41, 2)))
+        protocol = DisconnectionDetectionDeadReckoning(
+            initial_threshold=50.0, disconnect_timeout=12.5
+        )
+        FleetSimulation([FleetLane("x", protocol, trace)]).run()
+        assert protocol._disconnected
+        protocol.reset()
+        assert not protocol._disconnected
+        assert protocol.disconnection_times == []
+        # A rerun after the reset declares the same disconnection once.
+        FleetSimulation([FleetLane("x", protocol, trace)]).run()
+        assert protocol.disconnection_times == [12.5]
+
     def test_dtdr_update_clears_disconnection_state(self):
         protocol = DisconnectionDetectionDeadReckoning(
             initial_threshold=5.0, disconnect_timeout=100.0

@@ -41,6 +41,11 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             ScenarioSpec(name="freeway", scale=0.0)
 
+    @pytest.mark.parametrize("interval", [0.0, -5.0])
+    def test_non_positive_sample_interval_rejected(self, interval):
+        with pytest.raises(ValueError, match="sample_interval"):
+            ScenarioSpec(name="freeway", scale=0.05, sample_interval=interval)
+
     def test_build_is_cached(self):
         assert FREEWAY.build() is FREEWAY.build()
 

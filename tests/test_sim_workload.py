@@ -32,6 +32,7 @@ from repro.sim.workload import (
     QueryWorkload,
     WorkloadReport,
     default_query_mix,
+    default_query_rate,
     execute_call,
     query_stream,
 )
@@ -104,6 +105,12 @@ def _assert_results_identical(a, b):
 
 
 class TestQueryWorkloadSpec:
+    def test_default_rate_only_where_the_library_declares_one(self):
+        assert default_query_rate("poisson_queries_freeway") == 0.5
+        assert default_query_rate("freeway") is None
+        assert default_query_rate("atlantis") is None
+        assert default_query_rate(None) is None
+
     def test_validation(self):
         with pytest.raises(ValueError):
             QueryWorkload(queries_per_tick=-1.0)

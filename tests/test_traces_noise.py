@@ -39,6 +39,19 @@ class TestGaussMarkovNoise:
         noisy = GaussMarkovNoise(sigma=0.0, seed=5).apply(long_trace)
         np.testing.assert_allclose(noisy.positions, long_trace.positions)
 
+    def test_preserves_times_and_length(self, long_trace):
+        noisy = GaussMarkovNoise(sigma=2.0, seed=2).apply(long_trace)
+        assert len(noisy) == len(long_trace)
+        np.testing.assert_array_equal(noisy.times, long_trace.times)
+
+    def test_error_mean_is_near_zero(self, long_trace):
+        noisy = GaussMarkovNoise(sigma=3.0, correlation_time=5.0, seed=1).apply(long_trace)
+        errors = noisy.positions - long_trace.positions
+        assert abs(errors.mean()) < 0.5
+
+    def test_typical_error_is_sigma(self):
+        assert GaussMarkovNoise(sigma=4.2).typical_error == 4.2
+
     def test_deterministic_with_seed(self, long_trace):
         a = GaussMarkovNoise(sigma=2.0, seed=6).apply(long_trace)
         b = GaussMarkovNoise(sigma=2.0, seed=6).apply(long_trace)

@@ -28,6 +28,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Trace([1.0, 0.5], np.zeros((2, 2)))
 
+    def test_requires_one_dimensional_times(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            Trace(np.zeros((2, 1)), np.zeros((2, 2)))
+
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             Trace([0.0, 1.0], np.array([[0.0, 0.0], [np.nan, 1.0]]))
